@@ -78,36 +78,36 @@ fn bench_decompress_parallel(c: &mut Criterion) {
     g.finish();
 }
 
-/// The decoded-block cache hit path: cloning tuples out of a cached run vs.
-/// decoding the block from coded bytes.
+/// The decoded-block cache hit path — the cached batch handed over and its
+/// borrowed rows examined — vs. decoding the block from coded bytes.
 fn bench_decoded_cache_hit(c: &mut Criterion) {
+    use avq_schema::TupleBatch;
     use avq_storage::DecodedCache;
 
     let (schema, tuples) = sorted_tuples(4096);
     let run = &tuples[..400.min(tuples.len())];
+    let arity = schema.arity();
     let codec = BlockCodec::new(schema);
     let coded = codec.encode(run).unwrap();
-    let cache: DecodedCache<Vec<Tuple>> = DecodedCache::new(4);
-    cache.insert(0, Arc::new(run.to_vec()));
+    let cache: DecodedCache<TupleBatch> = DecodedCache::new(4);
+    cache.insert(0, Arc::new(TupleBatch::from_tuples(arity, run)));
 
     let mut g = c.benchmark_group("decoded_cache");
     g.throughput(Throughput::Elements(run.len() as u64));
-    g.bench_function("hit_clone_run", |b| {
-        let mut out: Vec<Tuple> = Vec::new();
+    g.bench_function("hit_scan_rows", |b| {
         b.iter(|| {
-            out.clear();
             let cached = cache.get(black_box(0)).unwrap();
-            out.extend_from_slice(&cached);
-            black_box(&out);
+            let matched = cached.rows().filter(|row| row[arity - 1] == 7).count();
+            black_box(matched);
         })
     });
     g.bench_function("miss_decode_block", |b| {
-        let mut out: Vec<Tuple> = Vec::new();
+        let mut out = TupleBatch::new(arity);
         let mut scratch = DecodeScratch::new();
         b.iter(|| {
             out.clear();
             codec
-                .decode_into_scratch(black_box(&coded), &mut out, &mut scratch)
+                .decode_batch_into(black_box(&coded), &mut out, &mut scratch)
                 .unwrap();
             black_box(&out);
         })

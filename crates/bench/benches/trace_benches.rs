@@ -4,11 +4,11 @@
 //! what every untraced query pays after the tracing refactor) vs. a live
 //! recording context (the sampled-in cost), plus a counting-allocator
 //! check that the disabled-context path keeps the steady-state budget of
-//! at most one heap allocation per decoded tuple.
+//! at most one heap allocation per decoded *block*.
 
 use avq_codec::{BlockCodec, CodingMode, DecodeKernel, DecodeScratch, RepChoice};
-use avq_obs::{SamplingPolicy, TraceCollector, TraceCtx};
-use avq_schema::{Schema, Tuple};
+use avq_obs::{GovCtx, SamplingPolicy, TraceCollector, TraceCtx};
+use avq_schema::{Schema, Tuple, TupleBatch};
 use avq_workload::SyntheticSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -16,7 +16,7 @@ use std::hint::black_box;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Heap allocations observed process-wide, for the ≤ 1 alloc/tuple check.
+/// Heap allocations observed process-wide, for the allocation-budget check.
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
 /// [`System`] with an allocation counter in front.
@@ -51,42 +51,44 @@ fn sorted_tuples(n: usize) -> (Arc<Schema>, Vec<Tuple>) {
     (schema, tuples)
 }
 
-/// The traced decode entry point with a *disabled* context must keep the
-/// steady-state allocation budget of the plain path: at most one heap
-/// allocation per decoded tuple (each `Tuple`'s digit storage).
+/// The query-facing decode entry point with *disabled* contexts must keep
+/// the steady-state allocation budget of the plain batch path: at most one
+/// heap allocation per block, in every mode under both kernels.
 fn assert_disabled_trace_alloc_budget() {
     let (schema, tuples) = sorted_tuples(4096);
     let run = &tuples[..400.min(tuples.len())];
-    let ctx = TraceCtx::disabled();
+    let (ctx, gov) = (TraceCtx::disabled(), GovCtx::unlimited());
     for mode in CodingMode::ALL {
-        let codec = BlockCodec::with_options(schema.clone(), mode, RepChoice::Median)
-            .with_kernel(DecodeKernel::Swar);
-        let coded = codec.encode(run).unwrap();
-        let mut out: Vec<Tuple> = Vec::new();
-        let mut scratch = DecodeScratch::new();
-        // Warm every buffer (scratch staging, output capacity).
-        for _ in 0..3 {
-            out.clear();
-            codec
-                .decode_into_scratch_traced(&coded, &mut out, &mut scratch, &ctx)
-                .unwrap();
+        for kernel in DecodeKernel::ALL {
+            let codec = BlockCodec::with_options(schema.clone(), mode, RepChoice::Median)
+                .with_kernel(kernel);
+            let coded = codec.encode(run).unwrap();
+            let mut out = TupleBatch::new(schema.arity());
+            let mut scratch = DecodeScratch::new();
+            // Warm every buffer (scratch staging, output capacity).
+            for _ in 0..3 {
+                out.clear();
+                codec
+                    .decode_batch_into_governed(&coded, &mut out, &mut scratch, &ctx, &gov)
+                    .unwrap();
+            }
+            const ROUNDS: u64 = 16;
+            let before = ALLOCS.load(Ordering::Relaxed);
+            for _ in 0..ROUNDS {
+                out.clear();
+                codec
+                    .decode_batch_into_governed(&coded, &mut out, &mut scratch, &ctx, &gov)
+                    .unwrap();
+                black_box(&out);
+            }
+            let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+            let per_block = allocs as f64 / ROUNDS as f64;
+            println!("traced-off {kernel} {mode} steady-state: {per_block:.2} allocs/block");
+            assert!(
+                per_block <= 1.0,
+                "disabled-trace {kernel} decode ({mode}) allocated {per_block:.2} heap blocks per block (> 1)"
+            );
         }
-        const ROUNDS: u64 = 16;
-        let before = ALLOCS.load(Ordering::Relaxed);
-        for _ in 0..ROUNDS {
-            out.clear();
-            codec
-                .decode_into_scratch_traced(&coded, &mut out, &mut scratch, &ctx)
-                .unwrap();
-            black_box(&out);
-        }
-        let allocs = ALLOCS.load(Ordering::Relaxed) - before;
-        let per_tuple = allocs as f64 / (ROUNDS * run.len() as u64) as f64;
-        println!("traced-off {mode} steady-state: {per_tuple:.3} allocs/tuple ({allocs} total)");
-        assert!(
-            per_tuple <= 1.0,
-            "disabled-trace decode ({mode}) allocated {per_tuple:.3} heap blocks per tuple (> 1)"
-        );
     }
 }
 
@@ -109,12 +111,12 @@ fn bench_trace_overhead(c: &mut Criterion) {
         BenchmarkId::new("decode", "untraced"),
         &codec,
         |b, codec| {
-            let mut out = Vec::new();
+            let mut out = TupleBatch::new(schema.arity());
             let mut scratch = DecodeScratch::new();
             b.iter(|| {
                 out.clear();
                 codec
-                    .decode_into_scratch(black_box(&coded), &mut out, &mut scratch)
+                    .decode_batch_into(black_box(&coded), &mut out, &mut scratch)
                     .unwrap();
                 black_box(&out);
             })
@@ -125,13 +127,19 @@ fn bench_trace_overhead(c: &mut Criterion) {
         BenchmarkId::new("decode", "disabled"),
         &codec,
         |b, codec| {
-            let ctx = TraceCtx::disabled();
-            let mut out = Vec::new();
+            let (ctx, gov) = (TraceCtx::disabled(), GovCtx::unlimited());
+            let mut out = TupleBatch::new(schema.arity());
             let mut scratch = DecodeScratch::new();
             b.iter(|| {
                 out.clear();
                 codec
-                    .decode_into_scratch_traced(black_box(&coded), &mut out, &mut scratch, &ctx)
+                    .decode_batch_into_governed(
+                        black_box(&coded),
+                        &mut out,
+                        &mut scratch,
+                        &ctx,
+                        &gov,
+                    )
                     .unwrap();
                 black_box(&out);
             })
@@ -143,13 +151,20 @@ fn bench_trace_overhead(c: &mut Criterion) {
         &codec,
         |b, codec| {
             let collector = TraceCollector::new(4, SamplingPolicy::Always);
-            let mut out = Vec::new();
+            let gov = GovCtx::unlimited();
+            let mut out = TupleBatch::new(schema.arity());
             let mut scratch = DecodeScratch::new();
             b.iter(|| {
                 let ctx = collector.begin();
                 out.clear();
                 codec
-                    .decode_into_scratch_traced(black_box(&coded), &mut out, &mut scratch, &ctx)
+                    .decode_batch_into_governed(
+                        black_box(&coded),
+                        &mut out,
+                        &mut scratch,
+                        &ctx,
+                        &gov,
+                    )
                     .unwrap();
                 black_box(collector.finish(ctx));
                 black_box(&out);

@@ -133,22 +133,40 @@ impl<'a> BitReader<'a> {
     /// read refuses (returns `None`) before allocating anything when the
     /// input cannot possibly hold `n` more bits.
     pub fn read_bits_big(&mut self, n: usize) -> Option<BigUnsigned> {
+        let mut staging = Vec::new();
+        let mut out = BigUnsigned::zero();
+        self.read_bits_big_into(n, &mut staging, &mut out)?;
+        Some(out)
+    }
+
+    /// [`Self::read_bits_big`] into a caller-provided bignum, staging the
+    /// bytes in `staging` (same refuse-before-allocating contract): both
+    /// buffers are reused across calls, so the steady-state decode of
+    /// oversized entries never touches the allocator.
+    pub fn read_bits_big_into(
+        &mut self,
+        n: usize,
+        staging: &mut Vec<u8>,
+        out: &mut BigUnsigned,
+    ) -> Option<()> {
         if n > self.remaining_bits() {
             return None;
         }
         let nbytes = n.div_ceil(8);
-        // lint: bounded(n was checked against remaining_bits just above)
-        let mut bytes = vec![0u8; nbytes];
+        staging.clear();
+        // The resize is bounded: n was checked against remaining_bits above.
+        staging.resize(nbytes, 0);
         let lead = nbytes * 8 - n;
         for i in 0..n {
             let bit = self.read_bit()? as u8;
             let at = lead + i;
             // `at < nbytes * 8`, so the byte always exists.
-            if let Some(b) = bytes.get_mut(at / 8) {
+            if let Some(b) = staging.get_mut(at / 8) {
                 *b |= bit << (7 - at % 8);
             }
         }
-        Some(BigUnsigned::from_bytes_be(&bytes))
+        out.set_from_bytes_be(staging);
+        Some(())
     }
 
     /// Reads an Elias-gamma-coded positive integer.

@@ -24,29 +24,24 @@ use crate::mode::{CodingMode, RepChoice};
 use crate::rle;
 use avq_num::BigUnsigned;
 use avq_obs::names;
-use avq_schema::{Schema, Tuple};
+use avq_schema::{Schema, Tuple, TupleBatch};
 use std::sync::Arc;
 
 /// Size in bytes of the block header (`count: u16 LE`, `rep_idx: u16 LE`).
 pub const BLOCK_HEADER_BYTES: usize = 4;
 
-/// Reusable scratch buffers for the streaming decode path.
+/// Reusable work buffers for block decode.
 ///
-/// A `DecodeScratch` owns the parsed-entry arena and the working digit
-/// buffers, so decoding a block through
-/// [`BlockCodec::decode_into_scratch`] performs no per-entry heap
-/// allocation beyond the one digit vector each returned [`Tuple`] must own.
-/// Reuse one scratch across blocks (as [`crate::CodedRelation::decompress`]
-/// and the parallel decode workers do) to amortize even the arena growth:
-/// after the first few blocks the buffers reach a steady-state capacity and
-/// decoding stops touching the allocator entirely except for the tuples
-/// themselves.
+/// Rows are reconstructed in place in the output [`TupleBatch`] — its
+/// buffer is the parsed-difference arena — so what lives here is only the
+/// per-entry working state. Reuse one scratch across blocks (as
+/// [`crate::CodedRelation::decompress`] and the parallel decode workers do)
+/// and the buffers reach a steady-state capacity after the first block;
+/// a scratch is cheap enough to create per call where none is at hand.
 #[derive(Debug, Default, Clone)]
 pub struct DecodeScratch {
-    /// Flat arena of difference digit vectors; entry `k` occupies
-    /// `[k·n, (k+1)·n)` where `n` is the schema arity. The chained decode
-    /// overwrites consumed entries in place with reconstructed tuples.
-    diffs: Vec<u64>,
+    /// The block's representative tuple.
+    rep: Vec<u64>,
     /// Running digit vector mutated in place while unwinding a chain.
     running: Vec<u64>,
     /// Per-entry work buffer for the un-chained mode.
@@ -60,6 +55,9 @@ pub struct DecodeScratch {
     big: BigUnsigned,
     /// Big-endian staging bytes backing `big` between read and parse.
     big_bytes: Vec<u8>,
+    /// The batch the `Vec<Tuple>` adapters decode into before they
+    /// materialize owned tuples.
+    staging: TupleBatch,
 }
 
 impl DecodeScratch {
@@ -324,14 +322,72 @@ impl BlockCodec {
         }
     }
 
-    /// Decodes a block stream into its tuples, in φ order.
+    /// Decodes a block stream, appending its tuples to `out` in φ order.
+    ///
+    /// This is the decoder every other decode entry point runs. Rows are
+    /// reconstructed in place in `out`'s buffer — in the chained modes each
+    /// parsed difference is overwritten by the running sum — so a block
+    /// costs a constant number of allocations however many tuples it
+    /// holds. On error `out` is left exactly as it was. `out` must have
+    /// the schema's arity.
+    pub fn decode_batch_into(
+        &self,
+        bytes: &[u8],
+        out: &mut TupleBatch,
+        scratch: &mut DecodeScratch,
+    ) -> Result<(), CodecError> {
+        debug_assert_eq!(out.arity(), self.schema.arity());
+        let _span = avq_obs::span!(names::SPAN_CODEC_DECODE_BLOCK);
+        let (u, rep_idx) = read_header(bytes)?;
+        // lint: sanitized(u is a wire u16, so the rows decode_rows reserves for it hold at most 64Ki * arity words)
+        out.try_extend(u, |rows| self.decode_rows(bytes, u, rep_idx, rows, scratch))?;
+        avq_obs::counter!(names::CODEC_DECODE_BLOCKS).inc();
+        avq_obs::counter!(names::CODEC_DECODE_TUPLES).add(u as u64);
+        avq_obs::counter!(names::CODEC_DECODE_BYTES_IN).add(bytes.len() as u64);
+        match self.kernel {
+            DecodeKernel::Scalar => avq_obs::counter!(names::CODEC_DECODE_KERNEL_SCALAR).inc(),
+            DecodeKernel::Swar => avq_obs::counter!(names::CODEC_DECODE_KERNEL_SWAR).inc(),
+        }
+        Ok(())
+    }
+
+    /// [`Self::decode_batch_into`] on behalf of a query. The block boundary
+    /// is the poll point — a tripped budget or a cancelled query refuses
+    /// the decode before any work — and on success the coded bytes in and
+    /// tuples out are charged to `gov`, so quotas overshoot by at most one
+    /// block. When `ctx` is recording, the decode runs under an
+    /// `avq.codec.decode_block` trace span carrying the kernel name plus
+    /// tuple and byte counts. Disabled contexts cost one branch each.
+    pub fn decode_batch_into_governed(
+        &self,
+        bytes: &[u8],
+        out: &mut TupleBatch,
+        scratch: &mut DecodeScratch,
+        ctx: &avq_obs::TraceCtx,
+        gov: &avq_obs::GovCtx,
+    ) -> Result<(), crate::GovernedDecodeError> {
+        gov.poll()?;
+        let base = out.len();
+        let guard = ctx.span(names::SPAN_CODEC_DECODE_BLOCK);
+        let result = self.decode_batch_into(bytes, out, scratch);
+        if guard.is_recording() {
+            guard.attr(names::ATTR_KERNEL, self.kernel.to_string());
+            guard.attr(names::ATTR_BYTES, bytes.len());
+            guard.attr(names::ATTR_TUPLES, out.len() - base);
+        }
+        result?;
+        gov.charge_decoded(bytes.len() as u64, (out.len() - base) as u64);
+        Ok(())
+    }
+
+    /// Decodes a block stream into owned tuples, in φ order.
     pub fn decode(&self, bytes: &[u8]) -> Result<Vec<Tuple>, CodecError> {
         let mut out = Vec::new();
         self.decode_into(bytes, &mut out)?;
         Ok(out)
     }
 
-    /// Decodes a block stream, appending tuples to `out` in φ order.
+    /// Decodes a block stream, appending owned tuples to `out` in φ order.
     ///
     /// On error `out` is left exactly as it was. Allocates fresh scratch
     /// buffers; decode loops should use [`Self::decode_into_scratch`] to
@@ -341,34 +397,25 @@ impl BlockCodec {
         self.decode_into_scratch(bytes, out, &mut DecodeScratch::new())
     }
 
-    /// Decodes a block stream, appending tuples to `out` in φ order and
-    /// reusing `scratch` for all intermediate state.
-    ///
-    /// This is the streaming decode path: per block it performs exactly one
-    /// digit-vector allocation per decoded tuple (the buffer each [`Tuple`]
-    /// owns) — differences are parsed into the scratch arena and the chain
-    /// is unwound by mutating one running digit buffer in place. On error
-    /// `out` is truncated back to its entry length.
+    /// [`Self::decode_batch_into`] for callers that need owned tuples (the
+    /// block-update write path, whole-relation decompression): the block is
+    /// decoded into `scratch`'s staging batch and each row is then copied
+    /// out as a [`Tuple`] — one allocation per tuple, all of them the
+    /// tuples themselves. On error `out` is left exactly as it was.
     pub fn decode_into_scratch(
         &self,
         bytes: &[u8],
         out: &mut Vec<Tuple>,
         scratch: &mut DecodeScratch,
     ) -> Result<(), CodecError> {
-        let base = out.len();
-        let _span = avq_obs::span!(names::SPAN_CODEC_DECODE_BLOCK);
-        let result = self.decode_inner(bytes, out, scratch);
-        if result.is_err() {
-            out.truncate(base);
-        } else {
-            avq_obs::counter!(names::CODEC_DECODE_BLOCKS).inc();
-            avq_obs::counter!(names::CODEC_DECODE_TUPLES).add((out.len() - base) as u64);
-            avq_obs::counter!(names::CODEC_DECODE_BYTES_IN).add(bytes.len() as u64);
-            match self.kernel {
-                DecodeKernel::Scalar => avq_obs::counter!(names::CODEC_DECODE_KERNEL_SCALAR).inc(),
-                DecodeKernel::Swar => avq_obs::counter!(names::CODEC_DECODE_KERNEL_SWAR).inc(),
-            }
+        let mut rows = std::mem::take(&mut scratch.staging);
+        rows.reset(self.schema.arity());
+        // lint: allow(AVQ-L008, this family's _governed member polls and charges once around this body; the governed batch decoder here would charge the block twice)
+        let result = self.decode_batch_into(bytes, &mut rows, scratch);
+        if result.is_ok() {
+            out.extend(rows.rows().map(Tuple::from));
         }
+        scratch.staging = rows;
         result
     }
 
@@ -395,12 +442,8 @@ impl BlockCodec {
         result
     }
 
-    /// [`Self::decode_into_scratch_traced`] under a governance budget: the
-    /// block boundary is the poll point — a tripped budget or a cancelled
-    /// query refuses the decode before any work — and on success the coded
-    /// bytes in and tuples out are charged to `gov`, so quotas overshoot by
-    /// at most one block. With disabled contexts this costs two branches on
-    /// top of the bare scratch path.
+    /// [`Self::decode_into_scratch_traced`] under a governance budget, with
+    /// the poll and charge points of [`Self::decode_batch_into_governed`].
     pub fn decode_into_scratch_governed(
         &self,
         bytes: &[u8],
@@ -416,13 +459,18 @@ impl BlockCodec {
         Ok(())
     }
 
-    fn decode_inner(
+    /// Appends the `u · arity` ordinals of a block's tuples to `out`: the
+    /// entries are parsed into their rows (the representative spliced in
+    /// at `rep_idx`), then each difference is overwritten by the tuple it
+    /// stands for.
+    fn decode_rows(
         &self,
         bytes: &[u8],
-        out: &mut Vec<Tuple>,
+        u: usize,
+        rep_idx: usize,
+        out: &mut Vec<u64>,
         scratch: &mut DecodeScratch,
     ) -> Result<(), CodecError> {
-        let (u, rep_idx) = read_header(bytes)?;
         if u == 0 {
             return Err(CodecError::Corrupt {
                 section: "header",
@@ -431,6 +479,7 @@ impl BlockCodec {
             });
         }
         let m = self.schema.tuple_bytes();
+        let n = self.schema.arity();
         let mut pos = BLOCK_HEADER_BYTES;
 
         if self.mode == CodingMode::FieldWise {
@@ -442,33 +491,26 @@ impl BlockCodec {
                     detail: format!("field-wise body truncated: need {need} bytes"),
                 });
             };
-            // lint: sanitized(u is a wire u16, and the body length check above bounds u*m)
-            out.reserve(u);
+            out.reserve(u * n);
             if m == 0 {
                 // Zero-width tuples: the body is empty and every record
                 // reads as the all-zero digit vector.
-                for _ in 0..u {
-                    out.push(self.schema.read_tuple(&[]));
-                }
+                out.resize(out.len() + u * n, 0);
             } else if self.kernel == DecodeKernel::Swar {
                 // One whole-word load per attribute cell instead of the
-                // per-byte shift loop inside read_tuple.
-                let n = self.schema.arity();
+                // per-byte shift loop inside read_digits_into.
                 for rec in body.chunks_exact(m) {
-                    // lint: bounded(one digit per schema attribute)
-                    let mut digits = Vec::with_capacity(n);
                     for i in 0..n {
-                        digits.push(rle::load_be(
+                        out.push(rle::load_be(
                             rec,
                             self.schema.byte_offset(i),
                             self.schema.byte_width(i),
                         ));
                     }
-                    out.push(Tuple::new(digits));
                 }
             } else {
                 for rec in body.chunks_exact(m) {
-                    out.push(self.schema.read_tuple(rec));
+                    self.schema.read_digits_into(rec, out);
                 }
             }
             return Ok(());
@@ -488,9 +530,19 @@ impl BlockCodec {
                 detail: "representative tuple truncated".into(),
             });
         };
-        let rep = self.schema.read_tuple(rep_bytes);
+        let DecodeScratch {
+            rep,
+            running,
+            tmp,
+            values,
+            big,
+            big_bytes,
+            ..
+        } = scratch;
+        rep.clear();
+        self.schema.read_digits_into(rep_bytes, rep);
         self.schema
-            .validate_tuple(&rep)
+            .validate_row(rep)
             .map_err(|e| CodecError::Corrupt {
                 section: "representative",
                 offset: pos,
@@ -498,33 +550,27 @@ impl BlockCodec {
             })?;
         pos += m;
 
-        let n = self.schema.arity();
         if n == 0 {
             // Zero-arity schema: every difference is empty, so every tuple
             // is the representative. Nothing to parse and nothing can fail.
-            // lint: sanitized(u is a wire u16, at most 64Ki clones of the representative)
-            out.reserve(u);
-            for _ in 0..u {
-                out.push(rep.clone());
-            }
             return Ok(());
         }
         let radix = self.schema.radix();
-        let DecodeScratch {
-            diffs,
-            running,
-            tmp,
-            values,
-            big,
-            big_bytes,
-        } = scratch;
-        diffs.clear();
-        // lint: sanitized(u is a wire u16, so the arena holds at most 64Ki * arity words)
-        diffs.reserve((u - 1) * n);
+        let base = out.len();
+        out.reserve(u * n);
+        // Entry k describes row k before the representative and row k + 1
+        // after it, so the representative's own row goes in ahead of entry
+        // rep_idx — or last, when no entry follows it.
+        let rep_row = |k: usize, out: &mut Vec<u64>| {
+            if k == rep_idx {
+                out.extend_from_slice(rep);
+            }
+        };
         match (self.mode, self.kernel) {
             (CodingMode::AvqChainedBits, DecodeKernel::Scalar) => {
                 let mut br = BitReader::new(bytes.get(pos..).unwrap_or(&[]));
                 for k in 0..u - 1 {
+                    rep_row(k, out);
                     let bl = br
                         .read_gamma()
                         .ok_or_else(|| CodecError::Corrupt {
@@ -534,11 +580,12 @@ impl BlockCodec {
                         })?
                         // Gamma codes are structurally >= 1.
                         .saturating_sub(1) as usize;
-                    diffs.resize((k + 1) * n, 0);
+                    let at = out.len();
+                    out.resize(at + n, 0);
                     // Nearly every difference fits a machine word; unrank
                     // those without building a bignum. The destination is
-                    // the entry's arena slot, sized by the resize above.
-                    let dst = diffs.get_mut(k * n..).unwrap_or_default();
+                    // the entry's row, sized by the resize above.
+                    let dst = out.get_mut(at..).unwrap_or_default();
                     let ok = if bl < 64 {
                         let value =
                             br.read_bits_u64(bl as u32)
@@ -549,17 +596,20 @@ impl BlockCodec {
                                 })?;
                         radix.unrank_u64_into(value, dst)
                     } else {
-                        let value = br.read_bits_big(bl).ok_or_else(|| CodecError::Corrupt {
-                            section: "entries",
-                            offset: pos,
-                            detail: format!("bit entry {k}: truncated payload"),
+                        br.read_bits_big_into(bl, big_bytes, big).ok_or_else(|| {
+                            CodecError::Corrupt {
+                                section: "entries",
+                                offset: pos,
+                                detail: format!("bit entry {k}: truncated payload"),
+                            }
                         })?;
-                        radix.unrank_into(value, dst)
+                        radix.unrank_assign_into(big, dst)
                     };
                     if !ok {
                         return Err(CodecError::DifferenceOutOfSpace { entry: k });
                     }
                 }
+                rep_row(u - 1, out);
             }
             (CodingMode::AvqChainedBits, DecodeKernel::Swar) => {
                 // Word-at-a-time gamma decoding plus batched unranking:
@@ -569,11 +619,34 @@ impl BlockCodec {
                 // pre-checked per value (O(1) against ‖𝓡‖), so errors
                 // surface at the same entry index as the scalar kernel.
                 let mut wr = WordReader::new(bytes.get(pos..).unwrap_or(&[]));
-                // lint: sanitized(u is a wire u16, so the arena holds at most 64Ki * arity words)
-                diffs.resize((u - 1) * n, 0);
+                out.resize(base + u * n, 0);
+                let rows = out.get_mut(base..).unwrap_or_default();
+                if let Some(slot) = rows.get_mut(rep_idx * n..(rep_idx + 1) * n) {
+                    slot.copy_from_slice(rep);
+                }
                 values.clear();
-                let mut run_start = 0usize;
+                // First row of the current run of small entries; a run is
+                // flushed wherever its rows stop being contiguous: at the
+                // representative's row and at a bignum-sized entry.
+                let mut run_row = 0usize;
+                let flush = |run_row: usize, values: &mut Vec<u64>, rows: &mut [u64]| {
+                    let dst = rows
+                        .get_mut(run_row * n..(run_row + values.len()) * n)
+                        .unwrap_or_default();
+                    let ok = radix.unrank_u64_batch_into(values, dst);
+                    values.clear();
+                    if ok {
+                        Ok(())
+                    } else {
+                        let entry = run_row - usize::from(run_row > rep_idx);
+                        Err(CodecError::DifferenceOutOfSpace { entry })
+                    }
+                };
                 for k in 0..u - 1 {
+                    if k == rep_idx {
+                        flush(run_row, values, rows)?;
+                        run_row = k + 1;
+                    }
                     let bl = wr
                         .read_gamma()
                         .ok_or_else(|| CodecError::Corrupt {
@@ -596,18 +669,9 @@ impl BlockCodec {
                         }
                         values.push(value);
                     } else {
-                        // A bignum-sized entry ends the current small run:
-                        // flush the batch, then unrank this one directly
-                        // into its arena slot.
-                        let dst = diffs
-                            .get_mut(run_start * n..(run_start + values.len()) * n)
-                            .unwrap_or_default();
-                        if !radix.unrank_u64_batch_into(values, dst) {
-                            return Err(CodecError::DifferenceOutOfSpace { entry: run_start });
-                        }
-                        values.clear();
-                        run_start = k + 1;
-                        // lint: sanitized(read_bits_big_into rejects bl beyond remaining_bits before staging)
+                        flush(run_row, values, rows)?;
+                        let row = k + usize::from(k >= rep_idx);
+                        run_row = row + 1;
                         wr.read_bits_big_into(bl, big_bytes, big).ok_or_else(|| {
                             CodecError::Corrupt {
                                 section: "entries",
@@ -615,35 +679,30 @@ impl BlockCodec {
                                 detail: format!("bit entry {k}: truncated payload"),
                             }
                         })?;
-                        let dst = diffs.get_mut(k * n..(k + 1) * n).unwrap_or_default();
+                        let dst = rows.get_mut(row * n..(row + 1) * n).unwrap_or_default();
                         if !radix.unrank_assign_into(big, dst) {
                             return Err(CodecError::DifferenceOutOfSpace { entry: k });
                         }
                     }
                 }
-                let dst = diffs
-                    .get_mut(run_start * n..(run_start + values.len()) * n)
-                    .unwrap_or_default();
-                if !radix.unrank_u64_batch_into(values, dst) {
-                    return Err(CodecError::DifferenceOutOfSpace { entry: run_start });
-                }
+                flush(run_row, values, rows)?;
             }
             (_, DecodeKernel::Scalar) => {
-                for _ in 0..u - 1 {
-                    pos = rle::read_entry_append(&self.schema, bytes, pos, diffs)?;
+                for k in 0..u - 1 {
+                    rep_row(k, out);
+                    pos = rle::read_entry_append(&self.schema, bytes, pos, out)?;
                 }
+                rep_row(u - 1, out);
             }
             (_, DecodeKernel::Swar) => {
-                for _ in 0..u - 1 {
-                    pos = rle::read_entry_append_swar(&self.schema, bytes, pos, diffs)?;
+                for k in 0..u - 1 {
+                    rep_row(k, out);
+                    pos = rle::read_entry_append_swar(&self.schema, bytes, pos, out)?;
                 }
+                rep_row(u - 1, out);
             }
         }
 
-        // lint: sanitized(u is a wire u16, at most 64Ki reconstructed tuples)
-        out.reserve(u);
-        running.clear();
-        running.extend_from_slice(rep.digits());
         // The SWAR kernel skips the leading zero digits of each difference:
         // a difference compresses precisely because its prefix is zero, and
         // adding/subtracting zero with no carry is the identity. The scan
@@ -652,46 +711,48 @@ impl BlockCodec {
         // worst and large for the long zero runs AVQ entries carry.
         let prefix_skip = self.kernel == DecodeKernel::Swar;
         let first_nz = |d: &[u64]| d.iter().position(|&x| x != 0).unwrap_or(n);
+        let rows = out.get_mut(base..).unwrap_or_default();
+        let (before, rest) = rows.split_at_mut_checked(rep_idx * n).unwrap_or_default();
+        let after = rest.get_mut(n..).unwrap_or_default();
 
         match self.mode {
             CodingMode::Avq => {
                 // Every entry is an independent offset from the
-                // representative (held pristine in `running`); entries are
-                // stored in φ order, so reconstruction pushes in φ order too.
-                // Entry k describes tuple k before the representative and
-                // tuple k + 1 after it, so the representative is emitted
-                // just before entry rep_idx's tuple (or last).
-                let mut rep_slot = Some(rep);
-                for (k, d) in diffs.chunks_exact(n).enumerate() {
-                    if k == rep_idx {
-                        if let Some(r) = rep_slot.take() {
-                            out.push(r);
-                        }
-                    }
+                // representative: below it before rep_idx, above it after.
+                for (k, d) in before.chunks_exact_mut(n).enumerate() {
                     tmp.clear();
-                    tmp.extend_from_slice(running);
-                    let ok = match (k < rep_idx, prefix_skip) {
-                        (true, false) => radix.sub_assign(tmp, d),
-                        (true, true) => radix.sub_assign_prefix(tmp, d, first_nz(d)),
-                        (false, false) => radix.add_assign(tmp, d),
-                        (false, true) => radix.add_assign_prefix(tmp, d, first_nz(d)),
+                    tmp.extend_from_slice(rep);
+                    let ok = if prefix_skip {
+                        radix.sub_assign_prefix(tmp, d, first_nz(d))
+                    } else {
+                        radix.sub_assign(tmp, d)
                     };
                     if !ok {
                         return Err(CodecError::DifferenceOutOfSpace { entry: k });
                     }
-                    out.push(Tuple::new(tmp.clone()));
+                    d.copy_from_slice(tmp);
                 }
-                if let Some(r) = rep_slot.take() {
-                    out.push(r);
+                for (k, d) in after.chunks_exact_mut(n).enumerate() {
+                    tmp.clear();
+                    tmp.extend_from_slice(rep);
+                    let ok = if prefix_skip {
+                        radix.add_assign_prefix(tmp, d, first_nz(d))
+                    } else {
+                        radix.add_assign(tmp, d)
+                    };
+                    if !ok {
+                        return Err(CodecError::DifferenceOutOfSpace { entry: rep_idx + k });
+                    }
+                    d.copy_from_slice(tmp);
                 }
             }
             CodingMode::AvqChained | CodingMode::AvqChainedBits => {
-                // Unwind outward from the representative: walk backwards over
-                // the first half, overwriting each consumed arena entry with
-                // the reconstructed tuple so the first half can then be
-                // pushed in ascending φ order, and stream forwards over the
-                // second half on the running buffer alone.
-                for (i, d) in diffs.chunks_exact_mut(n).take(rep_idx).enumerate().rev() {
+                // Unwind outward from the representative: backwards over
+                // the rows before it, forwards over the rows after it, each
+                // difference overwritten by the running sum.
+                running.clear();
+                running.extend_from_slice(rep);
+                for (i, d) in before.chunks_exact_mut(n).enumerate().rev() {
                     let ok = if prefix_skip {
                         radix.sub_assign_prefix(running, d, first_nz(d))
                     } else {
@@ -702,22 +763,18 @@ impl BlockCodec {
                     }
                     d.copy_from_slice(running);
                 }
-                for d in diffs.chunks_exact(n).take(rep_idx) {
-                    out.push(Tuple::new(d.to_vec()));
-                }
                 running.clear();
-                running.extend_from_slice(rep.digits());
-                out.push(rep);
-                for (k, d) in diffs.chunks_exact(n).enumerate().skip(rep_idx) {
+                running.extend_from_slice(rep);
+                for (k, d) in after.chunks_exact_mut(n).enumerate() {
                     let ok = if prefix_skip {
                         radix.add_assign_prefix(running, d, first_nz(d))
                     } else {
                         radix.add_assign(running, d)
                     };
                     if !ok {
-                        return Err(CodecError::DifferenceOutOfSpace { entry: k });
+                        return Err(CodecError::DifferenceOutOfSpace { entry: rep_idx + k });
                     }
-                    out.push(Tuple::new(running.clone()));
+                    d.copy_from_slice(running);
                 }
             }
             CodingMode::FieldWise => {
@@ -804,14 +861,13 @@ impl BlockCodec {
             core::cmp::Ordering::Less => {
                 // Target precedes the representative: only the first
                 // rep_idx entries matter.
-                // lint: sanitized(u is a wire u16; parse_entries sizes its arena by count, at most 64Ki)
                 let diffs = self.parse_entries(bytes, body + m, u - 1)?;
                 let radix = self.schema.radix();
                 match self.mode {
                     CodingMode::Avq => {
                         // Entries before the representative are t = rep − d,
                         // ascending in φ as k grows.
-                        for (k, d) in diffs.iter().take(rep_idx).enumerate() {
+                        for (k, d) in diffs.rows().take(rep_idx).enumerate() {
                             let t = radix
                                 .checked_sub(rep.digits(), d)
                                 .ok_or(CodecError::DifferenceOutOfSpace { entry: k })?;
@@ -827,7 +883,7 @@ impl BlockCodec {
                         // Chained: walk backward from the representative,
                         // stopping once below the target.
                         let mut cur = rep.into_digits();
-                        for (i, d) in diffs.iter().take(rep_idx).enumerate().rev() {
+                        for (i, d) in diffs.rows().take(rep_idx).enumerate().rev() {
                             cur = radix
                                 .checked_sub(&cur, d)
                                 .ok_or(CodecError::DifferenceOutOfSpace { entry: i })?;
@@ -845,12 +901,11 @@ impl BlockCodec {
                 // Target follows the representative: reconstruct forward
                 // from it with early exit (the first-half entries are parsed
                 // but never reconstructed).
-                // lint: sanitized(u is a wire u16; parse_entries sizes its arena by count, at most 64Ki)
                 let diffs = self.parse_entries(bytes, body + m, u - 1)?;
                 let radix = self.schema.radix();
                 let rep_digits = rep.into_digits();
                 let mut cur = rep_digits.clone();
-                for (k, d) in diffs.iter().enumerate().skip(rep_idx) {
+                for (k, d) in diffs.rows().enumerate().skip(rep_idx) {
                     cur = match self.mode {
                         CodingMode::Avq => radix.checked_add(&rep_digits, d),
                         _ => radix.checked_add(&cur, d),
@@ -867,47 +922,46 @@ impl BlockCodec {
         }
     }
 
-    /// Parses all difference entries of a non-field-wise block into digit
-    /// vectors (shared by [`Self::decode_into`] and
-    /// [`Self::contains_tuple`]).
+    /// Parses all difference entries of a non-field-wise block, one row
+    /// each (the early-exit walk of [`Self::contains_tuple`]).
     fn parse_entries(
         &self,
         bytes: &[u8],
         mut pos: usize,
         count: usize,
-    ) -> Result<Vec<Vec<u64>>, CodecError> {
+    ) -> Result<TupleBatch, CodecError> {
         let radix = self.schema.radix();
-        // lint: bounded(count is the header tuple count, at most u16::MAX)
-        let mut diffs = Vec::with_capacity(count);
-        if self.mode == CodingMode::AvqChainedBits {
-            let mut br = crate::bitio::BitReader::new(bytes.get(pos..).unwrap_or(&[]));
-            for k in 0..count {
-                let bl = br
-                    .read_gamma()
-                    .ok_or_else(|| CodecError::Corrupt {
+        let mut diffs = TupleBatch::new(self.schema.arity());
+        diffs.try_extend(count, |out| {
+            if self.mode == CodingMode::AvqChainedBits {
+                let mut br = BitReader::new(bytes.get(pos..).unwrap_or(&[]));
+                for k in 0..count {
+                    let bl = br
+                        .read_gamma()
+                        .ok_or_else(|| CodecError::Corrupt {
+                            section: "entries",
+                            offset: pos,
+                            detail: format!("bit entry {k}: truncated gamma length"),
+                        })?
+                        // Gamma codes are structurally >= 1.
+                        .saturating_sub(1) as usize;
+                    let value = br.read_bits_big(bl).ok_or_else(|| CodecError::Corrupt {
                         section: "entries",
                         offset: pos,
-                        detail: format!("bit entry {k}: truncated gamma length"),
-                    })?
-                    // Gamma codes are structurally >= 1.
-                    .saturating_sub(1) as usize;
-                let value = br.read_bits_big(bl).ok_or_else(|| CodecError::Corrupt {
-                    section: "entries",
-                    offset: pos,
-                    detail: format!("bit entry {k}: truncated payload"),
-                })?;
-                let digits = radix
-                    .unrank(&value)
-                    .ok_or(CodecError::DifferenceOutOfSpace { entry: k })?;
-                diffs.push(digits);
+                        detail: format!("bit entry {k}: truncated payload"),
+                    })?;
+                    let digits = radix
+                        .unrank(&value)
+                        .ok_or(CodecError::DifferenceOutOfSpace { entry: k })?;
+                    out.extend_from_slice(&digits);
+                }
+            } else {
+                for _ in 0..count {
+                    pos = rle::read_entry_append(&self.schema, bytes, pos, out)?;
+                }
             }
-        } else {
-            for _ in 0..count {
-                let (digits, next) = rle::read_entry(&self.schema, bytes, pos)?;
-                diffs.push(digits);
-                pos = next;
-            }
-        }
+            Ok(())
+        })?;
         Ok(diffs)
     }
 
@@ -1186,6 +1240,58 @@ mod tests {
         let mut out = sentinel.clone();
         assert!(codec.decode_into(&bytes, &mut out).is_err());
         assert_eq!(out, sentinel);
+    }
+
+    #[test]
+    fn batch_decode_appends_and_restores_on_error() {
+        let schema = employee_schema();
+        let tuples = paper_block();
+        let mut scratch = DecodeScratch::new();
+        for mode in CodingMode::ALL {
+            for kernel in [DecodeKernel::Scalar, DecodeKernel::Swar] {
+                let codec = BlockCodec::with_options(schema.clone(), mode, RepChoice::Median)
+                    .with_kernel(kernel);
+                let coded = codec.encode(&tuples).unwrap();
+                let mut rows = TupleBatch::new(schema.arity());
+                codec
+                    .decode_batch_into(&coded, &mut rows, &mut scratch)
+                    .unwrap();
+                codec
+                    .decode_batch_into(&coded, &mut rows, &mut scratch)
+                    .unwrap();
+                let twice = [tuples.clone(), tuples.clone()].concat();
+                assert_eq!(rows.to_tuples(), twice, "mode {mode} kernel {kernel}");
+                for cut in 0..coded.len() {
+                    assert!(codec
+                        .decode_batch_into(&coded[..cut], &mut rows, &mut scratch)
+                        .is_err());
+                    assert_eq!(rows.to_tuples(), twice, "mode {mode} cut {cut}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_width_rows_decode_to_all_zero_batch() {
+        // Domains of size one serialize to zero bytes: m = 0 but arity 2.
+        let schema = Schema::from_pairs(vec![
+            ("x", Domain::uint(1).unwrap()),
+            ("y", Domain::uint(1).unwrap()),
+        ])
+        .unwrap();
+        let tuples = vec![Tuple::from([0u64, 0]); 3];
+        for mode in CodingMode::ALL {
+            for kernel in [DecodeKernel::Scalar, DecodeKernel::Swar] {
+                let codec = BlockCodec::with_options(schema.clone(), mode, RepChoice::Median)
+                    .with_kernel(kernel);
+                let coded = codec.encode(&tuples).unwrap();
+                let mut rows = TupleBatch::new(2);
+                codec
+                    .decode_batch_into(&coded, &mut rows, &mut DecodeScratch::new())
+                    .unwrap();
+                assert_eq!(rows.to_tuples(), tuples, "mode {mode} kernel {kernel}");
+            }
+        }
     }
 
     #[test]

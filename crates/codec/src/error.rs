@@ -95,7 +95,7 @@ impl fmt::Display for CodecError {
 impl std::error::Error for CodecError {}
 
 /// Outcome of a governed block decode
-/// ([`crate::BlockCodec::decode_into_scratch_governed`]): the block either
+/// ([`crate::BlockCodec::decode_batch_into_governed`]): the block either
 /// failed to decode or the query budget refused the work at the block
 /// boundary.
 #[derive(Debug, Clone, PartialEq, Eq)]

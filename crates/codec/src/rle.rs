@@ -220,24 +220,23 @@ pub(crate) fn read_entry_append_swar(
     Ok(pos + 1 + tail_len)
 }
 
-/// Reads one coded entry starting at `buf[pos]`, returning the difference
-/// digit vector and the position one past the entry.
-pub(crate) fn read_entry(
-    schema: &Schema,
-    buf: &[u8],
-    pos: usize,
-) -> Result<(Vec<u64>, usize), CodecError> {
-    // lint: bounded(one digit per schema attribute)
-    let mut digits = Vec::with_capacity(schema.arity());
-    let next = read_entry_append(schema, buf, pos, &mut digits)?;
-    Ok((digits, next))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use avq_schema::Domain;
     use std::sync::Arc;
+
+    /// Reads one coded entry starting at `buf[pos]`, returning the difference
+    /// digit vector and the position one past the entry.
+    fn read_entry(
+        schema: &Schema,
+        buf: &[u8],
+        pos: usize,
+    ) -> Result<(Vec<u64>, usize), CodecError> {
+        let mut digits = Vec::new();
+        let next = read_entry_append(schema, buf, pos, &mut digits)?;
+        Ok((digits, next))
+    }
 
     fn employee_schema() -> Arc<Schema> {
         Schema::from_pairs(vec![

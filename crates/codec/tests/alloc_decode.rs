@@ -1,87 +1,84 @@
-//! Allocation accounting for the streaming decode path.
+//! Allocation accounting for the decode path.
 //!
-//! Decoding a compressed relation through one shared [`DecodeScratch`] must
-//! allocate O(tuples): the digit vector each returned tuple owns, plus a
-//! bounded number of scratch/buffer growths. This test pins that contract
-//! with a counting global allocator — it is the only test in this binary so
-//! no concurrent test thread can perturb the counter.
+//! The batch path — [`BlockCodec::decode_batch_into`] through one shared
+//! [`DecodeScratch`] into one reused [`TupleBatch`] — must allocate a small
+//! constant per *block*, whatever the block holds, in every coding mode and
+//! under both kernels. The `Vec<Tuple>` adapter over it must add exactly
+//! the digit vector each returned tuple owns. A counting global allocator
+//! pins both contracts.
+//!
+//! [`BlockCodec::decode_batch_into`]: avq_codec::BlockCodec::decode_batch_into
 
-use avq_codec::{compress, CodecOptions, DecodeScratch};
-use avq_schema::{Domain, Relation, Schema, Tuple};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+mod alloc_common;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use alloc_common::{allocs, coded, relation, CountingAlloc, N, PER_BLOCK};
+use avq_codec::{CodingMode, DecodeKernel, DecodeScratch};
+use avq_schema::{Tuple, TupleBatch};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn sequential_decode_allocates_one_vec_per_tuple() {
-    const N: u64 = 100_000;
-    let schema = Schema::from_pairs(vec![
-        ("a", Domain::uint(64).unwrap()),
-        ("b", Domain::uint(256).unwrap()),
-        ("c", Domain::uint(4096).unwrap()),
-        ("d", Domain::uint(65536).unwrap()),
-    ])
-    .unwrap();
-    let tuples: Vec<Tuple> = (0..N)
-        .map(|i| {
-            Tuple::from([
-                (i / 4096) % 64,
-                (i * 7) % 256,
-                (i * 31) % 4096,
-                (i * 131) % 65536,
-            ])
-        })
-        .collect();
-    let rel = Relation::from_tuples(schema, tuples).unwrap();
-    let coded = compress(&rel, CodecOptions::default()).unwrap();
-    assert_eq!(coded.tuple_count(), N as usize);
-    assert!(coded.block_count() > 1);
+    let rel = relation();
+    let coded_modes = CodingMode::ALL.map(|mode| (mode, coded(&rel, mode)));
+    for ((mode, coded), kernel) in coded_modes
+        .iter()
+        .flat_map(|m| DecodeKernel::ALL.map(|kernel| (m, kernel)))
+    {
+        let codec = coded.codec().with_kernel(kernel);
+        let blocks = coded.block_count() as u64;
+        let mut scratch = DecodeScratch::new();
+        let mut rows = TupleBatch::new(coded.schema().arity());
 
+        // Warm the scratch and the batch on the largest block, so
+        // steady-state capacity is reached before counting.
+        let largest = (0..coded.block_count())
+            .max_by_key(|&i| codec.tuple_count(coded.block(i)).unwrap())
+            .unwrap();
+        codec
+            .decode_batch_into(coded.block(largest), &mut rows, &mut scratch)
+            .unwrap();
+
+        let before = allocs();
+        let mut decoded = 0usize;
+        for i in 0..coded.block_count() {
+            rows.clear();
+            codec
+                .decode_batch_into(coded.block(i), &mut rows, &mut scratch)
+                .unwrap();
+            decoded += rows.len();
+        }
+        let during = allocs() - before;
+        assert_eq!(decoded, N as usize);
+        assert!(
+            during <= PER_BLOCK * blocks,
+            "{mode} / {kernel}: batch decode allocated {during} times for {blocks} blocks"
+        );
+    }
+
+    // The adapter: one digit-vector allocation per decoded tuple, plus a
+    // small slack for buffer growth. The old decode path allocated
+    // ~5 vectors per tuple; this bound fails loudly if per-tuple
+    // temporaries creep back in.
+    let coded = coded(&rel, CodingMode::default());
     let codec = coded.codec();
     let mut scratch = DecodeScratch::new();
     let mut out: Vec<Tuple> = Vec::with_capacity(N as usize);
-
-    // Warm the scratch so steady-state capacity is reached before counting.
     codec
         .decode_into_scratch(coded.block(0), &mut out, &mut scratch)
         .unwrap();
     out.clear();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..coded.block_count() {
         codec
             .decode_into_scratch(coded.block(i), &mut out, &mut scratch)
             .unwrap();
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = allocs() - before;
 
     assert_eq!(out.len(), N as usize);
-    // One digit-vector allocation per decoded tuple, plus a small slack for
-    // scratch growth on blocks larger than the warm-up block. The old
-    // decode path allocated ~5 vectors per tuple; this bound fails loudly
-    // if per-tuple temporaries creep back in.
     let budget = N + 64;
     assert!(
         during <= budget,

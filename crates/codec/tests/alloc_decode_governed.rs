@@ -1,89 +1,77 @@
 //! Allocation accounting for the *governed* decode path with governance
-//! disabled: `decode_into_scratch_governed` under an unlimited
-//! [`avq_obs::GovCtx`] must cost the same one allocation per tuple as the
-//! plain streaming path — the disabled context is one branch per block,
-//! never a per-tuple allocation. Counting-allocator twin of
-//! `alloc_decode.rs`; the only test in this binary so no concurrent test
-//! thread can perturb the counter.
+//! disabled: `decode_batch_into_governed` under an unlimited
+//! [`avq_obs::GovCtx`] and a disabled [`avq_obs::TraceCtx`] must cost the
+//! same small constant per block as the plain batch path, and the
+//! `Vec<Tuple>` adapter's governed member the same one allocation per
+//! tuple as its plain one — a disabled context is one branch per block,
+//! never an allocation. Counting-allocator twin of `alloc_decode.rs`.
 
-use avq_codec::{compress, CodecOptions, DecodeScratch};
+mod alloc_common;
+
+use alloc_common::{allocs, coded, relation, CountingAlloc, N, PER_BLOCK};
+use avq_codec::{CodingMode, DecodeKernel, DecodeScratch};
 use avq_obs::{GovCtx, TraceCtx};
-use avq_schema::{Domain, Relation, Schema, Tuple};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use avq_schema::{Tuple, TupleBatch};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
 #[test]
 fn disabled_governance_decode_allocates_one_vec_per_tuple() {
-    const N: u64 = 100_000;
-    let schema = Schema::from_pairs(vec![
-        ("a", Domain::uint(64).unwrap()),
-        ("b", Domain::uint(256).unwrap()),
-        ("c", Domain::uint(4096).unwrap()),
-        ("d", Domain::uint(65536).unwrap()),
-    ])
-    .unwrap();
-    let tuples: Vec<Tuple> = (0..N)
-        .map(|i| {
-            Tuple::from([
-                (i / 4096) % 64,
-                (i * 7) % 256,
-                (i * 31) % 4096,
-                (i * 131) % 65536,
-            ])
-        })
-        .collect();
-    let rel = Relation::from_tuples(schema, tuples).unwrap();
-    let coded = compress(&rel, CodecOptions::default()).unwrap();
-    assert_eq!(coded.tuple_count(), N as usize);
-    assert!(coded.block_count() > 1);
-
-    let codec = coded.codec();
     let ctx = TraceCtx::disabled();
     let gov = GovCtx::unlimited();
+
+    let rel = relation();
+    let coded_modes = CodingMode::ALL.map(|mode| (mode, coded(&rel, mode)));
+    for ((mode, coded), kernel) in coded_modes
+        .iter()
+        .flat_map(|m| DecodeKernel::ALL.map(|kernel| (m, kernel)))
+    {
+        let codec = coded.codec().with_kernel(kernel);
+        let blocks = coded.block_count() as u64;
+        let mut scratch = DecodeScratch::new();
+        let mut rows = TupleBatch::new(coded.schema().arity());
+        let largest = (0..coded.block_count())
+            .max_by_key(|&i| codec.tuple_count(coded.block(i)).unwrap())
+            .unwrap();
+        codec
+            .decode_batch_into_governed(coded.block(largest), &mut rows, &mut scratch, &ctx, &gov)
+            .unwrap();
+
+        let before = allocs();
+        for i in 0..coded.block_count() {
+            rows.clear();
+            codec
+                .decode_batch_into_governed(coded.block(i), &mut rows, &mut scratch, &ctx, &gov)
+                .unwrap();
+        }
+        let during = allocs() - before;
+        assert!(
+            during <= PER_BLOCK * blocks,
+            "{mode} / {kernel}: governed batch decode allocated {during} times for {blocks} blocks"
+        );
+    }
+
+    let coded = coded(&rel, CodingMode::default());
+    let codec = coded.codec();
     let mut scratch = DecodeScratch::new();
     let mut out: Vec<Tuple> = Vec::with_capacity(N as usize);
-
-    // Warm the scratch so steady-state capacity is reached before counting.
     codec
         .decode_into_scratch_governed(coded.block(0), &mut out, &mut scratch, &ctx, &gov)
         .unwrap();
     out.clear();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = allocs();
     for i in 0..coded.block_count() {
         codec
             .decode_into_scratch_governed(coded.block(i), &mut out, &mut scratch, &ctx, &gov)
             .unwrap();
     }
-    let during = ALLOCS.load(Ordering::Relaxed) - before;
+    let during = allocs() - before;
 
     assert_eq!(out.len(), N as usize);
-    // Identical budget to the ungoverned twin: one digit-vector per tuple
-    // plus bounded scratch growth. A regression here means the governance
-    // plumbing started allocating on the hot path.
+    // Identical budget to the ungoverned twin. A regression here means the
+    // governance plumbing started allocating on the hot path.
     let budget = N + 64;
     assert!(
         during <= budget,

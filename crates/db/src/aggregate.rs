@@ -96,7 +96,7 @@ impl StoredRelation {
         // General path: stream the selection through a fold (matching
         // tuples are never materialized).
         let (state, cost, _) =
-            self.fold_matching(selection, AggState::default(), |st, t| st.feed(agg, t))?;
+            self.fold_matching(selection, AggState::default(), |st, row| st.feed(agg, row))?;
         tracker.cost = cost;
         Ok((state.finish(agg), tracker.cost))
     }
@@ -109,13 +109,13 @@ impl StoredRelation {
         agg: Aggregate,
         selection: &Selection,
     ) -> Result<(BTreeMap<u64, AggregateValue>, QueryCost), DbError> {
-        let (groups, cost, _) =
-            self.fold_matching(selection, BTreeMap::<u64, AggState>::new(), |groups, t| {
-                groups
-                    .entry(t.digits()[group_attr])
-                    .or_default()
-                    .feed(agg, t);
-            })?;
+        let (groups, cost, _) = self.fold_matching(
+            selection,
+            BTreeMap::<u64, AggState>::new(),
+            |groups, row| {
+                groups.entry(row[group_attr]).or_default().feed(agg, row);
+            },
+        )?;
         let out = groups
             .into_iter()
             .map(|(k, st)| (k, st.finish(agg)))
@@ -124,10 +124,9 @@ impl StoredRelation {
     }
 }
 
-/// Streaming fold state shared by all aggregate functions (and by
-/// [`crate::explain`]'s timed aggregate stage).
+/// Streaming fold state shared by all aggregate functions.
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct AggState {
+struct AggState {
     count: u64,
     sum: u128,
     min: Option<u64>,
@@ -135,7 +134,7 @@ pub(crate) struct AggState {
 }
 
 impl AggState {
-    pub(crate) fn feed(&mut self, agg: Aggregate, t: &avq_schema::Tuple) {
+    fn feed(&mut self, agg: Aggregate, row: &[u64]) {
         self.count += 1;
         let attr = match agg {
             Aggregate::Count => return,
@@ -144,13 +143,13 @@ impl AggState {
             | Aggregate::Max { attr }
             | Aggregate::Avg { attr } => attr,
         };
-        let v = t.digits()[attr];
+        let v = row[attr];
         self.sum += v as u128;
         self.min = Some(self.min.map_or(v, |m| m.min(v)));
         self.max = Some(self.max.map_or(v, |m| m.max(v)));
     }
 
-    pub(crate) fn finish(self, agg: Aggregate) -> AggregateValue {
+    fn finish(self, agg: Aggregate) -> AggregateValue {
         match agg {
             Aggregate::Count => AggregateValue::Count(self.count),
             Aggregate::Sum { .. } => AggregateValue::Sum(self.sum),
@@ -227,7 +226,7 @@ mod tests {
             lo: 10,
             hi: 50,
         });
-        let matching: Vec<_> = all.iter().filter(|t| sel.matches(t)).collect();
+        let matching: Vec<_> = all.iter().filter(|t| sel.matches(t.digits())).collect();
         let expect_sum: u128 = matching.iter().map(|t| t.digits()[1] as u128).sum();
 
         let (v, _) = rel.aggregate(Aggregate::Sum { attr: 1 }, &sel).unwrap();

@@ -1,23 +1,16 @@
-//! `EXPLAIN ANALYZE`: per-stage wall-clock timing and cache attribution
-//! for selections, equijoins, and aggregates.
+//! `EXPLAIN ANALYZE` report types: per-stage wall-clock timing and cache
+//! attribution.
 //!
 //! The cost model in [`crate::cost`] charges the *simulated* 1994 disk;
-//! this module measures where *real* time goes — index probing, block
+//! these reports say where *real* time goes — index probing, block
 //! decode, predicate filtering, join matching — and how many block reads
 //! each stage served from cache (buffer-pool hits + decoded-block hits)
-//! instead of decode + device I/O. Reports render as a fixed-format table
-//! that `avqtool explain` prints and a CLI golden test pins.
+//! instead of decode + device I/O. The SQL executor in `avq-sql` produces
+//! them; they render as a fixed-format table that `avqtool explain` prints
+//! and a CLI golden test pins.
 
-use crate::aggregate::{AggState, Aggregate, AggregateValue};
-use crate::database::Database;
-use crate::error::DbError;
-use crate::join::JoinStrategy;
-use crate::query::{AccessPath, Selection};
 use crate::relation_store::StoredRelation;
-use avq_obs::{names, Stopwatch};
-use avq_schema::Tuple;
-use avq_storage::{BlockId, PoolStats};
-use std::collections::{BTreeMap, BTreeSet};
+use avq_storage::PoolStats;
 use std::time::Duration;
 
 /// One timed stage of a query plan.
@@ -153,401 +146,9 @@ impl CacheMark {
     }
 }
 
-fn path_name(path: AccessPath) -> String {
-    path.to_string()
-}
-
-impl StoredRelation {
-    /// Executes `selection` like [`Self::select`], additionally timing each
-    /// plan stage and attributing cache hits to it.
-    pub fn explain_select(
-        &self,
-        query: String,
-        selection: &Selection,
-    ) -> Result<(Vec<Tuple>, ExplainReport), DbError> {
-        let _span = avq_obs::span!(names::SPAN_DB_EXPLAIN);
-        let path = selection.plan(self);
-        let mut stages = Vec::new();
-
-        // Stage 1: locate candidate blocks through the chosen access path.
-        let mark = CacheMark::take(self);
-        let probe_start = Stopwatch::start();
-        let candidates: Vec<BlockId> = self.candidate_blocks(selection, path)?;
-        stages.push(StageReport {
-            stage: "index-probe",
-            rows: candidates.len() as u64,
-            blocks: 0,
-            cache_hits: mark.hits_since(self),
-            elapsed: probe_start.elapsed(),
-        });
-
-        // Stages 2+3: decode candidates (scan) and apply conjuncts (filter),
-        // timed separately within one streaming pass.
-        let mut scan_elapsed = Duration::ZERO;
-        let mut filter_elapsed = Duration::ZERO;
-        let mut scanned = 0u64;
-        let mark = CacheMark::take(self);
-        let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        for &id in &candidates {
-            let t = Stopwatch::start();
-            scratch.clear();
-            self.decode_block_into(id, &mut scratch)?;
-            scan_elapsed += t.elapsed();
-            scanned += scratch.len() as u64;
-            let t = Stopwatch::start();
-            for tuple in &scratch {
-                if selection.matches(tuple) {
-                    out.push(tuple.clone());
-                }
-            }
-            filter_elapsed += t.elapsed();
-        }
-        stages.push(StageReport {
-            stage: "scan",
-            rows: scanned,
-            blocks: candidates.len() as u64,
-            cache_hits: mark.hits_since(self),
-            elapsed: scan_elapsed,
-        });
-        stages.push(StageReport {
-            stage: "filter",
-            rows: out.len() as u64,
-            blocks: 0,
-            cache_hits: 0,
-            elapsed: filter_elapsed,
-        });
-
-        let rows = out.len() as u64;
-        Ok((
-            out,
-            ExplainReport {
-                query,
-                plan: path_name(path),
-                stages,
-                rows,
-            },
-        ))
-    }
-
-    /// Evaluates `agg` under `selection` like [`Self::aggregate`], with the
-    /// per-stage report of the underlying selection plus an `aggregate`
-    /// stage.
-    pub fn explain_aggregate(
-        &self,
-        query: String,
-        agg: Aggregate,
-        selection: &Selection,
-    ) -> Result<(AggregateValue, ExplainReport), DbError> {
-        let (rows, mut report) = self.explain_select(query, selection)?;
-        let t = Stopwatch::start();
-        let mut state = AggState::default();
-        for tuple in &rows {
-            state.feed(agg, tuple);
-        }
-        let value = state.finish(agg);
-        report.stages.push(StageReport {
-            stage: "aggregate",
-            rows: 1,
-            blocks: 0,
-            cache_hits: 0,
-            elapsed: t.elapsed(),
-        });
-        report.rows = 1;
-        Ok((value, report))
-    }
-}
-
-/// Executes `outer ⋈ inner` like [`crate::equijoin`], additionally timing
-/// each join stage (outer scan, index probe, inner scan, matching) and
-/// attributing cache hits to each.
-pub fn explain_equijoin(
-    query: String,
-    outer: &StoredRelation,
-    outer_attr: usize,
-    inner: &StoredRelation,
-    inner_attr: usize,
-) -> Result<(Vec<(Tuple, Tuple)>, ExplainReport), DbError> {
-    let _span = avq_obs::span!(names::SPAN_DB_EXPLAIN);
-    let use_index = inner.has_secondary_index(inner_attr);
-    let strategy = if use_index {
-        JoinStrategy::IndexNestedLoop
-    } else {
-        JoinStrategy::BlockNestedLoop
-    };
-
-    let mut outer_scan = Duration::ZERO;
-    let mut probe = Duration::ZERO;
-    let mut inner_scan = Duration::ZERO;
-    let mut join = Duration::ZERO;
-    let mut outer_rows = 0u64;
-    let mut inner_rows = 0u64;
-    let mut probe_blocks = 0u64;
-    let mut inner_blocks = 0u64;
-    let mut outer_hits = 0u64;
-    let mut inner_hits = 0u64;
-
-    let mut out = Vec::new();
-    let mut outer_tuples = Vec::new();
-    let mut inner_tuples = Vec::new();
-    let inner_ids = inner.all_block_ids();
-    let outer_ids = outer.all_block_ids();
-    let outer_block_count = outer_ids.len() as u64;
-    for oid in outer_ids {
-        let mark = CacheMark::take(outer);
-        let t = Stopwatch::start();
-        outer_tuples.clear();
-        outer.decode_block_into(oid, &mut outer_tuples)?;
-        outer_scan += t.elapsed();
-        outer_hits += mark.hits_since(outer);
-        outer_rows += outer_tuples.len() as u64;
-
-        let t = Stopwatch::start();
-        let mut by_value: BTreeMap<u64, Vec<&Tuple>> = BTreeMap::new();
-        for tuple in &outer_tuples {
-            by_value
-                .entry(tuple.digits()[outer_attr])
-                .or_default()
-                .push(tuple);
-        }
-        join += t.elapsed();
-
-        let candidates: Vec<BlockId> = if use_index {
-            let t = Stopwatch::start();
-            let mut set = BTreeSet::new();
-            for &v in by_value.keys() {
-                for b in inner.secondary_candidate_blocks(inner_attr, v, v)? {
-                    set.insert(b);
-                }
-            }
-            probe += t.elapsed();
-            probe_blocks += set.len() as u64;
-            set.into_iter().collect()
-        } else {
-            inner_ids.clone()
-        };
-
-        for iid in candidates {
-            let mark = CacheMark::take(inner);
-            let t = Stopwatch::start();
-            inner_tuples.clear();
-            inner.decode_block_into(iid, &mut inner_tuples)?;
-            inner_scan += t.elapsed();
-            inner_hits += mark.hits_since(inner);
-            inner_blocks += 1;
-            inner_rows += inner_tuples.len() as u64;
-
-            let t = Stopwatch::start();
-            for it in &inner_tuples {
-                if let Some(os) = by_value.get(&it.digits()[inner_attr]) {
-                    for ot in os {
-                        out.push(((*ot).clone(), it.clone()));
-                    }
-                }
-            }
-            join += t.elapsed();
-        }
-    }
-
-    let mut stages = vec![StageReport {
-        stage: "scan-outer",
-        rows: outer_rows,
-        blocks: outer_block_count,
-        cache_hits: outer_hits,
-        elapsed: outer_scan,
-    }];
-    if use_index {
-        stages.push(StageReport {
-            stage: "index-probe",
-            rows: probe_blocks,
-            blocks: 0,
-            cache_hits: 0,
-            elapsed: probe,
-        });
-    }
-    stages.push(StageReport {
-        stage: "scan-inner",
-        rows: inner_rows,
-        blocks: inner_blocks,
-        cache_hits: inner_hits,
-        elapsed: inner_scan,
-    });
-    stages.push(StageReport {
-        stage: "join",
-        rows: out.len() as u64,
-        blocks: 0,
-        cache_hits: 0,
-        elapsed: join,
-    });
-
-    let rows = out.len() as u64;
-    Ok((
-        out,
-        ExplainReport {
-            query,
-            plan: match strategy {
-                JoinStrategy::IndexNestedLoop => "index-nested-loop".to_owned(),
-                JoinStrategy::BlockNestedLoop => "block-nested-loop".to_owned(),
-            },
-            stages,
-            rows,
-        },
-    ))
-}
-
-impl Database {
-    /// `EXPLAIN ANALYZE` for a logical range selection (same arguments as
-    /// [`Self::select_range`]).
-    pub fn explain_select_range(
-        &self,
-        name: &str,
-        attr: &str,
-        lo: &avq_schema::Value,
-        hi: &avq_schema::Value,
-    ) -> Result<ExplainReport, DbError> {
-        let rel = self.relation(name)?;
-        let schema = rel.schema().clone();
-        let attr_idx = schema.index_of(attr)?;
-        let domain = schema.attribute(attr_idx).domain();
-        let lo_ord = domain.encode(lo)?;
-        let hi_ord = domain.encode(hi)?;
-        let selection = Selection::all().and(crate::query::RangePredicate {
-            attr: attr_idx,
-            lo: lo_ord,
-            hi: hi_ord,
-        });
-        let query = format!("select {name} where {lo} <= {attr} <= {hi}");
-        let (_, report) = rel.explain_select(query, &selection)?;
-        Ok(report)
-    }
-
-    /// `EXPLAIN ANALYZE` for `outer ⋈ inner` on the named attributes.
-    pub fn explain_equijoin(
-        &self,
-        outer_name: &str,
-        outer_attr: &str,
-        inner_name: &str,
-        inner_attr: &str,
-    ) -> Result<ExplainReport, DbError> {
-        let outer = self.relation(outer_name)?;
-        let inner = self.relation(inner_name)?;
-        let oa = outer.schema().index_of(outer_attr)?;
-        let ia = inner.schema().index_of(inner_attr)?;
-        let query = format!("join {outer_name}.{outer_attr} = {inner_name}.{inner_attr}");
-        let (_, report) = explain_equijoin(query, outer, oa, inner, ia)?;
-        Ok(report)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::DbConfig;
-    use crate::query::RangePredicate;
-    use avq_codec::CodecOptions;
-    use avq_schema::{Domain, Relation, Schema};
-    use avq_storage::{BlockDevice, BufferPool};
-
-    fn stored(with_index: bool) -> StoredRelation {
-        let schema = Schema::from_pairs(vec![
-            ("a", Domain::uint(16).unwrap()),
-            ("b", Domain::uint(64).unwrap()),
-        ])
-        .unwrap();
-        let tuples: Vec<Tuple> = (0..1500u64)
-            .map(|i| Tuple::from([(i * 3) % 16, (i * 7) % 64]))
-            .collect();
-        let relation = Relation::from_tuples(schema, tuples).unwrap();
-        let config = DbConfig {
-            codec: CodecOptions {
-                block_capacity: 256,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let device = BlockDevice::new(256, config.disk);
-        let pool = BufferPool::new(device.clone(), config.buffer_frames);
-        let mut s = StoredRelation::bulk_load(device, pool, &relation, config).unwrap();
-        if with_index {
-            s.create_secondary_index(1).unwrap();
-        }
-        s
-    }
-
-    #[test]
-    fn explain_select_matches_select() {
-        let rel = stored(true);
-        let sel = Selection::all().and(RangePredicate {
-            attr: 1,
-            lo: 10,
-            hi: 30,
-        });
-        let (expected, _, path) = rel.select(&sel).unwrap();
-        let (rows, report) = rel.explain_select("q".to_owned(), &sel).unwrap();
-        assert_eq!(rows, expected);
-        assert_eq!(path, AccessPath::SecondaryIndex { attr: 1 });
-        assert_eq!(report.plan, "secondary-index(attr=1)");
-        assert_eq!(report.rows, rows.len() as u64);
-        let names: Vec<_> = report.stages.iter().map(|s| s.stage).collect();
-        assert_eq!(names, ["index-probe", "scan", "filter"]);
-        // The filter stage's row count is the result size; the scan stage
-        // decoded at least that many.
-        assert_eq!(report.stages[2].rows, rows.len() as u64);
-        assert!(report.stages[1].rows >= report.stages[2].rows);
-        assert!(report.stages[1].blocks > 0);
-    }
-
-    #[test]
-    fn warm_rescan_attributes_cache_hits() {
-        let rel = stored(false);
-        let sel = Selection::all().and(RangePredicate {
-            attr: 1,
-            lo: 0,
-            hi: 63,
-        });
-        let (_, cold) = rel.explain_select("q".to_owned(), &sel).unwrap();
-        let (_, warm) = rel.explain_select("q".to_owned(), &sel).unwrap();
-        assert_eq!(cold.plan, "full-scan");
-        // Second scan of the same blocks is served from cache.
-        let warm_scan = &warm.stages[1];
-        assert!(
-            warm_scan.cache_hits >= warm_scan.blocks,
-            "warm scan should hit cache: {warm_scan:?}"
-        );
-        let _ = cold;
-    }
-
-    #[test]
-    fn explain_join_matches_equijoin() {
-        let rel = stored(true);
-        let (expected, _, _) = crate::join::equijoin(&rel, 1, &rel, 1).unwrap();
-        let (mut rows, report) = explain_equijoin("j".to_owned(), &rel, 1, &rel, 1).unwrap();
-        let mut expected = expected;
-        rows.sort_unstable();
-        expected.sort_unstable();
-        assert_eq!(rows, expected);
-        assert_eq!(report.plan, "index-nested-loop");
-        let names: Vec<_> = report.stages.iter().map(|s| s.stage).collect();
-        assert_eq!(names, ["scan-outer", "index-probe", "scan-inner", "join"]);
-        assert_eq!(report.rows, rows.len() as u64);
-    }
-
-    #[test]
-    fn explain_aggregate_appends_stage() {
-        let rel = stored(false);
-        let sel = Selection::all().and(RangePredicate {
-            attr: 1,
-            lo: 0,
-            hi: 31,
-        });
-        let (expected, _) = rel.aggregate(Aggregate::Sum { attr: 1 }, &sel).unwrap();
-        let (value, report) = rel
-            .explain_aggregate("agg".to_owned(), Aggregate::Sum { attr: 1 }, &sel)
-            .unwrap();
-        assert_eq!(value, expected);
-        assert_eq!(report.stages.last().unwrap().stage, "aggregate");
-        assert_eq!(report.rows, 1);
-    }
 
     #[test]
     fn report_renders_pinned_table_shape() {

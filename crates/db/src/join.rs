@@ -60,37 +60,7 @@ pub fn block_nested_loop(
     inner: &StoredRelation,
     inner_attr: usize,
 ) -> Result<(Vec<(Tuple, Tuple)>, QueryCost), DbError> {
-    let mut tracker = CostTracker::new(outer.device());
-    let mut out = Vec::new();
-    let mut outer_tuples = Vec::new();
-    let mut inner_tuples = Vec::new();
-    let inner_ids = inner.all_block_ids();
-    for oid in outer.all_block_ids() {
-        outer_tuples.clear();
-        outer.decode_block_into(oid, &mut outer_tuples)?;
-        tracker.cost.data_blocks += 1;
-        tracker.cost.tuples_scanned += outer_tuples.len();
-        // Hash the outer block by join value to avoid a per-pair scan.
-        let mut by_value: BTreeMap<u64, Vec<&Tuple>> = BTreeMap::new();
-        for t in &outer_tuples {
-            by_value.entry(t.digits()[outer_attr]).or_default().push(t);
-        }
-        for &iid in &inner_ids {
-            inner_tuples.clear();
-            inner.decode_block_into(iid, &mut inner_tuples)?;
-            tracker.cost.data_blocks += 1;
-            for it in &inner_tuples {
-                if let Some(os) = by_value.get(&it.digits()[inner_attr]) {
-                    for ot in os {
-                        out.push(((*ot).clone(), it.clone()));
-                    }
-                }
-            }
-        }
-    }
-    tracker.cost.tuples_matched = out.len();
-    tracker.end_data_phase();
-    Ok((out, tracker.cost))
+    nested_loop(outer, outer_attr, inner, inner_attr, false)
 }
 
 /// Index nested-loop equijoin (inner must have a secondary index on
@@ -101,40 +71,56 @@ pub fn index_nested_loop(
     inner: &StoredRelation,
     inner_attr: usize,
 ) -> Result<(Vec<(Tuple, Tuple)>, QueryCost), DbError> {
+    nested_loop(outer, outer_attr, inner, inner_attr, true)
+}
+
+/// The nested loop both strategies share: per outer block, hash its rows
+/// by join value, then stream the inner blocks — all of them, or with
+/// `probe_index` only those the inner's secondary index lists for the
+/// block's distinct values. Rows are borrowed from their decoded blocks;
+/// only a matched pair is copied out.
+fn nested_loop(
+    outer: &StoredRelation,
+    outer_attr: usize,
+    inner: &StoredRelation,
+    inner_attr: usize,
+    probe_index: bool,
+) -> Result<(Vec<(Tuple, Tuple)>, QueryCost), DbError> {
+    let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
     let mut tracker = CostTracker::new(outer.device());
     let mut out = Vec::new();
-    let mut outer_tuples = Vec::new();
-    let mut inner_tuples = Vec::new();
+    let inner_ids = inner.all_block_ids();
     for oid in outer.all_block_ids() {
-        outer_tuples.clear();
-        outer.decode_block_into(oid, &mut outer_tuples)?;
+        let outer_rows = outer.read_block(oid, &ctx, &gov)?;
         tracker.cost.data_blocks += 1;
-        tracker.cost.tuples_scanned += outer_tuples.len();
-        let mut by_value: BTreeMap<u64, Vec<&Tuple>> = BTreeMap::new();
-        for t in &outer_tuples {
-            by_value.entry(t.digits()[outer_attr]).or_default().push(t);
+        tracker.cost.tuples_scanned += outer_rows.len();
+        let mut by_value: BTreeMap<u64, Vec<&[u64]>> = BTreeMap::new();
+        for row in outer_rows.rows() {
+            by_value.entry(row[outer_attr]).or_default().push(row);
         }
-        // One index probe per distinct value; union candidate inner blocks.
-        let mut candidate_blocks = BTreeSet::new();
-        for &v in by_value.keys() {
-            for b in inner.secondary_candidate_blocks(inner_attr, v, v)? {
-                candidate_blocks.insert(b);
+        let candidates = if probe_index {
+            // One index probe per distinct value; union candidate blocks.
+            let mut blocks = BTreeSet::new();
+            for &v in by_value.keys() {
+                blocks.extend(inner.secondary_candidate_blocks(inner_attr, v, v)?);
             }
-        }
-        tracker.end_index_phase();
-        for iid in candidate_blocks {
-            inner_tuples.clear();
-            inner.decode_block_into(iid, &mut inner_tuples)?;
+            tracker.end_index_phase();
+            blocks.into_iter().collect()
+        } else {
+            inner_ids.clone()
+        };
+        for iid in candidates {
+            let inner_rows = inner.read_block(iid, &ctx, &gov)?;
             tracker.cost.data_blocks += 1;
-            for it in &inner_tuples {
-                if let Some(os) = by_value.get(&it.digits()[inner_attr]) {
-                    for ot in os {
-                        out.push(((*ot).clone(), it.clone()));
-                    }
+            for irow in inner_rows.rows() {
+                for orow in by_value.get(&irow[inner_attr]).into_iter().flatten() {
+                    out.push((Tuple::from(*orow), Tuple::from(irow)));
                 }
             }
         }
-        tracker.end_data_phase();
+        if probe_index {
+            tracker.end_data_phase();
+        }
     }
     tracker.cost.tuples_matched = out.len();
     tracker.end_data_phase();

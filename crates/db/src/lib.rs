@@ -63,7 +63,7 @@ pub use cost::QueryCost;
 pub use database::Database;
 pub use durable::{CheckpointReport, DurableDatabase, RecoveryReport};
 pub use error::DbError;
-pub use explain::{explain_equijoin, format_elapsed, CacheMark, ExplainReport, StageReport};
+pub use explain::{format_elapsed, CacheMark, ExplainReport, StageReport};
 // Re-exported so durable callers need not depend on `avq-wal` directly.
 pub use avq_wal::SyncPolicy;
 // Re-exported so degraded-mode callers need not depend on `avq-storage`.
@@ -71,7 +71,9 @@ pub use avq_storage::RetryPolicy;
 pub use extsort::{ExternalSorter, SortedStream};
 pub use join::{block_nested_loop, equijoin, index_nested_loop, JoinStrategy};
 pub use query::{AccessPath, RangePredicate, Selection};
-pub use relation_store::{tuple_mem_bytes, uncoded_block_count, StoredBlock, StoredRelation};
+pub use relation_store::{
+    row_mem_bytes, tuple_mem_bytes, uncoded_block_count, StoredBlock, StoredRelation,
+};
 
 pub use avq_obs::{GovCtx, GovUsage, GovernanceError, QueryBudget, QuotaKind, ShedReason};
 pub use scan::RangeScan;

@@ -31,10 +31,10 @@ impl RangePredicate {
         RangePredicate { attr, lo: v, hi: v }
     }
 
-    /// True iff `tuple` satisfies this conjunct.
+    /// True iff the row satisfies this conjunct.
     #[inline]
-    pub fn matches(&self, tuple: &Tuple) -> bool {
-        let v = tuple.digits()[self.attr];
+    pub fn matches(&self, row: &[u64]) -> bool {
+        let v = row[self.attr];
         v >= self.lo && v <= self.hi
     }
 
@@ -81,9 +81,9 @@ impl Selection {
         &self.predicates
     }
 
-    /// True iff `tuple` satisfies every conjunct.
-    pub fn matches(&self, tuple: &Tuple) -> bool {
-        self.predicates.iter().all(|p| p.matches(tuple))
+    /// True iff the row satisfies every conjunct.
+    pub fn matches(&self, row: &[u64]) -> bool {
+        self.predicates.iter().all(|p| p.matches(row))
     }
 
     /// Chooses the access path for `rel`: a clustering-prefix conjunct wins
@@ -168,14 +168,15 @@ impl StoredRelation {
         }
     }
 
-    /// Streams every tuple matching `selection` through `f` without
-    /// materializing the result set; the backbone of [`Self::select`],
-    /// [`Self::aggregate`], and [`Self::aggregate_group_by`].
+    /// Streams every row matching `selection` through `f`, borrowed from
+    /// its decoded block, without materializing the result set; the
+    /// backbone of [`Self::select`], [`Self::aggregate`], and
+    /// [`Self::aggregate_group_by`].
     pub fn fold_matching<T>(
         &self,
         selection: &Selection,
         init: T,
-        mut f: impl FnMut(&mut T, &Tuple),
+        mut f: impl FnMut(&mut T, &[u64]),
     ) -> Result<(T, QueryCost, AccessPath), DbError> {
         let _span = avq_obs::span!(names::SPAN_DB_SELECT);
         avq_obs::counter!(names::DB_QUERIES).inc();
@@ -185,17 +186,17 @@ impl StoredRelation {
         tracker.end_index_phase();
 
         let mut acc = init;
-        let mut scratch = Vec::new();
         tracker.cost.data_blocks = candidates.len() as u64;
         for id in candidates {
-            scratch.clear();
-            self.decode_block_into(id, &mut scratch)?;
-            tracker.cost.tuples_scanned += scratch.len();
-            for t in &scratch {
-                if selection.matches(t) {
-                    tracker.cost.tuples_matched += 1;
-                    f(&mut acc, t);
-                }
+            let run = self.read_block(
+                id,
+                &avq_obs::TraceCtx::disabled(),
+                &avq_obs::GovCtx::unlimited(),
+            )?;
+            tracker.cost.tuples_scanned += run.len();
+            for row in run.rows().filter(|row| selection.matches(row)) {
+                tracker.cost.tuples_matched += 1;
+                f(&mut acc, row);
             }
         }
         tracker.end_data_phase();
@@ -208,7 +209,7 @@ impl StoredRelation {
         &self,
         selection: &Selection,
     ) -> Result<(Vec<Tuple>, QueryCost, AccessPath), DbError> {
-        self.fold_matching(selection, Vec::new(), |out, t| out.push(t.clone()))
+        self.fold_matching(selection, Vec::new(), |out, row| out.push(Tuple::from(row)))
     }
 }
 
@@ -251,7 +252,7 @@ mod tests {
         rel.scan_all()
             .unwrap()
             .into_iter()
-            .filter(|t| sel.matches(t))
+            .filter(|t| sel.matches(t.digits()))
             .collect()
     }
 

@@ -17,7 +17,7 @@ use avq_codec::{
     delete_from_block, insert_into_block, BlockCodec, BlockPacker, CodecError, DecodeScratch,
     DeleteOutcome, InsertOutcome,
 };
-use avq_schema::{Relation, Schema, Tuple};
+use avq_schema::{Relation, Schema, Tuple, TupleBatch};
 use avq_storage::{BlockDevice, BlockId, BufferPool, DecodedCache, PoolStats, StorageError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
@@ -48,12 +48,10 @@ pub struct StoredRelation {
     codec: BlockCodec,
     device: Arc<BlockDevice>,
     pool: Arc<BufferPool>,
-    /// LRU cache of decoded tuple runs, layered over the buffer pool. The
-    /// pool caches coded bytes; this caches the result of decoding them, so
-    /// a warm re-scan performs zero decode calls.
-    decoded: DecodedCache<Vec<Tuple>>,
-    /// Reusable decode scratch shared by all cache-miss decodes.
-    scratch: Mutex<DecodeScratch>,
+    /// LRU cache of decoded blocks, layered over the buffer pool. The pool
+    /// caches coded bytes; this caches the result of decoding them, so a
+    /// warm re-scan performs zero decode calls and shares each batch.
+    decoded: DecodedCache<TupleBatch>,
     /// Blocks found unreadable or corrupt during policy-aware reads. Under
     /// [`ScanPolicy::SkipCorrupt`] these are skipped on later scans; each
     /// block is counted once in `avq_corrupt_blocks_total`.
@@ -106,7 +104,6 @@ impl StoredRelation {
             device,
             pool,
             decoded: DecodedCache::new(config.decoded_cache_blocks),
-            scratch: Mutex::new(DecodeScratch::new()),
             quarantined: Mutex::new(BTreeSet::new()),
             config,
             blocks,
@@ -183,7 +180,6 @@ impl StoredRelation {
             device,
             pool,
             decoded: DecodedCache::new(config.decoded_cache_blocks),
-            scratch: Mutex::new(DecodeScratch::new()),
             quarantined: Mutex::new(BTreeSet::new()),
             config,
             blocks,
@@ -273,60 +269,42 @@ impl StoredRelation {
         self.blocks.iter().map(|b| b.id).collect()
     }
 
-    /// Reads one data block's tuples, appending them to `out`.
+    /// Reads one data block as a shared decoded batch — the one block-read
+    /// primitive every operator (and the SQL executor in `avq-sql`) scans
+    /// through.
     ///
-    /// The decoded-block cache is consulted first: a hit clones tuples from
-    /// the cached run without touching the pool or the codec. On a miss the
-    /// block is read through the pool, decoded via the shared
-    /// [`DecodeScratch`], and the decoded run is cached for the next reader.
+    /// The decoded-block cache is consulted first: a hit hands out the
+    /// cached batch itself, touching neither the pool nor the codec and
+    /// copying nothing. On a miss the block is read through the pool,
+    /// decoded, checked for φ order, and cached for the next reader.
     ///
-    /// Public so block-at-a-time physical operators (the SQL executor in
-    /// `avq-sql`) can stream candidate blocks without materializing scans.
-    pub fn decode_block_into(&self, id: BlockId, out: &mut Vec<Tuple>) -> Result<(), DbError> {
-        self.decode_block_into_traced(id, out, &avq_obs::TraceCtx::disabled())
-    }
-
-    /// [`Self::decode_block_into`] with trace attribution: when `ctx` is
-    /// recording, the read runs under an `avq.db.block_read` trace span
-    /// carrying the block id and cache/pool-hit flags, and a cache miss
-    /// nests the codec's `avq.codec.decode_block` span beneath it. With a
-    /// disabled context the extra cost is one branch per call.
-    pub fn decode_block_into_traced(
+    /// The block boundary is `gov`'s poll point — a cancelled query or a
+    /// tripped deadline/quota surfaces [`DbError::Governance`] before the
+    /// block is served — the retry policy is clamped to the query's
+    /// remaining deadline, and the block's coded bytes and tuples are
+    /// charged (cache hits charge tuples only: nothing was re-decoded, but
+    /// the rows are still examined). When `ctx` is recording, the read runs
+    /// under an `avq.db.block_read` trace span carrying the block id and
+    /// cache/pool-hit flags, and a miss nests the codec's
+    /// `avq.codec.decode_block` span beneath it. Disabled contexts cost one
+    /// branch each.
+    pub fn read_block(
         &self,
         id: BlockId,
-        out: &mut Vec<Tuple>,
-        ctx: &avq_obs::TraceCtx,
-    ) -> Result<(), DbError> {
-        self.decode_block_into_governed(id, out, ctx, &avq_obs::GovCtx::unlimited())
-    }
-
-    /// [`Self::decode_block_into_traced`] under a governance budget: the
-    /// block boundary is the poll point — a cancelled query or a tripped
-    /// deadline/quota surfaces [`DbError::Governance`] before the block is
-    /// served — the retry policy is clamped to the query's remaining
-    /// deadline, and the block's coded bytes and tuples are charged to
-    /// `gov` (cache hits charge tuples only: nothing was re-decoded, but
-    /// the rows were still examined). Disabled contexts add one branch per
-    /// call over the traced path.
-    pub fn decode_block_into_governed(
-        &self,
-        id: BlockId,
-        out: &mut Vec<Tuple>,
         ctx: &avq_obs::TraceCtx,
         gov: &avq_obs::GovCtx,
-    ) -> Result<(), DbError> {
+    ) -> Result<Arc<TupleBatch>, DbError> {
         let guard = ctx.span(names::SPAN_DB_BLOCK_READ);
         if guard.is_recording() {
             guard.attr(names::ATTR_BLOCK, id);
         }
         if let Some(run) = self.decoded.get(id) {
             gov.poll()?;
-            out.extend_from_slice(&run);
             gov.charge_decoded(0, run.len() as u64);
             if guard.is_recording() {
                 guard.attr(names::ATTR_CACHE_HIT, true);
             }
-            return Ok(());
+            return Ok(run);
         }
         let pool_before = guard.is_recording().then(|| self.pool.stats());
         let retry = match gov.remaining_ms() {
@@ -339,62 +317,74 @@ impl StoredRelation {
             let served_from_pool = self.pool.stats().since(&before).hits > 0;
             guard.attr(names::ATTR_POOL_HIT, served_from_pool);
         }
-        let mut scratch = self.scratch.lock().expect("decode scratch poisoned");
-        if self.decoded.is_enabled() {
-            let mut run = Vec::new();
-            self.codec
-                // lint: allow(AVQ-L009, the scratch arena is the decode workspace itself; serializing decodes on it is the lock's purpose)
-                .decode_into_scratch_governed(&bytes, &mut run, &mut scratch, ctx, gov)?;
-            check_phi_order(&run)?;
-            out.extend_from_slice(&run);
-            self.decoded.insert(id, Arc::new(run));
-        } else {
-            let start = out.len();
-            self.codec
-                // lint: allow(AVQ-L009, the scratch arena is the decode workspace itself; serializing decodes on it is the lock's purpose)
-                .decode_into_scratch_governed(&bytes, out, &mut scratch, ctx, gov)?;
-            if let Err(e) = check_phi_order(&out[start..]) {
-                out.truncate(start);
-                return Err(e);
-            }
-        }
-        Ok(())
+        let mut run = TupleBatch::new(self.schema.arity());
+        self.codec.decode_batch_into_governed(
+            &bytes,
+            &mut run,
+            &mut DecodeScratch::new(),
+            ctx,
+            gov,
+        )?;
+        check_phi_order(&run)?;
+        let run = Arc::new(run);
+        self.decoded.insert(id, run.clone());
+        Ok(run)
     }
 
-    /// Policy-aware block decode: under [`ScanPolicy::FailFast`] this is
-    /// [`Self::decode_block_into`]; under [`ScanPolicy::SkipCorrupt`] an
-    /// unreadable or corrupt block is quarantined and reported as skipped
-    /// (`Ok(false)`) instead of aborting the scan. Already-quarantined
-    /// blocks are skipped without re-reading.
-    pub(crate) fn decode_block_policy(
+    /// [`Self::read_block`] for callers that need owned tuples (the layer
+    /// probes under `benchmark/`): every row is copied out as a [`Tuple`].
+    pub fn decode_block_into(&self, id: BlockId, out: &mut Vec<Tuple>) -> Result<(), DbError> {
+        self.decode_block_into_traced(id, out, &avq_obs::TraceCtx::disabled())
+    }
+
+    /// [`Self::decode_block_into`] with [`Self::read_block`]'s trace spans.
+    pub fn decode_block_into_traced(
         &self,
         id: BlockId,
         out: &mut Vec<Tuple>,
-    ) -> Result<bool, DbError> {
-        self.decode_block_policy_governed(id, out, &avq_obs::GovCtx::unlimited())
+        ctx: &avq_obs::TraceCtx,
+    ) -> Result<(), DbError> {
+        self.decode_block_into_governed(id, out, ctx, &avq_obs::GovCtx::unlimited())
     }
 
-    /// [`Self::decode_block_policy`] under a governance budget. A
-    /// [`DbError::Governance`] trip is *not* block corruption: it always
+    /// [`Self::decode_block_into_traced`] under [`Self::read_block`]'s
+    /// governance polling and charging.
+    pub fn decode_block_into_governed(
+        &self,
+        id: BlockId,
+        out: &mut Vec<Tuple>,
+        ctx: &avq_obs::TraceCtx,
+        gov: &avq_obs::GovCtx,
+    ) -> Result<(), DbError> {
+        out.extend(self.read_block(id, ctx, gov)?.rows().map(Tuple::from));
+        Ok(())
+    }
+
+    /// Policy-aware block read: under [`ScanPolicy::FailFast`] this is
+    /// [`Self::read_block`]; under [`ScanPolicy::SkipCorrupt`] an
+    /// unreadable or corrupt block is quarantined and reported as skipped
+    /// (`Ok(None)`) instead of aborting the scan. Already-quarantined
+    /// blocks are skipped without re-reading.
+    ///
+    /// A [`DbError::Governance`] trip is *not* block corruption: it always
     /// aborts the scan — even under [`ScanPolicy::SkipCorrupt`] — so a
     /// tripped query can never masquerade as a short result. Quarantined
     /// and skipped blocks charge nothing: budget accounting covers exactly
     /// the blocks actually served.
-    pub(crate) fn decode_block_policy_governed(
+    pub(crate) fn read_block_policy(
         &self,
         id: BlockId,
-        out: &mut Vec<Tuple>,
         gov: &avq_obs::GovCtx,
-    ) -> Result<bool, DbError> {
+    ) -> Result<Option<Arc<TupleBatch>>, DbError> {
         let skip = self.config.scan_policy == ScanPolicy::SkipCorrupt;
         if skip && self.is_quarantined(id) {
-            return Ok(false);
+            return Ok(None);
         }
-        match self.decode_block_into_governed(id, out, &avq_obs::TraceCtx::disabled(), gov) {
-            Ok(()) => Ok(true),
+        match self.read_block(id, &avq_obs::TraceCtx::disabled(), gov) {
+            Ok(run) => Ok(Some(run)),
             Err(e) if skip && is_block_corruption(&e) => {
                 self.quarantine(id);
-                Ok(false)
+                Ok(None)
             }
             Err(e) => Err(e),
         }
@@ -487,11 +477,9 @@ impl StoredRelation {
             return Err(DbError::IndexExists { attribute: attr });
         }
         let mut idx = SecondaryIndex::create(self.pool.clone(), self.config.index_order, attr)?;
-        let mut buf = Vec::new();
         for b in &self.blocks {
-            buf.clear();
-            if self.decode_block_policy(b.id, &mut buf)? {
-                idx.add_block(&buf, b.id)?;
+            if let Some(run) = self.read_block_policy(b.id, &avq_obs::GovCtx::unlimited())? {
+                idx.add_block(run.rows(), b.id)?;
             }
         }
         self.secondaries.insert(attr, idx);
@@ -522,7 +510,9 @@ impl StoredRelation {
     pub fn scan_all_governed(&self, gov: &avq_obs::GovCtx) -> Result<Vec<Tuple>, DbError> {
         let mut out = Vec::with_capacity(self.tuple_count);
         for b in &self.blocks {
-            self.decode_block_policy_governed(b.id, &mut out, gov)?;
+            if let Some(run) = self.read_block_policy(b.id, gov)? {
+                out.extend(run.rows().map(Tuple::from));
+            }
         }
         Ok(out)
     }
@@ -611,22 +601,19 @@ impl StoredRelation {
 
         let tuple_mem = tuple_mem_bytes(&self.schema);
         let mut out = Vec::new();
-        let mut scratch = Vec::new();
         for id in candidates {
-            scratch.clear();
-            if !self.decode_block_policy_governed(id, &mut scratch, gov)? {
+            let Some(run) = self.read_block_policy(id, gov)? else {
                 continue;
-            }
+            };
             self.charge_cpu(1);
             tracker.cost.data_blocks += 1;
-            tracker.cost.tuples_scanned += scratch.len();
+            tracker.cost.tuples_scanned += run.len();
             let before = out.len();
-            for t in &scratch {
-                let v = t.digits()[attr];
-                if v >= lo && v <= hi {
-                    out.push(t.clone());
-                }
-            }
+            out.extend(
+                run.rows()
+                    .filter(|row| (lo..=hi).contains(&row[attr]))
+                    .map(Tuple::from),
+            );
             gov.charge_mem((out.len() - before) as u64 * tuple_mem);
         }
         tracker.cost.tuples_matched = out.len();
@@ -747,7 +734,7 @@ impl StoredRelation {
         // to distinguish: removing the union is safe because removals of
         // absent postings are no-ops.
         for idx in self.secondaries.values_mut() {
-            idx.remove_block(tuples, old.id)?;
+            idx.remove_block(tuples.iter().map(Tuple::digits), old.id)?;
         }
         self.primary
             .delete(&serialize_key(&self.schema, &old.min))?;
@@ -786,7 +773,7 @@ impl StoredRelation {
             self.primary
                 .insert(&serialize_key(&self.schema, &run[0]), id as u64)?;
             for idx in self.secondaries.values_mut() {
-                idx.add_block(run, id)?;
+                idx.add_block(run.iter().map(Tuple::digits), id)?;
             }
             new_blocks.push(StoredBlock {
                 id,
@@ -826,24 +813,34 @@ impl StoredRelation {
             DeleteOutcome::InPlace(coded) => {
                 self.pool.write(old.id, &coded)?;
                 self.decoded.invalidate(old.id);
-                let remaining = self.codec.decode(&coded)?;
+                let mut remaining = TupleBatch::new(self.schema.arity());
+                // Mutations run outside any query budget.
+                self.codec.decode_batch_into_governed(
+                    &coded,
+                    &mut remaining,
+                    &mut DecodeScratch::new(),
+                    &avq_obs::TraceCtx::disabled(),
+                    &avq_obs::GovCtx::unlimited(),
+                )?;
                 let b = &mut self.blocks[bidx];
                 b.count -= 1;
                 b.used_bytes = coded.len();
-                let new_min = remaining[0].clone();
-                let new_max = remaining[remaining.len() - 1].clone();
-                if new_min != b.min {
+                let new_min = remaining.row(0);
+                if new_min != b.min.digits() {
                     let old_key = serialize_key(&self.schema, &b.min);
+                    b.min = Tuple::from(new_min);
                     self.primary.delete(&old_key)?;
                     self.primary
-                        .insert(&serialize_key(&self.schema, &new_min), old.id as u64)?;
-                    b.min = new_min;
+                        .insert(&serialize_key(&self.schema, &b.min), old.id as u64)?;
                 }
-                b.max = new_max;
+                let new_max = remaining.row(remaining.len() - 1);
+                if new_max != b.max.digits() {
+                    b.max = Tuple::from(new_max);
+                }
                 for idx in self.secondaries.values_mut() {
                     let attr = idx.attribute();
                     let v = tuple.digits()[attr];
-                    if !remaining.iter().any(|t| t.digits()[attr] == v) {
+                    if !remaining.rows().any(|row| row[attr] == v) {
                         idx.remove_posting(v, old.id)?;
                     }
                 }
@@ -871,9 +868,9 @@ impl StoredRelation {
 /// A decoded run must be φ-sorted: block coding stores tuples in φ order,
 /// so an out-of-order run means the bytes were silently damaged in a way
 /// that still parsed (e.g. a bit flip inside an RLE count). Checked on
-/// every cache-miss decode — O(n) over tuples already in cache.
-fn check_phi_order(run: &[Tuple]) -> Result<(), DbError> {
-    if run.windows(2).any(|w| matches!(w, [a, b] if a > b)) {
+/// every cache-miss decode — O(n) over rows already in cache.
+fn check_phi_order(run: &TupleBatch) -> Result<(), DbError> {
+    if !run.is_sorted() {
         return Err(DbError::Codec(CodecError::Corrupt {
             section: "order",
             offset: 0,
@@ -893,12 +890,18 @@ fn is_block_corruption(e: &DbError) -> bool {
     )
 }
 
-/// Approximate heap bytes one materialized [`Tuple`] of this schema
-/// occupies (its digit buffer plus container overhead) — the unit the
-/// governance memory budget charges for query-proportional state such as
-/// selection results and join hash tables.
+/// The governance memory budget's per-row model: a materialized row of
+/// `arity` ordinals is priced at its ordinals plus 32 bytes of container
+/// overhead, whether it is an owned [`Tuple`] in a selection result or a
+/// row of a flat intermediate batch in the SQL executor — one price, so
+/// storage-level and SQL-level state charge a tuple identically.
+pub fn row_mem_bytes(arity: usize) -> u64 {
+    arity as u64 * 8 + 32
+}
+
+/// [`row_mem_bytes`] for one tuple of `schema`.
 pub fn tuple_mem_bytes(schema: &Schema) -> u64 {
-    schema.arity() as u64 * 8 + 32
+    row_mem_bytes(schema.arity())
 }
 
 /// Serializes a tuple into its fixed-width primary-index key (byte order =
@@ -1225,6 +1228,15 @@ mod tests {
             0,
             "decoded-cache hits skip the device entirely"
         );
+
+        // A hit is the cached batch itself, not a copy of it.
+        let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
+        for b in stored.blocks() {
+            let first = stored.read_block(b.id, &ctx, &gov).unwrap();
+            let second = stored.read_block(b.id, &ctx, &gov).unwrap();
+            assert!(Arc::ptr_eq(&first, &second));
+            assert_eq!(first.len(), b.count);
+        }
     }
 
     #[test]
@@ -1232,7 +1244,13 @@ mod tests {
         let (_, _, mut stored) = setup(500, 256, CodingMode::AvqChained);
         let before = stored.scan_all().unwrap(); // warm the cache
         let t = Tuple::from([31u64, 31, 31]);
+        let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
+        let target = stored.blocks()[stored.route(&t).unwrap()].id;
+        let cached = stored.read_block(target, &ctx, &gov).unwrap();
         stored.insert(&t).unwrap();
+        let fresh = stored.read_block(target, &ctx, &gov).unwrap();
+        assert!(!Arc::ptr_eq(&cached, &fresh), "insert must drop the batch");
+        assert_ne!(cached, fresh);
         let after_insert = stored.scan_all().unwrap();
         let mut expect = before.clone();
         let at = expect.partition_point(|x| *x <= t);
@@ -1269,6 +1287,15 @@ mod tests {
         let b = stored.scan_all().unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 300);
+        let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
+        let id = stored.blocks()[0].id;
+        let first = stored.read_block(id, &ctx, &gov).unwrap();
+        let second = stored.read_block(id, &ctx, &gov).unwrap();
+        assert!(
+            !Arc::ptr_eq(&first, &second),
+            "nothing to share when disabled"
+        );
+        assert_eq!(first, second);
         assert_eq!(
             stored.decoded_stats(),
             avq_storage::PoolStats::default(),

@@ -8,7 +8,8 @@
 
 use crate::error::DbError;
 use crate::relation_store::StoredRelation;
-use avq_schema::Tuple;
+use avq_schema::{Tuple, TupleBatch};
+use std::sync::Arc;
 
 /// A streaming iterator over the tuples in `[lo, hi]` (inclusive, φ order).
 pub struct RangeScan<'a> {
@@ -16,7 +17,8 @@ pub struct RangeScan<'a> {
     hi: Tuple,
     /// Index into the relation's block list of the next block to decode.
     next_block: usize,
-    buf: Vec<Tuple>,
+    /// The block being drained (shared with the decoded cache, not copied).
+    buf: Arc<TupleBatch>,
     pos: usize,
     /// Blocks decoded so far (the scan's `N`).
     blocks_read: u64,
@@ -51,7 +53,7 @@ impl StoredRelation {
             rel: self,
             hi,
             next_block: start,
-            buf: Vec::new(),
+            buf: Arc::default(),
             pos: 0,
             blocks_read: 0,
             error: None,
@@ -87,15 +89,11 @@ impl RangeScan<'_> {
             }
             let id = meta.id;
             self.next_block += 1;
-            self.buf.clear();
             // Policy-aware: under `SkipCorrupt` a damaged block is
             // quarantined and the scan moves on to the next one.
-            match self
-                .rel
-                .decode_block_policy_governed(id, &mut self.buf, &self.gov)
-            {
-                Ok(true) => {}
-                Ok(false) => continue,
+            match self.rel.read_block_policy(id, &self.gov) {
+                Ok(Some(run)) => self.buf = run,
+                Ok(None) => continue,
                 Err(e) => {
                     self.error = Some(e);
                     self.done = true;
@@ -104,7 +102,7 @@ impl RangeScan<'_> {
             }
             self.blocks_read += 1;
             // Skip the prefix below `lo`.
-            self.pos = self.buf.partition_point(|t| *t < self.lo);
+            self.pos = self.buf.partition_point(|row| row < self.lo.digits());
             if self.pos < self.buf.len() {
                 return true;
             }
@@ -121,13 +119,13 @@ impl Iterator for RangeScan<'_> {
         }
         loop {
             if self.pos < self.buf.len() {
-                let t = self.buf[self.pos].clone();
-                if t > self.hi {
+                let row = self.buf.row(self.pos);
+                if row > self.hi.digits() {
                     self.done = true;
                     return None;
                 }
                 self.pos += 1;
-                return Some(t);
+                return Some(Tuple::from(row));
             }
             if !self.refill() {
                 return None;

@@ -8,7 +8,6 @@
 
 use crate::error::DbError;
 use avq_index::{BPlusTree, BucketStore, Posting};
-use avq_schema::Tuple;
 use avq_storage::{BlockId, BufferPool};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -77,10 +76,14 @@ impl SecondaryIndex {
         Ok(())
     }
 
-    /// Bulk-registers a coded block's tuples (one posting per distinct
+    /// Bulk-registers a coded block's rows (one posting per distinct
     /// value).
-    pub fn add_block(&mut self, tuples: &[Tuple], block: BlockId) -> Result<(), DbError> {
-        let values: BTreeSet<u64> = tuples.iter().map(|t| t.digits()[self.attr]).collect();
+    pub fn add_block<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = &'a [u64]>,
+        block: BlockId,
+    ) -> Result<(), DbError> {
+        let values: BTreeSet<u64> = rows.into_iter().map(|row| row[self.attr]).collect();
         for v in values {
             self.add_posting(v, block)?;
         }
@@ -88,9 +91,13 @@ impl SecondaryIndex {
     }
 
     /// Removes every posting `(v, block)` for the distinct values of
-    /// `tuples`.
-    pub fn remove_block(&mut self, tuples: &[Tuple], block: BlockId) -> Result<(), DbError> {
-        let values: BTreeSet<u64> = tuples.iter().map(|t| t.digits()[self.attr]).collect();
+    /// `rows`.
+    pub fn remove_block<'a>(
+        &mut self,
+        rows: impl IntoIterator<Item = &'a [u64]>,
+        block: BlockId,
+    ) -> Result<(), DbError> {
+        let values: BTreeSet<u64> = rows.into_iter().map(|row| row[self.attr]).collect();
         for v in values {
             self.remove_posting(v, block)?;
         }
@@ -117,6 +124,7 @@ impl SecondaryIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use avq_schema::Tuple;
     use avq_storage::{BlockDevice, DiskProfile};
 
     fn index() -> SecondaryIndex {
@@ -158,15 +166,16 @@ mod tests {
     #[test]
     fn block_bulk_registration() {
         let mut idx = index();
-        let tuples = vec![
+        let tuples = [
             Tuple::from([0u64, 5, 0]),
             Tuple::from([0u64, 5, 1]),
             Tuple::from([0u64, 9, 2]),
         ];
-        idx.add_block(&tuples, 7).unwrap();
+        idx.add_block(tuples.iter().map(Tuple::digits), 7).unwrap();
         assert_eq!(idx.blocks_for_range(5, 5).unwrap(), vec![7]);
         assert_eq!(idx.blocks_for_range(9, 9).unwrap(), vec![7]);
-        idx.remove_block(&tuples, 7).unwrap();
+        idx.remove_block(tuples.iter().map(Tuple::digits), 7)
+            .unwrap();
         assert!(idx.blocks_for_range(0, 100).unwrap().is_empty());
     }
 

@@ -5,9 +5,15 @@
 //! the experiment read the cumulative counters for the warm window, so the
 //! cold pass's misses leaked into the "warm" numbers (hits == misses ==
 //! block count); this test fails if that regresses.
+//!
+//! A warm block read is a hand-off, not a copy: every reader of a cached
+//! block gets the same `Arc<TupleBatch>`, until a mutation of that block
+//! invalidates it.
 
-use avq_db::{Database, DbConfig};
+use avq_db::{Database, DbConfig, GovCtx};
+use avq_obs::TraceCtx;
 use avq_schema::{Domain, Relation, Schema, Tuple};
+use std::sync::Arc;
 
 fn sample_relation(n: u64) -> Relation {
     let schema = Schema::from_pairs(vec![
@@ -79,5 +85,50 @@ fn warm_window_counters_survive_repeat_scans() {
         assert_eq!(window.hits, blocks, "round {round}");
         assert_eq!(window.misses, 0, "round {round}");
         prev = now;
+    }
+}
+
+#[test]
+fn warm_block_read_hands_out_the_cached_batch_until_mutation() {
+    let relation = sample_relation(2000);
+    let config = DbConfig::default()
+        .with_block_capacity(512)
+        .with_decoded_cache_blocks(10_000);
+    let mut db = Database::new(config);
+    db.create_relation("t", &relation).unwrap();
+    let (ctx, gov) = (TraceCtx::disabled(), GovCtx::unlimited());
+
+    let rel = db.relation("t").unwrap();
+    let ids = rel.all_block_ids();
+    let cold: Vec<_> = ids
+        .iter()
+        .map(|&id| rel.read_block(id, &ctx, &gov).unwrap())
+        .collect();
+    for (&id, first) in ids.iter().zip(&cold) {
+        let again = rel.read_block(id, &ctx, &gov).unwrap();
+        assert!(
+            Arc::ptr_eq(first, &again),
+            "block {id} was copied, not shared"
+        );
+    }
+    let scanned: Vec<Tuple> = cold.iter().flat_map(|b| b.to_tuples()).collect();
+    assert_eq!(scanned, rel.scan_all().unwrap());
+
+    // Mutating the first block invalidates exactly that block's batch.
+    let victim = cold[0].to_tuples()[0].clone();
+    db.relation_mut("t").unwrap().delete(&victim).unwrap();
+    let rel = db.relation("t").unwrap();
+    let reread = rel.read_block(ids[0], &ctx, &gov).unwrap();
+    assert!(
+        !Arc::ptr_eq(&cold[0], &reread),
+        "stale batch survived a delete"
+    );
+    assert_eq!(reread.to_tuples(), cold[0].to_tuples()[1..]);
+    for (&id, first) in ids.iter().zip(&cold).skip(1) {
+        let again = rel.read_block(id, &ctx, &gov).unwrap();
+        assert!(
+            Arc::ptr_eq(first, &again),
+            "untouched block {id} was re-decoded"
+        );
     }
 }

@@ -74,7 +74,6 @@ pub const TAINT_SOURCES: &[&str] = &[
     "read_gamma",
     // codec RLE readers
     "load_be",
-    "read_entry",
     "read_entry_append",
     "read_entry_append_swar",
     // .avq container cursor field readers
@@ -131,12 +130,6 @@ pub const LOCKS: &[LockRow] = &[
         field: "state",
         rank: 10,
         label: "admission-controller state (condvar home)",
-    },
-    LockRow {
-        file: "crates/db/src/relation_store.rs",
-        field: "scratch",
-        rank: 20,
-        label: "shared decode scratch arena",
     },
     LockRow {
         file: "crates/db/src/relation_store.rs",
@@ -230,10 +223,12 @@ pub const BLOCKING_CALLS: &[&str] = &[
     "write_all",
     "read_exact",
     "read_to_end",
+    "decode_batch_into",
+    "decode_batch_into_governed",
     "decode_into_scratch",
     "decode_into_scratch_traced",
     "decode_into_scratch_governed",
-    "decode_inner",
+    "decode_rows",
     "read_with_retry",
     "retry_with_backoff",
 ];

@@ -135,8 +135,6 @@ pub const SPAN_DB_JOIN: &str = "avq.db.join";
 pub const SPAN_DB_AGGREGATE: &str = "avq.db.aggregate";
 /// Span around one checkpoint.
 pub const SPAN_DB_CHECKPOINT: &str = "avq.db.checkpoint";
-/// Span around one `EXPLAIN ANALYZE` execution.
-pub const SPAN_DB_EXPLAIN: &str = "avq.db.explain";
 
 // ---- sql --------------------------------------------------------------
 
@@ -221,7 +219,6 @@ pub const ALL: &[&str] = &[
     SPAN_DB_JOIN,
     SPAN_DB_AGGREGATE,
     SPAN_DB_CHECKPOINT,
-    SPAN_DB_EXPLAIN,
     SQL_STATEMENTS,
     SQL_PLANS_CONSIDERED,
     SPAN_SQL_PARSE,

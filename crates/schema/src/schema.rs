@@ -158,13 +158,18 @@ impl Schema {
 
     /// Validates a tuple's arity and digit ranges against the schema.
     pub fn validate_tuple(&self, tuple: &Tuple) -> Result<(), SchemaError> {
-        if tuple.arity() != self.arity() {
+        self.validate_row(tuple.digits())
+    }
+
+    /// [`Self::validate_tuple`] for a borrowed row of ordinals.
+    pub fn validate_row(&self, row: &[u64]) -> Result<(), SchemaError> {
+        if row.len() != self.arity() {
             return Err(SchemaError::ArityMismatch {
                 expected: self.arity(),
-                got: tuple.arity(),
+                got: row.len(),
             });
         }
-        for (i, (&d, a)) in tuple.digits().iter().zip(&self.attrs).enumerate() {
+        for (i, (&d, a)) in row.iter().zip(&self.attrs).enumerate() {
             let size = a.domain.size();
             if d >= size {
                 return Err(SchemaError::OrdinalOutOfRange {
@@ -243,13 +248,23 @@ impl Schema {
     /// # Panics
     /// Panics if `buf` is shorter than `tuple_bytes`.
     pub fn read_tuple(&self, buf: &[u8]) -> Tuple {
+        let mut digits = Vec::with_capacity(self.arity());
+        self.read_digits_into(buf, &mut digits);
+        Tuple::new(digits)
+    }
+
+    /// [`Self::read_tuple`] without the owned tuple: appends the record's
+    /// ordinals to `out` (a [`crate::TupleBatch`] row in the making).
+    ///
+    /// # Panics
+    /// Panics if `buf` is shorter than `tuple_bytes`.
+    pub fn read_digits_into(&self, buf: &[u8], out: &mut Vec<u64>) {
         assert!(
             buf.len() >= self.tuple_bytes,
             "buffer too small: {} < {}",
             buf.len(),
             self.tuple_bytes
         );
-        let mut digits = Vec::with_capacity(self.arity());
         for i in 0..self.arity() {
             let w = self.widths[i];
             let off = self.offsets[i];
@@ -257,9 +272,8 @@ impl Schema {
             for &b in &buf[off..off + w] {
                 v = v << 8 | b as u64;
             }
-            digits.push(v);
+            out.push(v);
         }
-        Tuple::new(digits)
     }
 }
 

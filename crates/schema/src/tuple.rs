@@ -54,6 +54,13 @@ impl From<Vec<u64>> for Tuple {
     }
 }
 
+impl From<&[u64]> for Tuple {
+    #[inline]
+    fn from(digits: &[u64]) -> Self {
+        Tuple::new(digits.to_vec())
+    }
+}
+
 impl<const N: usize> From<[u64; N]> for Tuple {
     #[inline]
     fn from(digits: [u64; N]) -> Self {

@@ -1,9 +1,11 @@
 //! Execution of a [`PhysicalPlan`] over the stored AVQ operators.
 //!
-//! Rows flow between operators as ordinal vectors (the φ digit encoding of
-//! §3.1) laid out as the concatenation of the plan's `table_order`
-//! schemas; only the final projection/aggregation decodes ordinals back to
-//! domain values. Join keys are canonicalized through the internal
+//! Rows flow between operators as ordinal rows (the φ digit encoding of
+//! §3.1) in flat [`TupleBatch`]es, each row laid out as the concatenation
+//! of the plan's `table_order` schemas. Stored blocks are read one at a
+//! time as shared decoded batches and filtered on borrowed rows; only the
+//! final projection/aggregation decodes ordinals back to domain values.
+//! Join keys are canonicalized through the internal
 //! `KeyVal` so an
 //! equijoin between attributes with *different* domains (say
 //! `IntRange{-10,89}` and `Uint{100}`) compares semantic values, not raw
@@ -20,7 +22,8 @@ use crate::error::SqlError;
 use crate::plan::{domain_of, PhysicalPlan, PlanNode};
 use avq_db::{AccessPath, CacheMark, Database, RangePredicate, Selection, StageReport};
 use avq_obs::{names, AttrValue, GovCtx, Stopwatch, TraceCtx};
-use avq_schema::{Domain, Tuple, Value};
+use avq_schema::{Domain, TupleBatch, Value};
+use core::time::Duration;
 use std::collections::BTreeMap;
 
 /// A join key canonicalized to its semantic value.
@@ -164,7 +167,7 @@ pub struct ExecOutput {
 /// Intermediate batch between operators.
 enum Batch {
     /// Ordinal rows in `table_order` layout.
-    Ordinals(Vec<Vec<u64>>),
+    Ordinals(TupleBatch),
     /// Final decoded rows (after aggregation).
     Cells(Vec<Vec<Cell>>),
 }
@@ -188,12 +191,12 @@ struct Exec<'a> {
     actual_rows: Vec<u64>,
 }
 
-/// Memory charged to the governance budget for a materialized batch of
-/// `rows` ordinal rows of `width` columns — mirrors
-/// [`avq_db::tuple_mem_bytes`]'s `arity*8 + 32` model so SQL-level
-/// intermediates and storage-level decodes price a tuple identically.
+/// Memory charged to the governance budget for `rows` materialized
+/// ordinal rows of `width` columns, at [`avq_db::row_mem_bytes`] each —
+/// the one per-row model SQL-level intermediates and storage-level
+/// selections share.
 fn batch_mem_bytes(rows: usize, width: usize) -> u64 {
-    rows as u64 * (width as u64 * 8 + 32)
+    rows as u64 * avq_db::row_mem_bytes(width)
 }
 
 /// Maps an output-row column index back to its `(table, attr)` source.
@@ -214,6 +217,20 @@ impl<'a> Exec<'a> {
     /// a matching `avq.sql.stage` span covering the stage's elapsed time.
     fn stage(&mut self, stage: &'static str, rows: u64, blocks: u64, hits: u64, sw: Stopwatch) {
         let elapsed = sw.elapsed();
+        self.trace_stage(stage, rows, blocks, hits, elapsed);
+        self.report(stage, rows, blocks, hits, elapsed);
+    }
+
+    /// The trace half of [`Self::stage`]: a completed `avq.sql.stage` span
+    /// that ended now, under whatever span is open.
+    fn trace_stage(
+        &self,
+        stage: &'static str,
+        rows: u64,
+        blocks: u64,
+        hits: u64,
+        elapsed: Duration,
+    ) {
         if self.ctx.is_enabled() {
             let mut attrs: Vec<(&'static str, AttrValue)> = vec![
                 (names::ATTR_STAGE, AttrValue::from(stage)),
@@ -228,7 +245,6 @@ impl<'a> Exec<'a> {
             self.ctx
                 .complete_span(names::SPAN_SQL_STAGE, elapsed, attrs);
         }
-        self.report(stage, rows, blocks, hits, elapsed);
     }
 
     /// Pushes a [`StageReport`] without trace emission — for stages that
@@ -239,7 +255,7 @@ impl<'a> Exec<'a> {
         rows: u64,
         blocks: u64,
         hits: u64,
-        elapsed: core::time::Duration,
+        elapsed: Duration,
     ) {
         self.stages.push(StageReport {
             stage,
@@ -264,7 +280,30 @@ impl<'a> Exec<'a> {
     }
 
     /// Scans `table` through `path`, returning matching ordinal rows.
-    fn scan(&mut self, table: usize, path: AccessPath) -> Result<Vec<Vec<u64>>, SqlError> {
+    fn scan(&mut self, table: usize, path: AccessPath) -> Result<TupleBatch, SqlError> {
+        let arity = self.q.tables.get(table).map_or(0, |bt| bt.schema.arity());
+        let mut rows = TupleBatch::new(arity);
+        let held = avq_db::row_mem_bytes(arity);
+        self.scan_into(table, path, held, |row| rows.push_row(row))?;
+        Ok(rows)
+    }
+
+    /// Streams the rows of `table` that pass its conjuncts into `sink`,
+    /// returning how many did.
+    ///
+    /// Candidate blocks are read one at a time (the `scan` stage) and each
+    /// block's borrowed rows filtered straight into the sink (the `filter`
+    /// stage), so neither the candidate set nor any unmatched tuple is
+    /// ever materialized. A sink that holds the rows it is given names
+    /// their price in `held_row_bytes`; it is charged to the memory budget
+    /// per block, so a trip overshoots by at most one block.
+    fn scan_into(
+        &mut self,
+        table: usize,
+        path: AccessPath,
+        held_row_bytes: u64,
+        mut sink: impl FnMut(&[u64]),
+    ) -> Result<u64, SqlError> {
         let bt = self.q.tables.get(table).ok_or_else(|| SqlError::Bind {
             msg: "plan references an unbound table".to_owned(),
         })?;
@@ -279,40 +318,40 @@ impl<'a> Exec<'a> {
 
         let sw = Stopwatch::start();
         let mark = CacheMark::take(rel);
-        let mut tuples: Vec<Tuple> = Vec::new();
-        {
+        let (mut examined, mut kept) = (0u64, 0u64);
+        let mut read_time = Duration::ZERO;
+        let (hits, filter_time) = {
             // An *open* stage span (unlike the retroactive ones from
-            // `stage`) so per-block decode spans nest beneath it.
+            // `stage`) so per-block read spans — and the filter time
+            // interleaved with them — nest beneath it.
             let guard = self.ctx.span(names::SPAN_SQL_STAGE);
             for id in &candidates {
-                rel.decode_block_into_governed(*id, &mut tuples, self.ctx, self.gov)?;
+                let read = Stopwatch::start();
+                let block = rel.read_block(*id, self.ctx, self.gov)?;
+                read_time += read.elapsed();
+                examined += block.len() as u64;
+                let before = kept;
+                for row in block.rows().filter(|row| sel.matches(row)) {
+                    sink(row);
+                    kept += 1;
+                }
+                self.gov.charge_mem((kept - before) * held_row_bytes);
             }
+            let hits = mark.hits_since(rel);
+            let filter_time = sw.elapsed().saturating_sub(read_time);
             if guard.is_recording() {
                 guard.attr(names::ATTR_STAGE, "scan");
-                guard.attr(names::ATTR_ROWS, tuples.len());
+                guard.attr(names::ATTR_ROWS, examined);
                 guard.attr(names::ATTR_BLOCKS_READ, candidates.len());
-                guard.attr(names::ATTR_CACHE_HITS, mark.hits_since(rel));
+                guard.attr(names::ATTR_CACHE_HITS, hits);
             }
-        }
-        self.report(
-            "scan",
-            tuples.len() as u64,
-            candidates.len() as u64,
-            mark.hits_since(rel),
-            sw.elapsed(),
-        );
-
-        let sw = Stopwatch::start();
-        let rows: Vec<Vec<u64>> = tuples
-            .iter()
-            .filter(|t| sel.matches(t))
-            .map(|t| t.digits().to_vec())
-            .collect();
-        self.gov
-            .charge_mem(batch_mem_bytes(rows.len(), bt.schema.arity()));
+            self.trace_stage("filter", kept, 0, 0, filter_time);
+            (hits, filter_time)
+        };
+        self.report("scan", examined, candidates.len() as u64, hits, read_time);
         self.gov.poll().map_err(avq_db::DbError::from)?;
-        self.stage("filter", rows.len() as u64, 0, 0, sw);
-        Ok(rows)
+        self.report("filter", kept, 0, 0, filter_time);
+        Ok(kept)
     }
 
     /// Nested-loop equijoin of `outer_rows` with stored table `inner`.
@@ -322,13 +361,13 @@ impl<'a> Exec<'a> {
     #[allow(clippy::too_many_arguments)]
     fn nl_join(
         &mut self,
-        outer_rows: Vec<Vec<u64>>,
+        outer_rows: TupleBatch,
         inner: usize,
         index_probe: bool,
         outer_key: (usize, usize),
         outer_col: usize,
         inner_attr: usize,
-    ) -> Result<Vec<Vec<u64>>, SqlError> {
+    ) -> Result<TupleBatch, SqlError> {
         let bt = self.q.tables.get(inner).ok_or_else(|| SqlError::Bind {
             msg: "plan references an unbound table".to_owned(),
         })?;
@@ -339,7 +378,7 @@ impl<'a> Exec<'a> {
 
         // Distinct outer key ordinals → matching inner ordinal (if any).
         let mut key_map: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-        for row in &outer_rows {
+        for row in outer_rows.rows() {
             let Some(&o) = row.get(outer_col) else {
                 continue;
             };
@@ -348,13 +387,14 @@ impl<'a> Exec<'a> {
                 .or_insert_with(|| ord_of(in_dom, &key_of(out_dom, o)));
         }
 
-        // Inner side: matching tuples grouped by the join attribute.
-        let mut by_key: BTreeMap<u64, Vec<Vec<u64>>> = BTreeMap::new();
+        // Inner side: matching rows in one batch, their row numbers
+        // grouped by the join attribute.
+        let mut matched = TupleBatch::new(bt.schema.arity());
+        let mut by_key: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        let sw = Stopwatch::start();
+        let mark = CacheMark::take(rel);
         if index_probe {
-            let sw = Stopwatch::start();
-            let mark = CacheMark::take(rel);
             let mut probed_blocks = 0u64;
-            let mut matched = 0u64;
             for inner_ord in key_map.values().flatten() {
                 let probe_sel = sel
                     .clone()
@@ -364,68 +404,45 @@ impl<'a> Exec<'a> {
                     AccessPath::SecondaryIndex { attr: inner_attr },
                 )?;
                 probed_blocks += candidates.len() as u64;
-                let mut tuples: Vec<Tuple> = Vec::new();
                 for id in &candidates {
-                    rel.decode_block_into_governed(*id, &mut tuples, self.ctx, self.gov)?;
-                }
-                for t in tuples.iter().filter(|t| probe_sel.matches(t)) {
-                    matched += 1;
-                    by_key
-                        .entry(*inner_ord)
-                        .or_default()
-                        .push(t.digits().to_vec());
+                    let block = rel.read_block(*id, self.ctx, self.gov)?;
+                    for row in block.rows().filter(|row| probe_sel.matches(row)) {
+                        by_key.entry(*inner_ord).or_default().push(matched.len());
+                        matched.push_row(row);
+                    }
                 }
             }
-            self.stage(
-                "index-probe",
-                matched,
-                probed_blocks,
-                mark.hits_since(rel),
-                sw,
-            );
+            let hits = mark.hits_since(rel);
+            self.stage("index-probe", matched.len() as u64, probed_blocks, hits, sw);
         } else {
-            let sw = Stopwatch::start();
-            let mark = CacheMark::take(rel);
             let candidates = rel.candidate_blocks(&sel, AccessPath::FullScan)?;
-            let mut tuples: Vec<Tuple> = Vec::new();
             for id in &candidates {
-                rel.decode_block_into_governed(*id, &mut tuples, self.ctx, self.gov)?;
-            }
-            let mut matched = 0u64;
-            for t in tuples.iter().filter(|t| sel.matches(t)) {
-                matched += 1;
-                if let Some(&o) = t.digits().get(inner_attr) {
-                    by_key.entry(o).or_default().push(t.digits().to_vec());
+                let block = rel.read_block(*id, self.ctx, self.gov)?;
+                for row in block.rows().filter(|row| sel.matches(row)) {
+                    if let Some(&o) = row.get(inner_attr) {
+                        by_key.entry(o).or_default().push(matched.len());
+                    }
+                    matched.push_row(row);
                 }
             }
-            self.stage(
-                "scan-inner",
-                matched,
-                candidates.len() as u64,
-                mark.hits_since(rel),
-                sw,
-            );
+            let (blocks, hits) = (candidates.len() as u64, mark.hits_since(rel));
+            self.stage("scan-inner", matched.len() as u64, blocks, hits, sw);
         }
 
         let sw = Stopwatch::start();
-        let mut out = Vec::new();
-        for row in &outer_rows {
+        let mut out = TupleBatch::new(outer_rows.arity() + matched.arity());
+        for row in outer_rows.rows() {
             let Some(&o) = row.get(outer_col) else {
                 continue;
             };
             let Some(Some(inner_ord)) = key_map.get(&o) else {
                 continue;
             };
-            if let Some(matches) = by_key.get(inner_ord) {
-                for m in matches {
-                    let mut joined = row.clone();
-                    joined.extend_from_slice(m);
-                    out.push(joined);
-                }
+            for &m in by_key.get(inner_ord).into_iter().flatten() {
+                out.push_joined(row, matched.row(m));
             }
         }
-        self.gov
-            .charge_mem(batch_mem_bytes(out.len(), out.first().map_or(0, Vec::len)));
+        self.gov.charge_mem(batch_mem_bytes(out.len(), out.arity()));
         self.gov.poll().map_err(avq_db::DbError::from)?;
         self.stage("join", out.len() as u64, 0, 0, sw);
         Ok(out)
@@ -436,18 +453,18 @@ impl<'a> Exec<'a> {
     #[allow(clippy::too_many_arguments)]
     fn hash_join(
         &mut self,
-        left_rows: Vec<Vec<u64>>,
+        left_rows: TupleBatch,
         table: usize,
         path: AccessPath,
         left_key: (usize, usize),
         left_col: usize,
         table_attr: usize,
-    ) -> Result<Vec<Vec<u64>>, SqlError> {
+    ) -> Result<TupleBatch, SqlError> {
         let left_dom = domain_of(self.q, left_key);
         let probe_dom = domain_of(self.q, (table, table_attr));
 
         let mut build: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, row) in left_rows.iter().enumerate() {
+        for (i, row) in left_rows.rows().enumerate() {
             if let Some(&o) = row.get(left_col) {
                 build.entry(o).or_default().push(i);
             }
@@ -464,79 +481,97 @@ impl<'a> Exec<'a> {
 
         let probe_rows = self.scan(table, path)?;
         let sw = Stopwatch::start();
-        let mut out = Vec::new();
-        for trow in &probe_rows {
+        let mut out = TupleBatch::new(left_rows.arity() + probe_rows.arity());
+        for trow in probe_rows.rows() {
             let Some(&o) = trow.get(table_attr) else {
                 continue;
             };
-            if let Some(idxs) = by_probe_ord.get(&o) {
-                for &i in *idxs {
-                    let Some(lrow) = left_rows.get(i) else {
-                        continue;
-                    };
-                    let mut joined = lrow.clone();
-                    joined.extend_from_slice(trow);
-                    out.push(joined);
-                }
+            for &i in by_probe_ord
+                .get(&o)
+                .into_iter()
+                .flat_map(|idxs| idxs.iter())
+            {
+                out.push_joined(left_rows.row(i), trow);
             }
         }
-        self.gov
-            .charge_mem(batch_mem_bytes(out.len(), out.first().map_or(0, Vec::len)));
+        self.gov.charge_mem(batch_mem_bytes(out.len(), out.arity()));
         self.gov.poll().map_err(avq_db::DbError::from)?;
         self.stage("join", out.len() as u64, 0, 0, sw);
         Ok(out)
     }
 
-    /// Folds `rows` into one output row per group.
+    /// Folds the rows of `input` into one output row per group. A stored
+    /// table is folded block by block straight off its scan, so the rows
+    /// an aggregate consumes are never materialized; any other input
+    /// arrives as a finished batch.
     fn aggregate(
         &mut self,
-        rows: Vec<Vec<u64>>,
+        input: &PlanNode,
+        counter: &mut usize,
         group_col: Option<usize>,
         desc: bool,
-    ) -> Vec<Vec<Cell>> {
-        let sw = Stopwatch::start();
+    ) -> Result<Vec<Vec<Cell>>, SqlError> {
+        let (q, order) = (self.q, self.order);
         let mut groups: BTreeMap<u64, Vec<Acc>> = BTreeMap::new();
-        let fresh = |q: &BoundQuery| -> Vec<Acc> { q.items.iter().map(Acc::for_item).collect() };
+        let fresh = || -> Vec<Acc> { q.items.iter().map(Acc::for_item).collect() };
         if group_col.is_none() {
-            groups.insert(0, fresh(self.q));
+            groups.insert(0, fresh());
         }
-        for row in &rows {
+        let mut feed = |row: &[u64]| {
             let key = match group_col {
                 Some(c) => row.get(c).copied().unwrap_or(0),
                 None => 0,
             };
-            let accs = groups.entry(key).or_insert_with(|| fresh(self.q));
-            for (acc, item) in accs.iter_mut().zip(self.q.items.iter()) {
-                acc.feed(self.q, self.order, item, row);
+            let accs = groups.entry(key).or_insert_with(fresh);
+            for (acc, item) in accs.iter_mut().zip(q.items.iter()) {
+                acc.feed(q, order, item, row);
             }
-        }
-        let mut out: Vec<Vec<Cell>> = Vec::new();
-        let finish = |accs: &[Acc]| -> Vec<Cell> {
+        };
+        let sw = if let PlanNode::Scan { table, path, .. } = input {
+            let scan_id = self.claim_node(counter);
+            let kept = self.scan_into(*table, *path, 0, &mut feed)?;
+            if let Some(slot) = self.actual_rows.get_mut(scan_id) {
+                *slot = kept;
+            }
+            Stopwatch::start()
+        } else {
+            let Batch::Ordinals(rows) = self.exec_node(input, counter)? else {
+                return Err(SqlError::Bind {
+                    msg: "aggregate input is not an ordinal stream".to_owned(),
+                });
+            };
+            let sw = Stopwatch::start();
+            rows.rows().for_each(&mut feed);
+            sw
+        };
+        let finish = |accs: &Vec<Acc>| -> Vec<Cell> {
             accs.iter()
-                .zip(self.q.items.iter())
-                .map(|(a, item)| a.finish(self.q, item))
+                .zip(q.items.iter())
+                .map(|(a, item)| a.finish(q, item))
                 .collect()
         };
-        if desc {
-            for accs in groups.values().rev() {
-                out.push(finish(accs));
-            }
+        let out: Vec<Vec<Cell>> = if desc {
+            groups.values().rev().map(finish).collect()
         } else {
-            for accs in groups.values() {
-                out.push(finish(accs));
-            }
-        }
+            groups.values().map(finish).collect()
+        };
         self.stage("aggregate", out.len() as u64, 0, 0, sw);
-        out
+        Ok(out)
+    }
+
+    /// Claims the next pre-order node id, keeping its `actual_rows` slot —
+    /// children claim theirs before a node knows its own row count.
+    fn claim_node(&mut self, counter: &mut usize) -> usize {
+        let id = *counter;
+        *counter += 1;
+        if self.actual_rows.len() <= id {
+            self.actual_rows.resize(id + 1, 0);
+        }
+        id
     }
 
     fn exec_node(&mut self, node: &PlanNode, counter: &mut usize) -> Result<Batch, SqlError> {
-        let my_id = *counter;
-        *counter += 1;
-        // Keep the slot — children allocate ids before we know our rows.
-        if self.actual_rows.len() <= my_id {
-            self.actual_rows.resize(my_id + 1, 0);
-        }
+        let my_id = self.claim_node(counter);
         let batch = match node {
             PlanNode::Scan { table, path, .. } => Batch::Ordinals(self.scan(*table, *path)?),
             PlanNode::NlJoin {
@@ -591,31 +626,30 @@ impl<'a> Exec<'a> {
                 group_col,
                 desc,
                 ..
-            } => {
-                let Batch::Ordinals(rows) = self.exec_node(input, counter)? else {
-                    return Err(SqlError::Bind {
-                        msg: "aggregate input is not an ordinal stream".to_owned(),
-                    });
-                };
-                Batch::Cells(self.aggregate(rows, *group_col, *desc))
-            }
+            } => Batch::Cells(self.aggregate(input, counter, *group_col, *desc)?),
             PlanNode::Sort {
                 input, col, desc, ..
             } => {
-                let Batch::Ordinals(mut rows) = self.exec_node(input, counter)? else {
+                let Batch::Ordinals(rows) = self.exec_node(input, counter)? else {
                     return Err(SqlError::Bind {
                         msg: "sort input is not an ordinal stream".to_owned(),
                     });
                 };
                 let sw = Stopwatch::start();
                 // Ordinal order is domain order for every domain kind, so
-                // sorting ordinals sorts semantic values.
-                rows.sort_by_key(|r| r.get(*col).copied().unwrap_or(0));
+                // sorting ordinals sorts semantic values. The (stable) sort
+                // permutes row numbers; rows are then gathered once.
+                let mut order: Vec<usize> = (0..rows.len()).collect();
+                order.sort_by_key(|&i| rows.row(i).get(*col).copied().unwrap_or(0));
                 if *desc {
-                    rows.reverse();
+                    order.reverse();
                 }
-                self.stage("sort", rows.len() as u64, 0, 0, sw);
-                Batch::Ordinals(rows)
+                let mut sorted = TupleBatch::with_capacity(rows.arity(), rows.len());
+                for i in order {
+                    sorted.push_row(rows.row(i));
+                }
+                self.stage("sort", sorted.len() as u64, 0, 0, sw);
+                Batch::Ordinals(sorted)
             }
             PlanNode::Limit { input, n, .. } => {
                 let mut batch = self.exec_node(input, counter)?;
@@ -639,7 +673,7 @@ impl<'a> Exec<'a> {
                     .map(|&c| source_of(self.q, self.order, c))
                     .collect();
                 let out: Vec<Vec<Cell>> = rows
-                    .iter()
+                    .rows()
                     .map(|row| {
                         cols.iter()
                             .zip(sources.iter())
@@ -786,10 +820,10 @@ pub fn execute_traced(
 
 /// [`execute_traced`] under a resource-governance budget.
 ///
-/// Every block decoded on behalf of the query is a poll point (deadline,
-/// cancellation, decoded-bytes/rows quotas), each materialized batch —
-/// scan output, join output — charges the memory budget, and a trip
-/// unwinds as [`SqlError::Exec`] wrapping
+/// Every block read on behalf of the query is a poll point (deadline,
+/// cancellation, decoded-bytes/rows quotas), materialized rows — scan
+/// output block by block, join output — charge the memory budget, and a
+/// trip unwinds as [`SqlError::Exec`] wrapping
 /// [`avq_db::DbError::Governance`]. An unlimited `gov` adds one branch
 /// per poll point over the traced path.
 pub fn execute_governed(
@@ -815,7 +849,7 @@ pub fn execute_governed(
         // An ordinal root only happens for plans without a projection tail,
         // which the planner never emits; decode defensively anyway.
         Batch::Ordinals(rows) => rows
-            .iter()
+            .rows()
             .map(|row| {
                 row.iter()
                     .enumerate()

@@ -1,0 +1,100 @@
+//! Allocation accounting for a warm point select through the whole stack.
+//!
+//! `select * from t where k = <unique key>` with no index on `k` examines
+//! every tuple of every block. Once the blocks are in the decoded cache the
+//! statement must allocate O(blocks + rows returned): each block is handed
+//! over as the cached batch and filtered on borrowed rows, so a tuple that
+//! is examined and rejected costs nothing. A counting global allocator pins
+//! that — it is the only test in this binary so no concurrent test thread
+//! can perturb the counter.
+
+use avq_db::{Database, DbConfig, RangePredicate, Selection};
+use avq_schema::{Domain, Relation, Schema, Tuple};
+use avq_sql::SqlOutcome;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+const N: u64 = 60_000;
+
+#[test]
+fn warm_point_select_allocates_per_block_not_per_tuple() {
+    let schema = Schema::from_pairs(vec![
+        ("a", Domain::uint(64).unwrap()),
+        ("b", Domain::uint(4096).unwrap()),
+        ("c", Domain::uint(256).unwrap()),
+        ("k", Domain::uint(1 << 20).unwrap()),
+    ])
+    .unwrap();
+    let tuples: Vec<Tuple> = (0..N)
+        .map(|i| Tuple::from([(i * 7) % 64, (i * 13) % 4096, (i * 31) % 256, i]))
+        .collect();
+    let relation = Relation::from_tuples(schema, tuples).unwrap();
+    let mut db = Database::new(DbConfig::default().with_block_capacity(1024));
+    db.create_relation("t", &relation).unwrap();
+    let rel = db.relation("t").unwrap();
+    let blocks = rel.block_count() as u64;
+    assert!(blocks > 100, "need many blocks, got {blocks}");
+    assert!(blocks <= 256, "the relation must fit the decoded cache");
+
+    // Warm the decoded cache, the metric handles and the planner's paths.
+    let sql = "select * from t where k = 31337";
+    let SqlOutcome::Table(warmup) = avq_sql::run(&db, sql).unwrap() else {
+        panic!("a select returns a table");
+    };
+    assert_eq!(warmup.rows.len(), 1);
+    rel.reset_decoded_stats();
+
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let outcome = avq_sql::run(&db, sql).unwrap();
+    let sql_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let SqlOutcome::Table(table) = outcome else {
+        panic!("a select returns a table");
+    };
+    assert_eq!(table.rows.len(), 1);
+    let stats = rel.decoded_stats();
+    assert_eq!((stats.hits, stats.misses), (blocks, 0), "not a warm scan");
+
+    // At most one allocation per block (none per tuple; today the hand-off
+    // costs none at all) on top of the statement's own parse, bind, plan
+    // and its one result row.
+    let budget = blocks + 128;
+    assert!(
+        sql_allocs <= budget,
+        "warm select allocated {sql_allocs} times over {blocks} blocks / {N} tuples (budget {budget})"
+    );
+
+    // The storage-level operator under the same contract.
+    let selection = Selection::all().and(RangePredicate::equals(3, 31337));
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let (rows, cost, _) = rel.select(&selection).unwrap();
+    let select_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    assert_eq!(rows.len(), 1);
+    assert_eq!(cost.tuples_scanned, N as usize);
+    assert!(
+        select_allocs <= blocks + 16,
+        "warm select() allocated {select_allocs} times over {blocks} blocks"
+    );
+}

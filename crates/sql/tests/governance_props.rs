@@ -1,0 +1,100 @@
+//! Memory-budget semantics of governed SQL scans.
+//!
+//! A statement run under `QueryBudget::with_max_mem_bytes` is charged for
+//! the rows it keeps block by block, and every block read is a poll point,
+//! so a trip overshoots the budget by at most one block's rows — the
+//! statement can never materialize the whole relation first and be billed
+//! afterwards.
+
+use avq_db::{
+    row_mem_bytes, Database, DbConfig, DbError, GovCtx, GovernanceError, QueryBudget, QuotaKind,
+};
+use avq_obs::TraceCtx;
+use avq_schema::{Domain, Relation, Schema, Tuple};
+use avq_sql::SqlError;
+use proptest::prelude::*;
+
+fn db(n: u64) -> Database {
+    let schema = Schema::from_pairs(vec![
+        ("a", Domain::uint(64).unwrap()),
+        ("b", Domain::uint(4096).unwrap()),
+        ("c", Domain::uint(1 << 16).unwrap()),
+    ])
+    .unwrap();
+    let tuples: Vec<Tuple> = (0..n)
+        .map(|i| Tuple::from([(i * 7) % 64, (i * 29) % 4096, i]))
+        .collect();
+    let mut db = Database::new(DbConfig::default().with_block_capacity(256));
+    db.create_relation("t", &Relation::from_tuples(schema, tuples).unwrap())
+        .unwrap();
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    #[test]
+    fn memory_overshoot_is_at_most_one_block_of_rows(
+        n in 600u64..4000,
+        budget_rows in 1u64..400,
+        warm in any::<bool>(),
+    ) {
+        let db = db(n);
+        let rel = db.relation("t").unwrap();
+        let row = row_mem_bytes(rel.schema().arity());
+        let one_block = rel.blocks().iter().map(|b| b.count as u64).max().unwrap() * row;
+        let limit = budget_rows * row;
+        if warm {
+            rel.scan_all().unwrap();
+        }
+
+        // Every row matches, so every examined row is kept and charged.
+        let gov = GovCtx::new(
+            QueryBudget::unlimited().with_max_mem_bytes(limit),
+            db.clock().clone(),
+        );
+        let err = avq_sql::run_governed(&db, "select * from t", &TraceCtx::disabled(), &gov)
+            .unwrap_err();
+        match err {
+            SqlError::Exec {
+                source:
+                    DbError::Governance(GovernanceError::QuotaExceeded {
+                        kind: QuotaKind::Memory,
+                        limit: l,
+                        used,
+                    }),
+            } => {
+                prop_assert_eq!(l, limit);
+                prop_assert!(used > limit);
+                prop_assert!(
+                    used <= limit + one_block,
+                    "charged {} against {} with {}-byte blocks: more than one block over",
+                    used, limit, one_block
+                );
+            }
+            other => prop_assert!(false, "unexpected error: {other}"),
+        }
+        prop_assert!(gov.usage().mem_peak_bytes <= limit + one_block);
+        prop_assert!(gov.usage().rows < n, "the scan must stop before the last block");
+
+        // An aggregate folds the same rows away block by block and holds
+        // none of them, so the budget that tripped the select lets it run.
+        let folded = GovCtx::new(
+            QueryBudget::unlimited().with_max_mem_bytes(limit),
+            db.clock().clone(),
+        );
+        let sql = "select a, count(*), max(c) from t group by a";
+        prop_assert!(avq_sql::run_governed(&db, sql, &TraceCtx::disabled(), &folded).is_ok());
+        prop_assert_eq!(folded.usage().rows, n);
+        prop_assert_eq!(folded.usage().mem_peak_bytes, 0);
+
+        // A budget the whole result fits under never trips.
+        let roomy = GovCtx::new(
+            QueryBudget::unlimited().with_max_mem_bytes(n * row),
+            db.clock().clone(),
+        );
+        prop_assert!(
+            avq_sql::run_governed(&db, "select * from t", &TraceCtx::disabled(), &roomy).is_ok()
+        );
+    }
+}
