@@ -104,7 +104,8 @@ fn main() {
         assert_eq!(db.relation(harness::REL).unwrap().tuple_count(), n);
     }
     table.print();
-    println!("\n(§4.2: updates re-code only the affected block. The coded stores pay");
-    println!(" decode+encode CPU per update but touch the same number of blocks; the");
-    println!(" block-count delta shows split frequency under insertion pressure.)");
+    println!("\n(§4.2 / Fig. 4.6: an update splices the affected block — only the entries");
+    println!(" next to the tuple are re-coded, and a block is decoded only when it is not");
+    println!(" resident; the bit-aligned mode re-encodes the block from its decoded rows.");
+    println!(" The block-count delta shows split frequency under insertion pressure.)");
 }

@@ -683,6 +683,10 @@ fn trace_collector(sample: Option<u64>, budget_ms: Option<u64>) -> avq_obs::Trac
 
 /// Runs `stmt` under a fresh trace, returning the statement outcome, the
 /// sampled trace (if kept), and the collector (for the slow-query log).
+/// The statement starts cold: what opening the target left resident —
+/// recovery writes replayed blocks through the decoded cache, an index
+/// rebuild scans every block — is dropped first, so a one-shot trace shows
+/// the whole read path down to the block decodes.
 fn run_one_with_trace(
     path: &Path,
     stmt: &str,
@@ -698,6 +702,7 @@ fn run_one_with_trace(
     CliError,
 > {
     let (target, _) = SqlTarget::open(path, kernel)?;
+    target.db().drop_caches();
     let gov = flags.gov_for(target.db());
     let ctx = collector.begin();
     let result = avq_sql::run_governed(target.db(), stmt, &ctx, &gov);

@@ -155,76 +155,78 @@ impl BlockCodec {
         self.check_input(tuples)?;
         // lint: bounded(measure() is the exact coded size of this run)
         let mut out = Vec::with_capacity(self.measure(tuples));
-        self.encode_unchecked(tuples, &mut out);
+        self.encode_rows(tuples.len(), tuples.iter().map(Tuple::digits), &mut out);
         Ok(out)
     }
 
     /// Encodes a φ-sorted run of tuples, appending to `out`.
     pub fn encode_into(&self, tuples: &[Tuple], out: &mut Vec<u8>) -> Result<(), CodecError> {
         self.check_input(tuples)?;
-        self.encode_unchecked(tuples, out);
+        self.encode_rows(tuples.len(), tuples.iter().map(Tuple::digits), out);
         Ok(())
     }
 
-    fn encode_unchecked(&self, tuples: &[Tuple], out: &mut Vec<u8>) {
+    /// Appends the coded block of `u ≥ 1` rows — φ-sorted, schema-valid,
+    /// `u ≤ u16::MAX`; the caller has checked — to `out`. Rows are borrowed
+    /// digit slices, so a tuple run, a decoded batch and a batch with one
+    /// row spliced in or out all encode through here, and differences are
+    /// taken in one reused buffer and serialized directly: the only
+    /// allocations are that buffer and `out`'s growth.
+    pub(crate) fn encode_rows<'a, I>(&self, u: usize, rows: I, out: &mut Vec<u8>)
+    where
+        I: Iterator<Item = &'a [u64]> + Clone,
+    {
         let _span = avq_obs::span!(names::SPAN_CODEC_ENCODE_BLOCK);
         let start_len = out.len();
-        let u = tuples.len();
         let rep_idx = match self.mode {
             CodingMode::FieldWise => 0,
             _ => self.rep.index(u),
         };
-        out.extend_from_slice(&(u as u16).to_le_bytes());
-        out.extend_from_slice(&(rep_idx as u16).to_le_bytes());
+        write_header(out, u, rep_idx);
 
+        let radix = self.schema.radix();
+        let mut diff = Vec::new();
+        // rep.index(u) < u = the number of rows, so the representative exists.
+        let rep = rows.clone().nth(rep_idx).unwrap_or_default();
+        // The chained entries are exactly the adjacent gaps in φ order:
+        // before the representative entry k is the gap to the successor,
+        // after it the gap to the predecessor (Example 3.3) — both
+        // enumerate every window once.
+        let gaps = rows.clone().zip(rows.clone().skip(1));
         match self.mode {
             CodingMode::FieldWise => {
-                for t in tuples {
-                    self.schema.write_tuple(t, out);
+                for row in rows {
+                    self.schema.write_row(row, out);
                 }
             }
             CodingMode::Avq => {
-                // lint: allow(AVQ-L001, rep.index(u) < u and check_input rejected empty runs)
-                let rep = &tuples[rep_idx];
-                self.schema.write_tuple(rep, out);
-                let radix = self.schema.radix();
-                // lint: bounded(one serialized tuple, schema tuple_bytes)
-                let mut scratch = Vec::with_capacity(self.schema.tuple_bytes());
-                for (i, t) in tuples.iter().enumerate() {
-                    if i == rep_idx {
-                        continue;
+                self.schema.write_row(rep, out);
+                for (i, row) in rows.enumerate() {
+                    if i != rep_idx {
+                        radix.abs_diff_into(row, rep, &mut diff);
+                        rle::write_entry(&self.schema, &diff, out);
                     }
-                    let diff = radix.abs_diff(t.digits(), rep.digits());
-                    rle::write_entry(&self.schema, &diff, out, &mut scratch);
                 }
             }
             CodingMode::AvqChained => {
-                // lint: allow(AVQ-L001, rep.index(u) < u and check_input rejected empty runs)
-                let rep = &tuples[rep_idx];
-                self.schema.write_tuple(rep, out);
-                let radix = self.schema.radix();
-                // lint: bounded(one serialized tuple, schema tuple_bytes)
-                let mut scratch = Vec::with_capacity(self.schema.tuple_bytes());
-                // The chained entries are exactly the adjacent gaps in φ
-                // order: before the representative entry k is the gap to the
-                // successor, after it the gap to the predecessor
-                // (Example 3.3) — both enumerate every window once.
-                for w in tuples.windows(2) {
-                    if let [prev, next] = w {
-                        let diff = radix.abs_diff(next.digits(), prev.digits());
-                        rle::write_entry(&self.schema, &diff, out, &mut scratch);
-                    }
+                self.schema.write_row(rep, out);
+                for (prev, next) in gaps {
+                    radix.abs_diff_into(next, prev, &mut diff);
+                    rle::write_entry(&self.schema, &diff, out);
                 }
             }
             CodingMode::AvqChainedBits => {
-                // lint: allow(AVQ-L001, rep.index(u) < u and check_input rejected empty runs)
-                let rep = &tuples[rep_idx];
-                self.schema.write_tuple(rep, out);
-                let radix = self.schema.radix();
+                self.schema.write_row(rep, out);
                 let mut bw = BitWriter::new();
-                for w in tuples.windows(2) {
-                    if let [prev, next] = w {
-                        let diff = radix.abs_diff(next.digits(), prev.digits());
+                for (prev, next) in gaps {
+                    radix.abs_diff_into(next, prev, &mut diff);
+                    // Nearly every gap fits a machine word; rank those
+                    // without building a bignum.
+                    if let Some(value) = radix.rank_u64(&diff) {
+                        let bl = 64 - value.leading_zeros();
+                        bw.push_gamma(bl as u64 + 1);
+                        bw.push_bits_u64(value, bl);
+                    } else {
                         let value = radix.rank(&diff);
                         let bl = value.bit_len();
                         bw.push_gamma(bl as u64 + 1);
@@ -250,7 +252,8 @@ impl BlockCodec {
     /// Exact coded size in bytes of a φ-sorted run, without encoding.
     ///
     /// The input is assumed sorted and schema-valid (checked in debug
-    /// builds); this is the hot path of the block packer.
+    /// builds); this is the hot path of the block packer, so every
+    /// difference is taken in one reused buffer.
     pub fn measure(&self, tuples: &[Tuple]) -> usize {
         debug_assert!(self.check_input(tuples).is_ok() || tuples.is_empty());
         let u = tuples.len();
@@ -258,66 +261,62 @@ impl BlockCodec {
             return BLOCK_HEADER_BYTES;
         }
         let m = self.schema.tuple_bytes();
+        let mut diff = Vec::new();
+        let gaps = tuples.iter().zip(tuples.iter().skip(1));
         match self.mode {
             CodingMode::FieldWise => BLOCK_HEADER_BYTES + u * m,
             CodingMode::Avq => {
                 let rep_idx = self.rep.index(u);
-                // lint: allow(AVQ-L001, rep.index(u) < u and u > 0 was checked above)
-                let rep = &tuples[rep_idx];
+                // rep.index(u) < u and u > 0 was checked above.
+                let rep = tuples.get(rep_idx).map(Tuple::digits).unwrap_or_default();
                 let radix = self.schema.radix();
                 let mut size = BLOCK_HEADER_BYTES + m;
                 for (i, t) in tuples.iter().enumerate() {
-                    if i == rep_idx {
-                        continue;
-                    }
-                    let diff = radix.abs_diff(t.digits(), rep.digits());
-                    size += rle::entry_cost(&self.schema, &diff);
-                }
-                size
-            }
-            CodingMode::AvqChained => {
-                // Chained coded size is rep + the adjacent gaps, so it does
-                // not depend on which tuple is the representative.
-                let radix = self.schema.radix();
-                let mut size = BLOCK_HEADER_BYTES + m;
-                for w in tuples.windows(2) {
-                    if let [prev, next] = w {
-                        let diff = radix.abs_diff(next.digits(), prev.digits());
+                    if i != rep_idx {
+                        radix.abs_diff_into(t.digits(), rep, &mut diff);
                         size += rle::entry_cost(&self.schema, &diff);
                     }
                 }
                 size
             }
+            // Chained coded size is rep + the adjacent gaps, so it does not
+            // depend on which tuple is the representative.
+            CodingMode::AvqChained => {
+                let entries: usize = gaps
+                    .map(|(prev, next)| self.gap_cost(prev.digits(), next.digits(), &mut diff))
+                    .sum();
+                BLOCK_HEADER_BYTES + m + entries
+            }
             CodingMode::AvqChainedBits => {
-                let mut bits = 0usize;
-                for w in tuples.windows(2) {
-                    if let [prev, next] = w {
-                        bits += self.append_bits(prev, next);
-                    }
-                }
+                let bits: usize = gaps
+                    .map(|(prev, next)| self.gap_bits(prev.digits(), next.digits(), &mut diff))
+                    .sum();
                 BLOCK_HEADER_BYTES + m + bits.div_ceil(8)
             }
         }
     }
 
-    /// Incremental bit cost of appending `next` after `last` in
-    /// [`CodingMode::AvqChainedBits`] (used by the packer).
-    pub(crate) fn append_bits(&self, last: &Tuple, next: &Tuple) -> usize {
+    /// Bit cost of the chained entry between adjacent rows `prev ≤ next` in
+    /// [`CodingMode::AvqChainedBits`]; `diff` is a work buffer.
+    pub(crate) fn gap_bits(&self, prev: &[u64], next: &[u64], diff: &mut Vec<u64>) -> usize {
         let radix = self.schema.radix();
-        let diff = radix.abs_diff(next.digits(), last.digits());
-        let bl = radix.rank(&diff).bit_len();
+        radix.abs_diff_into(next, prev, diff);
+        let bl = match radix.rank_u64(diff) {
+            Some(value) => 64 - value.leading_zeros() as usize,
+            None => radix.rank(diff).bit_len(),
+        };
         gamma_len(bl as u64 + 1) + bl
     }
 
-    /// Incremental packing cost of appending `next` to a run currently
-    /// ending at `last` (chained and field-wise modes only; see
-    /// [`crate::BlockPacker`]).
-    pub(crate) fn append_cost(&self, last: &Tuple, next: &Tuple) -> usize {
+    /// Byte cost of the entry between adjacent rows `prev ≤ next` in the
+    /// byte-aligned chained mode — or of one more record, field-wise;
+    /// `diff` is a work buffer.
+    pub(crate) fn gap_cost(&self, prev: &[u64], next: &[u64], diff: &mut Vec<u64>) -> usize {
         match self.mode {
             CodingMode::FieldWise => self.schema.tuple_bytes(),
             _ => {
-                let diff = self.schema.radix().abs_diff(next.digits(), last.digits());
-                rle::entry_cost(&self.schema, &diff)
+                self.schema.radix().abs_diff_into(next, prev, diff);
+                rle::entry_cost(&self.schema, diff)
             }
         }
     }
@@ -393,12 +392,11 @@ impl BlockCodec {
     /// buffers; decode loops should use [`Self::decode_into_scratch`] to
     /// reuse them across blocks.
     pub fn decode_into(&self, bytes: &[u8], out: &mut Vec<Tuple>) -> Result<(), CodecError> {
-        // lint: allow(AVQ-L008, one-shot convenience decode with fresh scratch; governed loops call decode_into_scratch_governed directly)
         self.decode_into_scratch(bytes, out, &mut DecodeScratch::new())
     }
 
-    /// [`Self::decode_batch_into`] for callers that need owned tuples (the
-    /// block-update write path, whole-relation decompression): the block is
+    /// [`Self::decode_batch_into`] for callers that need owned tuples
+    /// (whole-relation decompression): the block is
     /// decoded into `scratch`'s staging batch and each row is then copied
     /// out as a [`Tuple`] — one allocation per tuple, all of them the
     /// tuples themselves. On error `out` is left exactly as it was.
@@ -410,53 +408,12 @@ impl BlockCodec {
     ) -> Result<(), CodecError> {
         let mut rows = std::mem::take(&mut scratch.staging);
         rows.reset(self.schema.arity());
-        // lint: allow(AVQ-L008, this family's _governed member polls and charges once around this body; the governed batch decoder here would charge the block twice)
         let result = self.decode_batch_into(bytes, &mut rows, scratch);
         if result.is_ok() {
             out.extend(rows.rows().map(Tuple::from));
         }
         scratch.staging = rows;
         result
-    }
-
-    /// [`Self::decode_into_scratch`] with trace attribution: when `ctx` is
-    /// recording, the decode runs under an `avq.codec.decode_block` trace
-    /// span carrying the kernel name plus tuple and byte counts. With a
-    /// disabled context this is one branch on top of the untraced path.
-    pub fn decode_into_scratch_traced(
-        &self,
-        bytes: &[u8],
-        out: &mut Vec<Tuple>,
-        scratch: &mut DecodeScratch,
-        ctx: &avq_obs::TraceCtx,
-    ) -> Result<(), CodecError> {
-        if !ctx.is_enabled() {
-            return self.decode_into_scratch(bytes, out, scratch);
-        }
-        let base = out.len();
-        let guard = ctx.span(names::SPAN_CODEC_DECODE_BLOCK);
-        let result = self.decode_into_scratch(bytes, out, scratch);
-        guard.attr(names::ATTR_KERNEL, self.kernel.to_string());
-        guard.attr(names::ATTR_BYTES, bytes.len());
-        guard.attr(names::ATTR_TUPLES, out.len().saturating_sub(base));
-        result
-    }
-
-    /// [`Self::decode_into_scratch_traced`] under a governance budget, with
-    /// the poll and charge points of [`Self::decode_batch_into_governed`].
-    pub fn decode_into_scratch_governed(
-        &self,
-        bytes: &[u8],
-        out: &mut Vec<Tuple>,
-        scratch: &mut DecodeScratch,
-        ctx: &avq_obs::TraceCtx,
-        gov: &avq_obs::GovCtx,
-    ) -> Result<(), crate::GovernedDecodeError> {
-        gov.poll()?;
-        let base = out.len();
-        self.decode_into_scratch_traced(bytes, out, scratch, ctx)?;
-        gov.charge_decoded(bytes.len() as u64, (out.len() - base) as u64);
-        Ok(())
     }
 
     /// Appends the `u · arity` ordinals of a block's tuples to `out`: the
@@ -846,80 +803,78 @@ impl BlockCodec {
                 detail: "bad representative".into(),
             });
         };
-        let rep = self.schema.read_tuple(rep_bytes);
+        // lint: bounded(one row of ordinals, schema arity)
+        let mut rep = Vec::with_capacity(self.schema.arity());
+        self.schema.read_digits_into(rep_bytes, &mut rep);
         // Untrusted bytes can spell digits outside their radices; arithmetic
         // below assumes validity, so reject here (as full decode does).
         self.schema
-            .validate_tuple(&rep)
+            .validate_row(&rep)
             .map_err(|e| CodecError::Corrupt {
                 section: "representative",
                 offset: body,
                 detail: format!("representative invalid: {e}"),
             })?;
-        match tuple.cmp(&rep) {
-            core::cmp::Ordering::Equal => Ok(true),
-            core::cmp::Ordering::Less => {
-                // Target precedes the representative: only the first
-                // rep_idx entries matter.
-                let diffs = self.parse_entries(bytes, body + m, u - 1)?;
-                let radix = self.schema.radix();
-                match self.mode {
-                    CodingMode::Avq => {
-                        // Entries before the representative are t = rep − d,
-                        // ascending in φ as k grows.
-                        for (k, d) in diffs.rows().take(rep_idx).enumerate() {
-                            let t = radix
-                                .checked_sub(rep.digits(), d)
-                                .ok_or(CodecError::DifferenceOutOfSpace { entry: k })?;
-                            match t.as_slice().cmp(tuple.digits()) {
-                                core::cmp::Ordering::Equal => return Ok(true),
-                                core::cmp::Ordering::Greater => return Ok(false),
-                                core::cmp::Ordering::Less => {}
-                            }
-                        }
-                        Ok(false)
+        let target = tuple.digits();
+        let side = target.cmp(rep.as_slice());
+        if side == core::cmp::Ordering::Equal {
+            return Ok(true);
+        }
+        let diffs = self.parse_entries(bytes, body + m, u - 1)?;
+        let radix = self.schema.radix();
+        let chained = self.mode != CodingMode::Avq;
+        // One running buffer: the chain position in the chained modes, the
+        // representative plus or minus one entry in the un-chained mode.
+        let mut cur = rep.clone();
+        if side == core::cmp::Ordering::Less {
+            // Target precedes the representative: only the first rep_idx
+            // entries matter. Chained entries unwind backward from the
+            // representative, stopping once below the target; un-chained
+            // ones are t = rep − d, ascending in φ as k grows.
+            let before = diffs.rows().take(rep_idx).enumerate();
+            if chained {
+                for (i, d) in before.rev() {
+                    if !radix.sub_assign(&mut cur, d) {
+                        return Err(CodecError::DifferenceOutOfSpace { entry: i });
                     }
-                    _ => {
-                        // Chained: walk backward from the representative,
-                        // stopping once below the target.
-                        let mut cur = rep.into_digits();
-                        for (i, d) in diffs.rows().take(rep_idx).enumerate().rev() {
-                            cur = radix
-                                .checked_sub(&cur, d)
-                                .ok_or(CodecError::DifferenceOutOfSpace { entry: i })?;
-                            match cur.as_slice().cmp(tuple.digits()) {
-                                core::cmp::Ordering::Equal => return Ok(true),
-                                core::cmp::Ordering::Less => return Ok(false),
-                                core::cmp::Ordering::Greater => {}
-                            }
-                        }
-                        Ok(false)
+                    match cur.as_slice().cmp(target) {
+                        core::cmp::Ordering::Equal => return Ok(true),
+                        core::cmp::Ordering::Less => return Ok(false),
+                        core::cmp::Ordering::Greater => {}
                     }
                 }
-            }
-            core::cmp::Ordering::Greater => {
-                // Target follows the representative: reconstruct forward
-                // from it with early exit (the first-half entries are parsed
-                // but never reconstructed).
-                let diffs = self.parse_entries(bytes, body + m, u - 1)?;
-                let radix = self.schema.radix();
-                let rep_digits = rep.into_digits();
-                let mut cur = rep_digits.clone();
-                for (k, d) in diffs.rows().enumerate().skip(rep_idx) {
-                    cur = match self.mode {
-                        CodingMode::Avq => radix.checked_add(&rep_digits, d),
-                        _ => radix.checked_add(&cur, d),
+            } else {
+                for (k, d) in before {
+                    cur.copy_from_slice(&rep);
+                    if !radix.sub_assign(&mut cur, d) {
+                        return Err(CodecError::DifferenceOutOfSpace { entry: k });
                     }
-                    .ok_or(CodecError::DifferenceOutOfSpace { entry: k })?;
-                    match cur.as_slice().cmp(tuple.digits()) {
+                    match cur.as_slice().cmp(target) {
                         core::cmp::Ordering::Equal => return Ok(true),
                         core::cmp::Ordering::Greater => return Ok(false),
                         core::cmp::Ordering::Less => {}
                     }
                 }
-                Ok(false)
+            }
+            return Ok(false);
+        }
+        // Target follows the representative: reconstruct forward from it
+        // with early exit (the first-half entries are parsed but never
+        // reconstructed).
+        for (k, d) in diffs.rows().enumerate().skip(rep_idx) {
+            if !chained {
+                cur.copy_from_slice(&rep);
+            }
+            if !radix.add_assign(&mut cur, d) {
+                return Err(CodecError::DifferenceOutOfSpace { entry: k });
+            }
+            match cur.as_slice().cmp(target) {
+                core::cmp::Ordering::Equal => return Ok(true),
+                core::cmp::Ordering::Greater => return Ok(false),
+                core::cmp::Ordering::Less => {}
             }
         }
+        Ok(false)
     }
 
     /// Parses all difference entries of a non-field-wise block, one row
@@ -1002,7 +957,14 @@ impl BlockCodec {
     }
 }
 
-fn read_header(bytes: &[u8]) -> Result<(usize, usize), CodecError> {
+/// Appends the block header for `u ≤ u16::MAX` tuples with the
+/// representative at `rep_idx`.
+pub(crate) fn write_header(out: &mut Vec<u8>, u: usize, rep_idx: usize) {
+    out.extend_from_slice(&(u as u16).to_le_bytes());
+    out.extend_from_slice(&(rep_idx as u16).to_le_bytes());
+}
+
+pub(crate) fn read_header(bytes: &[u8]) -> Result<(usize, usize), CodecError> {
     let Some((&[c0, c1, r0, r1], _)) = bytes.split_first_chunk::<BLOCK_HEADER_BYTES>() else {
         return Err(CodecError::Corrupt {
             section: "header",

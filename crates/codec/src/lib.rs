@@ -71,4 +71,7 @@ pub use parallel::{
     decompress_parallel,
 };
 pub use stats::CompressionStats;
-pub use update::{delete_from_block, insert_into_block, DeleteOutcome, InsertOutcome};
+pub use update::{
+    delete_from_block, delete_from_rows, insert_into_block, insert_into_rows, DeleteOutcome,
+    InsertOutcome, Spliced,
+};

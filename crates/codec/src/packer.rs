@@ -93,12 +93,13 @@ impl BlockPacker {
         let mut size = self.min_block();
         debug_assert!(size <= self.capacity);
         let mut len = 1usize;
+        let mut diff = Vec::new();
         for w in tuples.windows(2) {
             if len >= max_tuples {
                 break;
             }
             let [prev, next] = w else { break };
-            let add = self.codec.append_cost(prev, next);
+            let add = self.codec.gap_cost(prev.digits(), next.digits(), &mut diff);
             if size + add > self.capacity {
                 break;
             }
@@ -117,12 +118,13 @@ impl BlockPacker {
         debug_assert!(base <= self.capacity);
         let mut bits = 0usize;
         let mut len = 1usize;
+        let mut diff = Vec::new();
         for w in tuples.windows(2) {
             if len >= max_tuples {
                 break;
             }
             let [prev, next] = w else { break };
-            let add = self.codec.append_bits(prev, next);
+            let add = self.codec.gap_bits(prev.digits(), next.digits(), &mut diff);
             if base + (bits + add).div_ceil(8) > self.capacity {
                 break;
             }

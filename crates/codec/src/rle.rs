@@ -16,7 +16,7 @@
 //! the remaining zeros travel explicitly.
 
 use crate::error::CodecError;
-use avq_schema::{Schema, Tuple};
+use avq_schema::Schema;
 
 /// Number of leading zero bytes in the fixed-width serialization of
 /// `digits`, computed without serializing.
@@ -46,38 +46,36 @@ pub(crate) fn entry_cost(schema: &Schema, digits: &[u64]) -> usize {
     1 + m - lz
 }
 
-/// Appends one coded entry for `digits` to `out`, using `scratch` as the
-/// fixed-width staging buffer.
-pub(crate) fn write_entry(
-    schema: &Schema,
-    digits: &[u64],
-    out: &mut Vec<u8>,
-    scratch: &mut Vec<u8>,
-) {
-    scratch.clear();
-    schema.write_tuple(&Tuple::new(digits.to_vec()), scratch);
-    let lz = scratch.iter().take_while(|&&b| b == 0).count().min(255);
+/// Appends one coded entry for `digits` to `out`: the count byte, then the
+/// fixed-width serialization minus its first `count` (zero) bytes, written
+/// cell by cell with no staging buffer.
+pub(crate) fn write_entry(schema: &Schema, digits: &[u64], out: &mut Vec<u8>) {
+    let lz = leading_zero_bytes(schema, digits).min(255);
     out.push(lz as u8);
-    // `lz` is at most the staged length, so the tail slice always exists.
-    out.extend_from_slice(scratch.get(lz..).unwrap_or(&[]));
+    let mut skip = lz;
+    for (i, &d) in digits.iter().enumerate() {
+        let w = schema.byte_width(i);
+        let cell = d.to_be_bytes();
+        // Widths are at most 8 and `drop <= w`, so both slices exist.
+        let drop = skip.min(w);
+        out.extend_from_slice(cell.get(8 - w + drop..).unwrap_or(&[]));
+        skip -= drop;
+    }
 }
 
-/// Reads one coded entry starting at `buf[pos]`, appending the difference's
-/// `arity` digits to `digits`. Returns the position one past the entry. On
-/// error `digits` is left exactly as it was.
-///
-/// Digits are reassembled straight from the count byte and the tail — byte
-/// `p` of the fixed-width serialization is an elided zero when `p < count` —
-/// so no staging buffer and no per-entry allocation is needed.
-pub(crate) fn read_entry_append(
+/// Splits the coded entry at `buf[pos]` into its count of elided zero bytes
+/// and its `m − count` tail bytes, checking that the count fits the tuple
+/// width and the tail lies inside `buf`. Inlined: the block decode loops
+/// call it once per entry.
+#[inline(always)]
+fn entry_parts<'a>(
     schema: &Schema,
-    buf: &[u8],
+    buf: &'a [u8],
     pos: usize,
-    digits: &mut Vec<u64>,
-) -> Result<usize, CodecError> {
+) -> Result<(usize, &'a [u8]), CodecError> {
     let m = schema.tuple_bytes();
     // ok_or_else (not ok_or) keeps the error construction — and its String
-    // allocation — off the success path, which this hot loop relies on.
+    // allocation — off the success path, which the decode loops rely on.
     let count = *buf.get(pos).ok_or_else(|| CodecError::Corrupt {
         section: "entries",
         offset: pos,
@@ -98,6 +96,30 @@ pub(crate) fn read_entry_append(
             offset: pos + 1,
             detail: format!("entry tail truncated: need {tail_len} bytes"),
         })?;
+    Ok((count, tail))
+}
+
+/// Position one past the coded entry at `buf[pos]`, read from its count
+/// byte alone (validated as [`read_entry_append`] validates it) — how a
+/// block splice finds an entry without parsing the ones before it.
+pub(crate) fn skip_entry(schema: &Schema, buf: &[u8], pos: usize) -> Result<usize, CodecError> {
+    entry_parts(schema, buf, pos).map(|(_, tail)| pos + 1 + tail.len())
+}
+
+/// Reads one coded entry starting at `buf[pos]`, appending the difference's
+/// `arity` digits to `digits`. Returns the position one past the entry. On
+/// error `digits` is left exactly as it was.
+///
+/// Digits are reassembled straight from the count byte and the tail — byte
+/// `p` of the fixed-width serialization is an elided zero when `p < count` —
+/// so no staging buffer and no per-entry allocation is needed.
+pub(crate) fn read_entry_append(
+    schema: &Schema,
+    buf: &[u8],
+    pos: usize,
+    digits: &mut Vec<u64>,
+) -> Result<usize, CodecError> {
+    let (count, tail) = entry_parts(schema, buf, pos)?;
     let start = digits.len();
     for i in 0..schema.arity() {
         let off = schema.byte_offset(i);
@@ -125,7 +147,7 @@ pub(crate) fn read_entry_append(
             detail: format!("entry digits invalid: {e}"),
         });
     }
-    Ok(pos + 1 + tail_len)
+    Ok(pos + 1 + tail.len())
 }
 
 /// Big-endian load of `len ≤ 8` bytes starting at `bytes[start]`, as the
@@ -166,29 +188,7 @@ pub(crate) fn read_entry_append_swar(
     pos: usize,
     digits: &mut Vec<u64>,
 ) -> Result<usize, CodecError> {
-    let m = schema.tuple_bytes();
-    // ok_or_else (not ok_or) keeps the error construction — and its String
-    // allocation — off the success path, which this hot loop relies on.
-    let count = *buf.get(pos).ok_or_else(|| CodecError::Corrupt {
-        section: "entries",
-        offset: pos,
-        detail: "missing count byte".into(),
-    })? as usize;
-    if count > m {
-        return Err(CodecError::Corrupt {
-            section: "entries",
-            offset: pos,
-            detail: format!("count {count} exceeds tuple width {m}"),
-        });
-    }
-    let tail_len = m - count;
-    let tail = buf
-        .get(pos + 1..pos + 1 + tail_len)
-        .ok_or_else(|| CodecError::Corrupt {
-            section: "entries",
-            offset: pos + 1,
-            detail: format!("entry tail truncated: need {tail_len} bytes"),
-        })?;
+    let (count, tail) = entry_parts(schema, buf, pos)?;
     let start = digits.len();
     for i in 0..schema.arity() {
         let off = schema.byte_offset(i);
@@ -217,7 +217,7 @@ pub(crate) fn read_entry_append_swar(
             detail: format!("entry digits invalid: {e}"),
         });
     }
-    Ok(pos + 1 + tail_len)
+    Ok(pos + 1 + tail.len())
 }
 
 #[cfg(test)]
@@ -275,7 +275,6 @@ mod tests {
     #[test]
     fn entry_cost_matches_written_length() {
         let s = employee_schema();
-        let mut scratch = Vec::new();
         for digits in [
             vec![0u64, 0, 0, 8, 57],
             vec![0, 0, 4, 5, 23],
@@ -283,7 +282,7 @@ mod tests {
             vec![0, 0, 0, 0, 0],
         ] {
             let mut out = Vec::new();
-            write_entry(&s, &digits, &mut out, &mut scratch);
+            write_entry(&s, &digits, &mut out);
             assert_eq!(out.len(), entry_cost(&s, &digits), "digits {digits:?}");
         }
     }
@@ -293,15 +292,13 @@ mod tests {
         // Example 3.3 / §3.4: the diff (0,00,00,08,57) codes as [3, 8, 57].
         let s = employee_schema();
         let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        write_entry(&s, &[0, 0, 0, 8, 57], &mut out, &mut scratch);
+        write_entry(&s, &[0, 0, 0, 8, 57], &mut out);
         assert_eq!(out, vec![3, 8, 57]);
     }
 
     #[test]
     fn roundtrip() {
         let s = employee_schema();
-        let mut scratch = Vec::new();
         for digits in [
             vec![0u64, 0, 0, 8, 57],
             vec![7, 15, 63, 63, 63],
@@ -309,7 +306,7 @@ mod tests {
             vec![0, 0, 0, 0, 1],
         ] {
             let mut out = Vec::new();
-            write_entry(&s, &digits, &mut out, &mut scratch);
+            write_entry(&s, &digits, &mut out);
             let (back, next) = read_entry(&s, &out, 0).unwrap();
             assert_eq!(back, digits);
             assert_eq!(next, out.len());
@@ -319,15 +316,20 @@ mod tests {
     #[test]
     fn read_append_accumulates() {
         let s = employee_schema();
-        let mut scratch = Vec::new();
         let mut out = Vec::new();
-        write_entry(&s, &[0, 0, 0, 8, 57], &mut out, &mut scratch);
-        write_entry(&s, &[0, 0, 4, 5, 23], &mut out, &mut scratch);
+        write_entry(&s, &[0, 0, 0, 8, 57], &mut out);
+        write_entry(&s, &[0, 0, 4, 5, 23], &mut out);
         let mut digits = Vec::new();
         let pos = read_entry_append(&s, &out, 0, &mut digits).unwrap();
         let end = read_entry_append(&s, &out, pos, &mut digits).unwrap();
         assert_eq!(digits, vec![0, 0, 0, 8, 57, 0, 0, 4, 5, 23]);
         assert_eq!(end, out.len());
+        // Hopping by count byte lands on the same boundaries as parsing.
+        assert_eq!(skip_entry(&s, &out, 0).unwrap(), pos);
+        assert_eq!(skip_entry(&s, &out, pos).unwrap(), end);
+        assert!(skip_entry(&s, &out, end).is_err());
+        assert!(skip_entry(&s, &[6], 0).is_err());
+        assert!(skip_entry(&s, &[2, 42], 0).is_err());
     }
 
     #[test]
@@ -375,8 +377,7 @@ mod tests {
         .unwrap();
         assert_eq!(s.tuple_bytes(), 0);
         let mut out = Vec::new();
-        let mut scratch = Vec::new();
-        write_entry(&s, &[0, 0], &mut out, &mut scratch);
+        write_entry(&s, &[0, 0], &mut out);
         assert_eq!(out, vec![0]);
         let (digits, next) = read_entry(&s, &out, 0).unwrap();
         assert_eq!(digits, vec![0, 0]);

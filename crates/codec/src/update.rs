@@ -1,14 +1,35 @@
 //! In-block tuple insertion and deletion (§4.2, Fig. 4.6).
 //!
-//! Updates are confined to the affected block: the block is decoded, the
-//! tuple spliced in or out at its φ position, and the block re-coded. If the
-//! re-coded stream no longer fits the block capacity the caller receives the
-//! plain tuples back and decides placement (typically a block split at the
-//! storage layer).
+//! An update is confined to the affected block and, inside it, to the
+//! entries next to the tuple — Fig. 4.6 marks every other entry
+//! "unchanged". Given the block's bytes and its decoded rows, [`splice`]
+//! finds the tuple's φ position by binary search over the rows, builds the
+//! at most two new difference entries from the two neighbours, finds the
+//! affected entries' byte range by hopping count bytes, and emits
+//! prefix ‖ new entries ‖ suffix with the header patched:
+//!
+//! * field-wise — one fixed-width record moves in or out;
+//! * [`CodingMode::AvqChained`] — an insert replaces the gap it lands in by
+//!   two, a delete merges two gaps into one; the representative stays the
+//!   same tuple, so `rep_idx` shifts when the splice is before it, and
+//!   deleting the representative promotes a neighbour (chained coded size
+//!   does not depend on which tuple that is);
+//! * [`CodingMode::Avq`] — one entry against the unchanged representative
+//!   is added or removed; deleting the representative re-bases every entry,
+//!   so that one case re-encodes;
+//! * [`CodingMode::AvqChainedBits`] — entries are not byte-aligned, so the
+//!   block is re-encoded from the rows.
+//!
+//! Nothing on this path builds a `Vec<Tuple>`. If the spliced stream no
+//! longer fits the block capacity the caller decides placement (typically a
+//! block split at the storage layer).
 
-use crate::block::BlockCodec;
+use crate::block::{read_header, write_header, BlockCodec, DecodeScratch, BLOCK_HEADER_BYTES};
 use crate::error::CodecError;
-use avq_schema::Tuple;
+use crate::mode::CodingMode;
+use crate::rle;
+use avq_obs::names;
+use avq_schema::{Tuple, TupleBatch};
 
 /// Result of inserting into a coded block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -29,6 +50,61 @@ pub enum DeleteOutcome {
     Emptied,
 }
 
+/// What [`insert_into_rows`] / [`delete_from_rows`] did to a block.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Spliced {
+    /// Row index the tuple was inserted before (after any equal rows), or
+    /// the row index that was deleted.
+    pub pos: usize,
+    /// The block's new bytes. `None` when there is no such block: the
+    /// insert overflowed the capacity (or the tuple-count field), or the
+    /// delete removed the last tuple.
+    pub bytes: Option<Vec<u8>>,
+}
+
+/// Inserts `tuple` into a coded block whose decoded `rows` the caller
+/// already holds (a resident decoded-cache entry), preserving φ order
+/// (Fig. 4.6). `rows` must be the φ-sorted decode of `block`. Duplicates
+/// are allowed (relations are bags); the new tuple is placed after any
+/// equal tuples.
+pub fn insert_into_rows(
+    codec: &BlockCodec,
+    block: &[u8],
+    rows: &TupleBatch,
+    tuple: &Tuple,
+    capacity: usize,
+) -> Result<Spliced, CodecError> {
+    codec
+        .schema()
+        .validate_tuple(tuple)
+        .map_err(|e| CodecError::InvalidTuple {
+            position: 0,
+            detail: e.to_string(),
+        })?;
+    let row = tuple.digits();
+    let pos = rows.partition_point(|r| r <= row);
+    let bytes = splice(codec, block, rows, pos, Some(row), capacity)?;
+    Ok(Spliced { pos, bytes })
+}
+
+/// Deletes one occurrence of `tuple` from a coded block whose decoded
+/// `rows` the caller already holds. `rows` must be the φ-sorted decode of
+/// `block`.
+pub fn delete_from_rows(
+    codec: &BlockCodec,
+    block: &[u8],
+    rows: &TupleBatch,
+    tuple: &Tuple,
+) -> Result<Spliced, CodecError> {
+    let row = tuple.digits();
+    let pos = rows.partition_point(|r| r < row);
+    if pos >= rows.len() || rows.row(pos) != row {
+        return Err(CodecError::TupleNotFound);
+    }
+    let bytes = splice(codec, block, rows, pos, None, usize::MAX)?;
+    Ok(Spliced { pos, bytes })
+}
+
 /// Inserts `tuple` into a coded block, preserving φ order (Fig. 4.6).
 /// Duplicates are allowed (relations are bags); the new tuple is placed
 /// after any equal tuples.
@@ -38,20 +114,16 @@ pub fn insert_into_block(
     tuple: &Tuple,
     capacity: usize,
 ) -> Result<InsertOutcome, CodecError> {
-    codec
-        .schema()
-        .validate_tuple(tuple)
-        .map_err(|e| CodecError::InvalidTuple {
-            position: 0,
-            detail: e.to_string(),
-        })?;
-    let mut tuples = codec.decode(block)?;
-    let pos = tuples.partition_point(|t| t <= tuple);
-    tuples.insert(pos, tuple.clone());
-    if codec.measure(&tuples) > capacity {
-        return Ok(InsertOutcome::Overflow(tuples));
-    }
-    Ok(InsertOutcome::InPlace(codec.encode(&tuples)?))
+    let rows = decode_rows(codec, block)?;
+    let Spliced { pos, bytes } = insert_into_rows(codec, block, &rows, tuple, capacity)?;
+    Ok(match bytes {
+        Some(coded) => InsertOutcome::InPlace(coded),
+        None => {
+            let mut tuples = rows.to_tuples();
+            tuples.insert(pos, tuple.clone());
+            InsertOutcome::Overflow(tuples)
+        }
+    })
 }
 
 /// Deletes one occurrence of `tuple` from a coded block.
@@ -60,15 +132,183 @@ pub fn delete_from_block(
     block: &[u8],
     tuple: &Tuple,
 ) -> Result<DeleteOutcome, CodecError> {
-    let mut tuples = codec.decode(block)?;
-    let pos = tuples
-        .binary_search(tuple)
-        .map_err(|_| CodecError::TupleNotFound)?;
-    tuples.remove(pos);
-    if tuples.is_empty() {
-        return Ok(DeleteOutcome::Emptied);
+    let rows = decode_rows(codec, block)?;
+    Ok(match delete_from_rows(codec, block, &rows, tuple)?.bytes {
+        Some(coded) => DeleteOutcome::InPlace(coded),
+        None => DeleteOutcome::Emptied,
+    })
+}
+
+fn decode_rows(codec: &BlockCodec, block: &[u8]) -> Result<TupleBatch, CodecError> {
+    let mut rows = TupleBatch::new(codec.schema().arity());
+    codec.decode_batch_into(block, &mut rows, &mut DecodeScratch::new())?;
+    Ok(rows)
+}
+
+/// The one write core: `block` with `insert` spliced in before row `pos`,
+/// or — when `insert` is `None` — with row `pos` spliced out. Returns
+/// `None` when the edited run has no coded block: it is empty, or it
+/// exceeds `capacity` or the header's 16-bit tuple count.
+///
+/// `rows` is trusted (it came from a verified decode or an earlier splice);
+/// `block` is not: its header must agree with `rows` and every count byte
+/// hopped over must fit the tuple width and the buffer.
+fn splice(
+    codec: &BlockCodec,
+    block: &[u8],
+    rows: &TupleBatch,
+    pos: usize,
+    insert: Option<&[u64]>,
+    capacity: usize,
+) -> Result<Option<Vec<u8>>, CodecError> {
+    let _span = avq_obs::span!(names::SPAN_CODEC_SPLICE_BLOCK);
+    let schema = codec.schema();
+    debug_assert_eq!(rows.arity(), schema.arity());
+    let m = schema.tuple_bytes();
+    let (count, rep_idx) = read_header(block)?;
+    let u = rows.len();
+    if count != u || u == 0 {
+        return Err(CodecError::Corrupt {
+            section: "header",
+            offset: 0,
+            detail: format!("block of {count} tuples spliced with {u} decoded rows"),
+        });
     }
-    Ok(DeleteOutcome::InPlace(codec.encode(&tuples)?))
+    let new_u = if insert.is_some() { u + 1 } else { u - 1 };
+    if new_u == 0 || new_u > u16::MAX as usize {
+        return Ok(None);
+    }
+    // The splice point's neighbours, and the edited run itself.
+    let prev = pos.checked_sub(1).map(|i| rows.row(i));
+    let next_at = pos + usize::from(insert.is_none());
+    let next = (next_at < u).then(|| rows.row(next_at));
+    let edited = rows
+        .rows()
+        .take(pos)
+        .chain(insert)
+        .chain(rows.rows().skip(next_at));
+
+    if codec.mode() == CodingMode::FieldWise {
+        let body = block
+            .get(BLOCK_HEADER_BYTES..BLOCK_HEADER_BYTES + u * m)
+            .ok_or_else(|| CodecError::Corrupt {
+                section: "body",
+                offset: BLOCK_HEADER_BYTES,
+                detail: format!("field-wise body truncated: need {} bytes", u * m),
+            })?;
+        let new_len = BLOCK_HEADER_BYTES + new_u * m;
+        if new_len > capacity {
+            return Ok(None);
+        }
+        // lint: bounded(at most capacity, checked above)
+        let mut out = Vec::with_capacity(new_len);
+        write_header(&mut out, new_u, 0);
+        out.extend_from_slice(body.get(..pos * m).unwrap_or_default());
+        if let Some(row) = insert {
+            schema.write_row(row, &mut out);
+        }
+        out.extend_from_slice(body.get(next_at * m..).unwrap_or_default());
+        return Ok(Some(out));
+    }
+
+    if rep_idx >= u {
+        return Err(CodecError::Corrupt {
+            section: "header",
+            offset: 2,
+            detail: format!("rep_idx {rep_idx} out of range for {u} tuples"),
+        });
+    }
+    let rebase = codec.mode() == CodingMode::Avq && insert.is_none() && pos == rep_idx;
+    if codec.mode() == CodingMode::AvqChainedBits || rebase {
+        let mut out = Vec::new();
+        codec.encode_rows(new_u, edited, &mut out);
+        return Ok((out.len() <= capacity).then_some(out));
+    }
+
+    let entries_at = BLOCK_HEADER_BYTES + m;
+    let rep_bytes =
+        block
+            .get(BLOCK_HEADER_BYTES..entries_at)
+            .ok_or_else(|| CodecError::Corrupt {
+                section: "representative",
+                offset: BLOCK_HEADER_BYTES,
+                detail: "representative tuple truncated".into(),
+            })?;
+    // Old entries [first, first + replaced) give way to the differences of
+    // `fresh` (each pair in either order).
+    let (first, replaced, fresh) = if codec.mode() == CodingMode::AvqChained {
+        // Entry k is the gap between rows k and k + 1.
+        let first = pos.saturating_sub(1);
+        match insert {
+            Some(row) => (
+                first,
+                usize::from(prev.is_some() && next.is_some()),
+                [prev.map(|p| (p, row)), next.map(|nx| (row, nx))],
+            ),
+            None => (
+                first,
+                usize::from(prev.is_some()) + usize::from(next.is_some()),
+                [prev.zip(next), None],
+            ),
+        }
+    } else {
+        // Entry k is row k's distance from the representative before it,
+        // row k + 1's after it.
+        match insert {
+            Some(row) => (
+                pos - usize::from(pos > rep_idx),
+                0,
+                [Some((row, rows.row(rep_idx))), None],
+            ),
+            None => (pos - usize::from(pos > rep_idx), 1, [None, None]),
+        }
+    };
+    // The representative stays the same tuple; only deleting it (chained
+    // mode — the un-chained case re-based above) promotes a neighbour.
+    let (new_rep_idx, new_rep) = match insert {
+        Some(_) => (rep_idx + usize::from(pos <= rep_idx), None),
+        None if pos < rep_idx => (rep_idx - 1, None),
+        None if pos > rep_idx => (rep_idx, None),
+        None if next.is_some() => (rep_idx, next),
+        None => (rep_idx.saturating_sub(1), prev),
+    };
+
+    let (mut at, mut lo, mut hi) = (entries_at, entries_at, entries_at);
+    for k in 0..u {
+        if k == first {
+            lo = at;
+        }
+        if k == first + replaced {
+            hi = at;
+        }
+        if k + 1 < u {
+            at = rle::skip_entry(schema, block, at)?;
+        }
+    }
+    let end = at;
+
+    let mut diff = Vec::new();
+    let mut coded = Vec::new();
+    for (a, b) in fresh.into_iter().flatten() {
+        schema.radix().abs_diff_into(a, b, &mut diff);
+        rle::write_entry(schema, &diff, &mut coded);
+    }
+    let new_len = end - (hi - lo) + coded.len();
+    if new_len > capacity {
+        return Ok(None);
+    }
+    // lint: bounded(at most capacity, checked above)
+    let mut out = Vec::with_capacity(new_len);
+    write_header(&mut out, new_u, new_rep_idx);
+    match new_rep {
+        Some(row) => schema.write_row(row, &mut out),
+        None => out.extend_from_slice(rep_bytes),
+    }
+    out.extend_from_slice(block.get(entries_at..lo).unwrap_or_default());
+    out.extend_from_slice(&coded);
+    out.extend_from_slice(block.get(hi..end).unwrap_or_default());
+    debug_assert_eq!(out.len(), new_len);
+    Ok(Some(out))
 }
 
 #[cfg(test)]

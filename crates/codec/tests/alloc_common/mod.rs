@@ -1,5 +1,5 @@
-//! Shared by the two counting-allocator tests: the allocator, the relation
-//! they decode, and the per-block bound of the batch path. Each test is the
+//! Shared by the counting-allocator tests: the allocator, the relation
+//! they code, and the per-block bound of the batch decode path. Each test is the
 //! only one in its binary so no concurrent test thread can perturb the
 //! counter.
 
@@ -38,9 +38,10 @@ pub const N: u64 = 100_000;
 /// Allocations the batch path may spend per block once its scratch and
 /// output batch are warm. Steady state needs none; one is slack for a
 /// buffer that still has to grow.
+#[allow(dead_code)] // the encode twin has its own bound
 pub const PER_BLOCK: u64 = 1;
 
-/// The 10⁵-tuple relation both tests decode.
+/// The 10⁵-tuple relation the tests code and decode.
 pub fn relation() -> Relation {
     let schema = Schema::from_pairs(vec![
         ("a", Domain::uint(64).unwrap()),

@@ -1,17 +1,16 @@
 //! Allocation accounting for the *governed* decode path with governance
 //! disabled: `decode_batch_into_governed` under an unlimited
 //! [`avq_obs::GovCtx`] and a disabled [`avq_obs::TraceCtx`] must cost the
-//! same small constant per block as the plain batch path, and the
-//! `Vec<Tuple>` adapter's governed member the same one allocation per
-//! tuple as its plain one — a disabled context is one branch per block,
-//! never an allocation. Counting-allocator twin of `alloc_decode.rs`.
+//! same small constant per block as the plain batch path — a disabled
+//! context is one branch per block, never an allocation.
+//! Counting-allocator twin of `alloc_decode.rs`.
 
 mod alloc_common;
 
-use alloc_common::{allocs, coded, relation, CountingAlloc, N, PER_BLOCK};
+use alloc_common::{allocs, coded, relation, CountingAlloc, PER_BLOCK};
 use avq_codec::{CodingMode, DecodeKernel, DecodeScratch};
 use avq_obs::{GovCtx, TraceCtx};
-use avq_schema::{Tuple, TupleBatch};
+use avq_schema::TupleBatch;
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -51,31 +50,4 @@ fn disabled_governance_decode_allocates_one_vec_per_tuple() {
             "{mode} / {kernel}: governed batch decode allocated {during} times for {blocks} blocks"
         );
     }
-
-    let coded = coded(&rel, CodingMode::default());
-    let codec = coded.codec();
-    let mut scratch = DecodeScratch::new();
-    let mut out: Vec<Tuple> = Vec::with_capacity(N as usize);
-    codec
-        .decode_into_scratch_governed(coded.block(0), &mut out, &mut scratch, &ctx, &gov)
-        .unwrap();
-    out.clear();
-
-    let before = allocs();
-    for i in 0..coded.block_count() {
-        codec
-            .decode_into_scratch_governed(coded.block(i), &mut out, &mut scratch, &ctx, &gov)
-            .unwrap();
-    }
-    let during = allocs() - before;
-
-    assert_eq!(out.len(), N as usize);
-    // Identical budget to the ungoverned twin. A regression here means the
-    // governance plumbing started allocating on the hot path.
-    let budget = N + 64;
-    assert!(
-        during <= budget,
-        "governed decode allocated {during} times for {N} tuples (budget {budget})"
-    );
-    assert!(during >= N, "expected at least one allocation per tuple");
 }

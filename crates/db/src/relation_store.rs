@@ -14,8 +14,7 @@ use crate::secondary::SecondaryIndex;
 #[cfg(test)]
 use avq_codec::CodingMode;
 use avq_codec::{
-    delete_from_block, insert_into_block, BlockCodec, BlockPacker, CodecError, DecodeScratch,
-    DeleteOutcome, InsertOutcome,
+    delete_from_rows, insert_into_rows, BlockCodec, BlockPacker, CodecError, DecodeScratch,
 };
 use avq_schema::{Relation, Schema, Tuple, TupleBatch};
 use avq_storage::{BlockDevice, BlockId, BufferPool, DecodedCache, PoolStats, StorageError};
@@ -317,9 +316,21 @@ impl StoredRelation {
             let served_from_pool = self.pool.stats().since(&before).hits > 0;
             guard.attr(names::ATTR_POOL_HIT, served_from_pool);
         }
+        self.decode_and_cache(id, &bytes, ctx, gov)
+    }
+
+    /// The cache-miss half of [`Self::read_block`]: decodes `bytes`, checks
+    /// φ order, and caches the batch as block `id`.
+    fn decode_and_cache(
+        &self,
+        id: BlockId,
+        bytes: &[u8],
+        ctx: &avq_obs::TraceCtx,
+        gov: &avq_obs::GovCtx,
+    ) -> Result<Arc<TupleBatch>, DbError> {
         let mut run = TupleBatch::new(self.schema.arity());
         self.codec.decode_batch_into_governed(
-            &bytes,
+            bytes,
             &mut run,
             &mut DecodeScratch::new(),
             ctx,
@@ -329,6 +340,25 @@ impl StoredRelation {
         let run = Arc::new(run);
         self.decoded.insert(id, run.clone());
         Ok(run)
+    }
+
+    /// The write path's block read: the coded bytes a splice edits and the
+    /// decoded rows it navigates by. A resident batch is used as it is — a
+    /// warm block is not decoded to be written — and on a miss the rows are
+    /// decoded, fully verified, from exactly the bytes returned. Mutations
+    /// run outside any query budget or trace.
+    fn read_for_update(&self, id: BlockId) -> Result<(Arc<Vec<u8>>, Arc<TupleBatch>), DbError> {
+        let bytes = self.pool.read(id)?;
+        let rows = match self.decoded.get(id) {
+            Some(rows) => rows,
+            None => self.decode_and_cache(
+                id,
+                &bytes,
+                &avq_obs::TraceCtx::disabled(),
+                &avq_obs::GovCtx::unlimited(),
+            )?,
+        };
+        Ok((bytes, rows))
     }
 
     /// [`Self::read_block`] for callers that need owned tuples (the layer
@@ -667,9 +697,10 @@ impl StoredRelation {
         Some(idx.saturating_sub(1))
     }
 
-    /// Inserts a tuple (Fig. 4.6): the affected block is decoded, the tuple
-    /// spliced in, and the block re-coded in place — or split into multiple
-    /// blocks when the coded form no longer fits.
+    /// Inserts a tuple (Fig. 4.6): the tuple is spliced into the affected
+    /// block's coded bytes — only the entries next to it are re-coded — and
+    /// the block's resident decoded batch is replaced by the updated one;
+    /// when the coded form no longer fits, the block is split.
     pub fn insert(&mut self, tuple: &Tuple) -> Result<(), DbError> {
         self.schema.validate_tuple(tuple)?;
         let Some(bidx) = self.route(tuple) else {
@@ -677,7 +708,6 @@ impl StoredRelation {
             let coded = self.codec.encode(std::slice::from_ref(tuple))?;
             let id = self.device.allocate()?;
             self.pool.write(id, &coded)?;
-            self.decoded.invalidate(id);
             self.blocks.push(StoredBlock {
                 id,
                 min: tuple.clone(),
@@ -694,12 +724,15 @@ impl StoredRelation {
             return Ok(());
         };
 
-        let old = self.blocks[bidx].clone();
-        let bytes = self.pool.read(old.id)?;
-        match insert_into_block(&self.codec, &bytes, tuple, self.config.codec.block_capacity)? {
-            InsertOutcome::InPlace(coded) => {
-                self.pool.write(old.id, &coded)?;
-                self.decoded.invalidate(old.id);
+        let id = self.blocks[bidx].id;
+        let (bytes, rows) = self.read_for_update(id)?;
+        let capacity = self.config.codec.block_capacity;
+        let spliced = insert_into_rows(&self.codec, &bytes, &rows, tuple, capacity)?;
+        match spliced.bytes {
+            Some(coded) => {
+                self.pool.write(id, &coded)?;
+                let updated = rows.with_row_inserted(spliced.pos, tuple.digits());
+                self.decoded.insert(id, Arc::new(updated));
                 let b = &mut self.blocks[bidx];
                 b.count += 1;
                 b.used_bytes = coded.len();
@@ -708,36 +741,35 @@ impl StoredRelation {
                     b.min = tuple.clone();
                     self.primary.delete(&old_key)?;
                     self.primary
-                        .insert(&serialize_key(&self.schema, tuple), old.id as u64)?;
+                        .insert(&serialize_key(&self.schema, tuple), id as u64)?;
                 }
                 if *tuple > b.max {
                     b.max = tuple.clone();
                 }
                 for idx in self.secondaries.values_mut() {
-                    idx.add_posting(tuple.digits()[idx.attribute()], old.id)?;
+                    idx.add_posting(tuple.digits()[idx.attribute()], id)?;
                 }
             }
-            InsertOutcome::Overflow(tuples) => {
-                self.split_block(bidx, &tuples)?;
+            None => {
+                let mut tuples = rows.to_tuples();
+                tuples.insert(spliced.pos, tuple.clone());
+                self.split_block(bidx, &tuples, tuple)?;
             }
         }
         self.tuple_count += 1;
         Ok(())
     }
 
-    /// Re-packs an overflowing block's tuples into as many blocks as needed,
-    /// reusing the original block id for the first run.
-    fn split_block(&mut self, bidx: usize, tuples: &[Tuple]) -> Result<(), DbError> {
+    /// Re-packs an overflowing block's tuples — its old ones plus
+    /// `inserted` — into as many blocks as needed, reusing the original
+    /// block id for the first run.
+    fn split_block(
+        &mut self,
+        bidx: usize,
+        tuples: &[Tuple],
+        inserted: &Tuple,
+    ) -> Result<(), DbError> {
         let old = self.blocks[bidx].clone();
-        // Secondary postings for the outgoing block are rebuilt below; the
-        // old block's pre-split tuple set is `tuples` minus nothing we need
-        // to distinguish: removing the union is safe because removals of
-        // absent postings are no-ops.
-        for idx in self.secondaries.values_mut() {
-            idx.remove_block(tuples.iter().map(Tuple::digits), old.id)?;
-        }
-        self.primary
-            .delete(&serialize_key(&self.schema, &old.min))?;
 
         // Split *balanced* (like a B-tree) rather than re-packing maximally:
         // a maximal re-pack yields a full block plus a sliver, and the next
@@ -770,10 +802,17 @@ impl StoredRelation {
             };
             self.pool.write(id, &coded)?;
             self.decoded.invalidate(id);
-            self.primary
-                .insert(&serialize_key(&self.schema, &run[0]), id as u64)?;
-            for idx in self.secondaries.values_mut() {
-                idx.add_block(run.iter().map(Tuple::digits), id)?;
+            if i > 0 {
+                self.primary
+                    .insert(&serialize_key(&self.schema, &run[0]), id as u64)?;
+                for idx in self.secondaries.values_mut() {
+                    idx.add_block(run.iter().map(Tuple::digits), id)?;
+                }
+            } else if run[0] != old.min {
+                self.primary
+                    .delete(&serialize_key(&self.schema, &old.min))?;
+                self.primary
+                    .insert(&serialize_key(&self.schema, &run[0]), id as u64)?;
             }
             new_blocks.push(StoredBlock {
                 id,
@@ -783,11 +822,33 @@ impl StoredRelation {
                 used_bytes: coded.len(),
             });
         }
+        // The first run kept `old.id`, so its postings move rather than
+        // being rebuilt: with the other runs' postings in place, drop
+        // `(v, old.id)` for the values that left with them — in that order,
+        // or a value's only bucket would be freed and re-created — and add
+        // the inserted tuple's own posting, which the old block never had,
+        // when the tuple stayed.
+        let (kept_run, moved_run) = tuples.split_at(new_blocks[0].count);
+        for idx in self.secondaries.values_mut() {
+            let attr = idx.attribute();
+            let kept: BTreeSet<u64> = kept_run.iter().map(|t| t.digits()[attr]).collect();
+            let v = inserted.digits()[attr];
+            if kept.contains(&v) {
+                idx.add_posting(v, old.id)?;
+            }
+            let moved: BTreeSet<u64> = moved_run.iter().map(|t| t.digits()[attr]).collect();
+            for v in moved.difference(&kept) {
+                idx.remove_posting(*v, old.id)?;
+            }
+        }
         self.blocks.splice(bidx..bidx + 1, new_blocks);
         Ok(())
     }
 
-    /// Deletes one occurrence of `tuple`.
+    /// Deletes one occurrence of `tuple`: spliced out of the affected
+    /// block's coded bytes, with the resident decoded batch replaced by the
+    /// updated one — which also answers what the block's new bounds are and
+    /// whether it still carries the tuple's secondary-index values.
     pub fn delete(&mut self, tuple: &Tuple) -> Result<(), DbError> {
         self.schema.validate_tuple(tuple)?;
         let Some(bidx) = self.route(tuple) else {
@@ -797,9 +858,10 @@ impl StoredRelation {
         if *tuple < old.min || *tuple > old.max {
             return Err(DbError::TupleNotFound);
         }
-        let bytes = self.pool.read(old.id)?;
-        match delete_from_block(&self.codec, &bytes, tuple)? {
-            DeleteOutcome::Emptied => {
+        let (bytes, rows) = self.read_for_update(old.id)?;
+        let spliced = delete_from_rows(&self.codec, &bytes, &rows, tuple)?;
+        match spliced.bytes {
+            None => {
                 self.primary
                     .delete(&serialize_key(&self.schema, &old.min))?;
                 for idx in self.secondaries.values_mut() {
@@ -810,18 +872,10 @@ impl StoredRelation {
                 self.device.free(old.id)?;
                 self.blocks.remove(bidx);
             }
-            DeleteOutcome::InPlace(coded) => {
+            Some(coded) => {
                 self.pool.write(old.id, &coded)?;
-                self.decoded.invalidate(old.id);
-                let mut remaining = TupleBatch::new(self.schema.arity());
-                // Mutations run outside any query budget.
-                self.codec.decode_batch_into_governed(
-                    &coded,
-                    &mut remaining,
-                    &mut DecodeScratch::new(),
-                    &avq_obs::TraceCtx::disabled(),
-                    &avq_obs::GovCtx::unlimited(),
-                )?;
+                let remaining = Arc::new(rows.with_row_removed(spliced.pos));
+                self.decoded.insert(old.id, remaining.clone());
                 let b = &mut self.blocks[bidx];
                 b.count -= 1;
                 b.used_bytes = coded.len();
@@ -1239,25 +1293,205 @@ mod tests {
         }
     }
 
+    /// The resident batch of `id` (if any) and a fresh decode of the bytes
+    /// the device holds for it.
+    fn resident_and_fresh(
+        stored: &StoredRelation,
+        id: BlockId,
+    ) -> (Option<Arc<TupleBatch>>, TupleBatch) {
+        let mut fresh = TupleBatch::new(stored.schema.arity());
+        stored
+            .codec
+            .decode_batch_into(
+                &stored.device.read(id).unwrap(),
+                &mut fresh,
+                &mut DecodeScratch::new(),
+            )
+            .unwrap();
+        (stored.decoded.get(id), fresh)
+    }
+
     #[test]
-    fn mutations_invalidate_decoded_blocks() {
+    fn mutations_write_the_decoded_cache_through() {
+        // After any mutation the resident batch equals a fresh decode of
+        // the bytes just written — in place, across splits and block
+        // frees, with the cache enabled and (trivially) disabled.
+        for mode in CodingMode::ALL {
+            for cache_blocks in [64, 0] {
+                let (_, _, mut stored) = setup(500, 256, mode);
+                stored.decoded = DecodedCache::new(cache_blocks);
+                let mut model = stored.scan_all().unwrap(); // warms the cache
+                let mut state = 0x9E37_79B9_7F4A_7C15u64;
+                for step in 0..400 {
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    let r = state >> 33;
+                    if step % 3 == 2 {
+                        let victim = model.remove(r as usize % model.len());
+                        stored.delete(&victim).unwrap();
+                    } else {
+                        // Clustered, so blocks split.
+                        let t = Tuple::from([31 + r % 2, (r >> 1) % 64, (r >> 7) % 4096]);
+                        let at = model.partition_point(|x| *x <= t);
+                        model.insert(at, t.clone());
+                        stored.insert(&t).unwrap();
+                    }
+                    for b in stored.blocks() {
+                        let (resident, fresh) = resident_and_fresh(&stored, b.id);
+                        assert_eq!(fresh.len(), b.count, "{mode} step {step}");
+                        if let Some(resident) = resident {
+                            assert_eq!(*resident, fresh, "{mode} step {step} block {}", b.id);
+                        }
+                    }
+                }
+                assert_eq!(stored.scan_all().unwrap(), model, "{mode}");
+                if cache_blocks == 0 {
+                    assert_eq!(stored.decoded_stats(), PoolStats::default());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn in_place_mutations_replace_the_resident_batch_without_decoding() {
         let (_, _, mut stored) = setup(500, 256, CodingMode::AvqChained);
-        let before = stored.scan_all().unwrap(); // warm the cache
-        let t = Tuple::from([31u64, 31, 31]);
+        stored.scan_all().unwrap(); // warm the cache
         let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
-        let target = stored.blocks()[stored.route(&t).unwrap()].id;
+        let target = stored.blocks()[stored.block_count() / 2].id;
         let cached = stored.read_block(target, &ctx, &gov).unwrap();
-        stored.insert(&t).unwrap();
-        let fresh = stored.read_block(target, &ctx, &gov).unwrap();
-        assert!(!Arc::ptr_eq(&cached, &fresh), "insert must drop the batch");
-        assert_ne!(cached, fresh);
-        let after_insert = stored.scan_all().unwrap();
-        let mut expect = before.clone();
-        let at = expect.partition_point(|x| *x <= t);
-        expect.insert(at, t.clone());
-        assert_eq!(after_insert, expect, "cached run must not mask the insert");
-        stored.delete(&t).unwrap();
-        assert_eq!(stored.scan_all().unwrap(), before);
+        let misses = stored.decoded_stats().misses;
+        let victim = Tuple::from(cached.row(cached.len() / 2));
+        stored.delete(&victim).unwrap();
+        let after_delete = stored.read_block(target, &ctx, &gov).unwrap();
+        assert!(!Arc::ptr_eq(&cached, &after_delete), "stale batch survived");
+        assert_eq!(after_delete.len(), cached.len() - 1);
+        stored.insert(&victim).unwrap();
+        let after_insert = stored.read_block(target, &ctx, &gov).unwrap();
+        assert_eq!(after_insert, cached);
+        assert_eq!(
+            stored.decoded_stats().misses,
+            misses,
+            "a resident block is neither decoded to be written nor to be read back"
+        );
+    }
+
+    #[test]
+    fn corrupt_block_fails_the_write_and_is_not_overwritten() {
+        for resident in [false, true] {
+            let (device, pool, mut stored) = setup(300, 256, CodingMode::AvqChained);
+            let b = stored.blocks()[1].clone();
+            let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
+            stored.clear_decoded_cache();
+            if resident {
+                stored.read_block(b.id, &ctx, &gov).unwrap();
+            }
+            // A count byte larger than the tuple is wide: every splice hops
+            // over it, and so does every decode.
+            let mut bad = device.read(b.id).unwrap();
+            bad[avq_codec::BLOCK_HEADER_BYTES + stored.schema.tuple_bytes()] = 0xFF;
+            pool.write(b.id, &bad).unwrap();
+            let mut inside = b.min.clone();
+            inside.digits_mut()[2] = (inside.digits()[2] + 1) % 4096;
+            for result in [stored.insert(&inside), stored.delete(&b.min)] {
+                assert!(
+                    matches!(result, Err(DbError::Codec(CodecError::Corrupt { .. }))),
+                    "resident {resident}: {result:?}"
+                );
+            }
+            assert_eq!(device.read(b.id).unwrap(), bad, "nothing was written");
+            assert_eq!(stored.blocks()[1].count, b.count);
+            assert_eq!(stored.tuple_count(), 300);
+        }
+    }
+
+    #[test]
+    fn deleted_index_values_leave_nothing_behind() {
+        // N inserts then N deletes of distinct keys of a unique secondary
+        // index: every bucket page is freed and every tree key deleted, so
+        // the index is back where it started. (Tree nodes and data blocks
+        // may have split on the way; they are counted out.)
+        let (device, _, mut stored) = setup(200, 256, CodingMode::AvqChained);
+        stored.create_secondary_index(2).unwrap();
+        let keys = |s: &StoredRelation| s.secondaries[&2].tree().stats().unwrap().entries;
+        let bucket_pages = |s: &StoredRelation| {
+            let tree_nodes = |t: &BPlusTree| t.stats().unwrap().nodes;
+            device.live_blocks()
+                - s.block_count()
+                - tree_nodes(&s.primary)
+                - tree_nodes(s.secondaries[&2].tree())
+        };
+        let (keys_before, pages_before) = (keys(&stored), bucket_pages(&stored));
+        assert_eq!(
+            pages_before, keys_before,
+            "one single-page bucket per value"
+        );
+        let taken: BTreeSet<u64> = stored
+            .scan_all()
+            .unwrap()
+            .iter()
+            .map(|t| t.digits()[2])
+            .collect();
+        let fresh: Vec<Tuple> = (0..4096u64)
+            .filter(|v| !taken.contains(v))
+            .take(300)
+            .map(|v| Tuple::from([40 + v % 3, v % 64, v]))
+            .collect();
+        for t in &fresh {
+            stored.insert(t).unwrap();
+        }
+        assert_eq!(keys(&stored), keys_before + fresh.len());
+        assert_eq!(bucket_pages(&stored), pages_before + fresh.len());
+        for t in &fresh {
+            stored.delete(t).unwrap();
+        }
+        assert_eq!(keys(&stored), keys_before, "dead tree keys");
+        assert_eq!(bucket_pages(&stored), pages_before, "leaked bucket pages");
+        let (rows, _) = stored.select_range(2, 0, 4095).unwrap();
+        assert_eq!(rows.len(), 200);
+    }
+
+    #[test]
+    fn postings_stay_exact_through_splits_and_deletes() {
+        // A split moves the old block's postings instead of rebuilding
+        // them: afterwards a value must list exactly the blocks that carry
+        // it — a stale posting is wasted I/O, a missing one a lost row.
+        let (_, _, mut stored) = setup(300, 128, CodingMode::AvqChained);
+        stored.create_secondary_index(1).unwrap();
+        let before = stored.block_count();
+        for i in 0..120u64 {
+            // Clustered inserts whose indexed value sometimes is new to the
+            // block and sometimes is not.
+            stored
+                .insert(&Tuple::from([10 + i % 2, i % 9, i * 31 % 4096]))
+                .unwrap();
+            if i % 4 == 3 {
+                let victim = stored.scan_all().unwrap()[(i as usize * 7) % 300].clone();
+                stored.delete(&victim).unwrap();
+            }
+            let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
+            for v in 0..64u64 {
+                let carrying: Vec<BlockId> = {
+                    let mut ids: Vec<BlockId> = stored
+                        .blocks()
+                        .iter()
+                        .filter(|b| {
+                            let rows = stored.read_block(b.id, &ctx, &gov).unwrap();
+                            rows.rows().any(|row| row[1] == v)
+                        })
+                        .map(|b| b.id)
+                        .collect();
+                    ids.sort_unstable();
+                    ids
+                };
+                assert_eq!(
+                    stored.secondary_candidate_blocks(1, v, v).unwrap(),
+                    carrying,
+                    "value {v} after step {i}"
+                );
+            }
+        }
+        assert!(stored.block_count() > before, "splits happened");
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the buckets, and hands back the distinct data blocks to read.
 
 use crate::error::DbError;
-use avq_index::{BPlusTree, BucketStore, Posting};
+use avq_index::{BPlusTree, BucketStore, Posting, Removal};
 use avq_storage::{BlockId, BufferPool};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -67,11 +67,18 @@ impl SecondaryIndex {
         Ok(())
     }
 
-    /// Removes the posting `(value, block)` if present.
+    /// Removes the posting `(value, block)` if present. When it was the
+    /// value's last, the bucket's pages are freed and the tree key goes
+    /// with them, so a deleted value leaves nothing behind.
     pub fn remove_posting(&mut self, value: u64, block: BlockId) -> Result<(), DbError> {
-        if let Some(head) = self.tree.get(&value_key(value))? {
-            self.store
+        let key = value_key(value);
+        if let Some(head) = self.tree.get(&key)? {
+            let removal = self
+                .store
                 .remove(head as BlockId, Posting { value, block })?;
+            if removal == Removal::Emptied {
+                self.tree.delete(&key)?;
+            }
         }
         Ok(())
     }

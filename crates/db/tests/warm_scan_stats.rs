@@ -8,7 +8,8 @@
 //!
 //! A warm block read is a hand-off, not a copy: every reader of a cached
 //! block gets the same `Arc<TupleBatch>`, until a mutation of that block
-//! invalidates it.
+//! replaces it — writes go through the cache, so the read after a write is
+//! a hit too.
 
 use avq_db::{Database, DbConfig, GovCtx};
 use avq_obs::TraceCtx;
@@ -114,11 +115,19 @@ fn warm_block_read_hands_out_the_cached_batch_until_mutation() {
     let scanned: Vec<Tuple> = cold.iter().flat_map(|b| b.to_tuples()).collect();
     assert_eq!(scanned, rel.scan_all().unwrap());
 
-    // Mutating the first block invalidates exactly that block's batch.
+    // Mutating the first block replaces exactly that block's batch, and
+    // the new one is resident: reading it back decodes nothing.
     let victim = cold[0].to_tuples()[0].clone();
+    let before = db.relation("t").unwrap().decoded_stats();
     db.relation_mut("t").unwrap().delete(&victim).unwrap();
     let rel = db.relation("t").unwrap();
     let reread = rel.read_block(ids[0], &ctx, &gov).unwrap();
+    let window = rel.decoded_stats().since(&before);
+    assert_eq!(
+        (window.hits, window.misses),
+        (2, 0),
+        "the write and the read after it both found the block resident"
+    );
     assert!(
         !Arc::ptr_eq(&cold[0], &reread),
         "stale batch survived a delete"
@@ -131,4 +140,38 @@ fn warm_block_read_hands_out_the_cached_batch_until_mutation() {
             "untouched block {id} was re-decoded"
         );
     }
+}
+
+#[test]
+fn writes_to_resident_blocks_decode_nothing() {
+    // A write stream over a warm relation: every mutation finds its block
+    // resident, splices it, and leaves the updated batch resident, so the
+    // whole stream and the scan after it are hits — zero decode calls —
+    // except where a split leaves new blocks to be decoded once.
+    let relation = sample_relation(3000);
+    let config = DbConfig::default()
+        .with_block_capacity(2048)
+        .with_decoded_cache_blocks(10_000);
+    let mut db = Database::new(config);
+    db.create_relation("t", &relation).unwrap();
+    let tuples = db.relation("t").unwrap().scan_all().unwrap(); // warm
+    let blocks_before = db.relation("t").unwrap().block_count() as u64;
+    let before = db.relation("t").unwrap().decoded_stats();
+
+    let rel = db.relation_mut("t").unwrap();
+    for t in tuples.iter().step_by(7) {
+        rel.delete(t).unwrap();
+    }
+    for t in tuples.iter().step_by(7) {
+        rel.insert(t).unwrap();
+    }
+    assert_eq!(rel.scan_all().unwrap(), tuples);
+    let window = rel.decoded_stats().since(&before);
+    let split_off = rel.block_count() as u64 - blocks_before;
+    assert!(
+        window.misses <= 2 * split_off,
+        "{} decodes for {split_off} splits",
+        window.misses
+    );
+    assert!(window.hits >= 2 * tuples.len().div_ceil(7) as u64);
 }

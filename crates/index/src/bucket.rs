@@ -27,6 +27,18 @@ pub struct Posting {
     pub block: BlockId,
 }
 
+/// What [`BucketStore::remove`] found.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Removal {
+    /// The posting was not in the bucket.
+    Absent,
+    /// The posting was removed; the bucket still holds others.
+    Removed,
+    /// The posting was the bucket's last: every page of the bucket has been
+    /// freed and its head id is dead.
+    Emptied,
+}
+
 /// Reads and writes bucket chains on the device.
 #[derive(Debug, Clone)]
 pub struct BucketStore {
@@ -143,22 +155,54 @@ impl BucketStore {
         }
     }
 
-    /// Removes one posting (if present). Pages are left in place even when
-    /// emptied (lazy, like index deletion).
-    pub fn remove(&self, head: BlockId, posting: Posting) -> Result<bool, IndexError> {
+    /// Removes one posting (if present) and reclaims the page it emptied,
+    /// so no page of a chain but a lone head is ever empty: an emptied
+    /// follower is unlinked and freed, an emptied head takes over its
+    /// follower's postings, and when the head was the whole bucket it is
+    /// freed too — [`Removal::Emptied`] tells the caller to forget `head`.
+    pub fn remove(&self, head: BlockId, posting: Posting) -> Result<Removal, IndexError> {
+        let mut prev: Option<(BlockId, Page)> = None;
         let mut id = head;
         loop {
             let mut page = self.load(id)?;
             if let Some(i) = page.postings.iter().position(|p| *p == posting) {
                 page.postings.swap_remove(i);
-                self.store(id, &page)?;
-                return Ok(true);
+                if !page.postings.is_empty() {
+                    self.store(id, &page)?;
+                    return Ok(Removal::Removed);
+                }
+                return match (prev, page.next) {
+                    (None, NO_NEXT) => {
+                        self.release(id)?;
+                        Ok(Removal::Emptied)
+                    }
+                    (None, follower) => {
+                        self.store(id, &self.load(follower)?)?;
+                        self.release(follower)?;
+                        Ok(Removal::Removed)
+                    }
+                    (Some((prev_id, mut prev_page)), next) => {
+                        prev_page.next = next;
+                        self.store(prev_id, &prev_page)?;
+                        self.release(id)?;
+                        Ok(Removal::Removed)
+                    }
+                };
             }
             if page.next == NO_NEXT {
-                return Ok(false);
+                return Ok(Removal::Absent);
             }
-            id = page.next;
+            let next = page.next;
+            prev = Some((id, page));
+            id = next;
         }
+    }
+
+    /// Frees a bucket page and drops its pool frame.
+    fn release(&self, id: BlockId) -> Result<(), IndexError> {
+        self.pool.invalidate(id);
+        self.pool.device().free(id)?;
+        Ok(())
     }
 
     /// Number of chained pages in the bucket.
@@ -250,9 +294,43 @@ mod tests {
         for i in 0..10 {
             s.push(b, Posting { value: i, block: 0 }).unwrap();
         }
-        assert!(s.remove(b, Posting { value: 7, block: 0 }).unwrap());
-        assert!(!s.remove(b, Posting { value: 7, block: 0 }).unwrap());
+        let seven = Posting { value: 7, block: 0 };
+        assert_eq!(s.remove(b, seven).unwrap(), Removal::Removed);
+        assert_eq!(s.remove(b, seven).unwrap(), Removal::Absent);
         assert_eq!(s.read(b).unwrap().len(), 9);
+    }
+
+    #[test]
+    fn emptied_pages_are_reclaimed() {
+        // 4 postings per page: ten postings make a chain of three pages.
+        let s = store(64);
+        let live = || s.pool.device().live_blocks();
+        let before = live();
+        let b = s.create().unwrap();
+        let posting = |i: u64| Posting { value: i, block: 0 };
+        for i in 0..10 {
+            s.push(b, posting(i)).unwrap();
+        }
+        assert_eq!(live(), before + 3);
+        // Emptying the last page unlinks and frees it.
+        for i in 8..10 {
+            assert_eq!(s.remove(b, posting(i)).unwrap(), Removal::Removed);
+        }
+        assert_eq!((s.chain_len(b).unwrap(), live()), (2, before + 2));
+        // Emptying the head pulls the follower's postings into it.
+        for i in 0..4 {
+            assert_eq!(s.remove(b, posting(i)).unwrap(), Removal::Removed);
+        }
+        assert_eq!((s.chain_len(b).unwrap(), live()), (1, before + 1));
+        let mut left = s.read(b).unwrap();
+        left.sort();
+        assert_eq!(left, (4..8).map(posting).collect::<Vec<_>>());
+        // The last posting takes the bucket with it.
+        for i in 4..7 {
+            assert_eq!(s.remove(b, posting(i)).unwrap(), Removal::Removed);
+        }
+        assert_eq!(s.remove(b, posting(7)).unwrap(), Removal::Emptied);
+        assert_eq!(live(), before);
     }
 
     #[test]

@@ -25,7 +25,7 @@ mod hash;
 mod node;
 mod tree;
 
-pub use bucket::{BucketStore, Posting};
+pub use bucket::{BucketStore, Posting, Removal};
 pub use error::IndexError;
 pub use hash::HashIndex;
 pub use tree::{BPlusTree, TreeStats};

@@ -76,6 +76,7 @@ pub const TAINT_SOURCES: &[&str] = &[
     "load_be",
     "read_entry_append",
     "read_entry_append_swar",
+    "skip_entry",
     // .avq container cursor field readers
     "u8",
     "u16",
@@ -226,8 +227,6 @@ pub const BLOCKING_CALLS: &[&str] = &[
     "decode_batch_into",
     "decode_batch_into_governed",
     "decode_into_scratch",
-    "decode_into_scratch_traced",
-    "decode_into_scratch_governed",
     "decode_rows",
     "read_with_retry",
     "retry_with_backoff",

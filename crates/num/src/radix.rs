@@ -461,10 +461,35 @@ impl MixedRadix {
     /// `|a − b|` in digit space — the difference measure `d(tᵢ, tⱼ)` of
     /// Eq. 2.6, expressed back in 𝓡-space digits as §3.4 does.
     pub fn abs_diff(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        match self.cmp_digits(a, b) {
-            Ordering::Less => self.checked_sub(b, a).expect("b >= a"),
-            _ => self.checked_sub(a, b).expect("a >= b"),
-        }
+        let mut out = Vec::with_capacity(a.len());
+        self.abs_diff_into(a, b, &mut out);
+        out
+    }
+
+    /// [`Self::abs_diff`] into a caller-provided buffer (cleared first), so
+    /// a loop over a block's gaps reuses one allocation.
+    pub fn abs_diff_into(&self, a: &[u64], b: &[u64], out: &mut Vec<u64>) {
+        let (hi, lo) = match self.cmp_digits(a, b) {
+            Ordering::Less => (b, a),
+            _ => (a, b),
+        };
+        out.clear();
+        out.extend_from_slice(hi);
+        let ok = self.sub_assign(out, lo);
+        debug_assert!(ok, "hi >= lo");
+    }
+
+    /// φ of a digit vector as a machine word, or `None` when it needs more
+    /// than 64 bits — the allocation-free [`Self::rank`] for the small
+    /// differences block coding produces.
+    pub fn rank_u64(&self, digits: &[u64]) -> Option<u64> {
+        debug_assert!(self.validate(digits).is_ok(), "invalid digits");
+        digits
+            .iter()
+            .zip(&self.radices)
+            .try_fold(0u64, |acc, (&digit, &radix)| {
+                acc.checked_mul(radix)?.checked_add(digit)
+            })
     }
 
     /// Adds a machine-word delta to a digit vector, or `None` on overflow.
@@ -764,6 +789,24 @@ mod tests {
         let d2 = mr.abs_diff(&b, &a);
         assert_eq!(d1, d2);
         assert_eq!(d1, vec![0, 0, 4, 5, 23]); // Example 3.2
+        let mut scratch = vec![9u64; 7];
+        mr.abs_diff_into(&b, &a, &mut scratch);
+        assert_eq!(scratch, d1, "scratch is cleared, not appended to");
+    }
+
+    #[test]
+    fn rank_u64_matches_rank_until_it_overflows() {
+        let mr = employee_radix();
+        for digits in [[0u64, 0, 4, 5, 23], [7, 15, 63, 63, 63], [0; 5]] {
+            assert_eq!(mr.rank_u64(&digits), mr.rank(&digits).to_u64());
+        }
+        let wide = MixedRadix::new(vec![1 << 40, 1 << 40]).unwrap();
+        assert_eq!(wide.rank_u64(&[0, 77]), Some(77));
+        assert_eq!(
+            wide.rank_u64(&[(1 << 24) - 1, 5]),
+            Some(((1 << 24) - 1) << 40 | 5)
+        );
+        assert_eq!(wide.rank_u64(&[1 << 24, 0]), None);
     }
 
     #[test]

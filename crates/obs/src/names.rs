@@ -119,6 +119,8 @@ pub const GOV_BUDGET_ROWS: &str = "avq.gov.budget.rows";
 pub const SPAN_CODEC_ENCODE_BLOCK: &str = "avq.codec.encode_block";
 /// Span around decoding one block.
 pub const SPAN_CODEC_DECODE_BLOCK: &str = "avq.codec.decode_block";
+/// Span around splicing one tuple into or out of a coded block.
+pub const SPAN_CODEC_SPLICE_BLOCK: &str = "avq.codec.splice_block";
 /// Span around compressing a whole relation.
 pub const SPAN_CODEC_COMPRESS: &str = "avq.codec.compress";
 /// Span around one WAL append.
@@ -211,6 +213,7 @@ pub const ALL: &[&str] = &[
     GOV_BUDGET_ROWS,
     SPAN_CODEC_ENCODE_BLOCK,
     SPAN_CODEC_DECODE_BLOCK,
+    SPAN_CODEC_SPLICE_BLOCK,
     SPAN_CODEC_COMPRESS,
     SPAN_WAL_APPEND,
     SPAN_WAL_GROUP_COMMIT,

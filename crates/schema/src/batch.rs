@@ -122,6 +122,42 @@ impl TupleBatch {
         result
     }
 
+    /// A copy of the batch with `row` inserted before row `i` (`i == len`
+    /// appends), allocated at exactly its size. Panics when `i > len` or
+    /// `row` is not `arity` wide.
+    pub fn with_row_inserted(&self, i: usize, row: &[u64]) -> TupleBatch {
+        assert!(
+            i <= self.rows,
+            "row {i} out of range for {} rows",
+            self.rows
+        );
+        assert_eq!(row.len(), self.arity, "row width");
+        let (head, tail) = self.data.split_at(i * self.arity);
+        let mut data = Vec::with_capacity(self.data.len() + self.arity);
+        data.extend_from_slice(head);
+        data.extend_from_slice(row);
+        data.extend_from_slice(tail);
+        TupleBatch {
+            arity: self.arity,
+            rows: self.rows + 1,
+            data,
+        }
+    }
+
+    /// A copy of the batch without row `i`, allocated at exactly its size.
+    /// Panics when `i` is out of range.
+    pub fn with_row_removed(&self, i: usize) -> TupleBatch {
+        assert!(i < self.rows, "row {i} out of range for {} rows", self.rows);
+        let mut data = Vec::with_capacity(self.data.len() - self.arity);
+        data.extend_from_slice(&self.data[..i * self.arity]);
+        data.extend_from_slice(&self.data[(i + 1) * self.arity..]);
+        TupleBatch {
+            arity: self.arity,
+            rows: self.rows - 1,
+            data,
+        }
+    }
+
     /// Keeps the first `rows` rows.
     pub fn truncate(&mut self, rows: usize) {
         if rows < self.rows {

@@ -233,9 +233,14 @@ impl Schema {
     /// Serializes a tuple at fixed per-attribute widths, appending to `out`.
     /// Exactly [`Self::tuple_bytes`] bytes are appended.
     pub fn write_tuple(&self, tuple: &Tuple, out: &mut Vec<u8>) {
-        debug_assert_eq!(tuple.arity(), self.arity());
-        for (i, &d) in tuple.digits().iter().enumerate() {
-            let w = self.widths[i];
+        self.write_row(tuple.digits(), out);
+    }
+
+    /// [`Self::write_tuple`] for a borrowed row of ordinals (a
+    /// [`crate::TupleBatch`] row, a difference in a scratch buffer).
+    pub fn write_row(&self, row: &[u64], out: &mut Vec<u8>) {
+        debug_assert_eq!(row.len(), self.arity());
+        for (&d, &w) in row.iter().zip(&self.widths) {
             // Big-endian, fixed width.
             let bytes = d.to_be_bytes();
             out.extend_from_slice(&bytes[8 - w..]);

@@ -58,6 +58,24 @@ proptest! {
     }
 
     #[test]
+    fn row_insert_and_remove_match_vec(
+        arity in 0usize..4,
+        rows in 0usize..30,
+        at in 0usize..31,
+        cells in proptest::collection::vec(any::<u64>(), 1..32),
+    ) {
+        let tuples = run(arity, &cells, rows);
+        let batch = TupleBatch::from_tuples(arity, &tuples);
+        let at = at % (rows + 1);
+        let new = run(arity, &cells[..1], 1).remove(0);
+        let mut grown = tuples.clone();
+        grown.insert(at, new.clone());
+        let inserted = batch.with_row_inserted(at, new.digits());
+        prop_assert_eq!(inserted.to_tuples(), grown);
+        prop_assert_eq!(inserted.with_row_removed(at), batch);
+    }
+
+    #[test]
     fn slice_order_is_tuple_order(
         arity in 0usize..4,
         rows in 2usize..30,

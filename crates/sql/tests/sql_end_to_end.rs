@@ -376,14 +376,21 @@ fn unlimited_budget_matches_ungoverned_result() {
 #[test]
 fn statement_metrics_are_recorded() {
     let db = db();
-    let before = avq_obs::global().snapshot();
-    let _ = table(&db, "select count(*) from people");
-    let _ = plan_text(&db, "explain select * from people");
-    let after = avq_obs::global().snapshot();
-    let delta = |name: &str| {
-        after.counters.get(name).copied().unwrap_or(0)
-            - before.counters.get(name).copied().unwrap_or(0)
-    };
-    assert_eq!(delta(avq_obs::names::SQL_STATEMENTS), 2);
-    assert!(delta(avq_obs::names::SQL_PLANS_CONSIDERED) >= 2);
+    // The registry is process-global and the other tests of this binary
+    // run statements on parallel threads, so one of theirs can land in the
+    // window: measure again until a window is quiet.
+    let quiet_window = (0..100).any(|_| {
+        let before = avq_obs::global().snapshot();
+        let _ = table(&db, "select count(*) from people");
+        let _ = plan_text(&db, "explain select * from people");
+        let after = avq_obs::global().snapshot();
+        let delta = |name: &str| {
+            after.counters.get(name).copied().unwrap_or(0)
+                - before.counters.get(name).copied().unwrap_or(0)
+        };
+        assert!(delta(avq_obs::names::SQL_STATEMENTS) >= 2);
+        assert!(delta(avq_obs::names::SQL_PLANS_CONSIDERED) >= 2);
+        delta(avq_obs::names::SQL_STATEMENTS) == 2
+    });
+    assert!(quiet_window, "two statements must count as exactly two");
 }
