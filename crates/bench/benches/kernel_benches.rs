@@ -1,15 +1,11 @@
 //! Criterion micro-benchmarks for the decode kernels: scalar vs SWAR
-//! per-block decode across coding modes, fixed-chunk vs work-stealing
-//! parallel decompression at 1/2/4/8 threads, and a counting-allocator
+//! per-block decode across coding modes, and a counting-allocator
 //! check that the steady-state batch decode path performs at most one heap
 //! allocation per *block* in every mode under both kernels — and its
 //! `Vec<Tuple>` adapter at most one per decoded tuple (the tuple's own
 //! digit storage).
 
-use avq_codec::{
-    compress, decode_blocks_chunked, decode_blocks_parallel, BlockCodec, CodecOptions, CodingMode,
-    DecodeKernel, DecodeScratch, RepChoice,
-};
+use avq_codec::{BlockCodec, CodingMode, DecodeKernel, DecodeScratch, RepChoice};
 use avq_schema::{Schema, Tuple, TupleBatch};
 use avq_workload::SyntheticSpec;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -146,42 +142,5 @@ fn bench_kernel_decode(c: &mut Criterion) {
     g.finish();
 }
 
-/// Whole-relation parallel decode: fixed-chunk striping vs. the
-/// work-stealing block queue at 1/2/4/8 threads.
-fn bench_parallel_strategies(c: &mut Criterion) {
-    let spec = SyntheticSpec::section_5_2(20_000);
-    let relation = spec.generate();
-    let coded = compress(&relation, CodecOptions::default()).unwrap();
-    let codec = coded.codec();
-
-    let mut g = c.benchmark_group("parallel_decode");
-    g.throughput(Throughput::Elements(coded.tuple_count() as u64));
-    for threads in [1usize, 2, 4, 8] {
-        g.bench_with_input(
-            BenchmarkId::new("chunked", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(
-                        decode_blocks_chunked(&codec, black_box(coded.blocks()), threads).unwrap(),
-                    )
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("stealing", threads),
-            &threads,
-            |b, &threads| {
-                b.iter(|| {
-                    black_box(
-                        decode_blocks_parallel(&codec, black_box(coded.blocks()), threads).unwrap(),
-                    )
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
-criterion_group!(benches, bench_kernel_decode, bench_parallel_strategies);
+criterion_group!(benches, bench_kernel_decode);
 criterion_main!(benches);

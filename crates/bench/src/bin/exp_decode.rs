@@ -1,7 +1,7 @@
 //! Experiment E12 — decode-path performance: scalar vs SWAR decode
 //! kernels, streaming per-block decode with a reused scratch vs. a fresh
-//! scratch per block, whole-relation parallel decompression (fixed-chunk
-//! striping vs. the work-stealing block queue), and the cold-vs-warm full
+//! scratch per block, whole-relation parallel decompression through the
+//! work-stealing block queue, and the cold-vs-warm full
 //! scan through the decoded-block cache (a warm re-scan performs zero
 //! decode calls, asserted via the cache's hit/miss counters).
 //!
@@ -21,10 +21,7 @@
 use avq_bench::harness;
 use avq_bench::measure::avg_ms;
 use avq_bench::report::Table;
-use avq_codec::{
-    compress, decode_blocks_chunked, decode_blocks_parallel, CodecOptions, DecodeKernel,
-    DecodeScratch,
-};
+use avq_codec::{compress, decode_blocks_parallel, CodecOptions, DecodeKernel, DecodeScratch};
 use avq_db::{Database, DbConfig};
 use avq_schema::Tuple;
 
@@ -115,35 +112,24 @@ fn main() {
     t.print();
     println!();
 
-    // Whole-relation decompression: sequential, then fixed-chunk striping
-    // vs. the work-stealing block queue at each thread count.
+    // Whole-relation decompression: sequential, then the work-stealing
+    // block queue at each thread count.
     let seq_ms = avg_ms(1, reps, || {
         std::hint::black_box(coded.decompress().unwrap());
     });
     let thread_counts = [1usize, 2, 4, 8];
-    let mut par_chunked = Vec::new();
     let mut par_stealing = Vec::new();
-    let mut t = Table::new(["threads", "chunked ms", "stealing ms", "speedup (stealing)"]);
-    t.row([
-        "seq".to_owned(),
-        format!("{seq_ms:.3}"),
-        format!("{seq_ms:.3}"),
-        "1.00".to_owned(),
-    ]);
+    let mut t = Table::new(["threads", "stealing ms", "speedup (stealing)"]);
+    t.row(["seq".to_owned(), format!("{seq_ms:.3}"), "1.00".to_owned()]);
     for &threads in &thread_counts {
-        let chunked_ms = avg_ms(1, reps, || {
-            std::hint::black_box(decode_blocks_chunked(&codec, coded.blocks(), threads).unwrap());
-        });
         let stealing_ms = avg_ms(1, reps, || {
             std::hint::black_box(decode_blocks_parallel(&codec, coded.blocks(), threads).unwrap());
         });
         t.row([
             threads.to_string(),
-            format!("{chunked_ms:.3}"),
             format!("{stealing_ms:.3}"),
             format!("{:.2}", seq_ms / stealing_ms),
         ]);
-        par_chunked.push((threads, chunked_ms));
         par_stealing.push((threads, stealing_ms));
     }
     t.print();
@@ -235,14 +221,12 @@ fn main() {
          \"swar_speedup\": {:.3},\n  \
          \"fresh_scratch_ms\": {fresh_ms:.3},\n  \"reused_scratch_ms\": {reused_ms:.3},\n  \
          \"sequential_decompress_ms\": {seq_ms:.3},\n  \
-         \"parallel_decompress_chunked\": [{}],\n  \
          \"parallel_decompress\": [{}],\n  \
          \"scan_cold_ms\": {cold_ms:.3},\n  \"scan_warm_ms\": {warm_ms:.3},\n  \
          \"cold_cache_misses\": {},\n  \
          \"warm_cache_hits\": {},\n  \"warm_cache_misses\": {},\n  \
          \"latency_ns\": {latency}\n}}\n",
         scalar_ms / swar_ms,
-        par_json(&par_chunked),
         par_json(&par_stealing),
         cold_stats.misses,
         warm_stats.hits,

@@ -20,7 +20,7 @@ use avq_bench::measure::avg_ms;
 use avq_bench::report::Table;
 use avq_db::{
     AdmissionConfig, AdmissionController, Database, DbConfig, GovCtx, GovernanceError, QueryBudget,
-    QueryClass,
+    QueryClass, QueryCtx,
 };
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -97,12 +97,7 @@ fn run_phase(
                     match gate.admit(class, &gov) {
                         Ok(_permit) => {
                             tally.admitted.fetch_add(1, Ordering::Relaxed);
-                            let r = avq_sql::run_governed(
-                                db,
-                                &stmt,
-                                &avq_obs::TraceCtx::disabled(),
-                                &gov,
-                            );
+                            let r = avq_sql::run_with(db, &stmt, &QueryCtx::from(gov));
                             if r.is_err() {
                                 tally.tripped.fetch_add(1, Ordering::Relaxed);
                             }
@@ -204,12 +199,7 @@ fn main() {
             db.clock().clone(),
         );
         let sw = avq_obs::Stopwatch::start();
-        let r = avq_sql::run_governed(
-            &db,
-            "select count(*) from events",
-            &avq_obs::TraceCtx::disabled(),
-            &gov,
-        );
+        let r = avq_sql::run_with(&db, "select count(*) from events", &QueryCtx::from(gov));
         assert!(r.is_err(), "a 2 virtual-ms scan of {blocks} blocks");
         hit_ms.push(sw.elapsed().as_secs_f64() * 1000.0);
     }
@@ -224,16 +214,14 @@ fn main() {
     let plain_ms = avg_ms(2, 20, || {
         std::hint::black_box(avq_sql::run(&db, stmt).unwrap());
     });
-    let wide = GovCtx::new(
+    let wide = QueryCtx::from(GovCtx::new(
         QueryBudget::unlimited()
             .with_max_rows(u64::MAX)
             .with_max_decoded_bytes(u64::MAX),
         db.clock().clone(),
-    );
+    ));
     let governed_ms = avg_ms(2, 20, || {
-        std::hint::black_box(
-            avq_sql::run_governed(&db, stmt, &avq_obs::TraceCtx::disabled(), &wide).unwrap(),
-        );
+        std::hint::black_box(avq_sql::run_with(&db, stmt, &wide).unwrap());
     });
     let overhead = governed_ms / plain_ms;
 

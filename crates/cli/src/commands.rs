@@ -663,8 +663,8 @@ pub fn sql(
     flags: &BudgetFlags,
 ) -> Result<String, CliError> {
     let (target, _) = SqlTarget::open(path, kernel)?;
-    let gov = flags.gov_for(target.db());
-    let outcome = avq_sql::run_governed(target.db(), stmt, &avq_obs::TraceCtx::disabled(), &gov)?;
+    let ctx = avq_obs::QueryCtx::from(flags.gov_for(target.db()));
+    let outcome = avq_sql::run_with(target.db(), stmt, &ctx)?;
     Ok(format!("{}\n", outcome.render()))
 }
 
@@ -703,10 +703,12 @@ fn run_one_with_trace(
 > {
     let (target, _) = SqlTarget::open(path, kernel)?;
     target.db().drop_caches();
-    let gov = flags.gov_for(target.db());
-    let ctx = collector.begin();
-    let result = avq_sql::run_governed(target.db(), stmt, &ctx, &gov);
-    let data = collector.finish(ctx);
+    let ctx = avq_obs::QueryCtx {
+        trace: collector.begin(),
+        gov: flags.gov_for(target.db()),
+    };
+    let result = avq_sql::run_with(target.db(), stmt, &ctx);
+    let data = collector.finish(ctx.trace);
     Ok((result?, data, collector))
 }
 
@@ -828,7 +830,7 @@ where
                 gov.cancel();
                 pending_cancel = false;
             }
-            match avq_sql::run_governed(target.db(), stmt, &avq_obs::TraceCtx::disabled(), &gov) {
+            match avq_sql::run_with(target.db(), stmt, &avq_obs::QueryCtx::from(gov)) {
                 Ok(outcome) => writeln!(output, "{}", outcome.render())?,
                 Err(e) => writeln!(output, "error: {e}")?,
             }
@@ -986,13 +988,13 @@ fn exercise_builtin() -> Result<(), CliError> {
             "select k, count(*) from sample where v between 10 and 40 group by k",
         )?;
         let collector = avq_obs::TraceCollector::new(1, avq_obs::SamplingPolicy::Always);
-        let ctx = collector.begin();
-        let _ = avq_sql::run_traced(
+        let ctx = avq_obs::QueryCtx::from(collector.begin());
+        let _ = avq_sql::run_with(
             db.database(),
             "select a.k from sample a join sample b on a.k = b.k limit 4",
             &ctx,
         )?;
-        let _ = collector.finish(ctx);
+        let _ = collector.finish(ctx.trace);
         db.checkpoint()?;
         Ok(())
     })();

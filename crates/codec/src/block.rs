@@ -350,35 +350,6 @@ impl BlockCodec {
         Ok(())
     }
 
-    /// [`Self::decode_batch_into`] on behalf of a query. The block boundary
-    /// is the poll point — a tripped budget or a cancelled query refuses
-    /// the decode before any work — and on success the coded bytes in and
-    /// tuples out are charged to `gov`, so quotas overshoot by at most one
-    /// block. When `ctx` is recording, the decode runs under an
-    /// `avq.codec.decode_block` trace span carrying the kernel name plus
-    /// tuple and byte counts. Disabled contexts cost one branch each.
-    pub fn decode_batch_into_governed(
-        &self,
-        bytes: &[u8],
-        out: &mut TupleBatch,
-        scratch: &mut DecodeScratch,
-        ctx: &avq_obs::TraceCtx,
-        gov: &avq_obs::GovCtx,
-    ) -> Result<(), crate::GovernedDecodeError> {
-        gov.poll()?;
-        let base = out.len();
-        let guard = ctx.span(names::SPAN_CODEC_DECODE_BLOCK);
-        let result = self.decode_batch_into(bytes, out, scratch);
-        if guard.is_recording() {
-            guard.attr(names::ATTR_KERNEL, self.kernel.to_string());
-            guard.attr(names::ATTR_BYTES, bytes.len());
-            guard.attr(names::ATTR_TUPLES, out.len() - base);
-        }
-        result?;
-        gov.charge_decoded(bytes.len() as u64, (out.len() - base) as u64);
-        Ok(())
-    }
-
     /// Decodes a block stream into owned tuples, in φ order.
     pub fn decode(&self, bytes: &[u8]) -> Result<Vec<Tuple>, CodecError> {
         let mut out = Vec::new();

@@ -94,41 +94,6 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Outcome of a governed block decode
-/// ([`crate::BlockCodec::decode_batch_into_governed`]): the block either
-/// failed to decode or the query budget refused the work at the block
-/// boundary.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum GovernedDecodeError {
-    /// The block stream failed to decode.
-    Codec(CodecError),
-    /// The governance budget tripped (timeout, quota, or cancellation).
-    Governance(avq_obs::GovernanceError),
-}
-
-impl fmt::Display for GovernedDecodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            GovernedDecodeError::Codec(e) => e.fmt(f),
-            GovernedDecodeError::Governance(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for GovernedDecodeError {}
-
-impl From<CodecError> for GovernedDecodeError {
-    fn from(e: CodecError) -> Self {
-        GovernedDecodeError::Codec(e)
-    }
-}
-
-impl From<avq_obs::GovernanceError> for GovernedDecodeError {
-    fn from(e: avq_obs::GovernanceError) -> Self {
-        GovernedDecodeError::Governance(e)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -62,13 +62,12 @@ mod update;
 
 pub use block::{BlockCodec, DecodeScratch, BLOCK_HEADER_BYTES};
 pub use compress::{compress, compress_sorted, BlockMeta, CodecOptions, CodedRelation};
-pub use error::{CodecError, GovernedDecodeError};
+pub use error::CodecError;
 pub use kernel::DecodeKernel;
 pub use mode::{CodingMode, RepChoice};
 pub use packer::BlockPacker;
 pub use parallel::{
-    compress_parallel, compress_sorted_parallel, decode_blocks_chunked, decode_blocks_parallel,
-    decompress_parallel,
+    compress_parallel, compress_sorted_parallel, decode_blocks_parallel, decompress_parallel,
 };
 pub use stats::CompressionStats;
 pub use update::{

@@ -10,8 +10,7 @@
 //! costs ~30× the median), so [`decompress_parallel`] feeds workers from a
 //! shared atomic work-stealing queue rather than fixed stripes: each worker
 //! claims the next undecoded block, reusing one [`DecodeScratch`], and the
-//! per-block runs are reassembled in φ order afterwards. The old striped
-//! schedule survives as [`decode_blocks_chunked`] for benchmarking.
+//! per-block runs are reassembled in φ order afterwards.
 
 use crate::block::{BlockCodec, DecodeScratch};
 use crate::compress::{compress_sorted, CodecOptions, CodedRelation};
@@ -154,11 +153,11 @@ pub fn compress_sorted_parallel(
 /// Workers claim blocks one at a time from an atomic global index
 /// (`fetch_add`), so a straggler block — a 4 ms p99 outlier — occupies one
 /// worker while the rest keep draining the queue; fixed chunk assignment
-/// (see [`decode_blocks_chunked`]) would instead serialize the whole pass
-/// behind the unluckiest stripe. Each worker accumulates `(block index,
-/// tuple run)` pairs; after the scope joins, the runs are reassembled in
-/// block order, so the output is identical to decoding every block
-/// sequentially with [`BlockCodec::decode_into`].
+/// would instead serialize the whole pass behind the unluckiest stripe.
+/// Each worker accumulates `(block index, tuple run)` pairs; after the
+/// scope joins, the runs are reassembled in block order, so the output is
+/// identical to decoding every block sequentially with
+/// [`BlockCodec::decode_into`].
 ///
 /// On failure, decoding aborts early and the error of the φ-smallest
 /// failing block among those the workers reached is returned.
@@ -239,58 +238,6 @@ pub fn decode_blocks_parallel(
     let mut out = Vec::with_capacity(runs.iter().map(|(_, r)| r.len()).sum());
     for (_, run) in runs {
         out.extend(run);
-    }
-    Ok(out)
-}
-
-/// The fixed-chunk predecessor of [`decode_blocks_parallel`]: blocks are
-/// striped contiguously across the workers (mirroring
-/// [`compress_sorted_parallel`]) and the per-stripe runs concatenated.
-///
-/// Kept as the baseline the `kernel_benches` scheduling comparison measures
-/// against; the output contract is the same as the work-stealing path's,
-/// and the first error encountered (in stripe order) is returned.
-pub fn decode_blocks_chunked(
-    codec: &BlockCodec,
-    blocks: &[Vec<u8>],
-    threads: usize,
-) -> Result<Vec<Tuple>, CodecError> {
-    let threads = threads.max(1);
-    if threads == 1 || blocks.len() < 2 {
-        return decode_blocks_parallel(codec, blocks, 1);
-    }
-
-    let per_worker = blocks.len().div_ceil(threads);
-    let stripes = blocks.len().div_ceil(per_worker);
-    // lint: bounded(one slot per decode stripe; stripes ≤ thread count)
-    let mut parts: Vec<Result<Vec<Tuple>, CodecError>> = Vec::with_capacity(stripes);
-    parts.resize_with(stripes, || Ok(Vec::new()));
-
-    std::thread::scope(|scope| {
-        for (chunk, slot) in blocks.chunks(per_worker).zip(parts.iter_mut()) {
-            let codec = codec.clone();
-            scope.spawn(move || {
-                let mut scratch = DecodeScratch::new();
-                let mut out = Vec::new();
-                for b in chunk {
-                    if let Err(e) = codec.decode_into_scratch(b, &mut out, &mut scratch) {
-                        *slot = Err(e);
-                        return;
-                    }
-                }
-                *slot = Ok(out);
-            });
-        }
-    });
-
-    let mut out = Vec::new();
-    for p in parts {
-        let run = p?;
-        if out.is_empty() {
-            out = run;
-        } else {
-            out.extend(run);
-        }
     }
     Ok(out)
 }

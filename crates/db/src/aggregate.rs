@@ -10,7 +10,7 @@ use crate::cost::{CostTracker, QueryCost};
 use crate::error::DbError;
 use crate::query::Selection;
 use crate::relation_store::StoredRelation;
-use avq_obs::names;
+use avq_obs::{names, QueryCtx};
 use std::collections::BTreeMap;
 
 /// An aggregate function over one attribute (ordinal space).
@@ -95,8 +95,12 @@ impl StoredRelation {
 
         // General path: stream the selection through a fold (matching
         // tuples are never materialized).
-        let (state, cost, _) =
-            self.fold_matching(selection, AggState::default(), |st, row| st.feed(agg, row))?;
+        let (state, cost, _) = self.fold_matching(
+            selection,
+            &QueryCtx::default(),
+            AggState::default(),
+            |st, row| st.feed(agg, row),
+        )?;
         tracker.cost = cost;
         Ok((state.finish(agg), tracker.cost))
     }
@@ -111,6 +115,7 @@ impl StoredRelation {
     ) -> Result<(BTreeMap<u64, AggregateValue>, QueryCost), DbError> {
         let (groups, cost, _) = self.fold_matching(
             selection,
+            &QueryCtx::default(),
             BTreeMap::<u64, AggState>::new(),
             |groups, row| {
                 groups.entry(row[group_attr]).or_default().feed(agg, row);

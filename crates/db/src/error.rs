@@ -100,15 +100,6 @@ impl From<avq_obs::GovernanceError> for DbError {
     }
 }
 
-impl From<avq_codec::GovernedDecodeError> for DbError {
-    fn from(e: avq_codec::GovernedDecodeError) -> Self {
-        match e {
-            avq_codec::GovernedDecodeError::Codec(c) => DbError::from(c),
-            avq_codec::GovernedDecodeError::Governance(g) => DbError::Governance(g),
-        }
-    }
-}
-
 impl From<avq_wal::WalError> for DbError {
     fn from(e: avq_wal::WalError) -> Self {
         DbError::Durability {

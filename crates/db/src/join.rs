@@ -17,7 +17,7 @@
 use crate::cost::{CostTracker, QueryCost};
 use crate::error::DbError;
 use crate::relation_store::StoredRelation;
-use avq_obs::names;
+use avq_obs::{names, QueryCtx};
 use avq_schema::Tuple;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -86,12 +86,14 @@ fn nested_loop(
     inner_attr: usize,
     probe_index: bool,
 ) -> Result<(Vec<(Tuple, Tuple)>, QueryCost), DbError> {
-    let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
+    let ctx = QueryCtx::default();
     let mut tracker = CostTracker::new(outer.device());
     let mut out = Vec::new();
     let inner_ids = inner.all_block_ids();
     for oid in outer.all_block_ids() {
-        let outer_rows = outer.read_block(oid, &ctx, &gov)?;
+        let Some(outer_rows) = outer.read_block(oid, &ctx)? else {
+            continue;
+        };
         tracker.cost.data_blocks += 1;
         tracker.cost.tuples_scanned += outer_rows.len();
         let mut by_value: BTreeMap<u64, Vec<&[u64]>> = BTreeMap::new();
@@ -110,7 +112,9 @@ fn nested_loop(
             inner_ids.clone()
         };
         for iid in candidates {
-            let inner_rows = inner.read_block(iid, &ctx, &gov)?;
+            let Some(inner_rows) = inner.read_block(iid, &ctx)? else {
+                continue;
+            };
             tracker.cost.data_blocks += 1;
             for irow in inner_rows.rows() {
                 for orow in by_value.get(&irow[inner_attr]).into_iter().flatten() {

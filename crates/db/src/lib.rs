@@ -71,10 +71,10 @@ pub use avq_storage::RetryPolicy;
 pub use extsort::{ExternalSorter, SortedStream};
 pub use join::{block_nested_loop, equijoin, index_nested_loop, JoinStrategy};
 pub use query::{AccessPath, RangePredicate, Selection};
-pub use relation_store::{
-    row_mem_bytes, tuple_mem_bytes, uncoded_block_count, StoredBlock, StoredRelation,
-};
+pub use relation_store::{row_mem_bytes, uncoded_block_count, StoredBlock, StoredRelation};
 
-pub use avq_obs::{GovCtx, GovUsage, GovernanceError, QueryBudget, QuotaKind, ShedReason};
+pub use avq_obs::{
+    GovCtx, GovUsage, GovernanceError, QueryBudget, QueryCtx, QuotaKind, ShedReason,
+};
 pub use scan::RangeScan;
 pub use secondary::SecondaryIndex;

@@ -10,7 +10,7 @@
 use crate::cost::{CostTracker, QueryCost};
 use crate::error::DbError;
 use crate::relation_store::StoredRelation;
-use avq_obs::names;
+use avq_obs::{names, QueryCtx};
 use avq_schema::Tuple;
 use avq_storage::BlockId;
 
@@ -169,12 +169,17 @@ impl StoredRelation {
     }
 
     /// Streams every row matching `selection` through `f`, borrowed from
-    /// its decoded block, without materializing the result set; the
-    /// backbone of [`Self::select`], [`Self::aggregate`], and
-    /// [`Self::aggregate_group_by`].
+    /// its decoded block, without materializing the result set — the one
+    /// loop that turns candidate blocks into filtered rows, behind
+    /// [`Self::select`], [`Self::select_range`], [`Self::aggregate`] and
+    /// [`Self::aggregate_group_by`]. Blocks come through
+    /// [`Self::read_block`] under `ctx`; the cost counts the blocks and
+    /// tuples actually served, so one skipped under
+    /// [`crate::ScanPolicy::SkipCorrupt`] is in neither.
     pub fn fold_matching<T>(
         &self,
         selection: &Selection,
+        ctx: &QueryCtx,
         init: T,
         mut f: impl FnMut(&mut T, &[u64]),
     ) -> Result<(T, QueryCost, AccessPath), DbError> {
@@ -186,13 +191,11 @@ impl StoredRelation {
         tracker.end_index_phase();
 
         let mut acc = init;
-        tracker.cost.data_blocks = candidates.len() as u64;
         for id in candidates {
-            let run = self.read_block(
-                id,
-                &avq_obs::TraceCtx::disabled(),
-                &avq_obs::GovCtx::unlimited(),
-            )?;
+            let Some(run) = self.read_block(id, ctx)? else {
+                continue;
+            };
+            tracker.cost.data_blocks += 1;
             tracker.cost.tuples_scanned += run.len();
             for row in run.rows().filter(|row| selection.matches(row)) {
                 tracker.cost.tuples_matched += 1;
@@ -209,7 +212,9 @@ impl StoredRelation {
         &self,
         selection: &Selection,
     ) -> Result<(Vec<Tuple>, QueryCost, AccessPath), DbError> {
-        self.fold_matching(selection, Vec::new(), |out, row| out.push(Tuple::from(row)))
+        self.fold_matching(selection, &QueryCtx::default(), Vec::new(), |out, row| {
+            out.push(Tuple::from(row))
+        })
     }
 }
 

@@ -10,6 +10,7 @@
 use crate::config::{DbConfig, ScanPolicy};
 use crate::cost::{CostTracker, QueryCost};
 use crate::error::DbError;
+use crate::query::{RangePredicate, Selection};
 use crate::secondary::SecondaryIndex;
 #[cfg(test)]
 use avq_codec::CodingMode;
@@ -22,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
 use avq_index::BPlusTree;
-use avq_obs::names;
+use avq_obs::{names, QueryCtx};
 
 /// In-memory bookkeeping for one coded data block.
 #[derive(Debug, Clone)]
@@ -268,45 +269,69 @@ impl StoredRelation {
         self.blocks.iter().map(|b| b.id).collect()
     }
 
-    /// Reads one data block as a shared decoded batch — the one block-read
-    /// primitive every operator (and the SQL executor in `avq-sql`) scans
-    /// through.
+    /// Hands one stored block to a reader as a shared decoded batch — the
+    /// one place that happens, for every operator here and for the SQL
+    /// executor in `avq-sql`. In order:
     ///
-    /// The decoded-block cache is consulted first: a hit hands out the
-    /// cached batch itself, touching neither the pool nor the codec and
-    /// copying nothing. On a miss the block is read through the pool,
-    /// decoded, checked for φ order, and cached for the next reader.
-    ///
-    /// The block boundary is `gov`'s poll point — a cancelled query or a
-    /// tripped deadline/quota surfaces [`DbError::Governance`] before the
-    /// block is served — the retry policy is clamped to the query's
-    /// remaining deadline, and the block's coded bytes and tuples are
-    /// charged (cache hits charge tuples only: nothing was re-decoded, but
-    /// the rows are still examined). When `ctx` is recording, the read runs
-    /// under an `avq.db.block_read` trace span carrying the block id and
-    /// cache/pool-hit flags, and a miss nests the codec's
-    /// `avq.codec.decode_block` span beneath it. Disabled contexts cost one
-    /// branch each.
+    /// 1. **Poll.** The block boundary is `ctx.gov`'s one poll point: a
+    ///    cancelled query or a tripped deadline/quota surfaces
+    ///    [`DbError::Governance`] before anything is served. A trip is never
+    ///    block corruption — it aborts the scan under either policy.
+    /// 2. **Skip.** Under [`ScanPolicy::SkipCorrupt`] a quarantined block is
+    ///    `Ok(None)` without being re-read, and a block that turns out
+    ///    unreadable or corrupt is quarantined and reported the same way;
+    ///    [`ScanPolicy::FailFast`] returns the error.
+    /// 3. **Serve.** A decoded-cache hit hands out the cached batch itself,
+    ///    touching neither the pool nor the codec and copying nothing. A
+    ///    miss reads the bytes through the pool (retries clamped to the
+    ///    query's remaining deadline), decodes, checks φ order and caches
+    ///    the batch. When `ctx.trace` is recording this runs under an
+    ///    `avq.db.block_read` span (block id, cache/pool-hit flags) with the
+    ///    decode in a nested `avq.codec.decode_block` span (kernel, bytes,
+    ///    tuples).
+    /// 4. **Charge, after success.** The budget is charged the block's
+    ///    tuples, plus its coded bytes if it was decoded — a skipped or
+    ///    failed block charges nothing — and the simulated clock advances
+    ///    by Eq. 5.7's t₂ (`cpu_ms_per_block`).
     pub fn read_block(
         &self,
         id: BlockId,
-        ctx: &avq_obs::TraceCtx,
-        gov: &avq_obs::GovCtx,
-    ) -> Result<Arc<TupleBatch>, DbError> {
-        let guard = ctx.span(names::SPAN_DB_BLOCK_READ);
+        ctx: &QueryCtx,
+    ) -> Result<Option<Arc<TupleBatch>>, DbError> {
+        ctx.gov.poll()?;
+        let skip = self.config.scan_policy == ScanPolicy::SkipCorrupt;
+        if skip && self.is_quarantined(id) {
+            return Ok(None);
+        }
+        match self.serve_block(id, ctx) {
+            Ok((run, decoded_bytes)) => {
+                ctx.gov.charge_decoded(decoded_bytes, run.len() as u64);
+                self.charge_cpu(1);
+                Ok(Some(run))
+            }
+            Err(e) if skip && is_block_corruption(&e) => {
+                self.quarantine(id);
+                Ok(None)
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Step 3 of [`Self::read_block`]: the batch, and the coded bytes
+    /// decoded to produce it (0 on a decoded-cache hit).
+    fn serve_block(&self, id: BlockId, ctx: &QueryCtx) -> Result<(Arc<TupleBatch>, u64), DbError> {
+        let guard = ctx.trace.span(names::SPAN_DB_BLOCK_READ);
         if guard.is_recording() {
             guard.attr(names::ATTR_BLOCK, id);
         }
         if let Some(run) = self.decoded.get(id) {
-            gov.poll()?;
-            gov.charge_decoded(0, run.len() as u64);
             if guard.is_recording() {
                 guard.attr(names::ATTR_CACHE_HIT, true);
             }
-            return Ok(run);
+            return Ok((run, 0));
         }
         let pool_before = guard.is_recording().then(|| self.pool.stats());
-        let retry = match gov.remaining_ms() {
+        let retry = match ctx.gov.remaining_ms() {
             Some(rem) => self.config.retry.clamped_to_ms(rem),
             None => self.config.retry,
         };
@@ -316,26 +341,31 @@ impl StoredRelation {
             let served_from_pool = self.pool.stats().since(&before).hits > 0;
             guard.attr(names::ATTR_POOL_HIT, served_from_pool);
         }
-        self.decode_and_cache(id, &bytes, ctx, gov)
+        let run = self.decode_and_cache(id, &bytes, &ctx.trace)?;
+        Ok((run, bytes.len() as u64))
     }
 
-    /// The cache-miss half of [`Self::read_block`]: decodes `bytes`, checks
-    /// φ order, and caches the batch as block `id`.
+    /// Decodes `bytes`, checks φ order, and caches the batch as block `id`,
+    /// under an `avq.codec.decode_block` span when `trace` is recording.
     fn decode_and_cache(
         &self,
         id: BlockId,
         bytes: &[u8],
-        ctx: &avq_obs::TraceCtx,
-        gov: &avq_obs::GovCtx,
+        trace: &avq_obs::TraceCtx,
     ) -> Result<Arc<TupleBatch>, DbError> {
         let mut run = TupleBatch::new(self.schema.arity());
-        self.codec.decode_batch_into_governed(
-            bytes,
-            &mut run,
-            &mut DecodeScratch::new(),
-            ctx,
-            gov,
-        )?;
+        {
+            let guard = trace.span(names::SPAN_CODEC_DECODE_BLOCK);
+            let decoded = self
+                .codec
+                .decode_batch_into(bytes, &mut run, &mut DecodeScratch::new());
+            if guard.is_recording() {
+                guard.attr(names::ATTR_KERNEL, self.codec.kernel().to_string());
+                guard.attr(names::ATTR_BYTES, bytes.len());
+                guard.attr(names::ATTR_TUPLES, run.len());
+            }
+            decoded?;
+        }
         check_phi_order(&run)?;
         let run = Arc::new(run);
         self.decoded.insert(id, run.clone());
@@ -351,76 +381,23 @@ impl StoredRelation {
         let bytes = self.pool.read(id)?;
         let rows = match self.decoded.get(id) {
             Some(rows) => rows,
-            None => self.decode_and_cache(
-                id,
-                &bytes,
-                &avq_obs::TraceCtx::disabled(),
-                &avq_obs::GovCtx::unlimited(),
-            )?,
+            None => self.decode_and_cache(id, &bytes, &avq_obs::TraceCtx::disabled())?,
         };
         Ok((bytes, rows))
     }
 
     /// [`Self::read_block`] for callers that need owned tuples (the layer
-    /// probes under `benchmark/`): every row is copied out as a [`Tuple`].
+    /// probes under `benchmark/`): every row of a served block is copied
+    /// out as a [`Tuple`]; a block skipped under
+    /// [`ScanPolicy::SkipCorrupt`] appends nothing.
     pub fn decode_block_into(&self, id: BlockId, out: &mut Vec<Tuple>) -> Result<(), DbError> {
-        self.decode_block_into_traced(id, out, &avq_obs::TraceCtx::disabled())
-    }
-
-    /// [`Self::decode_block_into`] with [`Self::read_block`]'s trace spans.
-    pub fn decode_block_into_traced(
-        &self,
-        id: BlockId,
-        out: &mut Vec<Tuple>,
-        ctx: &avq_obs::TraceCtx,
-    ) -> Result<(), DbError> {
-        self.decode_block_into_governed(id, out, ctx, &avq_obs::GovCtx::unlimited())
-    }
-
-    /// [`Self::decode_block_into_traced`] under [`Self::read_block`]'s
-    /// governance polling and charging.
-    pub fn decode_block_into_governed(
-        &self,
-        id: BlockId,
-        out: &mut Vec<Tuple>,
-        ctx: &avq_obs::TraceCtx,
-        gov: &avq_obs::GovCtx,
-    ) -> Result<(), DbError> {
-        out.extend(self.read_block(id, ctx, gov)?.rows().map(Tuple::from));
+        if let Some(run) = self.read_block(id, &QueryCtx::default())? {
+            out.extend(run.rows().map(Tuple::from));
+        }
         Ok(())
     }
 
-    /// Policy-aware block read: under [`ScanPolicy::FailFast`] this is
-    /// [`Self::read_block`]; under [`ScanPolicy::SkipCorrupt`] an
-    /// unreadable or corrupt block is quarantined and reported as skipped
-    /// (`Ok(None)`) instead of aborting the scan. Already-quarantined
-    /// blocks are skipped without re-reading.
-    ///
-    /// A [`DbError::Governance`] trip is *not* block corruption: it always
-    /// aborts the scan — even under [`ScanPolicy::SkipCorrupt`] — so a
-    /// tripped query can never masquerade as a short result. Quarantined
-    /// and skipped blocks charge nothing: budget accounting covers exactly
-    /// the blocks actually served.
-    pub(crate) fn read_block_policy(
-        &self,
-        id: BlockId,
-        gov: &avq_obs::GovCtx,
-    ) -> Result<Option<Arc<TupleBatch>>, DbError> {
-        let skip = self.config.scan_policy == ScanPolicy::SkipCorrupt;
-        if skip && self.is_quarantined(id) {
-            return Ok(None);
-        }
-        match self.read_block(id, &avq_obs::TraceCtx::disabled(), gov) {
-            Ok(run) => Ok(Some(run)),
-            Err(e) if skip && is_block_corruption(&e) => {
-                self.quarantine(id);
-                Ok(None)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// True iff `id` has been quarantined by a prior policy-aware read.
+    /// True iff `id` has been quarantined by a prior [`Self::read_block`].
     pub fn is_quarantined(&self, id: BlockId) -> bool {
         self.quarantined
             .lock()
@@ -508,7 +485,7 @@ impl StoredRelation {
         }
         let mut idx = SecondaryIndex::create(self.pool.clone(), self.config.index_order, attr)?;
         for b in &self.blocks {
-            if let Some(run) = self.read_block_policy(b.id, &avq_obs::GovCtx::unlimited())? {
+            if let Some(run) = self.read_block(b.id, &QueryCtx::default())? {
                 idx.add_block(run.rows(), b.id)?;
             }
         }
@@ -531,16 +508,10 @@ impl StoredRelation {
     /// Under [`ScanPolicy::SkipCorrupt`] damaged blocks are quarantined and
     /// the surviving blocks' tuples are returned.
     pub fn scan_all(&self) -> Result<Vec<Tuple>, DbError> {
-        self.scan_all_governed(&avq_obs::GovCtx::unlimited())
-    }
-
-    /// [`Self::scan_all`] under a governance budget: each block boundary
-    /// polls `gov`, so cancellation or a tripped deadline/quota aborts the
-    /// scan with [`DbError::Governance`] within one block.
-    pub fn scan_all_governed(&self, gov: &avq_obs::GovCtx) -> Result<Vec<Tuple>, DbError> {
+        let ctx = QueryCtx::default();
         let mut out = Vec::with_capacity(self.tuple_count);
         for b in &self.blocks {
-            if let Some(run) = self.read_block_policy(b.id, gov)? {
+            if let Some(run) = self.read_block(b.id, &ctx)? {
                 out.extend(run.rows().map(Tuple::from));
             }
         }
@@ -591,64 +562,20 @@ impl StoredRelation {
     }
 
     /// Executes `σ_{lo ≤ A_attr ≤ hi}` and returns the matching tuples with
-    /// the measured cost.
-    ///
-    /// Access-path selection mirrors the paper: attribute 0 is the
-    /// clustering prefix of the φ order, so its selections are contiguous
-    /// and served by the primary index; other attributes use their secondary
-    /// index when one exists, and otherwise scan every block.
+    /// the measured cost: [`Self::select`] of the one conjunct, so the
+    /// access path is [`Selection::plan`]'s — attribute 0 is the clustering
+    /// prefix of the φ order and is served by the primary index; other
+    /// attributes use their secondary index when one exists, and otherwise
+    /// scan every block.
     pub fn select_range(
         &self,
         attr: usize,
         lo: u64,
         hi: u64,
     ) -> Result<(Vec<Tuple>, QueryCost), DbError> {
-        self.select_range_governed(attr, lo, hi, &avq_obs::GovCtx::unlimited())
-    }
-
-    /// [`Self::select_range`] under a governance budget: every block
-    /// boundary polls `gov`, matched tuples are charged against the memory
-    /// budget as they materialize, and a trip surfaces
-    /// [`DbError::Governance`] within one block.
-    pub fn select_range_governed(
-        &self,
-        attr: usize,
-        lo: u64,
-        hi: u64,
-        gov: &avq_obs::GovCtx,
-    ) -> Result<(Vec<Tuple>, QueryCost), DbError> {
-        let _span = avq_obs::span!(names::SPAN_DB_SELECT);
-        avq_obs::counter!(names::DB_QUERIES).inc();
-        let mut tracker = CostTracker::new(&self.device);
-        let candidates: Vec<BlockId> = if attr == 0 {
-            self.clustered_candidates(lo, hi)?
-        } else if let Some(idx) = self.secondaries.get(&attr) {
-            idx.blocks_for_range(lo, hi)?
-        } else {
-            self.blocks.iter().map(|b| b.id).collect()
-        };
-        tracker.end_index_phase();
-
-        let tuple_mem = tuple_mem_bytes(&self.schema);
-        let mut out = Vec::new();
-        for id in candidates {
-            let Some(run) = self.read_block_policy(id, gov)? else {
-                continue;
-            };
-            self.charge_cpu(1);
-            tracker.cost.data_blocks += 1;
-            tracker.cost.tuples_scanned += run.len();
-            let before = out.len();
-            out.extend(
-                run.rows()
-                    .filter(|row| (lo..=hi).contains(&row[attr]))
-                    .map(Tuple::from),
-            );
-            gov.charge_mem((out.len() - before) as u64 * tuple_mem);
-        }
-        tracker.cost.tuples_matched = out.len();
-        tracker.end_data_phase();
-        Ok((out, tracker.cost))
+        let selection = Selection::all().and(RangePredicate { attr, lo, hi });
+        let (rows, cost, _) = self.select(&selection)?;
+        Ok((rows, cost))
     }
 
     /// Candidate blocks for a selection on the clustering prefix: the
@@ -946,16 +873,10 @@ fn is_block_corruption(e: &DbError) -> bool {
 
 /// The governance memory budget's per-row model: a materialized row of
 /// `arity` ordinals is priced at its ordinals plus 32 bytes of container
-/// overhead, whether it is an owned [`Tuple`] in a selection result or a
-/// row of a flat intermediate batch in the SQL executor — one price, so
-/// storage-level and SQL-level state charge a tuple identically.
+/// overhead — the price the SQL executor charges for every row of a flat
+/// intermediate batch it holds.
 pub fn row_mem_bytes(arity: usize) -> u64 {
     arity as u64 * 8 + 32
-}
-
-/// [`row_mem_bytes`] for one tuple of `schema`.
-pub fn tuple_mem_bytes(schema: &Schema) -> u64 {
-    row_mem_bytes(schema.arity())
 }
 
 /// Serializes a tuple into its fixed-width primary-index key (byte order =
@@ -1284,10 +1205,10 @@ mod tests {
         );
 
         // A hit is the cached batch itself, not a copy of it.
-        let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
+        let ctx = QueryCtx::default();
         for b in stored.blocks() {
-            let first = stored.read_block(b.id, &ctx, &gov).unwrap();
-            let second = stored.read_block(b.id, &ctx, &gov).unwrap();
+            let first = stored.read_block(b.id, &ctx).unwrap().unwrap();
+            let second = stored.read_block(b.id, &ctx).unwrap().unwrap();
             assert!(Arc::ptr_eq(&first, &second));
             assert_eq!(first.len(), b.count);
         }
@@ -1357,17 +1278,17 @@ mod tests {
     fn in_place_mutations_replace_the_resident_batch_without_decoding() {
         let (_, _, mut stored) = setup(500, 256, CodingMode::AvqChained);
         stored.scan_all().unwrap(); // warm the cache
-        let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
+        let ctx = QueryCtx::default();
         let target = stored.blocks()[stored.block_count() / 2].id;
-        let cached = stored.read_block(target, &ctx, &gov).unwrap();
+        let cached = stored.read_block(target, &ctx).unwrap().unwrap();
         let misses = stored.decoded_stats().misses;
         let victim = Tuple::from(cached.row(cached.len() / 2));
         stored.delete(&victim).unwrap();
-        let after_delete = stored.read_block(target, &ctx, &gov).unwrap();
+        let after_delete = stored.read_block(target, &ctx).unwrap().unwrap();
         assert!(!Arc::ptr_eq(&cached, &after_delete), "stale batch survived");
         assert_eq!(after_delete.len(), cached.len() - 1);
         stored.insert(&victim).unwrap();
-        let after_insert = stored.read_block(target, &ctx, &gov).unwrap();
+        let after_insert = stored.read_block(target, &ctx).unwrap().unwrap();
         assert_eq!(after_insert, cached);
         assert_eq!(
             stored.decoded_stats().misses,
@@ -1381,10 +1302,10 @@ mod tests {
         for resident in [false, true] {
             let (device, pool, mut stored) = setup(300, 256, CodingMode::AvqChained);
             let b = stored.blocks()[1].clone();
-            let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
+            let ctx = QueryCtx::default();
             stored.clear_decoded_cache();
             if resident {
-                stored.read_block(b.id, &ctx, &gov).unwrap();
+                stored.read_block(b.id, &ctx).unwrap().unwrap();
             }
             // A count byte larger than the tuple is wide: every splice hops
             // over it, and so does every decode.
@@ -1469,14 +1390,14 @@ mod tests {
                 let victim = stored.scan_all().unwrap()[(i as usize * 7) % 300].clone();
                 stored.delete(&victim).unwrap();
             }
-            let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
+            let ctx = QueryCtx::default();
             for v in 0..64u64 {
                 let carrying: Vec<BlockId> = {
                     let mut ids: Vec<BlockId> = stored
                         .blocks()
                         .iter()
                         .filter(|b| {
-                            let rows = stored.read_block(b.id, &ctx, &gov).unwrap();
+                            let rows = stored.read_block(b.id, &ctx).unwrap().unwrap();
                             rows.rows().any(|row| row[1] == v)
                         })
                         .map(|b| b.id)
@@ -1492,6 +1413,38 @@ mod tests {
             }
         }
         assert!(stored.block_count() > before, "splits happened");
+    }
+
+    #[test]
+    fn block_read_trace_tree_is_pinned() {
+        // The subtree `avqtool sql --trace` prints beneath a scan stage for
+        // one block: a cold read from the device, a cold read out of the
+        // buffer pool, and a warm one — names, nesting, attribute order.
+        let (_, pool, stored) = setup(300, 256, CodingMode::AvqChained);
+        let b = stored.blocks()[1].clone();
+        let collector = avq_obs::TraceCollector::new(1, avq_obs::SamplingPolicy::Always);
+        let ctx = QueryCtx::from(collector.begin());
+        pool.clear();
+        stored.clear_decoded_cache();
+        stored.read_block(b.id, &ctx).unwrap().unwrap();
+        stored.clear_decoded_cache();
+        stored.read_block(b.id, &ctx).unwrap().unwrap();
+        stored.read_block(b.id, &ctx).unwrap().unwrap();
+        let text = collector.finish(ctx.trace).unwrap().render_text(true);
+        let (header, tree) = text.split_once('\n').unwrap();
+        assert!(header.ends_with("(5 spans, root -)"), "{header}");
+        let (id, bytes, tuples) = (b.id, b.used_bytes, b.count);
+        let decode = format!(
+            "  -> avq.codec.decode_block (-) kernel=\"swar\" bytes={bytes} tuples={tuples}\n"
+        );
+        assert_eq!(
+            tree,
+            format!(
+                "-> avq.db.block_read (-) block={id} cache_hit=false pool_hit=false\n{decode}\
+                 -> avq.db.block_read (-) block={id} cache_hit=false pool_hit=true\n{decode}\
+                 -> avq.db.block_read (-) block={id} cache_hit=true\n"
+            )
+        );
     }
 
     #[test]
@@ -1521,10 +1474,10 @@ mod tests {
         let b = stored.scan_all().unwrap();
         assert_eq!(a, b);
         assert_eq!(a.len(), 300);
-        let (ctx, gov) = (avq_obs::TraceCtx::disabled(), avq_obs::GovCtx::unlimited());
+        let ctx = QueryCtx::default();
         let id = stored.blocks()[0].id;
-        let first = stored.read_block(id, &ctx, &gov).unwrap();
-        let second = stored.read_block(id, &ctx, &gov).unwrap();
+        let first = stored.read_block(id, &ctx).unwrap().unwrap();
+        let second = stored.read_block(id, &ctx).unwrap().unwrap();
         assert!(
             !Arc::ptr_eq(&first, &second),
             "nothing to share when disabled"

@@ -8,6 +8,7 @@
 
 use crate::error::DbError;
 use crate::relation_store::StoredRelation;
+use avq_obs::QueryCtx;
 use avq_schema::{Tuple, TupleBatch};
 use std::sync::Arc;
 
@@ -25,25 +26,22 @@ pub struct RangeScan<'a> {
     error: Option<DbError>,
     done: bool,
     lo: Tuple,
-    /// Governance handle polled at each block boundary (refill).
-    gov: avq_obs::GovCtx,
+    /// The query's context; each refill reads its block under it.
+    ctx: QueryCtx,
 }
 
 impl StoredRelation {
-    /// Starts a streaming scan of the φ range `[lo, hi]`.
-    pub fn range_scan(&self, lo: Tuple, hi: Tuple) -> Result<RangeScan<'_>, DbError> {
-        self.range_scan_governed(lo, hi, avq_obs::GovCtx::unlimited())
-    }
-
-    /// [`Self::range_scan`] under a governance budget: each refill (block
-    /// boundary) polls `gov`, so a cancelled or tripped scan stops yielding
-    /// within one block and surfaces [`DbError::Governance`] through
-    /// [`RangeScan::take_error`] — never a silently truncated stream.
-    pub fn range_scan_governed(
+    /// Starts a streaming scan of the φ range `[lo, hi]` under `ctx`. Each
+    /// refill is one [`Self::read_block`], so a cancelled or tripped scan
+    /// stops yielding within one block and surfaces
+    /// [`DbError::Governance`] through [`RangeScan::take_error`] — never a
+    /// silently truncated stream — and a block skipped under
+    /// [`crate::ScanPolicy::SkipCorrupt`] is passed over.
+    pub fn range_scan(
         &self,
         lo: Tuple,
         hi: Tuple,
-        gov: avq_obs::GovCtx,
+        ctx: &QueryCtx,
     ) -> Result<RangeScan<'_>, DbError> {
         self.schema().validate_tuple(&lo)?;
         self.schema().validate_tuple(&hi)?;
@@ -59,7 +57,7 @@ impl StoredRelation {
             error: None,
             done: false,
             lo,
-            gov,
+            ctx: ctx.clone(),
         })
     }
 }
@@ -89,9 +87,7 @@ impl RangeScan<'_> {
             }
             let id = meta.id;
             self.next_block += 1;
-            // Policy-aware: under `SkipCorrupt` a damaged block is
-            // quarantined and the scan moves on to the next one.
-            match self.rel.read_block_policy(id, &self.gov) {
+            match self.rel.read_block(id, &self.ctx) {
                 Ok(Some(run)) => self.buf = run,
                 Ok(None) => continue,
                 Err(e) => {
@@ -164,13 +160,18 @@ mod tests {
         StoredRelation::bulk_load(device, pool, &relation, config).unwrap()
     }
 
+    /// A scan of `[lo, hi]` under the default context.
+    fn scan(rel: &StoredRelation, lo: Tuple, hi: Tuple) -> RangeScan<'_> {
+        rel.range_scan(lo, hi, &QueryCtx::default()).unwrap()
+    }
+
     #[test]
     fn scan_matches_filtered_full_scan() {
         let rel = stored(2000);
         let all = rel.scan_all().unwrap();
         let lo = Tuple::from([10u64, 0]);
         let hi = Tuple::from([20u64, 1023]);
-        let got: Vec<Tuple> = rel.range_scan(lo.clone(), hi.clone()).unwrap().collect();
+        let got: Vec<Tuple> = scan(&rel, lo.clone(), hi.clone()).collect();
         let expect: Vec<Tuple> = all
             .iter()
             .filter(|t| **t >= lo && **t <= hi)
@@ -185,7 +186,7 @@ mod tests {
         let rel = stored(2000);
         let lo = Tuple::from([30u64, 0]);
         let hi = Tuple::from([32u64, 1023]);
-        let mut scan = rel.range_scan(lo, hi).unwrap();
+        let mut scan = scan(&rel, lo, hi);
         let count = scan.by_ref().count();
         assert!(count > 0);
         assert!(
@@ -202,7 +203,7 @@ mod tests {
         let rel = stored(500);
         let lo = Tuple::from([63u64, 1023]);
         let hi = Tuple::from([63u64, 1023]);
-        let got: Vec<Tuple> = rel.range_scan(lo, hi).unwrap().collect();
+        let got: Vec<Tuple> = scan(&rel, lo, hi).collect();
         // Present only if that exact tuple exists.
         let present = rel
             .scan_all()
@@ -217,7 +218,7 @@ mod tests {
         let rel = stored(500);
         let lo = Tuple::from([40u64, 0]);
         let hi = Tuple::from([10u64, 0]);
-        assert_eq!(rel.range_scan(lo, hi).unwrap().count(), 0);
+        assert_eq!(scan(&rel, lo, hi).count(), 0);
     }
 
     #[test]
@@ -225,7 +226,7 @@ mod tests {
         let rel = stored(1000);
         let lo = Tuple::from([0u64, 0]);
         let hi = Tuple::from([63u64, 1023]);
-        let got: Vec<Tuple> = rel.range_scan(lo, hi).unwrap().collect();
+        let got: Vec<Tuple> = scan(&rel, lo, hi).collect();
         assert_eq!(got, rel.scan_all().unwrap());
     }
 
@@ -233,7 +234,11 @@ mod tests {
     fn invalid_bounds_rejected() {
         let rel = stored(100);
         assert!(rel
-            .range_scan(Tuple::from([99u64, 0]), Tuple::from([0u64, 0]))
+            .range_scan(
+                Tuple::from([99u64, 0]),
+                Tuple::from([0u64, 0]),
+                &QueryCtx::default()
+            )
             .is_err());
     }
 }

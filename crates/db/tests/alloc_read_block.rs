@@ -1,0 +1,120 @@
+//! Allocation accounting for the one block-read primitive.
+//!
+//! A cold [`StoredRelation::read_block`] must allocate what decoding the
+//! block allocates plus a small constant for handing it over (the `Arc`
+//! and the decoded-cache entry) — under the default context and under a
+//! live budget alike: polling and charging a [`GovCtx`] is arithmetic on
+//! atomics, never an allocation. A warm read hands out the cached batch
+//! and must allocate nothing. A counting global allocator pins both — it
+//! is the only test in this binary so no concurrent test thread can
+//! perturb the counter.
+
+use avq_codec::{BlockCodec, CodingMode, DecodeScratch};
+use avq_db::{DbConfig, GovCtx, QueryBudget, QueryCtx, StoredRelation};
+use avq_schema::{Domain, Relation, Schema, Tuple, TupleBatch};
+use avq_storage::{BlockDevice, BufferPool};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct CountingAlloc;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAlloc = CountingAlloc;
+
+fn allocs() -> u64 {
+    ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Allocations a cold read may add to its decode: the `Arc` around the
+/// batch and the decoded cache's entry for it.
+const HAND_OFF: u64 = 2;
+
+#[test]
+fn cold_read_allocates_its_decode_plus_the_hand_off_and_a_warm_read_nothing() {
+    let schema = Schema::from_pairs(vec![
+        ("a", Domain::uint(64).unwrap()),
+        ("b", Domain::uint(4096).unwrap()),
+        ("c", Domain::uint(65536).unwrap()),
+    ])
+    .unwrap();
+    let tuples: Vec<Tuple> = (0..20_000u64)
+        .map(|i| Tuple::from([(i / 512) % 64, (i * 31) % 4096, (i * 131) % 65536]))
+        .collect();
+    let relation = Relation::from_tuples(schema.clone(), tuples).unwrap();
+
+    for mode in CodingMode::ALL {
+        let config = DbConfig::default()
+            .with_mode(mode)
+            .with_block_capacity(1024);
+        let device = BlockDevice::new(config.codec.block_capacity, config.disk);
+        // Every block and index node stays in the pool, so a cold read
+        // here is cold for the decoded cache only.
+        let pool = BufferPool::new(device.clone(), 4096);
+        let stored =
+            StoredRelation::bulk_load(device.clone(), pool.clone(), &relation, config).unwrap();
+        let codec = BlockCodec::with_options(schema.clone(), mode, config.codec.rep)
+            .with_kernel(config.codec.kernel);
+        let blocks = stored.block_count() as u64;
+        assert!(blocks > 20 && blocks <= config.decoded_cache_blocks as u64);
+
+        // Fill the pool, grow the decoded cache's table to its steady-state
+        // size, and register every metric handle of the miss and hit paths.
+        stored.scan_all().unwrap();
+        stored.scan_all().unwrap();
+
+        let live = GovCtx::new(QueryBudget::unlimited(), device.clock().clone());
+        let mut cold_by_ctx = Vec::new();
+        for ctx in [QueryCtx::default(), QueryCtx::from(live.clone())] {
+            stored.clear_decoded_cache();
+            let (mut decode_alone, mut cold) = (0u64, 0u64);
+            for b in stored.blocks() {
+                let bytes = pool.read(b.id).unwrap();
+                let before = allocs();
+                let mut run = TupleBatch::new(schema.arity());
+                codec
+                    .decode_batch_into(&bytes, &mut run, &mut DecodeScratch::new())
+                    .unwrap();
+                decode_alone += allocs() - before;
+
+                let before = allocs();
+                let served = stored.read_block(b.id, &ctx).unwrap().unwrap();
+                cold += allocs() - before;
+                assert_eq!(*served, run);
+            }
+            assert!(
+                cold <= decode_alone + HAND_OFF * blocks,
+                "{mode}: {blocks} cold reads allocated {cold} times, their decodes {decode_alone}"
+            );
+            cold_by_ctx.push(cold);
+
+            let before = allocs();
+            for b in stored.blocks() {
+                std::hint::black_box(stored.read_block(b.id, &ctx).unwrap());
+            }
+            assert_eq!(allocs() - before, 0, "{mode}: a warm read allocated");
+        }
+        assert_eq!(
+            cold_by_ctx[0], cold_by_ctx[1],
+            "{mode}: a live budget changed what a cold read allocates"
+        );
+        assert_eq!(live.usage().rows, 2 * stored.tuple_count() as u64);
+    }
+}

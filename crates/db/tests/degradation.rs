@@ -1,11 +1,14 @@
 //! Graceful degradation under injected block faults: with `k` of `N`
-//! blocks damaged, a `SkipCorrupt` scan must return exactly the tuples of
-//! the `N − k` intact blocks, quarantine the damaged ones, and count them
-//! once in `avq_corrupt_blocks_total`. `FailFast` must surface the first
-//! error unchanged. All injection is seeded — a failure reproduces from
-//! the constants in this file.
+//! blocks damaged, every reader under `SkipCorrupt` must return exactly
+//! what it returns over the `N − k` intact blocks, quarantine the damaged
+//! ones, and count them once in `avq_corrupt_blocks_total`. `FailFast`
+//! must surface the first error unchanged. All injection is seeded — a
+//! failure reproduces from the constants in this file.
 
-use avq_db::{DbConfig, RetryPolicy, ScanPolicy, StoredRelation};
+use avq_db::{
+    equijoin, Aggregate, DbConfig, QueryCtx, RangePredicate, RetryPolicy, ScanPolicy, Selection,
+    StoredRelation,
+};
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use avq_storage::{BlockDevice, BufferPool, FaultKind, FaultPlan};
 use std::collections::BTreeSet;
@@ -30,15 +33,22 @@ fn retry_counter() -> u64 {
 }
 
 fn setup(n: u64, config: DbConfig) -> (Arc<BlockDevice>, Arc<BufferPool>, StoredRelation) {
+    let tuples: Vec<Tuple> = (0..n)
+        .map(|i| Tuple::from([(i * 7) % 64, (i * 13) % 64, (i * 29) % 4096]))
+        .collect();
+    setup_from(tuples, config)
+}
+
+fn setup_from(
+    tuples: Vec<Tuple>,
+    config: DbConfig,
+) -> (Arc<BlockDevice>, Arc<BufferPool>, StoredRelation) {
     let schema = Schema::from_pairs(vec![
         ("a", Domain::uint(64).unwrap()),
         ("b", Domain::uint(64).unwrap()),
         ("c", Domain::uint(4096).unwrap()),
     ])
     .unwrap();
-    let tuples: Vec<Tuple> = (0..n)
-        .map(|i| Tuple::from([(i * 7) % 64, (i * 13) % 64, (i * 29) % 4096]))
-        .collect();
     let rel = Relation::from_tuples(schema, tuples).unwrap();
     let device = BlockDevice::new(config.codec.block_capacity, config.disk);
     let pool = BufferPool::new(device.clone(), config.buffer_frames);
@@ -51,6 +61,24 @@ fn small_config(policy: ScanPolicy) -> DbConfig {
         .with_block_capacity(128)
         .with_scan_policy(policy)
         .with_retry(RetryPolicy::none())
+}
+
+/// The tuples of the blocks not in `bad`, in φ order, cut out of a full
+/// scan (`reference`) by the block metadata.
+fn intact_tuples(
+    stored: &StoredRelation,
+    reference: &[Tuple],
+    bad: &BTreeSet<avq_storage::BlockId>,
+) -> Vec<Tuple> {
+    let mut out = Vec::new();
+    let mut offset = 0usize;
+    for b in stored.blocks() {
+        if !bad.contains(&b.id) {
+            out.extend_from_slice(&reference[offset..offset + b.count]);
+        }
+        offset += b.count;
+    }
+    out
 }
 
 /// The issue's acceptance scenario: seeded hard read errors on `k` random
@@ -75,18 +103,7 @@ fn skip_corrupt_scan_serves_exactly_the_intact_blocks() {
     pool.clear();
     stored.clear_decoded_cache();
 
-    let expect: Vec<Tuple> = {
-        // Tuples of the intact blocks, in φ order, from the block metadata.
-        let mut out = Vec::new();
-        let mut offset = 0usize;
-        for b in stored.blocks() {
-            if !bad.contains(&b.id) {
-                out.extend_from_slice(&reference[offset..offset + b.count]);
-            }
-            offset += b.count;
-        }
-        out
-    };
+    let expect = intact_tuples(&stored, &reference, &bad);
 
     let before = corrupt_counter();
     let got = stored.scan_all().unwrap();
@@ -123,6 +140,100 @@ fn skip_corrupt_scan_serves_exactly_the_intact_blocks() {
     );
 }
 
+/// The scan policy is honoured by every reader, not only `scan_all`: with
+/// `k` of `N` blocks damaged, each operator returns exactly what the same
+/// operator returns over a healthy relation holding the `N − k` intact
+/// blocks' tuples; costs count the blocks served; and all of them together
+/// count each damaged block once.
+#[test]
+fn every_operator_serves_exactly_the_intact_blocks() {
+    let _guard = counter_lock();
+    let (device, pool, mut damaged) = setup(1000, small_config(ScanPolicy::SkipCorrupt));
+    damaged.create_secondary_index(1).unwrap();
+    let reference = damaged.scan_all().unwrap();
+    let (n, k) = (damaged.block_count(), 5);
+    let ids: Vec<_> = damaged.blocks().iter().map(|b| b.id).collect();
+    let bad = FaultPlan::pick_blocks(0xC0FFEE, &ids, k);
+    device.set_fault_plan(
+        FaultPlan::new(0xC0FFEE).with_fault_on(FaultKind::ReadError, bad.iter().copied()),
+    );
+    pool.clear();
+    damaged.clear_decoded_cache();
+
+    let intact = intact_tuples(&damaged, &reference, &bad);
+    let (_, _, mut healthy) = setup_from(intact.clone(), small_config(ScanPolicy::FailFast));
+    healthy.create_secondary_index(1).unwrap();
+    let before = corrupt_counter();
+
+    // select: full scan, clustered range, secondary index.
+    let range = |attr, lo, hi| Selection::all().and(RangePredicate { attr, lo, hi });
+    for sel in [range(2, 100, 3000), range(0, 10, 40), range(1, 5, 9)] {
+        let (mut got, cost, path) = damaged.select(&sel).unwrap();
+        let (mut want, _, want_path) = healthy.select(&sel).unwrap();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "select via {path}");
+        assert_eq!(path, want_path);
+        assert_eq!(cost.tuples_matched, want.len());
+    }
+    let (_, cost, _) = damaged.select(&Selection::all()).unwrap();
+    assert_eq!(
+        cost.data_blocks as usize,
+        n - k,
+        "blocks served, not candidates"
+    );
+    assert_eq!(cost.tuples_scanned, intact.len());
+
+    // aggregate and group-by (a conjunct keeps them off the metadata paths).
+    let sel = range(2, 0, 4000);
+    for agg in [
+        Aggregate::Count,
+        Aggregate::Sum { attr: 2 },
+        Aggregate::Min { attr: 1 },
+        Aggregate::Max { attr: 2 },
+        Aggregate::Avg { attr: 1 },
+    ] {
+        let (got, cost) = damaged.aggregate(agg, &sel).unwrap();
+        assert_eq!(got, healthy.aggregate(agg, &sel).unwrap().0, "{agg:?}");
+        assert_eq!(cost.data_blocks as usize, n - k);
+        assert_eq!(
+            damaged.aggregate_group_by(0, agg, &sel).unwrap().0,
+            healthy.aggregate_group_by(0, agg, &sel).unwrap().0,
+            "{agg:?} group by a"
+        );
+    }
+
+    // equijoin: index nested-loop on b, block nested-loop on c; outer and
+    // inner reads both skip.
+    for attr in [1, 2] {
+        let (mut got, _, strategy) = equijoin(&damaged, attr, &damaged, attr).unwrap();
+        let (mut want, _, want_strategy) = equijoin(&healthy, attr, &healthy, attr).unwrap();
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(strategy, want_strategy);
+        assert_eq!(got, want, "{strategy:?}");
+    }
+
+    // The streaming scan.
+    let (lo, hi) = (Tuple::from([0u64, 0, 0]), Tuple::from([63u64, 63, 4095]));
+    let mut scan = damaged.range_scan(lo, hi, &QueryCtx::default()).unwrap();
+    assert_eq!(scan.by_ref().collect::<Vec<_>>(), intact);
+    assert!(scan.take_error().is_none());
+
+    assert_eq!(
+        corrupt_counter() - before,
+        k as u64,
+        "each damaged block counted once, whichever operator met it first"
+    );
+    assert_eq!(
+        damaged
+            .quarantined_blocks()
+            .into_iter()
+            .collect::<BTreeSet<_>>(),
+        bad
+    );
+}
+
 /// The default policy surfaces the injected error unchanged.
 #[test]
 fn fail_fast_surfaces_the_first_error() {
@@ -132,14 +243,29 @@ fn fail_fast_surfaces_the_first_error() {
     device.set_fault_plan(FaultPlan::new(7).with_fault_on(FaultKind::ReadError, [victim]));
     pool.clear();
     stored.clear_decoded_cache();
-    let err = stored.scan_all().unwrap_err();
-    assert!(
-        matches!(
-            err,
-            avq_db::DbError::Storage(avq_storage::StorageError::Io { .. })
+    // Every reader surfaces the same typed error.
+    let sel = Selection::all().and(RangePredicate {
+        attr: 2,
+        lo: 0,
+        hi: 4095,
+    });
+    for (reader, err) in [
+        ("scan_all", stored.scan_all().unwrap_err()),
+        ("select", stored.select(&sel).unwrap_err()),
+        (
+            "aggregate",
+            stored.aggregate(Aggregate::Count, &sel).unwrap_err(),
         ),
-        "unexpected error: {err}"
-    );
+        ("equijoin", equijoin(&stored, 1, &stored, 1).unwrap_err()),
+    ] {
+        assert!(
+            matches!(
+                err,
+                avq_db::DbError::Storage(avq_storage::StorageError::Io { .. })
+            ),
+            "{reader}: unexpected error: {err}"
+        );
+    }
     assert!(
         stored.quarantined_blocks().is_empty(),
         "fail-fast never quarantines"

@@ -1,14 +1,16 @@
-//! Cancellation and quota semantics of governed scans.
+//! Cancellation and quota semantics of scans run under a budget, through
+//! the two context-taking readers: the streaming `range_scan` and the
+//! `fold_matching` block loop.
 //!
 //! Three invariants, property-tested over relation size and trip points:
-//! a governed scan that stops early always surfaces a typed
-//! [`GovernanceError`] — never a silently truncated result; cancellation
-//! is observed within one block of the poll point; and budget accounting
-//! is exact under `SkipCorrupt` — quarantined blocks charge nothing.
+//! a scan that stops early always surfaces a typed [`GovernanceError`] —
+//! never a silently truncated result; cancellation is observed within one
+//! block of the poll point; and budget accounting is exact under
+//! `SkipCorrupt` — quarantined blocks charge nothing.
 
 use avq_db::{
-    DbConfig, GovCtx, GovernanceError, QueryBudget, QuotaKind, RetryPolicy, ScanPolicy,
-    StoredRelation,
+    DbConfig, DbError, GovCtx, GovernanceError, QueryBudget, QueryCtx, QuotaKind, RetryPolicy,
+    ScanPolicy, Selection, StoredRelation,
 };
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use avq_storage::{BlockDevice, BufferPool, FaultKind, FaultPlan};
@@ -37,6 +39,19 @@ fn setup(n: u64, policy: ScanPolicy) -> (Arc<BlockDevice>, Arc<BufferPool>, Stor
     (device, pool, stored)
 }
 
+/// A full scan under `gov` through the block loop every operator shares:
+/// the rows it served.
+fn scan_under(stored: &StoredRelation, gov: &GovCtx) -> Result<Vec<Tuple>, DbError> {
+    stored
+        .fold_matching(
+            &Selection::all(),
+            &QueryCtx::from(gov.clone()),
+            Vec::new(),
+            |out, row| out.push(Tuple::from(row)),
+        )
+        .map(|(rows, _, _)| rows)
+}
+
 fn full_range() -> (Tuple, Tuple) {
     (Tuple::from([0u64, 0]), Tuple::from([63u64, 4095]))
 }
@@ -54,7 +69,9 @@ proptest! {
         let (device, _pool, stored) = setup(n, ScanPolicy::FailFast);
         let gov = GovCtx::new(QueryBudget::unlimited(), device.clock().clone());
         let (lo, hi) = full_range();
-        let mut scan = stored.range_scan_governed(lo, hi, gov.clone()).unwrap();
+        let mut scan = stored
+            .range_scan(lo, hi, &QueryCtx::from(gov.clone()))
+            .unwrap();
         let mut count = 0usize;
         for _t in scan.by_ref() {
             count += 1;
@@ -64,7 +81,7 @@ proptest! {
         }
         match scan.take_error() {
             None => prop_assert_eq!(count, n as usize, "short result without an error"),
-            Some(avq_db::DbError::Governance(GovernanceError::Cancelled)) => {
+            Some(DbError::Governance(GovernanceError::Cancelled)) => {
                 prop_assert!(count < n as usize);
                 // Observed within one block: only the block already
                 // decoded when `cancel` hit may still drain.
@@ -87,9 +104,9 @@ proptest! {
             QueryBudget::unlimited().with_max_rows(quota),
             device.clock().clone(),
         );
-        let err = stored.scan_all_governed(&gov).unwrap_err();
+        let err = scan_under(&stored, &gov).unwrap_err();
         match err {
-            avq_db::DbError::Governance(GovernanceError::QuotaExceeded {
+            DbError::Governance(GovernanceError::QuotaExceeded {
                 kind: QuotaKind::Rows,
                 limit,
                 used,
@@ -120,24 +137,22 @@ fn skip_corrupt_accounting_charges_only_intact_blocks() {
     pool.clear();
     stored.clear_decoded_cache();
 
-    let intact: usize = {
-        let mut total = 0usize;
-        for b in stored.blocks() {
-            if !bad.contains(&b.id) {
-                total += b.count;
-            }
-        }
-        total
-    };
+    let intact_blocks = || stored.blocks().iter().filter(|b| !bad.contains(&b.id));
+    let intact: usize = intact_blocks().map(|b| b.count).sum();
     assert!(intact < reference.len());
 
     let gov = GovCtx::new(QueryBudget::unlimited(), device.clock().clone());
-    let got = stored.scan_all_governed(&gov).unwrap();
+    let got = scan_under(&stored, &gov).unwrap();
     assert_eq!(got.len(), intact);
     assert_eq!(
         gov.usage().rows,
         intact as u64,
         "skipped blocks must charge nothing"
+    );
+    assert_eq!(
+        gov.usage().decoded_bytes,
+        intact_blocks().map(|b| b.used_bytes as u64).sum::<u64>(),
+        "a cold scan decodes exactly the coded bytes of the blocks it served"
     );
 
     // A quota with exactly enough room for the intact set stays clean.
@@ -145,7 +160,7 @@ fn skip_corrupt_accounting_charges_only_intact_blocks() {
         QueryBudget::unlimited().with_max_rows(intact as u64),
         device.clock().clone(),
     );
-    assert!(stored.scan_all_governed(&tight).is_ok());
+    assert!(scan_under(&stored, &tight).is_ok());
 }
 
 /// A governance trip under `SkipCorrupt` aborts the scan — it is not
@@ -157,9 +172,9 @@ fn governance_trip_is_not_quarantined_under_skip_corrupt() {
         QueryBudget::unlimited().with_max_rows(10),
         device.clock().clone(),
     );
-    let err = stored.scan_all_governed(&gov).unwrap_err();
+    let err = scan_under(&stored, &gov).unwrap_err();
     assert!(
-        matches!(err, avq_db::DbError::Governance(_)),
+        matches!(err, DbError::Governance(_)),
         "expected a governance abort, got {err}"
     );
     assert!(
@@ -190,12 +205,9 @@ fn deadline_trips_mid_scan_on_simulated_disk_time() {
         QueryBudget::unlimited().with_timeout_ms(full_ms / 2.0),
         device.clock().clone(),
     );
-    let err = stored.scan_all_governed(&gov).unwrap_err();
+    let err = scan_under(&stored, &gov).unwrap_err();
     assert!(
-        matches!(
-            err,
-            avq_db::DbError::Governance(GovernanceError::Timeout { .. })
-        ),
+        matches!(err, DbError::Governance(GovernanceError::Timeout { .. })),
         "expected a timeout, got {err}"
     );
     assert!(

@@ -11,8 +11,7 @@
 //! replaces it — writes go through the cache, so the read after a write is
 //! a hit too.
 
-use avq_db::{Database, DbConfig, GovCtx};
-use avq_obs::TraceCtx;
+use avq_db::{Database, DbConfig, QueryCtx};
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use std::sync::Arc;
 
@@ -97,16 +96,16 @@ fn warm_block_read_hands_out_the_cached_batch_until_mutation() {
         .with_decoded_cache_blocks(10_000);
     let mut db = Database::new(config);
     db.create_relation("t", &relation).unwrap();
-    let (ctx, gov) = (TraceCtx::disabled(), GovCtx::unlimited());
+    let ctx = QueryCtx::default();
 
     let rel = db.relation("t").unwrap();
     let ids = rel.all_block_ids();
     let cold: Vec<_> = ids
         .iter()
-        .map(|&id| rel.read_block(id, &ctx, &gov).unwrap())
+        .map(|&id| rel.read_block(id, &ctx).unwrap().unwrap())
         .collect();
     for (&id, first) in ids.iter().zip(&cold) {
-        let again = rel.read_block(id, &ctx, &gov).unwrap();
+        let again = rel.read_block(id, &ctx).unwrap().unwrap();
         assert!(
             Arc::ptr_eq(first, &again),
             "block {id} was copied, not shared"
@@ -121,7 +120,7 @@ fn warm_block_read_hands_out_the_cached_batch_until_mutation() {
     let before = db.relation("t").unwrap().decoded_stats();
     db.relation_mut("t").unwrap().delete(&victim).unwrap();
     let rel = db.relation("t").unwrap();
-    let reread = rel.read_block(ids[0], &ctx, &gov).unwrap();
+    let reread = rel.read_block(ids[0], &ctx).unwrap().unwrap();
     let window = rel.decoded_stats().since(&before);
     assert_eq!(
         (window.hits, window.misses),
@@ -134,7 +133,7 @@ fn warm_block_read_hands_out_the_cached_batch_until_mutation() {
     );
     assert_eq!(reread.to_tuples(), cold[0].to_tuples()[1..]);
     for (&id, first) in ids.iter().zip(&cold).skip(1) {
-        let again = rel.read_block(id, &ctx, &gov).unwrap();
+        let again = rel.read_block(id, &ctx).unwrap().unwrap();
         assert!(
             Arc::ptr_eq(first, &again),
             "untouched block {id} was re-decoded"

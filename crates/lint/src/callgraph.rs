@@ -482,28 +482,6 @@ fn resolve(site: &CallSite, syms: &Symbols) -> Option<usize> {
     None
 }
 
-/// Breadth-first reachable set over resolved edges from `roots`.
-/// Returns a boolean mask over `Symbols::fns`.
-pub fn reachable(edges: &[Vec<usize>], roots: &[usize]) -> Vec<bool> {
-    let mut seen = vec![false; edges.len()];
-    let mut queue: Vec<usize> = Vec::new();
-    for &r in roots {
-        if !seen[r] {
-            seen[r] = true;
-            queue.push(r);
-        }
-    }
-    while let Some(f) = queue.pop() {
-        for &t in &edges[f] {
-            if !seen[t] {
-                seen[t] = true;
-                queue.push(t);
-            }
-        }
-    }
-    seen
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

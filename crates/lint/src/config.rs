@@ -225,7 +225,6 @@ pub const BLOCKING_CALLS: &[&str] = &[
     "read_exact",
     "read_to_end",
     "decode_batch_into",
-    "decode_batch_into_governed",
     "decode_into_scratch",
     "decode_rows",
     "read_with_retry",

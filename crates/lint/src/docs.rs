@@ -4,7 +4,8 @@
 
 /// Documentation for one rule.
 pub struct RuleDoc {
-    /// Rule id (`AVQ-L001` … `AVQ-L010`, `AVQ-WAIVER`).
+    /// Rule id (`AVQ-L001` … `AVQ-L010` without the retired `AVQ-L008`,
+    /// `AVQ-WAIVER`).
     pub id: &'static str,
     /// One-line summary, embedded in JSON findings.
     pub summary: &'static str,
@@ -95,21 +96,6 @@ invisible to the engine, waive the sink or call line with
 the same line also counts.",
     },
     RuleDoc {
-        id: "AVQ-L008",
-        summary: "plain/_traced/_governed wrapper families: consistent signatures, single implementation, governed paths call governed variants",
-        help: "AVQ-L008 · wrapper-family drift
-
-For every `foo` / `foo_traced` / `foo_governed` family (same file, same
-impl): signatures must agree modulo trailing ctx parameters (`TraceCtx`
-/ `GovCtx`); exactly one member carries the implementation and every
-other member delegates to a family member (no forked logic); a
-`_traced`/`_governed` fn without a plain base is an orphan; and any fn
-reachable from a `_governed` root that calls a plain fn which *has* a
-governed sibling must call the governed variant instead, so resource
-governance propagates down the whole decode path. Waive with
-`// lint: allow(AVQ-L008, <reason>)`.",
-    },
-    RuleDoc {
         id: "AVQ-L009",
         summary: "lock acquisitions follow the declared hierarchy; no decode/IO/fsync or condvar waits under a guard",
         help: "AVQ-L009 · lock discipline
@@ -169,9 +155,11 @@ mod tests {
         sorted.sort();
         assert_eq!(ids, sorted);
         for n in 1..=10 {
-            assert!(
+            // AVQ-L008 is retired and must stay an unknown rule.
+            assert_eq!(
                 doc(&format!("AVQ-L{n:03}")).is_some(),
-                "missing AVQ-L{n:03}"
+                n != 8,
+                "AVQ-L{n:03}"
             );
         }
         assert!(doc("AVQ-WAIVER").is_some());

@@ -1,11 +1,11 @@
 //! `avq-lint` — project-native static analysis for the AVQ workspace.
 //!
 //! Run as `cargo run -p avq-lint -- check` from anywhere inside the
-//! workspace. Ten rules (see DESIGN.md §12 and §17) enforce the
+//! workspace. Nine rules (see DESIGN.md §12 and §17) enforce the
 //! decode-path panic-freedom, bounded-allocation, crate-hygiene,
 //! metric-naming, virtual-clock, and `Corrupt`-section invariants, plus
-//! the call-graph-aware taint, wrapper-family, lock-discipline, and
-//! atomics-audit rules. Any finding exits non-zero.
+//! the call-graph-aware taint, lock-discipline, and atomics-audit rules.
+//! Any finding exits non-zero.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,8 +28,9 @@ const USAGE: &str = "usage: avq-lint check [--root <dir>] [--format human|json]
        avq-lint --explain AVQ-LNNN
 
 Scans the workspace's production sources and reports violations of the
-project's AVQ-L001..L010 invariants (DESIGN.md §12, §17). Exit status: 0
-when clean, 1 when there are findings, 2 on usage or I/O errors.
+project's AVQ-L001..L010 invariants (DESIGN.md §12, §17; L008 is
+retired). Exit status: 0 when clean, 1 when there are findings, 2 on
+usage or I/O errors.
 
   --rule AVQ-LNNN    run only the named rule (waiver hygiene is skipped)
   --emit <path>      also write the approximate call graph as JSON

@@ -1,4 +1,4 @@
-//! The rule engine: ten project-native rules over the scanned
+//! The rule engine: nine project-native rules over the scanned
 //! workspace, plus waiver resolution.
 //!
 //! Rules first collect *candidate* findings; resolution then matches
@@ -9,15 +9,15 @@
 //! finding. This ordering means a stale waiver can never silently hide
 //! future regressions.
 //!
-//! AVQ-L001–L006 are per-file token rules and live here; the four
+//! AVQ-L001–L006 are per-file token rules and live here; the three
 //! cross-procedural rules added with the semantic layer live in the
-//! submodules: [`taint`] (AVQ-L007), [`wrappers`] (AVQ-L008), [`locks`]
-//! (AVQ-L009), and [`atomics`] (AVQ-L010).
+//! submodules: [`taint`] (AVQ-L007), [`locks`] (AVQ-L009), and
+//! [`atomics`] (AVQ-L010). Rule ids are stable: AVQ-L008 (wrapper-family
+//! drift) was retired with the families it policed and is not reused.
 
 mod atomics;
 mod locks;
 mod taint;
-mod wrappers;
 
 use crate::callgraph::CallGraph;
 use crate::config;
@@ -96,9 +96,6 @@ pub fn run_filtered(ws: &mut Workspace, only: Option<&str>) -> Report {
     }
     if on("AVQ-L007") {
         taint::check(ws, &syms, &cg, &mut candidates);
-    }
-    if on("AVQ-L008") {
-        wrappers::check(ws, &syms, &cg, &mut candidates);
     }
     if on("AVQ-L009") {
         locks::check(ws, &syms, &mut candidates);

@@ -50,8 +50,6 @@ pub struct FnDef {
     /// `[open_brace, close_brace]` inclusive. `None` for bodiless trait
     /// method declarations.
     pub body: Option<(usize, usize)>,
-    /// 1-based line of the `fn` keyword.
-    pub line: u32,
 }
 
 impl FnDef {
@@ -198,7 +196,6 @@ fn collect_fns(file: usize, rel: &str, crate_dir: &str, t: &[Token], out: &mut V
             has_self,
             params,
             body,
-            line: t[i].line,
         });
         // Continue scanning *inside* the body too (nested fns).
         i = match body {

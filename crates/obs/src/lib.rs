@@ -22,6 +22,10 @@
 //!   [`GovCtx`] budgets (virtual-clock deadline, decoded-bytes / rows /
 //!   memory quotas), cooperative cancellation polled at block boundaries,
 //!   and the typed [`GovernanceError`] a tripped query unwinds with.
+//! - [`QueryCtx`] — the one context a query threads through the engine:
+//!   its [`TraceCtx`] and its [`GovCtx`] side by side, so every operation
+//!   is one function taking one `&QueryCtx` instead of a
+//!   plain/traced/governed family.
 //!
 //! # Naming scheme
 //!
@@ -58,3 +62,36 @@ pub use trace::{
     add_span_sink, AttrValue, QueryCapture, SamplingPolicy, SpanId, StageRows, TraceCollector,
     TraceCtx, TraceData, TraceId, TraceSpan, TraceSpanGuard,
 };
+
+/// Everything a query carries through the engine: where its spans go and
+/// what it may spend. The [`Default`] records nothing and limits nothing —
+/// both halves are `None` handles costing one branch per use — and clones
+/// share the live trace and budget, so a clone kept by the caller is the
+/// query's cancel handle.
+#[derive(Debug, Clone, Default)]
+pub struct QueryCtx {
+    /// Span recording for this query ([`TraceCtx::disabled`] by default).
+    pub trace: TraceCtx,
+    /// Budget, quotas and cancellation ([`GovCtx::unlimited`] by default).
+    pub gov: GovCtx,
+}
+
+impl From<TraceCtx> for QueryCtx {
+    /// An unlimited query recording into `trace`.
+    fn from(trace: TraceCtx) -> Self {
+        QueryCtx {
+            trace,
+            gov: GovCtx::unlimited(),
+        }
+    }
+}
+
+impl From<GovCtx> for QueryCtx {
+    /// An untraced query running under `gov`.
+    fn from(gov: GovCtx) -> Self {
+        QueryCtx {
+            trace: TraceCtx::disabled(),
+            gov,
+        }
+    }
+}

@@ -268,8 +268,6 @@ pub const ATTR_BYTES: &str = "bytes";
 pub const ATTR_PLAN_SUMMARY: &str = "plan_summary";
 /// SQL statement text on the root SQL span.
 pub const ATTR_STATEMENT: &str = "statement";
-/// Records in one WAL group-commit batch.
-pub const ATTR_BATCH_SIZE: &str = "batch_size";
 /// Plan alternatives the planner costed for this statement.
 pub const ATTR_PLANS_CONSIDERED: &str = "plans_considered";
 
@@ -288,7 +286,6 @@ pub const TRACE_ATTRS: &[&str] = &[
     ATTR_BYTES,
     ATTR_PLAN_SUMMARY,
     ATTR_STATEMENT,
-    ATTR_BATCH_SIZE,
     ATTR_PLANS_CONSIDERED,
 ];
 

@@ -21,7 +21,7 @@ use crate::binder::{BoundItem, BoundQuery};
 use crate::error::SqlError;
 use crate::plan::{domain_of, PhysicalPlan, PlanNode};
 use avq_db::{AccessPath, CacheMark, Database, RangePredicate, Selection, StageReport};
-use avq_obs::{names, AttrValue, GovCtx, Stopwatch, TraceCtx};
+use avq_obs::{names, AttrValue, QueryCtx, Stopwatch, TraceCtx};
 use avq_schema::{Domain, TupleBatch, Value};
 use core::time::Duration;
 use std::collections::BTreeMap;
@@ -185,8 +185,7 @@ struct Exec<'a> {
     db: &'a Database,
     q: &'a BoundQuery,
     order: &'a [usize],
-    ctx: &'a TraceCtx,
-    gov: &'a GovCtx,
+    ctx: &'a QueryCtx,
     stages: Vec<StageReport>,
     actual_rows: Vec<u64>,
 }
@@ -231,7 +230,7 @@ impl<'a> Exec<'a> {
         hits: u64,
         elapsed: Duration,
     ) {
-        if self.ctx.is_enabled() {
+        if self.ctx.trace.is_enabled() {
             let mut attrs: Vec<(&'static str, AttrValue)> = vec![
                 (names::ATTR_STAGE, AttrValue::from(stage)),
                 (names::ATTR_ROWS, AttrValue::from(rows)),
@@ -243,6 +242,7 @@ impl<'a> Exec<'a> {
                 attrs.push((names::ATTR_CACHE_HITS, AttrValue::from(hits)));
             }
             self.ctx
+                .trace
                 .complete_span(names::SPAN_SQL_STAGE, elapsed, attrs);
         }
     }
@@ -318,38 +318,42 @@ impl<'a> Exec<'a> {
 
         let sw = Stopwatch::start();
         let mark = CacheMark::take(rel);
-        let (mut examined, mut kept) = (0u64, 0u64);
+        let (mut blocks, mut examined, mut kept) = (0u64, 0u64, 0u64);
         let mut read_time = Duration::ZERO;
         let (hits, filter_time) = {
             // An *open* stage span (unlike the retroactive ones from
             // `stage`) so per-block read spans — and the filter time
             // interleaved with them — nest beneath it.
-            let guard = self.ctx.span(names::SPAN_SQL_STAGE);
+            let guard = self.ctx.trace.span(names::SPAN_SQL_STAGE);
             for id in &candidates {
                 let read = Stopwatch::start();
-                let block = rel.read_block(*id, self.ctx, self.gov)?;
+                let block = rel.read_block(*id, self.ctx)?;
                 read_time += read.elapsed();
+                let Some(block) = block else {
+                    continue;
+                };
+                blocks += 1;
                 examined += block.len() as u64;
                 let before = kept;
                 for row in block.rows().filter(|row| sel.matches(row)) {
                     sink(row);
                     kept += 1;
                 }
-                self.gov.charge_mem((kept - before) * held_row_bytes);
+                self.ctx.gov.charge_mem((kept - before) * held_row_bytes);
             }
             let hits = mark.hits_since(rel);
             let filter_time = sw.elapsed().saturating_sub(read_time);
             if guard.is_recording() {
                 guard.attr(names::ATTR_STAGE, "scan");
                 guard.attr(names::ATTR_ROWS, examined);
-                guard.attr(names::ATTR_BLOCKS_READ, candidates.len());
+                guard.attr(names::ATTR_BLOCKS_READ, blocks);
                 guard.attr(names::ATTR_CACHE_HITS, hits);
             }
             self.trace_stage("filter", kept, 0, 0, filter_time);
             (hits, filter_time)
         };
-        self.report("scan", examined, candidates.len() as u64, hits, read_time);
-        self.gov.poll().map_err(avq_db::DbError::from)?;
+        self.report("scan", examined, blocks, hits, read_time);
+        self.ctx.gov.poll().map_err(avq_db::DbError::from)?;
         self.report("filter", kept, 0, 0, filter_time);
         Ok(kept)
     }
@@ -393,8 +397,8 @@ impl<'a> Exec<'a> {
         let mut by_key: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
         let sw = Stopwatch::start();
         let mark = CacheMark::take(rel);
+        let mut blocks = 0u64;
         if index_probe {
-            let mut probed_blocks = 0u64;
             for inner_ord in key_map.values().flatten() {
                 let probe_sel = sel
                     .clone()
@@ -403,9 +407,11 @@ impl<'a> Exec<'a> {
                     &probe_sel,
                     AccessPath::SecondaryIndex { attr: inner_attr },
                 )?;
-                probed_blocks += candidates.len() as u64;
                 for id in &candidates {
-                    let block = rel.read_block(*id, self.ctx, self.gov)?;
+                    let Some(block) = rel.read_block(*id, self.ctx)? else {
+                        continue;
+                    };
+                    blocks += 1;
                     for row in block.rows().filter(|row| probe_sel.matches(row)) {
                         by_key.entry(*inner_ord).or_default().push(matched.len());
                         matched.push_row(row);
@@ -413,11 +419,13 @@ impl<'a> Exec<'a> {
                 }
             }
             let hits = mark.hits_since(rel);
-            self.stage("index-probe", matched.len() as u64, probed_blocks, hits, sw);
+            self.stage("index-probe", matched.len() as u64, blocks, hits, sw);
         } else {
-            let candidates = rel.candidate_blocks(&sel, AccessPath::FullScan)?;
-            for id in &candidates {
-                let block = rel.read_block(*id, self.ctx, self.gov)?;
+            for id in &rel.candidate_blocks(&sel, AccessPath::FullScan)? {
+                let Some(block) = rel.read_block(*id, self.ctx)? else {
+                    continue;
+                };
+                blocks += 1;
                 for row in block.rows().filter(|row| sel.matches(row)) {
                     if let Some(&o) = row.get(inner_attr) {
                         by_key.entry(o).or_default().push(matched.len());
@@ -425,7 +433,7 @@ impl<'a> Exec<'a> {
                     matched.push_row(row);
                 }
             }
-            let (blocks, hits) = (candidates.len() as u64, mark.hits_since(rel));
+            let hits = mark.hits_since(rel);
             self.stage("scan-inner", matched.len() as u64, blocks, hits, sw);
         }
 
@@ -442,8 +450,10 @@ impl<'a> Exec<'a> {
                 out.push_joined(row, matched.row(m));
             }
         }
-        self.gov.charge_mem(batch_mem_bytes(out.len(), out.arity()));
-        self.gov.poll().map_err(avq_db::DbError::from)?;
+        self.ctx
+            .gov
+            .charge_mem(batch_mem_bytes(out.len(), out.arity()));
+        self.ctx.gov.poll().map_err(avq_db::DbError::from)?;
         self.stage("join", out.len() as u64, 0, 0, sw);
         Ok(out)
     }
@@ -494,8 +504,10 @@ impl<'a> Exec<'a> {
                 out.push_joined(left_rows.row(i), trow);
             }
         }
-        self.gov.charge_mem(batch_mem_bytes(out.len(), out.arity()));
-        self.gov.poll().map_err(avq_db::DbError::from)?;
+        self.ctx
+            .gov
+            .charge_mem(batch_mem_bytes(out.len(), out.arity()));
+        self.ctx.gov.poll().map_err(avq_db::DbError::from)?;
         self.stage("join", out.len() as u64, 0, 0, sw);
         Ok(out)
     }
@@ -801,44 +813,26 @@ impl Acc {
     }
 }
 
-/// Executes `plan` for `q` against `db`.
-pub fn execute(db: &Database, q: &BoundQuery, plan: &PhysicalPlan) -> Result<ExecOutput, SqlError> {
-    execute_traced(db, q, plan, &TraceCtx::disabled())
-}
-
-/// [`execute`] with trace attribution: per-stage `avq.sql.stage` spans and
-/// storage-level block-read spans are recorded into `ctx` when it is
-/// enabled; a disabled `ctx` takes the exact untraced path.
-pub fn execute_traced(
-    db: &Database,
-    q: &BoundQuery,
-    plan: &PhysicalPlan,
-    ctx: &TraceCtx,
-) -> Result<ExecOutput, SqlError> {
-    execute_governed(db, q, plan, ctx, &GovCtx::unlimited())
-}
-
-/// [`execute_traced`] under a resource-governance budget.
+/// Executes `plan` for `q` against `db` under `ctx`.
 ///
-/// Every block read on behalf of the query is a poll point (deadline,
-/// cancellation, decoded-bytes/rows quotas), materialized rows — scan
-/// output block by block, join output — charge the memory budget, and a
-/// trip unwinds as [`SqlError::Exec`] wrapping
-/// [`avq_db::DbError::Governance`]. An unlimited `gov` adds one branch
-/// per poll point over the traced path.
-pub fn execute_governed(
+/// Every block read on behalf of the query goes through
+/// [`avq_db::StoredRelation::read_block`] — the poll point for `ctx.gov`'s
+/// deadline, cancellation and quotas, and where `ctx.trace` gets its
+/// block-read spans beneath the per-stage `avq.sql.stage` spans recorded
+/// here. Materialized rows — scan output block by block, join output —
+/// charge the memory budget, and a trip unwinds as [`SqlError::Exec`]
+/// wrapping [`avq_db::DbError::Governance`].
+pub fn execute(
     db: &Database,
     q: &BoundQuery,
     plan: &PhysicalPlan,
-    ctx: &TraceCtx,
-    gov: &GovCtx,
+    ctx: &QueryCtx,
 ) -> Result<ExecOutput, SqlError> {
     let mut exec = Exec {
         db,
         q,
         order: &plan.table_order,
         ctx,
-        gov,
         stages: Vec::new(),
         actual_rows: Vec::new(),
     };
@@ -866,4 +860,18 @@ pub fn execute_governed(
         stages: exec.stages,
         actual_rows: exec.actual_rows,
     })
+}
+
+/// [`execute`] for a caller that holds only a [`TraceCtx`] — the one
+/// `_traced` name left in the workspace. `benchmark/src/trace.rs` calls it
+/// and `benchmark/` compiles against this crate by path, so it stays until
+/// a benchmark PR moves that call to [`execute`]; nothing else should call
+/// it.
+pub fn execute_traced(
+    db: &Database,
+    q: &BoundQuery,
+    plan: &PhysicalPlan,
+    ctx: &TraceCtx,
+) -> Result<ExecOutput, SqlError> {
+    execute(db, q, plan, &QueryCtx::from(ctx.clone()))
 }

@@ -19,6 +19,12 @@
 //! `AND`, `JOIN … ON` equijoins (up to three relations), `GROUP BY` with
 //! `COUNT`/`SUM`/`MIN`/`MAX`/`AVG`, `ORDER BY`, `LIMIT`, and
 //! `EXPLAIN [ANALYZE]` of any of the above.
+//!
+//! There is one entry point per operation: [`run_with`] runs a statement
+//! under a [`QueryCtx`] (its trace and its budget), [`run`] is the same
+//! call with the default — untraced, unlimited — context, and
+//! [`exec::execute`] is the executor alone for callers that parse, bind
+//! and plan themselves.
 
 pub mod ast;
 pub mod binder;
@@ -38,7 +44,7 @@ pub use plan::{PhysicalPlan, PlanNode};
 pub use render::{render_analyze, render_explain};
 
 use avq_db::Database;
-use avq_obs::names;
+use avq_obs::{names, QueryCtx};
 
 /// What running one statement produced.
 #[derive(Debug)]
@@ -59,64 +65,46 @@ impl SqlOutcome {
     }
 }
 
-/// Parses, plans, and runs one SQL statement against `db`.
+/// Parses, plans, and runs one SQL statement against `db`, untraced and
+/// unbudgeted: [`run_with`] under [`QueryCtx::default`].
 pub fn run(db: &Database, sql: &str) -> Result<SqlOutcome, SqlError> {
-    run_traced(db, sql, &avq_obs::TraceCtx::disabled())
+    run_with(db, sql, &QueryCtx::default())
 }
 
-/// [`run`] with per-query trace capture.
+/// Parses, plans, and runs one SQL statement against `db` under `ctx`.
 ///
-/// When `ctx` is recording, the statement executes under a root
-/// `avq.sql.query` span (attributes: `statement`, `plan_summary`,
-/// `plans_considered`) with child spans for parse, plan, and execute;
-/// the executor additionally records one `avq.sql.stage` span per
-/// operator stage, and storage-level block reads nest beneath the stage
-/// that issued them. The query text, chosen plan summary, and per-node
-/// estimated-vs-actual row counts are captured on the trace for the
-/// slow-query log. With a disabled `ctx` this is exactly [`run`]: the
-/// `span!` histograms and counters record either way.
-pub fn run_traced(
-    db: &Database,
-    sql: &str,
-    ctx: &avq_obs::TraceCtx,
-) -> Result<SqlOutcome, SqlError> {
-    run_governed(db, sql, ctx, &avq_obs::GovCtx::unlimited())
-}
-
-/// [`run_traced`] under a resource-governance budget.
+/// **Tracing.** When `ctx.trace` is recording, the statement executes
+/// under a root `avq.sql.query` span (attributes: `statement`,
+/// `plan_summary`, `plans_considered`) with child spans for parse, plan,
+/// and execute; the executor additionally records one `avq.sql.stage` span
+/// per operator stage, and storage-level block reads nest beneath the
+/// stage that issued them. The query text, chosen plan summary, and
+/// per-node estimated-vs-actual row counts are captured on the trace for
+/// the slow-query log. The `span!` histograms and counters record either
+/// way.
 ///
-/// The statement executes inside `gov`'s deadline, quota, and
-/// cancellation envelope: every block decoded on its behalf is a poll
-/// point, and a trip surfaces as [`SqlError::Exec`] wrapping
+/// **Governance.** The statement executes inside `ctx.gov`'s deadline,
+/// quota, and cancellation envelope: every block read on its behalf is a
+/// poll point, and a trip surfaces as [`SqlError::Exec`] wrapping
 /// [`avq_db::DbError::Governance`] — never a silently truncated result.
 /// The budget's usage histograms are flushed (`gov.finish()`) whether the
-/// statement succeeds or trips. An unlimited `gov` takes the exact
-/// [`run_traced`] path plus one branch per poll point.
-pub fn run_governed(
-    db: &Database,
-    sql: &str,
-    ctx: &avq_obs::TraceCtx,
-    gov: &avq_obs::GovCtx,
-) -> Result<SqlOutcome, SqlError> {
-    let out = run_governed_inner(db, sql, ctx, gov);
-    gov.finish();
+/// statement succeeds or trips.
+pub fn run_with(db: &Database, sql: &str, ctx: &QueryCtx) -> Result<SqlOutcome, SqlError> {
+    let out = run_statement(db, sql, ctx);
+    ctx.gov.finish();
     out
 }
 
-fn run_governed_inner(
-    db: &Database,
-    sql: &str,
-    ctx: &avq_obs::TraceCtx,
-    gov: &avq_obs::GovCtx,
-) -> Result<SqlOutcome, SqlError> {
+fn run_statement(db: &Database, sql: &str, ctx: &QueryCtx) -> Result<SqlOutcome, SqlError> {
     avq_obs::counter!(names::SQL_STATEMENTS).inc();
-    let root = ctx.span(names::SPAN_SQL_QUERY);
+    let trace = &ctx.trace;
+    let root = trace.span(names::SPAN_SQL_QUERY);
     if root.is_recording() {
         root.attr(names::ATTR_STATEMENT, sql);
     }
     let stmt = {
         let _span = avq_obs::span!(names::SPAN_SQL_PARSE);
-        let _trace = ctx.span(names::SPAN_SQL_PARSE);
+        let _trace = trace.span(names::SPAN_SQL_PARSE);
         parse(sql)?
     };
     let (select, explain) = match stmt {
@@ -125,7 +113,7 @@ fn run_governed_inner(
     };
     let (bound, physical) = {
         let _span = avq_obs::span!(names::SPAN_SQL_PLAN);
-        let _trace = ctx.span(names::SPAN_SQL_PLAN);
+        let _trace = trace.span(names::SPAN_SQL_PLAN);
         let bound = bind(db, &select)?;
         let physical = plan::plan(db, &bound)?;
         avq_obs::counter!(names::SQL_PLANS_CONSIDERED).add(physical.plans_considered);
@@ -134,31 +122,21 @@ fn run_governed_inner(
     if root.is_recording() {
         root.attr(names::ATTR_PLAN_SUMMARY, physical.summary());
         root.attr(names::ATTR_PLANS_CONSIDERED, physical.plans_considered);
-        ctx.set_query(sql, &physical.summary());
+        trace.set_query(sql, &physical.summary());
     }
-    match explain {
-        None => {
-            let out = {
-                let _span = avq_obs::span!(names::SPAN_SQL_EXEC);
-                let _trace = ctx.span(names::SPAN_SQL_EXEC);
-                exec::execute_governed(db, &bound, &physical, ctx, gov)?
-            };
-            if ctx.is_enabled() {
-                ctx.set_stage_rows(render::node_rows(&bound, &physical, &out.actual_rows));
-            }
-            Ok(SqlOutcome::Table(out.result))
-        }
-        Some(false) => Ok(SqlOutcome::Plan(render_explain(&bound, &physical))),
-        Some(true) => {
-            let out = {
-                let _span = avq_obs::span!(names::SPAN_SQL_EXEC);
-                let _trace = ctx.span(names::SPAN_SQL_EXEC);
-                exec::execute_governed(db, &bound, &physical, ctx, gov)?
-            };
-            if ctx.is_enabled() {
-                ctx.set_stage_rows(render::node_rows(&bound, &physical, &out.actual_rows));
-            }
-            Ok(SqlOutcome::Plan(render_analyze(&bound, &physical, &out)))
-        }
+    if explain == Some(false) {
+        return Ok(SqlOutcome::Plan(render_explain(&bound, &physical)));
     }
+    let out = {
+        let _span = avq_obs::span!(names::SPAN_SQL_EXEC);
+        let _trace = trace.span(names::SPAN_SQL_EXEC);
+        exec::execute(db, &bound, &physical, ctx)?
+    };
+    if trace.is_enabled() {
+        trace.set_stage_rows(render::node_rows(&bound, &physical, &out.actual_rows));
+    }
+    Ok(match explain {
+        None => SqlOutcome::Table(out.result),
+        Some(_) => SqlOutcome::Plan(render_analyze(&bound, &physical, &out)),
+    })
 }

@@ -7,9 +7,9 @@
 //! afterwards.
 
 use avq_db::{
-    row_mem_bytes, Database, DbConfig, DbError, GovCtx, GovernanceError, QueryBudget, QuotaKind,
+    row_mem_bytes, Database, DbConfig, DbError, GovCtx, GovernanceError, QueryBudget, QueryCtx,
+    QuotaKind,
 };
-use avq_obs::TraceCtx;
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use avq_sql::SqlError;
 use proptest::prelude::*;
@@ -53,8 +53,8 @@ proptest! {
             QueryBudget::unlimited().with_max_mem_bytes(limit),
             db.clock().clone(),
         );
-        let err = avq_sql::run_governed(&db, "select * from t", &TraceCtx::disabled(), &gov)
-            .unwrap_err();
+        let err =
+            avq_sql::run_with(&db, "select * from t", &QueryCtx::from(gov.clone())).unwrap_err();
         match err {
             SqlError::Exec {
                 source:
@@ -84,7 +84,7 @@ proptest! {
             db.clock().clone(),
         );
         let sql = "select a, count(*), max(c) from t group by a";
-        prop_assert!(avq_sql::run_governed(&db, sql, &TraceCtx::disabled(), &folded).is_ok());
+        prop_assert!(avq_sql::run_with(&db, sql, &QueryCtx::from(folded.clone())).is_ok());
         prop_assert_eq!(folded.usage().rows, n);
         prop_assert_eq!(folded.usage().mem_peak_bytes, 0);
 
@@ -93,8 +93,6 @@ proptest! {
             QueryBudget::unlimited().with_max_mem_bytes(n * row),
             db.clock().clone(),
         );
-        prop_assert!(
-            avq_sql::run_governed(&db, "select * from t", &TraceCtx::disabled(), &roomy).is_ok()
-        );
+        prop_assert!(avq_sql::run_with(&db, "select * from t", &QueryCtx::from(roomy)).is_ok());
     }
 }

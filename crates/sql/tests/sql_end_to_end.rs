@@ -266,7 +266,7 @@ fn governed(
     sql: &str,
     gov: &avq_db::GovCtx,
 ) -> Result<SqlOutcome, avq_sql::SqlError> {
-    avq_sql::run_governed(db, sql, &avq_obs::TraceCtx::disabled(), gov)
+    avq_sql::run_with(db, sql, &avq_db::QueryCtx::from(gov.clone()))
 }
 
 /// Unwraps the governance trip inside a failed statement.
@@ -393,4 +393,115 @@ fn statement_metrics_are_recorded() {
         delta(avq_obs::names::SQL_STATEMENTS) == 2
     });
     assert!(quiet_window, "two statements must count as exactly two");
+}
+
+/// `t(a < 64, b < 64, c < 4096)`, 1500 rows in 128-byte blocks with a
+/// secondary index on `b`, then `k` seeded blocks made unreadable and the
+/// caches dropped. Returns the database and its block count.
+fn damaged_db(policy: avq_db::ScanPolicy, k: usize) -> (Database, usize) {
+    use avq_storage::{FaultKind, FaultPlan};
+    let config = DbConfig::default()
+        .with_block_capacity(128)
+        .with_scan_policy(policy)
+        .with_retry(avq_db::RetryPolicy::none());
+    let schema = Schema::from_pairs(vec![
+        ("a", Domain::uint(64).unwrap()),
+        ("b", Domain::uint(64).unwrap()),
+        ("c", Domain::uint(4096).unwrap()),
+    ])
+    .unwrap();
+    let tuples: Vec<Tuple> = (0..1500u64)
+        .map(|i| Tuple::from([(i * 7) % 64, (i * 13) % 64, (i * 29) % 4096]))
+        .collect();
+    let mut db = Database::new(config);
+    db.create_relation("t", &Relation::from_tuples(schema, tuples).unwrap())
+        .unwrap();
+    db.create_secondary_index("t", 1).unwrap();
+    let ids = db.relation("t").unwrap().all_block_ids();
+    let bad = FaultPlan::pick_blocks(0x5EED, &ids, k);
+    db.device()
+        .set_fault_plan(FaultPlan::new(0x5EED).with_fault_on(FaultKind::ReadError, bad));
+    db.drop_caches();
+    (db, ids.len())
+}
+
+/// The scan policy reaches SQL through the same block read as every
+/// db-level operator: over a relation with `k` unreadable blocks a
+/// statement returns what the db-level operator returns — the intact
+/// blocks' rows — and the damaged blocks are counted once; under
+/// `FailFast` the statement fails with the typed storage error.
+#[test]
+fn damaged_blocks_are_skipped_or_fail_typed_like_the_db_operators() {
+    use avq_db::{equijoin, RangePredicate, ScanPolicy, Selection};
+    let corrupt = || avq_obs::global().counter("avq.corrupt_blocks.total").get();
+    let k = 4;
+    let (db, blocks) = damaged_db(ScanPolicy::SkipCorrupt, k);
+    assert!(blocks > 4 * k);
+    let rel = db.relation("t").unwrap();
+    let before = corrupt();
+    let count = |sql: &str| match table(&db, sql).rows[..] {
+        [ref row] => match row[..] {
+            [Cell::Int(n)] => n as usize,
+            ref other => panic!("expected one count, got {other:?}"),
+        },
+        ref other => panic!("expected one row, got {other:?}"),
+    };
+
+    let served = rel.scan_all().unwrap().len();
+    assert!(served < 1500, "the damage must cost rows");
+    assert_eq!(count("select count(*) from t"), served);
+
+    let sel = Selection::all().and(RangePredicate {
+        attr: 2,
+        lo: 100,
+        hi: 3000,
+    });
+    let (want, _, _) = rel.select(&sel).unwrap();
+    let got = table(&db, "select a, b, c from t where c between 100 and 3000");
+    let mut got: Vec<Vec<u64>> = got
+        .rows
+        .iter()
+        .map(|row| {
+            row.iter()
+                .map(|cell| match cell {
+                    Cell::Int(n) => *n as u64,
+                    other => panic!("expected an integer, got {other:?}"),
+                })
+                .collect()
+        })
+        .collect();
+    got.sort_unstable();
+    let mut want: Vec<Vec<u64>> = want.iter().map(|t| t.digits().to_vec()).collect();
+    want.sort_unstable();
+    assert_eq!(got, want);
+
+    let (pairs, _, _) = equijoin(rel, 1, rel, 1).unwrap();
+    assert_eq!(
+        count("select count(*) from t x join t y on x.b = y.b"),
+        pairs.len()
+    );
+    assert_eq!(corrupt() - before, k as u64, "each damaged block once");
+
+    let (db, _) = damaged_db(ScanPolicy::FailFast, k);
+    for sql in [
+        "select count(*) from t",
+        "select * from t where c between 100 and 3000",
+        "select count(*) from t x join t y on x.b = y.b",
+    ] {
+        let err = run(&db, sql).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                avq_sql::SqlError::Exec {
+                    source: avq_db::DbError::Storage(avq_storage::StorageError::Io { .. })
+                }
+            ),
+            "{sql}: {err}"
+        );
+    }
+    assert_eq!(
+        corrupt() - before,
+        k as u64,
+        "fail-fast quarantines nothing"
+    );
 }

@@ -172,22 +172,6 @@ impl WalWriter {
     /// written together and, unless the policy is [`SyncPolicy::Manual`],
     /// made durable with a *single* `fsync`. Returns the batch's LSNs.
     pub fn append_batch(&mut self, records: &[WalRecord]) -> Result<Vec<Lsn>, WalError> {
-        self.append_batch_traced(records, &avq_obs::TraceCtx::disabled())
-    }
-
-    /// [`Self::append_batch`] with trace attribution: when `ctx` is
-    /// recording, the group commit additionally opens an
-    /// `avq.wal.group_commit` trace span carrying the batch size. The
-    /// `span!` histogram instrumentation runs either way.
-    pub fn append_batch_traced(
-        &mut self,
-        records: &[WalRecord],
-        ctx: &avq_obs::TraceCtx,
-    ) -> Result<Vec<Lsn>, WalError> {
-        let trace_span = ctx.span(names::SPAN_WAL_GROUP_COMMIT);
-        if trace_span.is_recording() {
-            trace_span.attr(names::ATTR_BATCH_SIZE, records.len());
-        }
         let _span = avq_obs::span!(names::SPAN_WAL_GROUP_COMMIT);
         avq_obs::counter!(names::WAL_RECORDS).add(records.len() as u64);
         avq_obs::histogram!(names::WAL_GROUP_COMMIT_BATCH_SIZE).record(records.len() as u64);

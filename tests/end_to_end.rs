@@ -75,12 +75,17 @@ fn cost_model_is_consistent_with_formula() {
         cpu_ms_per_block: t2,
         ..Default::default()
     };
+    // A range holding a quarter of the attribute-6 values that occur.
+    let mut a06: Vec<u64> = relation.tuples().iter().map(|t| t.digits()[6]).collect();
+    a06.sort_unstable();
+    let (lo, hi) = (a06[a06.len() / 4], a06[a06.len() / 2]);
     let mut db = Database::new(config);
     db.create_relation("r", &relation).unwrap();
     db.create_secondary_index("r", 6).unwrap();
     db.drop_caches();
     db.reset_measurements();
-    let (_, cost) = db.select_range_ordinal("r", 6, 64, 127).unwrap();
+    let (_, cost) = db.select_range_ordinal("r", 6, lo, hi).unwrap();
+    assert!(cost.data_blocks > 1, "the range must touch data blocks");
     // Cold cache: physical reads == logical accesses.
     assert_eq!(cost.data_reads, cost.data_blocks);
     let expect_data_ms = cost.data_blocks as f64 * (30.0 + t2);
@@ -92,6 +97,38 @@ fn cost_model_is_consistent_with_formula() {
     );
     let expect_index_ms = cost.index_reads as f64 * 30.0;
     assert!((cost.index_ms - expect_index_ms).abs() < 1e-6);
+
+    // The same conjunct through `select`: t₂ is charged wherever a block is
+    // served, so the cost is the same cost.
+    db.drop_caches();
+    db.reset_measurements();
+    let conjunct = Selection::all().and(RangePredicate { attr: 6, lo, hi });
+    let (_, via_select, _) = db.relation("r").unwrap().select(&conjunct).unwrap();
+    assert_eq!(via_select.data_blocks, cost.data_blocks);
+    assert!((via_select.data_ms - expect_data_ms).abs() < 1e-6);
+
+    // And through SQL, whatever plan it picks: every device read costs t₁
+    // and every block a scan stage served costs t₂ on top.
+    db.drop_caches();
+    db.reset_measurements();
+    let start_ms = db.clock().now_ms();
+    let stmt = format!("select * from r where a06 between {lo} and {hi}");
+    let stmt = avq_sql::parse(&stmt).unwrap();
+    let avq_sql::Statement::Select(stmt) = stmt else {
+        panic!("a select parses to a select");
+    };
+    let bound = avq_sql::bind(&db, &stmt).unwrap();
+    let plan = avq_sql::plan::plan(&db, &bound).unwrap();
+    let out = avq_sql::exec::execute(&db, &bound, &plan, &Default::default()).unwrap();
+    assert_eq!(out.result.rows.len(), via_select.tuples_matched);
+    let served: u64 = out.stages.iter().map(|s| s.blocks).sum();
+    assert!(served > 0);
+    let expect_ms = db.io_stats().reads as f64 * 30.0 + served as f64 * t2;
+    let elapsed_ms = db.clock().now_ms() - start_ms;
+    assert!(
+        (elapsed_ms - expect_ms).abs() < 1e-6,
+        "SQL advanced the clock by {elapsed_ms}, formula {expect_ms}"
+    );
 }
 
 #[test]
