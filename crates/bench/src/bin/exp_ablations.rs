@@ -20,10 +20,14 @@ use avq_schema::{Relation, Schema, Tuple};
 use avq_workload::SyntheticSpec;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50_000);
+    if let Err(e) = run() {
+        eprintln!("usage: exp_ablations [n]\n{e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), String> {
+    let n = harness::arg(1, "n", 50_000)?;
     let (_, relation) = harness::timing_relation(n);
 
     // 1 + 2: mode × representative.
@@ -168,6 +172,7 @@ fn main() {
     println!("\n(bit alignment wins exactly where digit cells are sparsely used: small");
     println!(" domains padded to whole bytes. On the §5.2 relation diff digits fill");
     println!(" their cells and §3.4's byte-aligned code is already near-optimal.)");
+    Ok(())
 }
 
 /// Rebuilds a relation with its attributes permuted.

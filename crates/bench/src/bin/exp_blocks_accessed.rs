@@ -13,10 +13,14 @@ use avq_bench::report::Table;
 use avq_codec::CodingMode;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100_000);
+    if let Err(e) = run() {
+        eprintln!("usage: exp_blocks_accessed [n]\n{e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), String> {
+    let n = harness::arg(1, "n", 100_000)?;
     let (spec, relation) = harness::timing_relation(n);
     eprintln!("loading uncoded database ({n} tuples)...");
     let uncoded = harness::load_database(&relation, CodingMode::FieldWise, 0.0);
@@ -70,4 +74,5 @@ fn main() {
     println!("paper shape: non-key attributes touch ~every data block (189 vs 64);");
     println!("the clustering attribute (k=1) touches a contiguous fraction; the");
     println!("primary-key attribute (k=16) touches exactly one block in both stores.");
+    Ok(())
 }

@@ -17,14 +17,15 @@ use avq_codec::{BlockCodec, BlockPacker, CodingMode, RepChoice};
 use avq_storage::MachineProfile;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100_000);
-    let reps: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100);
+    if let Err(e) = run() {
+        eprintln!("usage: exp_codec_time [n] [reps]\n{e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), String> {
+    let n = harness::arg(1, "n", 100_000)?;
+    let reps = harness::arg(2, "reps", 100)?;
 
     let (_, relation) = harness::timing_relation(n);
     let schema = relation.schema().clone();
@@ -109,4 +110,5 @@ fn main() {
          a ~{:.0}× hardware speedup, which is the paper's own point: CPU outpaces disk)",
         13.85 / avq_decode_host
     );
+    Ok(())
 }

@@ -11,21 +11,26 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use avq_bench::harness;
 use avq_bench::report::Table;
 use avq_codec::{compress, CodecOptions};
 use avq_workload::SyntheticSpec;
 
 fn main() {
-    let sizes: Vec<usize> = {
-        let args: Vec<usize> = std::env::args()
-            .skip(1)
-            .filter_map(|a| a.parse().ok())
-            .collect();
-        if args.is_empty() {
-            vec![1_000, 10_000, 100_000]
-        } else {
-            args
-        }
+    if let Err(e) = run() {
+        eprintln!("usage: exp_compression [sizes...]\n{e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), String> {
+    let argc = std::env::args().len();
+    let sizes: Vec<usize> = if argc < 2 {
+        vec![1_000, 10_000, 100_000]
+    } else {
+        (1..argc)
+            .map(|k| harness::arg(k, "size", 0))
+            .collect::<Result<_, _>>()?
     };
 
     println!("Fig 5.7 — percentage reduction in size (blocks), 8192-byte blocks\n");
@@ -73,4 +78,5 @@ fn main() {
         ]);
     }
     detail.print();
+    Ok(())
 }

@@ -40,10 +40,14 @@ fn measure_side(
 }
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100_000);
+    if let Err(e) = run() {
+        eprintln!("usage: exp_response_time [n]\n{e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), String> {
+    let n = harness::arg(1, "n", 100_000)?;
     let (spec, relation) = harness::timing_relation(n);
 
     eprintln!("measuring uncoded and AVQ sides in parallel...");
@@ -161,4 +165,5 @@ fn main() {
     println!("\npaper row 11: HP 50.8%, Sun 34.0%, DEC 20.1%.");
     println!("shape checks: (1) AVQ wins on every machine; (2) the win grows with CPU");
     println!("speed (HP > Sun > DEC), the paper's core claim about technology trends.");
+    Ok(())
 }

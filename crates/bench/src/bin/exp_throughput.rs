@@ -15,14 +15,15 @@ use avq_workload::{QueryShape, QueryWorkload};
 use std::time::Instant;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50_000);
-    let queries: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(160);
+    if let Err(e) = run() {
+        eprintln!("usage: exp_throughput [n] [queries]\n{e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), String> {
+    let n = harness::arg(1, "n", 50_000)?;
+    let queries = harness::arg(2, "queries", 160)?;
 
     let (spec, relation) = harness::timing_relation(n);
     eprintln!("loading databases ({n} tuples)...");
@@ -77,4 +78,5 @@ fn main() {
     println!("\n(simulated time charges 30 ms/block + t2/t3 CPU per block; AVQ reads ~3x");
     println!(" fewer blocks, so its 1994 wall-clock advantage holds across query shapes,");
     println!(" while host time shows the modern-CPU decode overhead in isolation)");
+    Ok(())
 }

@@ -18,14 +18,15 @@ use rand::{Rng, SeedableRng};
 use std::time::Instant;
 
 fn main() {
-    let n: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(50_000);
-    let ops: usize = std::env::args()
-        .nth(2)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000);
+    if let Err(e) = run() {
+        eprintln!("usage: exp_updates [n] [ops]\n{e}");
+        std::process::exit(2);
+    }
+}
+
+fn run() -> Result<(), String> {
+    let n = harness::arg(1, "n", 50_000)?;
+    let ops = harness::arg(2, "ops", 2_000)?;
     let (spec, relation) = harness::timing_relation(n);
     let sizes = spec.domain_sizes();
 
@@ -108,4 +109,5 @@ fn main() {
     println!(" next to the tuple are re-coded, and a block is decoded only when it is not");
     println!(" resident; the bit-aligned mode re-encodes the block from its decoded rows.");
     println!(" The block-count delta shows split frequency under insertion pressure.)");
+    Ok(())
 }

@@ -10,6 +10,23 @@ use avq_workload::{ActiveSpec, SyntheticSpec};
 /// Name under which the timing relation is stored.
 pub const REL: &str = "r";
 
+/// The `k`-th command-line argument as a count: `default` when absent, and
+/// an error naming the argument when present but not a number — `main`
+/// prints it as usage and exits with code 2, so a mistyped size cannot
+/// silently run (and get recorded as) the default experiment.
+pub fn arg(k: usize, name: &str, default: usize) -> Result<usize, String> {
+    parse_arg(std::env::args().nth(k), name, default)
+}
+
+fn parse_arg(raw: Option<String>, name: &str, default: usize) -> Result<usize, String> {
+    match raw {
+        None => Ok(default),
+        Some(s) => s
+            .parse()
+            .map_err(|_| format!("<{name}> must be a non-negative integer, got {s:?}")),
+    }
+}
+
 /// Builds the §5.2 relation.
 pub fn timing_relation(tuples: usize) -> (SyntheticSpec, Relation) {
     let spec = SyntheticSpec::section_5_2(tuples);
@@ -84,4 +101,21 @@ pub fn blocks_accessed(db: &Database, spec: &SyntheticSpec) -> Vec<(u64, u64)> {
         out.push((cost.data_blocks, cost.index_reads));
     }
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_arg;
+
+    #[test]
+    fn absent_argument_takes_the_default() {
+        assert_eq!(parse_arg(None, "n", 100_000), Ok(100_000));
+        assert_eq!(parse_arg(Some("250".into()), "n", 100_000), Ok(250));
+    }
+
+    #[test]
+    fn unparsable_argument_is_an_error_naming_it() {
+        let err = parse_arg(Some("10000O".into()), "n", 100_000).unwrap_err();
+        assert!(err.contains("<n>") && err.contains("10000O"), "{err}");
+    }
 }

@@ -11,8 +11,13 @@
 //! * `exp_response_time` — Fig. 5.9: the full response-time table.
 //! * `exp_ablations` — the DESIGN.md ablations (mode, representative,
 //!   block size, attribute order, buffer pool).
+//! * `exp_throughput` — extension E10: a query mix against the uncoded and
+//!   the AVQ store, in simulated 1994 time and in host time.
+//! * `exp_updates` — extension E11: insert/delete cost, AVQ vs uncoded.
 //!
-//! Criterion micro-benchmarks live in `benches/`.
+//! These print the paper's tables; they are not the performance harness.
+//! Timings, per-layer metrics and regression bounds come from the
+//! repository's benchmark (`BENCHMARK.json`, `benchmark/`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -15,35 +15,6 @@ pub fn avg_ms<F: FnMut()>(warmup: usize, reps: usize, mut f: F) -> f64 {
     start.elapsed().as_secs_f64() * 1000.0 / reps as f64
 }
 
-/// A simple min/mean/max summary of a sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Summary {
-    /// Smallest observation.
-    pub min: f64,
-    /// Arithmetic mean.
-    pub mean: f64,
-    /// Largest observation.
-    pub max: f64,
-}
-
-/// Summarizes a non-empty sample.
-pub fn summarize(samples: &[f64]) -> Summary {
-    assert!(!samples.is_empty(), "empty sample");
-    let mut min = f64::INFINITY;
-    let mut max = f64::NEG_INFINITY;
-    let mut sum = 0.0;
-    for &s in samples {
-        min = min.min(s);
-        max = max.max(s);
-        sum += s;
-    }
-    Summary {
-        min,
-        mean: sum / samples.len() as f64,
-        max,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,19 +24,5 @@ mod tests {
         let mut calls = 0;
         let _ = avg_ms(2, 5, || calls += 1);
         assert_eq!(calls, 7);
-    }
-
-    #[test]
-    fn summary() {
-        let s = summarize(&[1.0, 2.0, 6.0]);
-        assert_eq!(s.min, 1.0);
-        assert_eq!(s.max, 6.0);
-        assert!((s.mean - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "empty sample")]
-    fn empty_sample_panics() {
-        summarize(&[]);
     }
 }

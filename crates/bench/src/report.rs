@@ -63,37 +63,9 @@ impl Table {
     }
 }
 
-/// Renders the named histograms of a metrics-registry snapshot delta as one
-/// JSON object — `{"avq.codec.decode_block.ns": {"count": …, "p50": …}, …}`
-/// — so `BENCH_*.json` reports carry latency percentiles next to their
-/// wall-clock averages. Names with no recorded samples are omitted.
-pub fn latency_json(delta: &avq_obs::Snapshot, names: &[&str]) -> String {
-    let entries: Vec<String> = names
-        .iter()
-        .filter_map(|name| {
-            delta
-                .histograms
-                .get(*name)
-                .filter(|h| h.count > 0)
-                .map(|h| format!("\"{name}\": {}", avq_obs::histogram_json(h)))
-        })
-        .collect();
-    format!("{{{}}}", entries.join(", "))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latency_json_skips_empty_histograms() {
-        avq_obs::histogram!("bench.report.test.ns").record(1500);
-        let delta = avq_obs::global().snapshot();
-        let json = latency_json(&delta, &["bench.report.test.ns", "bench.report.absent.ns"]);
-        assert!(json.contains("\"bench.report.test.ns\""), "{json}");
-        assert!(json.contains("\"p50\""), "{json}");
-        assert!(!json.contains("absent"), "{json}");
-    }
 
     #[test]
     fn renders_aligned_markdown() {

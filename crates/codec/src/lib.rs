@@ -66,9 +66,7 @@ pub use error::CodecError;
 pub use kernel::DecodeKernel;
 pub use mode::{CodingMode, RepChoice};
 pub use packer::BlockPacker;
-pub use parallel::{
-    compress_parallel, compress_sorted_parallel, decode_blocks_parallel, decompress_parallel,
-};
+pub use parallel::decompress_parallel;
 pub use stats::CompressionStats;
 pub use update::{
     delete_from_block, delete_from_rows, insert_into_block, insert_into_rows, DeleteOutcome,

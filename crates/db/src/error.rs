@@ -41,8 +41,8 @@ pub enum DbError {
         /// Human-readable cause.
         detail: String,
     },
-    /// A resource-governance trip: the query timed out, was cancelled,
-    /// blew a quota, or was shed by the admission controller.
+    /// A resource-governance trip: the query timed out, was cancelled, or
+    /// blew a quota.
     Governance(avq_obs::GovernanceError),
 }
 

@@ -41,7 +41,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod admission;
 mod aggregate;
 mod config;
 mod cost;
@@ -49,14 +48,12 @@ mod database;
 mod durable;
 mod error;
 mod explain;
-mod extsort;
 mod join;
 mod query;
 mod relation_store;
 mod scan;
 mod secondary;
 
-pub use admission::{AdmissionConfig, AdmissionController, AdmissionPermit, QueryClass};
 pub use aggregate::{Aggregate, AggregateValue};
 pub use config::{DbConfig, ScanPolicy};
 pub use cost::QueryCost;
@@ -68,13 +65,10 @@ pub use explain::{format_elapsed, CacheMark, ExplainReport, StageReport};
 pub use avq_wal::SyncPolicy;
 // Re-exported so degraded-mode callers need not depend on `avq-storage`.
 pub use avq_storage::RetryPolicy;
-pub use extsort::{ExternalSorter, SortedStream};
 pub use join::{block_nested_loop, equijoin, index_nested_loop, JoinStrategy};
 pub use query::{AccessPath, RangePredicate, Selection};
 pub use relation_store::{row_mem_bytes, uncoded_block_count, StoredBlock, StoredRelation};
 
-pub use avq_obs::{
-    GovCtx, GovUsage, GovernanceError, QueryBudget, QueryCtx, QuotaKind, ShedReason,
-};
+pub use avq_obs::{GovCtx, GovUsage, GovernanceError, QueryBudget, QueryCtx, QuotaKind};
 pub use scan::RangeScan;
 pub use secondary::SecondaryIndex;

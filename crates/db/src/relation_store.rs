@@ -145,10 +145,10 @@ impl StoredRelation {
         Self::assemble_loaded(device, pool, coded.schema().clone(), config, emitted)
     }
 
-    /// Assembles a stored relation from already-written data blocks (used by
-    /// the streaming bulk loader): records metadata and bulk-builds the
-    /// primary index. Blocks must arrive in φ order.
-    pub(crate) fn assemble_loaded(
+    /// Assembles a stored relation from already-written data blocks: records
+    /// metadata and bulk-builds the primary index. Blocks must arrive in φ
+    /// order.
+    fn assemble_loaded(
         device: Arc<BlockDevice>,
         pool: Arc<BufferPool>,
         schema: Arc<Schema>,

@@ -59,8 +59,8 @@ fn full_range() -> (Tuple, Tuple) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Cancelling mid-iteration (through a cloned handle, as a REPL or
-    /// admission queue would) either lets the scan finish — it was already
+    /// Cancelling mid-iteration (through a cloned handle, as a REPL would)
+    /// either lets the scan finish — it was already
     /// past the last poll point — or stops it with the typed `Cancelled`
     /// error after at most one more block of tuples. Never a silently
     /// short result.

@@ -1,10 +1,10 @@
-//! Pins the cold/warm decoded-cache counter semantics that
-//! `exp_decode` reports: a cold scan misses every block and hits none; the
-//! warm re-scan — measured as the traffic *since* the cold pass — hits
-//! every block and performs **zero** decode calls. An earlier version of
-//! the experiment read the cumulative counters for the warm window, so the
-//! cold pass's misses leaked into the "warm" numbers (hits == misses ==
-//! block count); this test fails if that regresses.
+//! Pins the cold/warm decoded-cache counter semantics (what the benchmark
+//! reports as `storage.decoded_hit_rate` and `codec.decodes_per_op`): a
+//! cold scan misses every block and hits none; the warm re-scan — measured
+//! as the traffic *since* the cold pass — hits every block and performs
+//! **zero** decode calls. Reading the cumulative counters for the warm
+//! window instead lets the cold pass's misses leak into the "warm" numbers
+//! (hits == misses == block count); this test fails if that happens.
 //!
 //! A warm block read is a hand-off, not a copy: every reader of a cached
 //! block gets the same `Arc<TupleBatch>`, until a mutation of that block

@@ -21,11 +21,9 @@
 
 mod bucket;
 mod error;
-mod hash;
 mod node;
 mod tree;
 
 pub use bucket::{BucketStore, Posting, Removal};
 pub use error::IndexError;
-pub use hash::HashIndex;
 pub use tree::{BPlusTree, TreeStats};

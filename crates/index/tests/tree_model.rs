@@ -1,10 +1,10 @@
-//! Model-based property tests: the B⁺-tree and the hash index are driven
-//! with arbitrary operation sequences against `std::collections` models.
+//! Model-based property tests: the B⁺-tree is driven with arbitrary
+//! operation sequences against a `std::collections` model.
 
-use avq_index::{BPlusTree, HashIndex};
+use avq_index::BPlusTree;
 use avq_storage::{BlockDevice, BufferPool, DiskProfile};
 use proptest::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn pool(block_size: usize) -> Arc<BufferPool> {
@@ -82,36 +82,6 @@ proptest! {
         }
         tree.validate().map_err(TestCaseError::fail)?;
         prop_assert_eq!(tree.stats().unwrap().entries, model.len());
-    }
-
-    #[test]
-    fn hash_matches_multiset(
-        ops in prop::collection::vec(
-            (any::<bool>(), 0u64..64, 0u64..16), 1..400
-        ),
-    ) {
-        let mut hash = HashIndex::create(pool(128)).unwrap();
-        let mut model: BTreeSet<(u64, u64)> = BTreeSet::new();
-        for &(is_insert, k, v) in &ops {
-            if is_insert {
-                hash.insert(k, v).unwrap();
-                model.insert((k, v));
-            } else {
-                let got = hash.remove(k, v).unwrap();
-                let expect = model.remove(&(k, v));
-                prop_assert_eq!(got, expect);
-            }
-        }
-        prop_assert_eq!(hash.len(), model.len());
-        for probe in 0..64u64 {
-            let got = hash.get(probe).unwrap();
-            let expect: Vec<u64> = model
-                .iter()
-                .filter(|&&(k, _)| k == probe)
-                .map(|&(_, v)| v)
-                .collect();
-            prop_assert_eq!(got, expect, "key {}", probe);
-        }
     }
 
     #[test]

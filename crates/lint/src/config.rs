@@ -127,12 +127,6 @@ pub struct LockRow {
 /// code. An unlisted lock field is a finding.
 pub const LOCKS: &[LockRow] = &[
     LockRow {
-        file: "crates/db/src/admission.rs",
-        field: "state",
-        rank: 10,
-        label: "admission-controller state (condvar home)",
-    },
-    LockRow {
         file: "crates/db/src/relation_store.rs",
         field: "quarantined",
         rank: 30,
@@ -212,10 +206,6 @@ pub const LOCKS: &[LockRow] = &[
     },
 ];
 
-/// The one file allowed to own a `Condvar` and call `wait*` on it: the
-/// admission controller's sanctioned wait loop.
-pub const CONDVAR_HOME: &str = "crates/db/src/admission.rs";
-
 /// Calls that must never run under a held guard: fsync/physical IO,
 /// decode kernels, and retry loops around either.
 pub const BLOCKING_CALLS: &[&str] = &[
@@ -251,16 +241,6 @@ pub struct AtomicsRow {
 /// `Ordering::` literal in production code; an unlisted site and an
 /// unused row are both findings.
 pub const ATOMICS: &[AtomicsRow] = &[
-    AtomicsRow {
-        file: "crates/bench/src/bin/exp_governance.rs",
-        func: "main",
-        orderings: &["Relaxed"],
-    },
-    AtomicsRow {
-        file: "crates/bench/src/bin/exp_governance.rs",
-        func: "run_phase",
-        orderings: &["Relaxed"],
-    },
     AtomicsRow {
         file: "crates/cli/src/commands.rs",
         func: "exercise_builtin",

@@ -104,8 +104,8 @@ Every Mutex/RwLock field is listed in the lock-hierarchy inventory
 (config LOCKS + DESIGN.md §17 table, two-way checked) with a rank;
 nested acquisitions must strictly increase in rank. While a guard bound
 with `let g = ….lock().expect(…);` is held, calls into decode, physical
-IO, or fsync are flagged, as are `Condvar` waits anywhere outside the
-sanctioned admission controller. Guard tracking is per-function and
+IO, or fsync are flagged, as is any `Condvar` field or wait: production
+code has none. Guard tracking is per-function and
 syntactic (documented false-negative posture). Waive a deliberate hold
 with `// lint: allow(AVQ-L009, <reason>)`.",
     },

@@ -4,8 +4,8 @@
 //! (`config::LOCKS`, mirrored in the DESIGN.md §17 table, two-way
 //! checked): every `Mutex`/`RwLock` struct field is in the inventory;
 //! nested acquisitions strictly increase in rank; no decode/IO/fsync
-//! call runs while a guard is held; and `Condvar` waits happen only in
-//! the sanctioned admission controller.
+//! call runs while a guard is held; and production code has no `Condvar`
+//! (field or wait).
 //!
 //! Guard tracking is per-function and syntactic: a guard counts as
 //! *held* only when bound by a plain `let` whose initializer ends right
@@ -42,12 +42,9 @@ pub fn check(ws: &Workspace, syms: &Symbols, out: &mut Vec<Finding>) {
     check_design_table(ws, out);
 }
 
-/// `Condvar` waits (`.wait(` / `.wait_timeout(` / `.wait_while(`) are
-/// allowed only in the admission controller.
+/// `Condvar` waits (`.wait(` / `.wait_timeout(` / `.wait_while(`) have no
+/// place in production code.
 fn check_condvar_waits(rel: &str, t: &[Token], out: &mut Vec<Finding>) {
-    if rel == config::CONDVAR_HOME {
-        return;
-    }
     for i in 1..t.len() {
         if t[i].kind == Kind::Ident
             && matches!(t[i].text.as_str(), "wait" | "wait_timeout" | "wait_while")
@@ -58,18 +55,14 @@ fn check_condvar_waits(rel: &str, t: &[Token], out: &mut Vec<Finding>) {
                 file: rel.to_string(),
                 line: t[i].line,
                 rule: "AVQ-L009".into(),
-                message: format!(
-                    "condvar `{}` outside the admission controller ({}) — blocking waits belong to the sanctioned wait loop",
-                    t[i].text,
-                    config::CONDVAR_HOME
-                ),
+                message: format!("condvar `{}` — no `Condvar` in production code", t[i].text),
             });
         }
     }
 }
 
-/// Every `Mutex`/`RwLock` struct field must be an inventory row; every
-/// `Condvar` field must live in the condvar home.
+/// Every `Mutex`/`RwLock` struct field must be an inventory row; a
+/// `Condvar` field is a finding wherever it is.
 fn check_struct_fields(rel: &str, t: &[Token], out: &mut Vec<Finding>) {
     for region in collect_regions(t, "struct") {
         let mut depth = 0i32;
@@ -125,15 +118,14 @@ fn check_struct_fields(rel: &str, t: &[Token], out: &mut Vec<Finding>) {
                         ),
                     });
                 }
-                if is_cv && rel != config::CONDVAR_HOME {
+                if is_cv {
                     out.push(Finding {
                         file: rel.to_string(),
                         line: tok.line,
                         rule: "AVQ-L009".into(),
                         message: format!(
-                            "`Condvar` field `{}` outside the admission controller ({})",
-                            tok.text,
-                            config::CONDVAR_HOME
+                            "`Condvar` field `{}` — no `Condvar` in production code",
+                            tok.text
                         ),
                     });
                 }

@@ -1,6 +1,6 @@
 //! AVQ-L009 fixture: a lock-order inversion, a blocking call under a
-//! guard, a condvar wait outside the admission controller, and a lock
-//! field missing from the hierarchy.
+//! guard, a condvar field and wait, and a lock field missing from the
+//! hierarchy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, RwLock};
@@ -40,7 +40,7 @@ impl Device {
         free.len() + n
     }
 
-    /// Condvar wait outside the admission controller.
+    /// Condvar wait: production code has none.
     fn park(&self) {
         let extra = self.extra.lock().expect("extra");
         let _unused = self.parked.wait(extra).expect("wait");

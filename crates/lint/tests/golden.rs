@@ -204,35 +204,6 @@ fn emitted_callgraph_is_deterministic() {
     let _ = std::fs::remove_file(&b);
 }
 
-/// The pinned call-graph snapshot in `results/` matches what the linter
-/// emits for the current workspace.
-#[test]
-fn callgraph_snapshot_is_current() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("workspace root")
-        .to_path_buf();
-    let out_path = std::env::temp_dir().join("avq_lint_cg_ws.json");
-    let out = Command::new(env!("CARGO_BIN_EXE_avq-lint"))
-        .arg("check")
-        .arg("--root")
-        .arg(&root)
-        .arg("--emit")
-        .arg(&out_path)
-        .output()
-        .expect("run avq-lint");
-    assert_eq!(out.status.code(), Some(0));
-    let emitted = std::fs::read_to_string(&out_path).expect("emitted callgraph");
-    let pinned = std::fs::read_to_string(root.join("results/callgraph.json"))
-        .expect("results/callgraph.json");
-    assert_eq!(
-        emitted, pinned,
-        "results/callgraph.json drifted — re-run `avq-lint check --emit results/callgraph.json`"
-    );
-    let _ = std::fs::remove_file(&out_path);
-}
-
 /// Human output for a failing fixture names the rule and the file:line.
 #[test]
 fn human_format_carries_locations() {

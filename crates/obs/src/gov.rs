@@ -61,15 +61,6 @@ impl fmt::Display for QuotaKind {
     }
 }
 
-/// Why an admission controller refused a query outright.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The bounded wait queue was already full.
-    QueueFull,
-    /// The query's deadline cannot be met given the expected queue wait.
-    DeadlineUnmeetable,
-}
-
 /// Typed terminal outcome of a governed query that did not run to
 /// completion. Millisecond fields are rounded virtual milliseconds so the
 /// error stays `Eq`-comparable (and cacheable inside `DbError`).
@@ -93,11 +84,6 @@ pub enum GovernanceError {
         /// Consumption observed at the poll that tripped.
         used: u64,
     },
-    /// The admission controller refused the query without running it.
-    Shed {
-        /// Why admission refused.
-        reason: ShedReason,
-    },
 }
 
 impl fmt::Display for GovernanceError {
@@ -114,12 +100,6 @@ impl fmt::Display for GovernanceError {
             GovernanceError::QuotaExceeded { kind, limit, used } => {
                 write!(f, "{kind} quota exceeded: used {used} of {limit}")
             }
-            GovernanceError::Shed {
-                reason: ShedReason::QueueFull,
-            } => write!(f, "query shed: admission queue full"),
-            GovernanceError::Shed {
-                reason: ShedReason::DeadlineUnmeetable,
-            } => write!(f, "query shed: deadline cannot be met given queue wait"),
         }
     }
 }
@@ -229,7 +209,7 @@ impl GovInner {
 /// query's [`QueryBudget`], consumption counters, and cancellation flag.
 ///
 /// Clones share state, so a clone kept outside the executor is a cancel
-/// handle: `ctx.clone()` given to a REPL or admission queue can
+/// handle: `ctx.clone()` given to a REPL can
 /// [`cancel`](GovCtx::cancel) the query while the original is mid-scan.
 /// The disabled handle ([`GovCtx::unlimited`]) makes every method a single
 /// branch.
@@ -570,13 +550,6 @@ mod tests {
             }
             .to_string(),
             "rows-examined quota exceeded: used 9 of 1"
-        );
-        assert_eq!(
-            GovernanceError::Shed {
-                reason: ShedReason::QueueFull,
-            }
-            .to_string(),
-            "query shed: admission queue full"
         );
     }
 }

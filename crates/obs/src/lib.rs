@@ -51,12 +51,12 @@ mod registry;
 mod span;
 pub mod trace;
 
-pub use gov::{GovCtx, GovUsage, GovernanceError, NowMs, QueryBudget, QuotaKind, ShedReason};
+pub use gov::{GovCtx, GovUsage, GovernanceError, NowMs, QueryBudget, QuotaKind};
 pub use metric::{
     bucket_index, bucket_lower, bucket_upper, Counter, Gauge, Histogram, HistogramSnapshot,
     HISTOGRAM_BUCKETS,
 };
-pub use registry::{global, histogram_json, Registry, Snapshot};
+pub use registry::{global, Registry, Snapshot};
 pub use span::{set_span_observer, SpanGuard, SpanObserver, Stopwatch};
 pub use trace::{
     add_span_sink, AttrValue, QueryCapture, SamplingPolicy, SpanId, StageRows, TraceCollector,

@@ -79,11 +79,6 @@ pub const CORRUPT_BLOCKS_TOTAL: &str = "avq.corrupt_blocks.total";
 
 // --- counters: governance ---------------------------------------------------
 
-/// Queries granted a slot by the admission controller.
-pub const GOV_ADMITTED: &str = "avq.gov.admitted";
-/// Queries refused by the admission controller (queue full or deadline
-/// unmeetable) without running.
-pub const GOV_SHED: &str = "avq.gov.shed";
 /// Governed queries that tripped their virtual-clock deadline.
 pub const GOV_TIMEOUTS: &str = "avq.gov.timeouts";
 /// Governed queries cancelled through a `GovCtx` handle.
@@ -106,8 +101,6 @@ pub const TRACE_SLOW: &str = "avq.trace.slow_queries";
 
 /// Records per WAL group-commit batch.
 pub const WAL_GROUP_COMMIT_BATCH_SIZE: &str = "avq.wal.group_commit.batch_size";
-/// Nanoseconds a query waited in the admission queue before its slot.
-pub const GOV_QUEUE_WAIT_NS: &str = "avq.gov.queue_wait_ns";
 /// Coded bytes a governed query had decoded when it finished or tripped.
 pub const GOV_BUDGET_DECODED_BYTES: &str = "avq.gov.budget.decoded_bytes";
 /// Tuples a governed query had examined when it finished or tripped.
@@ -202,13 +195,10 @@ pub const ALL: &[&str] = &[
     DB_AGGREGATES,
     DB_CHECKPOINTS,
     CORRUPT_BLOCKS_TOTAL,
-    GOV_ADMITTED,
-    GOV_SHED,
     GOV_TIMEOUTS,
     GOV_CANCELLED,
     GOV_QUOTA_EXCEEDED,
     WAL_GROUP_COMMIT_BATCH_SIZE,
-    GOV_QUEUE_WAIT_NS,
     GOV_BUDGET_DECODED_BYTES,
     GOV_BUDGET_ROWS,
     SPAN_CODEC_ENCODE_BLOCK,

@@ -231,8 +231,8 @@ impl Snapshot {
     }
 }
 
-/// One histogram's JSON summary (shared with the bench reports).
-pub fn histogram_json(h: &HistogramSnapshot) -> String {
+/// One histogram's JSON summary.
+fn histogram_json(h: &HistogramSnapshot) -> String {
     format!(
         "{{\"count\": {}, \"sum\": {}, \"mean\": {:.1}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
         h.count,

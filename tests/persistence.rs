@@ -1,9 +1,8 @@
 //! Integration tests spanning avq-file, avq-codec, and avq-db: compress →
-//! save → load → serve queries from a fresh database, plus streaming bulk
-//! loads feeding the same pipeline.
+//! save → load → serve queries from a fresh database.
 
-use avq::codec::{compress, compress_parallel, CodecOptions, CodingMode};
-use avq::db::{Aggregate, AggregateValue, DbConfig, RangePredicate, Selection, StoredRelation};
+use avq::codec::{compress, CodecOptions, CodingMode};
+use avq::db::{Aggregate, AggregateValue, DbConfig, RangePredicate, Selection};
 use avq::prelude::*;
 use avq::workload::SyntheticSpec;
 use std::sync::Arc;
@@ -59,59 +58,6 @@ fn save_load_serve_roundtrip() {
     let t = stored.scan_all().unwrap()[42].clone();
     db.relation_mut("r").unwrap().delete(&t).unwrap();
     assert_eq!(db.relation("r").unwrap().tuple_count(), 4_999);
-}
-
-#[test]
-fn parallel_compress_saves_identically() {
-    let relation = SyntheticSpec::test3(20_000).generate();
-    let opts = CodecOptions {
-        block_capacity: 4096,
-        ..Default::default()
-    };
-    let seq = compress(&relation, opts).unwrap();
-    let par = compress_parallel(&relation, opts, 4).unwrap();
-
-    let mut buf_seq = Vec::new();
-    let mut buf_par = Vec::new();
-    avq::file::write_coded_relation(&mut buf_seq, &seq).unwrap();
-    avq::file::write_coded_relation(&mut buf_par, &par).unwrap();
-    assert_eq!(buf_seq, buf_par, "parallel compression is byte-identical");
-}
-
-#[test]
-fn streaming_load_then_save() {
-    // Stream tuples into a database with a tiny sort budget, then persist
-    // by re-compressing the scan.
-    let spec = SyntheticSpec::test1(3_000);
-    let relation = spec.generate();
-    let schema = relation.schema().clone();
-    let config = DbConfig {
-        codec: CodecOptions {
-            block_capacity: 1024,
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let device = avq::storage::BlockDevice::new(1024, config.disk);
-    let pool = avq::storage::BufferPool::new(device.clone(), 128);
-    let stored = StoredRelation::bulk_load_streaming(
-        device,
-        pool,
-        schema.clone(),
-        relation.tuples().to_vec(),
-        config,
-        100, // 30 spill runs
-    )
-    .unwrap();
-    assert_eq!(stored.tuple_count(), 3_000);
-
-    let tuples = stored.scan_all().unwrap();
-    let coded = avq::codec::compress_sorted(schema, &tuples, config.codec).unwrap();
-    let path = temp_path("stream");
-    avq::file::save(&path, &coded).unwrap();
-    let loaded = avq::file::load(&path).unwrap();
-    std::fs::remove_file(&path).ok();
-    assert_eq!(loaded.decompress().unwrap().tuples(), &tuples[..]);
 }
 
 #[test]
