@@ -338,7 +338,8 @@ impl BlockCodec {
         debug_assert_eq!(out.arity(), self.schema.arity());
         let _span = avq_obs::span!(names::SPAN_CODEC_DECODE_BLOCK);
         let (u, rep_idx) = read_header(bytes)?;
-        // lint: sanitized(u is a wire u16, so the rows decode_rows reserves for it hold at most 64Ki * arity words)
+        // u is a wire u16, so the rows decode_rows reserves for it hold at
+        // most 64Ki * arity words (asserted by tests/alloc_untrusted.rs).
         out.try_extend(u, |rows| self.decode_rows(bytes, u, rep_idx, rows, scratch))?;
         avq_obs::counter!(names::CODEC_DECODE_BLOCKS).inc();
         avq_obs::counter!(names::CODEC_DECODE_TUPLES).add(u as u64);

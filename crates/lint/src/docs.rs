@@ -4,8 +4,7 @@
 
 /// Documentation for one rule.
 pub struct RuleDoc {
-    /// Rule id (`AVQ-L001` … `AVQ-L010` without the retired `AVQ-L008`,
-    /// `AVQ-WAIVER`).
+    /// Rule id (`AVQ-L001` … `AVQ-L006`, `AVQ-WAIVER`).
     pub id: &'static str,
     /// One-line summary, embedded in JSON findings.
     pub summary: &'static str,
@@ -38,7 +37,7 @@ invariant checks). Waive a deliberate exception with
 `Vec::with_capacity(n)` / `vec![_; n]` with a non-literal length in a
 decode path can be attacker-sized. Every such site must either use a
 literal bound or carry `// lint: bounded(<why>)` stating why the length
-is validated. The same waiver also satisfies AVQ-L007 on that line.",
+is validated.",
     },
     RuleDoc {
         id: "AVQ-L003",
@@ -51,14 +50,14 @@ shims are exempt via config.",
     },
     RuleDoc {
         id: "AVQ-L004",
-        summary: "metric names and trace-attr keys live in avq_obs::names, documented in DESIGN.md",
-        help: "AVQ-L004 · metric-name inventory
+        summary: "metric names and trace-attr keys live in avq_obs::names",
+        help: "AVQ-L004 · metric names
 
-Metric names (`avq.x.y`) and trace-attribute keys are declared exactly
-once in `crates/obs/src/names.rs`, listed in `ALL`/`TRACE_ATTRS`,
-documented two-way against the DESIGN.md §10/§15 inventory tables, and
-referenced through the constants (never string literals), with one
-instrument kind per name.",
+Metric names (`avq.x.y`, dot-namespaced lowercase) and trace-attribute
+keys (`ATTR_*` constants, bare lowercase words) are declared exactly
+once in `crates/obs/src/names.rs`, unique, and referenced through the
+constants (never string literals), with one instrument kind per name.
+The constants' doc comments are the inventory (`cargo doc`).",
     },
     RuleDoc {
         id: "AVQ-L005",
@@ -74,61 +73,19 @@ virtual clock. `Instant::now()` / `SystemTime` are allowed only in
         summary: "Corrupt { section } strings come from the documented vocabulary, from their owner crate",
         help: "AVQ-L006 · corruption vocabulary
 
-`Corrupt { section: \"…\" }` strings must come from the vocabulary
-documented in DESIGN.md §12, and each section may only be produced by
-the crate that owns it (so a corruption report names its layer).",
-    },
-    RuleDoc {
-        id: "AVQ-L007",
-        summary: "untrusted byte-source values must pass a validator before allocation-size/index sinks",
-        help: "AVQ-L007 · taint tracking on untrusted bytes
-
-Values returned by registered byte sources (block headers, bit/RLE
-readers, container/WAL frame readers) are tainted. A tainted value must
-flow through a registered validator (or an explicit clamp like
-`.min(…)`) before it reaches an allocation-size sink (`with_capacity`,
-`reserve`, `vec![_; n]`) or a slice-index sink. Flows are traced through
-`let` chains and interprocedurally through resolved calls to a bounded
-depth; the engine is flow-insensitive and conservative (documented
-false-negative posture, DESIGN.md §17). When the validation is real but
-invisible to the engine, waive the sink or call line with
-`// lint: sanitized(<why>)` — an existing `// lint: bounded(<why>)` on
-the same line also counts.",
-    },
-    RuleDoc {
-        id: "AVQ-L009",
-        summary: "lock acquisitions follow the declared hierarchy; no decode/IO/fsync or condvar waits under a guard",
-        help: "AVQ-L009 · lock discipline
-
-Every Mutex/RwLock field is listed in the lock-hierarchy inventory
-(config LOCKS + DESIGN.md §17 table, two-way checked) with a rank;
-nested acquisitions must strictly increase in rank. While a guard bound
-with `let g = ….lock().expect(…);` is held, calls into decode, physical
-IO, or fsync are flagged, as is any `Condvar` field or wait: production
-code has none. Guard tracking is per-function and
-syntactic (documented false-negative posture). Waive a deliberate hold
-with `// lint: allow(AVQ-L009, <reason>)`.",
-    },
-    RuleDoc {
-        id: "AVQ-L010",
-        summary: "every Ordering:: literal matches the per-site atomics inventory",
-        help: "AVQ-L010 · atomics audit
-
-Every `Ordering::Relaxed/Acquire/Release/AcqRel/SeqCst` literal in
-production code must match a row of the atomics inventory (config
-ATOMICS + DESIGN.md §17 table, two-way checked), keyed by file,
-enclosing fn, and ordering. Counter traffic may be Relaxed; anything
-stronger, and every CAS, is documented with a why. Unused inventory rows
-are findings, so the inventory cannot rot.",
+`Corrupt { section: \"…\" }` strings must come from the vocabulary in
+the linter's config (CORRUPT_SECTIONS; DESIGN.md §12 describes it), and
+each section may only be produced by the crate that owns it (so a
+corruption report names its layer).",
     },
     RuleDoc {
         id: "AVQ-WAIVER",
         summary: "waiver hygiene: every // lint: directive must parse and must suppress a finding",
         help: "AVQ-WAIVER · waiver hygiene
 
-`// lint:` directives must parse (`allow(AVQ-LNNN, <reason>)`,
-`bounded(<why>)`, `sanitized(<why>)`) and must actually suppress a
-finding on their line (or the line below, for comment-only lines).
+`// lint:` directives must parse (`allow(AVQ-LNNN, <reason>)` or
+`bounded(<why>)`) and must actually suppress a finding on their line
+(or the line below, for comment-only lines).
 Malformed and unused waivers are findings, so a stale waiver can never
 silently hide a future regression.",
     },
@@ -155,10 +112,10 @@ mod tests {
         sorted.sort();
         assert_eq!(ids, sorted);
         for n in 1..=10 {
-            // AVQ-L008 is retired and must stay an unknown rule.
+            // AVQ-L007 … L010 are retired and must stay unknown rules.
             assert_eq!(
                 doc(&format!("AVQ-L{n:03}")).is_some(),
-                n != 8,
+                n <= 6,
                 "AVQ-L{n:03}"
             );
         }

@@ -62,13 +62,8 @@ impl Token {
 pub enum DirectiveKind {
     /// `// lint: allow(AVQ-LNNN, <reason>)` — waives the named rule.
     Allow(String),
-    /// `// lint: bounded(<why>)` — the AVQ-L002 capacity waiver. Because a
-    /// bounded claim asserts the length was validated, it also satisfies
-    /// the AVQ-L007 taint rule on the same line.
+    /// `// lint: bounded(<why>)` — the AVQ-L002 capacity waiver.
     Bounded,
-    /// `// lint: sanitized(<why>)` — the AVQ-L007 taint waiver: the value
-    /// was validated in a way the dataflow engine cannot see.
-    Sanitized,
     /// A `// lint:` comment the parser could not understand; the message
     /// says what was wrong. Always reported as a finding.
     Malformed(String),
@@ -467,22 +462,8 @@ fn parse_directive(line: u32, text: &str) -> Directive {
             reason: reason.to_string(),
             used: false,
         }
-    } else if text.starts_with("sanitized") {
-        let Some(reason) = inner("sanitized") else {
-            return malformed("sanitized waiver must be `sanitized(<why>)`");
-        };
-        let reason = reason.trim();
-        if reason.is_empty() {
-            return malformed("sanitized waiver has an empty reason");
-        }
-        Directive {
-            line,
-            kind: DirectiveKind::Sanitized,
-            reason: reason.to_string(),
-            used: false,
-        }
     } else {
-        malformed("unknown lint directive (expected `allow(…)`, `bounded(…)`, or `sanitized(…)`)")
+        malformed("unknown lint directive (expected `allow(…)` or `bounded(…)`)")
     }
 }
 

@@ -1,4 +1,4 @@
-//! The rule engine: nine project-native rules over the scanned
+//! The rule engine: six project-native token rules over the scanned
 //! workspace, plus waiver resolution.
 //!
 //! Rules first collect *candidate* findings; resolution then matches
@@ -9,25 +9,14 @@
 //! finding. This ordering means a stale waiver can never silently hide
 //! future regressions.
 //!
-//! AVQ-L001–L006 are per-file token rules and live here; the three
-//! cross-procedural rules added with the semantic layer live in the
-//! submodules: [`taint`] (AVQ-L007), [`locks`] (AVQ-L009), and
-//! [`atomics`] (AVQ-L010). Rule ids are stable: AVQ-L008 (wrapper-family
-//! drift) was retired with the families it policed and is not reused.
+//! Rule ids are stable and never reused: AVQ-L007 (taint), AVQ-L008
+//! (wrapper-family drift), AVQ-L009 (lock ranks) and AVQ-L010 (atomics
+//! inventory) are retired.
 
-mod atomics;
-mod locks;
-mod taint;
-
-use crate::callgraph::CallGraph;
 use crate::config;
 use crate::lexer::{balanced, DirectiveKind, Kind, Token};
-use crate::symbols::Symbols;
-use crate::workspace::{
-    design_section, named_table_backticks, parse_metric_consts, table_backticks, SourceFile,
-    Workspace,
-};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::workspace::{parse_metric_consts, SourceFile, Workspace};
+use std::collections::BTreeMap;
 
 /// One reported problem.
 #[derive(Debug, Clone)]
@@ -64,53 +53,27 @@ pub struct Report {
     pub waivers: Vec<Waiver>,
 }
 
-/// Run the rules — all of them, or just `only` — and resolve waivers.
-/// Filtered runs skip waiver hygiene (a waiver for any rule that didn't
-/// run would otherwise look unused).
-pub fn run_filtered(ws: &mut Workspace, only: Option<&str>) -> Report {
-    let syms = Symbols::build(ws);
-    let cg = CallGraph::build(ws, &syms);
-    let on = |rule: &str| only.is_none_or(|o| o == rule);
+/// Run every rule and resolve waivers.
+pub fn run(ws: &mut Workspace) -> Report {
     let mut candidates = Vec::new();
     for f in &ws.files {
         if config::in_scope(&f.rel, config::DECODE_PATHS) {
-            if on("AVQ-L001") {
-                l001_panic_freedom(f, &mut candidates);
-            }
-            if on("AVQ-L002") {
-                l002_bounded_capacity(f, &mut candidates);
-            }
+            l001_panic_freedom(f, &mut candidates);
+            l002_bounded_capacity(f, &mut candidates);
         }
-        if on("AVQ-L005") && !config::in_scope(&f.rel, config::CLOCK_EXEMPT) {
+        if !config::in_scope(&f.rel, config::CLOCK_EXEMPT) {
             l005_virtual_clock(f, &mut candidates);
         }
     }
-    if on("AVQ-L003") {
-        l003_crate_root_hygiene(ws, &mut candidates);
-    }
-    if on("AVQ-L004") {
-        l004_metric_names(ws, &mut candidates);
-    }
-    if on("AVQ-L006") {
-        l006_corrupt_sections(ws, &mut candidates);
-    }
-    if on("AVQ-L007") {
-        taint::check(ws, &syms, &cg, &mut candidates);
-    }
-    if on("AVQ-L009") {
-        locks::check(ws, &syms, &mut candidates);
-    }
-    if on("AVQ-L010") {
-        atomics::check(ws, &syms, &mut candidates);
-    }
-
-    resolve(ws, candidates, only.is_none())
+    l003_crate_root_hygiene(ws, &mut candidates);
+    l004_metric_names(ws, &mut candidates);
+    l006_corrupt_sections(ws, &mut candidates);
+    resolve(ws, candidates)
 }
 
 /// Match candidates against directives; collect final findings and the
-/// waiver summary. `hygiene` enables the unused/malformed-waiver
-/// findings (full runs only).
-fn resolve(ws: &mut Workspace, candidates: Vec<Finding>, hygiene: bool) -> Report {
+/// waiver summary.
+fn resolve(ws: &mut Workspace, candidates: Vec<Finding>) -> Report {
     let mut findings = Vec::new();
     for c in candidates {
         let mut waived = false;
@@ -124,10 +87,7 @@ fn resolve(ws: &mut Workspace, candidates: Vec<Finding>, hygiene: bool) -> Repor
             for (d, eff) in file.scan.directives.iter_mut().zip(effective) {
                 let applies = match &d.kind {
                     DirectiveKind::Allow(rule) => *rule == c.rule,
-                    // A bounded claim asserts the length was validated,
-                    // so it satisfies the taint rule on its line too.
-                    DirectiveKind::Bounded => c.rule == "AVQ-L002" || c.rule == "AVQ-L007",
-                    DirectiveKind::Sanitized => c.rule == "AVQ-L007",
+                    DirectiveKind::Bounded => c.rule == "AVQ-L002",
                     DirectiveKind::Malformed(_) => false,
                 };
                 if applies && eff == c.line {
@@ -143,41 +103,33 @@ fn resolve(ws: &mut Workspace, candidates: Vec<Finding>, hygiene: bool) -> Repor
     }
 
     let mut waivers = Vec::new();
-    if hygiene {
-        for f in &ws.files {
-            for d in &f.scan.directives {
-                match &d.kind {
-                    DirectiveKind::Malformed(msg) => findings.push(Finding {
-                        file: f.rel.clone(),
-                        line: d.line,
-                        rule: "AVQ-WAIVER".into(),
-                        message: msg.clone(),
-                    }),
-                    _ if !d.used => findings.push(Finding {
-                        file: f.rel.clone(),
-                        line: d.line,
-                        rule: "AVQ-WAIVER".into(),
-                        message: "unused waiver: no finding on its line to suppress".into(),
-                    }),
-                    DirectiveKind::Allow(rule) => waivers.push(Waiver {
-                        file: f.rel.clone(),
-                        line: d.line,
-                        rule: rule.clone(),
-                        reason: d.reason.clone(),
-                    }),
-                    DirectiveKind::Bounded => waivers.push(Waiver {
-                        file: f.rel.clone(),
-                        line: d.line,
-                        rule: "AVQ-L002".into(),
-                        reason: d.reason.clone(),
-                    }),
-                    DirectiveKind::Sanitized => waivers.push(Waiver {
-                        file: f.rel.clone(),
-                        line: d.line,
-                        rule: "AVQ-L007".into(),
-                        reason: d.reason.clone(),
-                    }),
-                }
+    for f in &ws.files {
+        for d in &f.scan.directives {
+            match &d.kind {
+                DirectiveKind::Malformed(msg) => findings.push(Finding {
+                    file: f.rel.clone(),
+                    line: d.line,
+                    rule: "AVQ-WAIVER".into(),
+                    message: msg.clone(),
+                }),
+                _ if !d.used => findings.push(Finding {
+                    file: f.rel.clone(),
+                    line: d.line,
+                    rule: "AVQ-WAIVER".into(),
+                    message: "unused waiver: no finding on its line to suppress".into(),
+                }),
+                DirectiveKind::Allow(rule) => waivers.push(Waiver {
+                    file: f.rel.clone(),
+                    line: d.line,
+                    rule: rule.clone(),
+                    reason: d.reason.clone(),
+                }),
+                DirectiveKind::Bounded => waivers.push(Waiver {
+                    file: f.rel.clone(),
+                    line: d.line,
+                    rule: "AVQ-L002".into(),
+                    reason: d.reason.clone(),
+                }),
             }
         }
     }
@@ -185,7 +137,7 @@ fn resolve(ws: &mut Workspace, candidates: Vec<Finding>, hygiene: bool) -> Repor
     findings.sort_by(|a, b| {
         (&a.file, a.line, &a.rule, &a.message).cmp(&(&b.file, b.line, &b.rule, &b.message))
     });
-    // Overlapping analyses can derive the same fact twice; report once.
+    // Two hits of one rule on one line are one finding.
     findings.dedup_by(|a, b| {
         a.file == b.file && a.line == b.line && a.rule == b.rule && a.message == b.message
     });
@@ -448,25 +400,16 @@ fn valid_attr_name(s: &str) -> bool {
 }
 
 /// AVQ-L004: metric names and trace-attribute keys are declared once,
-/// well-formed, documented, and referenced through constants.
+/// well-formed, unique, and referenced through constants. Attribute keys
+/// are the `ATTR_`-prefixed constants.
 fn l004_metric_names(ws: &Workspace, out: &mut Vec<Finding>) {
-    let names_file = ws.file(config::METRIC_NAME_HOME);
     let mut const_values: BTreeMap<String, String> = BTreeMap::new();
     let mut have_attrs = false;
-    if let Some(nf) = names_file {
-        let inv = parse_metric_consts(&nf.scan);
-        let attr_idents: BTreeSet<&str> = inv.trace_attrs.iter().map(String::as_str).collect();
-        have_attrs = !attr_idents.is_empty();
-        let consts: Vec<_> = inv
-            .consts
-            .iter()
-            .filter(|c| !attr_idents.contains(c.ident.as_str()))
-            .collect();
-        let attrs: Vec<_> = inv
-            .consts
-            .iter()
-            .filter(|c| attr_idents.contains(c.ident.as_str()))
-            .collect();
+    if let Some(nf) = ws.file(config::METRIC_NAME_HOME) {
+        let all = parse_metric_consts(&nf.scan);
+        let (attrs, consts): (Vec<_>, Vec<_>) =
+            all.iter().partition(|c| c.ident.starts_with("ATTR_"));
+        have_attrs = !attrs.is_empty();
         let mut seen_values: BTreeMap<&str, &str> = BTreeMap::new();
         for c in &consts {
             if !valid_metric_name(&c.value) {
@@ -493,29 +436,6 @@ fn l004_metric_names(ws: &Workspace, out: &mut Vec<Finding>) {
             }
             const_values.insert(c.ident.clone(), c.value.clone());
         }
-        let all_set: BTreeSet<&str> = inv.all.iter().map(String::as_str).collect();
-        for c in &consts {
-            if !all_set.contains(c.ident.as_str()) {
-                out.push(Finding {
-                    file: nf.rel.clone(),
-                    line: c.line,
-                    rule: "AVQ-L004".into(),
-                    message: format!("constant `{}` is missing from `names::ALL`", c.ident),
-                });
-            }
-        }
-        for ident in &inv.all {
-            if !const_values.contains_key(ident) {
-                out.push(Finding {
-                    file: nf.rel.clone(),
-                    line: 1,
-                    rule: "AVQ-L004".into(),
-                    message: format!("`names::ALL` lists unknown constant `{ident}`"),
-                });
-            }
-        }
-        // Trace-attribute keys: bare words, declared once, listed in
-        // `TRACE_ATTRS`, and two-way consistent with DESIGN.md §15.
         let mut seen_attr_values: BTreeMap<&str, &str> = BTreeMap::new();
         for c in &attrs {
             if !valid_attr_name(&c.value) {
@@ -539,106 +459,6 @@ fn l004_metric_names(ws: &Workspace, out: &mut Vec<Finding>) {
                         c.value, other, c.ident
                     ),
                 });
-            }
-        }
-        let attr_const_idents: BTreeSet<&str> = attrs.iter().map(|c| c.ident.as_str()).collect();
-        for ident in &inv.trace_attrs {
-            if !attr_const_idents.contains(ident.as_str()) {
-                out.push(Finding {
-                    file: nf.rel.clone(),
-                    line: 1,
-                    rule: "AVQ-L004".into(),
-                    message: format!("`names::TRACE_ATTRS` lists unknown constant `{ident}`"),
-                });
-            }
-        }
-        if have_attrs {
-            let documented_attrs: BTreeSet<String> = design_section(&ws.root, 15)
-                .map(|s| {
-                    named_table_backticks(&s, "| attribute ")
-                        .into_iter()
-                        .collect()
-                })
-                .unwrap_or_default();
-            if documented_attrs.is_empty() {
-                out.push(Finding {
-                    file: "DESIGN.md".into(),
-                    line: 1,
-                    rule: "AVQ-L004".into(),
-                    message:
-                        "DESIGN.md §15 has no attribute inventory table to check trace keys against"
-                            .into(),
-                });
-            } else {
-                for c in &attrs {
-                    if valid_attr_name(&c.value) && !documented_attrs.contains(&c.value) {
-                        out.push(Finding {
-                            file: nf.rel.clone(),
-                            line: c.line,
-                            rule: "AVQ-L004".into(),
-                            message: format!(
-                                "trace attribute `{}` is not documented in the DESIGN.md §15 inventory",
-                                c.value
-                            ),
-                        });
-                    }
-                }
-                let declared: BTreeSet<&str> = attrs.iter().map(|c| c.value.as_str()).collect();
-                for key in &documented_attrs {
-                    if !declared.contains(key.as_str()) {
-                        out.push(Finding {
-                            file: "DESIGN.md".into(),
-                            line: 1,
-                            rule: "AVQ-L004".into(),
-                            message: format!(
-                                "DESIGN.md §15 documents attribute `{key}`, which `avq_obs::names` does not declare"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
-        // Two-way check against the DESIGN.md §10 metric inventory.
-        if let Some(section) = design_section(&ws.root, 10) {
-            let documented: BTreeSet<String> = table_backticks(&section)
-                .into_iter()
-                .filter(|n| valid_metric_name(n))
-                .collect();
-            if documented.is_empty() {
-                out.push(Finding {
-                    file: "DESIGN.md".into(),
-                    line: 1,
-                    rule: "AVQ-L004".into(),
-                    message: "DESIGN.md §10 has no metric inventory table to check names against"
-                        .into(),
-                });
-            } else {
-                for c in &consts {
-                    if valid_metric_name(&c.value) && !documented.contains(&c.value) {
-                        out.push(Finding {
-                            file: nf.rel.clone(),
-                            line: c.line,
-                            rule: "AVQ-L004".into(),
-                            message: format!(
-                                "metric `{}` is not documented in the DESIGN.md §10 inventory",
-                                c.value
-                            ),
-                        });
-                    }
-                }
-                let declared: BTreeSet<&str> = const_values.values().map(String::as_str).collect();
-                for name in &documented {
-                    if !declared.contains(name.as_str()) {
-                        out.push(Finding {
-                            file: "DESIGN.md".into(),
-                            line: 1,
-                            rule: "AVQ-L004".into(),
-                            message: format!(
-                                "DESIGN.md §10 documents `{name}`, which `avq_obs::names` does not declare"
-                            ),
-                        });
-                    }
-                }
             }
         }
     }
@@ -667,8 +487,8 @@ fn l004_metric_names(ws: &Workspace, out: &mut Vec<Finding>) {
     // Same discipline for trace-attribute keys: `.attr("literal", …)` must
     // spell the key through a `names::ATTR_*` constant instead. (Span-name
     // arguments are `avq.`-namespaced, so the metric-literal ban above
-    // already covers them.) Only active once the workspace declares a
-    // `TRACE_ATTRS` inventory.
+    // already covers them.) Only active once `names.rs` declares an
+    // `ATTR_*` constant.
     if have_attrs {
         for f in &ws.files {
             if f.rel == config::METRIC_NAME_HOME {
@@ -788,8 +608,6 @@ fn l005_virtual_clock(file: &SourceFile, out: &mut Vec<Finding>) {
 /// vocabulary and only from the crate that owns them.
 fn l006_corrupt_sections(ws: &Workspace, out: &mut Vec<Finding>) {
     let vocab: BTreeMap<&str, &str> = config::CORRUPT_SECTIONS.iter().copied().collect();
-    let documented: Option<BTreeSet<String>> =
-        design_section(&ws.root, 12).map(|s| table_backticks(&s).into_iter().collect());
     for f in &ws.files {
         let t = &f.scan.tokens;
         for (i, tok) in t.iter().enumerate() {
@@ -829,36 +647,7 @@ fn l006_corrupt_sections(ws: &Workspace, out: &mut Vec<Finding>) {
                         ),
                         Some(_) => {}
                     }
-                    if let Some(doc) = &documented {
-                        if !doc.contains(&s.text) {
-                            push(
-                                out,
-                                f,
-                                s.line,
-                                "AVQ-L006",
-                                format!(
-                                    "Corrupt section \"{}\" is missing from the DESIGN.md §12 vocabulary table",
-                                    s.text
-                                ),
-                            );
-                        }
-                    }
                 }
-            }
-        }
-    }
-    // The documented table must not drift from the configured vocabulary.
-    if let Some(doc) = &documented {
-        for (section, _) in config::CORRUPT_SECTIONS {
-            if !doc.contains(*section) {
-                out.push(Finding {
-                    file: "DESIGN.md".into(),
-                    line: 1,
-                    rule: "AVQ-L006".into(),
-                    message: format!(
-                        "section `{section}` is in the lint vocabulary but missing from the DESIGN.md §12 table"
-                    ),
-                });
             }
         }
     }

@@ -1,7 +1,8 @@
 //! Workspace discovery: find every production `.rs` file under
 //! `crates/*/src`, scan each one, and parse the bits of workspace
 //! metadata the cross-file rules need (member list, `names.rs`
-//! constants, DESIGN.md sections).
+//! constants). Rust sources and the root `Cargo.toml` are the only files
+//! the linter opens.
 
 use crate::lexer::{self, Kind, Scan};
 use std::fs;
@@ -18,8 +19,6 @@ pub struct SourceFile {
 
 /// The scanned workspace.
 pub struct Workspace {
-    /// Absolute root directory.
-    pub root: PathBuf,
     /// Every `crates/*/src/**/*.rs` file, sorted by path.
     pub files: Vec<SourceFile>,
     /// Member directories parsed from the root `Cargo.toml` (empty when
@@ -53,11 +52,7 @@ impl Workspace {
             }
         }
         let members = parse_members(root);
-        Ok(Workspace {
-            root: root.to_path_buf(),
-            files,
-            members,
-        })
+        Ok(Workspace { files, members })
     }
 
     /// The scan for an exact relative path, if that file was loaded.
@@ -142,22 +137,10 @@ pub struct MetricConst {
     pub line: u32,
 }
 
-/// The constants parsed out of `names.rs`: string-valued declarations plus
-/// the two inventory slices.
-#[derive(Default)]
-pub struct NamesInventory {
-    /// Every `pub const IDENT: &str = "…";` declaration, in order.
-    pub consts: Vec<MetricConst>,
-    /// Identifiers listed in the `ALL` metric-name slice.
-    pub all: Vec<String>,
-    /// Identifiers listed in the `TRACE_ATTRS` attribute-key slice.
-    pub trace_attrs: Vec<String>,
-}
-
-/// Parse `pub const IDENT: &str = "…";` declarations and the `ALL` /
-/// `TRACE_ATTRS` slices out of the scanned `names.rs` token stream.
-pub fn parse_metric_consts(scan: &Scan) -> NamesInventory {
-    let mut inv = NamesInventory::default();
+/// Parse every `pub const IDENT: &str = "…";` declaration, in order, out
+/// of the scanned `names.rs` token stream.
+pub fn parse_metric_consts(scan: &Scan) -> Vec<MetricConst> {
+    let mut consts = Vec::new();
     let t = &scan.tokens;
     let mut i = 0usize;
     while i < t.len() {
@@ -169,24 +152,8 @@ pub fn parse_metric_consts(scan: &Scan) -> NamesInventory {
                 j += 1;
             }
             if j < t.len() && t[j].is_punct('=') {
-                if ident == "ALL" || ident == "TRACE_ATTRS" {
-                    let mut k = j + 1;
-                    while k < t.len() && !t[k].is_punct(';') {
-                        if t[k].kind == Kind::Ident {
-                            let list = if ident == "ALL" {
-                                &mut inv.all
-                            } else {
-                                &mut inv.trace_attrs
-                            };
-                            list.push(t[k].text.clone());
-                        }
-                        k += 1;
-                    }
-                    i = k;
-                    continue;
-                }
                 if let Some(v) = t.get(j + 1).filter(|v| v.kind == Kind::Str) {
-                    inv.consts.push(MetricConst {
+                    consts.push(MetricConst {
                         ident,
                         value: v.text.clone(),
                         line: v.line,
@@ -198,104 +165,7 @@ pub fn parse_metric_consts(scan: &Scan) -> NamesInventory {
         }
         i += 1;
     }
-    inv
-}
-
-/// Extract the body of a `## N.`-numbered DESIGN.md section, if the
-/// document exists and has that section.
-pub fn design_section(root: &Path, number: u32) -> Option<String> {
-    let text = fs::read_to_string(root.join("DESIGN.md")).ok()?;
-    let header = format!("## {number}.");
-    let start = text
-        .lines()
-        .scan(0usize, |off, l| {
-            let this = *off;
-            *off += l.len() + 1;
-            Some((this, l))
-        })
-        .find(|(_, l)| l.starts_with(&header))
-        .map(|(off, _)| off)?;
-    let rest = &text[start..];
-    let body_start = rest.find('\n').map(|i| i + 1).unwrap_or(rest.len());
-    let body = &rest[body_start..];
-    let end = body.find("\n## ").map(|i| i + 1).unwrap_or(body.len());
-    Some(body[..end].to_string())
-}
-
-/// Backtick-quoted strings from the rows of the markdown table whose
-/// header row contains the column `header` — other tables in the section
-/// are ignored. Collection stops at the first non-`|` line after the table
-/// starts.
-pub fn named_table_backticks(section: &str, header: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let mut in_table = false;
-    for line in section.lines() {
-        let line = line.trim_start();
-        if !line.starts_with('|') {
-            if in_table {
-                break;
-            }
-            continue;
-        }
-        if !in_table {
-            if line.contains(header) {
-                in_table = true;
-            }
-            continue;
-        }
-        out.extend(table_backticks(line));
-    }
-    out
-}
-
-/// Like [`named_table_backticks`], but keeps each row's backticked
-/// cells grouped: one inner `Vec` per table row (separator rows, which
-/// have no backticks, come back empty and are dropped). Used for the
-/// §17 lock-hierarchy and atomics inventories, where a row is a tuple,
-/// not a bag of names.
-pub fn named_table_rows(section: &str, header: &str) -> Vec<Vec<String>> {
-    let mut out = Vec::new();
-    let mut in_table = false;
-    for line in section.lines() {
-        let line = line.trim_start();
-        if !line.starts_with('|') {
-            if in_table {
-                break;
-            }
-            continue;
-        }
-        if !in_table {
-            if line.contains(header) {
-                in_table = true;
-            }
-            continue;
-        }
-        let cells = table_backticks(line);
-        if !cells.is_empty() {
-            out.push(cells);
-        }
-    }
-    out
-}
-
-/// All backtick-quoted strings on table rows (`| … |` lines) of a
-/// markdown section.
-pub fn table_backticks(section: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    for line in section.lines() {
-        let line = line.trim_start();
-        if !line.starts_with('|') {
-            continue;
-        }
-        let mut rest = line;
-        while let Some(open) = rest.find('`') {
-            let after = &rest[open + 1..];
-            let Some(close) = after.find('`') else { break };
-            out.push(after[..close].to_string());
-            rest = &after[close + 1..];
-        }
-    }
-    out
+    consts
 }
 
 #[cfg(test)]
@@ -318,28 +188,12 @@ mod tests {
     #[test]
     fn metric_const_parsing() {
         let scan = lexer::scan(
-            "/// Doc.\npub const A: &str = \"avq.a\";\npub const B: &str = \"avq.b\";\npub const ALL: &[&str] = &[A, B];\npub const K: &str = \"rows\";\npub const TRACE_ATTRS: &[&str] = &[K];\npub fn prom(n: &str) -> String { n.into() }",
+            "/// Doc.\npub const A: &str = \"avq.a\";\npub const B: &str = \"avq.b\";\npub const LIST: &[&str] = &[A, B];\npub const ATTR_K: &str = \"rows\";\npub fn prom(n: &str) -> String { n.into() }",
         );
-        let inv = parse_metric_consts(&scan);
-        assert_eq!(inv.consts.len(), 3);
-        assert_eq!(inv.consts[0].ident, "A");
-        assert_eq!(inv.consts[0].value, "avq.a");
-        assert_eq!(inv.consts[2].ident, "K");
-        assert_eq!(inv.all, ["A", "B"]);
-        assert_eq!(inv.trace_attrs, ["K"]);
-    }
-
-    #[test]
-    fn backtick_extraction() {
-        let got =
-            table_backticks("| `avq.x` | counter |\nprose with `ignored`\n| `avq.y` | span |\n");
-        assert_eq!(got, ["avq.x", "avq.y"]);
-    }
-
-    #[test]
-    fn named_table_extraction_skips_other_tables() {
-        let section = "| policy | keeps |\n| `always` | all |\n\nprose\n\n| attribute | type |\n| --- | --- |\n| `rows` | u64 |\n| `kernel` | str |\n\n| other | table |\n| `nope` | x |\n";
-        let got = named_table_backticks(section, "| attribute ");
-        assert_eq!(got, ["rows", "kernel"]);
+        let consts = parse_metric_consts(&scan);
+        assert_eq!(consts.len(), 3);
+        assert_eq!(consts[0].ident, "A");
+        assert_eq!(consts[0].value, "avq.a");
+        assert_eq!(consts[2].ident, "ATTR_K");
     }
 }

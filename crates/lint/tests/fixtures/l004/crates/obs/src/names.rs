@@ -1,5 +1,5 @@
 //! AVQ-L004 fixture: a names module with one well-formed constant, one
-//! badly-formed name, one duplicate, and one constant missing from ALL.
+//! badly-formed name, one duplicate, and one dotted attribute key.
 
 /// Fine.
 pub const GOOD: &str = "avq.codec.decode.blocks";
@@ -7,8 +7,5 @@ pub const GOOD: &str = "avq.codec.decode.blocks";
 pub const BAD_FORM: &str = "AVQ_Decode_Blocks";
 /// Same value as GOOD.
 pub const DUPLICATE: &str = "avq.codec.decode.blocks";
-/// Well-formed but absent from ALL and the DESIGN table.
-pub const FORGOTTEN: &str = "avq.codec.forgotten.total";
-
-/// The exhaustive list (FORGOTTEN is deliberately missing).
-pub const ALL: &[&str] = &[GOOD, BAD_FORM, DUPLICATE];
+/// An attribute key is a bare word: no dots.
+pub const ATTR_DOTTED: &str = "rows.total";

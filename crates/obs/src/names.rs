@@ -3,11 +3,14 @@
 //!
 //! Production code must name metrics through these constants rather than
 //! repeating string literals at call sites; `avq-lint` rule **AVQ-L004**
-//! enforces this and cross-checks the constants against the metric
-//! inventory table in `DESIGN.md` §10. Names are dot-namespaced
-//! (`avq.codec.decode.blocks`); [`prom`] maps them onto the Prometheus
-//! charset (`avq_codec_decode_blocks`). Span constants name the span
-//! itself — the backing histogram is `<span>.ns`.
+//! enforces this, and that each name is well-formed and declared once.
+//! This module's rustdoc *is* the metric and attribute inventory: a new
+//! instrument is a new documented constant here and nothing else.
+//! Names are dot-namespaced (`avq.codec.decode.blocks`); [`prom`] maps
+//! them onto the Prometheus charset (`avq_codec_decode_blocks`). A
+//! constant is a counter unless its doc says histogram; `SPAN_*`
+//! constants name the span itself — the backing histogram is
+//! `<span>.ns`; `ATTR_*` constants are trace-attribute keys.
 
 // --- counters: codec --------------------------------------------------------
 
@@ -99,11 +102,13 @@ pub const TRACE_SLOW: &str = "avq.trace.slow_queries";
 
 // --- histograms -------------------------------------------------------------
 
-/// Records per WAL group-commit batch.
+/// Histogram: records per WAL group-commit batch.
 pub const WAL_GROUP_COMMIT_BATCH_SIZE: &str = "avq.wal.group_commit.batch_size";
-/// Coded bytes a governed query had decoded when it finished or tripped.
+/// Histogram: coded bytes a governed query had decoded when it finished or
+/// tripped.
 pub const GOV_BUDGET_DECODED_BYTES: &str = "avq.gov.budget.decoded_bytes";
-/// Tuples a governed query had examined when it finished or tripped.
+/// Histogram: tuples a governed query had examined when it finished or
+/// tripped.
 pub const GOV_BUDGET_ROWS: &str = "avq.gov.budget.rows";
 
 // --- spans (each backs the histogram `<span>.ns`) ---------------------------
@@ -164,163 +169,46 @@ pub fn prom(name: &str) -> String {
         .collect()
 }
 
-/// Every metric name declared above, for exhaustive checks (tests, the CLI
-/// stats exercise, and `avq-lint`'s two-way DESIGN.md consistency pass).
-pub const ALL: &[&str] = &[
-    CODEC_ENCODE_BLOCKS,
-    CODEC_ENCODE_TUPLES,
-    CODEC_ENCODE_BYTES_OUT,
-    CODEC_ENCODE_MODE_FIELDWISE,
-    CODEC_ENCODE_MODE_AVQ,
-    CODEC_ENCODE_MODE_AVQ_CHAINED,
-    CODEC_ENCODE_MODE_AVQ_CHAINED_BITS,
-    CODEC_DECODE_BLOCKS,
-    CODEC_DECODE_TUPLES,
-    CODEC_DECODE_BYTES_IN,
-    CODEC_DECODE_KERNEL_SCALAR,
-    CODEC_DECODE_KERNEL_SWAR,
-    CODEC_COMPRESS_RELATIONS,
-    STORAGE_POOL_HITS,
-    STORAGE_POOL_MISSES,
-    STORAGE_POOL_EVICTIONS,
-    STORAGE_CACHE_HITS,
-    STORAGE_CACHE_MISSES,
-    STORAGE_CACHE_EVICTIONS,
-    IO_RETRIES_TOTAL,
-    WAL_RECORDS,
-    WAL_BYTES,
-    WAL_SYNCS,
-    DB_QUERIES,
-    DB_JOINS,
-    DB_AGGREGATES,
-    DB_CHECKPOINTS,
-    CORRUPT_BLOCKS_TOTAL,
-    GOV_TIMEOUTS,
-    GOV_CANCELLED,
-    GOV_QUOTA_EXCEEDED,
-    WAL_GROUP_COMMIT_BATCH_SIZE,
-    GOV_BUDGET_DECODED_BYTES,
-    GOV_BUDGET_ROWS,
-    SPAN_CODEC_ENCODE_BLOCK,
-    SPAN_CODEC_DECODE_BLOCK,
-    SPAN_CODEC_SPLICE_BLOCK,
-    SPAN_CODEC_COMPRESS,
-    SPAN_WAL_APPEND,
-    SPAN_WAL_GROUP_COMMIT,
-    SPAN_WAL_FSYNC,
-    SPAN_DB_SELECT,
-    SPAN_DB_JOIN,
-    SPAN_DB_AGGREGATE,
-    SPAN_DB_CHECKPOINT,
-    SQL_STATEMENTS,
-    SQL_PLANS_CONSIDERED,
-    SPAN_SQL_PARSE,
-    SPAN_SQL_PLAN,
-    SPAN_SQL_EXEC,
-    SPAN_SQL_QUERY,
-    SPAN_SQL_STAGE,
-    SPAN_DB_BLOCK_READ,
-    TRACE_STARTED,
-    TRACE_SAMPLED,
-    TRACE_DROPPED,
-    TRACE_SLOW,
-];
-
 // --- trace attribute keys ---------------------------------------------------
 //
-// Bare (non-dot-namespaced) keys for `TraceSpanGuard::attr`. They live in
-// `TRACE_ATTRS`, not `ALL`: attribute keys are span-local, so they are
-// deliberately outside the `avq.` metric namespace. AVQ-L004 validates
-// this slice separately and cross-checks it against the DESIGN.md §15
-// attribute inventory.
+// Bare (non-dot-namespaced) keys for `TraceSpanGuard::attr`: attribute keys
+// are span-local, so they are deliberately outside the `avq.` metric
+// namespace. AVQ-L004 takes the `ATTR_` prefix as the mark of a key.
 
-/// Executor stage kind on an `avq.sql.stage` span (`scan`, `join`, …).
+/// `str` on `avq.sql.stage`: executor stage kind (`scan`, `filter`, `join`,
+/// `aggregate`, `sort`, `limit`, `project`, `index-probe`, `scan-inner`).
 pub const ATTR_STAGE: &str = "stage";
-/// Rows a span produced.
+/// `u64` on `avq.sql.stage`: rows the stage produced.
 pub const ATTR_ROWS: &str = "rows";
-/// Blocks fetched during a span.
+/// `u64` on `avq.sql.stage`: blocks fetched during the stage.
 pub const ATTR_BLOCKS_READ: &str = "blocks_read";
-/// Decoded-cache + buffer-pool hits attributed to a span.
+/// `u64` on `avq.sql.stage`: decoded-cache + buffer-pool hits attributed to
+/// the stage.
 pub const ATTR_CACHE_HITS: &str = "cache_hits";
-/// Whether one block read was served from the decoded cache.
+/// `bool` on `avq.db.block_read`: the block was served from the decoded
+/// cache.
 pub const ATTR_CACHE_HIT: &str = "cache_hit";
-/// Whether one block read was served from the buffer pool.
+/// `bool` on `avq.db.block_read`: the block's bytes were served from the
+/// buffer pool.
 pub const ATTR_POOL_HIT: &str = "pool_hit";
-/// Decode kernel that ran (`scalar` / `swar`).
+/// `str` on `avq.codec.decode_block`: decode kernel that ran (`scalar` /
+/// `swar`).
 pub const ATTR_KERNEL: &str = "kernel";
-/// Block id a span touched.
+/// `u64` on `avq.db.block_read`: block id.
 pub const ATTR_BLOCK: &str = "block";
-/// Tuples a span decoded.
+/// `u64` on `avq.codec.decode_block`: tuples decoded.
 pub const ATTR_TUPLES: &str = "tuples";
-/// Coded bytes a span consumed.
+/// `u64` on `avq.codec.decode_block`: coded bytes consumed.
 pub const ATTR_BYTES: &str = "bytes";
-/// One-line physical-plan summary on the root SQL span.
+/// `str` on `avq.sql.query`: one-line physical-plan summary.
 pub const ATTR_PLAN_SUMMARY: &str = "plan_summary";
-/// SQL statement text on the root SQL span.
+/// `str` on `avq.sql.query`: SQL statement text.
 pub const ATTR_STATEMENT: &str = "statement";
-/// Plan alternatives the planner costed for this statement.
+/// `u64` on `avq.sql.query`: plan alternatives the planner costed.
 pub const ATTR_PLANS_CONSIDERED: &str = "plans_considered";
-
-/// Every trace attribute key declared above, for exhaustive checks (tests
-/// and `avq-lint`'s two-way DESIGN.md §15 consistency pass).
-pub const TRACE_ATTRS: &[&str] = &[
-    ATTR_STAGE,
-    ATTR_ROWS,
-    ATTR_BLOCKS_READ,
-    ATTR_CACHE_HITS,
-    ATTR_CACHE_HIT,
-    ATTR_POOL_HIT,
-    ATTR_KERNEL,
-    ATTR_BLOCK,
-    ATTR_TUPLES,
-    ATTR_BYTES,
-    ATTR_PLAN_SUMMARY,
-    ATTR_STATEMENT,
-    ATTR_PLANS_CONSIDERED,
-];
 
 #[cfg(test)]
 mod tests {
-    /// Every constant in this module must be dot-namespaced under `avq.`
-    /// with lowercase path segments, and no two constants may share a name.
-    #[test]
-    fn names_are_well_formed_and_unique() {
-        let mut seen = std::collections::BTreeSet::new();
-        for name in super::ALL {
-            assert!(
-                name.starts_with("avq.") || name.starts_with("avq_"),
-                "{name} must live in the avq namespace"
-            );
-            assert!(
-                name.chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '.' || c == '_'),
-                "{name} has characters outside [a-z0-9._]"
-            );
-            assert!(seen.insert(*name), "duplicate metric name {name}");
-        }
-    }
-
-    /// Attribute keys are bare lowercase words: no dots (they are not
-    /// metric names), no `avq.` prefix, and no duplicates — including
-    /// against the metric namespace.
-    #[test]
-    fn trace_attrs_are_well_formed_and_unique() {
-        let mut seen = std::collections::BTreeSet::new();
-        for key in super::TRACE_ATTRS {
-            assert!(!key.is_empty(), "empty attribute key");
-            assert!(
-                key.chars()
-                    .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '_'),
-                "{key} has characters outside [a-z0-9_]"
-            );
-            assert!(seen.insert(*key), "duplicate attribute key {key}");
-            assert!(
-                !super::ALL.contains(key),
-                "{key} is both a metric name and an attribute key"
-            );
-        }
-    }
-
     #[test]
     fn prom_mapping_rewrites_dots() {
         assert_eq!(super::prom("avq.wal.fsync.ns"), "avq_wal_fsync_ns");

@@ -14,6 +14,12 @@ use std::sync::{Arc, OnceLock, RwLock};
 /// A namespace-keyed collection of metrics.
 #[derive(Debug, Default)]
 pub struct Registry {
+    // Lock order: counters, gauges, histograms — `snapshot`'s three read
+    // guards are tail-expression temporaries and overlap in that order;
+    // every other method holds one at a time, and nothing else is ever
+    // taken under them. Callers may hold their own latch: a call site's
+    // first `counter!` inside the buffer pool or the decoded cache resolves
+    // its handle here under that `inner` mutex.
     counters: RwLock<BTreeMap<String, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<String, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<String, Arc<Histogram>>>,

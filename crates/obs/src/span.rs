@@ -62,6 +62,8 @@ pub trait SpanObserver: Send + Sync {
 /// sink set is full). New code should call [`crate::trace::add_span_sink`]
 /// directly, which supports more than one sink.
 pub fn set_span_observer(observer: Box<dyn SpanObserver>) -> bool {
+    // SeqCst: a one-time install racing from any thread must have a single
+    // winner in one total order; the cost is paid once per process.
     if trace::LEGACY_OBSERVER_INSTALLED.swap(true, Ordering::SeqCst) {
         return false;
     }

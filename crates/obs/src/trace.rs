@@ -74,6 +74,9 @@ pub fn add_span_sink(sink: Box<dyn SpanObserver>) -> bool {
     for (i, slot) in SINKS.slots.iter().enumerate() {
         match slot.set(sink) {
             Ok(()) => {
+                // Release: publishes the slot just set; pairs with the
+                // Acquire loads of `SINKS.len` in emit_enter/emit_exit, so a
+                // thread that sees the new length also sees the sink.
                 SINKS.len.fetch_max(i + 1, Ordering::Release);
                 return true;
             }
@@ -89,6 +92,7 @@ pub(crate) static LEGACY_OBSERVER_INSTALLED: AtomicBool = AtomicBool::new(false)
 /// Fans a span-enter event out to every registered sink.
 #[inline]
 pub(crate) fn emit_enter(name: &'static str) {
+    // Acquire: pairs with add_span_sink's Release on `SINKS.len`.
     let n = SINKS.len.load(Ordering::Acquire);
     for slot in &SINKS.slots[..n] {
         if let Some(sink) = slot.get() {
@@ -100,6 +104,7 @@ pub(crate) fn emit_enter(name: &'static str) {
 /// Fans a span-exit event out to every registered sink.
 #[inline]
 pub(crate) fn emit_exit(name: &'static str, elapsed_ns: u64) {
+    // Acquire: pairs with add_span_sink's Release on `SINKS.len`.
     let n = SINKS.len.load(Ordering::Acquire);
     for slot in &SINKS.slots[..n] {
         if let Some(sink) = slot.get() {
@@ -213,7 +218,7 @@ pub struct TraceSpan {
     /// Wall time between open and close, nanoseconds.
     pub elapsed_ns: u64,
     /// Typed attributes, in attachment order. Keys are
-    /// [`crate::names::TRACE_ATTRS`] constants.
+    /// [`crate::names`] `ATTR_*` constants.
     pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
@@ -381,7 +386,7 @@ impl TraceSpanGuard {
     }
 
     /// Attaches a typed attribute to this span. `key` must be a
-    /// [`crate::names::TRACE_ATTRS`] constant (AVQ-L004 enforces this).
+    /// [`crate::names`] `ATTR_*` constant (AVQ-L004 enforces this).
     pub fn attr(&self, key: &'static str, value: impl Into<AttrValue>) {
         let Some(active) = &self.trace else { return };
         let mut st = lock(&active.state);

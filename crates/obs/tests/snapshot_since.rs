@@ -5,7 +5,7 @@
 use avq_obs::{bucket_index, Registry, HISTOGRAM_BUCKETS};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// The exact per-bucket counts of one batch of values.
 fn exact_buckets(values: &[u64]) -> [u64; HISTOGRAM_BUCKETS] {
@@ -98,12 +98,17 @@ fn concurrent_record_while_snapshotting_is_monotone() {
 
     let reg = Arc::new(Registry::new());
     let stop = Arc::new(AtomicBool::new(false));
+    // The writers start only once the reader holds its first snapshot, so
+    // the overlap does not depend on how the threads get scheduled.
+    let start = Arc::new(Barrier::new(WRITERS + 1));
     let handles: Vec<_> = (0..WRITERS)
         .map(|w| {
             let reg = Arc::clone(&reg);
+            let start = Arc::clone(&start);
             std::thread::spawn(move || {
                 let h = reg.histogram("t.h");
                 let c = reg.counter("t.c");
+                start.wait();
                 for i in 0..PER_WRITER {
                     h.record((w as u64) << 32 | i);
                     c.inc();
@@ -115,10 +120,12 @@ fn concurrent_record_while_snapshotting_is_monotone() {
     let reader = {
         let reg = Arc::clone(&reg);
         let stop = Arc::clone(&stop);
+        let start = Arc::clone(&start);
         std::thread::spawn(move || {
             let mut prev = reg.snapshot();
-            let mut iterations = 0u64;
-            while !stop.load(Ordering::Acquire) {
+            start.wait();
+            // `stop` is read after the comparison, so at least one runs.
+            loop {
                 let cur = reg.snapshot();
                 let prev_c = prev.counters.get("t.c").copied().unwrap_or(0);
                 let cur_c = cur.counters.get("t.c").copied().unwrap_or(0);
@@ -140,9 +147,10 @@ fn concurrent_record_while_snapshotting_is_monotone() {
                     );
                 }
                 prev = cur;
-                iterations += 1;
+                if stop.load(Ordering::Acquire) {
+                    break;
+                }
             }
-            iterations
         })
     };
 
@@ -150,8 +158,7 @@ fn concurrent_record_while_snapshotting_is_monotone() {
         h.join().expect("writer panicked");
     }
     stop.store(true, Ordering::Release);
-    let iterations = reader.join().expect("reader panicked");
-    assert!(iterations > 0);
+    reader.join().expect("reader panicked");
 
     let total = u64::try_from(WRITERS).unwrap() * PER_WRITER;
     let snap = reg.snapshot();

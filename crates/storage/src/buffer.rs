@@ -126,6 +126,8 @@ impl BufferPool {
     /// Reads a block through the pool. Hits cost nothing; misses perform one
     /// physical read and cache the result.
     pub fn read(&self, id: BlockId) -> Result<Arc<Vec<u8>>, StorageError> {
+        // Lock order: `inner` is scoped so it is released before the device
+        // is read — the pool latch is never held across the device's locks.
         {
             let mut inner = self.inner.lock().expect("pool mutex poisoned");
             if let Some(&slot) = inner.map.get(&id) {

@@ -108,6 +108,9 @@ impl BlockDevice {
     /// Allocates a fresh (zero-length) block and returns its id. Allocation
     /// itself is free: the cost model charges transfers, not bookkeeping.
     pub fn allocate(&self) -> Result<BlockId, StorageError> {
+        // Lock order: `free_list` then `slots` — the scrutinee's guard lives
+        // through the `if let` body, so `free_list` is held across the
+        // `slots` write. Nothing may take them the other way round.
         if let Some(id) = self.free_list.write().expect("device lock poisoned").pop() {
             self.slots.write().expect("device lock poisoned")[id as usize].data = Some(Vec::new());
             return Ok(id);
@@ -133,6 +136,8 @@ impl BlockDevice {
             return Err(StorageError::NoSuchBlock { id });
         }
         slot.data = None;
+        // Lock order (see `allocate`): `slots` is released before
+        // `free_list` is taken, never held across it.
         drop(slots);
         self.free_list
             .write()
