@@ -1,7 +1,7 @@
 //! Database configuration.
 
 use avq_codec::{CodecOptions, CodingMode, DecodeKernel, RepChoice};
-use avq_storage::{DiskProfile, RetryPolicy};
+use avq_storage::{DiskProfile, MachineProfile, RetryPolicy};
 
 /// How scans react to an unreadable or corrupt data block.
 ///
@@ -39,8 +39,10 @@ pub struct DbConfig {
     pub index_order: usize,
     /// Simulated CPU milliseconds charged per *data* block processed during
     /// queries — the paper's `t₂` (decompression) for coded relations or
-    /// `t₃` (tuple extraction) for uncoded ones. Zero by default; the
-    /// response-time experiments set it from measured or published values.
+    /// `t₃` (tuple extraction) for uncoded ones. Defaults to the paper's
+    /// HP 9000/735 decode time (13.85 ms, Fig. 5.9), the machine the
+    /// default 30 ms disk belongs to. One value drives both the planner's
+    /// Eq. 5.7 pricing and the simulated clock's per-block charge.
     pub cpu_ms_per_block: f64,
     /// How scans react to a corrupt data block (default: fail fast).
     pub scan_policy: ScanPolicy,
@@ -57,7 +59,7 @@ impl Default for DbConfig {
             decoded_cache_blocks: 256,
             disk: DiskProfile::paper_fixed(),
             index_order: usize::MAX,
-            cpu_ms_per_block: 0.0,
+            cpu_ms_per_block: MachineProfile::hp_9000_735().paper_decode_ms,
             scan_policy: ScanPolicy::FailFast,
             retry: RetryPolicy::default(),
         }
@@ -66,7 +68,8 @@ impl Default for DbConfig {
 
 impl DbConfig {
     /// The paper's AVQ configuration: chained differences, median
-    /// representative, 8192-byte blocks, 30 ms per block transfer.
+    /// representative, 8192-byte blocks, 30 ms per block transfer, 13.85 ms
+    /// per block decode.
     pub fn paper_avq() -> Self {
         Self::default()
     }
@@ -141,6 +144,7 @@ mod tests {
         assert_eq!(c.codec.block_capacity, 8192);
         assert_eq!(c.codec.mode, CodingMode::AvqChained);
         assert_eq!(c.disk.block_time_ms(8192), 30.0);
+        assert_eq!(c.cpu_ms_per_block, 13.85);
     }
 
     #[test]
@@ -154,14 +158,14 @@ mod tests {
             .with_mode(CodingMode::Avq)
             .with_block_capacity(4096)
             .with_decode_kernel(DecodeKernel::Scalar)
-            .with_cpu_ms_per_block(13.85)
+            .with_cpu_ms_per_block(40.45)
             .with_decoded_cache_blocks(0)
             .with_scan_policy(ScanPolicy::SkipCorrupt)
             .with_retry(RetryPolicy::none());
         assert_eq!(c.codec.mode, CodingMode::Avq);
         assert_eq!(c.codec.block_capacity, 4096);
         assert_eq!(c.codec.kernel, DecodeKernel::Scalar);
-        assert_eq!(c.cpu_ms_per_block, 13.85);
+        assert_eq!(c.cpu_ms_per_block, 40.45);
         assert_eq!(c.decoded_cache_blocks, 0);
         assert_eq!(c.scan_policy, ScanPolicy::SkipCorrupt);
         assert_eq!(c.retry.max_attempts, 1);

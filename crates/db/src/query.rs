@@ -86,6 +86,35 @@ impl Selection {
         self.predicates.iter().all(|p| p.matches(row))
     }
 
+    /// The intersection of every conjunct on `attr`, or `None` when no
+    /// conjunct constrains it (`lo > hi` when the conjuncts contradict).
+    pub fn range_of(&self, attr: usize) -> Option<(u64, u64)> {
+        self.predicates
+            .iter()
+            .filter(|p| p.attr == attr)
+            .fold(None, |acc, p| {
+                let (lo, hi) = acc.unwrap_or((0, u64::MAX));
+                Some((lo.max(p.lo), hi.min(p.hi)))
+            })
+    }
+
+    /// The bound of a clustered-range scan: the intersected ranges of
+    /// attributes `0, 1, …` for as long as each is an equality, then at
+    /// most one ranged attribute. φ order is lexicographic, so the tuples
+    /// these conjuncts admit form one φ-interval, `[(v₀,…,v_{k−1}, lo, 0,
+    /// …), (v₀,…,v_{k−1}, hi, max, …)]`. Empty when attribute 0 is
+    /// unconstrained; a contradiction ends the prefix with `lo > hi`.
+    pub fn clustered_prefix(&self) -> Vec<(u64, u64)> {
+        let mut prefix = Vec::new();
+        while let Some((lo, hi)) = self.range_of(prefix.len()) {
+            prefix.push((lo, hi));
+            if lo != hi {
+                break;
+            }
+        }
+        prefix
+    }
+
     /// Chooses the access path for `rel`: a clustering-prefix conjunct wins
     /// (contiguous I/O); otherwise the *narrowest* conjunct with a secondary
     /// index; otherwise a full scan.
@@ -121,8 +150,9 @@ impl core::fmt::Display for AccessPath {
 impl StoredRelation {
     /// Candidate data blocks for `selection` through the access path it
     /// planned (or any explicitly supplied `path`): the contiguous primary
-    /// run for a clustering-prefix range, the union of secondary-index
-    /// postings for an indexed conjunct, or every block. Shared by
+    /// run meeting the φ-interval of [`Selection::clustered_prefix`], the
+    /// union of secondary-index postings for an indexed conjunct, or every
+    /// block. Shared by
     /// [`Self::fold_matching`], `EXPLAIN ANALYZE`, and the SQL executor so
     /// all three walk identical block sets.
     pub fn candidate_blocks(
@@ -131,39 +161,11 @@ impl StoredRelation {
         path: AccessPath,
     ) -> Result<Vec<BlockId>, DbError> {
         match path {
-            AccessPath::ClusteredRange => {
-                // Intersect every attr-0 conjunct.
-                let mut lo = 0u64;
-                let mut hi = u64::MAX;
-                for p in selection.predicates() {
-                    if p.attr == 0 {
-                        lo = lo.max(p.lo);
-                        hi = hi.min(p.hi);
-                    }
-                }
-                if lo > hi {
-                    Ok(Vec::new())
-                } else {
-                    self.clustered_candidate_blocks(lo, hi)
-                }
-            }
-            AccessPath::SecondaryIndex { attr } => {
-                // Intersect every conjunct on the planned attribute.
-                let mut lo = 0u64;
-                let mut hi = u64::MAX;
-                let mut found = false;
-                for p in selection.predicates() {
-                    if p.attr == attr {
-                        lo = lo.max(p.lo);
-                        hi = hi.min(p.hi);
-                        found = true;
-                    }
-                }
-                if !found || lo > hi {
-                    return Ok(Vec::new());
-                }
-                self.secondary_candidate_blocks(attr, lo, hi)
-            }
+            AccessPath::ClusteredRange => self.clustered_candidates(&selection.clustered_prefix()),
+            AccessPath::SecondaryIndex { attr } => match selection.range_of(attr) {
+                Some((lo, hi)) if lo <= hi => self.secondary_candidate_blocks(attr, lo, hi),
+                _ => Ok(Vec::new()),
+            },
             AccessPath::FullScan => Ok(self.all_block_ids()),
         }
     }

@@ -471,12 +471,6 @@ impl StoredRelation {
         }
     }
 
-    /// Candidate blocks for a clustering-prefix range (public to the query
-    /// planner).
-    pub fn clustered_candidate_blocks(&self, lo: u64, hi: u64) -> Result<Vec<BlockId>, DbError> {
-        self.clustered_candidates(lo, hi)
-    }
-
     /// Builds a secondary index on attribute `attr` (Fig. 4.5) by scanning
     /// every block once.
     pub fn create_secondary_index(&mut self, attr: usize) -> Result<(), DbError> {
@@ -578,26 +572,46 @@ impl StoredRelation {
         Ok((rows, cost))
     }
 
-    /// Candidate blocks for a selection on the clustering prefix: the
-    /// contiguous run of blocks whose φ range intersects
-    /// `[(lo,0,…,0), (hi,max,…,max)]`, found via the primary index.
-    fn clustered_candidates(&self, lo: u64, hi: u64) -> Result<Vec<BlockId>, DbError> {
-        if self.blocks.is_empty() || lo > hi {
+    /// Candidate blocks for a clustered-range scan: the contiguous run of
+    /// blocks whose `[min, max]` meets the φ-interval `prefix` spans (see
+    /// [`Selection::clustered_prefix`]), found via the primary index.
+    pub(crate) fn clustered_candidates(
+        &self,
+        prefix: &[(u64, u64)],
+    ) -> Result<Vec<BlockId>, DbError> {
+        let radix = self.schema.radix();
+        let mut lo_digits = radix.min_digits();
+        let mut hi_digits = radix.max_digits();
+        for (attr, &(lo, hi)) in prefix.iter().enumerate() {
+            let Some(&size) = radix.radices().get(attr) else {
+                break;
+            };
+            if lo > hi || lo >= size {
+                return Ok(Vec::new());
+            }
+            lo_digits[attr] = lo;
+            hi_digits[attr] = hi.min(size - 1);
+        }
+        if self.blocks.is_empty() {
             return Ok(Vec::new());
         }
-        let mut lo_digits = self.schema.radix().min_digits();
-        lo_digits[0] = lo.min(self.schema.radix().radices()[0] - 1);
-        let mut hi_digits = self.schema.radix().max_digits();
-        hi_digits[0] = hi.min(self.schema.radix().radices()[0] - 1);
-        let lo_key = serialize_key(&self.schema, &Tuple::new(lo_digits));
-        let hi_key = serialize_key(&self.schema, &Tuple::new(hi_digits));
+        let (lo, hi) = (Tuple::new(lo_digits), Tuple::new(hi_digits));
+        let lo_key = serialize_key(&self.schema, &lo);
+        let hi_key = serialize_key(&self.schema, &hi);
 
         let mut out = Vec::new();
-        // The block containing the range start (its min may precede lo).
+        // The block whose run the interval starts in — its min may precede
+        // the interval — unless that run ends before the interval does.
         if let Some((_, block)) = self.primary.floor(&lo_key)? {
-            out.push(block as BlockId);
+            let block = block as BlockId;
+            let ends_before = self
+                .route(&lo)
+                .is_some_and(|i| self.blocks[i].id == block && self.blocks[i].max < lo);
+            if !ends_before {
+                out.push(block);
+            }
         }
-        // Blocks whose min lies inside the range.
+        // Blocks whose min lies inside the interval.
         for (_, block) in self.primary.range(&lo_key, &hi_key)? {
             let block = block as BlockId;
             if out.last() != Some(&block) {

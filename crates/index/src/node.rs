@@ -99,80 +99,166 @@ impl Node {
         out
     }
 
-    /// Parses a node from a block's bytes.
+    /// Parses a node from a block's bytes into its owned form (what
+    /// inserts, splits and deletes edit), collecting [`NodeView::entries`].
     pub fn from_bytes(block: BlockId, bytes: &[u8]) -> Result<Self, IndexError> {
-        let corrupt = |detail: &str| IndexError::CorruptNode {
+        let view = NodeView::parse(block, bytes)?;
+        if view.is_leaf() {
+            let entries = view
+                .entries()
+                .map(|e| e.map(|(k, v)| (k.to_vec(), v)))
+                .collect::<Result<_, _>>()?;
+            return Ok(Node::Leaf {
+                entries,
+                next: view.first(),
+            });
+        }
+        let mut keys = Vec::with_capacity(view.nkeys);
+        let mut children = Vec::with_capacity(view.nkeys + 1);
+        children.push(view.first());
+        for entry in view.entries() {
+            let (key, child) = entry?;
+            keys.push(key.to_vec());
+            children.push(child as BlockId);
+        }
+        Ok(Node::Internal { keys, children })
+    }
+}
+
+fn corrupt(block: BlockId, detail: &str) -> IndexError {
+    IndexError::CorruptNode {
+        block,
+        detail: detail.to_owned(),
+    }
+}
+
+/// A node read in place: the header is checked when the view is made, and
+/// [`Self::entries`] walks the entries straight off the block's bytes,
+/// bounds-checking each one — the one parser of the node layout. Lookups
+/// descend on views and copy out only the keys they return.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct NodeView<'a> {
+    block: BlockId,
+    leaf: bool,
+    nkeys: usize,
+    /// A leaf's next-leaf link, or an internal node's `child0`.
+    first: BlockId,
+    body: &'a [u8],
+}
+
+impl<'a> NodeView<'a> {
+    /// Checks the header of the node stored in `block`.
+    pub fn parse(block: BlockId, bytes: &'a [u8]) -> Result<Self, IndexError> {
+        let Some((&[tag, n0, n1, f0, f1, f2, f3], body)) = bytes.split_first_chunk::<7>() else {
+            return Err(corrupt(block, "shorter than node header"));
+        };
+        let leaf = match tag {
+            TAG_LEAF => true,
+            TAG_INTERNAL => false,
+            t => return Err(corrupt(block, &format!("unknown node tag {t}"))),
+        };
+        Ok(NodeView {
             block,
-            detail: detail.to_owned(),
-        };
-        if bytes.len() < 7 {
-            return Err(corrupt("shorter than node header"));
+            leaf,
+            nkeys: u16::from_le_bytes([n0, n1]) as usize,
+            first: u32::from_le_bytes([f0, f1, f2, f3]),
+            body,
+        })
+    }
+
+    pub fn is_leaf(&self) -> bool {
+        self.leaf
+    }
+
+    /// A leaf's right sibling ([`NO_LEAF`] for none), or an internal
+    /// node's leftmost child.
+    pub fn first(&self) -> BlockId {
+        self.first
+    }
+
+    /// `(key, value)` in stored order: a leaf's payloads, or the child to
+    /// the right of each separator. Yields one `Err` and stops at the first
+    /// entry that runs past the block.
+    pub fn entries(&self) -> Entries<'a> {
+        Entries {
+            block: self.block,
+            value_len: if self.leaf { 8 } else { 4 },
+            left: self.nkeys,
+            rest: self.body,
         }
-        let tag = bytes[0];
-        let nkeys = u16::from_le_bytes([bytes[1], bytes[2]]) as usize;
-        let mut pos = 3usize;
-        let first = u32::from_le_bytes(
-            bytes[pos..pos + 4]
-                .try_into()
-                .expect("length checked above"),
-        );
-        pos += 4;
-        let read_key = |pos: &mut usize| -> Result<Vec<u8>, IndexError> {
-            let klen = u16::from_le_bytes(
-                bytes
-                    .get(*pos..*pos + 2)
-                    .ok_or_else(|| corrupt("truncated key length"))?
-                    .try_into()
-                    .expect("slice of 2"),
-            ) as usize;
-            *pos += 2;
-            let key = bytes
-                .get(*pos..*pos + klen)
-                .ok_or_else(|| corrupt("truncated key"))?
-                .to_vec();
-            *pos += klen;
-            Ok(key)
-        };
-        match tag {
-            TAG_LEAF => {
-                let mut entries = Vec::with_capacity(nkeys);
-                for _ in 0..nkeys {
-                    let key = read_key(&mut pos)?;
-                    let val = u64::from_le_bytes(
-                        bytes
-                            .get(pos..pos + 8)
-                            .ok_or_else(|| corrupt("truncated value"))?
-                            .try_into()
-                            .expect("slice of 8"),
-                    );
-                    pos += 8;
-                    entries.push((key, val));
-                }
-                Ok(Node::Leaf {
-                    entries,
-                    next: first,
-                })
+    }
+
+    /// Of an internal node: the position and id of the child whose subtree
+    /// holds `key` — the one right of the last separator `≤ key`.
+    pub fn route(&self, key: &[u8]) -> Result<(usize, BlockId), IndexError> {
+        let mut at = (0, self.first);
+        for (i, entry) in self.entries().enumerate() {
+            let (sep, child) = entry?;
+            if sep > key {
+                break;
             }
-            TAG_INTERNAL => {
-                let mut keys = Vec::with_capacity(nkeys);
-                let mut children = Vec::with_capacity(nkeys + 1);
-                children.push(first);
-                for _ in 0..nkeys {
-                    keys.push(read_key(&mut pos)?);
-                    let child = u32::from_le_bytes(
-                        bytes
-                            .get(pos..pos + 4)
-                            .ok_or_else(|| corrupt("truncated child pointer"))?
-                            .try_into()
-                            .expect("slice of 4"),
-                    );
-                    pos += 4;
-                    children.push(child);
-                }
-                Ok(Node::Internal { keys, children })
-            }
-            t => Err(corrupt(&format!("unknown node tag {t}"))),
+            at = (i + 1, child as BlockId);
         }
+        Ok(at)
+    }
+
+    /// Of an internal node: the id of child `i` (`0 ..= nkeys`).
+    pub fn child(&self, i: usize) -> Result<BlockId, IndexError> {
+        match i.checked_sub(1) {
+            None => Ok(self.first),
+            Some(j) => match self.entries().nth(j) {
+                Some(entry) => entry.map(|(_, child)| child as BlockId),
+                None => Err(corrupt(self.block, "child index past the node")),
+            },
+        }
+    }
+}
+
+/// The entry walker behind [`NodeView::entries`].
+pub(crate) struct Entries<'a> {
+    block: BlockId,
+    value_len: usize,
+    left: usize,
+    rest: &'a [u8],
+}
+
+impl<'a> Entries<'a> {
+    fn parse_one(&mut self) -> Result<(&'a [u8], u64), IndexError> {
+        let rest = self.rest;
+        let (&klen, rest) = rest
+            .split_first_chunk::<2>()
+            .ok_or_else(|| corrupt(self.block, "truncated key length"))?;
+        let klen = u16::from_le_bytes(klen) as usize;
+        let (key, rest) = rest
+            .split_at_checked(klen)
+            .ok_or_else(|| corrupt(self.block, "truncated key"))?;
+        let (value, rest) = rest.split_at_checked(self.value_len).ok_or_else(|| {
+            corrupt(
+                self.block,
+                if self.value_len == 8 {
+                    "truncated value"
+                } else {
+                    "truncated child pointer"
+                },
+            )
+        })?;
+        let mut word = [0u8; 8];
+        word[..value.len()].copy_from_slice(value);
+        self.rest = rest;
+        Ok((key, u64::from_le_bytes(word)))
+    }
+}
+
+impl<'a> Iterator for Entries<'a> {
+    type Item = Result<(&'a [u8], u64), IndexError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.left == 0 {
+            return None;
+        }
+        let entry = self.parse_one();
+        self.left = if entry.is_ok() { self.left - 1 } else { 0 };
+        Some(entry)
     }
 }
 

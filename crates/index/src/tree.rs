@@ -18,9 +18,13 @@
 //!   deletion never moves keys between nodes.
 
 use crate::error::IndexError;
-use crate::node::{Node, NO_LEAF};
-use avq_storage::{BlockId, BufferPool};
+use crate::node::{Node, NodeView, NO_LEAF};
+use avq_storage::{BlockId, BufferPool, StorageError};
 use std::sync::Arc;
+
+/// No sound tree is taller: every internal node has at least two children
+/// and block ids are 32-bit. A longer descent is a pointer cycle.
+const MAX_HEIGHT: usize = 33;
 
 /// Aggregate shape statistics for a tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -190,28 +194,54 @@ impl BPlusTree {
         node.key_count() > self.max_keys || node.serialized_len() > self.pool.device().block_size()
     }
 
-    /// Exact lookup.
+    /// Reads the node `parent` points at: a pointer to no block is the
+    /// parent's corruption, not a storage fault.
+    fn read_child(&self, parent: BlockId, id: BlockId) -> Result<Arc<Vec<u8>>, IndexError> {
+        self.pool.read(id).map_err(|e| match e {
+            StorageError::NoSuchBlock { .. } => IndexError::CorruptNode {
+                block: parent,
+                detail: format!("pointer to missing block {id}"),
+            },
+            e => e.into(),
+        })
+    }
+
+    /// The id and bytes of the leaf whose key range holds `key`, found by
+    /// walking each internal node's separators in place.
+    fn leaf_for(&self, key: &[u8]) -> Result<(BlockId, Arc<Vec<u8>>), IndexError> {
+        let (mut id, mut bytes) = (self.root, self.pool.read(self.root)?);
+        for _ in 0..MAX_HEIGHT {
+            let view = NodeView::parse(id, &bytes)?;
+            if view.is_leaf() {
+                return Ok((id, bytes));
+            }
+            let child = view.route(key)?.1;
+            bytes = self.read_child(id, child)?;
+            id = child;
+        }
+        Err(IndexError::CorruptNode {
+            block: id,
+            detail: format!("no leaf within {MAX_HEIGHT} levels"),
+        })
+    }
+
+    /// Exact lookup. Allocates nothing when the path is in the pool.
     pub fn get(&self, key: &[u8]) -> Result<Option<u64>, IndexError> {
-        let mut id = self.root;
-        loop {
-            match self.load(id)? {
-                Node::Leaf { entries, .. } => {
-                    return Ok(entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .ok()
-                        .map(|i| entries[i].1));
-                }
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= key);
-                    id = children[idx];
-                }
+        let (id, bytes) = self.leaf_for(key)?;
+        for entry in NodeView::parse(id, &bytes)?.entries() {
+            let (k, v) = entry?;
+            match k.cmp(key) {
+                core::cmp::Ordering::Less => {}
+                core::cmp::Ordering::Equal => return Ok(Some(v)),
+                core::cmp::Ordering::Greater => break,
             }
         }
+        Ok(None)
     }
 
     /// Greatest entry with key ≤ `key`, if any.
     pub fn floor(&self, key: &[u8]) -> Result<Option<(Vec<u8>, u64)>, IndexError> {
-        self.floor_rec(self.root, key)
+        self.floor_rec(self.root, self.pool.read(self.root)?, key, MAX_HEIGHT)
     }
 
     /// The paper's Fig. 4.4 routing: at each node, follow the child whose
@@ -252,23 +282,39 @@ impl BPlusTree {
         }
     }
 
-    fn floor_rec(&self, id: BlockId, key: &[u8]) -> Result<Option<(Vec<u8>, u64)>, IndexError> {
-        match self.load(id)? {
-            Node::Leaf { entries, .. } => {
-                let idx = entries.partition_point(|(k, _)| k.as_slice() <= key);
-                Ok((idx > 0).then(|| entries[idx - 1].clone()))
-            }
-            Node::Internal { keys, children } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                // Fall back leftward across children emptied by lazy deletes.
-                for i in (0..=idx).rev() {
-                    if let Some(hit) = self.floor_rec(children[i], key)? {
-                        return Ok(Some(hit));
-                    }
+    fn floor_rec(
+        &self,
+        id: BlockId,
+        bytes: Arc<Vec<u8>>,
+        key: &[u8],
+        levels: usize,
+    ) -> Result<Option<(Vec<u8>, u64)>, IndexError> {
+        let view = NodeView::parse(id, &bytes)?;
+        if view.is_leaf() {
+            let mut best = None;
+            for entry in view.entries() {
+                let (k, v) = entry?;
+                if k > key {
+                    break;
                 }
-                Ok(None)
+                best = Some((k, v));
+            }
+            return Ok(best.map(|(k, v)| (k.to_vec(), v)));
+        }
+        let Some(levels) = levels.checked_sub(1) else {
+            return Err(IndexError::CorruptNode {
+                block: id,
+                detail: format!("no leaf within {MAX_HEIGHT} levels"),
+            });
+        };
+        // Fall back leftward across children emptied by lazy deletes.
+        for i in (0..=view.route(key)?.0).rev() {
+            let child = view.child(i)?;
+            if let Some(hit) = self.floor_rec(child, self.read_child(id, child)?, key, levels)? {
+                return Ok(Some(hit));
             }
         }
+        Ok(None)
     }
 
     /// All entries with `lo ≤ key ≤ hi`, in key order.
@@ -277,36 +323,43 @@ impl BPlusTree {
         if lo > hi {
             return Ok(out);
         }
-        // Descend to the leaf that would contain `lo`.
-        let mut id = self.root;
+        // Walk the leaf chain from the leaf that would contain `lo`. A chain
+        // longer than the device has blocks is a cycle; the device is
+        // counted only once a walk gets that long.
+        let (mut id, mut bytes) = self.leaf_for(lo)?;
+        let (mut hops, mut max_hops) = (0usize, usize::MAX);
         loop {
-            match self.load(id)? {
-                Node::Leaf { .. } => break,
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= lo);
-                    id = children[idx];
-                }
-            }
-        }
-        // Walk the leaf chain.
-        loop {
-            let Node::Leaf { entries, next } = self.load(id)? else {
+            let view = NodeView::parse(id, &bytes)?;
+            if !view.is_leaf() {
                 return Err(IndexError::CorruptNode {
                     block: id,
                     detail: "leaf chain reached internal node".into(),
                 });
-            };
-            for (k, v) in &entries {
-                if k.as_slice() > hi {
+            }
+            for entry in view.entries() {
+                let (k, v) = entry?;
+                if k > hi {
                     return Ok(out);
                 }
-                if k.as_slice() >= lo {
-                    out.push((k.clone(), *v));
+                if k >= lo {
+                    out.push((k.to_vec(), v));
                 }
             }
+            let next = view.first();
             if next == NO_LEAF {
                 return Ok(out);
             }
+            hops += 1;
+            if hops == MAX_HEIGHT {
+                max_hops = self.pool.device().live_blocks();
+            }
+            if hops > max_hops {
+                return Err(IndexError::CorruptNode {
+                    block: id,
+                    detail: "leaf chain revisits a leaf".into(),
+                });
+            }
+            bytes = self.read_child(id, next)?;
             id = next;
         }
     }
@@ -427,23 +480,19 @@ impl BPlusTree {
 
     /// Removes `key` (lazy: no rebalancing), returning its payload.
     pub fn delete(&mut self, key: &[u8]) -> Result<u64, IndexError> {
-        let mut id = self.root;
-        loop {
-            match self.load(id)? {
-                Node::Leaf { mut entries, next } => {
-                    let i = entries
-                        .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-                        .map_err(|_| IndexError::KeyNotFound)?;
-                    let (_, val) = entries.remove(i);
-                    self.store(id, &Node::Leaf { entries, next })?;
-                    return Ok(val);
-                }
-                Node::Internal { keys, children } => {
-                    let idx = keys.partition_point(|k| k.as_slice() <= key);
-                    id = children[idx];
-                }
-            }
-        }
+        let (id, bytes) = self.leaf_for(key)?;
+        let Node::Leaf { mut entries, next } = Node::from_bytes(id, &bytes)? else {
+            return Err(IndexError::CorruptNode {
+                block: id,
+                detail: "descent ended at an internal node".into(),
+            });
+        };
+        let i = entries
+            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
+            .map_err(|_| IndexError::KeyNotFound)?;
+        let (_, val) = entries.remove(i);
+        self.store(id, &Node::Leaf { entries, next })?;
+        Ok(val)
     }
 
     /// Walks the whole tree, returning shape statistics.

@@ -19,8 +19,8 @@
 
 use crate::binder::{BoundItem, BoundQuery};
 use crate::error::SqlError;
-use crate::plan::{domain_of, PhysicalPlan, PlanNode};
-use avq_db::{AccessPath, CacheMark, Database, RangePredicate, Selection, StageReport};
+use crate::plan::{domain_of, selection_of, PhysicalPlan, PlanNode};
+use avq_db::{AccessPath, CacheMark, Database, RangePredicate, StageReport};
 use avq_obs::{names, AttrValue, QueryCtx, Stopwatch, TraceCtx};
 use avq_schema::{Domain, TupleBatch, Value};
 use core::time::Duration;
@@ -266,25 +266,18 @@ impl<'a> Exec<'a> {
         });
     }
 
-    /// The [`Selection`] carrying every bound conjunct on `table`.
-    fn selection_for(&self, table: usize) -> Selection {
-        let mut sel = Selection::all();
-        for p in self.q.predicates.iter().filter(|p| p.table == table) {
-            sel = sel.and(RangePredicate {
-                attr: p.attr,
-                lo: p.lo,
-                hi: p.hi,
-            });
-        }
-        sel
-    }
-
-    /// Scans `table` through `path`, returning matching ordinal rows.
-    fn scan(&mut self, table: usize, path: AccessPath) -> Result<TupleBatch, SqlError> {
+    /// Scans `table` through `path`, returning at most `limit` matching
+    /// ordinal rows.
+    fn scan(
+        &mut self,
+        table: usize,
+        path: AccessPath,
+        limit: usize,
+    ) -> Result<TupleBatch, SqlError> {
         let arity = self.q.tables.get(table).map_or(0, |bt| bt.schema.arity());
         let mut rows = TupleBatch::new(arity);
         let held = avq_db::row_mem_bytes(arity);
-        self.scan_into(table, path, held, |row| rows.push_row(row))?;
+        self.scan_into(table, path, held, limit, |row| rows.push_row(row))?;
         Ok(rows)
     }
 
@@ -294,21 +287,23 @@ impl<'a> Exec<'a> {
     /// Candidate blocks are read one at a time (the `scan` stage) and each
     /// block's borrowed rows filtered straight into the sink (the `filter`
     /// stage), so neither the candidate set nor any unmatched tuple is
-    /// ever materialized. A sink that holds the rows it is given names
-    /// their price in `held_row_bytes`; it is charged to the memory budget
-    /// per block, so a trip overshoots by at most one block.
+    /// ever materialized. Once `limit` rows are kept no further row is
+    /// filtered and no further block read. A sink that holds the rows it is
+    /// given names their price in `held_row_bytes`; it is charged to the
+    /// memory budget per block, so a trip overshoots by at most one block.
     fn scan_into(
         &mut self,
         table: usize,
         path: AccessPath,
         held_row_bytes: u64,
+        limit: usize,
         mut sink: impl FnMut(&[u64]),
     ) -> Result<u64, SqlError> {
         let bt = self.q.tables.get(table).ok_or_else(|| SqlError::Bind {
             msg: "plan references an unbound table".to_owned(),
         })?;
         let rel = self.db.relation(&bt.relation)?;
-        let sel = self.selection_for(table);
+        let sel = selection_of(self.q, table);
 
         let sw = Stopwatch::start();
         let candidates = rel.candidate_blocks(&sel, path)?;
@@ -319,6 +314,7 @@ impl<'a> Exec<'a> {
         let sw = Stopwatch::start();
         let mark = CacheMark::take(rel);
         let (mut blocks, mut examined, mut kept) = (0u64, 0u64, 0u64);
+        let mut room = limit;
         let mut read_time = Duration::ZERO;
         let (hits, filter_time) = {
             // An *open* stage span (unlike the retroactive ones from
@@ -326,6 +322,9 @@ impl<'a> Exec<'a> {
             // interleaved with them — nest beneath it.
             let guard = self.ctx.trace.span(names::SPAN_SQL_STAGE);
             for id in &candidates {
+                if room == 0 {
+                    break;
+                }
                 let read = Stopwatch::start();
                 let block = rel.read_block(*id, self.ctx)?;
                 read_time += read.elapsed();
@@ -333,11 +332,17 @@ impl<'a> Exec<'a> {
                     continue;
                 };
                 blocks += 1;
-                examined += block.len() as u64;
                 let before = kept;
-                for row in block.rows().filter(|row| sel.matches(row)) {
-                    sink(row);
-                    kept += 1;
+                for row in block.rows() {
+                    if room == 0 {
+                        break;
+                    }
+                    examined += 1;
+                    if sel.matches(row) {
+                        sink(row);
+                        kept += 1;
+                        room -= 1;
+                    }
                 }
                 self.ctx.gov.charge_mem((kept - before) * held_row_bytes);
             }
@@ -376,7 +381,7 @@ impl<'a> Exec<'a> {
             msg: "plan references an unbound table".to_owned(),
         })?;
         let rel = self.db.relation(&bt.relation)?;
-        let sel = self.selection_for(inner);
+        let sel = selection_of(self.q, inner);
         let out_dom = domain_of(self.q, outer_key);
         let in_dom = domain_of(self.q, (inner, inner_attr));
 
@@ -489,7 +494,7 @@ impl<'a> Exec<'a> {
             .filter_map(|(o, idxs)| probe_ord.get(o).copied().flatten().map(|p| (p, idxs)))
             .collect();
 
-        let probe_rows = self.scan(table, path)?;
+        let probe_rows = self.scan(table, path, usize::MAX)?;
         let sw = Stopwatch::start();
         let mut out = TupleBatch::new(left_rows.arity() + probe_rows.arity());
         for trow in probe_rows.rows() {
@@ -541,13 +546,13 @@ impl<'a> Exec<'a> {
         };
         let sw = if let PlanNode::Scan { table, path, .. } = input {
             let scan_id = self.claim_node(counter);
-            let kept = self.scan_into(*table, *path, 0, &mut feed)?;
+            let kept = self.scan_into(*table, *path, 0, usize::MAX, &mut feed)?;
             if let Some(slot) = self.actual_rows.get_mut(scan_id) {
                 *slot = kept;
             }
             Stopwatch::start()
         } else {
-            let Batch::Ordinals(rows) = self.exec_node(input, counter)? else {
+            let Batch::Ordinals(rows) = self.exec_node(input, counter, usize::MAX)? else {
                 return Err(SqlError::Bind {
                     msg: "aggregate input is not an ordinal stream".to_owned(),
                 });
@@ -582,10 +587,18 @@ impl<'a> Exec<'a> {
         id
     }
 
-    fn exec_node(&mut self, node: &PlanNode, counter: &mut usize) -> Result<Batch, SqlError> {
+    /// Runs `node`, of whose rows the caller keeps at most `limit`. Only a
+    /// scan uses the limit — a `LIMIT` directly over it stops reading
+    /// blocks once it is met; every other node passes `usize::MAX` down.
+    fn exec_node(
+        &mut self,
+        node: &PlanNode,
+        counter: &mut usize,
+        limit: usize,
+    ) -> Result<Batch, SqlError> {
         let my_id = self.claim_node(counter);
         let batch = match node {
-            PlanNode::Scan { table, path, .. } => Batch::Ordinals(self.scan(*table, *path)?),
+            PlanNode::Scan { table, path, .. } => Batch::Ordinals(self.scan(*table, *path, limit)?),
             PlanNode::NlJoin {
                 outer,
                 inner,
@@ -595,7 +608,8 @@ impl<'a> Exec<'a> {
                 inner_attr,
                 ..
             } => {
-                let Batch::Ordinals(outer_rows) = self.exec_node(outer, counter)? else {
+                let Batch::Ordinals(outer_rows) = self.exec_node(outer, counter, usize::MAX)?
+                else {
                     return Err(SqlError::Bind {
                         msg: "join input is not an ordinal stream".to_owned(),
                     });
@@ -619,7 +633,7 @@ impl<'a> Exec<'a> {
                 table_attr,
                 ..
             } => {
-                let Batch::Ordinals(left_rows) = self.exec_node(left, counter)? else {
+                let Batch::Ordinals(left_rows) = self.exec_node(left, counter, usize::MAX)? else {
                     return Err(SqlError::Bind {
                         msg: "join input is not an ordinal stream".to_owned(),
                     });
@@ -642,7 +656,7 @@ impl<'a> Exec<'a> {
             PlanNode::Sort {
                 input, col, desc, ..
             } => {
-                let Batch::Ordinals(rows) = self.exec_node(input, counter)? else {
+                let Batch::Ordinals(rows) = self.exec_node(input, counter, usize::MAX)? else {
                     return Err(SqlError::Bind {
                         msg: "sort input is not an ordinal stream".to_owned(),
                     });
@@ -664,7 +678,7 @@ impl<'a> Exec<'a> {
                 Batch::Ordinals(sorted)
             }
             PlanNode::Limit { input, n, .. } => {
-                let mut batch = self.exec_node(input, counter)?;
+                let mut batch = self.exec_node(input, counter, *n)?;
                 let sw = Stopwatch::start();
                 match &mut batch {
                     Batch::Ordinals(rows) => rows.truncate(*n),
@@ -674,28 +688,40 @@ impl<'a> Exec<'a> {
                 batch
             }
             PlanNode::Project { input, cols, .. } => {
-                let Batch::Ordinals(rows) = self.exec_node(input, counter)? else {
-                    return Err(SqlError::Bind {
-                        msg: "projection input is not an ordinal stream".to_owned(),
-                    });
+                let q = self.q;
+                let sources: Vec<(usize, usize)> =
+                    cols.iter().map(|&c| source_of(q, self.order, c)).collect();
+                let cells = |row: &[u64]| -> Vec<Cell> {
+                    cols.iter()
+                        .zip(sources.iter())
+                        .map(|(&c, &src)| {
+                            let ord = row.get(c).copied().unwrap_or(0);
+                            decode_cell(domain_of(q, src), ord)
+                        })
+                        .collect()
                 };
-                let sw = Stopwatch::start();
-                let sources: Vec<(usize, usize)> = cols
-                    .iter()
-                    .map(|&c| source_of(self.q, self.order, c))
-                    .collect();
-                let out: Vec<Vec<Cell>> = rows
-                    .rows()
-                    .map(|row| {
-                        cols.iter()
-                            .zip(sources.iter())
-                            .map(|(&c, &src)| {
-                                let ord = row.get(c).copied().unwrap_or(0);
-                                decode_cell(domain_of(self.q, src), ord)
-                            })
-                            .collect()
-                    })
-                    .collect();
+                // A stored table is projected block by block straight off
+                // its scan, so its full-width rows are never materialized
+                // next to the cells; any other input arrives as a batch.
+                let (out, sw) = if let PlanNode::Scan { table, path, .. } = &**input {
+                    let scan_id = self.claim_node(counter);
+                    let held = avq_db::row_mem_bytes(cols.len());
+                    let mut out = Vec::new();
+                    let kept = self
+                        .scan_into(*table, *path, held, usize::MAX, |row| out.push(cells(row)))?;
+                    if let Some(slot) = self.actual_rows.get_mut(scan_id) {
+                        *slot = kept;
+                    }
+                    (out, Stopwatch::start())
+                } else {
+                    let Batch::Ordinals(rows) = self.exec_node(input, counter, usize::MAX)? else {
+                        return Err(SqlError::Bind {
+                            msg: "projection input is not an ordinal stream".to_owned(),
+                        });
+                    };
+                    let sw = Stopwatch::start();
+                    (rows.rows().map(cells).collect(), sw)
+                };
                 self.stage("project", out.len() as u64, 0, 0, sw);
                 Batch::Cells(out)
             }
@@ -837,7 +863,7 @@ pub fn execute(
         actual_rows: Vec::new(),
     };
     let mut counter = 0usize;
-    let batch = exec.exec_node(&plan.root, &mut counter)?;
+    let batch = exec.exec_node(&plan.root, &mut counter, usize::MAX)?;
     let rows = match batch {
         Batch::Cells(rows) => rows,
         // An ordinal root only happens for plans without a projection tail,

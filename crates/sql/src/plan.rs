@@ -5,8 +5,12 @@
 //! secondary-index probe — and prices each as `C = I + N·(t₁ + t₂)`
 //! (Eq. 5.7): `I` index block reads, `N` estimated data blocks, `t₁` the
 //! device's per-block transfer time, `t₂` the configured per-block CPU
-//! cost. Data-block charges are discounted by the decoded-block cache's
-//! resident fraction, so a warm relation plans cheaper than a cold one.
+//! cost. The decoded-block cache's resident fraction discounts `t₁` only:
+//! a warm block skips the device, but every block processed still costs
+//! `t₂`, so a warm relation plans cheaper than a cold one and a point probe
+//! still beats reading the whole relation. The clustered range is the
+//! φ-interval of the equality prefix (`Selection::clustered_prefix`), so
+//! its estimate and its candidate set come from one rule.
 //! Joins enumerate every connected left-deep order (2–3 relations):
 //! the first join runs index-nested-loop (inner indexed on the join
 //! attribute) or block-nested-loop (inner re-scans served by the decoded
@@ -21,7 +25,7 @@
 
 use crate::binder::{BoundItem, BoundQuery};
 use crate::error::SqlError;
-use avq_db::{AccessPath, Database, JoinStrategy};
+use avq_db::{AccessPath, Database, JoinStrategy, RangePredicate, Selection};
 use avq_schema::Domain;
 
 /// Cost/cardinality estimates attached to every plan node.
@@ -178,10 +182,10 @@ impl PhysicalPlan {
 struct TableStats {
     blocks: f64,
     tuples: f64,
-    /// t₁ + t₂ per data block.
-    per_block_ms: f64,
-    /// t₁ per index block.
-    index_block_ms: f64,
+    /// t₁: device transfer time per block, data or index.
+    transfer_ms: f64,
+    /// t₂: CPU time per data block processed.
+    cpu_ms: f64,
     /// Fraction of data blocks resident in the decoded cache.
     resident: f64,
     /// Decoded-cache capacity in blocks.
@@ -191,38 +195,42 @@ struct TableStats {
 }
 
 impl TableStats {
-    /// Effective cost of reading `n` estimated data blocks.
+    /// Effective cost of reading `n` estimated data blocks: residency saves
+    /// the transfer t₁, never the per-block CPU t₂.
     fn data_ms(&self, n: f64) -> f64 {
-        n * self.per_block_ms * (1.0 - self.resident)
+        n * (self.transfer_ms * (1.0 - self.resident) + self.cpu_ms)
     }
-}
 
-/// Intersected per-attribute ordinal ranges for one table.
-#[derive(Clone)]
-struct TableRanges {
-    /// `(attr, lo, hi)`, one entry per constrained attribute.
-    ranges: Vec<(usize, u64, u64)>,
-}
-
-impl TableRanges {
-    fn selectivity(&self, stats: &TableStats) -> f64 {
-        let mut sel = 1.0;
-        for &(attr, lo, hi) in &self.ranges {
-            if lo > hi {
-                return 0.0;
-            }
-            let size = stats.sizes.get(attr).copied().unwrap_or(1.0).max(1.0);
-            sel *= ((hi - lo + 1) as f64 / size).min(1.0);
+    /// Fraction of `attr`'s domain that `lo..=hi` accepts.
+    fn fraction(&self, attr: usize, (lo, hi): (u64, u64)) -> f64 {
+        if lo > hi {
+            return 0.0;
         }
-        sel
+        let size = self.sizes.get(attr).copied().unwrap_or(1.0).max(1.0);
+        ((hi - lo + 1) as f64 / size).min(1.0)
     }
 
-    fn range_of(&self, attr: usize) -> Option<(u64, u64)> {
-        self.ranges
-            .iter()
-            .find(|r| r.0 == attr)
-            .map(|&(_, lo, hi)| (lo, hi))
+    /// Fraction of the relation `sel` accepts, conjuncts independent.
+    fn selectivity(&self, sel: &Selection) -> f64 {
+        (0..self.sizes.len())
+            .filter_map(|attr| sel.range_of(attr).map(|r| self.fraction(attr, r)))
+            .product()
     }
+}
+
+/// The [`Selection`] carrying every bound conjunct on `table`: what the
+/// planner prices and the executor runs.
+pub(crate) fn selection_of(q: &BoundQuery, table: usize) -> Selection {
+    q.predicates
+        .iter()
+        .filter(|p| p.table == table)
+        .fold(Selection::all(), |sel, p| {
+            sel.and(RangePredicate {
+                attr: p.attr,
+                lo: p.lo,
+                hi: p.hi,
+            })
+        })
 }
 
 fn gather_stats(db: &Database, q: &BoundQuery) -> Result<Vec<TableStats>, SqlError> {
@@ -231,7 +239,6 @@ fn gather_stats(db: &Database, q: &BoundQuery) -> Result<Vec<TableStats>, SqlErr
         let rel = db.relation(&t.relation)?;
         let config = rel.config();
         let blocks = rel.block_count() as f64;
-        let t1 = config.disk.block_time_ms(config.codec.block_capacity);
         let resident = if rel.block_count() == 0 {
             0.0
         } else {
@@ -240,8 +247,8 @@ fn gather_stats(db: &Database, q: &BoundQuery) -> Result<Vec<TableStats>, SqlErr
         out.push(TableStats {
             blocks,
             tuples: rel.tuple_count() as f64,
-            per_block_ms: t1 + config.cpu_ms_per_block,
-            index_block_ms: t1,
+            transfer_ms: config.disk.block_time_ms(config.codec.block_capacity),
+            cpu_ms: config.cpu_ms_per_block,
             resident,
             cache_blocks: config.decoded_cache_blocks as f64,
             indexed: (0..t.schema.arity())
@@ -258,20 +265,6 @@ fn gather_stats(db: &Database, q: &BoundQuery) -> Result<Vec<TableStats>, SqlErr
     Ok(out)
 }
 
-fn intersected_ranges(q: &BoundQuery, table: usize) -> TableRanges {
-    let mut ranges: Vec<(usize, u64, u64)> = Vec::new();
-    for p in q.predicates.iter().filter(|p| p.table == table) {
-        match ranges.iter_mut().find(|r| r.0 == p.attr) {
-            Some(r) => {
-                r.1 = r.1.max(p.lo);
-                r.2 = r.2.min(p.hi);
-            }
-            None => ranges.push((p.attr, p.lo, p.hi)),
-        }
-    }
-    TableRanges { ranges }
-}
-
 /// Estimated index height charged per descent (`I` of Eq. 5.7).
 const INDEX_DESCENT_BLOCKS: f64 = 2.0;
 
@@ -282,9 +275,8 @@ struct ScanAlt {
 }
 
 /// Enumerates every applicable access path for `table` with its cost.
-fn scan_alternatives(stats: &TableStats, ranges: &TableRanges, indexed_ok: bool) -> Vec<ScanAlt> {
-    let sel = ranges.selectivity(stats);
-    let rows = stats.tuples * sel;
+fn scan_alternatives(stats: &TableStats, sel: &Selection) -> Vec<ScanAlt> {
+    let rows = stats.tuples * stats.selectivity(sel);
     let mut alts = Vec::new();
 
     // Full scan: N = every block, I = 0.
@@ -297,13 +289,15 @@ fn scan_alternatives(stats: &TableStats, ranges: &TableRanges, indexed_ok: bool)
         },
     });
 
-    // Clustering-prefix range: contiguous N ≈ blocks × width/|A₀|.
-    if let Some((lo, hi)) = ranges.range_of(0) {
-        let frac = if lo > hi {
-            0.0
-        } else {
-            ((hi - lo + 1) as f64 / stats.sizes.first().copied().unwrap_or(1.0).max(1.0)).min(1.0)
-        };
+    // Clustered range: the contiguous blocks of the equality prefix's
+    // φ-interval, N ≈ blocks × the fraction of φ-space it spans.
+    let prefix = sel.clustered_prefix();
+    if !prefix.is_empty() {
+        let frac: f64 = prefix
+            .iter()
+            .enumerate()
+            .map(|(attr, &r)| stats.fraction(attr, r))
+            .product();
         let n = if frac == 0.0 {
             0.0
         } else {
@@ -314,35 +308,29 @@ fn scan_alternatives(stats: &TableStats, ranges: &TableRanges, indexed_ok: bool)
             est: Est {
                 rows,
                 blocks: n,
-                cost_ms: INDEX_DESCENT_BLOCKS * stats.index_block_ms + stats.data_ms(n),
+                cost_ms: INDEX_DESCENT_BLOCKS * stats.transfer_ms + stats.data_ms(n),
             },
         });
     }
 
     // Secondary-index probe per indexed, constrained, non-prefix attribute:
     // matching tuples may each live in a distinct block, so N ≈ min(B, M).
-    if indexed_ok {
-        for &(attr, lo, hi) in &ranges.ranges {
-            if attr == 0 || !stats.indexed.get(attr).copied().unwrap_or(false) {
-                continue;
-            }
-            let frac = if lo > hi {
-                0.0
-            } else {
-                ((hi - lo + 1) as f64 / stats.sizes.get(attr).copied().unwrap_or(1.0).max(1.0))
-                    .min(1.0)
-            };
-            let matching = stats.tuples * frac;
-            let n = matching.min(stats.blocks);
-            alts.push(ScanAlt {
-                path: AccessPath::SecondaryIndex { attr },
-                est: Est {
-                    rows,
-                    blocks: n,
-                    cost_ms: INDEX_DESCENT_BLOCKS * stats.index_block_ms + stats.data_ms(n),
-                },
-            });
+    for attr in 1..stats.indexed.len() {
+        let Some(range) = sel.range_of(attr) else {
+            continue;
+        };
+        if !stats.indexed[attr] {
+            continue;
         }
+        let n = (stats.tuples * stats.fraction(attr, range)).min(stats.blocks);
+        alts.push(ScanAlt {
+            path: AccessPath::SecondaryIndex { attr },
+            est: Est {
+                rows,
+                blocks: n,
+                cost_ms: INDEX_DESCENT_BLOCKS * stats.transfer_ms + stats.data_ms(n),
+            },
+        });
     }
     alts
 }
@@ -423,14 +411,12 @@ pub(crate) fn col_in_order(q: &BoundQuery, order: &[usize], col: (usize, usize))
 /// Plans `q` against `db`, returning the cheapest pipeline.
 pub fn plan(db: &Database, q: &BoundQuery) -> Result<PhysicalPlan, SqlError> {
     let stats = gather_stats(db, q)?;
-    let ranges: Vec<TableRanges> = (0..q.tables.len())
-        .map(|t| intersected_ranges(q, t))
-        .collect();
+    let selections: Vec<Selection> = (0..q.tables.len()).map(|t| selection_of(q, t)).collect();
     let mut considered = 0u64;
 
     // Access-path menu per table.
     let menus: Vec<Vec<ScanAlt>> = (0..q.tables.len())
-        .map(|t| scan_alternatives(&stats[t], &ranges[t], true))
+        .map(|t| scan_alternatives(&stats[t], &selections[t]))
         .collect();
 
     let (mut best, order): (PlanNode, Vec<usize>) = if q.tables.len() == 1 {
@@ -462,7 +448,7 @@ pub fn plan(db: &Database, q: &BoundQuery) -> Result<PhysicalPlan, SqlError> {
             };
             let inner_attr = inner_key.1;
             let join_size = domain_size(q, outer_key).max(domain_size(q, inner_key));
-            let inner_sel = ranges[i].selectivity(&stats[i]);
+            let inner_sel = stats[i].selectivity(&selections[i]);
             let inner_rows = stats[i].tuples * inner_sel;
             for outer_alt in &menus[o] {
                 let rows_out = outer_alt.est.rows;
@@ -476,7 +462,7 @@ pub fn plan(db: &Database, q: &BoundQuery) -> Result<PhysicalPlan, SqlError> {
                 let refit = if stats[i].blocks <= stats[i].cache_blocks {
                     0.0
                 } else {
-                    (passes - 1.0) * stats[i].blocks * stats[i].per_block_ms
+                    (passes - 1.0) * stats[i].blocks * (stats[i].transfer_ms + stats[i].cpu_ms)
                 };
                 let bnl_blocks = if refit > 0.0 {
                     stats[i].blocks * passes
@@ -506,7 +492,7 @@ pub fn plan(db: &Database, q: &BoundQuery) -> Result<PhysicalPlan, SqlError> {
                         Est {
                             rows: rows12,
                             blocks: n,
-                            cost_ms: distinct * INDEX_DESCENT_BLOCKS * stats[i].index_block_ms
+                            cost_ms: distinct * INDEX_DESCENT_BLOCKS * stats[i].transfer_ms
                                 + stats[i].data_ms(n),
                         },
                     ));

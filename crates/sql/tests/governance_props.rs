@@ -96,3 +96,53 @@ proptest! {
         prop_assert!(avq_sql::run_with(&db, "select * from t", &QueryCtx::from(roomy)).is_ok());
     }
 }
+
+/// `LIMIT` directly over a scan stops the scan: the rows it never returns
+/// are neither read, filtered nor charged, so a budget far below the
+/// relation admits `limit 5` — and one below five rows still trips, typed.
+#[test]
+fn limit_is_charged_only_for_the_rows_it_returns() {
+    let db = db(3000);
+    let rel = db.relation("t").unwrap();
+    let row = row_mem_bytes(rel.schema().arity());
+    assert!(rel.block_count() > 10, "need many blocks");
+    rel.clear_decoded_cache();
+    rel.reset_decoded_stats();
+
+    let gov = GovCtx::new(
+        QueryBudget::unlimited().with_max_mem_bytes(20 * row),
+        db.clock().clone(),
+    );
+    let out = avq_sql::run_with(&db, "select * from t limit 5", &QueryCtx::from(gov.clone()))
+        .expect("five rows fit a twenty-row budget");
+    let avq_sql::SqlOutcome::Table(table) = out else {
+        panic!("a select returns a table");
+    };
+    assert_eq!(table.rows.len(), 5);
+    let stats = rel.decoded_stats();
+    assert!(
+        stats.hits + stats.misses <= 2,
+        "limit 5 read {} blocks",
+        stats.hits + stats.misses
+    );
+    assert_eq!(gov.usage().mem_peak_bytes, 5 * row);
+
+    let tight = GovCtx::new(
+        QueryBudget::unlimited().with_max_mem_bytes(2 * row),
+        db.clock().clone(),
+    );
+    let err =
+        avq_sql::run_with(&db, "select * from t limit 5", &QueryCtx::from(tight)).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            SqlError::Exec {
+                source: DbError::Governance(GovernanceError::QuotaExceeded {
+                    kind: QuotaKind::Memory,
+                    ..
+                }),
+            }
+        ),
+        "unexpected error: {err}"
+    );
+}

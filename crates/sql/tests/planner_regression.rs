@@ -33,8 +33,17 @@ fn scan_path(node: &PlanNode) -> AccessPath {
 }
 
 /// `events(day < 365, user < 1000)` spread over many small blocks, with a
-/// secondary index on `user`.
+/// secondary index on `user`, planned cold (as after startup).
 fn events_db() -> Database {
+    let mut db = warm_events_db();
+    db.relation_mut("events").unwrap().clear_decoded_cache();
+    db
+}
+
+/// [`events_db`] as the index build leaves it: every block resident in
+/// the decoded cache. Residency saves the transfer t₁ but not the
+/// per-block CPU t₂ (Eq. 5.7), so warm plans must flip exactly as cold ones.
+fn warm_events_db() -> Database {
     let mut config = DbConfig::default();
     config.codec.block_capacity = 256;
     let mut db = Database::new(config);
@@ -48,12 +57,10 @@ fn events_db() -> Database {
         .collect();
     db.create_relation("events", &Relation::from_tuples(schema, tuples).unwrap())
         .unwrap();
-    let rel = db.relation_mut("events").unwrap();
-    rel.create_secondary_index(1).unwrap();
-    // The index build decodes every block, warming the decoded cache; the
-    // residency discount would then price all data reads at zero and mask
-    // the path choice. Plan against a cold relation, as after startup.
-    rel.clear_decoded_cache();
+    db.relation_mut("events")
+        .unwrap()
+        .create_secondary_index(1)
+        .unwrap();
     db
 }
 
@@ -72,6 +79,25 @@ fn whole_domain_predicate_flips_back_to_full_scan() {
     let db = events_db();
     // user >= 0 keeps everything: N ≈ every block anyway, so the extra
     // index descents make the probe strictly worse than the scan.
+    let (_, p) = plan_for(&db, "select * from events where user >= 0");
+    assert_eq!(scan_path(&p.root), AccessPath::FullScan);
+}
+
+#[test]
+fn warm_selective_predicate_flips_to_index_probe() {
+    let db = warm_events_db();
+    let rel = db.relation("events").unwrap();
+    assert_eq!(rel.decoded_cache_len(), rel.block_count(), "not warm");
+    let (_, p) = plan_for(&db, "select * from events where user = 5");
+    assert_eq!(scan_path(&p.root), AccessPath::SecondaryIndex { attr: 1 });
+    assert!(p.est_total_ms > 0.0, "a warm plan still pays t₂");
+}
+
+#[test]
+fn warm_whole_domain_predicate_flips_back_to_full_scan() {
+    let db = warm_events_db();
+    let rel = db.relation("events").unwrap();
+    assert_eq!(rel.decoded_cache_len(), rel.block_count(), "not warm");
     let (_, p) = plan_for(&db, "select * from events where user >= 0");
     assert_eq!(scan_path(&p.root), AccessPath::FullScan);
 }
@@ -167,12 +193,14 @@ fn chosen_plan_is_the_cheapest_enumerated() {
     let db = events_db();
     let (_, p) = plan_for(&db, "select * from events where user = 5");
     // Recompute the full-scan cost from the same statistics the planner
-    // used: block count × paper-fixed block time; the chosen plan must be
-    // at most that.
+    // used, N·(t₁·(1 − resident) + t₂); the chosen plan must be at most that.
     let rel = db.relation("events").unwrap();
     let cfg = rel.config();
-    let full = rel.block_count() as f64
-        * (cfg.disk.block_time_ms(cfg.codec.block_capacity) + cfg.cpu_ms_per_block);
+    let blocks = rel.block_count() as f64;
+    let resident = rel.decoded_cache_len() as f64 / blocks;
+    let full = blocks
+        * (cfg.disk.block_time_ms(cfg.codec.block_capacity) * (1.0 - resident)
+            + cfg.cpu_ms_per_block);
     assert!(
         p.est_total_ms <= full,
         "chosen {}ms exceeds the full-scan baseline {full}ms",

@@ -254,3 +254,39 @@ fn logical_roundtrip_through_values() {
         .iter()
         .all(|r| (-10..=10).contains(&r[1].as_int().unwrap())));
 }
+
+/// The clustered range is bounded by the whole equality prefix: on
+/// `scan_cold`'s data (400 000 §5.2 tuples, 539 blocks, six leading binary
+/// attributes) fixing six leading attributes reads about ¹⁄₁₆ of the blocks
+/// fixing two reads, as `EXPLAIN ANALYZE`'s scan stage reports.
+#[test]
+fn longer_equality_prefix_reads_proportionally_fewer_blocks() {
+    let relation = SyntheticSpec::section_5_2(400_000).generate();
+    let mut db = Database::new(DbConfig::default());
+    db.create_relation("r", &relation).unwrap();
+    let first = relation.tuples()[0].digits().to_vec();
+    let blocks_read = |len: usize| -> f64 {
+        let prefix: Vec<String> = (0..len)
+            .map(|a| format!("a{a:02} = {}", first[a]))
+            .collect();
+        let sql = format!(
+            "explain analyze select a13 from r where {}",
+            prefix.join(" and ")
+        );
+        let avq_sql::SqlOutcome::Plan(text) = avq_sql::run(&db, &sql).unwrap() else {
+            panic!("explain returns a plan");
+        };
+        assert!(text.contains("plan: clustered-range"), "{text}");
+        let scan = text
+            .lines()
+            .find(|l| l.starts_with("scan "))
+            .expect("scan stage row");
+        scan.split('|').nth(2).unwrap().trim().parse().unwrap()
+    };
+    let (two, six) = (blocks_read(2), blocks_read(6));
+    let ratio = six / two;
+    assert!(
+        (1.0 / 20.0..=1.0 / 12.0).contains(&ratio),
+        "prefix of six read {six} blocks, prefix of two {two}: ratio {ratio:.4}"
+    );
+}
