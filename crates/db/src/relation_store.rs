@@ -22,7 +22,7 @@ use avq_storage::{BlockDevice, BlockId, BufferPool, DecodedCache, PoolStats, Sto
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
-use avq_index::BPlusTree;
+use avq_index::{BPlusTree, Posting};
 use avq_obs::{names, QueryCtx};
 
 /// In-memory bookkeeping for one coded data block.
@@ -472,17 +472,25 @@ impl StoredRelation {
     }
 
     /// Builds a secondary index on attribute `attr` (Fig. 4.5) by scanning
-    /// every block once.
+    /// every block once and bulk-building from the postings found.
     pub fn create_secondary_index(&mut self, attr: usize) -> Result<(), DbError> {
         if self.secondaries.contains_key(&attr) {
             return Err(DbError::IndexExists { attribute: attr });
         }
-        let mut idx = SecondaryIndex::create(self.pool.clone(), self.config.index_order, attr)?;
+        // Each block's distinct values, then one sorted bulk build.
+        let mut postings = Vec::new();
+        let mut values = Vec::new();
         for b in &self.blocks {
             if let Some(run) = self.read_block(b.id, &QueryCtx::default())? {
-                idx.add_block(run.rows(), b.id)?;
+                values.clear();
+                values.extend(run.rows().map(|row| row[attr]));
+                values.sort_unstable();
+                values.dedup();
+                postings.extend(values.iter().map(|&value| Posting { value, block: b.id }));
             }
         }
+        let idx =
+            SecondaryIndex::build(self.pool.clone(), self.config.index_order, attr, postings)?;
         self.secondaries.insert(attr, idx);
         Ok(())
     }
@@ -746,9 +754,6 @@ impl StoredRelation {
             if i > 0 {
                 self.primary
                     .insert(&serialize_key(&self.schema, &run[0]), id as u64)?;
-                for idx in self.secondaries.values_mut() {
-                    idx.add_block(run.iter().map(Tuple::digits), id)?;
-                }
             } else if run[0] != old.min {
                 self.primary
                     .delete(&serialize_key(&self.schema, &old.min))?;
@@ -764,22 +769,32 @@ impl StoredRelation {
             });
         }
         // The first run kept `old.id`, so its postings move rather than
-        // being rebuilt: with the other runs' postings in place, drop
-        // `(v, old.id)` for the values that left with them — in that order,
-        // or a value's only bucket would be freed and re-created — and add
-        // the inserted tuple's own posting, which the old block never had,
-        // when the tuple stayed.
-        let (kept_run, moved_run) = tuples.split_at(new_blocks[0].count);
+        // being rebuilt. A value that left the first run entirely moves its
+        // `(v, old.id)` posting to the first new block carrying it — one
+        // tree upsert when it is inline — and every other `(v, new)` is
+        // added. The inserted tuple's own posting, which the old block
+        // never had, is added when the tuple stayed.
+        let (kept_run, moved_runs) = tuples.split_at(new_blocks[0].count);
         for idx in self.secondaries.values_mut() {
             let attr = idx.attribute();
             let kept: BTreeSet<u64> = kept_run.iter().map(|t| t.digits()[attr]).collect();
+            let mut moved = BTreeSet::new();
+            let mut rest = moved_runs;
+            for b in &new_blocks[1..] {
+                let (run, tail) = rest.split_at(b.count);
+                rest = tail;
+                let values: BTreeSet<u64> = run.iter().map(|t| t.digits()[attr]).collect();
+                for v in values {
+                    if !kept.contains(&v) && moved.insert(v) {
+                        idx.move_posting(v, old.id, b.id)?;
+                    } else {
+                        idx.add_posting(v, b.id)?;
+                    }
+                }
+            }
             let v = inserted.digits()[attr];
             if kept.contains(&v) {
                 idx.add_posting(v, old.id)?;
-            }
-            let moved: BTreeSet<u64> = moved_run.iter().map(|t| t.digits()[attr]).collect();
-            for v in moved.difference(&kept) {
-                idx.remove_posting(*v, old.id)?;
             }
         }
         self.blocks.splice(bidx..bidx + 1, new_blocks);
@@ -1343,9 +1358,10 @@ mod tests {
     #[test]
     fn deleted_index_values_leave_nothing_behind() {
         // N inserts then N deletes of distinct keys of a unique secondary
-        // index: every bucket page is freed and every tree key deleted, so
-        // the index is back where it started. (Tree nodes and data blocks
-        // may have split on the way; they are counted out.)
+        // index: every value has one posting, which lives inline in the
+        // tree, so the index holds no bucket page before, during or after,
+        // and every tree key is deleted with its value. (Tree nodes and
+        // data blocks may have split on the way; they are counted out.)
         let (device, _, mut stored) = setup(200, 256, CodingMode::AvqChained);
         stored.create_secondary_index(2).unwrap();
         let keys = |s: &StoredRelation| s.secondaries[&2].tree().stats().unwrap().entries;
@@ -1356,11 +1372,8 @@ mod tests {
                 - tree_nodes(&s.primary)
                 - tree_nodes(s.secondaries[&2].tree())
         };
-        let (keys_before, pages_before) = (keys(&stored), bucket_pages(&stored));
-        assert_eq!(
-            pages_before, keys_before,
-            "one single-page bucket per value"
-        );
+        let keys_before = keys(&stored);
+        assert_eq!(bucket_pages(&stored), 0, "a lone posting is inline");
         let taken: BTreeSet<u64> = stored
             .scan_all()
             .unwrap()
@@ -1376,12 +1389,12 @@ mod tests {
             stored.insert(t).unwrap();
         }
         assert_eq!(keys(&stored), keys_before + fresh.len());
-        assert_eq!(bucket_pages(&stored), pages_before + fresh.len());
+        assert_eq!(bucket_pages(&stored), 0, "bucket for a lone posting");
         for t in &fresh {
             stored.delete(t).unwrap();
         }
         assert_eq!(keys(&stored), keys_before, "dead tree keys");
-        assert_eq!(bucket_pages(&stored), pages_before, "leaked bucket pages");
+        assert_eq!(bucket_pages(&stored), 0, "leaked bucket pages");
         let (rows, _) = stored.select_range(2, 0, 4095).unwrap();
         assert_eq!(rows.len(), 200);
     }

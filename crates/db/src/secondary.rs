@@ -1,16 +1,30 @@
 //! Secondary (non-clustering) indexes with bucket indirection (Fig. 4.5).
 //!
-//! A secondary index on attribute `A_k` is a B⁺-tree mapping each attribute
-//! value (big-endian `u64` ordinal, so byte order = numeric order) to a
-//! bucket; the bucket lists the data blocks containing at least one tuple
-//! with that value. Executing `σ_{a ≤ A_k ≤ b}` walks the tree range, unions
-//! the buckets, and hands back the distinct data blocks to read.
+//! A secondary index on attribute `A_k` is a B⁺-tree keyed by attribute
+//! value (big-endian `u64` ordinal, so byte order = numeric order). Its
+//! payload is one of two things:
+//!
+//! * `INLINE | block` (bit 63 set; a [`BlockId`] is 32 bits): the value
+//!   sits in exactly one data block, which the tree entry names itself;
+//! * a bucket head: the value sits in two or more blocks, which the bucket
+//!   lists, as in the paper.
+//!
+//! The invariant is that a bucket exists iff its value has two or more
+//! postings. A second posting promotes the value to a two-posting bucket,
+//! and a removal that leaves one demotes it back inline, freeing the page.
+//! A unique key so costs one leaf entry and no bucket block, and a probe
+//! of it reads no bucket. Executing `σ_{a ≤ A_k ≤ b}` walks the tree range,
+//! unions the inline blocks and the buckets, and hands back the distinct
+//! data blocks to read.
 
 use crate::error::DbError;
 use avq_index::{BPlusTree, BucketStore, Posting, Removal};
 use avq_storage::{BlockId, BufferPool};
 use std::collections::BTreeSet;
 use std::sync::Arc;
+
+/// Tags a tree payload that is a data block id, not a bucket head.
+const INLINE: u64 = 1 << 63;
 
 /// A secondary index over one attribute.
 #[derive(Debug)]
@@ -22,6 +36,28 @@ pub struct SecondaryIndex {
 
 fn value_key(v: u64) -> [u8; 8] {
     v.to_be_bytes()
+}
+
+/// What a tree payload names.
+enum Entry {
+    /// The value's only data block.
+    Inline(BlockId),
+    /// The head of the value's bucket.
+    Bucket(BlockId),
+}
+
+impl Entry {
+    fn of(payload: u64) -> Self {
+        if payload & INLINE != 0 {
+            Entry::Inline(payload as BlockId)
+        } else {
+            Entry::Bucket(payload as BlockId)
+        }
+    }
+}
+
+fn inline(block: BlockId) -> u64 {
+    INLINE | block as u64
 }
 
 impl SecondaryIndex {
@@ -36,6 +72,34 @@ impl SecondaryIndex {
             attr,
             tree,
             store: BucketStore::new(pool),
+        })
+    }
+
+    /// Builds the index on attribute `attr` over `postings` in one pass:
+    /// sorted once, a value with one posting goes inline, each other
+    /// value's bucket chain is written whole, and the tree is bulk-built.
+    /// Duplicate postings are ignored.
+    pub fn build(
+        pool: Arc<BufferPool>,
+        order: usize,
+        attr: usize,
+        mut postings: Vec<Posting>,
+    ) -> Result<Self, DbError> {
+        postings.sort_unstable();
+        postings.dedup();
+        let store = BucketStore::new(pool.clone());
+        let mut pairs = Vec::new();
+        for run in postings.chunk_by(|a, b| a.value == b.value) {
+            let payload = match run {
+                [one] => inline(one.block),
+                _ => store.create_with(run)? as u64,
+            };
+            pairs.push((value_key(run[0].value).to_vec(), payload));
+        }
+        Ok(SecondaryIndex {
+            attr,
+            tree: BPlusTree::bulk_build(pool, order, &pairs)?,
+            store,
         })
     }
 
@@ -55,32 +119,63 @@ impl SecondaryIndex {
     /// attribute equals `value`. Idempotent.
     pub fn add_posting(&mut self, value: u64, block: BlockId) -> Result<(), DbError> {
         let key = value_key(value);
-        let bucket = match self.tree.get(&key)? {
-            Some(head) => head as BlockId,
+        let posting = Posting { value, block };
+        match self.tree.get(&key)?.map(Entry::of) {
             None => {
-                let head = self.store.create()?;
-                self.tree.insert(&key, head as u64)?;
-                head
+                self.tree.insert(&key, inline(block))?;
             }
-        };
-        self.store.push(bucket, Posting { value, block })?;
+            Some(Entry::Inline(only)) if only == block => {}
+            Some(Entry::Inline(only)) => {
+                let head = self
+                    .store
+                    .create_with(&[Posting { value, block: only }, posting])?;
+                self.tree.insert(&key, head as u64)?;
+            }
+            Some(Entry::Bucket(head)) => self.store.push(head, posting)?,
+        }
         Ok(())
     }
 
-    /// Removes the posting `(value, block)` if present. When it was the
-    /// value's last, the bucket's pages are freed and the tree key goes
-    /// with them, so a deleted value leaves nothing behind.
+    /// Removes the posting `(value, block)` if present. One posting left
+    /// goes back inline and frees the bucket; none left deletes the tree
+    /// key, so a deleted value leaves nothing behind.
     pub fn remove_posting(&mut self, value: u64, block: BlockId) -> Result<(), DbError> {
         let key = value_key(value);
-        if let Some(head) = self.tree.get(&key)? {
-            let removal = self
-                .store
-                .remove(head as BlockId, Posting { value, block })?;
-            if removal == Removal::Emptied {
+        match self.tree.get(&key)?.map(Entry::of) {
+            Some(Entry::Inline(only)) if only == block => {
                 self.tree.delete(&key)?;
             }
+            None | Some(Entry::Inline(_)) => {}
+            Some(Entry::Bucket(head)) => match self.store.remove(head, Posting { value, block })? {
+                Removal::Absent | Removal::Removed => {}
+                Removal::Demoted(survivor) => {
+                    self.tree.insert(&key, inline(survivor.block))?;
+                }
+                Removal::Emptied => {
+                    self.tree.delete(&key)?;
+                }
+            },
         }
         Ok(())
+    }
+
+    /// Replaces the posting `(value, from)` with `(value, to)`, for a value
+    /// whose rows have all left block `from`. A value inline at `from` is
+    /// re-pointed with one tree upsert; a bucket gains `to` before it loses
+    /// `from`, so it is never demoted and re-created on the way.
+    pub fn move_posting(&mut self, value: u64, from: BlockId, to: BlockId) -> Result<(), DbError> {
+        let key = value_key(value);
+        match self.tree.get(&key)?.map(Entry::of) {
+            Some(Entry::Inline(only)) if only == from => {
+                self.tree.insert(&key, inline(to))?;
+                Ok(())
+            }
+            Some(Entry::Bucket(_)) if from != to => {
+                self.add_posting(value, to)?;
+                self.remove_posting(value, from)
+            }
+            _ => self.add_posting(value, to),
+        }
     }
 
     /// Bulk-registers a coded block's rows (one posting per distinct
@@ -90,8 +185,7 @@ impl SecondaryIndex {
         rows: impl IntoIterator<Item = &'a [u64]>,
         block: BlockId,
     ) -> Result<(), DbError> {
-        let values: BTreeSet<u64> = rows.into_iter().map(|row| row[self.attr]).collect();
-        for v in values {
+        for v in self.distinct(rows) {
             self.add_posting(v, block)?;
         }
         Ok(())
@@ -104,23 +198,35 @@ impl SecondaryIndex {
         rows: impl IntoIterator<Item = &'a [u64]>,
         block: BlockId,
     ) -> Result<(), DbError> {
-        let values: BTreeSet<u64> = rows.into_iter().map(|row| row[self.attr]).collect();
-        for v in values {
+        for v in self.distinct(rows) {
             self.remove_posting(v, block)?;
         }
         Ok(())
     }
 
+    /// The distinct values of the indexed attribute over `rows`.
+    fn distinct<'a>(&self, rows: impl IntoIterator<Item = &'a [u64]>) -> BTreeSet<u64> {
+        rows.into_iter().map(|row| row[self.attr]).collect()
+    }
+
     /// The distinct data blocks containing any value in `[lo, hi]`, in
-    /// ascending block order.
+    /// ascending block order. An inline block is read off the tree entry;
+    /// only values with two or more blocks read a bucket.
     pub fn blocks_for_range(&self, lo: u64, hi: u64) -> Result<Vec<BlockId>, DbError> {
         let mut blocks = BTreeSet::new();
-        for (_, head) in self.tree.range(&value_key(lo), &value_key(hi))? {
-            for p in self.store.read(head as BlockId)? {
-                // Bucket pages hold only postings for their tree key, but
-                // filter defensively.
-                if p.value >= lo && p.value <= hi {
-                    blocks.insert(p.block);
+        for (_, payload) in self.tree.range(&value_key(lo), &value_key(hi))? {
+            match Entry::of(payload) {
+                Entry::Inline(block) => {
+                    blocks.insert(block);
+                }
+                Entry::Bucket(head) => {
+                    for p in self.store.read(head)? {
+                        // Bucket pages hold only postings for their tree
+                        // key, but filter defensively.
+                        if p.value >= lo && p.value <= hi {
+                            blocks.insert(p.block);
+                        }
+                    }
                 }
             }
         }

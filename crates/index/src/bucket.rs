@@ -9,6 +9,14 @@
 //! ```text
 //! [count u16][next u32][ (value u64, block u32) * count ]
 //! ```
+//!
+//! Chains are kept compact: every page but the last is full, so a chain of
+//! `n` postings is `⌈n / capacity⌉` pages. [`BucketStore::push`] appends to
+//! the last page, and [`BucketStore::remove`] fills the hole it leaves with
+//! the chain's last posting. A bucket is only worth a page for a value with
+//! two or more postings: the secondary index keeps a lone posting inline in
+//! its tree, so `remove` hands the survivor back ([`Removal::Demoted`]) when
+//! one is left.
 
 use crate::error::IndexError;
 use avq_storage::{BlockId, BufferPool};
@@ -32,10 +40,13 @@ pub struct Posting {
 pub enum Removal {
     /// The posting was not in the bucket.
     Absent,
-    /// The posting was removed; the bucket still holds others.
+    /// The posting was removed; the bucket still holds two or more.
     Removed,
-    /// The posting was the bucket's last: every page of the bucket has been
-    /// freed and its head id is dead.
+    /// The posting was removed and one was left: the bucket's page has been
+    /// freed, its head id is dead, and the survivor is returned.
+    Demoted(Posting),
+    /// The posting was the bucket's last: its page has been freed and its
+    /// head id is dead.
     Emptied,
 }
 
@@ -46,6 +57,7 @@ pub struct BucketStore {
 }
 
 struct Page {
+    id: BlockId,
     postings: Vec<Posting>,
     next: BlockId,
 }
@@ -71,7 +83,7 @@ impl BucketStore {
         }
         let count = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
         let next = u32::from_le_bytes(bytes[2..6].try_into().expect("4 bytes"));
-        let mut postings = Vec::with_capacity(count);
+        let mut postings = Vec::with_capacity(count.min(self.capacity()));
         let mut pos = BUCKET_HEADER;
         for _ in 0..count {
             let chunk = bytes
@@ -83,14 +95,18 @@ impl BucketStore {
             });
             pos += ENTRY_BYTES;
         }
-        Ok(Page { postings, next })
+        Ok(Page { id, postings, next })
     }
 
-    fn store(&self, id: BlockId, page: &Page) -> Result<(), IndexError> {
-        let mut out = Vec::with_capacity(BUCKET_HEADER + page.postings.len() * ENTRY_BYTES);
-        out.extend_from_slice(&(page.postings.len() as u16).to_le_bytes());
-        out.extend_from_slice(&page.next.to_le_bytes());
-        for p in &page.postings {
+    fn store(&self, page: &Page) -> Result<(), IndexError> {
+        self.write(page.id, &page.postings, page.next)
+    }
+
+    fn write(&self, id: BlockId, postings: &[Posting], next: BlockId) -> Result<(), IndexError> {
+        let mut out = Vec::with_capacity(BUCKET_HEADER + postings.len() * ENTRY_BYTES);
+        out.extend_from_slice(&(postings.len() as u16).to_le_bytes());
+        out.extend_from_slice(&next.to_le_bytes());
+        for p in postings {
             out.extend_from_slice(&p.value.to_le_bytes());
             out.extend_from_slice(&p.block.to_le_bytes());
         }
@@ -98,104 +114,118 @@ impl BucketStore {
         Ok(())
     }
 
-    /// Creates an empty bucket, returning its head block id.
-    pub fn create(&self) -> Result<BlockId, IndexError> {
-        let id = self.pool.device().allocate()?;
-        self.store(
-            id,
-            &Page {
-                postings: Vec::new(),
-                next: NO_NEXT,
-            },
-        )?;
-        Ok(id)
+    /// Every page of the chain starting at `head`, in order. A chain longer
+    /// than the device has blocks is a cycle; the device is counted only
+    /// once a chain gets long.
+    fn chain(&self, head: BlockId) -> Result<Vec<Page>, IndexError> {
+        let mut pages = vec![self.load(head)?];
+        let mut max_pages = usize::MAX;
+        while let Some(next) = pages.last().map(|p| p.next).filter(|&n| n != NO_NEXT) {
+            if pages.len() == 64 {
+                max_pages = self.pool.device().live_blocks();
+            }
+            if pages.len() >= max_pages {
+                return Err(IndexError::CorruptNode {
+                    block: next,
+                    detail: "bucket chain revisits a page".into(),
+                });
+            }
+            pages.push(self.load(next)?);
+        }
+        Ok(pages)
     }
 
-    /// Appends a posting to the bucket, extending the chain when full.
-    /// Duplicate postings are ignored (a block is listed once per value).
-    pub fn push(&self, head: BlockId, posting: Posting) -> Result<(), IndexError> {
-        let cap = self.capacity();
-        let mut id = head;
-        loop {
-            let mut page = self.load(id)?;
-            if page.postings.contains(&posting) {
-                return Ok(());
-            }
-            if page.postings.len() < cap {
-                page.postings.push(posting);
-                return self.store(id, &page);
-            }
-            if page.next == NO_NEXT {
-                let new_id = self.pool.device().allocate()?;
-                self.store(
-                    new_id,
-                    &Page {
-                        postings: vec![posting],
-                        next: NO_NEXT,
-                    },
-                )?;
-                page.next = new_id;
-                return self.store(id, &page);
-            }
-            id = page.next;
+    /// Creates an empty bucket, returning its head block id.
+    pub fn create(&self) -> Result<BlockId, IndexError> {
+        self.create_with(&[])
+    }
+
+    /// Creates a bucket holding `postings` (which the caller keeps
+    /// distinct), writing its compact chain in one pass, and returns its
+    /// head block id.
+    pub fn create_with(&self, postings: &[Posting]) -> Result<BlockId, IndexError> {
+        let pages = postings.len().div_ceil(self.capacity()).max(1);
+        let ids = (0..pages)
+            .map(|_| self.pool.device().allocate())
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut chunks = postings.chunks(self.capacity());
+        for (i, &id) in ids.iter().enumerate() {
+            let next = ids.get(i + 1).copied().unwrap_or(NO_NEXT);
+            self.write(id, chunks.next().unwrap_or_default(), next)?;
         }
+        Ok(ids[0])
+    }
+
+    /// Appends a posting to the bucket's last page, extending the chain
+    /// when it is full. A posting already anywhere in the chain is ignored
+    /// (a block is listed once per value).
+    pub fn push(&self, head: BlockId, posting: Posting) -> Result<(), IndexError> {
+        let pages = self.chain(head)?;
+        if pages.iter().any(|p| p.postings.contains(&posting)) {
+            return Ok(());
+        }
+        let mut last = pages.into_iter().last().expect("a chain has a head");
+        if last.postings.len() < self.capacity() {
+            last.postings.push(posting);
+            return self.store(&last);
+        }
+        let id = self.pool.device().allocate()?;
+        self.write(id, &[posting], NO_NEXT)?;
+        last.next = id;
+        self.store(&last)
     }
 
     /// Reads every posting in the bucket chain.
     pub fn read(&self, head: BlockId) -> Result<Vec<Posting>, IndexError> {
-        let mut out = Vec::new();
-        let mut id = head;
-        loop {
-            let page = self.load(id)?;
-            out.extend_from_slice(&page.postings);
-            if page.next == NO_NEXT {
-                return Ok(out);
-            }
-            id = page.next;
-        }
+        Ok(self
+            .chain(head)?
+            .into_iter()
+            .flat_map(|p| p.postings)
+            .collect())
     }
 
-    /// Removes one posting (if present) and reclaims the page it emptied,
-    /// so no page of a chain but a lone head is ever empty: an emptied
-    /// follower is unlinked and freed, an emptied head takes over its
-    /// follower's postings, and when the head was the whole bucket it is
-    /// freed too — [`Removal::Emptied`] tells the caller to forget `head`.
+    /// Removes one posting (if present), filling its hole with the chain's
+    /// last posting so the chain stays compact; a last page that empties is
+    /// unlinked and freed. When one posting is left, or none, the bucket's
+    /// page is freed too: [`Removal::Demoted`] and [`Removal::Emptied`] tell
+    /// the caller to forget `head`.
     pub fn remove(&self, head: BlockId, posting: Posting) -> Result<Removal, IndexError> {
-        let mut prev: Option<(BlockId, Page)> = None;
-        let mut id = head;
-        loop {
-            let mut page = self.load(id)?;
-            if let Some(i) = page.postings.iter().position(|p| *p == posting) {
-                page.postings.swap_remove(i);
-                if !page.postings.is_empty() {
-                    self.store(id, &page)?;
-                    return Ok(Removal::Removed);
-                }
-                return match (prev, page.next) {
-                    (None, NO_NEXT) => {
-                        self.release(id)?;
-                        Ok(Removal::Emptied)
-                    }
-                    (None, follower) => {
-                        self.store(id, &self.load(follower)?)?;
-                        self.release(follower)?;
-                        Ok(Removal::Removed)
-                    }
-                    (Some((prev_id, mut prev_page)), next) => {
-                        prev_page.next = next;
-                        self.store(prev_id, &prev_page)?;
-                        self.release(id)?;
-                        Ok(Removal::Removed)
-                    }
-                };
-            }
-            if page.next == NO_NEXT {
-                return Ok(Removal::Absent);
-            }
-            let next = page.next;
-            prev = Some((id, page));
-            id = next;
+        let mut pages = self.chain(head)?;
+        let Some((at, i)) = pages.iter().enumerate().find_map(|(at, page)| {
+            let i = page.postings.iter().position(|p| *p == posting)?;
+            Some((at, i))
+        }) else {
+            return Ok(Removal::Absent);
+        };
+        let tail = pages.last_mut().expect("a chain has a head");
+        let last = tail.postings.pop().ok_or_else(|| IndexError::CorruptNode {
+            block: tail.id,
+            detail: "empty page ends a bucket chain".into(),
+        })?;
+        if last != posting {
+            pages[at].postings[i] = last;
         }
+        let tail = pages.last().expect("a chain has a head");
+        if tail.postings.is_empty() {
+            self.release(tail.id)?;
+            pages.pop();
+            match pages.last_mut() {
+                Some(page) => page.next = NO_NEXT,
+                None => return Ok(Removal::Emptied),
+            }
+        }
+        if let [page] = pages.as_slice() {
+            if let [survivor] = page.postings.as_slice() {
+                self.release(page.id)?;
+                return Ok(Removal::Demoted(*survivor));
+            }
+        }
+        let tail = pages.len() - 1;
+        if at < tail {
+            self.store(&pages[at])?;
+        }
+        self.store(&pages[tail])?;
+        Ok(Removal::Removed)
     }
 
     /// Frees a bucket page and drops its pool frame.
@@ -303,7 +333,7 @@ mod tests {
             assert_eq!(s.remove(b, posting(i)).unwrap(), Removal::Removed);
         }
         assert_eq!(live(), before + 2);
-        // Emptying the head pulls the follower's postings into it.
+        // Holes in the head are filled from the tail, which empties.
         for i in 0..4 {
             assert_eq!(s.remove(b, posting(i)).unwrap(), Removal::Removed);
         }
@@ -311,12 +341,67 @@ mod tests {
         let mut left = s.read(b).unwrap();
         left.sort();
         assert_eq!(left, (4..8).map(posting).collect::<Vec<_>>());
-        // The last posting takes the bucket with it.
-        for i in 4..7 {
+        // A lone survivor is demoted: the bucket goes and hands it back.
+        for i in 4..6 {
             assert_eq!(s.remove(b, posting(i)).unwrap(), Removal::Removed);
         }
-        assert_eq!(s.remove(b, posting(7)).unwrap(), Removal::Emptied);
+        assert_eq!(
+            s.remove(b, posting(6)).unwrap(),
+            Removal::Demoted(posting(7))
+        );
         assert_eq!(live(), before);
+    }
+
+    #[test]
+    fn push_finds_a_posting_on_a_later_page() {
+        // A hole in the head must not take a posting the chain already
+        // lists further on, or one `remove` would leave a ghost behind.
+        let s = store(64);
+        let b = s.create().unwrap();
+        let posting = |i: u64| Posting { value: i, block: 1 };
+        for i in 0..10 {
+            s.push(b, posting(i)).unwrap();
+        }
+        assert_eq!(s.remove(b, posting(0)).unwrap(), Removal::Removed);
+        s.push(b, posting(9)).unwrap();
+        let listed = s.read(b).unwrap();
+        assert_eq!(listed.iter().filter(|p| **p == posting(9)).count(), 1);
+        assert_eq!(s.remove(b, posting(9)).unwrap(), Removal::Removed);
+        assert!(!s.read(b).unwrap().contains(&posting(9)));
+        for i in 1..7 {
+            assert_eq!(s.remove(b, posting(i)).unwrap(), Removal::Removed);
+        }
+        assert_eq!(
+            s.remove(b, posting(7)).unwrap(),
+            Removal::Demoted(posting(8))
+        );
+    }
+
+    #[test]
+    fn chains_stay_compact() {
+        // However postings come and go, a chain of n is ⌈n / 4⌉ pages and
+        // `create_with` writes the same chain in one pass.
+        let s = store(64);
+        let live = || s.pool.device().live_blocks();
+        let before = live();
+        let posting = |i: u64| Posting {
+            value: 3,
+            block: i as BlockId,
+        };
+        let b = s
+            .create_with(&(0..11).map(posting).collect::<Vec<_>>())
+            .unwrap();
+        assert_eq!(live(), before + 3);
+        for i in [5, 0, 10, 7, 2, 9, 1] {
+            assert_eq!(s.remove(b, posting(i)).unwrap(), Removal::Removed);
+            let n = s.read(b).unwrap().len();
+            assert_eq!(live(), before + n.div_ceil(4), "after removing {i}");
+        }
+        for i in 20..26 {
+            s.push(b, posting(i)).unwrap();
+            let n = s.read(b).unwrap().len();
+            assert_eq!(live(), before + n.div_ceil(4), "after pushing {i}");
+        }
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //!
 //! In an internal node, `key[i]` separates `child[i]` from `child[i+1]`:
 //! every key in `child[i+1]`'s subtree is `≥ key[i]`.
+//!
+//! A leaf edit that does not split is a splice of these bytes
+//! ([`NodeView::slot`] finds where): an upsert patches the 8 value bytes,
+//! an insert writes `prefix ‖ entry ‖ suffix` and a delete `prefix ‖
+//! suffix`, each with `nkeys` patched. Only a split decodes into [`Node`].
 
 use crate::error::IndexError;
 use avq_storage::BlockId;
@@ -20,6 +25,11 @@ pub(crate) const NO_LEAF: BlockId = BlockId::MAX;
 
 const TAG_LEAF: u8 = 0;
 const TAG_INTERNAL: u8 = 1;
+
+/// Bytes before the first entry: tag, `nkeys`, `next`/`child0`.
+pub(crate) const HEADER: usize = 7;
+/// Where `nkeys` sits in the header.
+pub(crate) const NKEYS_AT: core::ops::Range<usize> = 1..3;
 
 /// A decoded B⁺-tree node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,6 +180,11 @@ impl<'a> NodeView<'a> {
         self.leaf
     }
 
+    /// Number of entries the header declares.
+    pub fn nkeys(&self) -> usize {
+        self.nkeys
+    }
+
     /// A leaf's right sibling ([`NO_LEAF`] for none), or an internal
     /// node's leftmost child.
     pub fn first(&self) -> BlockId {
@@ -212,6 +227,40 @@ impl<'a> NodeView<'a> {
             },
         }
     }
+
+    /// Of a leaf: where `key` sits, found by walking *every* entry, so a
+    /// leaf that would not parse is refused before any edit is made to it.
+    pub fn slot(&self, key: &[u8]) -> Result<LeafSlot, IndexError> {
+        let mut entries = self.entries();
+        let mut hit = None;
+        loop {
+            let here = HEADER + self.body.len() - entries.rest.len();
+            let Some(entry) = entries.next() else {
+                let (at, found) = hit.unwrap_or((here, None));
+                return Ok(LeafSlot {
+                    at,
+                    found,
+                    end: here,
+                });
+            };
+            let (k, v) = entry?;
+            if hit.is_none() && k >= key {
+                hit = Some((here, (k == key).then_some(v)));
+            }
+        }
+    }
+}
+
+/// Where a key sits in a leaf's bytes (see [`NodeView::slot`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LeafSlot {
+    /// Offset of the first entry whose key is `≥` the sought one (the end
+    /// of the entries when there is none): where an insert goes.
+    pub at: usize,
+    /// The payload when the entry at `at` holds exactly the key.
+    pub found: Option<u64>,
+    /// Offset just past the last entry.
+    pub end: usize,
 }
 
 /// The entry walker behind [`NodeView::entries`].

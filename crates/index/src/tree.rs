@@ -13,12 +13,16 @@
 //!   by an optional key-count cap (`order`), which lets tests build the
 //!   order-3 trees of Figs. 4.4/4.5;
 //! * keys are unique; [`BPlusTree::insert`] upserts;
+//! * reads and leaf edits work on node bytes in place: an upsert, an insert
+//!   that fits and a delete splice the leaf (see `node.rs`) after checking
+//!   all of it, and only an insert that splits decodes the leaf and its
+//!   path into owned nodes;
 //! * deletion is *lazy* (keys are removed, nodes are never merged) — the
 //!   strategy PostgreSQL uses; separator invariants are preserved because
 //!   deletion never moves keys between nodes.
 
 use crate::error::IndexError;
-use crate::node::{Node, NodeView, NO_LEAF};
+use crate::node::{Node, NodeView, HEADER, NKEYS_AT, NO_LEAF};
 use avq_storage::{BlockId, BufferPool, StorageError};
 use std::sync::Arc;
 
@@ -209,13 +213,24 @@ impl BPlusTree {
     /// The id and bytes of the leaf whose key range holds `key`, found by
     /// walking each internal node's separators in place.
     fn leaf_for(&self, key: &[u8]) -> Result<(BlockId, Arc<Vec<u8>>), IndexError> {
+        self.descend(key, |_, _| {})
+    }
+
+    /// [`Self::leaf_for`], telling `visit` each internal node passed and
+    /// the position of the child taken.
+    fn descend(
+        &self,
+        key: &[u8],
+        mut visit: impl FnMut(BlockId, usize),
+    ) -> Result<(BlockId, Arc<Vec<u8>>), IndexError> {
         let (mut id, mut bytes) = (self.root, self.pool.read(self.root)?);
         for _ in 0..MAX_HEIGHT {
             let view = NodeView::parse(id, &bytes)?;
             if view.is_leaf() {
                 return Ok((id, bytes));
             }
-            let child = view.route(key)?.1;
+            let (pos, child) = view.route(key)?;
+            visit(id, pos);
             bytes = self.read_child(id, child)?;
             id = child;
         }
@@ -365,18 +380,78 @@ impl BPlusTree {
     }
 
     /// Inserts or replaces `key`, returning the previous payload if any.
+    /// A leaf with room is edited in place (see `NodeView::slot`); only
+    /// a leaf that would overflow is decoded and split.
     pub fn insert(&mut self, key: &[u8], value: u64) -> Result<Option<u64>, IndexError> {
         let entry = 2 + key.len() + 8;
         let block_size = self.pool.device().block_size();
-        if 7 + entry > block_size {
+        if HEADER + entry > block_size {
             return Err(IndexError::EntryTooLarge {
                 entry_bytes: entry,
                 block_size,
             });
         }
-        let (old, split) = self.insert_rec(self.root, key, value)?;
-        if let Some((sep, right)) = split {
-            // Grow a new root.
+        let (id, bytes) = self.leaf_for(key)?;
+        let view = NodeView::parse(id, &bytes)?;
+        let slot = view.slot(key)?;
+        if let Some(old) = slot.found {
+            let mut out = bytes[..slot.end].to_vec();
+            let at = slot.at + 2 + key.len();
+            out[at..at + 8].copy_from_slice(&value.to_le_bytes());
+            self.pool.write(id, &out)?;
+            return Ok(Some(old));
+        }
+        let nkeys = view.nkeys() + 1;
+        if let Ok(count) = u16::try_from(nkeys) {
+            if nkeys <= self.max_keys && slot.end + entry <= block_size {
+                let mut out = Vec::with_capacity(slot.end + entry);
+                out.extend_from_slice(&bytes[..slot.at]);
+                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
+                out.extend_from_slice(key);
+                out.extend_from_slice(&value.to_le_bytes());
+                out.extend_from_slice(&bytes[slot.at..slot.end]);
+                out[NKEYS_AT].copy_from_slice(&count.to_le_bytes());
+                self.pool.write(id, &out)?;
+                return Ok(None);
+            }
+        }
+        self.insert_splitting(key, value)?;
+        Ok(None)
+    }
+
+    /// Inserts absent `key` into a leaf it overflows: the leaf and every
+    /// node on the path above it are decoded before anything is written,
+    /// then the leaf splits and each split carries a separator up, growing
+    /// a new root when the old one splits.
+    fn insert_splitting(&mut self, key: &[u8], value: u64) -> Result<(), IndexError> {
+        let mut path = Vec::new();
+        let (id, bytes) = self.descend(key, |id, pos| path.push((id, pos)))?;
+        let parents = path
+            .iter()
+            .map(|&(id, _)| self.load(id))
+            .collect::<Result<Vec<_>, _>>()?;
+        let Node::Leaf { mut entries, next } = Node::from_bytes(id, &bytes)? else {
+            unreachable!("a descent ends at a leaf")
+        };
+        let at = entries.partition_point(|(k, _)| k.as_slice() < key);
+        entries.insert(at, (key.to_vec(), value));
+        let mut carry = self.split_leaf(id, entries, next)?;
+        for ((id, pos), parent) in path.into_iter().zip(parents).rev() {
+            let Some((sep, right)) = carry else {
+                return Ok(());
+            };
+            let Node::Internal {
+                mut keys,
+                mut children,
+            } = parent
+            else {
+                unreachable!("a descent passes internal nodes")
+            };
+            keys.insert(pos, sep);
+            children.insert(pos + 1, right);
+            carry = self.split_internal(id, keys, children)?;
+        }
+        if let Some((sep, right)) = carry {
             let new_root = self.pool.device().allocate()?;
             let node = Node::Internal {
                 keys: vec![sep],
@@ -385,113 +460,94 @@ impl BPlusTree {
             self.store(new_root, &node)?;
             self.root = new_root;
         }
-        Ok(old)
+        Ok(())
     }
 
-    #[allow(clippy::type_complexity)]
-    fn insert_rec(
-        &mut self,
+    /// Stores a leaf, split in two when it overflows; returns the right
+    /// half's first key and id.
+    fn split_leaf(
+        &self,
         id: BlockId,
-        key: &[u8],
-        value: u64,
-    ) -> Result<(Option<u64>, Option<(Vec<u8>, BlockId)>), IndexError> {
-        match self.load(id)? {
-            Node::Leaf { mut entries, next } => {
-                let old = match entries.binary_search_by(|(k, _)| k.as_slice().cmp(key)) {
-                    Ok(i) => {
-                        let old = entries[i].1;
-                        entries[i].1 = value;
-                        Some(old)
-                    }
-                    Err(i) => {
-                        entries.insert(i, (key.to_vec(), value));
-                        None
-                    }
-                };
-                let node = Node::Leaf { entries, next };
-                if !self.node_overflows(&node) {
-                    self.store(id, &node)?;
-                    return Ok((old, None));
-                }
-                // Split the leaf.
-                let Node::Leaf { mut entries, next } = node else {
-                    unreachable!()
-                };
-                let mid = entries.len() / 2;
-                let right_entries = entries.split_off(mid);
-                let sep = right_entries[0].0.clone();
-                let right_id = self.pool.device().allocate()?;
-                self.store(
-                    right_id,
-                    &Node::Leaf {
-                        entries: right_entries,
-                        next,
-                    },
-                )?;
-                self.store(
-                    id,
-                    &Node::Leaf {
-                        entries,
-                        next: right_id,
-                    },
-                )?;
-                Ok((old, Some((sep, right_id))))
-            }
-            Node::Internal {
-                mut keys,
-                mut children,
-            } => {
-                let idx = keys.partition_point(|k| k.as_slice() <= key);
-                let (old, child_split) = self.insert_rec(children[idx], key, value)?;
-                if let Some((sep, right)) = child_split {
-                    keys.insert(idx, sep);
-                    children.insert(idx + 1, right);
-                }
-                let node = Node::Internal { keys, children };
-                if !self.node_overflows(&node) {
-                    self.store(id, &node)?;
-                    return Ok((old, None));
-                }
-                let Node::Internal {
-                    mut keys,
-                    mut children,
-                } = node
-                else {
-                    unreachable!()
-                };
-                let mid = keys.len() / 2;
-                let up = keys[mid].clone();
-                let right_keys = keys.split_off(mid + 1);
-                keys.pop(); // `up` moves to the parent
-                let right_children = children.split_off(mid + 1);
-                let right_id = self.pool.device().allocate()?;
-                self.store(
-                    right_id,
-                    &Node::Internal {
-                        keys: right_keys,
-                        children: right_children,
-                    },
-                )?;
-                self.store(id, &Node::Internal { keys, children })?;
-                Ok((old, Some((up, right_id))))
-            }
+        entries: Vec<(Vec<u8>, u64)>,
+        next: BlockId,
+    ) -> Result<Option<(Vec<u8>, BlockId)>, IndexError> {
+        let node = Node::Leaf { entries, next };
+        if !self.node_overflows(&node) {
+            self.store(id, &node)?;
+            return Ok(None);
         }
+        let Node::Leaf { mut entries, next } = node else {
+            unreachable!()
+        };
+        let right_entries = entries.split_off(entries.len() / 2);
+        let sep = right_entries[0].0.clone();
+        let right_id = self.pool.device().allocate()?;
+        self.store(
+            right_id,
+            &Node::Leaf {
+                entries: right_entries,
+                next,
+            },
+        )?;
+        self.store(
+            id,
+            &Node::Leaf {
+                entries,
+                next: right_id,
+            },
+        )?;
+        Ok(Some((sep, right_id)))
     }
 
-    /// Removes `key` (lazy: no rebalancing), returning its payload.
+    /// Stores an internal node, split in two when it overflows; returns
+    /// the separator that moves up and the right half's id.
+    fn split_internal(
+        &self,
+        id: BlockId,
+        keys: Vec<Vec<u8>>,
+        children: Vec<BlockId>,
+    ) -> Result<Option<(Vec<u8>, BlockId)>, IndexError> {
+        let node = Node::Internal { keys, children };
+        if !self.node_overflows(&node) {
+            self.store(id, &node)?;
+            return Ok(None);
+        }
+        let Node::Internal {
+            mut keys,
+            mut children,
+        } = node
+        else {
+            unreachable!()
+        };
+        let mid = keys.len() / 2;
+        let right_keys = keys.split_off(mid + 1);
+        let up = keys.pop().expect("`up` moves to the parent");
+        let right_children = children.split_off(mid + 1);
+        let right_id = self.pool.device().allocate()?;
+        self.store(
+            right_id,
+            &Node::Internal {
+                keys: right_keys,
+                children: right_children,
+            },
+        )?;
+        self.store(id, &Node::Internal { keys, children })?;
+        Ok(Some((up, right_id)))
+    }
+
+    /// Removes `key` (lazy: no rebalancing), returning its payload. The
+    /// entry is spliced out of the leaf's bytes.
     pub fn delete(&mut self, key: &[u8]) -> Result<u64, IndexError> {
         let (id, bytes) = self.leaf_for(key)?;
-        let Node::Leaf { mut entries, next } = Node::from_bytes(id, &bytes)? else {
-            return Err(IndexError::CorruptNode {
-                block: id,
-                detail: "descent ended at an internal node".into(),
-            });
-        };
-        let i = entries
-            .binary_search_by(|(k, _)| k.as_slice().cmp(key))
-            .map_err(|_| IndexError::KeyNotFound)?;
-        let (_, val) = entries.remove(i);
-        self.store(id, &Node::Leaf { entries, next })?;
+        let view = NodeView::parse(id, &bytes)?;
+        let slot = view.slot(key)?;
+        let val = slot.found.ok_or(IndexError::KeyNotFound)?;
+        let next = slot.at + 2 + key.len() + 8;
+        let mut out = Vec::with_capacity(slot.end - (next - slot.at));
+        out.extend_from_slice(&bytes[..slot.at]);
+        out.extend_from_slice(&bytes[next..slot.end]);
+        out[NKEYS_AT].copy_from_slice(&(view.nkeys() as u16 - 1).to_le_bytes());
+        self.pool.write(id, &out)?;
         Ok(val)
     }
 

@@ -1,8 +1,10 @@
-//! Lookups walk node bytes in place, so they must treat every node block as
-//! hostile, as the codec treats coded blocks: seeded garbage, truncation and
-//! byte flips of node blocks written through the device make `get`, `floor`
-//! and `range` return `Ok` or `Err(CorruptNode)` — never a panic, never a
-//! hang, never a storage error for a pointer that names no block.
+//! Lookups and leaf edits walk node bytes in place, so they must treat every
+//! node block as hostile, as the codec treats coded blocks: seeded garbage,
+//! truncation and byte flips of node blocks written through the device make
+//! `get`, `floor`, `range`, `insert` and `delete` return `Ok` or
+//! `Err(CorruptNode)` — never a panic, never a hang, never a storage error
+//! for a pointer that names no block — and no edit writes back a node
+//! that does not parse.
 
 use avq_index::{BPlusTree, IndexError};
 use avq_storage::{BlockDevice, BufferPool, DiskProfile};
@@ -26,6 +28,27 @@ impl Rng {
 
 fn key(i: u64) -> [u8; 8] {
     i.to_be_bytes()
+}
+
+/// Truncation, garbage or a few flipped bytes of `original`.
+fn damage(rng: &mut Rng, seed: u64, original: &[u8], block: usize) -> Vec<u8> {
+    match seed % 3 {
+        // Truncation: a prefix of the real node.
+        0 => original[..rng.below(original.len().max(1))].to_vec(),
+        // Garbage of any length up to the block.
+        1 => (0..rng.below(block + 1))
+            .map(|_| rng.next() as u8)
+            .collect(),
+        // A few flipped bytes, header included.
+        _ => {
+            let mut b = original.to_vec();
+            for _ in 0..1 + rng.below(4) {
+                let at = rng.below(b.len());
+                b[at] ^= 1 << rng.below(8);
+            }
+            b
+        }
+    }
 }
 
 /// Every outcome a lookup may have on a damaged tree.
@@ -58,23 +81,7 @@ fn damaged_nodes_yield_ok_or_corrupt_node() {
         let mut rng = Rng(seed);
         let id = rng.below(nodes as usize) as u32;
         let original = device.read(id).unwrap();
-        let damaged = match seed % 3 {
-            // Truncation: a prefix of the real node.
-            0 => original[..rng.below(original.len().max(1))].to_vec(),
-            // Garbage of any length up to the block.
-            1 => (0..rng.below(BLOCK + 1))
-                .map(|_| rng.next() as u8)
-                .collect(),
-            // A few flipped bytes, header included.
-            _ => {
-                let mut b = original.clone();
-                for _ in 0..1 + rng.below(4) {
-                    let at = rng.below(b.len());
-                    b[at] ^= 1 << rng.below(8);
-                }
-                b
-            }
-        };
+        let damaged = damage(&mut rng, seed, &original, BLOCK);
         pool.write(id, &damaged).unwrap();
         for _ in 0..8 {
             let (a, b) = (rng.next() % 1100, rng.next() % 1100);
@@ -85,4 +92,75 @@ fn damaged_nodes_yield_ok_or_corrupt_node() {
         pool.write(id, &original).unwrap();
     }
     tree.validate().unwrap();
+}
+
+#[test]
+fn edits_of_damaged_nodes_yield_ok_or_corrupt_node() {
+    const BLOCK: usize = 128;
+    for seed in 0..1200u64 {
+        // Even keys four to a node, every third one deleted so that leaves
+        // have room for in-place inserts as well as splits.
+        let device = BlockDevice::new(BLOCK, DiskProfile::instant());
+        let pool = BufferPool::new(device.clone(), 64);
+        let pairs: Vec<(Vec<u8>, u64)> = (0..120u64).map(|i| (key(2 * i).to_vec(), i)).collect();
+        let mut tree = BPlusTree::bulk_build(pool.clone(), 4, &pairs).unwrap();
+        for i in (0..120u64).step_by(3) {
+            tree.delete(&key(2 * i)).unwrap();
+        }
+        let mut rng = Rng(seed);
+        let id = rng.below(device.live_blocks()) as u32;
+        let original = device.read(id).unwrap();
+        let damaged = if seed % 4 == 3 {
+            // A header that declares 65 535 entries.
+            let mut b = original.clone();
+            b[1..3].copy_from_slice(&u16::MAX.to_le_bytes());
+            b
+        } else {
+            damage(&mut rng, seed, &original, BLOCK)
+        };
+        pool.write(id, &damaged).unwrap();
+        for _ in 0..6 {
+            let k = key(rng.next() % 250);
+            let before = device.read(id).unwrap();
+            let (what, r) = if rng.below(2) == 0 {
+                ("insert", tree.insert(&k, 7).map(drop))
+            } else {
+                ("delete", tree.delete(&k).map(drop))
+            };
+            match r {
+                Ok(()) | Err(IndexError::KeyNotFound) | Err(IndexError::CorruptNode { .. }) => {}
+                Err(e) => panic!("seed {seed}: {what} returned {e:?}"),
+            }
+            if !parses(&before) {
+                assert_eq!(
+                    device.read(id).unwrap(),
+                    before,
+                    "seed {seed}: {what} rewrote a node that does not parse"
+                );
+            }
+        }
+    }
+}
+
+/// Whether `bytes` hold a whole node: a known tag and every entry the
+/// header declares (the layout in `src/node.rs`, restated as the oracle).
+fn parses(bytes: &[u8]) -> bool {
+    let Some((&[tag, n0, n1, ..], mut rest)) = bytes.split_first_chunk::<7>() else {
+        return false;
+    };
+    let value_len = match tag {
+        0 => 8,
+        1 => 4,
+        _ => return false,
+    };
+    for _ in 0..u16::from_le_bytes([n0, n1]) {
+        let Some((&klen, tail)) = rest.split_first_chunk::<2>() else {
+            return false;
+        };
+        let Some(tail) = tail.get(u16::from_le_bytes(klen) as usize + value_len..) else {
+            return false;
+        };
+        rest = tail;
+    }
+    true
 }
