@@ -22,9 +22,9 @@ use crate::error::CodecError;
 use crate::kernel::DecodeKernel;
 use crate::mode::{CodingMode, RepChoice};
 use crate::rle;
-use avq_num::BigUnsigned;
+use avq_num::{add_digit, sub_digit, BigUnsigned};
 use avq_obs::names;
-use avq_schema::{Schema, Tuple, TupleBatch};
+use avq_schema::{BatchSlots, Schema, Tuple, TupleBatch};
 use std::sync::Arc;
 
 /// Size in bytes of the block header (`count: u16 LE`, `rep_idx: u16 LE`).
@@ -42,10 +42,10 @@ pub const BLOCK_HEADER_BYTES: usize = 4;
 pub struct DecodeScratch {
     /// The block's representative tuple.
     rep: Vec<u64>,
-    /// Running digit vector mutated in place while unwinding a chain.
-    running: Vec<u64>,
-    /// Per-entry work buffer for the un-chained mode.
+    /// One entry's digits between parse and scatter into the columns.
     tmp: Vec<u64>,
+    /// Per-row carry (borrow) into the column being reconstructed.
+    carries: Vec<u8>,
     /// Machine-word φ-distances staged for batched unranking (SWAR bit
     /// mode): a run of consecutive small entries is collected here, then
     /// unranked in one [`avq_num::MixedRadix::unrank_u64_batch_into`] call.
@@ -338,9 +338,11 @@ impl BlockCodec {
         debug_assert_eq!(out.arity(), self.schema.arity());
         let _span = avq_obs::span!(names::SPAN_CODEC_DECODE_BLOCK);
         let (u, rep_idx) = read_header(bytes)?;
-        // u is a wire u16, so the rows decode_rows reserves for it hold at
+        // u is a wire u16, so the slots try_extend reserves for it hold at
         // most 64Ki * arity words (asserted by tests/alloc_untrusted.rs).
-        out.try_extend(u, |rows| self.decode_rows(bytes, u, rep_idx, rows, scratch))?;
+        out.try_extend(u, |slots| {
+            self.decode_rows(bytes, u, rep_idx, slots, scratch)
+        })?;
         avq_obs::counter!(names::CODEC_DECODE_BLOCKS).inc();
         avq_obs::counter!(names::CODEC_DECODE_TUPLES).add(u as u64);
         avq_obs::counter!(names::CODEC_DECODE_BYTES_IN).add(bytes.len() as u64);
@@ -382,22 +384,25 @@ impl BlockCodec {
         rows.reset(self.schema.arity());
         let result = self.decode_batch_into(bytes, &mut rows, scratch);
         if result.is_ok() {
-            out.extend(rows.rows().map(Tuple::from));
+            out.extend((0..rows.len()).map(|i| rows.tuple(i)));
         }
         scratch.staging = rows;
         result
     }
 
-    /// Appends the `u · arity` ordinals of a block's tuples to `out`: the
-    /// entries are parsed into their rows (the representative spliced in
-    /// at `rep_idx`), then each difference is overwritten by the tuple it
-    /// stands for.
+    /// Writes a block's `u` tuples into the column slots of `out` in two
+    /// passes: pass 1 parses each entry's difference digits into the slots
+    /// of the row it describes (the representative written into its own
+    /// row at `rep_idx`); pass 2 runs the running sum over those slots one
+    /// column at a time, overwriting each difference digit by the tuple
+    /// digit it stands for. No row-major copy of the block exists at any
+    /// point; the only per-row state is one carry byte.
     fn decode_rows(
         &self,
         bytes: &[u8],
         u: usize,
         rep_idx: usize,
-        out: &mut Vec<u64>,
+        out: &mut BatchSlots<'_>,
         scratch: &mut DecodeScratch,
     ) -> Result<(), CodecError> {
         if u == 0 {
@@ -410,6 +415,15 @@ impl BlockCodec {
         let m = self.schema.tuple_bytes();
         let n = self.schema.arity();
         let mut pos = BLOCK_HEADER_BYTES;
+        let DecodeScratch {
+            rep,
+            tmp,
+            carries,
+            values,
+            big,
+            big_bytes,
+            ..
+        } = scratch;
 
         if self.mode == CodingMode::FieldWise {
             let need = u * m;
@@ -420,26 +434,32 @@ impl BlockCodec {
                     detail: format!("field-wise body truncated: need {need} bytes"),
                 });
             };
-            out.reserve(u * n);
             if m == 0 {
                 // Zero-width tuples: the body is empty and every record
                 // reads as the all-zero digit vector.
-                out.resize(out.len() + u * n, 0);
+                tmp.clear();
+                tmp.resize(n, 0);
+                for r in 0..u {
+                    out.set_row(r, tmp);
+                }
             } else if self.kernel == DecodeKernel::Swar {
                 // One whole-word load per attribute cell instead of the
                 // per-byte shift loop inside read_digits_into.
-                for rec in body.chunks_exact(m) {
+                for (r, rec) in body.chunks_exact(m).enumerate() {
                     for i in 0..n {
-                        out.push(rle::load_be(
+                        let d = rle::load_be(
                             rec,
                             self.schema.byte_offset(i),
                             self.schema.byte_width(i),
-                        ));
+                        );
+                        out.set(r, i, d);
                     }
                 }
             } else {
-                for rec in body.chunks_exact(m) {
-                    self.schema.read_digits_into(rec, out);
+                for (r, rec) in body.chunks_exact(m).enumerate() {
+                    tmp.clear();
+                    self.schema.read_digits_into(rec, tmp);
+                    out.set_row(r, tmp);
                 }
             }
             return Ok(());
@@ -459,15 +479,6 @@ impl BlockCodec {
                 detail: "representative tuple truncated".into(),
             });
         };
-        let DecodeScratch {
-            rep,
-            running,
-            tmp,
-            values,
-            big,
-            big_bytes,
-            ..
-        } = scratch;
         rep.clear();
         self.schema.read_digits_into(rep_bytes, rep);
         self.schema
@@ -485,21 +496,16 @@ impl BlockCodec {
             return Ok(());
         }
         let radix = self.schema.radix();
-        let base = out.len();
-        out.reserve(u * n);
+        out.set_row(rep_idx, rep);
         // Entry k describes row k before the representative and row k + 1
-        // after it, so the representative's own row goes in ahead of entry
-        // rep_idx — or last, when no entry follows it.
-        let rep_row = |k: usize, out: &mut Vec<u64>| {
-            if k == rep_idx {
-                out.extend_from_slice(rep);
-            }
-        };
+        // after it.
+        let row_of = |k: usize| k + usize::from(k >= rep_idx);
+        tmp.clear();
+        tmp.resize(n, 0);
         match (self.mode, self.kernel) {
             (CodingMode::AvqChainedBits, DecodeKernel::Scalar) => {
                 let mut br = BitReader::new(bytes.get(pos..).unwrap_or(&[]));
                 for k in 0..u - 1 {
-                    rep_row(k, out);
                     let bl = br
                         .read_gamma()
                         .ok_or_else(|| CodecError::Corrupt {
@@ -509,12 +515,8 @@ impl BlockCodec {
                         })?
                         // Gamma codes are structurally >= 1.
                         .saturating_sub(1) as usize;
-                    let at = out.len();
-                    out.resize(at + n, 0);
                     // Nearly every difference fits a machine word; unrank
-                    // those without building a bignum. The destination is
-                    // the entry's row, sized by the resize above.
-                    let dst = out.get_mut(at..).unwrap_or_default();
+                    // those without building a bignum.
                     let ok = if bl < 64 {
                         let value =
                             br.read_bits_u64(bl as u32)
@@ -523,7 +525,7 @@ impl BlockCodec {
                                     offset: pos,
                                     detail: format!("bit entry {k}: truncated payload"),
                                 })?;
-                        radix.unrank_u64_into(value, dst)
+                        radix.unrank_u64_into(value, tmp)
                     } else {
                         br.read_bits_big_into(bl, big_bytes, big).ok_or_else(|| {
                             CodecError::Corrupt {
@@ -532,37 +534,31 @@ impl BlockCodec {
                                 detail: format!("bit entry {k}: truncated payload"),
                             }
                         })?;
-                        radix.unrank_assign_into(big, dst)
+                        radix.unrank_assign_into(big, tmp)
                     };
                     if !ok {
                         return Err(CodecError::DifferenceOutOfSpace { entry: k });
                     }
+                    out.set_row(row_of(k), tmp);
                 }
-                rep_row(u - 1, out);
             }
             (CodingMode::AvqChainedBits, DecodeKernel::Swar) => {
                 // Word-at-a-time gamma decoding plus batched unranking:
                 // machine-word φ-distances are collected per run of
-                // consecutive small entries and unranked together, sharing
-                // the high-order division work across the run. Validity is
-                // pre-checked per value (O(1) against ‖𝓡‖), so errors
-                // surface at the same entry index as the scalar kernel.
+                // consecutive small entries and unranked together straight
+                // into the columns, sharing the high-order division work
+                // across the run. Validity is pre-checked per value (O(1)
+                // against ‖𝓡‖), so errors surface at the same entry index
+                // as the scalar kernel.
                 let mut wr = WordReader::new(bytes.get(pos..).unwrap_or(&[]));
-                out.resize(base + u * n, 0);
-                let rows = out.get_mut(base..).unwrap_or_default();
-                if let Some(slot) = rows.get_mut(rep_idx * n..(rep_idx + 1) * n) {
-                    slot.copy_from_slice(rep);
-                }
                 values.clear();
                 // First row of the current run of small entries; a run is
                 // flushed wherever its rows stop being contiguous: at the
                 // representative's row and at a bignum-sized entry.
                 let mut run_row = 0usize;
-                let flush = |run_row: usize, values: &mut Vec<u64>, rows: &mut [u64]| {
-                    let dst = rows
-                        .get_mut(run_row * n..(run_row + values.len()) * n)
-                        .unwrap_or_default();
-                    let ok = radix.unrank_u64_batch_into(values, dst);
+                let flush = |run_row: usize, values: &mut Vec<u64>, out: &mut BatchSlots<'_>| {
+                    let (cols, stride) = out.strided_from(run_row);
+                    let ok = radix.unrank_u64_batch_into_columns(values, cols, stride);
                     values.clear();
                     if ok {
                         Ok(())
@@ -573,7 +569,7 @@ impl BlockCodec {
                 };
                 for k in 0..u - 1 {
                     if k == rep_idx {
-                        flush(run_row, values, rows)?;
+                        flush(run_row, values, out)?;
                         run_row = k + 1;
                     }
                     let bl = wr
@@ -598,8 +594,8 @@ impl BlockCodec {
                         }
                         values.push(value);
                     } else {
-                        flush(run_row, values, rows)?;
-                        let row = k + usize::from(k >= rep_idx);
+                        flush(run_row, values, out)?;
+                        let row = row_of(k);
                         run_row = row + 1;
                         wr.read_bits_big_into(bl, big_bytes, big).ok_or_else(|| {
                             CodecError::Corrupt {
@@ -608,107 +604,86 @@ impl BlockCodec {
                                 detail: format!("bit entry {k}: truncated payload"),
                             }
                         })?;
-                        let dst = rows.get_mut(row * n..(row + 1) * n).unwrap_or_default();
-                        if !radix.unrank_assign_into(big, dst) {
+                        if !radix.unrank_assign_into(big, tmp) {
                             return Err(CodecError::DifferenceOutOfSpace { entry: k });
                         }
+                        out.set_row(row, tmp);
                     }
                 }
-                flush(run_row, values, rows)?;
+                flush(run_row, values, out)?;
             }
             (_, DecodeKernel::Scalar) => {
                 for k in 0..u - 1 {
-                    rep_row(k, out);
-                    pos = rle::read_entry_append(&self.schema, bytes, pos, out)?;
+                    tmp.clear();
+                    pos = rle::read_entry_append(&self.schema, bytes, pos, tmp)?;
+                    out.set_row(row_of(k), tmp);
                 }
-                rep_row(u - 1, out);
             }
             (_, DecodeKernel::Swar) => {
                 for k in 0..u - 1 {
-                    rep_row(k, out);
-                    pos = rle::read_entry_append_swar(&self.schema, bytes, pos, out)?;
+                    pos = rle::read_entry_swar_into(&self.schema, bytes, pos, out, row_of(k))?;
                 }
-                rep_row(u - 1, out);
             }
         }
 
-        // The SWAR kernel skips the leading zero digits of each difference:
-        // a difference compresses precisely because its prefix is zero, and
-        // adding/subtracting zero with no carry is the identity. The scan
-        // for the first nonzero digit costs n compares; the skipped digit
-        // steps cost a compare-and-branch each, so the trade is free at
-        // worst and large for the long zero runs AVQ entries carry.
-        let prefix_skip = self.kernel == DecodeKernel::Swar;
-        let first_nz = |d: &[u64]| d.iter().position(|&x| x != 0).unwrap_or(n);
-        let rows = out.get_mut(base..).unwrap_or_default();
-        let (before, rest) = rows.split_at_mut_checked(rep_idx * n).unwrap_or_default();
-        let after = rest.get_mut(n..).unwrap_or_default();
-
-        match self.mode {
-            CodingMode::Avq => {
-                // Every entry is an independent offset from the
-                // representative: below it before rep_idx, above it after.
-                for (k, d) in before.chunks_exact_mut(n).enumerate() {
-                    tmp.clear();
-                    tmp.extend_from_slice(rep);
-                    let ok = if prefix_skip {
-                        radix.sub_assign_prefix(tmp, d, first_nz(d))
-                    } else {
-                        radix.sub_assign(tmp, d)
-                    };
-                    if !ok {
-                        return Err(CodecError::DifferenceOutOfSpace { entry: k });
-                    }
-                    d.copy_from_slice(tmp);
-                }
-                for (k, d) in after.chunks_exact_mut(n).enumerate() {
-                    tmp.clear();
-                    tmp.extend_from_slice(rep);
-                    let ok = if prefix_skip {
-                        radix.add_assign_prefix(tmp, d, first_nz(d))
-                    } else {
-                        radix.add_assign(tmp, d)
-                    };
-                    if !ok {
-                        return Err(CodecError::DifferenceOutOfSpace { entry: rep_idx + k });
-                    }
-                    d.copy_from_slice(tmp);
-                }
+        // Pass 2, one column at a time from the least significant: a row's
+        // digit is its neighbour's nearer the representative (chained) or
+        // the representative's (un-chained), plus or minus its difference
+        // digit and the carry its own less significant digit produced, kept
+        // per row in `carries`. Every column is walked contiguously. A
+        // difference compresses because its leading digits are zero, so in
+        // the leading columns nearly every step adds nothing and is a copy.
+        let chained = self.mode != CodingMode::Avq;
+        carries.clear();
+        carries.resize(u, 0);
+        for (a, (&radix_a, &rep_a)) in radix.radices().iter().zip(rep.iter()).enumerate().rev() {
+            let col = out.col_mut(a);
+            // rep_idx < u, checked above: both splits exist.
+            let (before, rest) = col.split_at_mut_checked(rep_idx).unwrap_or_default();
+            let (before_c, rest_c) = carries.split_at_mut_checked(rep_idx).unwrap_or_default();
+            let after = rest.get_mut(1..).unwrap_or_default();
+            let after_c = rest_c.get_mut(1..).unwrap_or_default();
+            // A step with a zero digit and no carry in is a copy of `from`.
+            let mut prev = rep_a;
+            for (slot, borrow) in before.iter_mut().zip(before_c.iter_mut()).rev() {
+                let from = if chained { prev } else { rep_a };
+                prev = if *slot == 0 && *borrow == 0 {
+                    from
+                } else {
+                    let (digit, out) = sub_digit(from, *slot, *borrow, radix_a);
+                    *borrow = out;
+                    digit
+                };
+                *slot = prev;
             }
-            CodingMode::AvqChained | CodingMode::AvqChainedBits => {
-                // Unwind outward from the representative: backwards over
-                // the rows before it, forwards over the rows after it, each
-                // difference overwritten by the running sum.
-                running.clear();
-                running.extend_from_slice(rep);
-                for (i, d) in before.chunks_exact_mut(n).enumerate().rev() {
-                    let ok = if prefix_skip {
-                        radix.sub_assign_prefix(running, d, first_nz(d))
-                    } else {
-                        radix.sub_assign(running, d)
-                    };
-                    if !ok {
-                        return Err(CodecError::DifferenceOutOfSpace { entry: i });
-                    }
-                    d.copy_from_slice(running);
-                }
-                running.clear();
-                running.extend_from_slice(rep);
-                for (k, d) in after.chunks_exact_mut(n).enumerate() {
-                    let ok = if prefix_skip {
-                        radix.add_assign_prefix(running, d, first_nz(d))
-                    } else {
-                        radix.add_assign(running, d)
-                    };
-                    if !ok {
-                        return Err(CodecError::DifferenceOutOfSpace { entry: rep_idx + k });
-                    }
-                    d.copy_from_slice(running);
-                }
+            let mut prev = rep_a;
+            for (slot, carry) in after.iter_mut().zip(after_c.iter_mut()) {
+                let from = if chained { prev } else { rep_a };
+                prev = if *slot == 0 && *carry == 0 {
+                    from
+                } else {
+                    let (digit, out) = add_digit(from, *slot, *carry, radix_a);
+                    *carry = out;
+                    digit
+                };
+                *slot = prev;
             }
-            CodingMode::FieldWise => {
-                // Handled (and returned from) above; nothing to reconstruct.
-            }
+        }
+        // A carry (borrow) out of the leading digit means the tuple left the
+        // space; the error names the first such entry in the order the rows
+        // are reconstructed — away from the representative when chained,
+        // ascending otherwise — rows before the representative first.
+        let (before_c, rest_c) = carries.split_at_checked(rep_idx).unwrap_or_default();
+        let failed_before = if chained {
+            before_c.iter().rposition(|&c| c != 0)
+        } else {
+            before_c.iter().position(|&c| c != 0)
+        };
+        if let Some(entry) = failed_before {
+            return Err(CodecError::DifferenceOutOfSpace { entry });
+        }
+        if let Some(k) = rest_c.iter().skip(1).position(|&c| c != 0) {
+            return Err(CodecError::DifferenceOutOfSpace { entry: rep_idx + k });
         }
         Ok(())
     }
@@ -793,6 +768,10 @@ impl BlockCodec {
             return Ok(true);
         }
         let diffs = self.parse_entries(bytes, body + m, u - 1)?;
+        // Entry k's difference; `max(1)` keeps a zero-arity schema (which
+        // returned above: its target always equals the representative)
+        // from asking for zero-width chunks.
+        let entries = || diffs.chunks_exact(rep.len().max(1));
         let radix = self.schema.radix();
         let chained = self.mode != CodingMode::Avq;
         // One running buffer: the chain position in the chained modes, the
@@ -803,7 +782,7 @@ impl BlockCodec {
             // entries matter. Chained entries unwind backward from the
             // representative, stopping once below the target; un-chained
             // ones are t = rep − d, ascending in φ as k grows.
-            let before = diffs.rows().take(rep_idx).enumerate();
+            let before = entries().take(rep_idx).enumerate();
             if chained {
                 for (i, d) in before.rev() {
                     if !radix.sub_assign(&mut cur, d) {
@@ -833,7 +812,7 @@ impl BlockCodec {
         // Target follows the representative: reconstruct forward from it
         // with early exit (the first-half entries are parsed but never
         // reconstructed).
-        for (k, d) in diffs.rows().enumerate().skip(rep_idx) {
+        for (k, d) in entries().enumerate().skip(rep_idx) {
             if !chained {
                 cur.copy_from_slice(&rep);
             }
@@ -849,17 +828,18 @@ impl BlockCodec {
         Ok(false)
     }
 
-    /// Parses all difference entries of a non-field-wise block, one row
-    /// each (the early-exit walk of [`Self::contains_tuple`]).
+    /// Parses all difference entries of a non-field-wise block, each
+    /// entry's `arity` digits after the last (the early-exit walk of
+    /// [`Self::contains_tuple`] reads them as differences, never as rows).
     fn parse_entries(
         &self,
         bytes: &[u8],
         mut pos: usize,
         count: usize,
-    ) -> Result<TupleBatch, CodecError> {
+    ) -> Result<Vec<u64>, CodecError> {
         let radix = self.schema.radix();
-        let mut diffs = TupleBatch::new(self.schema.arity());
-        diffs.try_extend(count, |out| {
+        let mut out = Vec::new();
+        {
             if self.mode == CodingMode::AvqChainedBits {
                 let mut br = BitReader::new(bytes.get(pos..).unwrap_or(&[]));
                 for k in 0..count {
@@ -884,12 +864,11 @@ impl BlockCodec {
                 }
             } else {
                 for _ in 0..count {
-                    pos = rle::read_entry_append(&self.schema, bytes, pos, out)?;
+                    pos = rle::read_entry_append(&self.schema, bytes, pos, &mut out)?;
                 }
             }
-            Ok(())
-        })?;
-        Ok(diffs)
+        }
+        Ok(out)
     }
 
     /// Reads only the representative tuple of a coded block — the index key

@@ -16,7 +16,7 @@
 //! the remaining zeros travel explicitly.
 
 use crate::error::CodecError;
-use avq_schema::Schema;
+use avq_schema::{BatchSlots, Schema};
 
 /// Number of leading zero bytes in the fixed-width serialization of
 /// `digits`, computed without serializing.
@@ -174,23 +174,28 @@ pub(crate) fn load_be(bytes: &[u8], start: usize, len: usize) -> u64 {
     d
 }
 
-/// SWAR variant of [`read_entry_append`]: identical inputs, outputs, and
-/// error classifications, but digits are assembled with whole-word loads.
+/// SWAR variant of [`read_entry_append`] that writes the difference's
+/// digits straight into row `row` of `out`'s columns: identical inputs,
+/// positions and error classifications (the digits are range-checked as
+/// they are written, and a bad row is re-read through the same validation
+/// so the error names the same digit). On error the row's slots hold
+/// garbage, which the caller's rollback discards.
 ///
 /// Where the scalar path walks every byte of the `m`-byte fixed-width
 /// serialization, this one works per *attribute cell*: a cell entirely
 /// inside the elided zero run is materialized as the literal `0` (no loads
 /// at all — the branchless zero-run expansion), and every other cell is one
 /// [`load_be`] of its surviving tail bytes.
-pub(crate) fn read_entry_append_swar(
+pub(crate) fn read_entry_swar_into(
     schema: &Schema,
     buf: &[u8],
     pos: usize,
-    digits: &mut Vec<u64>,
+    out: &mut BatchSlots<'_>,
+    row: usize,
 ) -> Result<usize, CodecError> {
     let (count, tail) = entry_parts(schema, buf, pos)?;
-    let start = digits.len();
-    for i in 0..schema.arity() {
+    let mut valid = true;
+    for (i, &radix) in schema.radix().radices().iter().enumerate() {
         let off = schema.byte_offset(i);
         let w = schema.byte_width(i);
         // Cell `i` occupies serialized bytes [off, off + w). Bytes below
@@ -205,17 +210,20 @@ pub(crate) fn read_entry_append_swar(
             let first = off.max(count);
             load_be(tail, first - count, off + w - first)
         };
-        digits.push(d);
+        // A difference is expressed in 𝓡-space digits (φ⁻¹ of the
+        // distance), so every digit must respect its radix.
+        valid &= d < radix;
+        out.set(row, i, d);
     }
-    // A difference is expressed in 𝓡-space digits (φ⁻¹ of the distance), so
-    // every digit must respect its radix; anything else is corruption.
-    if let Err(e) = schema.radix().validate(digits.get(start..).unwrap_or(&[])) {
-        digits.truncate(start);
-        return Err(CodecError::Corrupt {
-            section: "entries",
-            offset: pos,
-            detail: format!("entry digits invalid: {e}"),
-        });
+    if !valid {
+        let digits: Vec<u64> = (0..schema.arity()).map(|i| out.get(row, i)).collect();
+        if let Err(e) = schema.radix().validate(&digits) {
+            return Err(CodecError::Corrupt {
+                section: "entries",
+                offset: pos,
+                detail: format!("entry digits invalid: {e}"),
+            });
+        }
     }
     Ok(pos + 1 + tail.len())
 }

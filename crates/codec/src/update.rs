@@ -30,6 +30,7 @@ use crate::mode::CodingMode;
 use crate::rle;
 use avq_obs::names;
 use avq_schema::{Tuple, TupleBatch};
+use core::cmp::Ordering;
 
 /// Result of inserting into a coded block.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,7 +83,7 @@ pub fn insert_into_rows(
             detail: e.to_string(),
         })?;
     let row = tuple.digits();
-    let pos = rows.partition_point(|r| r <= row);
+    let pos = rows.partition_point(row, Ordering::is_le);
     let bytes = splice(codec, block, rows, pos, Some(row), capacity)?;
     Ok(Spliced { pos, bytes })
 }
@@ -97,8 +98,8 @@ pub fn delete_from_rows(
     tuple: &Tuple,
 ) -> Result<Spliced, CodecError> {
     let row = tuple.digits();
-    let pos = rows.partition_point(|r| r < row);
-    if pos >= rows.len() || rows.row(pos) != row {
+    let pos = rows.partition_point(row, Ordering::is_lt);
+    if pos >= rows.len() || rows.cmp_row(pos, row) != Ordering::Equal {
         return Err(CodecError::TupleNotFound);
     }
     let bytes = splice(codec, block, rows, pos, None, usize::MAX)?;
@@ -137,6 +138,14 @@ pub fn delete_from_block(
         Some(coded) => DeleteOutcome::InPlace(coded),
         None => DeleteOutcome::Emptied,
     })
+}
+
+/// Row `i` of `rows`, gathered out of its columns.
+fn row_of(rows: &TupleBatch, i: usize) -> Vec<u64> {
+    // lint: bounded(one row of ordinals, schema arity)
+    let mut row = vec![0; rows.arity()];
+    rows.row_into(i, &mut row);
+    row
 }
 
 fn decode_rows(codec: &BlockCodec, block: &[u8]) -> Result<TupleBatch, CodecError> {
@@ -178,15 +187,21 @@ fn splice(
     if new_u == 0 || new_u > u16::MAX as usize {
         return Ok(None);
     }
-    // The splice point's neighbours, and the edited run itself.
-    let prev = pos.checked_sub(1).map(|i| rows.row(i));
+    // The splice point's neighbours.
     let next_at = pos + usize::from(insert.is_none());
-    let next = (next_at < u).then(|| rows.row(next_at));
-    let edited = rows
-        .rows()
-        .take(pos)
-        .chain(insert)
-        .chain(rows.rows().skip(next_at));
+    // Both gathered into one buffer: `prev` then `next`.
+    let n = rows.arity();
+    // lint: bounded(two rows of ordinals, schema arity)
+    let mut around = vec![0; 2 * n];
+    let (prev_buf, next_buf) = around.split_at_mut(n);
+    let prev = pos.checked_sub(1).map(|i| {
+        rows.row_into(i, prev_buf);
+        &*prev_buf
+    });
+    let next = (next_at < u).then(|| {
+        rows.row_into(next_at, next_buf);
+        &*next_buf
+    });
 
     if codec.mode() == CodingMode::FieldWise {
         let body = block
@@ -220,6 +235,22 @@ fn splice(
     }
     let rebase = codec.mode() == CodingMode::Avq && insert.is_none() && pos == rep_idx;
     if codec.mode() == CodingMode::AvqChainedBits || rebase {
+        // The edited run, gathered row after row for the encoder.
+        // lint: bounded(the edited run: at most u16::MAX rows, checked above)
+        let mut flat = Vec::with_capacity(new_u * n);
+        // lint: bounded(one row of ordinals, schema arity)
+        let mut row = vec![0; n];
+        for i in (0..pos).chain(next_at..u) {
+            if i == next_at {
+                flat.extend(insert.unwrap_or_default());
+            }
+            rows.row_into(i, &mut row);
+            flat.extend_from_slice(&row);
+        }
+        if next_at == u {
+            flat.extend(insert.unwrap_or_default());
+        }
+        let edited = (0..new_u).map(|k| flat.get(k * n..(k + 1) * n).unwrap_or_default());
         let mut out = Vec::new();
         codec.encode_rows(new_u, edited, &mut out);
         return Ok((out.len() <= capacity).then_some(out));
@@ -234,6 +265,11 @@ fn splice(
                 offset: BLOCK_HEADER_BYTES,
                 detail: "representative tuple truncated".into(),
             })?;
+    // The representative row, which an un-chained entry is measured from.
+    let rep_row = match codec.mode() {
+        CodingMode::Avq => row_of(rows, rep_idx),
+        _ => Vec::new(),
+    };
     // Old entries [first, first + replaced) give way to the differences of
     // `fresh` (each pair in either order).
     let (first, replaced, fresh) = if codec.mode() == CodingMode::AvqChained {
@@ -258,7 +294,7 @@ fn splice(
             Some(row) => (
                 pos - usize::from(pos > rep_idx),
                 0,
-                [Some((row, rows.row(rep_idx))), None],
+                [Some((row, rep_row.as_slice())), None],
             ),
             None => (pos - usize::from(pos > rep_idx), 1, [None, None]),
         }

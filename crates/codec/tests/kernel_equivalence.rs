@@ -6,7 +6,7 @@
 //! other errors (AVQ-L001 applies to both).
 //!
 //! The same corpus pins the two decoded representations to each other: the
-//! flat [`TupleBatch`] path is the decoder, `decode()` / `decode_into()`
+//! column-major [`TupleBatch`] path is the decoder, `decode()` / `decode_into()`
 //! are materializing adapters over it, and both must report the same rows,
 //! the same error, and leave their output exactly as it was on failure.
 

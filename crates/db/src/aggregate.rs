@@ -11,6 +11,7 @@ use crate::error::DbError;
 use crate::query::Selection;
 use crate::relation_store::StoredRelation;
 use avq_obs::{names, QueryCtx};
+use avq_schema::TupleBatch;
 use std::collections::BTreeMap;
 
 /// An aggregate function over one attribute (ordinal space).
@@ -99,7 +100,7 @@ impl StoredRelation {
             selection,
             &QueryCtx::default(),
             AggState::default(),
-            |st, row| st.feed(agg, row),
+            |st, run, sel| st.fold(agg, run, sel),
         )?;
         tracker.cost = cost;
         Ok((state.finish(agg), tracker.cost))
@@ -117,8 +118,12 @@ impl StoredRelation {
             selection,
             &QueryCtx::default(),
             BTreeMap::<u64, AggState>::new(),
-            |groups, row| {
-                groups.entry(row[group_attr]).or_default().feed(agg, row);
+            |groups, run, sel| {
+                let keys = run.col(group_attr);
+                for &i in sel {
+                    let st: &mut AggState = groups.entry(keys[i as usize]).or_default();
+                    st.fold(agg, run, &[i]);
+                }
             },
         )?;
         let out = groups
@@ -139,8 +144,9 @@ struct AggState {
 }
 
 impl AggState {
-    fn feed(&mut self, agg: Aggregate, row: &[u64]) {
-        self.count += 1;
+    /// Folds rows `sel` of `run` in, reading only the aggregated column.
+    fn fold(&mut self, agg: Aggregate, run: &TupleBatch, sel: &[u32]) {
+        self.count += sel.len() as u64;
         let attr = match agg {
             Aggregate::Count => return,
             Aggregate::Sum { attr }
@@ -148,10 +154,13 @@ impl AggState {
             | Aggregate::Max { attr }
             | Aggregate::Avg { attr } => attr,
         };
-        let v = row[attr];
-        self.sum += v as u128;
-        self.min = Some(self.min.map_or(v, |m| m.min(v)));
-        self.max = Some(self.max.map_or(v, |m| m.max(v)));
+        let col = run.col(attr);
+        for &i in sel {
+            let v = col[i as usize];
+            self.sum += v as u128;
+            self.min = Some(self.min.map_or(v, |m| m.min(v)));
+            self.max = Some(self.max.map_or(v, |m| m.max(v)));
+        }
     }
 
     fn finish(self, agg: Aggregate) -> AggregateValue {
@@ -231,7 +240,10 @@ mod tests {
             lo: 10,
             hi: 50,
         });
-        let matching: Vec<_> = all.iter().filter(|t| sel.matches(t.digits())).collect();
+        let matching: Vec<_> = all
+            .iter()
+            .filter(|t| crate::query::tests::matches(&sel, t.digits()))
+            .collect();
         let expect_sum: u128 = matching.iter().map(|t| t.digits()[1] as u128).sum();
 
         let (v, _) = rel.aggregate(Aggregate::Sum { attr: 1 }, &sel).unwrap();

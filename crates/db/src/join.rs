@@ -74,11 +74,11 @@ pub fn index_nested_loop(
     nested_loop(outer, outer_attr, inner, inner_attr, true)
 }
 
-/// The nested loop both strategies share: per outer block, hash its rows
-/// by join value, then stream the inner blocks — all of them, or with
-/// `probe_index` only those the inner's secondary index lists for the
-/// block's distinct values. Rows are borrowed from their decoded blocks;
-/// only a matched pair is copied out.
+/// The nested loop both strategies share: per outer block, group its row
+/// numbers by join value, then stream the inner blocks — all of them, or
+/// with `probe_index` only those the inner's secondary index lists for the
+/// block's distinct values. Both sides are read through their join
+/// column; only a matched pair is gathered out of its blocks.
 fn nested_loop(
     outer: &StoredRelation,
     outer_attr: usize,
@@ -96,9 +96,9 @@ fn nested_loop(
         };
         tracker.cost.data_blocks += 1;
         tracker.cost.tuples_scanned += outer_rows.len();
-        let mut by_value: BTreeMap<u64, Vec<&[u64]>> = BTreeMap::new();
-        for row in outer_rows.rows() {
-            by_value.entry(row[outer_attr]).or_default().push(row);
+        let mut by_value: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        for (i, &v) in outer_rows.col(outer_attr).iter().enumerate() {
+            by_value.entry(v).or_default().push(i);
         }
         let candidates = if probe_index {
             // One index probe per distinct value; union candidate blocks.
@@ -116,9 +116,9 @@ fn nested_loop(
                 continue;
             };
             tracker.cost.data_blocks += 1;
-            for irow in inner_rows.rows() {
-                for orow in by_value.get(&irow[inner_attr]).into_iter().flatten() {
-                    out.push((Tuple::from(*orow), Tuple::from(irow)));
+            for (i, v) in inner_rows.col(inner_attr).iter().enumerate() {
+                for &o in by_value.get(v).into_iter().flatten() {
+                    out.push((outer_rows.tuple(o), inner_rows.tuple(i)));
                 }
             }
         }

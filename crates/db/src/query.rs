@@ -5,13 +5,14 @@
 //! beyond single-attribute ranges: a [`Selection`] is a conjunction of
 //! per-attribute range predicates; the planner picks the cheapest access
 //! path (clustered prefix range, a secondary index, or a full scan) and
-//! filters the remaining conjuncts after block decode.
+//! filters the remaining conjuncts after block decode, one column at a
+//! time ([`Selection::filter_block`]).
 
 use crate::cost::{CostTracker, QueryCost};
 use crate::error::DbError;
 use crate::relation_store::StoredRelation;
 use avq_obs::{names, QueryCtx};
-use avq_schema::Tuple;
+use avq_schema::{Tuple, TupleBatch};
 use avq_storage::BlockId;
 
 /// One conjunct: `lo ≤ A_attr ≤ hi` in ordinal space.
@@ -29,13 +30,6 @@ impl RangePredicate {
     /// An equality predicate `A_attr = v`.
     pub fn equals(attr: usize, v: u64) -> Self {
         RangePredicate { attr, lo: v, hi: v }
-    }
-
-    /// True iff the row satisfies this conjunct.
-    #[inline]
-    pub fn matches(&self, row: &[u64]) -> bool {
-        let v = row[self.attr];
-        v >= self.lo && v <= self.hi
     }
 
     /// Width of the accepted range (for selectivity ordering).
@@ -81,9 +75,82 @@ impl Selection {
         &self.predicates
     }
 
-    /// True iff the row satisfies every conjunct.
-    pub fn matches(&self, row: &[u64]) -> bool {
-        self.predicates.iter().all(|p| p.matches(row))
+    /// The filter kernel: sets `sel` to the indices of `block`'s rows that
+    /// satisfy every conjunct, ascending — the block's selection vector.
+    ///
+    /// The conjuncts are evaluated one column at a time: the first scans
+    /// its whole column into `sel`, each later one narrows `sel` reading
+    /// only its own column at the surviving rows. Both loops are
+    /// branch-free — every candidate is written and the write position
+    /// advances by the test's outcome — so their cost does not depend on
+    /// selectivity. A block's rows are φ sorted, so when its first and last
+    /// rows agree on attributes `0..k` every row does (its *constant
+    /// prefix*); a conjunct on one of those attributes is decided once for
+    /// the whole block — it passes every row or none — and never scans.
+    /// `sel` is cleared first and its buffer reused, so a caller that keeps
+    /// one vector across blocks allocates nothing per block once it has
+    /// grown. Panics when a conjunct names an attribute past the block's
+    /// arity.
+    pub fn filter_block(&self, block: &TupleBatch, sel: &mut Vec<u32>) {
+        sel.clear();
+        let rows = block.len();
+        if self.predicates.is_empty() {
+            sel.extend(0..rows as u32);
+            return;
+        }
+        debug_assert!(
+            u32::try_from(rows).is_ok(),
+            "a block holds at most 64Ki rows"
+        );
+        let constant = (0..block.arity())
+            .take_while(|&a| block.get(0, a) == block.get(rows - 1, a))
+            .count();
+        if rows == 0 {
+            return;
+        }
+        let mut scanned = false;
+        for p in &self.predicates {
+            // `v ∈ [lo, hi]` as one unsigned compare.
+            let Some(span) = p.hi.checked_sub(p.lo) else {
+                // A contradiction admits no row.
+                sel.clear();
+                return;
+            };
+            let admits = |v: u64| v.wrapping_sub(p.lo) <= span;
+            if p.attr < constant {
+                if !admits(block.get(0, p.attr)) {
+                    sel.clear();
+                    return;
+                }
+                continue;
+            }
+            let col = block.col(p.attr);
+            let mut kept = 0;
+            if scanned {
+                for j in 0..sel.len() {
+                    let i = sel[j];
+                    sel[kept] = i;
+                    kept += usize::from(admits(col[i as usize]));
+                }
+            } else {
+                // Room for a power of two of rows: the blocks of a relation
+                // differ in size by less than 2×, so one buffer serves all.
+                sel.reserve(rows.next_power_of_two());
+                sel.resize(rows, 0);
+                for (i, &v) in (0u32..).zip(col) {
+                    sel[kept] = i;
+                    kept += usize::from(admits(v));
+                }
+                scanned = true;
+            }
+            sel.truncate(kept);
+            if sel.is_empty() {
+                return;
+            }
+        }
+        if !scanned {
+            sel.extend(0..rows as u32);
+        }
     }
 
     /// The intersection of every conjunct on `attr`, or `None` when no
@@ -170,9 +237,10 @@ impl StoredRelation {
         }
     }
 
-    /// Streams every row matching `selection` through `f`, borrowed from
-    /// its decoded block, without materializing the result set — the one
-    /// loop that turns candidate blocks into filtered rows, behind
+    /// Streams every block's matching rows through `f` — the decoded block
+    /// and its selection vector from [`Selection::filter_block`] — without
+    /// materializing the result set: the one loop that turns candidate
+    /// blocks into filtered rows, behind
     /// [`Self::select`], [`Self::select_range`], [`Self::aggregate`] and
     /// [`Self::aggregate_group_by`]. Blocks come through
     /// [`Self::read_block`] under `ctx`; the cost counts the blocks and
@@ -183,7 +251,7 @@ impl StoredRelation {
         selection: &Selection,
         ctx: &QueryCtx,
         init: T,
-        mut f: impl FnMut(&mut T, &[u64]),
+        mut f: impl FnMut(&mut T, &TupleBatch, &[u32]),
     ) -> Result<(T, QueryCost, AccessPath), DbError> {
         let _span = avq_obs::span!(names::SPAN_DB_SELECT);
         avq_obs::counter!(names::DB_QUERIES).inc();
@@ -193,16 +261,16 @@ impl StoredRelation {
         tracker.end_index_phase();
 
         let mut acc = init;
+        let mut sel = Vec::new();
         for id in candidates {
             let Some(run) = self.read_block(id, ctx)? else {
                 continue;
             };
             tracker.cost.data_blocks += 1;
             tracker.cost.tuples_scanned += run.len();
-            for row in run.rows().filter(|row| selection.matches(row)) {
-                tracker.cost.tuples_matched += 1;
-                f(&mut acc, row);
-            }
+            selection.filter_block(&run, &mut sel);
+            tracker.cost.tuples_matched += sel.len();
+            f(&mut acc, &run, &sel);
         }
         tracker.end_data_phase();
         Ok((acc, tracker.cost, path))
@@ -214,14 +282,17 @@ impl StoredRelation {
         &self,
         selection: &Selection,
     ) -> Result<(Vec<Tuple>, QueryCost, AccessPath), DbError> {
-        self.fold_matching(selection, &QueryCtx::default(), Vec::new(), |out, row| {
-            out.push(Tuple::from(row))
-        })
+        self.fold_matching(
+            selection,
+            &QueryCtx::default(),
+            Vec::new(),
+            |out, run, sel| out.extend(sel.iter().map(|&i| run.tuple(i as usize))),
+        )
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::config::DbConfig;
     use avq_codec::CodecOptions;
@@ -255,11 +326,18 @@ mod tests {
         s
     }
 
+    /// The row-wise oracle the column kernel must agree with.
+    pub(crate) fn matches(sel: &Selection, row: &[u64]) -> bool {
+        sel.predicates()
+            .iter()
+            .all(|p| (p.lo..=p.hi).contains(&row[p.attr]))
+    }
+
     fn brute_force(rel: &StoredRelation, sel: &Selection) -> Vec<Tuple> {
         rel.scan_all()
             .unwrap()
             .into_iter()
-            .filter(|t| sel.matches(t.digits()))
+            .filter(|t| matches(sel, t.digits()))
             .collect()
     }
 

@@ -392,7 +392,7 @@ impl StoredRelation {
     /// [`ScanPolicy::SkipCorrupt`] appends nothing.
     pub fn decode_block_into(&self, id: BlockId, out: &mut Vec<Tuple>) -> Result<(), DbError> {
         if let Some(run) = self.read_block(id, &QueryCtx::default())? {
-            out.extend(run.rows().map(Tuple::from));
+            out.extend((0..run.len()).map(|i| run.tuple(i)));
         }
         Ok(())
     }
@@ -483,7 +483,7 @@ impl StoredRelation {
         for b in &self.blocks {
             if let Some(run) = self.read_block(b.id, &QueryCtx::default())? {
                 values.clear();
-                values.extend(run.rows().map(|row| row[attr]));
+                values.extend_from_slice(run.col(attr));
                 values.sort_unstable();
                 values.dedup();
                 postings.extend(values.iter().map(|&value| Posting { value, block: b.id }));
@@ -514,7 +514,7 @@ impl StoredRelation {
         let mut out = Vec::with_capacity(self.tuple_count);
         for b in &self.blocks {
             if let Some(run) = self.read_block(b.id, &ctx)? {
-                out.extend(run.rows().map(Tuple::from));
+                out.extend((0..run.len()).map(|i| run.tuple(i)));
             }
         }
         Ok(out)
@@ -835,22 +835,21 @@ impl StoredRelation {
                 let b = &mut self.blocks[bidx];
                 b.count -= 1;
                 b.used_bytes = coded.len();
-                let new_min = remaining.row(0);
-                if new_min != b.min.digits() {
+                if remaining.cmp_row(0, b.min.digits()).is_ne() {
                     let old_key = serialize_key(&self.schema, &b.min);
-                    b.min = Tuple::from(new_min);
+                    b.min = remaining.tuple(0);
                     self.primary.delete(&old_key)?;
                     self.primary
                         .insert(&serialize_key(&self.schema, &b.min), old.id as u64)?;
                 }
-                let new_max = remaining.row(remaining.len() - 1);
-                if new_max != b.max.digits() {
-                    b.max = Tuple::from(new_max);
+                let last = remaining.len() - 1;
+                if remaining.cmp_row(last, b.max.digits()).is_ne() {
+                    b.max = remaining.tuple(last);
                 }
                 for idx in self.secondaries.values_mut() {
                     let attr = idx.attribute();
                     let v = tuple.digits()[attr];
-                    if !remaining.rows().any(|row| row[attr] == v) {
+                    if !remaining.col(attr).contains(&v) {
                         idx.remove_posting(v, old.id)?;
                     }
                 }
@@ -1311,7 +1310,7 @@ mod tests {
         let target = stored.blocks()[stored.block_count() / 2].id;
         let cached = stored.read_block(target, &ctx).unwrap().unwrap();
         let misses = stored.decoded_stats().misses;
-        let victim = Tuple::from(cached.row(cached.len() / 2));
+        let victim = cached.tuple(cached.len() / 2);
         stored.delete(&victim).unwrap();
         let after_delete = stored.read_block(target, &ctx).unwrap().unwrap();
         assert!(!Arc::ptr_eq(&cached, &after_delete), "stale batch survived");
@@ -1425,7 +1424,7 @@ mod tests {
                         .iter()
                         .filter(|b| {
                             let rows = stored.read_block(b.id, &ctx).unwrap().unwrap();
-                            rows.rows().any(|row| row[1] == v)
+                            rows.col(1).contains(&v)
                         })
                         .map(|b| b.id)
                         .collect();

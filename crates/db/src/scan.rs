@@ -10,6 +10,7 @@ use crate::error::DbError;
 use crate::relation_store::StoredRelation;
 use avq_obs::QueryCtx;
 use avq_schema::{Tuple, TupleBatch};
+use core::cmp::Ordering;
 use std::sync::Arc;
 
 /// A streaming iterator over the tuples in `[lo, hi]` (inclusive, φ order).
@@ -21,6 +22,8 @@ pub struct RangeScan<'a> {
     /// The block being drained (shared with the decoded cache, not copied).
     buf: Arc<TupleBatch>,
     pos: usize,
+    /// One past the block's last row `≤ hi`.
+    end: usize,
     /// Blocks decoded so far (the scan's `N`).
     blocks_read: u64,
     error: Option<DbError>,
@@ -53,6 +56,7 @@ impl StoredRelation {
             next_block: start,
             buf: Arc::default(),
             pos: 0,
+            end: 0,
             blocks_read: 0,
             error: None,
             done: false,
@@ -97,8 +101,10 @@ impl RangeScan<'_> {
                 }
             }
             self.blocks_read += 1;
-            // Skip the prefix below `lo`.
-            self.pos = self.buf.partition_point(|row| row < self.lo.digits());
+            // The block's rows in [lo, hi]: two binary searches, each
+            // comparing a row column by column.
+            self.pos = self.buf.partition_point(self.lo.digits(), Ordering::is_lt);
+            self.end = self.buf.partition_point(self.hi.digits(), Ordering::is_le);
             if self.pos < self.buf.len() {
                 return true;
             }
@@ -114,14 +120,14 @@ impl Iterator for RangeScan<'_> {
             return None;
         }
         loop {
-            if self.pos < self.buf.len() {
-                let row = self.buf.row(self.pos);
-                if row > self.hi.digits() {
-                    self.done = true;
-                    return None;
-                }
+            if self.pos < self.end {
                 self.pos += 1;
-                return Some(Tuple::from(row));
+                return Some(self.buf.tuple(self.pos - 1));
+            }
+            if self.pos < self.buf.len() {
+                // A row past `hi`: so is every later one.
+                self.done = true;
+                return None;
             }
             if !self.refill() {
                 return None;

@@ -47,7 +47,7 @@ fn scan_under(stored: &StoredRelation, gov: &GovCtx) -> Result<Vec<Tuple>, DbErr
             &Selection::all(),
             &QueryCtx::from(gov.clone()),
             Vec::new(),
-            |out, row| out.push(Tuple::from(row)),
+            |out, run, sel| out.extend(sel.iter().map(|&i| run.tuple(i as usize))),
         )
         .map(|(rows, _, _)| rows)
 }

@@ -19,4 +19,4 @@ mod biguint;
 mod radix;
 
 pub use biguint::BigUnsigned;
-pub use radix::{MixedRadix, RadixError};
+pub use radix::{add_digit, sub_digit, MixedRadix, RadixError};

@@ -279,24 +279,64 @@ impl MixedRadix {
     /// (use [`Self::value_in_space`] to pre-screen values one at a time).
     pub fn unrank_u64_batch_into(&self, values: &[u64], out: &mut [u64]) -> bool {
         let n = self.radices.len();
-        if out.len() != values.len().saturating_mul(n) {
-            return false;
-        }
+        out.len() == values.len().saturating_mul(n)
+            && self.unrank_u64_batch_steps(values, out, n, 1)
+    }
+
+    /// [`Self::unrank_u64_batch_into`] into column-major slots: digit `i`
+    /// of `values[k]` goes to `out[i·stride + k]`, so a run of decoded
+    /// rows lands straight in the columns of a batch whose columns are
+    /// `stride` apart. Returns `false` — leaving `out` unspecified — when
+    /// `stride < values.len()`, `out` is too short for the last digit, or
+    /// any value is outside the tuple space.
+    pub fn unrank_u64_batch_into_columns(
+        &self,
+        values: &[u64],
+        out: &mut [u64],
+        stride: usize,
+    ) -> bool {
+        let n = self.radices.len();
+        let fits = match (values.len(), n) {
+            (0, _) | (_, 0) => true,
+            (len, n) => {
+                stride >= len
+                    && (n - 1)
+                        .checked_mul(stride)
+                        .and_then(|last| last.checked_add(len))
+                        .is_some_and(|end| end <= out.len())
+            }
+        };
+        fits && self.unrank_u64_batch_steps(values, out, 1, stride)
+    }
+
+    /// The batched unrank both layouts share: digit `i` of `values[k]` goes
+    /// to `out[k·row_step + i·digit_step]` (bounds checked by the callers).
+    #[inline(always)]
+    fn unrank_u64_batch_steps(
+        &self,
+        values: &[u64],
+        out: &mut [u64],
+        row_step: usize,
+        digit_step: usize,
+    ) -> bool {
+        let n = self.radices.len();
         let split = self.low_split;
         let mut prev_hi = 0u64;
         let mut have_prev = false;
         for (k, &v) in values.iter().enumerate() {
-            let base = k * n;
+            let base = k * row_step;
             let (hi, mut lo) = (v / self.low_prod, v % self.low_prod);
             if have_prev && hi == prev_hi {
                 // Same high-order prefix as the previous value: reuse its
                 // digits instead of re-running the prefix division chain.
-                out.copy_within(base - n..base - n + split, base);
+                for i in 0..split {
+                    out[base + i * digit_step] = out[base - row_step + i * digit_step];
+                }
             } else {
                 let mut cur = hi;
                 for i in (0..split).rev() {
                     let r = self.radices[i];
-                    out[base + i] = cur % r;
+                    out[base + i * digit_step] = cur % r;
                     cur /= r;
                 }
                 if cur != 0 {
@@ -309,7 +349,7 @@ impl MixedRadix {
             }
             for i in (split..n).rev() {
                 let r = self.radices[i];
-                out[base + i] = lo % r;
+                out[base + i * digit_step] = lo % r;
                 lo /= r;
             }
             // lo < low_prod by construction, so the suffix chain consumed it.
@@ -330,61 +370,12 @@ impl MixedRadix {
     ///
     /// Returns `false` when the sum overflows the tuple space; `a` then holds
     /// the wrapped (mod-‖𝓡‖) digits, each still valid for its radix. This is
-    /// the allocation-free core of [`Self::checked_add`] and the hot path of
-    /// chained block decoding.
+    /// the allocation-free core of [`Self::checked_add`].
     pub fn add_assign(&self, a: &mut [u64], b: &[u64]) -> bool {
-        self.add_assign_from(a, b, 0)
-    }
-
-    /// [`Self::add_assign`] for a `b` whose first `nz` digits are zero
-    /// (caller-guaranteed, checked in debug builds): the digit loop runs
-    /// only over `nz..n`, then the carry — if any — ripples upward and
-    /// stops at the first digit that absorbs it.
-    ///
-    /// AVQ difference entries are mostly leading zeros (that is why they
-    /// compress), so the SWAR reconstruction path skips most of each add.
-    /// Results and the overflow return are bit-identical to the full loop:
-    /// a skipped step with `b[i] == 0` and no incoming carry is the
-    /// identity.
-    pub fn add_assign_prefix(&self, a: &mut [u64], b: &[u64], nz: usize) -> bool {
-        debug_assert!(b.get(..nz).is_some_and(|p| p.iter().all(|&d| d == 0)));
-        self.add_assign_from(a, b, nz)
-    }
-
-    #[inline]
-    fn add_assign_from(&self, a: &mut [u64], b: &[u64], start: usize) -> bool {
         debug_assert!(self.validate(a).is_ok() && self.validate(b).is_ok());
-        let mut carry: u64 = 0;
-        for i in (start..self.radices.len()).rev() {
-            let r = self.radices[i];
-            // a[i], b[i] < r and carry ≤ 1, so the true sum is < 2r: one
-            // conditional subtract replaces the u128 divide the old loop
-            // paid per digit. `overflowing_add` covers radices near
-            // u64::MAX, where the true sum can exceed the word.
-            let (s, o1) = a[i].overflowing_add(b[i]);
-            let (s, o2) = s.overflowing_add(carry);
-            if o1 | o2 || s >= r {
-                // True sum ∈ [r, 2r): digit is sum − r (the wrapping sub
-                // folds the 2⁶⁴ the overflow dropped back in).
-                a[i] = s.wrapping_sub(r);
-                carry = 1;
-            } else {
-                a[i] = s;
-                carry = 0;
-            }
-        }
-        let mut i = start;
-        while carry == 1 && i > 0 {
-            i -= 1;
-            let r = self.radices[i];
-            // a[i] < r, so a[i] + 1 ≤ r never wraps the word.
-            let s = a[i] + 1;
-            if s >= r {
-                a[i] = s - r;
-            } else {
-                a[i] = s;
-                carry = 0;
-            }
+        let mut carry = 0;
+        for i in (0..self.radices.len()).rev() {
+            (a[i], carry) = add_digit(a[i], b[i], carry, self.radices[i]);
         }
         carry == 0
     }
@@ -394,44 +385,10 @@ impl MixedRadix {
     /// Returns `false` when `a < b` (the true difference is negative); `a`
     /// then holds the wrapped digits, each still valid for its radix.
     pub fn sub_assign(&self, a: &mut [u64], b: &[u64]) -> bool {
-        self.sub_assign_from(a, b, 0)
-    }
-
-    /// [`Self::sub_assign`] for a `b` whose first `nz` digits are zero
-    /// (caller-guaranteed, checked in debug builds): the digit loop runs
-    /// only over `nz..n`, then the borrow — if any — ripples upward and
-    /// stops at the first nonzero digit. The SWAR counterpart of
-    /// [`Self::add_assign_prefix`]; results and the underflow return are
-    /// bit-identical to the full loop.
-    pub fn sub_assign_prefix(&self, a: &mut [u64], b: &[u64], nz: usize) -> bool {
-        debug_assert!(b.get(..nz).is_some_and(|p| p.iter().all(|&d| d == 0)));
-        self.sub_assign_from(a, b, nz)
-    }
-
-    #[inline]
-    fn sub_assign_from(&self, a: &mut [u64], b: &[u64], start: usize) -> bool {
         debug_assert!(self.validate(a).is_ok() && self.validate(b).is_ok());
-        let mut borrow: u64 = 0;
-        for i in (start..self.radices.len()).rev() {
-            let need = b[i] as u128 + borrow as u128;
-            let have = a[i] as u128;
-            if have >= need {
-                a[i] = (have - need) as u64;
-                borrow = 0;
-            } else {
-                a[i] = (have + self.radices[i] as u128 - need) as u64;
-                borrow = 1;
-            }
-        }
-        let mut i = start;
-        while borrow == 1 && i > 0 {
-            i -= 1;
-            if a[i] > 0 {
-                a[i] -= 1;
-                borrow = 0;
-            } else {
-                a[i] = self.radices[i] - 1;
-            }
+        let mut borrow = 0;
+        for i in (0..self.radices.len()).rev() {
+            (a[i], borrow) = sub_digit(a[i], b[i], borrow, self.radices[i]);
         }
         borrow == 0
     }
@@ -524,6 +481,35 @@ impl MixedRadix {
     /// The successor in the ≺ order, or `None` at the top of the space.
     pub fn successor(&self, a: &[u64]) -> Option<Vec<u64>> {
         self.checked_add_value(a, 1)
+    }
+}
+
+/// One digit of a mixed-radix addition: `a + d + carry` in radix `r`
+/// (`a, d < r`, `carry ≤ 1`), as the digit and the carry out.
+#[inline(always)]
+pub fn add_digit(a: u64, d: u64, carry: u8, r: u64) -> (u64, u8) {
+    // The true sum is < 2r: one conditional subtract replaces a divide.
+    // `overflowing_add` covers radices near u64::MAX, where the true sum
+    // can exceed the word (the wrapping sub folds the lost 2⁶⁴ back in).
+    let (s, o1) = a.overflowing_add(d);
+    let (s, o2) = s.overflowing_add(u64::from(carry));
+    if o1 | o2 || s >= r {
+        (s.wrapping_sub(r), 1)
+    } else {
+        (s, 0)
+    }
+}
+
+/// One digit of a mixed-radix subtraction: `a − d − borrow` in radix `r`
+/// (`a, d < r`, `borrow ≤ 1`), as the digit and the borrow out.
+#[inline(always)]
+pub fn sub_digit(a: u64, d: u64, borrow: u8, r: u64) -> (u64, u8) {
+    // d < r ≤ u64::MAX, so `need ≤ r` and neither step wraps.
+    let need = d + u64::from(borrow);
+    if a >= need {
+        (a - need, 0)
+    } else {
+        (a + (r - need), 1)
     }
 }
 
@@ -760,27 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_add_sub_match_full_ops() {
-        let mr = employee_radix();
-        // b has 3 leading zero digits; prefix ops may skip them.
-        let b = [0u64, 0, 0, 8, 57];
-        for a in [[3u64, 8, 36, 39, 35], [0, 0, 0, 0, 0], [7, 15, 63, 63, 63]] {
-            for nz in 0..=3usize {
-                let mut full = a;
-                let mut pre = a;
-                let ok_full = mr.add_assign(&mut full, &b);
-                let ok_pre = mr.add_assign_prefix(&mut pre, &b, nz);
-                assert_eq!((ok_full, full), (ok_pre, pre), "add a={a:?} nz={nz}");
-                let mut full = a;
-                let mut pre = a;
-                let ok_full = mr.sub_assign(&mut full, &b);
-                let ok_pre = mr.sub_assign_prefix(&mut pre, &b, nz);
-                assert_eq!((ok_full, full), (ok_pre, pre), "sub a={a:?} nz={nz}");
-            }
-        }
-    }
-
-    #[test]
     fn abs_diff_is_symmetric() {
         let mr = employee_radix();
         let a = [3u64, 8, 36, 39, 35];
@@ -900,32 +865,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_prefix_ops_match_full((radices, a, mut b) in arb_system_and_pair(), zeros in 0usize..8) {
-            let mr = MixedRadix::new(radices).unwrap();
-            // Zero a leading run of b, then exercise every admissible nz.
-            let run = zeros.min(b.len());
-            for d in b.iter_mut().take(run) {
-                *d = 0;
-            }
-            for nz in 0..=run {
-                let mut full = a.clone();
-                let mut pre = a.clone();
-                prop_assert_eq!(
-                    mr.add_assign(&mut full, &b),
-                    mr.add_assign_prefix(&mut pre, &b, nz)
-                );
-                prop_assert_eq!(&full, &pre);
-                let mut full = a.clone();
-                let mut pre = a.clone();
-                prop_assert_eq!(
-                    mr.sub_assign(&mut full, &b),
-                    mr.sub_assign_prefix(&mut pre, &b, nz)
-                );
-                prop_assert_eq!(&full, &pre);
-            }
-        }
-
-        #[test]
         fn prop_batch_unrank_matches_single(
             (radices, _a, _b) in arb_system_and_pair(),
             raw in prop::collection::vec(0u64..1_000_000_000, 0..40)
@@ -935,10 +874,22 @@ mod tests {
             let n = mr.arity();
             let mut out = vec![0u64; values.len() * n];
             prop_assert!(mr.unrank_u64_batch_into(&values, &mut out));
+            // Column-major, with spare slots between columns.
+            let stride = values.len() + 3;
+            let mut cols = vec![0u64; n * stride];
+            prop_assert!(mr.unrank_u64_batch_into_columns(&values, &mut cols, stride));
             let mut single = vec![0u64; n];
             for (k, &v) in values.iter().enumerate() {
                 prop_assert!(mr.unrank_u64_into(v, &mut single));
                 prop_assert_eq!(&out[k * n..(k + 1) * n], single.as_slice());
+                for (i, &d) in single.iter().enumerate() {
+                    prop_assert_eq!(cols[i * stride + k], d);
+                }
+            }
+            if n > 0 && !values.is_empty() {
+                let short = n * stride - stride + values.len() - 1;
+                prop_assert!(!mr.unrank_u64_batch_into_columns(&values, &mut cols[..short], stride));
+                prop_assert!(!mr.unrank_u64_batch_into_columns(&values, &mut cols, values.len() - 1));
             }
         }
 

@@ -45,6 +45,16 @@ impl Stopwatch {
     pub fn elapsed(&self) -> Duration {
         self.start.elapsed()
     }
+
+    /// Time since the start or the previous lap, restarting the watch —
+    /// one clock read splits a loop into consecutive phases.
+    #[inline]
+    pub fn lap(&mut self) -> Duration {
+        let now = Instant::now();
+        let lap = now.saturating_duration_since(self.start);
+        self.start = now;
+        lap
+    }
 }
 
 /// Receives span lifecycle events. Implement this to bridge spans into an

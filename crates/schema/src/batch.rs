@@ -1,20 +1,32 @@
-//! Flat row-major batches of encoded tuples.
+//! Column-major batches of encoded tuples.
 
 use crate::tuple::Tuple;
+use core::cmp::Ordering;
 
-/// A run of encoded tuples in one buffer: row `i` is the `arity` ordinals
-/// at `[i·arity, (i+1)·arity)`, borrowed out as `&[u64]`.
+/// A run of encoded tuples stored column by column in one buffer: column
+/// `a` is the `len()` ordinals at `[a·stride, a·stride + len)`, where the
+/// stride is the batch's row capacity.
 ///
-/// This is the decoded form of a data block on the read path — the codec
-/// reconstructs straight into it, the decoded-block cache shares it behind
-/// an `Arc`, and operators filter its rows in place — so examining a tuple
-/// costs no allocation. Lexicographic order of row slices is the φ order
-/// of §2.2, exactly as for [`Tuple`]. The row count is stored, not derived,
-/// so a batch of zero-width rows still has a length.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// This is the decoded form of a data block on the read path (the PAX
+/// layout inside a block): the codec reconstructs straight into the
+/// columns, the decoded-block cache shares the batch behind an `Arc`, and
+/// operators filter, project and fold one column at a time, so examining an
+/// attribute touches that attribute's words only and no allocation. A batch
+/// decoded from one block has a stride of exactly its row count; a batch
+/// grown row by row (join or sort output) doubles its stride as it fills.
+///
+/// No row slice exists: a row is read with [`Self::get`] or gathered with
+/// [`Self::row_into`], and compared with [`Self::cmp_row`], which walks the
+/// columns and stops at the first that differs — lexicographic order, which
+/// is the φ order of §2.2, exactly as for [`Tuple`]. The row count is
+/// stored, not derived, so a batch of zero-width rows still has a length.
+#[derive(Debug, Clone, Default)]
 pub struct TupleBatch {
     arity: usize,
     rows: usize,
+    /// Row capacity: the distance between consecutive columns.
+    stride: usize,
+    /// `arity · stride` words; slots past `rows` in a column are spare.
     data: Vec<u64>,
 }
 
@@ -24,6 +36,7 @@ impl TupleBatch {
         TupleBatch {
             arity,
             rows: 0,
+            stride: 0,
             data: Vec::new(),
         }
     }
@@ -33,7 +46,8 @@ impl TupleBatch {
         TupleBatch {
             arity,
             rows: 0,
-            data: Vec::with_capacity(arity * rows),
+            stride: rows,
+            data: vec![0; arity * rows],
         }
     }
 
@@ -48,7 +62,17 @@ impl TupleBatch {
 
     /// Materializes every row as an owned [`Tuple`].
     pub fn to_tuples(&self) -> Vec<Tuple> {
-        self.rows().map(Tuple::from).collect()
+        (0..self.rows).map(|i| self.tuple(i)).collect()
+    }
+
+    /// Row `i` as an owned [`Tuple`]. Panics when `i` is out of range.
+    pub fn tuple(&self, i: usize) -> Tuple {
+        self.check_row(i);
+        Tuple::new(
+            (0..self.arity)
+                .map(|a| self.data[a * self.stride + i])
+                .collect(),
+        )
     }
 
     /// Ordinals per row.
@@ -69,55 +93,164 @@ impl TupleBatch {
         self.rows == 0
     }
 
-    /// Row `i`. Panics when `i` is out of range, like slice indexing.
+    /// Column `a`: attribute `a` of every row, in row order. Panics when
+    /// `a` is not below the arity.
     #[inline]
-    pub fn row(&self, i: usize) -> &[u64] {
-        assert!(i < self.rows, "row {i} out of range for {} rows", self.rows);
-        &self.data[i * self.arity..(i + 1) * self.arity]
+    pub fn col(&self, a: usize) -> &[u64] {
+        assert!(
+            a < self.arity,
+            "column {a} out of range for arity {}",
+            self.arity
+        );
+        let start = a * self.stride;
+        &self.data[start..start + self.rows]
     }
 
-    /// The rows in order.
+    /// Attribute `a` of row `i`. Panics when either is out of range.
     #[inline]
-    pub fn rows(&self) -> Rows<'_> {
-        Rows {
-            data: &self.data,
-            arity: self.arity,
-            left: self.rows,
+    pub fn get(&self, i: usize, a: usize) -> u64 {
+        self.check_row(i);
+        self.col(a)[i]
+    }
+
+    /// Gathers row `i` into `out`. Panics when `i` is out of range or
+    /// `out` is not `arity` wide.
+    pub fn row_into(&self, i: usize, out: &mut [u64]) {
+        self.check_row(i);
+        assert_eq!(out.len(), self.arity, "row width");
+        for (a, o) in out.iter_mut().enumerate() {
+            *o = self.data[a * self.stride + i];
         }
     }
 
-    /// Appends one row. Panics unless `row` is exactly `arity` wide.
-    #[inline]
-    pub fn push_row(&mut self, row: &[u64]) {
-        self.push_joined(row, &[]);
+    /// Row `i` compared with `key` lexicographically, one column at a
+    /// time, stopping at the first column that differs — `row.cmp(key)`
+    /// for a row slice, so a shorter equal prefix orders first. Panics
+    /// when `i` is out of range.
+    pub fn cmp_row(&self, i: usize, key: &[u64]) -> Ordering {
+        self.check_row(i);
+        for (a, k) in key.iter().enumerate().take(self.arity) {
+            match self.data[a * self.stride + i].cmp(k) {
+                Ordering::Equal => {}
+                other => return other,
+            }
+        }
+        self.arity.cmp(&key.len())
     }
 
-    /// Appends the row `left ++ right` (a join output). Panics unless the
-    /// two together are exactly `arity` wide.
     #[inline]
-    pub fn push_joined(&mut self, left: &[u64], right: &[u64]) {
-        assert_eq!(left.len() + right.len(), self.arity, "row width");
-        self.data.extend_from_slice(left);
-        self.data.extend_from_slice(right);
+    fn check_row(&self, i: usize) {
+        assert!(i < self.rows, "row {i} out of range for {} rows", self.rows);
+    }
+
+    /// Appends one row. Panics unless `row` is exactly `arity` wide.
+    pub fn push_row(&mut self, row: &[u64]) {
+        assert_eq!(row.len(), self.arity, "row width");
+        self.reserve(1);
+        let i = self.rows;
+        for (a, &v) in row.iter().enumerate() {
+            self.data[a * self.stride + i] = v;
+        }
         self.rows += 1;
     }
 
-    /// Appends `rows` rows that `fill` writes straight into the backing
-    /// buffer: it must push exactly `rows · arity` ordinals and leave what
-    /// was already there alone. When `fill` fails the batch is left exactly
-    /// as it was; a wrong count is a bug in `fill` and panics.
+    /// Appends rows `sel` of `src` (a selection vector, in the order
+    /// given), one column at a time. Panics when the arities differ or an
+    /// index is out of range.
+    pub fn extend_from(&mut self, src: &TupleBatch, sel: &[u32]) {
+        assert_eq!(src.arity, self.arity, "row width");
+        self.reserve(sel.len());
+        for a in 0..self.arity {
+            let from = src.col(a);
+            let start = a * self.stride + self.rows;
+            for (slot, &i) in self.data[start..start + sel.len()].iter_mut().zip(sel) {
+                *slot = from[i as usize];
+            }
+        }
+        self.rows += sel.len();
+    }
+
+    /// The join output whose row `j` is `left` row `li[j]` followed by
+    /// `right` row `ri[j]`, built column by column at exactly its size.
+    /// Panics when `li` and `ri` differ in length or an index is out of
+    /// range.
+    pub fn gather_joined(
+        left: &TupleBatch,
+        li: &[u32],
+        right: &TupleBatch,
+        ri: &[u32],
+    ) -> TupleBatch {
+        assert_eq!(li.len(), ri.len(), "one left row per right row");
+        let arity = left.arity + right.arity;
+        let mut data = Vec::with_capacity(arity * li.len());
+        for (side, idx) in [(left, li), (right, ri)] {
+            for a in 0..side.arity {
+                let from = side.col(a);
+                data.extend(idx.iter().map(|&i| from[i as usize]));
+            }
+        }
+        TupleBatch {
+            arity,
+            rows: li.len(),
+            stride: li.len(),
+            data,
+        }
+    }
+
+    /// Makes room for `more` rows past the last, at least doubling the
+    /// stride when it has to grow.
+    fn reserve(&mut self, more: usize) {
+        let need = self.rows + more;
+        if need > self.stride {
+            self.set_stride(need.max(2 * self.stride).max(4));
+        }
+    }
+
+    /// Re-lays the columns out `stride` apart (`stride ≥ len`). A batch
+    /// with no rows reuses its buffer; otherwise every column is copied
+    /// once into a buffer of exactly the new size.
+    fn set_stride(&mut self, stride: usize) {
+        debug_assert!(stride >= self.rows);
+        if self.arity > 0 {
+            if self.rows == 0 {
+                self.data.clear();
+                self.data.resize(self.arity * stride, 0);
+            } else {
+                let mut data = vec![0; self.arity * stride];
+                for (a, col) in data.chunks_exact_mut(stride).enumerate() {
+                    col[..self.rows].copy_from_slice(self.col(a));
+                }
+                self.data = data;
+            }
+        }
+        self.stride = stride;
+    }
+
+    /// Appends `rows` rows that `fill` writes straight into the columns
+    /// through a [`BatchSlots`] view, which it must fill completely. When
+    /// `fill` fails the batch keeps exactly the rows it had. A batch with
+    /// no rows and too little room is sized to exactly `rows` rows, so a
+    /// block decoded into a fresh batch holds exactly its ordinals.
     pub fn try_extend<E>(
         &mut self,
         rows: usize,
-        fill: impl FnOnce(&mut Vec<u64>) -> Result<(), E>,
+        fill: impl FnOnce(&mut BatchSlots<'_>) -> Result<(), E>,
     ) -> Result<(), E> {
-        let base = self.data.len();
-        let result = fill(&mut self.data);
+        let need = self.rows + rows;
+        if need > self.stride {
+            let grown = if self.rows == 0 { 0 } else { 2 * self.stride };
+            self.set_stride(need.max(grown));
+        }
+        let mut slots = BatchSlots {
+            data: &mut self.data,
+            stride: self.stride,
+            base: self.rows,
+            rows,
+            arity: self.arity,
+        };
+        let result = fill(&mut slots);
         if result.is_ok() {
-            assert_eq!(self.data.len(), base + rows * self.arity, "fill count");
-            self.rows += rows;
-        } else {
-            self.data.truncate(base);
+            self.rows = need;
         }
         result
     }
@@ -132,14 +265,17 @@ impl TupleBatch {
             self.rows
         );
         assert_eq!(row.len(), self.arity, "row width");
-        let (head, tail) = self.data.split_at(i * self.arity);
-        let mut data = Vec::with_capacity(self.data.len() + self.arity);
-        data.extend_from_slice(head);
-        data.extend_from_slice(row);
-        data.extend_from_slice(tail);
+        let mut data = Vec::with_capacity(self.arity * (self.rows + 1));
+        for (a, &v) in row.iter().enumerate() {
+            let (head, tail) = self.col(a).split_at(i);
+            data.extend_from_slice(head);
+            data.push(v);
+            data.extend_from_slice(tail);
+        }
         TupleBatch {
             arity: self.arity,
             rows: self.rows + 1,
+            stride: self.rows + 1,
             data,
         }
     }
@@ -147,50 +283,102 @@ impl TupleBatch {
     /// A copy of the batch without row `i`, allocated at exactly its size.
     /// Panics when `i` is out of range.
     pub fn with_row_removed(&self, i: usize) -> TupleBatch {
-        assert!(i < self.rows, "row {i} out of range for {} rows", self.rows);
-        let mut data = Vec::with_capacity(self.data.len() - self.arity);
-        data.extend_from_slice(&self.data[..i * self.arity]);
-        data.extend_from_slice(&self.data[(i + 1) * self.arity..]);
+        self.check_row(i);
+        let mut data = Vec::with_capacity(self.arity * (self.rows - 1));
+        for a in 0..self.arity {
+            let col = self.col(a);
+            data.extend_from_slice(&col[..i]);
+            data.extend_from_slice(&col[i + 1..]);
+        }
         TupleBatch {
             arity: self.arity,
             rows: self.rows - 1,
+            stride: self.rows - 1,
             data,
         }
     }
 
     /// Keeps the first `rows` rows.
     pub fn truncate(&mut self, rows: usize) {
-        if rows < self.rows {
-            self.rows = rows;
-            self.data.truncate(rows * self.arity);
-        }
+        self.rows = self.rows.min(rows);
     }
 
     /// Removes every row, keeping the buffer.
     pub fn clear(&mut self) {
-        self.reset(self.arity);
+        self.rows = 0;
     }
 
     /// Empties the batch and re-types it to `arity`-wide rows, keeping the
     /// buffer (a scratch batch reused across schemas).
     pub fn reset(&mut self, arity: usize) {
-        self.data.clear();
         self.rows = 0;
         self.arity = arity;
+        self.stride = self.data.len().checked_div(arity).unwrap_or(0);
+        self.data.truncate(arity * self.stride);
     }
 
-    /// True iff the rows are in non-decreasing φ order.
+    /// True iff the rows are in non-decreasing φ order, checked column by
+    /// column: column 0 must not decrease, and within each run of rows
+    /// that tie on it column 1 must not, and so on — each column is read
+    /// contiguously, and only where every earlier column tied. A column
+    /// whose first and last rows agree must be constant (one vectorizable
+    /// pass), and a short run compares its rows pairwise.
     pub fn is_sorted(&self) -> bool {
-        self.rows().zip(self.rows().skip(1)).all(|(a, b)| a <= b)
+        self.is_sorted_from(0, 0..self.rows)
     }
 
-    /// Index of the first row for which `pred` is false, assuming the rows
-    /// are partitioned by it (as [`slice::partition_point`]).
-    pub fn partition_point(&self, mut pred: impl FnMut(&[u64]) -> bool) -> usize {
+    /// [`Self::is_sorted`] for `rows`, which agree on columns `0..a`.
+    fn is_sorted_from(&self, a: usize, rows: core::ops::Range<usize>) -> bool {
+        const SHORT: usize = 8;
+        if a == self.arity || rows.len() < 2 {
+            return true;
+        }
+        let col = &self.col(a)[rows.clone()];
+        let first = col[0];
+        if first == col[col.len() - 1] {
+            return col.iter().all(|&v| v == first) && self.is_sorted_from(a + 1, rows);
+        }
+        if rows.len() <= SHORT {
+            return rows
+                .skip(1)
+                .all(|i| self.cmp_rows_from(a, i - 1, i) != Ordering::Greater);
+        }
+        let mut tied = 0;
+        for i in 1..col.len() {
+            if col[i] < col[i - 1] {
+                return false;
+            }
+            if col[i] != col[i - 1] {
+                if i - tied > 1 && !self.is_sorted_from(a + 1, rows.start + tied..rows.start + i) {
+                    return false;
+                }
+                tied = i;
+            }
+        }
+        self.is_sorted_from(a + 1, rows.start + tied..rows.end)
+    }
+
+    /// Rows `i` and `j` compared on columns `a..`, column by column.
+    fn cmp_rows_from(&self, a: usize, i: usize, j: usize) -> Ordering {
+        for b in a..self.arity {
+            let col = b * self.stride;
+            match self.data[col + i].cmp(&self.data[col + j]) {
+                Ordering::Equal => {}
+                other => return other,
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// Index of the first row `i` for which `pred(self.cmp_row(i, key))`
+    /// is false, assuming the rows are partitioned by it (as
+    /// [`slice::partition_point`]): `Ordering::is_lt` finds the first row
+    /// `≥ key`, `Ordering::is_le` the first row `> key`.
+    pub fn partition_point(&self, key: &[u64], mut pred: impl FnMut(Ordering) -> bool) -> usize {
         let (mut lo, mut hi) = (0, self.rows);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            if pred(self.row(mid)) {
+            if pred(self.cmp_row(mid, key)) {
                 lo = mid + 1;
             } else {
                 hi = mid;
@@ -200,46 +388,76 @@ impl TupleBatch {
     }
 }
 
-/// Iterator over the rows of a [`TupleBatch`].
-#[derive(Debug, Clone)]
-pub struct Rows<'a> {
-    data: &'a [u64],
+/// Two batches are equal when they hold the same rows; spare capacity and
+/// stride do not count.
+impl PartialEq for TupleBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.arity == other.arity
+            && self.rows == other.rows
+            && (0..self.arity).all(|a| self.col(a) == other.col(a))
+    }
+}
+
+impl Eq for TupleBatch {}
+
+/// The slots a [`TupleBatch::try_extend`] fill writes: rows `0..rows()` of
+/// the view are the batch's next rows, in every column.
+#[derive(Debug)]
+pub struct BatchSlots<'a> {
+    data: &'a mut [u64],
+    stride: usize,
+    base: usize,
+    rows: usize,
     arity: usize,
-    left: usize,
 }
 
-impl<'a> Iterator for Rows<'a> {
-    type Item = &'a [u64];
-
+impl BatchSlots<'_> {
+    /// Attribute `a` of row `i`, as last written.
     #[inline]
-    fn next(&mut self) -> Option<&'a [u64]> {
-        if self.left == 0 {
-            return None;
-        }
-        self.left -= 1;
-        let (row, rest) = self.data.split_at(self.arity);
-        self.data = rest;
-        Some(row)
+    pub fn get(&self, i: usize, a: usize) -> u64 {
+        debug_assert!(i < self.rows && a < self.arity);
+        self.data[a * self.stride + self.base + i]
     }
 
+    /// Writes attribute `a` of row `i`.
     #[inline]
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.left, Some(self.left))
+    pub fn set(&mut self, i: usize, a: usize, v: u64) {
+        debug_assert!(i < self.rows && a < self.arity);
+        self.data[a * self.stride + self.base + i] = v;
     }
-}
 
-impl ExactSizeIterator for Rows<'_> {}
-
-impl DoubleEndedIterator for Rows<'_> {
+    /// Column `a`'s slots for the new rows. Panics when `a` is not below
+    /// the arity.
     #[inline]
-    fn next_back(&mut self) -> Option<Self::Item> {
-        if self.left == 0 {
-            return None;
+    pub fn col_mut(&mut self, a: usize) -> &mut [u64] {
+        assert!(
+            a < self.arity,
+            "column {a} out of range for arity {}",
+            self.arity
+        );
+        let start = a * self.stride + self.base;
+        &mut self.data[start..start + self.rows]
+    }
+
+    /// Scatters `row` into row `i`'s slot in each column. Panics when `i`
+    /// is out of range or `row` is not `arity` wide.
+    #[inline]
+    pub fn set_row(&mut self, i: usize, row: &[u64]) {
+        assert!(i < self.rows, "row {i} out of range for {} rows", self.rows);
+        assert_eq!(row.len(), self.arity, "row width");
+        let at = self.base + i;
+        for (a, &v) in row.iter().enumerate() {
+            self.data[a * self.stride + at] = v;
         }
-        self.left -= 1;
-        let (rest, row) = self.data.split_at(self.left * self.arity);
-        self.data = rest;
-        Some(row)
+    }
+
+    /// The buffer from row `i` of column 0 on, and the stride between
+    /// columns: attribute `a` of row `i + k` is at `a · stride + k`. For
+    /// kernels that write several rows in one strided pass.
+    #[inline]
+    pub fn strided_from(&mut self, i: usize) -> (&mut [u64], usize) {
+        let start = (self.base + i).min(self.data.len());
+        (&mut self.data[start..], self.stride)
     }
 }
 
@@ -252,43 +470,44 @@ mod tests {
         let mut b = TupleBatch::new(3);
         assert!(b.is_empty());
         b.push_row(&[1, 2, 3]);
-        b.push_joined(&[4], &[5, 6]);
+        b.push_row(&[4, 5, 6]);
         assert_eq!((b.len(), b.arity()), (2, 3));
-        assert_eq!(b.row(1), &[4, 5, 6]);
-        assert_eq!(
-            b.rows().collect::<Vec<_>>(),
-            [&[1u64, 2, 3][..], &[4, 5, 6]]
-        );
-        assert_eq!(b.rows().len(), 2);
+        assert_eq!((b.col(0), b.col(2)), (&[1u64, 4][..], &[3u64, 6][..]));
+        assert_eq!(b.get(1, 1), 5);
+        let mut row = [0; 3];
+        b.row_into(1, &mut row);
+        assert_eq!(row, [4, 5, 6]);
         b.truncate(5);
         assert_eq!(b.len(), 2);
         b.truncate(1);
         assert_eq!(b.to_tuples(), vec![Tuple::from([1u64, 2, 3])]);
         b.clear();
-        assert!(b.is_empty() && b.rows().next().is_none());
+        assert!(b.is_empty() && b.col(0).is_empty());
         b.reset(1);
         b.push_row(&[8]);
-        assert_eq!((b.arity(), b.row(0)), (1, &[8u64][..]));
+        assert_eq!((b.arity(), b.col(0)), (1, &[8u64][..]));
     }
 
     #[test]
-    fn rows_iterate_from_both_ends() {
-        let b = TupleBatch::from_tuples(
-            2,
-            &[
-                Tuple::from([1u64, 2]),
-                Tuple::from([3u64, 4]),
-                Tuple::from([5u64, 6]),
-            ],
-        );
-        let mut it = b.rows();
-        assert_eq!(it.next_back(), Some(&[5u64, 6][..]));
-        assert_eq!(it.next(), Some(&[1u64, 2][..]));
-        assert_eq!(it.len(), 1);
-        assert_eq!(it.next_back(), Some(&[3u64, 4][..]));
-        assert_eq!((it.next(), it.next_back()), (None, None));
-        let rev: Vec<_> = b.rows().take(2).enumerate().rev().collect();
-        assert_eq!(rev, [(1, &[3u64, 4][..]), (0, &[1, 2])]);
+    fn growth_keeps_every_column() {
+        let mut b = TupleBatch::new(2);
+        for i in 0..100u64 {
+            b.push_row(&[i, 1000 + i]);
+        }
+        assert_eq!(b.col(0), (0..100).collect::<Vec<_>>());
+        assert_eq!(b.col(1), (1000..1100).collect::<Vec<_>>());
+        let exact = TupleBatch::from_tuples(2, &b.to_tuples());
+        assert_eq!(exact, b, "stride does not count toward equality");
+        let mut picked = TupleBatch::new(2);
+        picked.extend_from(&b, &[99, 0]);
+        picked.extend_from(&b, &[7]);
+        assert_eq!(picked.col(0), &[99u64, 0, 7]);
+        assert_eq!(picked.col(1), &[1099u64, 1000, 1007]);
+        let one = TupleBatch::from_tuples(1, &[Tuple::from([5u64])]);
+        let joined = TupleBatch::gather_joined(&picked, &[2, 2, 0], &one, &[0, 0, 0]);
+        assert_eq!(joined.arity(), 3);
+        assert_eq!(joined.tuple(0), Tuple::from([7u64, 1007, 5]));
+        assert_eq!(joined.col(0), &[7u64, 7, 99]);
     }
 
     #[test]
@@ -297,11 +516,13 @@ mod tests {
         b.push_row(&[]);
         b.push_row(&[]);
         assert_eq!(b.len(), 2);
-        assert_eq!(b.rows().collect::<Vec<_>>(), [&[][..], &[][..]]);
-        assert_eq!(b.row(1), &[] as &[u64]);
+        b.row_into(1, &mut []);
+        assert_eq!(b.cmp_row(0, &[]), Ordering::Equal);
         assert!(b.is_sorted());
         b.try_extend(3, |_| Ok::<(), ()>(())).unwrap();
         assert_eq!(b.to_tuples().len(), 5);
+        assert_eq!(b.with_row_inserted(5, &[]).len(), 6);
+        assert_eq!(b.with_row_removed(0).len(), 4);
         b.truncate(1);
         assert_eq!(b.len(), 1);
     }
@@ -309,8 +530,8 @@ mod tests {
     #[test]
     fn arity_one() {
         let b = TupleBatch::from_tuples(1, &[Tuple::from([7u64]), Tuple::from([9u64])]);
-        assert_eq!(b.rows().collect::<Vec<_>>(), [&[7u64][..], &[9]]);
-        assert_eq!(b.partition_point(|r| r < &[8][..]), 1);
+        assert_eq!(b.col(0), &[7u64, 9]);
+        assert_eq!(b.partition_point(&[8], Ordering::is_lt), 1);
     }
 
     #[test]
@@ -322,25 +543,27 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn row_out_of_range_panics() {
-        let _ = TupleBatch::new(0).row(0);
+        TupleBatch::new(0).row_into(0, &mut []);
     }
 
     #[test]
     fn try_extend_restores_on_error() {
         let mut b = TupleBatch::from_tuples(2, &[Tuple::from([1u64, 2])]);
         let before = b.clone();
-        let r = b.try_extend(2, |data| {
-            data.extend_from_slice(&[3, 4, 5]);
+        let r = b.try_extend(2, |slots| {
+            slots.set_row(0, &[3, 4]);
             Err::<(), &str>("boom")
         });
         assert_eq!(r, Err("boom"));
         assert_eq!(b, before);
-        b.try_extend(2, |data| {
-            data.extend_from_slice(&[3, 4, 5, 6]);
+        b.try_extend(2, |slots| {
+            slots.set_row(0, &[3, 4]);
+            slots.set_row(1, &[5, 6]);
             Ok::<(), ()>(())
         })
         .unwrap();
-        assert_eq!(b.row(2), &[5, 6]);
+        assert_eq!(b.tuple(2), Tuple::from([5u64, 6]));
+        assert_eq!(b.col(1), &[2u64, 4, 6]);
     }
 
     #[test]
@@ -355,9 +578,11 @@ mod tests {
             ],
         );
         assert!(sorted.is_sorted());
-        assert_eq!(sorted.partition_point(|r| r < &[1, 0][..]), 1);
-        assert_eq!(sorted.partition_point(|r| r <= &[1, 0][..]), 3);
-        assert_eq!(sorted.partition_point(|_| true), 4);
+        assert_eq!(sorted.partition_point(&[1, 0], Ordering::is_lt), 1);
+        assert_eq!(sorted.partition_point(&[1, 0], Ordering::is_le), 3);
+        assert_eq!(sorted.partition_point(&[], |_| true), 4);
+        assert_eq!(sorted.cmp_row(0, &[0]), Ordering::Greater, "longer row");
+        assert_eq!(sorted.cmp_row(3, &[2, 5, 0]), Ordering::Less, "shorter row");
         let unsorted = TupleBatch::from_tuples(1, &[Tuple::from([2u64]), Tuple::from([1u64])]);
         assert!(!unsorted.is_sorted());
     }

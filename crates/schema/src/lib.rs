@@ -10,8 +10,8 @@
 //!   geometry (φ, per-attribute byte widths, tuple width `m`) precomputed.
 //! * [`Tuple`] — an encoded digit vector whose derived lexicographic order is
 //!   the φ total order of the paper.
-//! * [`TupleBatch`] — a run of encoded tuples in one flat buffer, rows
-//!   borrowed as `&[u64]`: the decoded form of a block on the read path.
+//! * [`TupleBatch`] — a run of encoded tuples in one buffer, column by
+//!   column: the decoded form of a block on the read path.
 //! * [`Relation`] — an in-memory bag of tuples, sortable into φ order (§3.2).
 
 #![forbid(unsafe_code)]
@@ -26,7 +26,7 @@ mod schema;
 mod tuple;
 mod value;
 
-pub use batch::{Rows, TupleBatch};
+pub use batch::{BatchSlots, TupleBatch};
 pub use domain::Domain;
 pub use error::SchemaError;
 pub use relation::Relation;

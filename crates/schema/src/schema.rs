@@ -236,8 +236,8 @@ impl Schema {
         self.write_row(tuple.digits(), out);
     }
 
-    /// [`Self::write_tuple`] for a borrowed row of ordinals (a
-    /// [`crate::TupleBatch`] row, a difference in a scratch buffer).
+    /// [`Self::write_tuple`] for a borrowed row of ordinals (a row gathered
+    /// out of a [`crate::TupleBatch`], a difference in a scratch buffer).
     pub fn write_row(&self, row: &[u64], out: &mut Vec<u8>) {
         debug_assert_eq!(row.len(), self.arity());
         for (&d, &w) in row.iter().zip(&self.widths) {
@@ -259,7 +259,7 @@ impl Schema {
     }
 
     /// [`Self::read_tuple`] without the owned tuple: appends the record's
-    /// ordinals to `out` (a [`crate::TupleBatch`] row in the making).
+    /// ordinals to `out` (one entry's digits in the making).
     ///
     /// # Panics
     /// Panics if `buf` is shorter than `tuple_bytes`.

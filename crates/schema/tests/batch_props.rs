@@ -1,8 +1,9 @@
-//! Property tests for [`TupleBatch`]: it is `Vec<Tuple>` in one buffer —
-//! same rows, same order, same comparisons — for every arity including 0
-//! and 1.
+//! Property tests for [`TupleBatch`]: stored column by column, it is still
+//! `Vec<Vec<u64>>` — same rows, same order, same comparisons — for every
+//! arity including 0 and 1, through every accessor and edit.
 
 use avq_schema::{Tuple, TupleBatch};
+use core::cmp::Ordering;
 use proptest::prelude::*;
 
 /// `rows` tuples of width `arity` drawn from a small alphabet (so ties and
@@ -19,6 +20,22 @@ fn run(arity: usize, cells: &[u64], rows: usize) -> Vec<Tuple> {
         .collect()
 }
 
+/// The row-major model of a batch.
+fn model(tuples: &[Tuple]) -> Vec<Vec<u64>> {
+    tuples.iter().map(|t| t.digits().to_vec()).collect()
+}
+
+/// The batch read back row by row through `row_into`.
+fn rows_of(batch: &TupleBatch) -> Vec<Vec<u64>> {
+    (0..batch.len())
+        .map(|i| {
+            let mut row = vec![0; batch.arity()];
+            batch.row_into(i, &mut row);
+            row
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -29,18 +46,29 @@ proptest! {
         cells in proptest::collection::vec(any::<u64>(), 1..64),
     ) {
         let tuples = run(arity, &cells, rows);
+        let expect = model(&tuples);
         let batch = TupleBatch::from_tuples(arity, &tuples);
         prop_assert_eq!(batch.len(), rows);
-        prop_assert_eq!(batch.rows().len(), rows);
         prop_assert_eq!(batch.to_tuples(), tuples.clone());
-        for (i, t) in tuples.iter().enumerate() {
-            prop_assert_eq!(batch.row(i), t.digits());
+        prop_assert_eq!(rows_of(&batch), expect.clone());
+        for a in 0..arity {
+            let col: Vec<u64> = expect.iter().map(|r| r[a]).collect();
+            prop_assert_eq!(batch.col(a), col.as_slice());
+            for (i, r) in expect.iter().enumerate() {
+                prop_assert_eq!(batch.get(i, a), r[a]);
+            }
         }
         let mut pushed = TupleBatch::new(arity);
         for t in &tuples {
             pushed.push_row(t.digits());
         }
         prop_assert_eq!(&pushed, &batch);
+        // Any selection of rows, gathered column by column.
+        let sel: Vec<u32> = (0..rows as u32).rev().step_by(2).collect();
+        let mut picked = TupleBatch::new(arity);
+        picked.extend_from(&batch, &sel);
+        let want: Vec<Vec<u64>> = sel.iter().map(|&i| expect[i as usize].clone()).collect();
+        prop_assert_eq!(rows_of(&picked), want);
     }
 
     #[test]
@@ -50,11 +78,17 @@ proptest! {
         keep in 0usize..40,
         cells in proptest::collection::vec(any::<u64>(), 1..32),
     ) {
-        let mut tuples = run(arity, &cells, rows);
+        let tuples = run(arity, &cells, rows);
+        let mut expect = model(&tuples);
         let mut batch = TupleBatch::from_tuples(arity, &tuples);
-        tuples.truncate(keep);
+        expect.truncate(keep);
         batch.truncate(keep);
-        prop_assert_eq!(batch.to_tuples(), tuples);
+        prop_assert_eq!(batch.len(), expect.len());
+        prop_assert_eq!(rows_of(&batch), expect.clone());
+        // A truncated batch grows back from where it was cut.
+        batch.push_row(&vec![3; arity]);
+        expect.push(vec![3; arity]);
+        prop_assert_eq!(rows_of(&batch), expect);
     }
 
     #[test]
@@ -68,11 +102,20 @@ proptest! {
         let batch = TupleBatch::from_tuples(arity, &tuples);
         let at = at % (rows + 1);
         let new = run(arity, &cells[..1], 1).remove(0);
-        let mut grown = tuples.clone();
-        grown.insert(at, new.clone());
+        let mut grown = model(&tuples);
+        grown.insert(at, new.digits().to_vec());
         let inserted = batch.with_row_inserted(at, new.digits());
-        prop_assert_eq!(inserted.to_tuples(), grown);
-        prop_assert_eq!(inserted.with_row_removed(at), batch);
+        prop_assert_eq!(inserted.len(), rows + 1);
+        prop_assert_eq!(rows_of(&inserted), grown.clone());
+        prop_assert_eq!(inserted.with_row_removed(at), batch.clone());
+        if rows > 0 {
+            let gone = at % rows;
+            let mut shrunk = model(&tuples);
+            shrunk.remove(gone);
+            let removed = batch.with_row_removed(gone);
+            prop_assert_eq!(removed.len(), rows - 1);
+            prop_assert_eq!(rows_of(&removed), shrunk);
+        }
     }
 
     #[test]
@@ -82,11 +125,17 @@ proptest! {
         cells in proptest::collection::vec(any::<u64>(), 1..32),
     ) {
         let tuples = run(arity, &cells, rows);
+        let expect = model(&tuples);
         let batch = TupleBatch::from_tuples(arity, &tuples);
         for (i, a) in tuples.iter().enumerate() {
-            for (j, b) in tuples.iter().enumerate() {
-                prop_assert_eq!(batch.row(i).cmp(batch.row(j)), a.cmp(b));
+            for b in &expect {
+                prop_assert_eq!(batch.cmp_row(i, b), a.digits().cmp(b.as_slice()));
             }
+            // Keys shorter and longer than a row order as slices do.
+            let short = &a.digits()[..arity.saturating_sub(1)];
+            prop_assert_eq!(batch.cmp_row(i, short), a.digits().cmp(short));
+            let long = [a.digits(), &[0]].concat();
+            prop_assert_eq!(batch.cmp_row(i, &long), Ordering::Less);
         }
         prop_assert_eq!(batch.is_sorted(), tuples.windows(2).all(|w| w[0] <= w[1]));
 
@@ -94,10 +143,51 @@ proptest! {
         sorted.sort_unstable();
         let sorted_batch = TupleBatch::from_tuples(arity, &sorted);
         prop_assert!(sorted_batch.is_sorted());
-        let probe = &tuples[0];
-        prop_assert_eq!(
-            sorted_batch.partition_point(|r| r < probe.digits()),
-            sorted.partition_point(|t| t < probe)
-        );
+        for probe in &tuples {
+            prop_assert_eq!(
+                sorted_batch.partition_point(probe.digits(), Ordering::is_lt),
+                sorted.partition_point(|t| t < probe)
+            );
+            prop_assert_eq!(
+                sorted_batch.partition_point(probe.digits(), Ordering::is_le),
+                sorted.partition_point(|t| t <= probe)
+            );
+        }
+    }
+
+    #[test]
+    fn failed_try_extend_leaves_the_rows(
+        arity in 0usize..4,
+        rows in 0usize..30,
+        more in 1usize..20,
+        written in 0usize..20,
+        cells in proptest::collection::vec(any::<u64>(), 1..32),
+    ) {
+        let tuples = run(arity, &cells, rows);
+        let mut batch = TupleBatch::from_tuples(arity, &tuples);
+        let before = batch.clone();
+        // The fill writes some of its rows, then fails.
+        let r = batch.try_extend(more, |slots| {
+            for i in 0..written.min(more) {
+                slots.set_row(i, &vec![9; arity]);
+            }
+            Err::<(), ()>(())
+        });
+        prop_assert!(r.is_err());
+        prop_assert_eq!(&batch, &before);
+        prop_assert_eq!(rows_of(&batch), model(&tuples));
+        // A fill that succeeds appends exactly its rows after them.
+        batch
+            .try_extend(more, |slots| {
+                for i in 0..more {
+                    slots.set_row(i, &vec![i as u64; arity]);
+                }
+                Ok::<(), ()>(())
+            })
+            .unwrap();
+        let mut expect = model(&tuples);
+        expect.extend((0..more).map(|i| vec![i as u64; arity]));
+        prop_assert_eq!(batch.len(), rows + more);
+        prop_assert_eq!(rows_of(&batch), expect);
     }
 }

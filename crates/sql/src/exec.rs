@@ -1,10 +1,13 @@
 //! Execution of a [`PhysicalPlan`] over the stored AVQ operators.
 //!
 //! Rows flow between operators as ordinal rows (the φ digit encoding of
-//! §3.1) in flat [`TupleBatch`]es, each row laid out as the concatenation
-//! of the plan's `table_order` schemas. Stored blocks are read one at a
-//! time as shared decoded batches and filtered on borrowed rows; only the
-//! final projection/aggregation decodes ordinals back to domain values.
+//! §3.1) in column-major [`TupleBatch`]es, each row's columns the
+//! concatenation of the plan's `table_order` schemas. Stored blocks are
+//! read one at a time as shared decoded batches; the column-at-a-time
+//! kernel [`avq_db::Selection::filter_block`] turns each into a selection
+//! vector, and projections, aggregates, sorts and joins read the columns
+//! they need at the selected rows. Only the final projection/aggregation
+//! decodes ordinals back to domain values.
 //! Join keys are canonicalized through the internal
 //! `KeyVal` so an
 //! equijoin between attributes with *different* domains (say
@@ -198,24 +201,49 @@ fn batch_mem_bytes(rows: usize, width: usize) -> u64 {
     rows as u64 * avq_db::row_mem_bytes(width)
 }
 
-/// Maps an output-row column index back to its `(table, attr)` source.
-fn source_of(q: &BoundQuery, order: &[usize], col: usize) -> (usize, usize) {
+/// Maps an output-row column index back to its `(table, attr)` source. A
+/// column past the last table is a binding error: there is no domain to
+/// decode it through.
+fn source_of(q: &BoundQuery, order: &[usize], col: usize) -> Result<(usize, usize), SqlError> {
     let mut off = 0usize;
     for &t in order {
         let arity = q.tables.get(t).map_or(0, |b| b.schema.arity());
         if col < off + arity {
-            return (t, col - off);
+            return Ok((t, col - off));
         }
         off += arity;
     }
-    (0, 0)
+    Err(SqlError::Bind {
+        msg: format!("output column {col} lies past the last table's {off} columns"),
+    })
+}
+
+/// Checks that the plan's column `c` exists in `arity`-wide input rows.
+fn check_col(c: usize, arity: usize) -> Result<usize, SqlError> {
+    if c < arity {
+        Ok(c)
+    } else {
+        Err(SqlError::Bind {
+            msg: format!("plan references column {c} of {arity}-column rows"),
+        })
+    }
+}
+
+/// Every row of `rows` as a selection vector.
+fn all_rows(rows: &TupleBatch) -> Result<Vec<u32>, SqlError> {
+    let n = u32::try_from(rows.len()).map_err(|_| SqlError::Bind {
+        msg: format!(
+            "{} intermediate rows exceed the row-number width",
+            rows.len()
+        ),
+    })?;
+    Ok((0..n).collect())
 }
 
 impl<'a> Exec<'a> {
     /// Records the stage report and, when tracing, retroactively attaches
     /// a matching `avq.sql.stage` span covering the stage's elapsed time.
-    fn stage(&mut self, stage: &'static str, rows: u64, blocks: u64, hits: u64, sw: Stopwatch) {
-        let elapsed = sw.elapsed();
+    fn stage(&mut self, stage: &'static str, rows: u64, blocks: u64, hits: u64, elapsed: Duration) {
         self.trace_stage(stage, rows, blocks, hits, elapsed);
         self.report(stage, rows, blocks, hits, elapsed);
     }
@@ -267,7 +295,7 @@ impl<'a> Exec<'a> {
     }
 
     /// Scans `table` through `path`, returning at most `limit` matching
-    /// ordinal rows.
+    /// ordinal rows, gathered column by column out of their blocks.
     fn scan(
         &mut self,
         table: usize,
@@ -277,18 +305,28 @@ impl<'a> Exec<'a> {
         let arity = self.q.tables.get(table).map_or(0, |bt| bt.schema.arity());
         let mut rows = TupleBatch::new(arity);
         let held = avq_db::row_mem_bytes(arity);
-        self.scan_into(table, path, held, limit, |row| rows.push_row(row))?;
+        self.scan_into(table, path, held, limit, None, |block, sel| {
+            rows.extend_from(block, sel)
+        })?;
         Ok(rows)
     }
 
     /// Streams the rows of `table` that pass its conjuncts into `sink`,
     /// returning how many did.
     ///
-    /// Candidate blocks are read one at a time (the `scan` stage) and each
-    /// block's borrowed rows filtered straight into the sink (the `filter`
-    /// stage), so neither the candidate set nor any unmatched tuple is
-    /// ever materialized. Once `limit` rows are kept no further row is
-    /// filtered and no further block read. A sink that holds the rows it is
+    /// Candidate blocks are read one at a time (the `scan` stage); each
+    /// block's selection vector is built by the column-at-a-time kernel
+    /// [`avq_db::Selection::filter_block`] (the `filter` stage) and handed
+    /// to the sink with the block, so neither the candidate set nor any
+    /// unmatched tuple is ever materialized and a rejected row costs only
+    /// the words of the columns its conjuncts name. Once `limit` rows are
+    /// kept no further block is read; a block that meets the limit counts
+    /// its rows as examined up to the one that met it. When the caller
+    /// reports the sink under a stage of its own (`sink_stage`: a
+    /// projection or aggregate), the sink's time is added to that stage's
+    /// duration and traced as that stage nested under the open scan span,
+    /// where it ran; otherwise it is part of the `scan` stage (the scan's
+    /// own output). A sink that holds the rows it is
     /// given names their price in `held_row_bytes`; it is charged to the
     /// memory budget per block, so a trip overshoots by at most one block.
     fn scan_into(
@@ -297,7 +335,8 @@ impl<'a> Exec<'a> {
         path: AccessPath,
         held_row_bytes: u64,
         limit: usize,
-        mut sink: impl FnMut(&[u64]),
+        sink_stage: Option<(&'static str, &mut Duration)>,
+        mut sink: impl FnMut(&TupleBatch, &[u32]),
     ) -> Result<u64, SqlError> {
         let bt = self.q.tables.get(table).ok_or_else(|| SqlError::Bind {
             msg: "plan references an unbound table".to_owned(),
@@ -308,46 +347,47 @@ impl<'a> Exec<'a> {
         let sw = Stopwatch::start();
         let candidates = rel.candidate_blocks(&sel, path)?;
         if !matches!(path, AccessPath::FullScan) {
-            self.stage("index-probe", candidates.len() as u64, 0, 0, sw);
+            self.stage("index-probe", candidates.len() as u64, 0, 0, sw.elapsed());
         }
 
-        let sw = Stopwatch::start();
         let mark = CacheMark::take(rel);
         let (mut blocks, mut examined, mut kept) = (0u64, 0u64, 0u64);
         let mut room = limit;
-        let mut read_time = Duration::ZERO;
-        let (hits, filter_time) = {
+        let (mut read_time, mut filter_time, mut sunk) =
+            (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+        // The selection vector, reused by every block.
+        let mut rows: Vec<u32> = Vec::new();
+        let hits = {
             // An *open* stage span (unlike the retroactive ones from
             // `stage`) so per-block read spans — and the filter time
             // interleaved with them — nest beneath it.
             let guard = self.ctx.trace.span(names::SPAN_SQL_STAGE);
+            let mut clock = Stopwatch::start();
             for id in &candidates {
                 if room == 0 {
                     break;
                 }
-                let read = Stopwatch::start();
                 let block = rel.read_block(*id, self.ctx)?;
-                read_time += read.elapsed();
+                read_time += clock.lap();
                 let Some(block) = block else {
                     continue;
                 };
                 blocks += 1;
-                let before = kept;
-                for row in block.rows() {
-                    if room == 0 {
-                        break;
-                    }
-                    examined += 1;
-                    if sel.matches(row) {
-                        sink(row);
-                        kept += 1;
-                        room -= 1;
-                    }
+                sel.filter_block(&block, &mut rows);
+                if rows.len() >= room {
+                    examined += u64::from(rows[room - 1]) + 1;
+                    rows.truncate(room);
+                } else {
+                    examined += block.len() as u64;
                 }
-                self.ctx.gov.charge_mem((kept - before) * held_row_bytes);
+                filter_time += clock.lap();
+                sink(&block, &rows);
+                sunk += clock.lap();
+                kept += rows.len() as u64;
+                room -= rows.len();
+                self.ctx.gov.charge_mem(rows.len() as u64 * held_row_bytes);
             }
             let hits = mark.hits_since(rel);
-            let filter_time = sw.elapsed().saturating_sub(read_time);
             if guard.is_recording() {
                 guard.attr(names::ATTR_STAGE, "scan");
                 guard.attr(names::ATTR_ROWS, examined);
@@ -355,8 +395,15 @@ impl<'a> Exec<'a> {
                 guard.attr(names::ATTR_CACHE_HITS, hits);
             }
             self.trace_stage("filter", kept, 0, 0, filter_time);
-            (hits, filter_time)
+            if let Some((stage, _)) = sink_stage {
+                self.trace_stage(stage, kept, 0, 0, sunk);
+            }
+            hits
         };
+        match sink_stage {
+            Some((_, t)) => *t += sunk,
+            None => read_time += sunk,
+        }
         self.report("scan", examined, blocks, hits, read_time);
         self.ctx.gov.poll().map_err(avq_db::DbError::from)?;
         self.report("filter", kept, 0, 0, filter_time);
@@ -384,22 +431,22 @@ impl<'a> Exec<'a> {
         let sel = selection_of(self.q, inner);
         let out_dom = domain_of(self.q, outer_key);
         let in_dom = domain_of(self.q, (inner, inner_attr));
+        let outer_keys = outer_rows.col(check_col(outer_col, outer_rows.arity())?);
+        check_col(inner_attr, bt.schema.arity())?;
 
         // Distinct outer key ordinals → matching inner ordinal (if any).
         let mut key_map: BTreeMap<u64, Option<u64>> = BTreeMap::new();
-        for row in outer_rows.rows() {
-            let Some(&o) = row.get(outer_col) else {
-                continue;
-            };
+        for &o in outer_keys {
             key_map
                 .entry(o)
                 .or_insert_with(|| ord_of(in_dom, &key_of(out_dom, o)));
         }
 
-        // Inner side: matching rows in one batch, their row numbers
-        // grouped by the join attribute.
+        // Inner side: matching rows gathered into one batch, their row
+        // numbers grouped by the join attribute.
         let mut matched = TupleBatch::new(bt.schema.arity());
-        let mut by_key: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
+        let mut by_key: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let mut rows: Vec<u32> = Vec::new();
         let sw = Stopwatch::start();
         let mark = CacheMark::take(rel);
         let mut blocks = 0u64;
@@ -417,49 +464,63 @@ impl<'a> Exec<'a> {
                         continue;
                     };
                     blocks += 1;
-                    for row in block.rows().filter(|row| probe_sel.matches(row)) {
-                        by_key.entry(*inner_ord).or_default().push(matched.len());
-                        matched.push_row(row);
-                    }
+                    probe_sel.filter_block(&block, &mut rows);
+                    let first = matched.len() as u32;
+                    by_key
+                        .entry(*inner_ord)
+                        .or_default()
+                        .extend(first..first + rows.len() as u32);
+                    matched.extend_from(&block, &rows);
                 }
             }
             let hits = mark.hits_since(rel);
-            self.stage("index-probe", matched.len() as u64, blocks, hits, sw);
+            self.stage(
+                "index-probe",
+                matched.len() as u64,
+                blocks,
+                hits,
+                sw.elapsed(),
+            );
         } else {
             for id in &rel.candidate_blocks(&sel, AccessPath::FullScan)? {
                 let Some(block) = rel.read_block(*id, self.ctx)? else {
                     continue;
                 };
                 blocks += 1;
-                for row in block.rows().filter(|row| sel.matches(row)) {
-                    if let Some(&o) = row.get(inner_attr) {
-                        by_key.entry(o).or_default().push(matched.len());
-                    }
-                    matched.push_row(row);
+                sel.filter_block(&block, &mut rows);
+                let keys = block.col(inner_attr);
+                for (m, &i) in (matched.len() as u32..).zip(&rows) {
+                    by_key.entry(keys[i as usize]).or_default().push(m);
                 }
+                matched.extend_from(&block, &rows);
             }
             let hits = mark.hits_since(rel);
-            self.stage("scan-inner", matched.len() as u64, blocks, hits, sw);
+            self.stage(
+                "scan-inner",
+                matched.len() as u64,
+                blocks,
+                hits,
+                sw.elapsed(),
+            );
         }
 
         let sw = Stopwatch::start();
-        let mut out = TupleBatch::new(outer_rows.arity() + matched.arity());
-        for row in outer_rows.rows() {
-            let Some(&o) = row.get(outer_col) else {
-                continue;
-            };
-            let Some(Some(inner_ord)) = key_map.get(&o) else {
+        let (mut li, mut ri) = (Vec::new(), Vec::new());
+        for (o_row, o) in (0u32..).zip(outer_keys) {
+            let Some(Some(inner_ord)) = key_map.get(o) else {
                 continue;
             };
             for &m in by_key.get(inner_ord).into_iter().flatten() {
-                out.push_joined(row, matched.row(m));
+                li.push(o_row);
+                ri.push(m);
             }
         }
+        let out = TupleBatch::gather_joined(&outer_rows, &li, &matched, &ri);
         self.ctx
             .gov
             .charge_mem(batch_mem_bytes(out.len(), out.arity()));
         self.ctx.gov.poll().map_err(avq_db::DbError::from)?;
-        self.stage("join", out.len() as u64, 0, 0, sw);
+        self.stage("join", out.len() as u64, 0, 0, sw.elapsed());
         Ok(out)
     }
 
@@ -478,49 +539,47 @@ impl<'a> Exec<'a> {
         let left_dom = domain_of(self.q, left_key);
         let probe_dom = domain_of(self.q, (table, table_attr));
 
-        let mut build: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
-        for (i, row) in left_rows.rows().enumerate() {
-            if let Some(&o) = row.get(left_col) {
-                build.entry(o).or_default().push(i);
-            }
+        let mut build: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
+        let left_keys = left_rows.col(check_col(left_col, left_rows.arity())?);
+        for (i, &o) in (0u32..).zip(left_keys) {
+            build.entry(o).or_default().push(i);
         }
         // Left ordinal → probe-side ordinal under the canonical key.
         let probe_ord: BTreeMap<u64, Option<u64>> = build
             .keys()
             .map(|&o| (o, ord_of(probe_dom, &key_of(left_dom, o))))
             .collect();
-        let by_probe_ord: BTreeMap<u64, &Vec<usize>> = build
+        let by_probe_ord: BTreeMap<u64, &Vec<u32>> = build
             .iter()
             .filter_map(|(o, idxs)| probe_ord.get(o).copied().flatten().map(|p| (p, idxs)))
             .collect();
 
         let probe_rows = self.scan(table, path, usize::MAX)?;
         let sw = Stopwatch::start();
-        let mut out = TupleBatch::new(left_rows.arity() + probe_rows.arity());
-        for trow in probe_rows.rows() {
-            let Some(&o) = trow.get(table_attr) else {
-                continue;
-            };
-            for &i in by_probe_ord
-                .get(&o)
-                .into_iter()
-                .flat_map(|idxs| idxs.iter())
-            {
-                out.push_joined(left_rows.row(i), trow);
+        let probe_keys = probe_rows.col(check_col(table_attr, probe_rows.arity())?);
+        let (mut li, mut ri) = (Vec::new(), Vec::new());
+        for (t_row, o) in (0u32..).zip(probe_keys) {
+            for &i in by_probe_ord.get(o).into_iter().flat_map(|idxs| idxs.iter()) {
+                li.push(i);
+                ri.push(t_row);
             }
         }
+        let out = TupleBatch::gather_joined(&left_rows, &li, &probe_rows, &ri);
         self.ctx
             .gov
             .charge_mem(batch_mem_bytes(out.len(), out.arity()));
         self.ctx.gov.poll().map_err(avq_db::DbError::from)?;
-        self.stage("join", out.len() as u64, 0, 0, sw);
+        self.stage("join", out.len() as u64, 0, 0, sw.elapsed());
         Ok(out)
     }
 
-    /// Folds the rows of `input` into one output row per group. A stored
-    /// table is folded block by block straight off its scan, so the rows
-    /// an aggregate consumes are never materialized; any other input
-    /// arrives as a finished batch.
+    /// Folds the rows of `input` into one output row per group. Each
+    /// item's column and domain are resolved once; a block (or a finished
+    /// batch) is then folded a selection vector at a time — a `COUNT` is
+    /// its length, a `SUM`/`AVG` adds ordinals and converts once at the
+    /// end, a `MIN`/`MAX` scans one column. A stored table is folded block
+    /// by block straight off its scan, so the rows an aggregate consumes
+    /// are never materialized; any other input arrives as a finished batch.
     fn aggregate(
         &mut self,
         input: &PlanNode,
@@ -529,42 +588,88 @@ impl<'a> Exec<'a> {
         desc: bool,
     ) -> Result<Vec<Vec<Cell>>, SqlError> {
         let (q, order) = (self.q, self.order);
-        let mut groups: BTreeMap<u64, Vec<Acc>> = BTreeMap::new();
-        let fresh = || -> Vec<Acc> { q.items.iter().map(Acc::for_item).collect() };
-        if group_col.is_none() {
-            groups.insert(0, fresh());
-        }
-        let mut feed = |row: &[u64]| {
-            let key = match group_col {
-                Some(c) => row.get(c).copied().unwrap_or(0),
-                None => 0,
-            };
-            let accs = groups.entry(key).or_insert_with(fresh);
-            for (acc, item) in accs.iter_mut().zip(q.items.iter()) {
-                acc.feed(q, order, item, row);
-            }
-        };
-        let sw = if let PlanNode::Scan { table, path, .. } = input {
-            let scan_id = self.claim_node(counter);
-            let kept = self.scan_into(*table, *path, 0, usize::MAX, &mut feed)?;
-            if let Some(slot) = self.actual_rows.get_mut(scan_id) {
-                *slot = kept;
-            }
-            Stopwatch::start()
+        // A stored table's scan, with its width, or the finished batch.
+        let (scan, batch) = if let PlanNode::Scan { table, path, .. } = input {
+            let arity = q.tables.get(*table).map_or(0, |bt| bt.schema.arity());
+            (Some((*table, *path, arity)), None)
         } else {
             let Batch::Ordinals(rows) = self.exec_node(input, counter, usize::MAX)? else {
                 return Err(SqlError::Bind {
                     msg: "aggregate input is not an ordinal stream".to_owned(),
                 });
             };
+            (None, Some(rows))
+        };
+        let arity = match (&scan, &batch) {
+            (Some((_, _, arity)), _) => *arity,
+            (None, Some(rows)) => rows.arity(),
+            (None, None) => 0,
+        };
+        let items = q
+            .items
+            .iter()
+            .map(|item| {
+                let arg = match item {
+                    BoundItem::Column { col } => Some(*col),
+                    BoundItem::Aggregate { arg, .. } => *arg,
+                };
+                Ok(match arg {
+                    Some(col) => ItemCol {
+                        col: Some(check_col(crate::plan::col_in_order(q, order, col), arity)?),
+                        domain: Some(domain_of(q, col)),
+                    },
+                    None => ItemCol {
+                        col: None,
+                        domain: None,
+                    },
+                })
+            })
+            .collect::<Result<Vec<_>, SqlError>>()?;
+        let group_col = group_col.map(|c| check_col(c, arity)).transpose()?;
+
+        let mut groups: BTreeMap<u64, Vec<Acc>> = BTreeMap::new();
+        let fresh = || -> Vec<Acc> { q.items.iter().map(Acc::for_item).collect() };
+        if group_col.is_none() {
+            groups.insert(0, fresh());
+        }
+        // Folds rows `sel` of `rows`, one run of equal group keys at a time.
+        let mut fold = |rows: &TupleBatch, sel: &[u32]| {
+            let keys = group_col.map(|c| rows.col(c));
+            let mut rest = sel;
+            while let Some(&first) = rest.first() {
+                let key = keys.map_or(0, |k| k[first as usize]);
+                let run = keys.map_or(rest.len(), |k| {
+                    rest.iter().take_while(|&&i| k[i as usize] == key).count()
+                });
+                let (now, later) = rest.split_at(run);
+                let accs = groups.entry(key).or_insert_with(fresh);
+                for (acc, item) in accs.iter_mut().zip(&items) {
+                    acc.fold(item.col.map(|c| rows.col(c)), now);
+                }
+                rest = later;
+            }
+        };
+        // The fold's time inside a scan (traced there), then the rest.
+        let mut in_scan = Duration::ZERO;
+        let sw = if let Some((table, path, _)) = scan {
+            let scan_id = self.claim_node(counter);
+            let stage = Some(("aggregate", &mut in_scan));
+            let kept = self.scan_into(table, path, 0, usize::MAX, stage, &mut fold)?;
+            if let Some(slot) = self.actual_rows.get_mut(scan_id) {
+                *slot = kept;
+            }
+            Stopwatch::start()
+        } else {
             let sw = Stopwatch::start();
-            rows.rows().for_each(&mut feed);
+            if let Some(rows) = &batch {
+                fold(rows, &all_rows(rows)?);
+            }
             sw
         };
         let finish = |accs: &Vec<Acc>| -> Vec<Cell> {
             accs.iter()
-                .zip(q.items.iter())
-                .map(|(a, item)| a.finish(q, item))
+                .zip(&items)
+                .map(|(a, item)| a.finish(item.domain))
                 .collect()
         };
         let out: Vec<Vec<Cell>> = if desc {
@@ -572,7 +677,9 @@ impl<'a> Exec<'a> {
         } else {
             groups.values().map(finish).collect()
         };
-        self.stage("aggregate", out.len() as u64, 0, 0, sw);
+        let after = sw.elapsed();
+        self.trace_stage("aggregate", out.len() as u64, 0, 0, after);
+        self.report("aggregate", out.len() as u64, 0, 0, in_scan + after);
         Ok(out)
     }
 
@@ -664,17 +771,17 @@ impl<'a> Exec<'a> {
                 let sw = Stopwatch::start();
                 // Ordinal order is domain order for every domain kind, so
                 // sorting ordinals sorts semantic values. The (stable) sort
-                // permutes row numbers; rows are then gathered once.
-                let mut order: Vec<usize> = (0..rows.len()).collect();
-                order.sort_by_key(|&i| rows.row(i).get(*col).copied().unwrap_or(0));
+                // permutes row numbers by the one key column; every column
+                // is then gathered once in that order.
+                let keys = rows.col(check_col(*col, rows.arity())?);
+                let mut order = all_rows(&rows)?;
+                order.sort_by_key(|&i| keys[i as usize]);
                 if *desc {
                     order.reverse();
                 }
-                let mut sorted = TupleBatch::with_capacity(rows.arity(), rows.len());
-                for i in order {
-                    sorted.push_row(rows.row(i));
-                }
-                self.stage("sort", sorted.len() as u64, 0, 0, sw);
+                let mut sorted = TupleBatch::new(rows.arity());
+                sorted.extend_from(&rows, &order);
+                self.stage("sort", sorted.len() as u64, 0, 0, sw.elapsed());
                 Batch::Ordinals(sorted)
             }
             PlanNode::Limit { input, n, .. } => {
@@ -684,35 +791,49 @@ impl<'a> Exec<'a> {
                     Batch::Ordinals(rows) => rows.truncate(*n),
                     Batch::Cells(rows) => rows.truncate(*n),
                 }
-                self.stage("limit", batch.len() as u64, 0, 0, sw);
+                self.stage("limit", batch.len() as u64, 0, 0, sw.elapsed());
                 batch
             }
             PlanNode::Project { input, cols, .. } => {
                 let q = self.q;
-                let sources: Vec<(usize, usize)> =
-                    cols.iter().map(|&c| source_of(q, self.order, c)).collect();
-                let cells = |row: &[u64]| -> Vec<Cell> {
-                    cols.iter()
-                        .zip(sources.iter())
-                        .map(|(&c, &src)| {
-                            let ord = row.get(c).copied().unwrap_or(0);
-                            decode_cell(domain_of(q, src), ord)
-                        })
+                // Each output column's input column and domain, once.
+                let mut targets = Vec::with_capacity(cols.len());
+                for &c in cols {
+                    targets.push((c, domain_of(q, source_of(q, self.order, c)?)));
+                }
+                // The projected columns of row `i`, decoded; no other
+                // column of the row is read.
+                let cells = |rows: &TupleBatch, i: usize| -> Vec<Cell> {
+                    targets
+                        .iter()
+                        .map(|&(c, domain)| decode_cell(domain, rows.get(i, c)))
                         .collect()
                 };
                 // A stored table is projected block by block straight off
                 // its scan, so its full-width rows are never materialized
                 // next to the cells; any other input arrives as a batch.
-                let (out, sw) = if let PlanNode::Scan { table, path, .. } = &**input {
+                if let PlanNode::Scan { table, path, .. } = &**input {
+                    let arity = q.tables.get(*table).map_or(0, |bt| bt.schema.arity());
+                    for &(c, _) in &targets {
+                        check_col(c, arity)?;
+                    }
                     let scan_id = self.claim_node(counter);
                     let held = avq_db::row_mem_bytes(cols.len());
                     let mut out = Vec::new();
-                    let kept = self
-                        .scan_into(*table, *path, held, usize::MAX, |row| out.push(cells(row)))?;
+                    let mut spent = Duration::ZERO;
+                    let kept = self.scan_into(
+                        *table,
+                        *path,
+                        held,
+                        usize::MAX,
+                        Some(("project", &mut spent)),
+                        |block, sel| out.extend(sel.iter().map(|&i| cells(block, i as usize))),
+                    )?;
                     if let Some(slot) = self.actual_rows.get_mut(scan_id) {
                         *slot = kept;
                     }
-                    (out, Stopwatch::start())
+                    self.report("project", out.len() as u64, 0, 0, spent);
+                    Batch::Cells(out)
                 } else {
                     let Batch::Ordinals(rows) = self.exec_node(input, counter, usize::MAX)? else {
                         return Err(SqlError::Bind {
@@ -720,10 +841,13 @@ impl<'a> Exec<'a> {
                         });
                     };
                     let sw = Stopwatch::start();
-                    (rows.rows().map(cells).collect(), sw)
-                };
-                self.stage("project", out.len() as u64, 0, 0, sw);
-                Batch::Cells(out)
+                    for &(c, _) in &targets {
+                        check_col(c, rows.arity())?;
+                    }
+                    let out: Vec<Vec<Cell>> = (0..rows.len()).map(|i| cells(&rows, i)).collect();
+                    self.stage("project", out.len() as u64, 0, 0, sw.elapsed());
+                    Batch::Cells(out)
+                }
             }
         };
         if let Some(slot) = self.actual_rows.get_mut(my_id) {
@@ -741,12 +865,24 @@ fn decode_cell(domain: &Domain, ord: u64) -> Cell {
     }
 }
 
-/// One aggregate accumulator.
+/// Where an aggregate item reads, resolved once per query.
+struct ItemCol<'q> {
+    /// The item's column in the input rows (`None` for `COUNT(*)`).
+    col: Option<usize>,
+    /// That column's domain: the item's output is decoded through it.
+    domain: Option<&'q Domain>,
+}
+
+/// One aggregate accumulator, in ordinal space until [`Acc::finish`].
 enum Acc {
     Count(u64),
-    Sum(i128),
+    /// The ordinal sum of `n` rows.
+    Sum {
+        ords: u128,
+        n: u64,
+    },
     Avg {
-        sum: i128,
+        ords: u128,
         n: u64,
     },
     Min(Option<u64>),
@@ -762,80 +898,64 @@ impl Acc {
             BoundItem::Column { .. } => Acc::Key(None),
             BoundItem::Aggregate { func, .. } => match func {
                 AggFunc::Count => Acc::Count(0),
-                AggFunc::Sum => Acc::Sum(0),
-                AggFunc::Avg => Acc::Avg { sum: 0, n: 0 },
+                AggFunc::Sum => Acc::Sum { ords: 0, n: 0 },
+                AggFunc::Avg => Acc::Avg { ords: 0, n: 0 },
                 AggFunc::Min => Acc::Min(None),
                 AggFunc::Max => Acc::Max(None),
             },
         }
     }
 
-    /// The semantic integer value of `col`'s ordinal in `row`.
-    fn semantic(q: &BoundQuery, order: &[usize], col: (usize, usize), row: &[u64]) -> i128 {
-        let c = crate::plan::col_in_order(q, order, col);
-        let ord = row.get(c).copied().unwrap_or(0);
-        match key_of(domain_of(q, col), ord) {
-            KeyVal::Int(n) => n,
-            KeyVal::Str(_) => 0,
+    /// Folds rows `sel` of the item's column `col` (`None` when the item
+    /// has no argument, as `COUNT(*)`).
+    fn fold(&mut self, col: Option<&[u64]>, sel: &[u32]) {
+        match (self, col) {
+            (Acc::Count(n), _) => *n += sel.len() as u64,
+            (Acc::Sum { ords, n } | Acc::Avg { ords, n }, Some(col)) => {
+                *ords += sel
+                    .iter()
+                    .map(|&i| u128::from(col[i as usize]))
+                    .sum::<u128>();
+                *n += sel.len() as u64;
+            }
+            (Acc::Min(cur), Some(col)) => {
+                if let Some(m) = sel.iter().map(|&i| col[i as usize]).min() {
+                    *cur = Some(cur.map_or(m, |c| c.min(m)));
+                }
+            }
+            (Acc::Max(cur), Some(col)) => {
+                if let Some(m) = sel.iter().map(|&i| col[i as usize]).max() {
+                    *cur = Some(cur.map_or(m, |c| c.max(m)));
+                }
+            }
+            (Acc::Key(cur @ None), Some(col)) => *cur = sel.first().map(|&i| col[i as usize]),
+            _ => {}
         }
     }
 
-    fn feed(&mut self, q: &BoundQuery, order: &[usize], item: &BoundItem, row: &[u64]) {
-        let arg = match item {
-            BoundItem::Column { col } => Some(*col),
-            BoundItem::Aggregate { arg, .. } => *arg,
-        };
-        match self {
-            Acc::Count(n) => *n += 1,
-            Acc::Sum(s) => {
-                if let Some(col) = arg {
-                    *s += Acc::semantic(q, order, col, row);
-                }
-            }
-            Acc::Avg { sum, n } => {
-                if let Some(col) = arg {
-                    *sum += Acc::semantic(q, order, col, row);
-                    *n += 1;
-                }
-            }
-            Acc::Min(cur) => {
-                if let Some(col) = arg {
-                    let c = crate::plan::col_in_order(q, order, col);
-                    let ord = row.get(c).copied().unwrap_or(0);
-                    *cur = Some(cur.map_or(ord, |m| m.min(ord)));
-                }
-            }
-            Acc::Max(cur) => {
-                if let Some(col) = arg {
-                    let c = crate::plan::col_in_order(q, order, col);
-                    let ord = row.get(c).copied().unwrap_or(0);
-                    *cur = Some(cur.map_or(ord, |m| m.max(ord)));
-                }
-            }
-            Acc::Key(cur) => {
-                if let (Some(col), None) = (arg, &cur) {
-                    let c = crate::plan::col_in_order(q, order, col);
-                    *cur = row.get(c).copied();
-                }
-            }
-        }
-    }
-
-    fn finish(&self, q: &BoundQuery, item: &BoundItem) -> Cell {
-        let arg = match item {
-            BoundItem::Column { col } => Some(*col),
-            BoundItem::Aggregate { arg, .. } => *arg,
-        };
+    /// The output cell, converting ordinals through the item's `domain`.
+    fn finish(&self, domain: Option<&Domain>) -> Cell {
         match self {
             Acc::Count(n) => Cell::Int(i128::from(*n)),
-            Acc::Sum(s) => Cell::Int(*s),
+            Acc::Sum { ords, n } => Cell::Int(semantic_sum(domain, *ords, *n)),
             Acc::Avg { n: 0, .. } => Cell::Null,
-            Acc::Avg { sum, n } => Cell::Float(*sum as f64 / *n as f64),
-            Acc::Min(ord) | Acc::Max(ord) | Acc::Key(ord) => match (ord, arg) {
-                (Some(o), Some(col)) => decode_cell(domain_of(q, col), *o),
+            Acc::Avg { ords, n } => Cell::Float(semantic_sum(domain, *ords, *n) as f64 / *n as f64),
+            Acc::Min(ord) | Acc::Max(ord) | Acc::Key(ord) => match (ord, domain) {
+                (Some(o), Some(domain)) => decode_cell(domain, *o),
                 _ => Cell::Null,
             },
         }
+    }
+}
+
+/// The sum of the semantic values of `n` ordinals of `domain` whose
+/// ordinal sum is `ords`: the identity for `Uint`, plus `n·min` for
+/// `IntRange`. An enumerated member has no numeric value and adds 0.
+fn semantic_sum(domain: Option<&Domain>, ords: u128, n: u64) -> i128 {
+    match domain {
+        Some(Domain::Uint { .. }) => ords as i128,
+        Some(Domain::IntRange { min, .. }) => ords as i128 + i128::from(*min) * i128::from(n),
+        _ => 0,
     }
 }
 
@@ -868,15 +988,19 @@ pub fn execute(
         Batch::Cells(rows) => rows,
         // An ordinal root only happens for plans without a projection tail,
         // which the planner never emits; decode defensively anyway.
-        Batch::Ordinals(rows) => rows
-            .rows()
-            .map(|row| {
-                row.iter()
-                    .enumerate()
-                    .map(|(c, &o)| decode_cell(domain_of(q, source_of(q, &plan.table_order, c)), o))
-                    .collect()
-            })
-            .collect(),
+        Batch::Ordinals(rows) => {
+            let mut domains = Vec::with_capacity(rows.arity());
+            for c in 0..rows.arity() {
+                domains.push(domain_of(q, source_of(q, &plan.table_order, c)?));
+            }
+            (0..rows.len())
+                .map(|i| {
+                    (domains.iter().enumerate())
+                        .map(|(c, domain)| decode_cell(domain, rows.get(i, c)))
+                        .collect()
+                })
+                .collect()
+        }
     };
     Ok(ExecOutput {
         result: QueryResult {
@@ -900,4 +1024,107 @@ pub fn execute_traced(
     ctx: &TraceCtx,
 ) -> Result<ExecOutput, SqlError> {
     execute(db, q, plan, &QueryCtx::from(ctx.clone()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{bind, parse, Statement};
+    use avq_db::DbConfig;
+    use avq_obs::Stopwatch;
+    use avq_schema::{Relation, Schema, Tuple};
+
+    const ROWS: u64 = 12_000;
+
+    /// `t(a < 8, b < 1000, c ∈ [-50, 49])`, `ROWS` rows over many blocks.
+    fn db() -> Database {
+        let schema = Schema::from_pairs(vec![
+            ("a", Domain::uint(8).unwrap()),
+            ("b", Domain::uint(1000).unwrap()),
+            ("c", Domain::int_range(-50, 49).unwrap()),
+        ])
+        .unwrap();
+        let tuples: Vec<Tuple> = (0..ROWS)
+            .map(|i| Tuple::from([i % 8, (i * 7) % 1000, (i * 13) % 100]))
+            .collect();
+        let mut db = Database::new(DbConfig::default().with_block_capacity(512));
+        db.create_relation("t", &Relation::from_tuples(schema, tuples).unwrap())
+            .unwrap();
+        db
+    }
+
+    fn bound(db: &Database, sql: &str) -> BoundQuery {
+        let Statement::Select(select) = parse(sql).unwrap() else {
+            panic!("not a select: {sql}");
+        };
+        bind(db, &select).unwrap()
+    }
+
+    #[test]
+    fn a_column_past_the_last_table_is_a_bind_error() {
+        let db = db();
+        let q = bound(&db, "select a, b, c from t");
+        assert_eq!(source_of(&q, &[0], 2).unwrap(), (0, 2));
+        assert!(matches!(source_of(&q, &[0], 3), Err(SqlError::Bind { .. })));
+        assert!(matches!(source_of(&q, &[], 0), Err(SqlError::Bind { .. })));
+    }
+
+    #[test]
+    fn the_sink_of_a_scan_is_timed_apart_from_its_filter() {
+        let db = db();
+        let sql = "select count(*), min(b), max(c), avg(c) from t where b >= 5";
+        let q = bound(&db, sql);
+        let physical = crate::plan::plan(&db, &q).unwrap();
+        let wall = Stopwatch::start();
+        let out = execute(&db, &q, &physical, &QueryCtx::default()).unwrap();
+        let wall = wall.elapsed();
+        let stage = |name: &str| {
+            let mut found = out.stages.iter().filter(|s| s.stage == name);
+            let s = found.next().unwrap_or_else(|| panic!("no {name} stage"));
+            assert!(found.next().is_none(), "one {name} stage");
+            s
+        };
+        let (scan, filter, aggregate) = (stage("scan"), stage("filter"), stage("aggregate"));
+        assert_eq!(scan.rows, ROWS);
+        assert!(
+            filter.rows >= 10_000,
+            "{} rows reach the aggregate",
+            filter.rows
+        );
+        assert!(
+            aggregate.elapsed > Duration::ZERO,
+            "the fold has its own time"
+        );
+        let total: Duration = out.stages.iter().map(|s| s.elapsed).sum();
+        assert!(filter.elapsed + aggregate.elapsed <= total);
+        assert!(
+            total <= wall,
+            "stages {total:?} overlap in a {wall:?} statement"
+        );
+        // And the answer is the row-wise one.
+        let kept: Vec<u64> = (0..ROWS).filter(|i| (i * 7) % 1000 >= 5).collect();
+        let min_b = kept.iter().map(|i| (i * 7) % 1000).min().unwrap();
+        let max_c = kept.iter().map(|i| (i * 13) % 100).max().unwrap() as i128 - 50;
+        let sum_c: i128 = kept.iter().map(|i| ((i * 13) % 100) as i128 - 50).sum();
+        let row = &out.result.rows[0];
+        assert_eq!(row[0], Cell::Int(kept.len() as i128));
+        assert_eq!(row[1], Cell::Int(i128::from(min_b)));
+        assert_eq!(row[2], Cell::Int(max_c));
+        assert_eq!(row[3], Cell::Float(sum_c as f64 / kept.len() as f64));
+
+        // A projection builds a row of cells per kept row — far more work
+        // than the one compare per row its filter does — and that work is
+        // the `project` stage's, not the `filter` stage's.
+        let q = bound(&db, "select a, b, c from t where b >= 5");
+        let physical = crate::plan::plan(&db, &q).unwrap();
+        let out = execute(&db, &q, &physical, &QueryCtx::default()).unwrap();
+        assert_eq!(out.result.rows.len(), kept.len());
+        let elapsed = |name: &str| out.stages.iter().find(|s| s.stage == name).unwrap().elapsed;
+        assert!(
+            elapsed("project") > elapsed("filter"),
+            "project {:?} vs filter {:?}",
+            elapsed("project"),
+            elapsed("filter")
+        );
+    }
 }

@@ -1,10 +1,11 @@
 //! Allocation accounting for a warm point select through the whole stack.
 //!
 //! `select * from t where k = <unique key>` with no index on `k` examines
-//! every tuple of every block. Once the blocks are in the decoded cache the
-//! statement must allocate O(blocks + rows returned): each block is handed
-//! over as the cached batch and filtered on borrowed rows, so a tuple that
-//! is examined and rejected costs nothing. A counting global allocator pins
+//! every tuple of every block, and so does `… where b = x and c = y`. Once
+//! the blocks are in the decoded cache each statement must allocate
+//! O(blocks + rows returned): each block is handed over as the cached batch
+//! and filtered a column at a time into one reused selection vector, so a
+//! tuple that is examined and rejected costs nothing. A counting global allocator pins
 //! that — it is the only test in this binary so no concurrent test thread
 //! can perturb the counter.
 
@@ -84,6 +85,33 @@ fn warm_point_select_allocates_per_block_not_per_tuple() {
     assert!(
         sql_allocs <= budget,
         "warm select allocated {sql_allocs} times over {blocks} blocks / {N} tuples (budget {budget})"
+    );
+
+    // Two conjuncts on unindexed columns: the first scans its column of
+    // every block into the selection vector, the second narrows it. The
+    // vector is reused across blocks, so the statement still allocates
+    // per block and per row returned, never per row examined.
+    let two = "select * from t where b = 13 and c = 31";
+    let expect = (0..N)
+        .filter(|i| (i * 13) % 4096 == 13 && (i * 31) % 256 == 31)
+        .count();
+    assert!(expect > 0);
+    avq_sql::run(&db, two).unwrap();
+    rel.reset_decoded_stats();
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let outcome = avq_sql::run(&db, two).unwrap();
+    let two_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let SqlOutcome::Table(table) = outcome else {
+        panic!("a select returns a table");
+    };
+    assert_eq!(table.rows.len(), expect);
+    let stats = rel.decoded_stats();
+    assert_eq!((stats.hits, stats.misses), (blocks, 0), "not a warm scan");
+    let budget = blocks + 128 + 2 * expect as u64;
+    assert!(
+        two_allocs <= budget,
+        "warm two-conjunct select allocated {two_allocs} times over {blocks} blocks / {N} tuples \
+         for {expect} rows (budget {budget})"
     );
 
     // The storage-level operator under the same contract.
