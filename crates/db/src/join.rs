@@ -90,10 +90,8 @@ fn nested_loop(
     let mut tracker = CostTracker::new(outer.device());
     let mut out = Vec::new();
     let inner_ids = inner.all_block_ids();
-    for oid in outer.all_block_ids() {
-        let Some(outer_rows) = outer.read_block(oid, &ctx)? else {
-            continue;
-        };
+    for served in outer.read_blocks(outer.all_block_ids(), &ctx) {
+        let (_, outer_rows) = served?;
         tracker.cost.data_blocks += 1;
         tracker.cost.tuples_scanned += outer_rows.len();
         let mut by_value: BTreeMap<u64, Vec<usize>> = BTreeMap::new();
@@ -111,10 +109,8 @@ fn nested_loop(
         } else {
             inner_ids.clone()
         };
-        for iid in candidates {
-            let Some(inner_rows) = inner.read_block(iid, &ctx)? else {
-                continue;
-            };
+        for served in inner.read_blocks(candidates, &ctx) {
+            let (_, inner_rows) = served?;
             tracker.cost.data_blocks += 1;
             for (i, v) in inner_rows.col(inner_attr).iter().enumerate() {
                 for &o in by_value.get(v).into_iter().flatten() {

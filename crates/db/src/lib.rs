@@ -67,7 +67,9 @@ pub use avq_wal::SyncPolicy;
 pub use avq_storage::RetryPolicy;
 pub use join::{block_nested_loop, equijoin, index_nested_loop, JoinStrategy};
 pub use query::{AccessPath, RangePredicate, Selection};
-pub use relation_store::{row_mem_bytes, uncoded_block_count, StoredBlock, StoredRelation};
+pub use relation_store::{
+    row_mem_bytes, uncoded_block_count, BlockReads, StoredBlock, StoredRelation,
+};
 
 pub use avq_obs::{GovCtx, GovUsage, GovernanceError, QueryBudget, QueryCtx, QuotaKind};
 pub use scan::RangeScan;

@@ -243,7 +243,7 @@ impl StoredRelation {
     /// blocks into filtered rows, behind
     /// [`Self::select`], [`Self::select_range`], [`Self::aggregate`] and
     /// [`Self::aggregate_group_by`]. Blocks come through
-    /// [`Self::read_block`] under `ctx`; the cost counts the blocks and
+    /// [`Self::read_blocks`] under `ctx`; the cost counts the blocks and
     /// tuples actually served, so one skipped under
     /// [`crate::ScanPolicy::SkipCorrupt`] is in neither.
     pub fn fold_matching<T>(
@@ -262,10 +262,8 @@ impl StoredRelation {
 
         let mut acc = init;
         let mut sel = Vec::new();
-        for id in candidates {
-            let Some(run) = self.read_block(id, ctx)? else {
-                continue;
-            };
+        for served in self.read_blocks(candidates, ctx) {
+            let (_, run) = served?;
             tracker.cost.data_blocks += 1;
             tracker.cost.tuples_scanned += run.len();
             selection.filter_block(&run, &mut sel);

@@ -48,9 +48,11 @@ pub struct StoredRelation {
     codec: BlockCodec,
     device: Arc<BlockDevice>,
     pool: Arc<BufferPool>,
-    /// LRU cache of decoded blocks, layered over the buffer pool. The pool
+    /// Cache of decoded blocks, layered over the buffer pool. The pool
     /// caches coded bytes; this caches the result of decoding them, so a
-    /// warm re-scan performs zero decode calls and shares each batch.
+    /// warm re-scan performs zero decode calls and shares each batch. A
+    /// read of more blocks than it holds admits at the cold end (see
+    /// [`Self::read_blocks`]).
     decoded: DecodedCache<TupleBatch>,
     /// Blocks found unreadable or corrupt during policy-aware reads. Under
     /// [`ScanPolicy::SkipCorrupt`] these are skipped on later scans; each
@@ -60,6 +62,33 @@ pub struct StoredRelation {
     primary: BPlusTree,
     secondaries: BTreeMap<usize, SecondaryIndex>,
     tuple_count: usize,
+}
+
+/// The served blocks of one [`StoredRelation::read_blocks`] call, in the
+/// order asked for: each item is a block's id and its shared decoded batch,
+/// or the error that ends the read.
+#[derive(Debug)]
+pub struct BlockReads<'a, I> {
+    rel: &'a StoredRelation,
+    ids: I,
+    ctx: QueryCtx,
+    /// Admit decoded blocks at the decoded cache's cold end.
+    cold: bool,
+}
+
+impl<I: Iterator<Item = BlockId>> Iterator for BlockReads<'_, I> {
+    type Item = Result<(BlockId, Arc<TupleBatch>), DbError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        for id in self.ids.by_ref() {
+            match self.rel.serve(id, &self.ctx, self.cold) {
+                Ok(Some(run)) => return Some(Ok((id, run))),
+                Ok(None) => {}
+                Err(e) => return Some(Err(e)),
+            }
+        }
+        None
+    }
 }
 
 impl StoredRelation {
@@ -293,17 +322,60 @@ impl StoredRelation {
     ///    tuples, plus its coded bytes if it was decoded — a skipped or
     ///    failed block charges nothing — and the simulated clock advances
     ///    by Eq. 5.7's t₂ (`cpu_ms_per_block`).
+    ///
+    /// A block decoded here is cached at the most-recently-used end. A
+    /// loop over many blocks reads them through [`Self::read_blocks`]
+    /// instead, which serves each the same way.
     pub fn read_block(
         &self,
         id: BlockId,
         ctx: &QueryCtx,
+    ) -> Result<Option<Arc<TupleBatch>>, DbError> {
+        self.serve(id, ctx, false)
+    }
+
+    /// Reads the blocks `ids` in order under `ctx`: every multi-block read
+    /// loop in the engine — scans, filters, aggregates, joins, a secondary
+    /// index build — goes through here. Each block is served as by
+    /// [`Self::read_block`] (poll, skip, serve, charge); the iterator
+    /// yields the served ones with their ids, passes over a block skipped
+    /// under [`ScanPolicy::SkipCorrupt`], and yields an error where
+    /// [`Self::read_block`] would return one (the caller stops there).
+    ///
+    /// Admission is chosen once, from the length of `ids`. A read of more
+    /// blocks than the decoded cache holds would evict every block resident
+    /// before it and then its own blocks before any reuse, so it admits
+    /// what it decodes at the cold end: each such block evicts the previous
+    /// one, and the read displaces at most one block that was resident
+    /// before it. A read that fits keeps most-recently-used admission.
+    pub fn read_blocks<I>(&self, ids: I, ctx: &QueryCtx) -> BlockReads<'_, I::IntoIter>
+    where
+        I: IntoIterator<Item = BlockId>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let ids = ids.into_iter();
+        BlockReads {
+            cold: ids.len() > self.config.decoded_cache_blocks,
+            rel: self,
+            ids,
+            ctx: ctx.clone(),
+        }
+    }
+
+    /// [`Self::read_block`]'s steps, admitting a decoded block at the cold
+    /// end when `cold`.
+    fn serve(
+        &self,
+        id: BlockId,
+        ctx: &QueryCtx,
+        cold: bool,
     ) -> Result<Option<Arc<TupleBatch>>, DbError> {
         ctx.gov.poll()?;
         let skip = self.config.scan_policy == ScanPolicy::SkipCorrupt;
         if skip && self.is_quarantined(id) {
             return Ok(None);
         }
-        match self.serve_block(id, ctx) {
+        match self.serve_block(id, ctx, cold) {
             Ok((run, decoded_bytes)) => {
                 ctx.gov.charge_decoded(decoded_bytes, run.len() as u64);
                 self.charge_cpu(1);
@@ -319,7 +391,12 @@ impl StoredRelation {
 
     /// Step 3 of [`Self::read_block`]: the batch, and the coded bytes
     /// decoded to produce it (0 on a decoded-cache hit).
-    fn serve_block(&self, id: BlockId, ctx: &QueryCtx) -> Result<(Arc<TupleBatch>, u64), DbError> {
+    fn serve_block(
+        &self,
+        id: BlockId,
+        ctx: &QueryCtx,
+        cold: bool,
+    ) -> Result<(Arc<TupleBatch>, u64), DbError> {
         let guard = ctx.trace.span(names::SPAN_DB_BLOCK_READ);
         if guard.is_recording() {
             guard.attr(names::ATTR_BLOCK, id);
@@ -341,17 +418,19 @@ impl StoredRelation {
             let served_from_pool = self.pool.stats().since(&before).hits > 0;
             guard.attr(names::ATTR_POOL_HIT, served_from_pool);
         }
-        let run = self.decode_and_cache(id, &bytes, &ctx.trace)?;
+        let run = self.decode_and_cache(id, &bytes, &ctx.trace, cold)?;
         Ok((run, bytes.len() as u64))
     }
 
-    /// Decodes `bytes`, checks φ order, and caches the batch as block `id`,
-    /// under an `avq.codec.decode_block` span when `trace` is recording.
+    /// Decodes `bytes`, checks φ order, and caches the batch as block `id`
+    /// (at the cold end when `cold`), under an `avq.codec.decode_block`
+    /// span when `trace` is recording.
     fn decode_and_cache(
         &self,
         id: BlockId,
         bytes: &[u8],
         trace: &avq_obs::TraceCtx,
+        cold: bool,
     ) -> Result<Arc<TupleBatch>, DbError> {
         let mut run = TupleBatch::new(self.schema.arity());
         {
@@ -368,7 +447,11 @@ impl StoredRelation {
         }
         check_phi_order(&run)?;
         let run = Arc::new(run);
-        self.decoded.insert(id, run.clone());
+        if cold {
+            self.decoded.insert_cold(id, run.clone());
+        } else {
+            self.decoded.insert(id, run.clone());
+        }
         Ok(run)
     }
 
@@ -381,7 +464,7 @@ impl StoredRelation {
         let bytes = self.pool.read(id)?;
         let rows = match self.decoded.get(id) {
             Some(rows) => rows,
-            None => self.decode_and_cache(id, &bytes, &avq_obs::TraceCtx::disabled())?,
+            None => self.decode_and_cache(id, &bytes, &avq_obs::TraceCtx::disabled(), false)?,
         };
         Ok((bytes, rows))
     }
@@ -480,14 +563,14 @@ impl StoredRelation {
         // Each block's distinct values, then one sorted bulk build.
         let mut postings = Vec::new();
         let mut values = Vec::new();
-        for b in &self.blocks {
-            if let Some(run) = self.read_block(b.id, &QueryCtx::default())? {
-                values.clear();
-                values.extend_from_slice(run.col(attr));
-                values.sort_unstable();
-                values.dedup();
-                postings.extend(values.iter().map(|&value| Posting { value, block: b.id }));
-            }
+        let ids = self.blocks.iter().map(|b| b.id);
+        for served in self.read_blocks(ids, &QueryCtx::default()) {
+            let (block, run) = served?;
+            values.clear();
+            values.extend_from_slice(run.col(attr));
+            values.sort_unstable();
+            values.dedup();
+            postings.extend(values.iter().map(|&value| Posting { value, block }));
         }
         let idx =
             SecondaryIndex::build(self.pool.clone(), self.config.index_order, attr, postings)?;
@@ -510,12 +593,11 @@ impl StoredRelation {
     /// Under [`ScanPolicy::SkipCorrupt`] damaged blocks are quarantined and
     /// the surviving blocks' tuples are returned.
     pub fn scan_all(&self) -> Result<Vec<Tuple>, DbError> {
-        let ctx = QueryCtx::default();
         let mut out = Vec::with_capacity(self.tuple_count);
-        for b in &self.blocks {
-            if let Some(run) = self.read_block(b.id, &ctx)? {
-                out.extend((0..run.len()).map(|i| run.tuple(i)));
-            }
+        let ids = self.blocks.iter().map(|b| b.id);
+        for served in self.read_blocks(ids, &QueryCtx::default()) {
+            let (_, run) = served?;
+            out.extend((0..run.len()).map(|i| run.tuple(i)));
         }
         Ok(out)
     }

@@ -7,39 +7,42 @@
 //! `hi`.
 
 use crate::error::DbError;
-use crate::relation_store::StoredRelation;
+use crate::relation_store::{BlockReads, StoredBlock, StoredRelation};
 use avq_obs::QueryCtx;
 use avq_schema::{Tuple, TupleBatch};
+use avq_storage::BlockId;
 use core::cmp::Ordering;
 use std::sync::Arc;
 
+/// The ids of a run of the relation's block list.
+type BlockIds<'a> =
+    core::iter::Map<core::slice::Iter<'a, StoredBlock>, fn(&StoredBlock) -> BlockId>;
+
 /// A streaming iterator over the tuples in `[lo, hi]` (inclusive, φ order).
 pub struct RangeScan<'a> {
-    rel: &'a StoredRelation,
+    /// The blocks intersecting `[lo, hi]`, read on demand.
+    blocks: BlockReads<'a, BlockIds<'a>>,
     hi: Tuple,
-    /// Index into the relation's block list of the next block to decode.
-    next_block: usize,
     /// The block being drained (shared with the decoded cache, not copied).
     buf: Arc<TupleBatch>,
     pos: usize,
     /// One past the block's last row `≤ hi`.
     end: usize,
-    /// Blocks decoded so far (the scan's `N`).
+    /// Blocks served so far, decoded-cache hits included.
     blocks_read: u64,
     error: Option<DbError>,
     done: bool,
     lo: Tuple,
-    /// The query's context; each refill reads its block under it.
-    ctx: QueryCtx,
 }
 
 impl StoredRelation {
-    /// Starts a streaming scan of the φ range `[lo, hi]` under `ctx`. Each
-    /// refill is one [`Self::read_block`], so a cancelled or tripped scan
-    /// stops yielding within one block and surfaces
-    /// [`DbError::Governance`] through [`RangeScan::take_error`] — never a
-    /// silently truncated stream — and a block skipped under
-    /// [`crate::ScanPolicy::SkipCorrupt`] is passed over.
+    /// Starts a streaming scan of the φ range `[lo, hi]` under `ctx`. The
+    /// blocks intersecting the range are one [`Self::read_blocks`], read a
+    /// block per refill, so a cancelled or tripped scan stops yielding
+    /// within one block and surfaces [`DbError::Governance`] through
+    /// [`RangeScan::take_error`] — never a silently truncated stream — and
+    /// a block skipped under [`crate::ScanPolicy::SkipCorrupt`] is passed
+    /// over.
     pub fn range_scan(
         &self,
         lo: Tuple,
@@ -48,12 +51,14 @@ impl StoredRelation {
     ) -> Result<RangeScan<'_>, DbError> {
         self.schema().validate_tuple(&lo)?;
         self.schema().validate_tuple(&hi)?;
-        // First block whose max >= lo.
-        let start = self.blocks().partition_point(|b| b.max < lo);
+        // From the first block whose max >= lo to the first whose min > hi.
+        let all = self.blocks();
+        let start = all.partition_point(|b| b.max < lo);
+        let end = all.partition_point(|b| b.min <= hi).max(start);
+        let id_of: fn(&StoredBlock) -> BlockId = |b| b.id;
         Ok(RangeScan {
-            rel: self,
+            blocks: self.read_blocks(all[start..end].iter().map(id_of), ctx),
             hi,
-            next_block: start,
             buf: Arc::default(),
             pos: 0,
             end: 0,
@@ -61,13 +66,14 @@ impl StoredRelation {
             error: None,
             done: false,
             lo,
-            ctx: ctx.clone(),
         })
     }
 }
 
 impl RangeScan<'_> {
-    /// Blocks decoded so far.
+    /// Blocks served so far: decoded ones and decoded-cache hits alike (a
+    /// block skipped under [`crate::ScanPolicy::SkipCorrupt`] is not
+    /// counted).
     pub fn blocks_read(&self) -> u64 {
         self.blocks_read
     }
@@ -79,23 +85,14 @@ impl RangeScan<'_> {
 
     fn refill(&mut self) -> bool {
         loop {
-            let blocks = self.rel.blocks();
-            if self.next_block >= blocks.len() {
-                self.done = true;
-                return false;
-            }
-            let meta = &blocks[self.next_block];
-            if meta.min > self.hi {
-                self.done = true;
-                return false;
-            }
-            let id = meta.id;
-            self.next_block += 1;
-            match self.rel.read_block(id, &self.ctx) {
-                Ok(Some(run)) => self.buf = run,
-                Ok(None) => continue,
-                Err(e) => {
+            match self.blocks.next() {
+                Some(Ok((_, run))) => self.buf = run,
+                Some(Err(e)) => {
                     self.error = Some(e);
+                    self.done = true;
+                    return false;
+                }
+                None => {
                     self.done = true;
                     return false;
                 }

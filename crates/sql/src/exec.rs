@@ -363,15 +363,13 @@ impl<'a> Exec<'a> {
             // interleaved with them — nest beneath it.
             let guard = self.ctx.trace.span(names::SPAN_SQL_STAGE);
             let mut clock = Stopwatch::start();
-            for id in &candidates {
-                if room == 0 {
+            let mut reads = rel.read_blocks(candidates, self.ctx);
+            while room > 0 {
+                let Some(served) = reads.next() else {
                     break;
-                }
-                let block = rel.read_block(*id, self.ctx)?;
-                read_time += clock.lap();
-                let Some(block) = block else {
-                    continue;
                 };
+                let (_, block) = served?;
+                read_time += clock.lap();
                 blocks += 1;
                 sel.filter_block(&block, &mut rows);
                 if rows.len() >= room {
@@ -459,10 +457,8 @@ impl<'a> Exec<'a> {
                     &probe_sel,
                     AccessPath::SecondaryIndex { attr: inner_attr },
                 )?;
-                for id in &candidates {
-                    let Some(block) = rel.read_block(*id, self.ctx)? else {
-                        continue;
-                    };
+                for served in rel.read_blocks(candidates, self.ctx) {
+                    let (_, block) = served?;
                     blocks += 1;
                     probe_sel.filter_block(&block, &mut rows);
                     let first = matched.len() as u32;
@@ -482,10 +478,9 @@ impl<'a> Exec<'a> {
                 sw.elapsed(),
             );
         } else {
-            for id in &rel.candidate_blocks(&sel, AccessPath::FullScan)? {
-                let Some(block) = rel.read_block(*id, self.ctx)? else {
-                    continue;
-                };
+            let candidates = rel.candidate_blocks(&sel, AccessPath::FullScan)?;
+            for served in rel.read_blocks(candidates, self.ctx) {
+                let (_, block) = served?;
                 blocks += 1;
                 sel.filter_block(&block, &mut rows);
                 let keys = block.col(inner_attr);

@@ -1,4 +1,5 @@
-//! An LRU cache of *decoded* block payloads, layered above the buffer pool.
+//! A fixed-capacity cache of *decoded* block payloads, layered above the
+//! buffer pool.
 //!
 //! The buffer pool caches coded bytes; re-reading a warm block still pays
 //! the full AVQ decode (the paper's `t₂`). This cache remembers the decoded
@@ -6,6 +7,18 @@
 //! re-scan performs zero decode calls. It is generic over the decoded value
 //! so the storage crate stays schema-agnostic: callers decide what a
 //! "decoded block" is and share results via `Arc`.
+//!
+//! Entries are kept in recency order and a full cache evicts the least
+//! recently used one. A hit moves its entry to the most-recently-used end.
+//! A new entry goes in at one of two ends, chosen by the caller:
+//!
+//! - [`DecodedCache::insert`] admits it at the most-recently-used end, so
+//!   it outlives every entry older than it (plain LRU);
+//! - [`DecodedCache::insert_cold`] admits it at the least-recently-used
+//!   end, so it is the next victim. A read of more blocks than the cache
+//!   holds admits this way: each of its inserts evicts the previous one,
+//!   and the whole read displaces at most one entry that was resident
+//!   before it, instead of flushing the cache.
 //!
 //! A capacity of zero disables the cache: lookups miss without counting and
 //! inserts are dropped, so call sites need no `if enabled` branching.
@@ -33,7 +46,8 @@ struct CacheInner<V> {
     free: Vec<usize>,
 }
 
-/// A fixed-capacity LRU map from [`BlockId`] to a decoded value.
+/// A fixed-capacity map from [`BlockId`] to a decoded value, evicting the
+/// least recently used entry (see the module docs for the two admissions).
 ///
 /// Thread-safe; values are handed out as `Arc<V>` clones so a hit never
 /// copies the decoded payload. Hit/miss/eviction counters mirror
@@ -110,13 +124,30 @@ impl<V> DecodedCache<V> {
     /// Inserts (or refreshes) the decoded value for a block, evicting the
     /// least recently used entry when full. No-op when disabled.
     pub fn insert(&self, id: BlockId, value: Arc<V>) {
+        self.admit(id, value, false);
+    }
+
+    /// [`Self::insert`] at the cold end: a new entry becomes the least
+    /// recently used, the next one evicted unless a hit promotes it first.
+    /// A resident entry gets the new value and keeps its place, so a cold
+    /// insert neither promotes nor demotes what is already cached. No-op
+    /// when disabled.
+    pub fn insert_cold(&self, id: BlockId, value: Arc<V>) {
+        self.admit(id, value, true);
+    }
+
+    /// The body of [`Self::insert`] and [`Self::insert_cold`]: they differ
+    /// only in the end a new entry is attached to.
+    fn admit(&self, id: BlockId, value: Arc<V>, cold: bool) {
         let mut inner = self.inner.lock().expect("cache mutex poisoned");
         if inner.entries.is_empty() {
             return;
         }
         if let Some(&slot) = inner.map.get(&id) {
             inner.entries[slot] = Some(Entry { block: id, value });
-            inner.lru.touch(slot);
+            if !cold {
+                inner.lru.touch(slot);
+            }
             return;
         }
         let slot = if let Some(slot) = inner.free.pop() {
@@ -132,7 +163,11 @@ impl<V> DecodedCache<V> {
         };
         inner.entries[slot] = Some(Entry { block: id, value });
         inner.map.insert(id, slot);
-        inner.lru.push_front(slot);
+        if cold {
+            inner.lru.push_back(slot);
+        } else {
+            inner.lru.push_front(slot);
+        }
     }
 
     /// Drops one block's cached value (e.g. after the block is re-coded or
@@ -231,6 +266,159 @@ mod tests {
         assert!(cache.get(0).is_some());
         assert!(cache.get(2).is_some());
         assert!(cache.get(1).is_none(), "LRU entry was evicted");
+    }
+
+    /// The residents, most recently used first (read without touching).
+    fn order(cache: &DecodedCache<Vec<u64>>) -> Vec<(BlockId, u64)> {
+        let inner = cache.inner.lock().unwrap();
+        let slots = inner.lru.order();
+        slots
+            .into_iter()
+            .map(|slot| {
+                let e = inner.entries[slot].as_ref().expect("attached slot");
+                (e.block, e.value[0])
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cold_insert_is_next_victim() {
+        let cache = DecodedCache::new(3);
+        runs(&cache, &[(0, 10), (1, 11), (2, 12)]);
+        cache.insert_cold(3, Arc::new(vec![13])); // evicts 0, the LRU
+        assert_eq!(order(&cache), vec![(2, 12), (1, 11), (3, 13)]);
+        cache.insert_cold(4, Arc::new(vec![14])); // evicts 3, not 1
+        assert_eq!(order(&cache), vec![(2, 12), (1, 11), (4, 14)]);
+        assert_eq!(cache.stats().evictions, 2);
+        // A resident entry takes the new value where it stands.
+        cache.insert_cold(2, Arc::new(vec![22]));
+        assert_eq!(order(&cache), vec![(2, 22), (1, 11), (4, 14)]);
+        // A hit promotes a cold entry like any other.
+        cache.get(4).unwrap();
+        assert_eq!(order(&cache), vec![(4, 14), (2, 22), (1, 11)]);
+        // Into free room a cold insert evicts nothing.
+        cache.invalidate(2);
+        cache.insert_cold(5, Arc::new(vec![15]));
+        assert_eq!(order(&cache), vec![(4, 14), (1, 11), (5, 15)]);
+        assert_eq!(cache.stats().evictions, 2);
+        let disabled = DecodedCache::new(0);
+        disabled.insert_cold(0, Arc::new(vec![1u64]));
+        assert!(disabled.get(0).is_none());
+        assert_eq!(disabled.stats(), PoolStats::default());
+    }
+
+    /// The cache against a `VecDeque` model (front = most recently used)
+    /// under seeded random `insert`, `insert_cold`, `get`, `invalidate` and
+    /// `clear`: after every step the residents, their order and values,
+    /// and the hit/miss/eviction counts agree.
+    #[test]
+    fn matches_vecdeque_model() {
+        use crate::fault::splitmix64;
+        use std::collections::VecDeque;
+        for seed in 0..64u64 {
+            let cap = (seed % 7) as usize; // 0 (disabled) ..= 6
+            let cache = DecodedCache::new(cap);
+            let mut model: VecDeque<(BlockId, u64)> = VecDeque::new();
+            let mut want = PoolStats::default();
+            let mut state = seed;
+            for step in 0..400u64 {
+                state = splitmix64(state);
+                let id = ((state >> 8) % 10) as BlockId;
+                let value = step;
+                let at = model.iter().position(|&(b, _)| b == id);
+                match state % 16 {
+                    0..=8 => {
+                        let cold = state % 16 >= 5;
+                        if cold {
+                            cache.insert_cold(id, Arc::new(vec![value]));
+                        } else {
+                            cache.insert(id, Arc::new(vec![value]));
+                        }
+                        if cap > 0 {
+                            match at {
+                                Some(i) if cold => model[i].1 = value,
+                                Some(i) => {
+                                    model.remove(i);
+                                    model.push_front((id, value));
+                                }
+                                None => {
+                                    if model.len() == cap {
+                                        model.pop_back();
+                                        want.evictions += 1;
+                                    }
+                                    if cold {
+                                        model.push_back((id, value));
+                                    } else {
+                                        model.push_front((id, value));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                    9..=13 => {
+                        let got = cache.get(id).map(|v| v[0]);
+                        let expect = at.map(|i| {
+                            let e = model.remove(i).expect("in model");
+                            model.push_front(e);
+                            e.1
+                        });
+                        assert_eq!(got, expect, "seed {seed} step {step}: get({id})");
+                        if cap > 0 {
+                            match expect {
+                                Some(_) => want.hits += 1,
+                                None => want.misses += 1,
+                            }
+                        }
+                    }
+                    14 => {
+                        cache.invalidate(id);
+                        if let Some(i) = at {
+                            model.remove(i);
+                        }
+                    }
+                    _ => {
+                        if step % 4 == 0 {
+                            cache.clear();
+                            model.clear();
+                        }
+                    }
+                }
+                let expect: Vec<_> = model.iter().copied().collect();
+                assert_eq!(order(&cache), expect, "seed {seed} step {step}");
+                assert_eq!(cache.stats(), want, "seed {seed} step {step}");
+            }
+        }
+    }
+
+    /// The scan-resistance property: however many cold inserts follow, a
+    /// full cache loses at most one of the entries it held before them.
+    #[test]
+    fn cold_inserts_evict_at_most_one_prior_resident() {
+        use crate::fault::splitmix64;
+        for seed in 0..32u64 {
+            let cap = 1 + (seed % 8) as usize;
+            let cache = DecodedCache::new(cap);
+            let mut state = seed ^ 0xc01d;
+            // Fill it with a warm mix of inserts and hits.
+            while cache.len() < cap {
+                state = splitmix64(state);
+                let id = ((state >> 8) % (2 * cap as u64)) as BlockId;
+                cache.insert(id, Arc::new(vec![id as u64]));
+                cache.get(((state >> 32) % (2 * cap as u64)) as BlockId);
+            }
+            let before = order(&cache);
+            let k = 1 + (state % (3 * cap as u64)) as usize;
+            for _ in 0..k {
+                state = splitmix64(state);
+                // Mostly blocks the scan has not seen; now and then one
+                // already resident.
+                let id = ((state >> 8) % (100 * cap as u64)) as BlockId;
+                cache.insert_cold(id, Arc::new(vec![id as u64]));
+                let after: Vec<BlockId> = order(&cache).into_iter().map(|(b, _)| b).collect();
+                let lost = before.iter().filter(|(b, _)| !after.contains(b)).count();
+                assert!(lost <= 1, "seed {seed}: {lost} prior residents evicted");
+            }
+        }
     }
 
     #[test]

@@ -26,7 +26,7 @@ use std::sync::Mutex;
 
 /// splitmix64: the one-word PRNG used to derive every injected decision.
 #[inline]
-fn splitmix64(mut x: u64) -> u64 {
+pub(crate) fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     let mut z = x;
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);

@@ -1,4 +1,5 @@
-//! An O(1) intrusive LRU list over slab indices, used by the buffer pool.
+//! An O(1) intrusive LRU list over slab indices, used by the buffer pool
+//! and the decoded-block cache.
 
 /// Doubly-linked LRU order over `usize` slots. All operations are O(1).
 ///
@@ -50,6 +51,25 @@ impl LruList {
         self.len += 1;
     }
 
+    /// Attaches a slot at the least-recently-used end: the next slot
+    /// [`Self::lru`] names, unless another is attached behind it first.
+    ///
+    /// # Panics
+    /// Panics (in debug builds) if the slot is already attached.
+    pub fn push_back(&mut self, slot: usize) {
+        debug_assert!(self.prev[slot] == NIL && self.next[slot] == NIL && self.head != slot);
+        self.prev[slot] = self.tail;
+        self.next[slot] = NIL;
+        if self.tail != NIL {
+            self.next[self.tail] = slot;
+        }
+        self.tail = slot;
+        if self.head == NIL {
+            self.head = slot;
+        }
+        self.len += 1;
+    }
+
     /// Detaches a slot from wherever it is.
     pub fn unlink(&mut self, slot: usize) {
         let (p, n) = (self.prev[slot], self.next[slot]);
@@ -83,21 +103,23 @@ impl LruList {
     pub fn lru(&self) -> Option<usize> {
         (self.tail != NIL).then_some(self.tail)
     }
+
+    /// The attached slots, most recently used first.
+    #[cfg(test)]
+    pub fn order(&self) -> Vec<usize> {
+        let mut v = Vec::with_capacity(self.len);
+        let mut cur = self.head;
+        while cur != NIL {
+            v.push(cur);
+            cur = self.next[cur];
+        }
+        v
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn order(l: &LruList) -> Vec<usize> {
-        let mut v = Vec::new();
-        let mut cur = l.head;
-        while cur != NIL {
-            v.push(cur);
-            cur = l.next[cur];
-        }
-        v
-    }
 
     #[test]
     fn push_and_order() {
@@ -105,9 +127,32 @@ mod tests {
         l.push_front(0);
         l.push_front(1);
         l.push_front(2);
-        assert_eq!(order(&l), vec![2, 1, 0]);
+        assert_eq!(l.order(), vec![2, 1, 0]);
         assert_eq!(l.lru(), Some(0));
         assert_eq!(l.len(), 3);
+    }
+
+    #[test]
+    fn push_back_attaches_at_lru_end() {
+        let mut l = LruList::new(5);
+        l.push_back(0); // into an empty list: both ends
+        assert_eq!((l.order(), l.lru()), (vec![0], Some(0)));
+        l.push_front(1);
+        l.push_back(2);
+        assert_eq!(l.order(), vec![1, 0, 2]);
+        assert_eq!(l.lru(), Some(2), "the cold slot is the next victim");
+        assert_eq!(l.len(), 3);
+        l.touch(2); // a hit promotes a cold slot like any other
+        assert_eq!(l.order(), vec![2, 1, 0]);
+        l.unlink(0);
+        l.push_back(3);
+        assert_eq!(l.order(), vec![2, 1, 3]);
+        l.unlink(3); // unlinking the cold tail restores the old one
+        assert_eq!(l.lru(), Some(1));
+        l.unlink(2);
+        l.unlink(1);
+        l.push_back(4);
+        assert_eq!((l.order(), l.lru(), l.len()), (vec![4], Some(4), 1));
     }
 
     #[test]
@@ -117,9 +162,9 @@ mod tests {
             l.push_front(i);
         }
         l.touch(1);
-        assert_eq!(order(&l), vec![1, 3, 2, 0]);
+        assert_eq!(l.order(), vec![1, 3, 2, 0]);
         l.touch(1); // touching the head is a no-op
-        assert_eq!(order(&l), vec![1, 3, 2, 0]);
+        assert_eq!(l.order(), vec![1, 3, 2, 0]);
         assert_eq!(l.lru(), Some(0));
     }
 
@@ -130,11 +175,11 @@ mod tests {
             l.push_front(i);
         }
         l.unlink(2); // middle
-        assert_eq!(order(&l), vec![3, 1, 0]);
+        assert_eq!(l.order(), vec![3, 1, 0]);
         l.unlink(3); // head
-        assert_eq!(order(&l), vec![1, 0]);
+        assert_eq!(l.order(), vec![1, 0]);
         l.unlink(0); // tail
-        assert_eq!(order(&l), vec![1]);
+        assert_eq!(l.order(), vec![1]);
         assert_eq!(l.lru(), Some(1));
         l.unlink(1);
         assert_eq!(l.len(), 0);
@@ -146,7 +191,7 @@ mod tests {
         let mut l = LruList::new(3);
         l.push_front(0);
         l.unlink(2);
-        assert_eq!(order(&l), vec![0]);
+        assert_eq!(l.order(), vec![0]);
         assert_eq!(l.len(), 1);
     }
 
@@ -157,6 +202,6 @@ mod tests {
         l.push_front(1);
         l.unlink(0);
         l.push_front(0);
-        assert_eq!(order(&l), vec![0, 1]);
+        assert_eq!(l.order(), vec![0, 1]);
     }
 }
