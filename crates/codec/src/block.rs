@@ -46,6 +46,12 @@ pub struct DecodeScratch {
     tmp: Vec<u64>,
     /// Per-row carry (borrow) into the column being reconstructed.
     carries: Vec<u8>,
+    /// Per-row first cell the SWAR kernel's pass 1 wrote: every digit of
+    /// the row's difference before it is zero.
+    first: Vec<u32>,
+    /// The rows SWAR pass 2 computes in the current column, ascending: those
+    /// whose difference reaches it or that carry into it.
+    live: Vec<u16>,
     /// Machine-word φ-distances staged for batched unranking (SWAR bit
     /// mode): a run of consecutive small entries is collected here, then
     /// unranked in one [`avq_num::MixedRadix::unrank_u64_batch_into`] call.
@@ -396,7 +402,15 @@ impl BlockCodec {
     /// row at `rep_idx`); pass 2 runs the running sum over those slots one
     /// column at a time, overwriting each difference digit by the tuple
     /// digit it stands for. No row-major copy of the block exists at any
-    /// point; the only per-row state is one carry byte.
+    /// point; the per-row state is one carry byte, and for the SWAR kernel
+    /// the row's first cell.
+    ///
+    /// The scalar kernel parses and sums every cell ([`sum_columns`]). The
+    /// SWAR kernel's byte-aligned pass 1 writes only the cells an entry's
+    /// tail reaches and records the first of them; its pass 2
+    /// ([`sum_live_rows`]) computes only those cells and the carries out of
+    /// them, and fills every other slot. So a SWAR decode costs what the
+    /// block stores, not `u × arity`.
     fn decode_rows(
         &self,
         bytes: &[u8],
@@ -419,6 +433,8 @@ impl BlockCodec {
             rep,
             tmp,
             carries,
+            first,
+            live,
             values,
             big,
             big_bytes,
@@ -502,6 +518,11 @@ impl BlockCodec {
         let row_of = |k: usize| k + usize::from(k >= rep_idx);
         tmp.clear();
         tmp.resize(n, 0);
+        // The SWAR kernel's pass 2 computes only the cells at or after each
+        // row's first cell. Bit mode unranks every cell, so all are live;
+        // the byte-aligned modes record each entry's first cell below.
+        first.clear();
+        first.resize(u, 0);
         match (self.mode, self.kernel) {
             (CodingMode::AvqChainedBits, DecodeKernel::Scalar) => {
                 let mut br = BitReader::new(bytes.get(pos..).unwrap_or(&[]));
@@ -621,53 +642,34 @@ impl BlockCodec {
             }
             (_, DecodeKernel::Swar) => {
                 for k in 0..u - 1 {
-                    pos = rle::read_entry_swar_into(&self.schema, bytes, pos, out, row_of(k))?;
+                    let row = row_of(k);
+                    let (next, cell) =
+                        rle::read_entry_swar_into(&self.schema, bytes, pos, out, row)?;
+                    pos = next;
+                    if let Some(slot) = first.get_mut(row) {
+                        *slot = cell as u32;
+                    }
                 }
             }
         }
 
-        // Pass 2, one column at a time from the least significant: a row's
-        // digit is its neighbour's nearer the representative (chained) or
-        // the representative's (un-chained), plus or minus its difference
-        // digit and the carry its own less significant digit produced, kept
-        // per row in `carries`. Every column is walked contiguously. A
-        // difference compresses because its leading digits are zero, so in
-        // the leading columns nearly every step adds nothing and is a copy.
         let chained = self.mode != CodingMode::Avq;
         carries.clear();
         carries.resize(u, 0);
-        for (a, (&radix_a, &rep_a)) in radix.radices().iter().zip(rep.iter()).enumerate().rev() {
-            let col = out.col_mut(a);
-            // rep_idx < u, checked above: both splits exist.
-            let (before, rest) = col.split_at_mut_checked(rep_idx).unwrap_or_default();
-            let (before_c, rest_c) = carries.split_at_mut_checked(rep_idx).unwrap_or_default();
-            let after = rest.get_mut(1..).unwrap_or_default();
-            let after_c = rest_c.get_mut(1..).unwrap_or_default();
-            // A step with a zero digit and no carry in is a copy of `from`.
-            let mut prev = rep_a;
-            for (slot, borrow) in before.iter_mut().zip(before_c.iter_mut()).rev() {
-                let from = if chained { prev } else { rep_a };
-                prev = if *slot == 0 && *borrow == 0 {
-                    from
-                } else {
-                    let (digit, out) = sub_digit(from, *slot, *borrow, radix_a);
-                    *borrow = out;
-                    digit
-                };
-                *slot = prev;
+        match self.kernel {
+            DecodeKernel::Scalar => {
+                sum_columns(out, radix.radices(), rep, rep_idx, chained, carries)
             }
-            let mut prev = rep_a;
-            for (slot, carry) in after.iter_mut().zip(after_c.iter_mut()) {
-                let from = if chained { prev } else { rep_a };
-                prev = if *slot == 0 && *carry == 0 {
-                    from
-                } else {
-                    let (digit, out) = add_digit(from, *slot, *carry, radix_a);
-                    *carry = out;
-                    digit
-                };
-                *slot = prev;
-            }
+            DecodeKernel::Swar => sum_live_rows(
+                out,
+                radix.radices(),
+                rep,
+                rep_idx,
+                chained,
+                first,
+                live,
+                carries,
+            ),
         }
         // A carry (borrow) out of the leading digit means the tuple left the
         // space; the error names the first such entry in the order the rows
@@ -906,6 +908,209 @@ impl BlockCodec {
     pub fn tuple_count(&self, bytes: &[u8]) -> Result<usize, CodecError> {
         read_header(bytes).map(|(u, _)| u)
     }
+}
+
+/// Pass 2 of the scalar kernel, the reference the SWAR kernel's
+/// [`sum_live_rows`] is checked against: one column at a time from the
+/// least significant, a row's digit is its neighbour's nearer the
+/// representative (chained) or the representative's (un-chained), plus or
+/// minus its difference digit and the carry its own less significant digit
+/// produced, kept per row in `carries` (all zero on entry). Every column is
+/// walked contiguously, every slot of every row is read, and a step with a
+/// zero digit and no carry in is a copy.
+fn sum_columns(
+    out: &mut BatchSlots<'_>,
+    radices: &[u64],
+    rep: &[u64],
+    rep_idx: usize,
+    chained: bool,
+    carries: &mut [u8],
+) {
+    for (a, (&radix_a, &rep_a)) in radices.iter().zip(rep).enumerate().rev() {
+        let col = out.col_mut(a);
+        // rep_idx < u, checked by the caller: both splits exist.
+        let (before, rest) = col.split_at_mut_checked(rep_idx).unwrap_or_default();
+        let (before_c, rest_c) = carries.split_at_mut_checked(rep_idx).unwrap_or_default();
+        let after = rest.get_mut(1..).unwrap_or_default();
+        let after_c = rest_c.get_mut(1..).unwrap_or_default();
+        let mut prev = rep_a;
+        for (slot, borrow) in before.iter_mut().zip(before_c.iter_mut()).rev() {
+            let from = if chained { prev } else { rep_a };
+            prev = if *slot == 0 && *borrow == 0 {
+                from
+            } else {
+                let (digit, out) = sub_digit(from, *slot, *borrow, radix_a);
+                *borrow = out;
+                digit
+            };
+            *slot = prev;
+        }
+        let mut prev = rep_a;
+        for (slot, carry) in after.iter_mut().zip(after_c.iter_mut()) {
+            let from = if chained { prev } else { rep_a };
+            prev = if *slot == 0 && *carry == 0 {
+                from
+            } else {
+                let (digit, out) = add_digit(from, *slot, *carry, radix_a);
+                *carry = out;
+                digit
+            };
+            *slot = prev;
+        }
+    }
+}
+
+/// Pass 2 of the SWAR kernel: [`sum_columns`]' running sum, computed only
+/// where it can change a digit. Row `r`'s difference is zero before its
+/// first cell `first[r]`, and pass 1 wrote no slot there. So column `a`
+/// computes only its *live* rows — those with `first[r] ≤ a`, and those a
+/// carry (borrow) from column `a + 1` reaches — each in one branch-free
+/// step that reads an unwritten slot as a zero digit. Every other row
+/// copies the digit before it. Live rows only become fewer from column to
+/// column: a row drops out once its difference and its carry are spent.
+///
+/// The trailing columns, where most rows are live, are swept whole. From
+/// the first column fewer than half the rows reach on, the live rows are
+/// kept in a list, and every run of rows between two of them is one
+/// `fill`. So a block costs the cells its entries store plus one fill per
+/// leading column. `carries` is all zero on entry; on return it holds each
+/// row's carry out of the leading digit, as after [`sum_columns`].
+#[allow(clippy::too_many_arguments)]
+fn sum_live_rows(
+    out: &mut BatchSlots<'_>,
+    radices: &[u64],
+    rep: &[u64],
+    rep_idx: usize,
+    chained: bool,
+    first: &[u32],
+    live: &mut Vec<u16>,
+    carries: &mut [u8],
+) {
+    let u = first.len();
+    let mut swept = true;
+    for (a, (&radix_a, &rep_a)) in radices.iter().zip(rep).enumerate().rev() {
+        // a < arity, and first cells are stored as u32.
+        let a32 = a as u32;
+        let col = out.col_mut(a);
+        if swept {
+            let live_next =
+                sweep_column(col, radix_a, rep_a, rep_idx, chained, first, carries, a32);
+            if live_next * 2 < u && a > 0 {
+                swept = false;
+                live.clear();
+                // u ≤ u16::MAX, so every row index fits.
+                live.extend((0..rep_idx).chain(rep_idx + 1..u).map(|r| r as u16));
+                keep_live(live, first, carries, a32 - 1);
+            }
+            continue;
+        }
+        let (before, after) = live.split_at(live.partition_point(|&r| usize::from(r) < rep_idx));
+        // Rows before the representative, walking down from it.
+        let mut prev = rep_a;
+        let mut end = rep_idx;
+        for &r in before.iter().rev() {
+            let r = usize::from(r);
+            if r + 1 < end {
+                col.get_mut(r + 1..end).unwrap_or_default().fill(prev);
+            }
+            let (Some(slot), Some(borrow), Some(&f)) =
+                (col.get_mut(r), carries.get_mut(r), first.get(r))
+            else {
+                break;
+            };
+            let d = *slot & u64::from(f <= a32).wrapping_neg();
+            let (digit, b) = sub_digit(prev, d, *borrow, radix_a);
+            (*slot, *borrow) = (digit, b);
+            prev = if chained { digit } else { rep_a };
+            end = r;
+        }
+        col.get_mut(..end).unwrap_or_default().fill(prev);
+        // Rows after it, walking up.
+        let mut prev = rep_a;
+        let mut start = rep_idx + 1;
+        for &r in after {
+            let r = usize::from(r);
+            if start < r {
+                col.get_mut(start..r).unwrap_or_default().fill(prev);
+            }
+            let (Some(slot), Some(carry), Some(&f)) =
+                (col.get_mut(r), carries.get_mut(r), first.get(r))
+            else {
+                break;
+            };
+            let d = *slot & u64::from(f <= a32).wrapping_neg();
+            let (digit, c) = add_digit(prev, d, *carry, radix_a);
+            (*slot, *carry) = (digit, c);
+            prev = if chained { digit } else { rep_a };
+            start = r + 1;
+        }
+        col.get_mut(start.min(u)..).unwrap_or_default().fill(prev);
+        if let Some(next) = a32.checked_sub(1) {
+            keep_live(live, first, carries, next);
+        }
+    }
+}
+
+/// One column of [`sum_live_rows`] swept over every row: a row's digit is
+/// its neighbour's nearer the representative (chained) or the
+/// representative's, plus or minus its difference digit — zero before the
+/// row's first cell, where its slot is unwritten — and its carry in.
+/// Returns how many rows are live in the column before, `a − 1`.
+#[allow(clippy::too_many_arguments)]
+fn sweep_column(
+    col: &mut [u64],
+    radix_a: u64,
+    rep_a: u64,
+    rep_idx: usize,
+    chained: bool,
+    first: &[u32],
+    carries: &mut [u8],
+    a: u32,
+) -> usize {
+    let mask = |f: u32| u64::from(f <= a).wrapping_neg();
+    let reaches_next = |f: u32| f < a;
+    let mut live_next = 0usize;
+    // rep_idx < u, checked by the caller: every split exists.
+    let (before, rest) = col.split_at_mut_checked(rep_idx).unwrap_or_default();
+    let (before_c, rest_c) = carries.split_at_mut_checked(rep_idx).unwrap_or_default();
+    let (before_f, rest_f) = first.split_at_checked(rep_idx).unwrap_or_default();
+    let after = rest.get_mut(1..).unwrap_or_default();
+    let after_c = rest_c.get_mut(1..).unwrap_or_default();
+    let after_f = rest_f.get(1..).unwrap_or_default();
+    let mut prev = rep_a;
+    for ((slot, borrow), &f) in before.iter_mut().zip(before_c).zip(before_f).rev() {
+        let (digit, b) = sub_digit(prev, *slot & mask(f), *borrow, radix_a);
+        (*slot, *borrow) = (digit, b);
+        prev = if chained { digit } else { rep_a };
+        live_next += usize::from(reaches_next(f) | (b != 0));
+    }
+    let mut prev = rep_a;
+    for ((slot, carry), &f) in after.iter_mut().zip(after_c).zip(after_f) {
+        let (digit, c) = add_digit(prev, *slot & mask(f), *carry, radix_a);
+        (*slot, *carry) = (digit, c);
+        prev = if chained { digit } else { rep_a };
+        live_next += usize::from(reaches_next(f) | (c != 0));
+    }
+    live_next
+}
+
+/// Keeps the rows of `live` that column `a` computes — first cell at or
+/// before it, or a carry in — in order, compacting in place without a
+/// branch per row: which rows stay is data.
+fn keep_live(live: &mut Vec<u16>, first: &[u32], carries: &[u8], a: u32) {
+    let rows = live.as_mut_slice();
+    let mut kept = 0usize;
+    for j in 0..rows.len() {
+        let Some(&r) = rows.get(j) else { break };
+        let row = usize::from(r);
+        let keep =
+            first.get(row).is_some_and(|&f| f <= a) | carries.get(row).is_some_and(|&c| c != 0);
+        if let Some(slot) = rows.get_mut(kept) {
+            *slot = r;
+        }
+        kept += usize::from(keep);
+    }
+    live.truncate(kept);
 }
 
 /// Appends the block header for `u ≤ u16::MAX` tuples with the

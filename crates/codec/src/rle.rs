@@ -178,45 +178,48 @@ pub(crate) fn load_be(bytes: &[u8], start: usize, len: usize) -> u64 {
 /// digits straight into row `row` of `out`'s columns: identical inputs,
 /// positions and error classifications (the digits are range-checked as
 /// they are written, and a bad row is re-read through the same validation
-/// so the error names the same digit). On error the row's slots hold
-/// garbage, which the caller's rollback discards.
+/// so the error names the same digit). Returns the position one past the
+/// entry and the entry's *first cell*: the first attribute its tail
+/// reaches ([`Schema::cell_at_byte`] of the count byte).
 ///
-/// Where the scalar path walks every byte of the `m`-byte fixed-width
-/// serialization, this one works per *attribute cell*: a cell entirely
-/// inside the elided zero run is materialized as the literal `0` (no loads
-/// at all — the branchless zero-run expansion), and every other cell is one
-/// [`load_be`] of its surviving tail bytes.
+/// Only the cells from the first cell on are written; every earlier digit
+/// of the difference is zero, and the caller's pass 2 fills those slots.
+/// Each written cell is one [`load_be`] window on the block buffer `buf`
+/// itself, so the window runs over into the next entry's bytes (and is
+/// shifted out) instead of falling back to the byte loop at the end of
+/// every entry; only an entry within 8 bytes of the block's end does. On
+/// error the row's slots hold garbage, which the caller's rollback
+/// discards.
 pub(crate) fn read_entry_swar_into(
     schema: &Schema,
     buf: &[u8],
     pos: usize,
     out: &mut BatchSlots<'_>,
     row: usize,
-) -> Result<usize, CodecError> {
+) -> Result<(usize, usize), CodecError> {
     let (count, tail) = entry_parts(schema, buf, pos)?;
+    let first = schema.cell_at_byte(count);
+    let radices = schema.radix().radices().get(first..).unwrap_or_default();
+    let offsets = schema.byte_offsets().get(first..).unwrap_or_default();
+    let widths = schema.byte_widths().get(first..).unwrap_or_default();
     let mut valid = true;
-    for (i, &radix) in schema.radix().radices().iter().enumerate() {
-        let off = schema.byte_offset(i);
-        let w = schema.byte_width(i);
-        // Cell `i` occupies serialized bytes [off, off + w). Bytes below
-        // `count` are the elided zero run; the rest live in `tail` shifted
-        // left by `count`.
-        let d = if off + w <= count {
-            0
-        } else {
-            // A cell straddling the zero-run boundary keeps only its last
-            // `off + w − count` bytes; the elided prefix contributes zero
-            // high bytes, which the shorter load reproduces exactly.
-            let first = off.max(count);
-            load_be(tail, first - count, off + w - first)
-        };
+    for (i, ((&radix, &off), &w)) in radices.iter().zip(offsets).zip(widths).enumerate() {
+        // Cell `first + i` occupies serialized bytes [off, off + w); byte
+        // `p ≥ count` sits at `buf[pos + 1 + p − count]`. Only the first
+        // cell can start inside the elided run: it keeps its last
+        // `off + w − count` bytes, and the elided prefix contributes zero
+        // high bytes, which the shorter load reproduces exactly.
+        let lo = off.max(count);
+        let d = load_be(buf, pos + 1 + lo - count, off + w - lo);
         // A difference is expressed in 𝓡-space digits (φ⁻¹ of the
         // distance), so every digit must respect its radix.
         valid &= d < radix;
-        out.set(row, i, d);
+        out.set(row, first + i, d);
     }
     if !valid {
-        let digits: Vec<u64> = (0..schema.arity()).map(|i| out.get(row, i)).collect();
+        let digits: Vec<u64> = (0..schema.arity())
+            .map(|i| if i < first { 0 } else { out.get(row, i) })
+            .collect();
         if let Err(e) = schema.radix().validate(&digits) {
             return Err(CodecError::Corrupt {
                 section: "entries",
@@ -225,7 +228,7 @@ pub(crate) fn read_entry_swar_into(
             });
         }
     }
-    Ok(pos + 1 + tail.len())
+    Ok((pos + 1 + tail.len(), first))
 }
 
 #[cfg(test)]

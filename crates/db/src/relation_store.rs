@@ -54,6 +54,13 @@ pub struct StoredRelation {
     /// read of more blocks than it holds admits at the cold end (see
     /// [`Self::read_blocks`]).
     decoded: DecodedCache<TupleBatch>,
+    /// The buffers a miss decodes into: a batch the decoded cache let go
+    /// of, and one decode scratch. A read that evicts as it admits — one
+    /// over more blocks than the cache holds — decodes each miss into the
+    /// batch its previous miss evicted, so its steady state allocates only
+    /// the hand-off. Taken with `try_lock`: a concurrent miss decodes into
+    /// fresh buffers instead of waiting.
+    spare: Mutex<Spare>,
     /// Blocks found unreadable or corrupt during policy-aware reads. Under
     /// [`ScanPolicy::SkipCorrupt`] these are skipped on later scans; each
     /// block is counted once in `avq_corrupt_blocks_total`.
@@ -62,6 +69,13 @@ pub struct StoredRelation {
     primary: BPlusTree,
     secondaries: BTreeMap<usize, SecondaryIndex>,
     tuple_count: usize,
+}
+
+/// [`StoredRelation`]'s reusable decode buffers.
+#[derive(Debug, Default)]
+struct Spare {
+    batch: Option<TupleBatch>,
+    scratch: DecodeScratch,
 }
 
 /// The served blocks of one [`StoredRelation::read_blocks`] call, in the
@@ -133,6 +147,7 @@ impl StoredRelation {
             device,
             pool,
             decoded: DecodedCache::new(config.decoded_cache_blocks),
+            spare: Mutex::default(),
             quarantined: Mutex::new(BTreeSet::new()),
             config,
             blocks,
@@ -209,6 +224,7 @@ impl StoredRelation {
             device,
             pool,
             decoded: DecodedCache::new(config.decoded_cache_blocks),
+            spare: Mutex::default(),
             quarantined: Mutex::new(BTreeSet::new()),
             config,
             blocks,
@@ -424,7 +440,9 @@ impl StoredRelation {
 
     /// Decodes `bytes`, checks φ order, and caches the batch as block `id`
     /// (at the cold end when `cold`), under an `avq.codec.decode_block`
-    /// span when `trace` is recording.
+    /// span when `trace` is recording. The decode goes into the spare
+    /// buffers when they are free, and a batch the insert displaces
+    /// becomes the next spare when nothing else holds it.
     fn decode_and_cache(
         &self,
         id: BlockId,
@@ -432,12 +450,17 @@ impl StoredRelation {
         trace: &avq_obs::TraceCtx,
         cold: bool,
     ) -> Result<Arc<TupleBatch>, DbError> {
-        let mut run = TupleBatch::new(self.schema.arity());
+        let arity = self.schema.arity();
+        let mut spare = self.spare.try_lock().ok();
+        let mut fresh = DecodeScratch::new();
+        let (mut run, scratch) = match spare.as_deref_mut() {
+            Some(Spare { batch, scratch }) => (batch.take().unwrap_or_default(), scratch),
+            None => (TupleBatch::default(), &mut fresh),
+        };
+        run.reset(arity);
         {
             let guard = trace.span(names::SPAN_CODEC_DECODE_BLOCK);
-            let decoded = self
-                .codec
-                .decode_batch_into(bytes, &mut run, &mut DecodeScratch::new());
+            let decoded = self.codec.decode_batch_into(bytes, &mut run, scratch);
             if guard.is_recording() {
                 guard.attr(names::ATTR_KERNEL, self.codec.kernel().to_string());
                 guard.attr(names::ATTR_BYTES, bytes.len());
@@ -445,12 +468,19 @@ impl StoredRelation {
             }
             decoded?;
         }
+        // Released before the insert, whose displaced batch may refill it.
+        drop(spare);
         check_phi_order(&run)?;
         let run = Arc::new(run);
-        if cold {
-            self.decoded.insert_cold(id, run.clone());
+        let displaced = if cold {
+            self.decoded.insert_cold(id, run.clone())
         } else {
-            self.decoded.insert(id, run.clone());
+            self.decoded.insert(id, run.clone())
+        };
+        if let Some(batch) = displaced.and_then(|b| Arc::try_unwrap(b).ok()) {
+            if let Ok(mut spare) = self.spare.try_lock() {
+                spare.batch.get_or_insert(batch);
+            }
         }
         Ok(run)
     }

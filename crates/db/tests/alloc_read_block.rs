@@ -5,24 +5,35 @@
 //! and the decoded-cache entry) — under the default context and under a
 //! live budget alike: polling and charging a [`GovCtx`] is arithmetic on
 //! atomics, never an allocation. A warm read hands out the cached batch
-//! and must allocate nothing. A counting global allocator pins both — it
-//! is the only test in this binary so no concurrent test thread can
-//! perturb the counter.
+//! and must allocate nothing. A read over more blocks than the decoded
+//! cache holds decodes each miss into the batch the cache just evicted, so
+//! in its steady state a miss allocates the hand-off and nothing else. A
+//! counting global allocator pins all three; it counts per thread, so the
+//! tests of this binary running side by side do not perturb each other.
 
 use avq_codec::{BlockCodec, CodingMode, DecodeScratch};
 use avq_db::{DbConfig, GovCtx, QueryBudget, QueryCtx, StoredRelation};
 use avq_schema::{Domain, Relation, Schema, Tuple, TupleBatch};
 use avq_storage::{BlockDevice, BufferPool};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::Arc;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialised and without a destructor: reading it never
+    // allocates, so the allocator may use it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -39,16 +50,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
+    ALLOCS.with(Cell::get)
 }
 
-/// Allocations a cold read may add to its decode: the `Arc` around the
-/// batch and the decoded cache's entry for it.
-const HAND_OFF: u64 = 2;
-
-#[test]
-fn cold_read_allocates_its_decode_plus_the_hand_off_and_a_warm_read_nothing() {
+/// The relation both tests read: 20 000 tuples over three attributes.
+fn relation() -> Relation {
     let schema = Schema::from_pairs(vec![
         ("a", Domain::uint(64).unwrap()),
         ("b", Domain::uint(4096).unwrap()),
@@ -58,7 +66,17 @@ fn cold_read_allocates_its_decode_plus_the_hand_off_and_a_warm_read_nothing() {
     let tuples: Vec<Tuple> = (0..20_000u64)
         .map(|i| Tuple::from([(i / 512) % 64, (i * 31) % 4096, (i * 131) % 65536]))
         .collect();
-    let relation = Relation::from_tuples(schema.clone(), tuples).unwrap();
+    Relation::from_tuples(schema, tuples).unwrap()
+}
+
+/// Allocations a cold read may add to its decode: the `Arc` around the
+/// batch and the decoded cache's entry for it.
+const HAND_OFF: u64 = 2;
+
+#[test]
+fn cold_read_allocates_its_decode_plus_the_hand_off_and_a_warm_read_nothing() {
+    let relation = relation();
+    let schema = relation.schema().clone();
 
     for mode in CodingMode::ALL {
         let config = DbConfig::default()
@@ -116,5 +134,56 @@ fn cold_read_allocates_its_decode_plus_the_hand_off_and_a_warm_read_nothing() {
             "{mode}: a live budget changed what a cold read allocates"
         );
         assert_eq!(live.usage().rows, 2 * stored.tuple_count() as u64);
+    }
+}
+
+#[test]
+fn oversized_read_decodes_into_the_batch_it_evicts() {
+    let relation = relation();
+    let cache = 8;
+    for mode in CodingMode::ALL {
+        let config = DbConfig::default()
+            .with_mode(mode)
+            .with_block_capacity(1024)
+            .with_decoded_cache_blocks(cache);
+        let device = BlockDevice::new(config.codec.block_capacity, config.disk);
+        // Every block stays in the pool: a miss here is a decoded-cache miss.
+        let pool = BufferPool::new(device.clone(), 4096);
+        let stored = StoredRelation::bulk_load(device, pool, &relation, config).unwrap();
+        let ids = stored.all_block_ids();
+        let blocks = ids.len() as u64;
+        assert!(blocks > 2 * cache as u64, "{mode}: {blocks} blocks");
+
+        // Two reads fill the pool, register the metric handles, and grow
+        // the spare batch and scratch to the largest block.
+        let ctx = QueryCtx::default();
+        let read_all = || {
+            let mut rows = 0usize;
+            for read in stored.read_blocks(ids.iter().copied(), &ctx) {
+                let (_, run) = read.unwrap();
+                rows += run.len();
+                // The caller lets each batch go before the next miss, so
+                // the cache's reference is the only one left to evict.
+                drop::<Arc<TupleBatch>>(run);
+            }
+            rows
+        };
+        read_all();
+        read_all();
+
+        let misses_before = stored.decoded_stats().misses;
+        let before = allocs();
+        let rows = read_all();
+        let allocated = allocs() - before;
+        let misses = stored.decoded_stats().misses - misses_before;
+        assert_eq!(rows, stored.tuple_count());
+        assert!(
+            misses >= blocks - cache as u64,
+            "{mode}: {misses} misses for {blocks} blocks"
+        );
+        assert!(
+            allocated <= HAND_OFF * misses,
+            "{mode}: {misses} steady-state misses allocated {allocated} times"
+        );
     }
 }

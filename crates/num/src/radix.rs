@@ -486,31 +486,39 @@ impl MixedRadix {
 
 /// One digit of a mixed-radix addition: `a + d + carry` in radix `r`
 /// (`a, d < r`, `carry ≤ 1`), as the digit and the carry out.
+///
+/// Branch-free, and short on `a`: the decode kernels chain it down a
+/// column, each row's `a` the previous row's digit, where a carry is as
+/// likely as not. So `d + carry` is formed off the chain, and the wrap is
+/// a select, not a jump.
 #[inline(always)]
 pub fn add_digit(a: u64, d: u64, carry: u8, r: u64) -> (u64, u8) {
-    // The true sum is < 2r: one conditional subtract replaces a divide.
-    // `overflowing_add` covers radices near u64::MAX, where the true sum
-    // can exceed the word (the wrapping sub folds the lost 2⁶⁴ back in).
-    let (s, o1) = a.overflowing_add(d);
-    let (s, o2) = s.overflowing_add(u64::from(carry));
-    if o1 | o2 || s >= r {
-        (s.wrapping_sub(r), 1)
-    } else {
-        (s, 0)
-    }
+    // d < r ≤ u64::MAX, so `d + carry` does not wrap. The true sum is
+    // < 2r: one conditional subtract replaces a divide, and the overflow
+    // flag covers radices near u64::MAX, where the true sum can exceed the
+    // word (the wrapping sub folds the lost 2⁶⁴ back in).
+    let (s, over) = a.overflowing_add(d + u64::from(carry));
+    let wrap = over | (s >= r);
+    (
+        core::hint::select_unpredictable(wrap, s.wrapping_sub(r), s),
+        u8::from(wrap),
+    )
 }
 
 /// One digit of a mixed-radix subtraction: `a − d − borrow` in radix `r`
-/// (`a, d < r`, `borrow ≤ 1`), as the digit and the borrow out.
+/// (`a, d < r`, `borrow ≤ 1`), as the digit and the borrow out. Branch-free
+/// and short on `a` like [`add_digit`].
 #[inline(always)]
 pub fn sub_digit(a: u64, d: u64, borrow: u8, r: u64) -> (u64, u8) {
-    // d < r ≤ u64::MAX, so `need ≤ r` and neither step wraps.
+    // d < r ≤ u64::MAX, so `need ≤ r` and the borrowed result `a + r − need`
+    // fits the word; the wrapping ops reach it through a wrapped `a − need`.
     let need = d + u64::from(borrow);
-    if a >= need {
-        (a - need, 0)
-    } else {
-        (a + (r - need), 1)
-    }
+    let under = a < need;
+    let diff = a.wrapping_sub(need);
+    (
+        core::hint::select_unpredictable(under, diff.wrapping_add(r), diff),
+        u8::from(under),
+    )
 }
 
 #[cfg(test)]
@@ -818,6 +826,27 @@ mod tests {
             let digit_strats: Vec<_> = radices.iter().map(|&r| 0..r).collect();
             (Just(radices), digit_strats.clone(), digit_strats)
         })
+    }
+
+    proptest! {
+        /// The branch-free digit steps against `u128` arithmetic, radices
+        /// up to `u64::MAX` (where `a + d + carry` overflows the word).
+        #[test]
+        fn prop_digit_steps_match_wide_arithmetic(
+            r in prop_oneof![1u64..4, any::<u64>().prop_map(|r| r.max(1)), Just(u64::MAX)],
+            x in any::<u64>(),
+            y in any::<u64>(),
+            c in 0u8..2,
+        ) {
+            let (a, d) = (x % r, y % r);
+            let (wide, r128) = (u128::from(a) + u128::from(d) + u128::from(c), u128::from(r));
+            let sum = add_digit(a, d, c, r);
+            prop_assert_eq!((u128::from(sum.0), u128::from(sum.1)), (wide % r128, wide / r128));
+            let need = u128::from(d) + u128::from(c);
+            let under = u128::from(a) < need;
+            let diff = u128::from(a) + if under { r128 } else { 0 } - need;
+            prop_assert_eq!(sub_digit(a, d, c, r), (diff as u64, u8::from(under)));
+        }
     }
 
     proptest! {

@@ -49,6 +49,9 @@ pub struct Schema {
     widths: Vec<usize>,
     /// Byte offset of each attribute within a fixed-width serialized tuple.
     offsets: Vec<usize>,
+    /// For each byte `p` of a serialized tuple, the attribute whose cell
+    /// holds it (zero-width cells hold no byte).
+    cell_of_byte: Vec<u32>,
     tuple_bytes: usize,
 }
 
@@ -71,9 +74,11 @@ impl Schema {
         let radix = MixedRadix::new(radices).expect("domain sizes are non-zero");
         let widths: Vec<usize> = attrs.iter().map(|a| a.domain.byte_width()).collect();
         let mut offsets = Vec::with_capacity(widths.len());
+        let mut cell_of_byte = Vec::new();
         let mut off = 0usize;
-        for &w in &widths {
+        for (i, &w) in widths.iter().enumerate() {
             offsets.push(off);
+            cell_of_byte.extend(std::iter::repeat_n(i as u32, w));
             off += w;
         }
         Ok(Arc::new(Schema {
@@ -82,6 +87,7 @@ impl Schema {
             radix,
             widths,
             offsets,
+            cell_of_byte,
             tuple_bytes: off,
         }))
     }
@@ -148,6 +154,30 @@ impl Schema {
     #[inline]
     pub fn byte_offset(&self, i: usize) -> usize {
         self.offsets[i]
+    }
+
+    /// Fixed byte widths of all attributes, in order.
+    #[inline]
+    pub fn byte_widths(&self) -> &[usize] {
+        &self.widths
+    }
+
+    /// Byte offsets of all attributes within a serialized tuple, in order.
+    #[inline]
+    pub fn byte_offsets(&self) -> &[usize] {
+        &self.offsets
+    }
+
+    /// The first attribute whose cell ends after byte `p` of a serialized
+    /// tuple: the attribute holding byte `p`, or the arity when `p` is at
+    /// or past the end. A serialization whose first `p` bytes are zero has
+    /// every earlier attribute zero, so this is where its nonzero cells
+    /// can start.
+    #[inline]
+    pub fn cell_at_byte(&self, p: usize) -> usize {
+        self.cell_of_byte
+            .get(p)
+            .map_or(self.arity(), |&i| i as usize)
     }
 
     /// `m`: the fixed byte width of a whole serialized tuple.
@@ -318,6 +348,27 @@ mod tests {
             assert_eq!(s.byte_width(i), 1);
             assert_eq!(s.byte_offset(i), i);
         }
+    }
+
+    #[test]
+    fn cell_at_byte_skips_zero_width_cells() {
+        // Widths 0, 3, 0, 1, 2: bytes 0–2 are b's, 3 is d's, 4–5 are e's.
+        let s = Schema::from_pairs(vec![
+            ("a", Domain::uint(1).unwrap()),
+            ("b", Domain::uint(70_000).unwrap()),
+            ("c", Domain::uint(1).unwrap()),
+            ("d", Domain::uint(200).unwrap()),
+            ("e", Domain::uint(300).unwrap()),
+        ])
+        .unwrap();
+        assert_eq!(s.byte_widths(), &[0, 3, 0, 1, 2]);
+        assert_eq!(s.byte_offsets(), &[0, 0, 3, 3, 4]);
+        let cells: Vec<usize> = (0..=7).map(|p| s.cell_at_byte(p)).collect();
+        assert_eq!(cells, vec![1, 1, 1, 3, 4, 4, 5, 5]);
+        // A schema of zero-width cells has no byte: every position is past
+        // the end.
+        let flat = Schema::from_pairs(vec![("x", Domain::uint(1).unwrap())]).unwrap();
+        assert_eq!((flat.cell_at_byte(0), flat.cell_at_byte(3)), (1, 1));
     }
 
     #[test]

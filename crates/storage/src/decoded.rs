@@ -122,36 +122,40 @@ impl<V> DecodedCache<V> {
     }
 
     /// Inserts (or refreshes) the decoded value for a block, evicting the
-    /// least recently used entry when full. No-op when disabled.
-    pub fn insert(&self, id: BlockId, value: Arc<V>) {
-        self.admit(id, value, false);
+    /// least recently used entry when full. Returns the value the insert
+    /// displaced — the evicted entry's, or the block's previous one — so
+    /// the caller drops it (or reuses it) after the cache's lock is
+    /// released. No-op when disabled.
+    pub fn insert(&self, id: BlockId, value: Arc<V>) -> Option<Arc<V>> {
+        self.admit(id, value, false)
     }
 
     /// [`Self::insert`] at the cold end: a new entry becomes the least
     /// recently used, the next one evicted unless a hit promotes it first.
     /// A resident entry gets the new value and keeps its place, so a cold
-    /// insert neither promotes nor demotes what is already cached. No-op
-    /// when disabled.
-    pub fn insert_cold(&self, id: BlockId, value: Arc<V>) {
-        self.admit(id, value, true);
+    /// insert neither promotes nor demotes what is already cached. Returns
+    /// the displaced value as [`Self::insert`] does. No-op when disabled.
+    pub fn insert_cold(&self, id: BlockId, value: Arc<V>) -> Option<Arc<V>> {
+        self.admit(id, value, true)
     }
 
     /// The body of [`Self::insert`] and [`Self::insert_cold`]: they differ
-    /// only in the end a new entry is attached to.
-    fn admit(&self, id: BlockId, value: Arc<V>, cold: bool) {
+    /// only in the end a new entry is attached to. The displaced value
+    /// leaves with the return, so it is not dropped under the lock.
+    fn admit(&self, id: BlockId, value: Arc<V>, cold: bool) -> Option<Arc<V>> {
         let mut inner = self.inner.lock().expect("cache mutex poisoned");
         if inner.entries.is_empty() {
-            return;
+            return None;
         }
         if let Some(&slot) = inner.map.get(&id) {
-            inner.entries[slot] = Some(Entry { block: id, value });
+            let old = inner.entries[slot].replace(Entry { block: id, value });
             if !cold {
                 inner.lru.touch(slot);
             }
-            return;
+            return old.map(|e| e.value);
         }
-        let slot = if let Some(slot) = inner.free.pop() {
-            slot
+        let (slot, old) = if let Some(slot) = inner.free.pop() {
+            (slot, None)
         } else {
             let victim = inner.lru.lru().expect("full cache has LRU entries");
             inner.lru.unlink(victim);
@@ -159,7 +163,7 @@ impl<V> DecodedCache<V> {
             inner.map.remove(&old.block);
             self.evictions.fetch_add(1, Ordering::Relaxed);
             avq_obs::counter!(names::STORAGE_CACHE_EVICTIONS).inc();
-            victim
+            (victim, Some(old.value))
         };
         inner.entries[slot] = Some(Entry { block: id, value });
         inner.map.insert(id, slot);
@@ -168,6 +172,7 @@ impl<V> DecodedCache<V> {
         } else {
             inner.lru.push_front(slot);
         }
+        old
     }
 
     /// Drops one block's cached value (e.g. after the block is re-coded or
@@ -309,8 +314,10 @@ mod tests {
 
     /// The cache against a `VecDeque` model (front = most recently used)
     /// under seeded random `insert`, `insert_cold`, `get`, `invalidate` and
-    /// `clear`: after every step the residents, their order and values,
-    /// and the hit/miss/eviction counts agree.
+    /// `clear`: each insert returns exactly the value the model displaces
+    /// (the evicted entry's or the block's previous one), and after every
+    /// step the residents, their order and values, and the
+    /// hit/miss/eviction counts agree.
     #[test]
     fn matches_vecdeque_model() {
         use crate::fault::splitmix64;
@@ -329,21 +336,27 @@ mod tests {
                 match state % 16 {
                     0..=8 => {
                         let cold = state % 16 >= 5;
-                        if cold {
-                            cache.insert_cold(id, Arc::new(vec![value]));
+                        let displaced = if cold {
+                            cache.insert_cold(id, Arc::new(vec![value]))
                         } else {
-                            cache.insert(id, Arc::new(vec![value]));
-                        }
+                            cache.insert(id, Arc::new(vec![value]))
+                        };
+                        // The value the model lets go of: the block's
+                        // previous one, or the evicted LRU entry's.
+                        let mut expect = None;
                         if cap > 0 {
                             match at {
-                                Some(i) if cold => model[i].1 = value,
+                                Some(i) if cold => {
+                                    expect = Some(model[i].1);
+                                    model[i].1 = value;
+                                }
                                 Some(i) => {
-                                    model.remove(i);
+                                    expect = model.remove(i).map(|(_, v)| v);
                                     model.push_front((id, value));
                                 }
                                 None => {
                                     if model.len() == cap {
-                                        model.pop_back();
+                                        expect = model.pop_back().map(|(_, v)| v);
                                         want.evictions += 1;
                                     }
                                     if cold {
@@ -354,6 +367,12 @@ mod tests {
                                 }
                             }
                         }
+                        let displaced = displaced.map(|v| {
+                            // Nothing else holds a displaced value here.
+                            assert_eq!(Arc::strong_count(&v), 1, "seed {seed} step {step}");
+                            v[0]
+                        });
+                        assert_eq!(displaced, expect, "seed {seed} step {step}: displaced");
                     }
                     9..=13 => {
                         let got = cache.get(id).map(|v| v[0]);
