@@ -53,6 +53,7 @@ mod query;
 mod relation_store;
 mod scan;
 mod secondary;
+mod synopsis;
 
 pub use aggregate::{Aggregate, AggregateValue};
 pub use config::{DbConfig, ScanPolicy};
@@ -68,8 +69,9 @@ pub use avq_storage::RetryPolicy;
 pub use join::{block_nested_loop, equijoin, index_nested_loop, JoinStrategy};
 pub use query::{AccessPath, RangePredicate, Selection};
 pub use relation_store::{
-    row_mem_bytes, uncoded_block_count, BlockReads, StoredBlock, StoredRelation,
+    row_mem_bytes, uncoded_block_count, BlockReads, Served, StoredBlock, StoredRelation,
 };
+pub use synopsis::{ColumnSynopsis, Synopsis};
 
 pub use avq_obs::{GovCtx, GovUsage, GovernanceError, QueryBudget, QueryCtx, QuotaKind};
 pub use scan::RangeScan;

@@ -12,6 +12,7 @@ use crate::cost::{CostTracker, QueryCost};
 use crate::error::DbError;
 use crate::query::{RangePredicate, Selection};
 use crate::secondary::SecondaryIndex;
+use crate::synopsis::{ColumnSynopsis, Synopsis};
 #[cfg(test)]
 use avq_codec::CodingMode;
 use avq_codec::{
@@ -38,6 +39,48 @@ pub struct StoredBlock {
     pub count: usize,
     /// Coded bytes used of the block capacity.
     pub used_bytes: usize,
+    /// Per-column min, max and ordinal sum, kept current by every write:
+    /// what a cold read answers the block from without decoding it.
+    pub synopsis: Synopsis,
+}
+
+impl StoredBlock {
+    /// The bookkeeping of the non-empty φ-sorted run `run`, stored as
+    /// `used_bytes` coded bytes in block `id`.
+    fn of_tuples(id: BlockId, run: &[Tuple], used_bytes: usize) -> Self {
+        StoredBlock {
+            id,
+            min: run[0].clone(),
+            max: run[run.len() - 1].clone(),
+            count: run.len(),
+            used_bytes,
+            synopsis: Synopsis::of_tuples(run),
+        }
+    }
+
+    /// [`Self::of_tuples`] for a decoded block.
+    fn of_batch(id: BlockId, rows: &TupleBatch, used_bytes: usize) -> Self {
+        StoredBlock {
+            id,
+            min: rows.tuple(0),
+            max: rows.tuple(rows.len() - 1),
+            count: rows.len(),
+            used_bytes,
+            synopsis: Synopsis::of_batch(rows),
+        }
+    }
+
+    /// Column `attr`'s min, max and ordinal sum over the block.
+    pub fn column(&self, attr: usize) -> ColumnSynopsis {
+        self.synopsis
+            .column(attr, self.min.digits(), self.count as u64)
+    }
+
+    /// True iff every tuple of the block has the same value of `attr`.
+    pub fn is_constant(&self, attr: usize) -> bool {
+        let c = self.column(attr);
+        c.min == c.max
+    }
 }
 
 /// A relation stored on the simulated device.
@@ -71,6 +114,16 @@ pub struct StoredRelation {
     tuple_count: usize,
 }
 
+/// The one-tuple edit that made a block outgrow its capacity.
+#[derive(Debug, Clone, Copy)]
+enum Overflow<'t> {
+    /// The tuple was inserted.
+    Inserted(&'t Tuple),
+    /// The tuple was deleted, and the re-code of the rest grew: a chain
+    /// difference or the representative's distances widened.
+    Deleted(&'t Tuple),
+}
+
 /// [`StoredRelation`]'s reusable decode buffers.
 #[derive(Debug, Default)]
 struct Spare {
@@ -80,28 +133,83 @@ struct Spare {
 
 /// The served blocks of one [`StoredRelation::read_blocks`] call, in the
 /// order asked for: each item is a block's id and its shared decoded batch,
-/// or the error that ends the read.
+/// or the error that ends the read. [`Self::next_or_synopsis`] serves the
+/// same blocks, some of them as their synopses.
 #[derive(Debug)]
 pub struct BlockReads<'a, I> {
     rel: &'a StoredRelation,
     ids: I,
     ctx: QueryCtx,
-    /// Admit decoded blocks at the decoded cache's cold end.
+    /// Admit decoded blocks at the decoded cache's cold end, and answer the
+    /// blocks a caller accepts from their synopses.
     cold: bool,
+    /// Where the next block's bookkeeping is looked for first.
+    at: usize,
+}
+
+/// One block served by [`BlockReads::next_or_synopsis`].
+#[derive(Debug)]
+pub enum Served<'a> {
+    /// The block's rows, decoded or resident.
+    Rows(Arc<TupleBatch>),
+    /// The block's bookkeeping: the read answered it from its synopsis
+    /// without decoding it.
+    Synopsis(&'a StoredBlock),
+}
+
+impl<'a, I: Iterator<Item = BlockId>> BlockReads<'a, I> {
+    /// The next served block, as [`Iterator::next`] serves it — except that
+    /// a read of more blocks than the decoded cache holds serves a block
+    /// `answers` (when given) accepts as [`Served::Synopsis`]. Such a block is polled,
+    /// skipped when quarantined, and read through the pool with the same
+    /// retries as any other, but neither decoded nor φ-checked, neither
+    /// looked up in nor admitted to the decoded cache, and charged its
+    /// tuples but no decoded bytes and no t₂. A read that fits the cache
+    /// answers nothing: the block it decodes stays resident for the next
+    /// statement.
+    ///
+    /// The bookkeeping is found in one comparison when the ids come in φ
+    /// order, as a full scan's do; any other order searches the block list.
+    pub fn next_or_synopsis(
+        &mut self,
+        answers: Option<&dyn Fn(&StoredBlock) -> bool>,
+    ) -> Option<Result<(BlockId, Served<'a>), DbError>> {
+        let rel = self.rel;
+        for id in self.ids.by_ref() {
+            let answered = match answers {
+                Some(answers) if self.cold => {
+                    rel.block_near(id, &mut self.at).filter(|b| answers(b))
+                }
+                _ => None,
+            };
+            let served = match answered {
+                Some(b) => rel.answer(b, &self.ctx),
+                None => rel
+                    .serve(id, &self.ctx, self.cold)
+                    .map(|ok| ok.map(Served::Rows)),
+            };
+            match served {
+                Ok(Some(s)) => return Some(Ok((id, s))),
+                Ok(None) => {}
+                Err(e) => return Some(Err(e)),
+            }
+        }
+        None
+    }
 }
 
 impl<I: Iterator<Item = BlockId>> Iterator for BlockReads<'_, I> {
     type Item = Result<(BlockId, Arc<TupleBatch>), DbError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        for id in self.ids.by_ref() {
-            match self.rel.serve(id, &self.ctx, self.cold) {
-                Ok(Some(run)) => return Some(Ok((id, run))),
-                Ok(None) => {}
-                Err(e) => return Some(Err(e)),
-            }
+        loop {
+            return match self.next_or_synopsis(None)? {
+                Ok((id, Served::Rows(run))) => Some(Ok((id, run))),
+                // Answers nothing, so every block comes as rows.
+                Ok((_, Served::Synopsis(_))) => continue,
+                Err(e) => Some(Err(e)),
+            };
         }
-        None
     }
 }
 
@@ -124,37 +232,14 @@ impl StoredRelation {
 
         let ranges = packer.partition(&tuples)?;
         let mut blocks = Vec::with_capacity(ranges.len());
-        let mut keys = Vec::with_capacity(ranges.len());
         for r in ranges {
             let run = &tuples[r];
             let coded = codec.encode(run)?;
             let id = device.allocate()?;
             pool.write(id, &coded)?;
-            let min = run[0].clone();
-            keys.push((serialize_key(&schema, &min), id as u64));
-            blocks.push(StoredBlock {
-                id,
-                min,
-                max: run[run.len() - 1].clone(),
-                count: run.len(),
-                used_bytes: coded.len(),
-            });
+            blocks.push(StoredBlock::of_tuples(id, run, coded.len()));
         }
-        let primary = BPlusTree::bulk_build(pool.clone(), config.index_order, &keys)?;
-        Ok(StoredRelation {
-            schema,
-            codec,
-            device,
-            pool,
-            decoded: DecodedCache::new(config.decoded_cache_blocks),
-            spare: Mutex::default(),
-            quarantined: Mutex::new(BTreeSet::new()),
-            config,
-            blocks,
-            primary,
-            secondaries: BTreeMap::new(),
-            tuple_count: tuples.len(),
-        })
+        Self::assemble(device, pool, schema, codec, config, blocks)
     }
 
     /// Loads a [`avq_codec::CodedRelation`] (e.g. read from an `.avq` file)
@@ -176,47 +261,40 @@ impl StoredRelation {
             }));
         }
         config.codec = opts;
-        let codec = BlockCodec::with_options(coded.schema().clone(), opts.mode, opts.rep)
-            .with_kernel(opts.kernel);
-        let mut emitted = Vec::with_capacity(coded.block_count());
-        for i in 0..coded.block_count() {
+        let schema = coded.schema().clone();
+        let codec =
+            BlockCodec::with_options(schema.clone(), opts.mode, opts.rep).with_kernel(opts.kernel);
+        // Each block is decoded once, into one reused batch, for its
+        // bookkeeping; its coded size is the length of its bytes.
+        let mut rows = TupleBatch::new(schema.arity());
+        let mut scratch = DecodeScratch::new();
+        let mut blocks = Vec::with_capacity(coded.block_count());
+        for bytes in coded.blocks() {
             let id = device.allocate()?;
-            pool.write(id, coded.block(i))?;
-            // Reuse the decoded tuples for metadata assembly.
-            let tuples = codec.decode(coded.block(i))?;
-            emitted.push((id, tuples));
+            pool.write(id, bytes)?;
+            rows.clear();
+            codec.decode_batch_into(bytes, &mut rows, &mut scratch)?;
+            debug_assert!(!rows.is_empty());
+            blocks.push(StoredBlock::of_batch(id, &rows, bytes.len()));
         }
-        Self::assemble_loaded(device, pool, coded.schema().clone(), config, emitted)
+        Self::assemble(device, pool, schema, codec, config, blocks)
     }
 
-    /// Assembles a stored relation from already-written data blocks: records
-    /// metadata and bulk-builds the primary index. Blocks must arrive in φ
-    /// order.
-    fn assemble_loaded(
+    /// Assembles a stored relation from its already-written data blocks'
+    /// bookkeeping, in φ order, and bulk-builds the primary index.
+    fn assemble(
         device: Arc<BlockDevice>,
         pool: Arc<BufferPool>,
         schema: Arc<Schema>,
+        codec: BlockCodec,
         config: DbConfig,
-        emitted: Vec<(BlockId, Vec<Tuple>)>,
+        blocks: Vec<StoredBlock>,
     ) -> Result<Self, DbError> {
-        let codec = BlockCodec::with_options(schema.clone(), config.codec.mode, config.codec.rep)
-            .with_kernel(config.codec.kernel);
-        let mut blocks = Vec::with_capacity(emitted.len());
-        let mut keys = Vec::with_capacity(emitted.len());
-        let mut tuple_count = 0usize;
-        for (id, run) in &emitted {
-            debug_assert!(!run.is_empty());
-            let min = run[0].clone();
-            keys.push((serialize_key(&schema, &min), *id as u64));
-            tuple_count += run.len();
-            blocks.push(StoredBlock {
-                id: *id,
-                min,
-                max: run[run.len() - 1].clone(),
-                count: run.len(),
-                used_bytes: codec.measure(run),
-            });
-        }
+        let keys: Vec<(Vec<u8>, u64)> = blocks
+            .iter()
+            .map(|b| (serialize_key(&schema, &b.min), b.id as u64))
+            .collect();
+        let tuple_count = blocks.iter().map(|b| b.count).sum();
         let primary = BPlusTree::bulk_build(pool.clone(), config.index_order, &keys)?;
         Ok(StoredRelation {
             schema,
@@ -273,6 +351,12 @@ impl StoredRelation {
     /// Total coded payload bytes across data blocks.
     pub fn coded_payload_bytes(&self) -> usize {
         self.blocks.iter().map(|b| b.used_bytes).sum()
+    }
+
+    /// Bytes of the blocks' synopsis records: 24 per column past each
+    /// block's constant prefix.
+    pub fn synopsis_bytes(&self) -> usize {
+        self.blocks.iter().map(|b| b.synopsis.bytes()).sum()
     }
 
     /// Compression accounting for the stored relation, including the block
@@ -375,7 +459,19 @@ impl StoredRelation {
             rel: self,
             ids,
             ctx: ctx.clone(),
+            at: 0,
         }
+    }
+
+    /// The bookkeeping of block `id`, looked for at `*at` first; `*at`
+    /// moves past it, to where the next block in φ order is.
+    fn block_near(&self, id: BlockId, at: &mut usize) -> Option<&StoredBlock> {
+        let pos = match self.blocks.get(*at) {
+            Some(b) if b.id == id => *at,
+            _ => self.blocks.iter().position(|b| b.id == id)?,
+        };
+        *at = pos + 1;
+        self.blocks.get(pos)
     }
 
     /// [`Self::read_block`]'s steps, admitting a decoded block at the cold
@@ -386,23 +482,79 @@ impl StoredRelation {
         ctx: &QueryCtx,
         cold: bool,
     ) -> Result<Option<Arc<TupleBatch>>, DbError> {
+        self.guarded(id, ctx, || {
+            let (run, decoded_bytes) = self.serve_block(id, ctx, cold)?;
+            ctx.gov.charge_decoded(decoded_bytes, run.len() as u64);
+            self.charge_cpu(1);
+            Ok(run)
+        })
+    }
+
+    /// Serves `block` from its synopsis (see
+    /// [`BlockReads::next_or_synopsis`]): steps 1, 2 and 4 of
+    /// [`Self::read_block`], and of step 3 only the pool read. Under an
+    /// `avq.db.block_read` span marked `synopsis=true`.
+    fn answer<'b>(
+        &self,
+        block: &'b StoredBlock,
+        ctx: &QueryCtx,
+    ) -> Result<Option<Served<'b>>, DbError> {
+        self.guarded(block.id, ctx, || {
+            let guard = ctx.trace.span(names::SPAN_DB_BLOCK_READ);
+            if guard.is_recording() {
+                guard.attr(names::ATTR_BLOCK, block.id);
+                guard.attr(names::ATTR_SYNOPSIS, true);
+            }
+            self.fetch(block.id, ctx, &guard)?;
+            avq_obs::counter!(names::DB_SYNOPSIS_BLOCKS).inc();
+            ctx.gov.charge_decoded(0, block.count as u64);
+            Ok(Served::Synopsis(block))
+        })
+    }
+
+    /// Steps 1 and 2 of [`Self::read_block`] around `fetch`, which serves
+    /// block `id` and charges it.
+    fn guarded<T>(
+        &self,
+        id: BlockId,
+        ctx: &QueryCtx,
+        fetch: impl FnOnce() -> Result<T, DbError>,
+    ) -> Result<Option<T>, DbError> {
         ctx.gov.poll()?;
         let skip = self.config.scan_policy == ScanPolicy::SkipCorrupt;
         if skip && self.is_quarantined(id) {
             return Ok(None);
         }
-        match self.serve_block(id, ctx, cold) {
-            Ok((run, decoded_bytes)) => {
-                ctx.gov.charge_decoded(decoded_bytes, run.len() as u64);
-                self.charge_cpu(1);
-                Ok(Some(run))
-            }
+        match fetch() {
+            Ok(served) => Ok(Some(served)),
             Err(e) if skip && is_block_corruption(&e) => {
                 self.quarantine(id);
                 Ok(None)
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// Reads block `id`'s coded bytes through the pool, retries clamped to
+    /// the query's remaining deadline, and marks on `guard` whether the
+    /// pool held them.
+    fn fetch(
+        &self,
+        id: BlockId,
+        ctx: &QueryCtx,
+        guard: &avq_obs::TraceSpanGuard,
+    ) -> Result<Arc<Vec<u8>>, DbError> {
+        let pool_before = guard.is_recording().then(|| self.pool.stats());
+        let retry = match ctx.gov.remaining_ms() {
+            Some(rem) => self.config.retry.clamped_to_ms(rem),
+            None => self.config.retry,
+        };
+        let bytes = self.pool.read_with_retry(id, retry)?;
+        if let Some(before) = pool_before {
+            let served_from_pool = self.pool.stats().since(&before).hits > 0;
+            guard.attr(names::ATTR_POOL_HIT, served_from_pool);
+        }
+        Ok(bytes)
     }
 
     /// Step 3 of [`Self::read_block`]: the batch, and the coded bytes
@@ -423,17 +575,10 @@ impl StoredRelation {
             }
             return Ok((run, 0));
         }
-        let pool_before = guard.is_recording().then(|| self.pool.stats());
-        let retry = match ctx.gov.remaining_ms() {
-            Some(rem) => self.config.retry.clamped_to_ms(rem),
-            None => self.config.retry,
-        };
-        let bytes = self.pool.read_with_retry(id, retry)?;
-        if let Some(before) = pool_before {
+        if guard.is_recording() {
             guard.attr(names::ATTR_CACHE_HIT, false);
-            let served_from_pool = self.pool.stats().since(&before).hits > 0;
-            guard.attr(names::ATTR_POOL_HIT, served_from_pool);
         }
+        let bytes = self.fetch(id, ctx, &guard)?;
         let run = self.decode_and_cache(id, &bytes, &ctx.trace, cold)?;
         Ok((run, bytes.len() as u64))
     }
@@ -769,13 +914,9 @@ impl StoredRelation {
             let coded = self.codec.encode(std::slice::from_ref(tuple))?;
             let id = self.device.allocate()?;
             self.pool.write(id, &coded)?;
-            self.blocks.push(StoredBlock {
-                id,
-                min: tuple.clone(),
-                max: tuple.clone(),
-                count: 1,
-                used_bytes: coded.len(),
-            });
+            let run = std::slice::from_ref(tuple);
+            self.blocks
+                .push(StoredBlock::of_tuples(id, run, coded.len()));
             self.primary
                 .insert(&serialize_key(&self.schema, tuple), id as u64)?;
             for idx in self.secondaries.values_mut() {
@@ -795,6 +936,8 @@ impl StoredRelation {
                 let updated = rows.with_row_inserted(spliced.pos, tuple.digits());
                 self.decoded.insert(id, Arc::new(updated));
                 let b = &mut self.blocks[bidx];
+                let (min, max) = (b.min.digits(), b.max.digits());
+                b.synopsis.insert(tuple.digits(), min, max, b.count as u64);
                 b.count += 1;
                 b.used_bytes = coded.len();
                 if *tuple < b.min {
@@ -814,21 +957,21 @@ impl StoredRelation {
             None => {
                 let mut tuples = rows.to_tuples();
                 tuples.insert(spliced.pos, tuple.clone());
-                self.split_block(bidx, &tuples, tuple)?;
+                self.split_block(bidx, &tuples, Overflow::Inserted(tuple))?;
             }
         }
         self.tuple_count += 1;
         Ok(())
     }
 
-    /// Re-packs an overflowing block's tuples — its old ones plus
-    /// `inserted` — into as many blocks as needed, reusing the original
+    /// Re-packs an overflowing block's tuples — its old ones with the
+    /// `edit` applied — into as many blocks as needed, reusing the original
     /// block id for the first run.
     fn split_block(
         &mut self,
         bidx: usize,
         tuples: &[Tuple],
-        inserted: &Tuple,
+        edit: Overflow<'_>,
     ) -> Result<(), DbError> {
         let old = self.blocks[bidx].clone();
 
@@ -872,20 +1015,15 @@ impl StoredRelation {
                 self.primary
                     .insert(&serialize_key(&self.schema, &run[0]), id as u64)?;
             }
-            new_blocks.push(StoredBlock {
-                id,
-                min: run[0].clone(),
-                max: run[run.len() - 1].clone(),
-                count: run.len(),
-                used_bytes: coded.len(),
-            });
+            new_blocks.push(StoredBlock::of_tuples(id, run, coded.len()));
         }
         // The first run kept `old.id`, so its postings move rather than
         // being rebuilt. A value that left the first run entirely moves its
         // `(v, old.id)` posting to the first new block carrying it — one
         // tree upsert when it is inline — and every other `(v, new)` is
-        // added. The inserted tuple's own posting, which the old block
-        // never had, is added when the tuple stayed.
+        // added. An inserted tuple's own posting, which the old block never
+        // had, is added when the tuple stayed; a deleted tuple's is dropped
+        // when no run carries its value any more.
         let (kept_run, moved_runs) = tuples.split_at(new_blocks[0].count);
         for idx in self.secondaries.values_mut() {
             let attr = idx.attribute();
@@ -904,9 +1042,17 @@ impl StoredRelation {
                     }
                 }
             }
-            let v = inserted.digits()[attr];
-            if kept.contains(&v) {
-                idx.add_posting(v, old.id)?;
+            match edit {
+                Overflow::Inserted(t) if kept.contains(&t.digits()[attr]) => {
+                    idx.add_posting(t.digits()[attr], old.id)?;
+                }
+                Overflow::Deleted(t) => {
+                    let v = t.digits()[attr];
+                    if !kept.contains(&v) && !moved.contains(&v) {
+                        idx.remove_posting(v, old.id)?;
+                    }
+                }
+                Overflow::Inserted(_) => {}
             }
         }
         self.blocks.splice(bidx..bidx + 1, new_blocks);
@@ -916,7 +1062,10 @@ impl StoredRelation {
     /// Deletes one occurrence of `tuple`: spliced out of the affected
     /// block's coded bytes, with the resident decoded batch replaced by the
     /// updated one — which also answers what the block's new bounds are and
-    /// whether it still carries the tuple's secondary-index values.
+    /// whether it still carries the tuple's secondary-index values. A block
+    /// whose re-code outgrows its capacity (removing a tuple can widen a
+    /// chain difference, or move the representative) is split as an
+    /// overflowing insert's is.
     pub fn delete(&mut self, tuple: &Tuple) -> Result<(), DbError> {
         self.schema.validate_tuple(tuple)?;
         let Some(bidx) = self.route(tuple) else {
@@ -940,11 +1089,16 @@ impl StoredRelation {
                 self.device.free(old.id)?;
                 self.blocks.remove(bidx);
             }
+            Some(coded) if coded.len() > self.config.codec.block_capacity => {
+                let remaining = rows.with_row_removed(spliced.pos);
+                self.split_block(bidx, &remaining.to_tuples(), Overflow::Deleted(tuple))?;
+            }
             Some(coded) => {
                 self.pool.write(old.id, &coded)?;
                 let remaining = Arc::new(rows.with_row_removed(spliced.pos));
                 self.decoded.insert(old.id, remaining.clone());
                 let b = &mut self.blocks[bidx];
+                b.synopsis.delete(tuple.digits(), &remaining);
                 b.count -= 1;
                 b.used_bytes = coded.len();
                 if remaining.cmp_row(0, b.min.digits()).is_ne() {
@@ -1401,6 +1555,7 @@ mod tests {
                     for b in stored.blocks() {
                         let (resident, fresh) = resident_and_fresh(&stored, b.id);
                         assert_eq!(fresh.len(), b.count, "{mode} step {step}");
+                        assert_eq!(b.synopsis, Synopsis::of_batch(&fresh), "{mode} step {step}");
                         if let Some(resident) = resident {
                             assert_eq!(*resident, fresh, "{mode} step {step} block {}", b.id);
                         }
@@ -1626,6 +1781,106 @@ mod tests {
             avq_storage::PoolStats::default(),
             "disabled cache measures nothing"
         );
+    }
+
+    #[test]
+    fn a_delete_whose_recode_outgrows_the_block_splits_it() {
+        // Representative coding stores each tuple's φ-distance from the
+        // block's median; deleting a tuple can move the median to where
+        // those distances are wider, and the re-code then overflows. The
+        // delete splits the block instead of failing the write.
+        let schema = Schema::from_pairs(vec![
+            ("a", Domain::uint(8).unwrap()),
+            ("b", Domain::uint(64).unwrap()),
+            ("c", Domain::uint(1 << 62).unwrap()),
+        ])
+        .unwrap();
+        let huge = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 2;
+        let mut model: Vec<Tuple> = (0..400u64)
+            .map(|i| {
+                Tuple::from([
+                    i % 8,
+                    (i * 13) % 64,
+                    if i % 3 == 0 { huge(i) } else { i % 5 },
+                ])
+            })
+            .collect();
+        model.sort_unstable();
+        let rel = Relation::from_tuples(schema, model.clone()).unwrap();
+        let config = DbConfig {
+            codec: avq_codec::CodecOptions {
+                mode: CodingMode::Avq,
+                block_capacity: 128,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let device = BlockDevice::new(128, config.disk);
+        let pool = BufferPool::new(device.clone(), config.buffer_frames);
+        let mut stored = StoredRelation::bulk_load(device, pool, &rel, config).unwrap();
+        stored.create_secondary_index(1).unwrap();
+        let mut grew = 0;
+        for step in 0..300usize {
+            let victim = model.remove((step * 7919) % model.len());
+            let before = stored.block_count();
+            stored.delete(&victim).unwrap();
+            grew += usize::from(stored.block_count() > before);
+        }
+        assert!(grew > 0, "no delete overflowed its block");
+        assert_eq!(stored.scan_all().unwrap(), model);
+        stored.primary_index().validate().unwrap();
+        let ctx = QueryCtx::default();
+        for v in 0..64u64 {
+            let mut carrying: Vec<BlockId> = (stored.blocks().iter())
+                .filter(|b| {
+                    (stored.read_block(b.id, &ctx).unwrap().unwrap())
+                        .col(1)
+                        .contains(&v)
+                })
+                .map(|b| b.id)
+                .collect();
+            carrying.sort_unstable();
+            assert_eq!(
+                stored.secondary_candidate_blocks(1, v, v).unwrap(),
+                carrying
+            );
+        }
+    }
+
+    #[test]
+    fn a_written_block_is_as_long_as_its_measure() {
+        // `from_coded` takes a block's coded size from its length; the
+        // writer's blocks are exactly `measure` bytes long, in every mode
+        // and on every block, so that is the size a re-encode would give.
+        for mode in CodingMode::ALL {
+            let (_, _, stored) = setup(3000, 256, mode);
+            let tuples = stored.scan_all().unwrap();
+            let options = avq_codec::CodecOptions {
+                mode,
+                block_capacity: 256,
+                ..Default::default()
+            };
+            let coded =
+                avq_codec::compress_sorted(stored.schema().clone(), &tuples, options).unwrap();
+            let codec = coded.codec();
+            for i in 0..coded.block_count() {
+                let run = coded.decode_block(i).unwrap();
+                assert_eq!(
+                    codec.measure(&run),
+                    coded.block(i).len(),
+                    "{mode} block {i}"
+                );
+            }
+            let device = BlockDevice::new(256, stored.config().disk);
+            let pool = BufferPool::new(device.clone(), 64);
+            let loaded =
+                StoredRelation::from_coded(device, pool, &coded, *stored.config()).unwrap();
+            assert_eq!(loaded.coded_payload_bytes(), stored.coded_payload_bytes());
+            for (a, b) in loaded.blocks().iter().zip(stored.blocks()) {
+                assert_eq!((&a.min, &a.max, a.count), (&b.min, &b.max, b.count));
+                assert_eq!((a.used_bytes, &a.synopsis), (b.used_bytes, &b.synopsis));
+            }
+        }
     }
 
     #[test]

@@ -77,6 +77,8 @@ pub const DB_JOINS: &str = "avq.db.joins";
 pub const DB_AGGREGATES: &str = "avq.db.aggregates";
 /// Checkpoints taken.
 pub const DB_CHECKPOINTS: &str = "avq.db.checkpoints";
+/// Blocks a cold read answered from their synopsis without decoding.
+pub const DB_SYNOPSIS_BLOCKS: &str = "avq.db.synopsis.blocks";
 /// Blocks whose decode failed verification and were skipped or repaired.
 pub const CORRUPT_BLOCKS_TOTAL: &str = "avq.corrupt_blocks.total";
 
@@ -175,8 +177,9 @@ pub fn prom(name: &str) -> String {
 // are span-local, so they are deliberately outside the `avq.` metric
 // namespace. AVQ-L004 takes the `ATTR_` prefix as the mark of a key.
 
-/// `str` on `avq.sql.stage`: executor stage kind (`scan`, `filter`, `join`,
-/// `aggregate`, `sort`, `limit`, `project`, `index-probe`, `scan-inner`).
+/// `str` on `avq.sql.stage`: executor stage kind (`scan`, `synopsis`,
+/// `filter`, `join`, `aggregate`, `sort`, `limit`, `project`, `index-probe`,
+/// `scan-inner`).
 pub const ATTR_STAGE: &str = "stage";
 /// `u64` on `avq.sql.stage`: rows the stage produced.
 pub const ATTR_ROWS: &str = "rows";
@@ -191,6 +194,9 @@ pub const ATTR_CACHE_HIT: &str = "cache_hit";
 /// `bool` on `avq.db.block_read`: the block's bytes were served from the
 /// buffer pool.
 pub const ATTR_POOL_HIT: &str = "pool_hit";
+/// `bool` on `avq.db.block_read`: the block was answered from its synopsis,
+/// not decoded.
+pub const ATTR_SYNOPSIS: &str = "synopsis";
 /// `str` on `avq.codec.decode_block`: decode kernel that ran (`scalar` /
 /// `swar`).
 pub const ATTR_KERNEL: &str = "kernel";

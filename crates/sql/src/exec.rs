@@ -23,7 +23,7 @@
 use crate::binder::{BoundItem, BoundQuery};
 use crate::error::SqlError;
 use crate::plan::{domain_of, selection_of, PhysicalPlan, PlanNode};
-use avq_db::{AccessPath, CacheMark, Database, RangePredicate, StageReport};
+use avq_db::{AccessPath, CacheMark, Database, RangePredicate, Served, StageReport, StoredBlock};
 use avq_obs::{names, AttrValue, QueryCtx, Stopwatch, TraceCtx};
 use avq_schema::{Domain, TupleBatch, Value};
 use core::time::Duration;
@@ -193,6 +193,14 @@ struct Exec<'a> {
     actual_rows: Vec<u64>,
 }
 
+/// What a scan hands its sink for one block.
+enum Sunk<'b> {
+    /// The rows of a decoded block that pass the scan's conjuncts.
+    Rows(&'b TupleBatch, &'b [u32]),
+    /// A whole block the read answered from its synopsis.
+    Synopsis(&'b StoredBlock),
+}
+
 /// Memory charged to the governance budget for `rows` materialized
 /// ordinal rows of `width` columns, at [`avq_db::row_mem_bytes`] each —
 /// the one per-row model SQL-level intermediates and storage-level
@@ -305,8 +313,10 @@ impl<'a> Exec<'a> {
         let arity = self.q.tables.get(table).map_or(0, |bt| bt.schema.arity());
         let mut rows = TupleBatch::new(arity);
         let held = avq_db::row_mem_bytes(arity);
-        self.scan_into(table, path, held, limit, None, |block, sel| {
-            rows.extend_from(block, sel)
+        self.scan_into(table, path, held, limit, None, None, |sunk| {
+            if let Sunk::Rows(block, sel) = sunk {
+                rows.extend_from(block, sel);
+            }
         })?;
         Ok(rows)
     }
@@ -329,6 +339,14 @@ impl<'a> Exec<'a> {
     /// own output). A sink that holds the rows it is
     /// given names their price in `held_row_bytes`; it is charged to the
     /// memory budget per block, so a trip overshoots by at most one block.
+    ///
+    /// A caller whose statement covers a block whole — an aggregate with no
+    /// conjuncts — names the blocks it can fold from their synopses in
+    /// `answers`. A read of more blocks than the decoded cache holds then
+    /// hands those to the sink as [`Sunk::Synopsis`], undecoded (see
+    /// [`avq_db::BlockReads::next_or_synopsis`]); they are reported as a
+    /// `synopsis` stage of their own, whose time is their reads and folds.
+    #[allow(clippy::too_many_arguments)]
     fn scan_into(
         &mut self,
         table: usize,
@@ -336,7 +354,8 @@ impl<'a> Exec<'a> {
         held_row_bytes: u64,
         limit: usize,
         sink_stage: Option<(&'static str, &mut Duration)>,
-        mut sink: impl FnMut(&TupleBatch, &[u32]),
+        answers: Option<&dyn Fn(&StoredBlock) -> bool>,
+        mut sink: impl FnMut(Sunk<'_>),
     ) -> Result<u64, SqlError> {
         let bt = self.q.tables.get(table).ok_or_else(|| SqlError::Bind {
             msg: "plan references an unbound table".to_owned(),
@@ -355,6 +374,10 @@ impl<'a> Exec<'a> {
         let mut room = limit;
         let (mut read_time, mut filter_time, mut sunk) =
             (Duration::ZERO, Duration::ZERO, Duration::ZERO);
+        // Blocks answered from their synopses: how many, their tuples, their
+        // pool hits, and the time their folds and their reads took.
+        let (mut answered, mut answered_rows, mut answered_hits) = (0u64, 0u64, 0u64);
+        let (mut answer_time, mut answer_read_time) = (Duration::ZERO, Duration::ZERO);
         // The selection vector, reused by every block.
         let mut rows: Vec<u32> = Vec::new();
         let hits = {
@@ -365,10 +388,24 @@ impl<'a> Exec<'a> {
             let mut clock = Stopwatch::start();
             let mut reads = rel.read_blocks(candidates, self.ctx);
             while room > 0 {
-                let Some(served) = reads.next() else {
+                let pool_hits = rel.pool_stats().hits;
+                let Some(served) = reads.next_or_synopsis(answers) else {
                     break;
                 };
-                let (_, block) = served?;
+                let block = match served?.1 {
+                    Served::Rows(block) => block,
+                    Served::Synopsis(b) => {
+                        answer_read_time += clock.lap();
+                        answered += 1;
+                        answered_rows += b.count as u64;
+                        answered_hits += rel.pool_stats().hits - pool_hits;
+                        sink(Sunk::Synopsis(b));
+                        answer_time += clock.lap();
+                        kept += b.count as u64;
+                        room = room.saturating_sub(b.count);
+                        continue;
+                    }
+                };
                 read_time += clock.lap();
                 blocks += 1;
                 sel.filter_block(&block, &mut rows);
@@ -379,18 +416,23 @@ impl<'a> Exec<'a> {
                     examined += block.len() as u64;
                 }
                 filter_time += clock.lap();
-                sink(&block, &rows);
+                sink(Sunk::Rows(&block, &rows));
                 sunk += clock.lap();
                 kept += rows.len() as u64;
                 room -= rows.len();
                 self.ctx.gov.charge_mem(rows.len() as u64 * held_row_bytes);
             }
-            let hits = mark.hits_since(rel);
+            let hits = mark.hits_since(rel) - answered_hits;
             if guard.is_recording() {
                 guard.attr(names::ATTR_STAGE, "scan");
                 guard.attr(names::ATTR_ROWS, examined);
                 guard.attr(names::ATTR_BLOCKS_READ, blocks);
                 guard.attr(names::ATTR_CACHE_HITS, hits);
+            }
+            if answered > 0 {
+                // The reads are their own `avq.db.block_read` spans above.
+                let (rows, hits) = (answered_rows, answered_hits);
+                self.trace_stage("synopsis", rows, answered, hits, answer_time);
             }
             self.trace_stage("filter", kept, 0, 0, filter_time);
             if let Some((stage, _)) = sink_stage {
@@ -403,6 +445,10 @@ impl<'a> Exec<'a> {
             None => read_time += sunk,
         }
         self.report("scan", examined, blocks, hits, read_time);
+        if answered > 0 {
+            let elapsed = answer_read_time + answer_time;
+            self.report("synopsis", answered_rows, answered, answered_hits, elapsed);
+        }
         self.ctx.gov.poll().map_err(avq_db::DbError::from)?;
         self.report("filter", kept, 0, 0, filter_time);
         Ok(kept)
@@ -627,8 +673,20 @@ impl<'a> Exec<'a> {
         if group_col.is_none() {
             groups.insert(0, fresh());
         }
-        // Folds rows `sel` of `rows`, one run of equal group keys at a time.
-        let mut fold = |rows: &TupleBatch, sel: &[u32]| {
+        // Folds rows `sel` of `rows`, one run of equal group keys at a time;
+        // a block answered from its synopsis is one run.
+        let mut fold = |sunk: Sunk<'_>| {
+            let (rows, sel) = match sunk {
+                Sunk::Rows(rows, sel) => (rows, sel),
+                Sunk::Synopsis(block) => {
+                    let key = group_col.map_or(0, |c| block.min.digits()[c]);
+                    let accs = groups.entry(key).or_insert_with(fresh);
+                    for (acc, item) in accs.iter_mut().zip(&items) {
+                        acc.fold_block(item.col, block);
+                    }
+                    return;
+                }
+            };
             let keys = group_col.map(|c| rows.col(c));
             let mut rest = sel;
             while let Some(&first) = rest.first() {
@@ -644,12 +702,25 @@ impl<'a> Exec<'a> {
                 rest = later;
             }
         };
+        // The statement covers a block whole when the scan has no
+        // conjuncts; it folds one from its synopsis when its group key (if
+        // any) is constant there and every sum it needs is kept.
+        let summed: Vec<usize> = (items.iter().zip(&q.items))
+            .filter(|(_, bound)| Acc::for_item(bound).needs_sum())
+            .filter_map(|(item, _)| item.col)
+            .collect();
+        let answerable = |block: &StoredBlock| {
+            group_col.is_none_or(|c| block.is_constant(c))
+                && summed.iter().all(|&c| block.column(c).sum().is_some())
+        };
         // The fold's time inside a scan (traced there), then the rest.
         let mut in_scan = Duration::ZERO;
         let sw = if let Some((table, path, _)) = scan {
             let scan_id = self.claim_node(counter);
             let stage = Some(("aggregate", &mut in_scan));
-            let kept = self.scan_into(table, path, 0, usize::MAX, stage, &mut fold)?;
+            let covered = selection_of(q, table).predicates().is_empty();
+            let answers = covered.then_some(&answerable as &dyn Fn(&StoredBlock) -> bool);
+            let kept = self.scan_into(table, path, 0, usize::MAX, stage, answers, &mut fold)?;
             if let Some(slot) = self.actual_rows.get_mut(scan_id) {
                 *slot = kept;
             }
@@ -657,7 +728,7 @@ impl<'a> Exec<'a> {
         } else {
             let sw = Stopwatch::start();
             if let Some(rows) = &batch {
-                fold(rows, &all_rows(rows)?);
+                fold(Sunk::Rows(rows, &all_rows(rows)?));
             }
             sw
         };
@@ -822,7 +893,12 @@ impl<'a> Exec<'a> {
                         held,
                         usize::MAX,
                         Some(("project", &mut spent)),
-                        |block, sel| out.extend(sel.iter().map(|&i| cells(block, i as usize))),
+                        None,
+                        |sunk| {
+                            if let Sunk::Rows(block, sel) = sunk {
+                                out.extend(sel.iter().map(|&i| cells(block, i as usize)));
+                            }
+                        },
                     )?;
                     if let Some(slot) = self.actual_rows.get_mut(scan_id) {
                         *slot = kept;
@@ -924,6 +1000,30 @@ impl Acc {
                 }
             }
             (Acc::Key(cur @ None), Some(col)) => *cur = sel.first().map(|&i| col[i as usize]),
+            _ => {}
+        }
+    }
+
+    /// True for the accumulators that add up their column.
+    fn needs_sum(&self) -> bool {
+        matches!(self, Acc::Sum { .. } | Acc::Avg { .. })
+    }
+
+    /// Folds a whole block from its synopsis, exactly as [`Self::fold`]
+    /// would fold every row of it: the count, the ordinal sum, the stored
+    /// extremes, and for a key the block's first tuple. A sum the synopsis
+    /// does not keep is never asked for (the block is decoded instead).
+    fn fold_block(&mut self, col: Option<usize>, block: &StoredBlock) {
+        let count = block.count as u64;
+        match (self, col.map(|c| (c, block.column(c)))) {
+            (Acc::Count(n), _) => *n += count,
+            (Acc::Sum { ords, n } | Acc::Avg { ords, n }, Some((_, c))) => {
+                *ords += u128::from(c.sum().unwrap_or_default());
+                *n += count;
+            }
+            (Acc::Min(cur), Some((_, c))) => *cur = Some(cur.map_or(c.min, |m| m.min(c.min))),
+            (Acc::Max(cur), Some((_, c))) => *cur = Some(cur.map_or(c.max, |m| m.max(c.max))),
+            (Acc::Key(cur @ None), Some((c, _))) => *cur = Some(block.min.digits()[c]),
             _ => {}
         }
     }
