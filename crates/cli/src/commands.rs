@@ -1934,6 +1934,59 @@ mod tests {
         std::fs::remove_dir_all(dir).ok();
     }
 
+    // A checkpoint copies the coded blocks as the store holds them, so the
+    // blocks splits and splices left behind must deep-verify (re-encode to
+    // exactly their bytes) in every coding mode and under every
+    // representative choice.
+    #[test]
+    fn checkpoint_after_splits_and_splices_scrubs_clean() {
+        for mode in CodingMode::ALL {
+            for rep in RepChoice::ALL {
+                let dir = tmpdir(&format!("scrub-writes-{mode}-{rep}"));
+                let db_dir = dir.join("db");
+                let config = DbConfig {
+                    codec: CodecOptions {
+                        mode,
+                        rep,
+                        block_capacity: 256,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                };
+                let schema = avq_schema::Schema::from_pairs(vec![
+                    ("a", avq_schema::Domain::uint(16).unwrap()),
+                    ("b", avq_schema::Domain::uint(1000).unwrap()),
+                ])
+                .unwrap();
+                let rows = (0..600u64).map(|i| vec![Value::Uint(i % 16), Value::Uint(i % 997)]);
+                let relation = Relation::from_rows(schema, rows).unwrap();
+                let (mut db, _) =
+                    DurableDatabase::open(&db_dir, config, SyncPolicy::Manual).unwrap();
+                db.create_relation("t", &relation).unwrap();
+                db.create_secondary_index("t", 1).unwrap();
+                let blocks = db.database().relation("t").unwrap().block_count();
+                for i in 0..300u64 {
+                    // Clustered inserts split; deletes splice anywhere.
+                    db.insert_row("t", &[Value::Uint(5), Value::Uint(i * 3 % 1000)])
+                        .unwrap();
+                    if i % 3 == 0 {
+                        db.delete_row("t", &[Value::Uint(i % 16), Value::Uint(i % 997)])
+                            .unwrap();
+                    }
+                }
+                assert!(
+                    db.database().relation("t").unwrap().block_count() > blocks,
+                    "{mode} {rep}: no split"
+                );
+                db.checkpoint().unwrap();
+                drop(db);
+                let clean = scrub(&db_dir, false).unwrap();
+                assert!(clean.contains("result:    clean"), "{mode} {rep}: {clean}");
+                std::fs::remove_dir_all(dir).ok();
+            }
+        }
+    }
+
     // A damaged snapshot is beyond repair: its data exists nowhere else
     // once the checkpoint truncated the log. Scrub must say so and refuse.
     #[test]

@@ -5,14 +5,14 @@
 //! [`CodedRelation`] — the sequence of coded block streams plus the per-block
 //! metadata (representative, bounds) that access methods build on.
 
-use crate::block::BlockCodec;
+use crate::block::{BlockCodec, DecodeScratch};
 use crate::error::CodecError;
 use crate::kernel::DecodeKernel;
 use crate::mode::{CodingMode, RepChoice};
 use crate::packer::BlockPacker;
 use crate::stats::CompressionStats;
 use avq_obs::names;
-use avq_schema::{Relation, Schema, Tuple};
+use avq_schema::{Relation, Schema, Tuple, TupleBatch};
 use std::sync::Arc;
 
 /// Options for the compression pipeline.
@@ -121,8 +121,10 @@ pub fn compress_sorted(
 
 impl CodedRelation {
     /// Reassembles a coded relation from previously-encoded block streams
-    /// (e.g. read back from a file), recomputing per-block metadata by
-    /// decoding each block and validating the global φ order.
+    /// (read back from a file, or copied out of a store by a checkpoint),
+    /// recomputing per-block metadata. Every block is decoded, into one
+    /// reused batch, and must be non-empty and φ-sorted within itself and
+    /// after the block before it.
     pub fn from_blocks(
         schema: Arc<Schema>,
         options: CodecOptions,
@@ -133,28 +135,29 @@ impl CodedRelation {
         // lint: bounded(one entry per supplied block)
         let mut meta = Vec::with_capacity(blocks.len());
         let mut tuple_count = 0usize;
+        let mut rows = TupleBatch::new(schema.arity());
+        let mut scratch = DecodeScratch::new();
         let mut prev_max: Option<Tuple> = None;
         for (i, b) in blocks.iter().enumerate() {
-            let tuples = codec.decode(b)?;
-            let rep = codec.read_representative(b)?;
-            // Decode rejects empty blocks, so min/max always exist.
-            let (Some(min), Some(max)) = (tuples.first(), tuples.last()) else {
+            rows.clear();
+            codec.decode_batch_into(b, &mut rows, &mut scratch)?;
+            let Some(last) = rows.len().checked_sub(1) else {
                 return Err(CodecError::EmptyBlock);
             };
-            if let Some(pm) = &prev_max {
-                if min < pm {
-                    return Err(CodecError::UnsortedInput { position: i });
-                }
+            let (min, max) = (rows.tuple(0), rows.tuple(last));
+            let after_prev = prev_max.as_ref().is_none_or(|pm| min >= *pm);
+            if !after_prev || !rows.is_sorted() {
+                return Err(CodecError::UnsortedInput { position: i });
             }
-            prev_max = Some(max.clone());
-            tuple_count += tuples.len();
+            tuple_count += rows.len();
             meta.push(BlockMeta {
-                representative: rep,
-                min: min.clone(),
+                representative: codec.read_representative(b)?,
+                min,
                 max: max.clone(),
-                tuple_count: tuples.len(),
+                tuple_count: rows.len(),
                 coded_bytes: b.len(),
             });
+            prev_max = Some(max);
         }
         Ok(CodedRelation {
             schema,
@@ -253,7 +256,7 @@ impl CodedRelation {
     /// and nothing else once the scratch reaches steady state.
     pub fn decompress(&self) -> Result<Relation, CodecError> {
         let codec = self.codec();
-        let mut scratch = crate::block::DecodeScratch::new();
+        let mut scratch = DecodeScratch::new();
         // lint: bounded(tuple_count was counted at compression time)
         let mut tuples = Vec::with_capacity(self.tuple_count);
         for b in &self.blocks {

@@ -10,15 +10,21 @@
 //!
 //! * field-wise — one fixed-width record moves in or out;
 //! * [`CodingMode::AvqChained`] — an insert replaces the gap it lands in by
-//!   two, a delete merges two gaps into one; the representative stays the
-//!   same tuple, so `rep_idx` shifts when the splice is before it, and
-//!   deleting the representative promotes a neighbour (chained coded size
-//!   does not depend on which tuple that is);
+//!   two, a delete merges two gaps into one; the entries do not depend on
+//!   which tuple is the representative, so the header's `rep_idx` and the
+//!   representative row move to the edited run's
+//!   [`crate::RepChoice::index`] at no extra cost;
 //! * [`CodingMode::Avq`] — one entry against the unchanged representative
-//!   is added or removed; deleting the representative re-bases every entry,
-//!   so that one case re-encodes;
+//!   is added or removed while that representative stays at the edited
+//!   run's [`crate::RepChoice::index`]; when it would not (about every
+//!   other edit, and always when the representative itself is deleted)
+//!   every entry is re-based, so the block is re-encoded;
 //! * [`CodingMode::AvqChainedBits`] — entries are not byte-aligned, so the
 //!   block is re-encoded from the rows.
+//!
+//! Every mode's result is therefore byte-identical to a fresh encode of the
+//! edited run: a block a write left behind verifies like one bulk load
+//! wrote, so a checkpoint can copy it as it is.
 //!
 //! Nothing on this path builds a `Vec<Tuple>`. If the spliced stream no
 //! longer fits the block capacity the caller decides placement (typically a
@@ -191,9 +197,10 @@ fn splice(
     let next_at = pos + usize::from(insert.is_none());
     // Both gathered into one buffer: `prev` then `next`.
     let n = rows.arity();
-    // lint: bounded(two rows of ordinals, schema arity)
-    let mut around = vec![0; 2 * n];
-    let (prev_buf, next_buf) = around.split_at_mut(n);
+    // lint: bounded(three rows of ordinals, schema arity)
+    let mut around = vec![0; 3 * n];
+    let (prev_buf, rest) = around.split_at_mut(n);
+    let (next_buf, rep_buf) = rest.split_at_mut(n);
     let prev = pos.checked_sub(1).map(|i| {
         rows.row_into(i, prev_buf);
         &*prev_buf
@@ -233,7 +240,24 @@ fn splice(
             detail: format!("rep_idx {rep_idx} out of range for {u} tuples"),
         });
     }
-    let rebase = codec.mode() == CodingMode::Avq && insert.is_none() && pos == rep_idx;
+    // Where the representative lands in the edited run when it stays the
+    // same tuple, and where a fresh encode would put it.
+    let kept_rep_idx = match insert {
+        Some(_) => Some(rep_idx + usize::from(pos <= rep_idx)),
+        None if pos == rep_idx => None,
+        None => Some(rep_idx - usize::from(pos < rep_idx)),
+    };
+    let canonical = codec.rep_choice().index(new_u);
+    let rebase = codec.mode() == CodingMode::Avq && kept_rep_idx != Some(canonical);
+    let entries_at = BLOCK_HEADER_BYTES + m;
+    if rebase {
+        // The re-encode reads only the rows, but the bytes it replaces are
+        // checked as a splice checks them: every entry must be hopped.
+        let mut at = entries_at;
+        for _ in 1..u {
+            at = rle::skip_entry(schema, block, at)?;
+        }
+    }
     if codec.mode() == CodingMode::AvqChainedBits || rebase {
         // The edited run, gathered row after row for the encoder.
         // lint: bounded(the edited run: at most u16::MAX rows, checked above)
@@ -256,7 +280,6 @@ fn splice(
         return Ok((out.len() <= capacity).then_some(out));
     }
 
-    let entries_at = BLOCK_HEADER_BYTES + m;
     let rep_bytes =
         block
             .get(BLOCK_HEADER_BYTES..entries_at)
@@ -299,14 +322,21 @@ fn splice(
             None => (pos - usize::from(pos > rep_idx), 1, [None, None]),
         }
     };
-    // The representative stays the same tuple; only deleting it (chained
-    // mode — the un-chained case re-based above) promotes a neighbour.
-    let (new_rep_idx, new_rep) = match insert {
-        Some(_) => (rep_idx + usize::from(pos <= rep_idx), None),
-        None if pos < rep_idx => (rep_idx - 1, None),
-        None if pos > rep_idx => (rep_idx, None),
-        None if next.is_some() => (rep_idx, next),
-        None => (rep_idx.saturating_sub(1), prev),
+    // Un-chained, the representative stays the same tuple, which the
+    // re-base above left only where it is canonical. Chained, the
+    // canonical row of the edited run becomes the representative.
+    let new_rep = match (codec.mode(), insert) {
+        (CodingMode::Avq, _) => None,
+        (_, Some(row)) if canonical == pos => Some(row),
+        _ => {
+            let from = match insert {
+                _ if canonical < pos => canonical,
+                Some(_) => canonical - 1,
+                None => canonical + 1,
+            };
+            rows.row_into(from, rep_buf);
+            Some(&*rep_buf)
+        }
     };
 
     let (mut at, mut lo, mut hi) = (entries_at, entries_at, entries_at);
@@ -335,7 +365,7 @@ fn splice(
     }
     // lint: bounded(at most capacity, checked above)
     let mut out = Vec::with_capacity(new_len);
-    write_header(&mut out, new_u, new_rep_idx);
+    write_header(&mut out, new_u, canonical);
     match new_rep {
         Some(row) => schema.write_row(row, &mut out),
         None => out.extend_from_slice(rep_bytes),
@@ -419,6 +449,46 @@ mod tests {
         let tuples = codec.decode(&recoded).unwrap();
         assert_eq!(tuples.len(), 6);
         assert_eq!(tuples[1], new_tuple);
+    }
+
+    #[test]
+    fn every_splice_equals_a_fresh_encode() {
+        // A block a write left behind must verify like one bulk load wrote:
+        // in every mode and under every representative choice, each insert
+        // and each delete yields exactly the bytes of encoding its result.
+        let base = paper_block_tuples();
+        let extra = [
+            Tuple::from([0u64, 0, 0, 0, 0]),
+            Tuple::from([3u64, 8, 32, 25, 19]),
+            Tuple::from([3u64, 8, 40, 0, 1]),
+            Tuple::from([7u64, 15, 63, 63, 63]),
+        ];
+        for mode in CodingMode::ALL {
+            for rep in crate::RepChoice::ALL {
+                let codec = BlockCodec::with_options(employee_schema(), mode, rep);
+                let block = codec.encode(&base).unwrap();
+                for t in &extra {
+                    let InsertOutcome::InPlace(grown) =
+                        insert_into_block(&codec, &block, t, 8192).unwrap()
+                    else {
+                        panic!("fits");
+                    };
+                    let mut run = base.clone();
+                    run.insert(run.partition_point(|x| x <= t), t.clone());
+                    assert_eq!(grown, codec.encode(&run).unwrap(), "{mode} {rep} +{t:?}");
+                }
+                for (i, t) in base.iter().enumerate() {
+                    let DeleteOutcome::InPlace(shrunk) =
+                        delete_from_block(&codec, &block, t).unwrap()
+                    else {
+                        panic!("not emptied");
+                    };
+                    let mut run = base.clone();
+                    run.remove(i);
+                    assert_eq!(shrunk, codec.encode(&run).unwrap(), "{mode} {rep} -{t:?}");
+                }
+            }
+        }
     }
 
     #[test]

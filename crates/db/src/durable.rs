@@ -9,9 +9,9 @@
 //! and replays the surviving records through the ordinary mutation paths —
 //! which means every invariant (block splits, index maintenance,
 //! decoded-cache invalidation) is enforced by the same code as live
-//! traffic. [`DurableDatabase::checkpoint`] rewrites the snapshots via
-//! temp-file + rename, atomically swaps the manifest, and truncates the
-//! log.
+//! traffic. [`DurableDatabase::checkpoint`] copies each relation's coded
+//! blocks, as the store holds them, into fresh snapshots via temp-file +
+//! rename, atomically swaps the manifest, and truncates the log.
 //!
 //! Crash windows and why each is safe (DESIGN.md §9):
 //!
@@ -298,37 +298,51 @@ impl DurableDatabase {
         self.db.create_secondary_index(name, attr)
     }
 
-    /// Checkpoints the database: writes every relation to a fresh
-    /// generation of snapshot files (temp-file + rename), atomically swaps
-    /// the manifest, truncates the log, and deletes the old generation.
+    /// Checkpoints the database: copies every relation's coded blocks, as
+    /// the store holds them and in φ order, into a fresh generation of
+    /// snapshot files (temp-file + rename), atomically swaps the manifest,
+    /// truncates the log, and deletes the old generation. No block is
+    /// decoded to be re-packed; each is read through the buffer pool with
+    /// its retry policy and validated as the snapshot reader validates it,
+    /// and against the store's bookkeeping (see
+    /// [`crate::StoredRelation::coded_relation`]). A block that fails —
+    /// damaged, or quarantined by an earlier read and still damaged —
+    /// fails the checkpoint with that typed error before any snapshot is
+    /// renamed into place, so the manifest and the log stay as they were.
     pub fn checkpoint(&mut self) -> Result<CheckpointReport, DbError> {
-        let _span = avq_obs::span!(names::SPAN_DB_CHECKPOINT);
+        let span = avq_obs::span!(names::SPAN_DB_CHECKPOINT);
         avq_obs::counter!(names::DB_CHECKPOINTS).inc();
         self.wal.sync()?;
         let ck = self.wal.last_lsn();
-        let mut entries = Vec::new();
-        let mut snapshot_bytes = 0u64;
+        let mut snapshots = Vec::new();
+        let (mut snapshot_bytes, mut blocks, mut copied) = (0u64, 0usize, 0u64);
         for (i, name) in self.db.relation_names().into_iter().enumerate() {
             let rel = self.db.relation(name)?;
-            let tuples = rel.scan_all()?;
-            let coded =
-                avq_codec::compress_sorted(rel.schema().clone(), &tuples, rel.config().codec)?;
+            let coded = rel.coded_relation()?;
+            blocks += coded.block_count();
+            copied += coded.blocks().iter().map(|b| b.len() as u64).sum::<u64>();
             let mut bytes = Vec::new();
             avq_file::write_coded_relation(&mut bytes, &coded)?;
             snapshot_bytes += bytes.len() as u64;
-            let snapshot = format!("snap-{ck}-{i}.avq");
-            let tmp = self.dir.join(format!("{snapshot}.tmp"));
+            let entry = ManifestEntry {
+                name: name.to_owned(),
+                snapshot: format!("snap-{ck}-{i}.avq"),
+                secondary_attrs: rel.secondary_attrs(),
+            };
+            snapshots.push((entry, bytes));
+        }
+        // Every relation validated: only now does anything reach the
+        // directory.
+        let mut entries = Vec::with_capacity(snapshots.len());
+        for (entry, bytes) in snapshots {
+            let tmp = self.dir.join(format!("{}.tmp", entry.snapshot));
             {
                 let mut f = std::fs::File::create(&tmp).map_err(durability)?;
                 f.write_all(&bytes).map_err(durability)?;
                 f.sync_data().map_err(durability)?;
             }
-            std::fs::rename(&tmp, self.dir.join(&snapshot)).map_err(durability)?;
-            entries.push(ManifestEntry {
-                name: name.to_owned(),
-                snapshot,
-                secondary_attrs: rel.secondary_attrs(),
-            });
+            std::fs::rename(&tmp, self.dir.join(&entry.snapshot)).map_err(durability)?;
+            entries.push(entry);
         }
         avq_wal::sync_dir(&self.dir);
         let relations = entries.len();
@@ -342,6 +356,8 @@ impl DurableDatabase {
         self.wal.truncate_for_checkpoint(ck)?;
         self.checkpoint_lsn = ck;
         self.remove_stale_snapshots(&manifest);
+        span.attr(names::ATTR_BLOCKS, blocks as u64);
+        span.attr(names::ATTR_BYTES, copied);
         Ok(CheckpointReport {
             checkpoint_lsn: ck,
             relations,
@@ -579,6 +595,59 @@ mod tests {
             "32 inserts, one fsync"
         );
         assert_eq!(db.database().relation("people").unwrap().tuple_count(), 132);
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    #[test]
+    fn blocks_of_copies_checkpoint_and_reopen() {
+        // 5 000 copies of one tuple fill many blocks that share a min; the
+        // checkpoint keeps those block boundaries, so the reopen's primary
+        // index must take equal mins.
+        let dir = tmpdir("copies");
+        let schema = Schema::from_pairs(vec![
+            ("a", Domain::uint(4).unwrap()),
+            ("b", Domain::uint(4).unwrap()),
+        ])
+        .unwrap();
+        let copy = Tuple::from([1u64, 2]);
+        let relation = Relation::from_tuples(schema, vec![copy.clone(); 5000]).unwrap();
+        let config = DbConfig {
+            codec: CodecOptions {
+                block_capacity: 128,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let mut model = vec![copy.clone(); 5000];
+        {
+            let (mut db, _) = DurableDatabase::open(&dir, config, SyncPolicy::Always).unwrap();
+            db.create_relation("t", &relation).unwrap();
+            assert!(db.database().relation("t").unwrap().block_count() > 10);
+            db.checkpoint().unwrap();
+            for t in [Tuple::from([0u64, 0]), Tuple::from([3u64, 3]), copy.clone()] {
+                db.insert_tuple("t", &t).unwrap();
+                model.push(t);
+            }
+            for _ in 0..100 {
+                db.delete_tuple("t", &copy).unwrap();
+                model.remove(model.iter().position(|t| *t == copy).unwrap());
+            }
+            db.checkpoint().unwrap();
+            db.insert_tuple("t", &Tuple::from([0u64, 1])).unwrap();
+            model.push(Tuple::from([0u64, 1]));
+        }
+        model.sort_unstable();
+        let (db, report) = DurableDatabase::open(&dir, config, SyncPolicy::Always).unwrap();
+        assert_eq!((report.snapshots_loaded, report.replayed), (1, 1));
+        let rel = db.database().relation("t").unwrap();
+        assert_eq!(rel.scan_all().unwrap(), model);
+        rel.primary_index().validate().unwrap();
+        for t in [&copy, &Tuple::from([0u64, 0]), &Tuple::from([3u64, 3])] {
+            assert!(rel.contains(t).unwrap().0, "{t:?}");
+        }
+        assert!(!rel.contains(&Tuple::from([2u64, 0])).unwrap().0);
+        let (rows, _) = rel.select_range(0, 1, 1).unwrap();
+        assert_eq!(rows.len(), 4901);
         std::fs::remove_dir_all(dir).ok();
     }
 

@@ -75,4 +75,4 @@ pub use synopsis::{ColumnSynopsis, Synopsis};
 
 pub use avq_obs::{GovCtx, GovUsage, GovernanceError, QueryBudget, QueryCtx, QuotaKind};
 pub use scan::RangeScan;
-pub use secondary::SecondaryIndex;
+pub use secondary::{SecondaryIndex, SplitPostings};

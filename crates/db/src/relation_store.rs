@@ -1,11 +1,12 @@
 //! A stored relation: coded data blocks + primary index + secondary indexes.
 //!
 //! This is the §4 system: tuples live in AVQ-coded blocks on the simulated
-//! device; a primary B⁺-tree keyed on whole serialized tuples routes
-//! point/range operations to blocks; secondary indexes with buckets serve
-//! selections on non-clustering attributes; inserts and deletes re-code only
-//! the affected block (splitting it when the coded form outgrows the block,
-//! freeing it when emptied).
+//! device; a primary B⁺-tree keyed on each block's serialized min tuple
+//! routes point/range operations to blocks; secondary indexes with buckets
+//! serve selections on non-clustering attributes; inserts and deletes
+//! re-code only the affected block (splitting it when the coded form
+//! outgrows the block, freeing it when emptied) and edit its resident
+//! decoded batch in place.
 
 use crate::config::{DbConfig, ScanPolicy};
 use crate::cost::{CostTracker, QueryCost};
@@ -23,6 +24,7 @@ use avq_storage::{BlockDevice, BlockId, BufferPool, DecodedCache, PoolStats, Sto
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex};
 
+use avq_codec::CodedRelation;
 use avq_index::{BPlusTree, Posting};
 use avq_obs::{names, QueryCtx};
 
@@ -290,10 +292,12 @@ impl StoredRelation {
         config: DbConfig,
         blocks: Vec<StoredBlock>,
     ) -> Result<Self, DbError> {
-        let keys: Vec<(Vec<u8>, u64)> = blocks
+        let mut keys: Vec<(Vec<u8>, u64)> = blocks
             .iter()
-            .map(|b| (serialize_key(&schema, &b.min), b.id as u64))
+            .map(|b| (block_key(&schema, b), b.id as u64))
             .collect();
+        // Blocks that share a min are in id order in the tree, not φ order.
+        keys.sort_unstable();
         let tuple_count = blocks.iter().map(|b| b.count).sum();
         let primary = BPlusTree::bulk_build(pool.clone(), config.index_order, &keys)?;
         Ok(StoredRelation {
@@ -585,9 +589,7 @@ impl StoredRelation {
 
     /// Decodes `bytes`, checks φ order, and caches the batch as block `id`
     /// (at the cold end when `cold`), under an `avq.codec.decode_block`
-    /// span when `trace` is recording. The decode goes into the spare
-    /// buffers when they are free, and a batch the insert displaces
-    /// becomes the next spare when nothing else holds it.
+    /// span when `trace` is recording.
     fn decode_and_cache(
         &self,
         id: BlockId,
@@ -595,6 +597,19 @@ impl StoredRelation {
         trace: &avq_obs::TraceCtx,
         cold: bool,
     ) -> Result<Arc<TupleBatch>, DbError> {
+        let run = Arc::new(self.decode_checked(bytes, trace)?);
+        self.admit(id, run.clone(), cold);
+        Ok(run)
+    }
+
+    /// Decodes `bytes` and checks φ order, under an
+    /// `avq.codec.decode_block` span when `trace` is recording. The decode
+    /// goes into the spare buffers when they are free.
+    fn decode_checked(
+        &self,
+        bytes: &[u8],
+        trace: &avq_obs::TraceCtx,
+    ) -> Result<TupleBatch, DbError> {
         let arity = self.schema.arity();
         let mut spare = self.spare.try_lock().ok();
         let mut fresh = DecodeScratch::new();
@@ -613,33 +628,39 @@ impl StoredRelation {
             }
             decoded?;
         }
-        // Released before the insert, whose displaced batch may refill it.
-        drop(spare);
         check_phi_order(&run)?;
-        let run = Arc::new(run);
+        Ok(run)
+    }
+
+    /// Caches `run` as block `id` (at the cold end when `cold`). A batch
+    /// the insert displaces becomes the next spare when nothing else holds
+    /// it.
+    fn admit(&self, id: BlockId, run: Arc<TupleBatch>, cold: bool) {
         let displaced = if cold {
-            self.decoded.insert_cold(id, run.clone())
+            self.decoded.insert_cold(id, run)
         } else {
-            self.decoded.insert(id, run.clone())
+            self.decoded.insert(id, run)
         };
         if let Some(batch) = displaced.and_then(|b| Arc::try_unwrap(b).ok()) {
             if let Ok(mut spare) = self.spare.try_lock() {
                 spare.batch.get_or_insert(batch);
             }
         }
-        Ok(run)
     }
 
     /// The write path's block read: the coded bytes a splice edits and the
-    /// decoded rows it navigates by. A resident batch is used as it is — a
-    /// warm block is not decoded to be written — and on a miss the rows are
-    /// decoded, fully verified, from exactly the bytes returned. Mutations
-    /// run outside any query budget or trace.
-    fn read_for_update(&self, id: BlockId) -> Result<(Arc<Vec<u8>>, Arc<TupleBatch>), DbError> {
+    /// decoded rows it navigates by and then edits in place. A resident
+    /// batch is taken out of the decoded cache — a warm block is not
+    /// decoded to be written, and the edit copies nothing unless a reader
+    /// still holds the batch — and on a miss the rows are decoded, fully
+    /// verified, from exactly the bytes returned. The edited batch goes
+    /// back through [`Self::admit`]; a failed write leaves the block out of
+    /// the cache. Mutations run outside any query budget or trace.
+    fn take_for_update(&self, id: BlockId) -> Result<(Arc<Vec<u8>>, Arc<TupleBatch>), DbError> {
         let bytes = self.pool.read(id)?;
-        let rows = match self.decoded.get(id) {
+        let rows = match self.decoded.take(id) {
             Some(rows) => rows,
-            None => self.decode_and_cache(id, &bytes, &avq_obs::TraceCtx::disabled(), false)?,
+            None => Arc::new(self.decode_checked(&bytes, &avq_obs::TraceCtx::disabled())?),
         };
         Ok((bytes, rows))
     }
@@ -777,12 +798,48 @@ impl StoredRelation {
         Ok(out)
     }
 
+    /// The relation as its coded blocks, in φ order, exactly as the pool
+    /// holds them: what a checkpoint writes. Each block is read through
+    /// the pool with the configured retry policy — a quarantined block too,
+    /// under either [`ScanPolicy`] — and the whole is validated as the
+    /// snapshot reader validates a file
+    /// ([`CodedRelation::from_blocks`]: every block decodes, φ-sorted
+    /// within and across blocks), then against this store's bookkeeping:
+    /// each block's tuple count, min and max, and so the block and tuple
+    /// totals, must be what the store records. A damaged block fails with
+    /// a typed error instead of being left out.
+    pub fn coded_relation(&self) -> Result<CodedRelation, DbError> {
+        let mut blocks = Vec::with_capacity(self.blocks.len());
+        for b in &self.blocks {
+            blocks.push(self.pool.read_with_retry(b.id, self.config.retry)?.to_vec());
+        }
+        let coded = CodedRelation::from_blocks(self.schema.clone(), self.config.codec, blocks)?;
+        let disagrees = |(m, b): (&avq_codec::BlockMeta, &StoredBlock)| {
+            (m.tuple_count, &m.min, &m.max) != (b.count, &b.min, &b.max)
+        };
+        if let Some(i) = coded.metas().iter().zip(&self.blocks).position(disagrees) {
+            return Err(DbError::Durability {
+                detail: format!(
+                    "block {} decodes to other tuples than the store records",
+                    self.blocks[i].id
+                ),
+            });
+        }
+        debug_assert_eq!(coded.tuple_count(), self.tuple_count);
+        Ok(coded)
+    }
+
+    /// The secondary index on `attr`, if there is one.
+    pub fn secondary_index(&self, attr: usize) -> Option<&SecondaryIndex> {
+        self.secondaries.get(&attr)
+    }
+
     /// Point lookup: is `tuple` stored? Routes through the primary index
     /// (whole-tuple search key, §4.1) and decodes one block.
     pub fn contains(&self, tuple: &Tuple) -> Result<(bool, QueryCost), DbError> {
         self.schema.validate_tuple(tuple)?;
         let mut tracker = CostTracker::new(&self.device);
-        let key = serialize_key(&self.schema, tuple);
+        let key = probe_key(&self.schema, tuple, u8::MAX);
         let hit = self.primary.floor(&key)?;
         tracker.end_index_phase();
         let found = match hit {
@@ -861,17 +918,24 @@ impl StoredRelation {
             return Ok(Vec::new());
         }
         let (lo, hi) = (Tuple::new(lo_digits), Tuple::new(hi_digits));
-        let lo_key = serialize_key(&self.schema, &lo);
-        let hi_key = serialize_key(&self.schema, &hi);
+        let lo_key = probe_key(&self.schema, &lo, 0);
+        let hi_key = probe_key(&self.schema, &hi, u8::MAX);
 
         let mut out = Vec::new();
         // The block whose run the interval starts in — its min may precede
-        // the interval — unless that run ends before the interval does.
-        if let Some((_, block)) = self.primary.floor(&lo_key)? {
+        // the interval — unless that run ends before the interval does: a
+        // block whose key holds no spread is all one tuple, below `lo`, and
+        // a spread one is the φ-last block with a min below `lo`.
+        if let Some((key, block)) = self.primary.floor(&lo_key)? {
             let block = block as BlockId;
-            let ends_before = self
-                .route(&lo)
-                .is_some_and(|i| self.blocks[i].id == block && self.blocks[i].max < lo);
+            let m = self.schema.tuple_bytes();
+            let below = key.get(..m) < lo_key.get(..m);
+            let before = self.blocks.partition_point(|b| b.min < lo);
+            let ends_before = below
+                && (key.get(m) == Some(&0)
+                    || self.blocks[..before]
+                        .last()
+                        .is_some_and(|b| b.id == block && b.max < lo));
             if !ends_before {
                 out.push(block);
             }
@@ -905,8 +969,8 @@ impl StoredRelation {
 
     /// Inserts a tuple (Fig. 4.6): the tuple is spliced into the affected
     /// block's coded bytes — only the entries next to it are re-coded — and
-    /// the block's resident decoded batch is replaced by the updated one;
-    /// when the coded form no longer fits, the block is split.
+    /// into the block's decoded batch in place; when the coded form no
+    /// longer fits, the block is split.
     pub fn insert(&mut self, tuple: &Tuple) -> Result<(), DbError> {
         self.schema.validate_tuple(tuple)?;
         let Some(bidx) = self.route(tuple) else {
@@ -914,11 +978,10 @@ impl StoredRelation {
             let coded = self.codec.encode(std::slice::from_ref(tuple))?;
             let id = self.device.allocate()?;
             self.pool.write(id, &coded)?;
-            let run = std::slice::from_ref(tuple);
-            self.blocks
-                .push(StoredBlock::of_tuples(id, run, coded.len()));
+            let block = StoredBlock::of_tuples(id, std::slice::from_ref(tuple), coded.len());
             self.primary
-                .insert(&serialize_key(&self.schema, tuple), id as u64)?;
+                .insert(&block_key(&self.schema, &block), id as u64)?;
+            self.blocks.push(block);
             for idx in self.secondaries.values_mut() {
                 idx.add_posting(tuple.digits()[idx.attribute()], id)?;
             }
@@ -927,29 +990,28 @@ impl StoredRelation {
         };
 
         let id = self.blocks[bidx].id;
-        let (bytes, rows) = self.read_for_update(id)?;
+        let (bytes, mut rows) = self.take_for_update(id)?;
         let capacity = self.config.codec.block_capacity;
         let spliced = insert_into_rows(&self.codec, &bytes, &rows, tuple, capacity)?;
         match spliced.bytes {
             Some(coded) => {
                 self.pool.write(id, &coded)?;
-                let updated = rows.with_row_inserted(spliced.pos, tuple.digits());
-                self.decoded.insert(id, Arc::new(updated));
+                Arc::make_mut(&mut rows).insert_row(spliced.pos, tuple.digits());
+                self.admit(id, rows, false);
                 let b = &mut self.blocks[bidx];
                 let (min, max) = (b.min.digits(), b.max.digits());
                 b.synopsis.insert(tuple.digits(), min, max, b.count as u64);
                 b.count += 1;
                 b.used_bytes = coded.len();
+                let spread = b.min != b.max;
+                let old_key = (*tuple < b.min).then(|| block_key(&self.schema, b));
                 if *tuple < b.min {
-                    let old_key = serialize_key(&self.schema, &b.min);
                     b.min = tuple.clone();
-                    self.primary.delete(&old_key)?;
-                    self.primary
-                        .insert(&serialize_key(&self.schema, tuple), id as u64)?;
                 }
                 if *tuple > b.max {
                     b.max = tuple.clone();
                 }
+                self.rekey(bidx, old_key, spread)?;
                 for idx in self.secondaries.values_mut() {
                     idx.add_posting(tuple.digits()[idx.attribute()], id)?;
                 }
@@ -964,15 +1026,40 @@ impl StoredRelation {
         Ok(())
     }
 
+    /// Re-keys block `bidx` in the primary index after a write that kept
+    /// it: `old_key` is its key from before the write when the write moved
+    /// its min, and `spread` whether it held two distinct tuples before.
+    /// The key changes only when the min or the spread did.
+    fn rekey(
+        &mut self,
+        bidx: usize,
+        old_key: Option<Vec<u8>>,
+        spread: bool,
+    ) -> Result<(), DbError> {
+        let b = &self.blocks[bidx];
+        let old_key = match old_key {
+            Some(key) => key,
+            None if (b.min != b.max) != spread => key_of(&self.schema, &b.min, spread, b.id),
+            None => return Ok(()),
+        };
+        self.primary.delete(&old_key)?;
+        self.primary
+            .insert(&block_key(&self.schema, b), b.id as u64)?;
+        Ok(())
+    }
+
     /// Re-packs an overflowing block's tuples — its old ones with the
     /// `edit` applied — into as many blocks as needed, reusing the original
-    /// block id for the first run.
+    /// block id for the first run. Runs under an `avq.db.split` span whose
+    /// attributes, and the counters of the same names, are the secondary
+    /// postings re-pointed and the index leaves their batch pass wrote.
     fn split_block(
         &mut self,
         bidx: usize,
         tuples: &[Tuple],
         edit: Overflow<'_>,
     ) -> Result<(), DbError> {
+        let span = avq_obs::span!(names::SPAN_DB_SPLIT);
         let old = self.blocks[bidx].clone();
 
         // Split *balanced* (like a B-tree) rather than re-packing maximally:
@@ -1006,49 +1093,56 @@ impl StoredRelation {
             };
             self.pool.write(id, &coded)?;
             self.decoded.invalidate(id);
+            let block = StoredBlock::of_tuples(id, run, coded.len());
+            let key = block_key(&self.schema, &block);
             if i > 0 {
-                self.primary
-                    .insert(&serialize_key(&self.schema, &run[0]), id as u64)?;
-            } else if run[0] != old.min {
-                self.primary
-                    .delete(&serialize_key(&self.schema, &old.min))?;
-                self.primary
-                    .insert(&serialize_key(&self.schema, &run[0]), id as u64)?;
+                self.primary.insert(&key, id as u64)?;
+            } else if key != block_key(&self.schema, &old) {
+                self.primary.delete(&block_key(&self.schema, &old))?;
+                self.primary.insert(&key, id as u64)?;
             }
-            new_blocks.push(StoredBlock::of_tuples(id, run, coded.len()));
+            new_blocks.push(block);
         }
-        // The first run kept `old.id`, so its postings move rather than
-        // being rebuilt. A value that left the first run entirely moves its
-        // `(v, old.id)` posting to the first new block carrying it — one
-        // tree upsert when it is inline — and every other `(v, new)` is
-        // added. An inserted tuple's own posting, which the old block never
-        // had, is added when the tuple stayed; a deleted tuple's is dropped
-        // when no run carries its value any more.
+        // The first run kept `old.id`, so its postings stay; each index gets
+        // the postings of the other runs as one sorted batch, and re-points
+        // a value that left the first run entirely in its tree's batch pass
+        // (see `SecondaryIndex::split_postings`). An inserted tuple's own
+        // posting, which the old block never had, is added when the tuple
+        // stayed; a deleted tuple's is dropped when no run carries its
+        // value any more.
         let (kept_run, moved_runs) = tuples.split_at(new_blocks[0].count);
+        let (mut kept, mut moved) = (Vec::new(), Vec::new());
+        let (mut postings, mut leaf_writes) = (0, 0);
         for idx in self.secondaries.values_mut() {
             let attr = idx.attribute();
-            let kept: BTreeSet<u64> = kept_run.iter().map(|t| t.digits()[attr]).collect();
-            let mut moved = BTreeSet::new();
+            kept.clear();
+            kept.extend(kept_run.iter().map(|t| t.digits()[attr]));
+            kept.sort_unstable();
+            kept.dedup();
+            moved.clear();
             let mut rest = moved_runs;
             for b in &new_blocks[1..] {
                 let (run, tail) = rest.split_at(b.count);
                 rest = tail;
-                let values: BTreeSet<u64> = run.iter().map(|t| t.digits()[attr]).collect();
-                for v in values {
-                    if !kept.contains(&v) && moved.insert(v) {
-                        idx.move_posting(v, old.id, b.id)?;
-                    } else {
-                        idx.add_posting(v, b.id)?;
-                    }
-                }
+                moved.extend(run.iter().map(|t| Posting {
+                    value: t.digits()[attr],
+                    block: b.id,
+                }));
             }
+            moved.sort_unstable();
+            moved.dedup();
+            let done = idx.split_postings(old.id, &kept, &moved)?;
+            postings += done.repointed;
+            leaf_writes += done.leaf_writes;
             match edit {
-                Overflow::Inserted(t) if kept.contains(&t.digits()[attr]) => {
+                Overflow::Inserted(t) if kept.binary_search(&t.digits()[attr]).is_ok() => {
                     idx.add_posting(t.digits()[attr], old.id)?;
                 }
                 Overflow::Deleted(t) => {
                     let v = t.digits()[attr];
-                    if !kept.contains(&v) && !moved.contains(&v) {
+                    let carried = kept.binary_search(&v).is_ok()
+                        || moved.binary_search_by_key(&v, |p| p.value).is_ok();
+                    if !carried {
                         idx.remove_posting(v, old.id)?;
                     }
                 }
@@ -1056,69 +1150,78 @@ impl StoredRelation {
             }
         }
         self.blocks.splice(bidx..bidx + 1, new_blocks);
+        span.attr(names::ATTR_POSTINGS, postings as u64);
+        span.attr(names::ATTR_LEAF_WRITES, leaf_writes as u64);
+        avq_obs::counter!(names::DB_SPLIT_POSTINGS).add(postings as u64);
+        avq_obs::counter!(names::DB_SPLIT_LEAF_WRITES).add(leaf_writes as u64);
         Ok(())
     }
 
     /// Deletes one occurrence of `tuple`: spliced out of the affected
-    /// block's coded bytes, with the resident decoded batch replaced by the
-    /// updated one — which also answers what the block's new bounds are and
-    /// whether it still carries the tuple's secondary-index values. A block
-    /// whose re-code outgrows its capacity (removing a tuple can widen a
-    /// chain difference, or move the representative) is split as an
-    /// overflowing insert's is.
+    /// block's coded bytes and out of its decoded batch in place — which
+    /// then also answers what the block's new bounds are and whether it
+    /// still carries the tuple's secondary-index values. A block whose
+    /// re-code outgrows its capacity (removing a tuple can widen a chain
+    /// difference, or move the representative) is split as an overflowing
+    /// insert's is.
     pub fn delete(&mut self, tuple: &Tuple) -> Result<(), DbError> {
         self.schema.validate_tuple(tuple)?;
         let Some(bidx) = self.route(tuple) else {
             return Err(DbError::TupleNotFound);
         };
-        let old = self.blocks[bidx].clone();
-        if *tuple < old.min || *tuple > old.max {
+        let (id, min, max) = {
+            let b = &self.blocks[bidx];
+            (b.id, &b.min, &b.max)
+        };
+        if tuple < min || tuple > max {
             return Err(DbError::TupleNotFound);
         }
-        let (bytes, rows) = self.read_for_update(old.id)?;
+        let (bytes, mut rows) = self.take_for_update(id)?;
         let spliced = delete_from_rows(&self.codec, &bytes, &rows, tuple)?;
         match spliced.bytes {
             None => {
                 self.primary
-                    .delete(&serialize_key(&self.schema, &old.min))?;
+                    .delete(&block_key(&self.schema, &self.blocks[bidx]))?;
                 for idx in self.secondaries.values_mut() {
-                    idx.remove_posting(tuple.digits()[idx.attribute()], old.id)?;
+                    idx.remove_posting(tuple.digits()[idx.attribute()], id)?;
                 }
-                self.pool.invalidate(old.id);
-                self.decoded.invalidate(old.id);
-                self.device.free(old.id)?;
+                self.pool.invalidate(id);
+                self.device.free(id)?;
                 self.blocks.remove(bidx);
             }
             Some(coded) if coded.len() > self.config.codec.block_capacity => {
-                let remaining = rows.with_row_removed(spliced.pos);
-                self.split_block(bidx, &remaining.to_tuples(), Overflow::Deleted(tuple))?;
+                let mut remaining = rows.to_tuples();
+                remaining.remove(spliced.pos);
+                self.split_block(bidx, &remaining, Overflow::Deleted(tuple))?;
             }
             Some(coded) => {
-                self.pool.write(old.id, &coded)?;
-                let remaining = Arc::new(rows.with_row_removed(spliced.pos));
-                self.decoded.insert(old.id, remaining.clone());
+                self.pool.write(id, &coded)?;
+                Arc::make_mut(&mut rows).remove_row(spliced.pos);
                 let b = &mut self.blocks[bidx];
-                b.synopsis.delete(tuple.digits(), &remaining);
+                b.synopsis.delete(tuple.digits(), &rows);
                 b.count -= 1;
                 b.used_bytes = coded.len();
-                if remaining.cmp_row(0, b.min.digits()).is_ne() {
-                    let old_key = serialize_key(&self.schema, &b.min);
-                    b.min = remaining.tuple(0);
-                    self.primary.delete(&old_key)?;
-                    self.primary
-                        .insert(&serialize_key(&self.schema, &b.min), old.id as u64)?;
+                let spread = b.min != b.max;
+                let old_key = rows
+                    .cmp_row(0, b.min.digits())
+                    .is_ne()
+                    .then(|| block_key(&self.schema, b));
+                if old_key.is_some() {
+                    b.min = rows.tuple(0);
                 }
-                let last = remaining.len() - 1;
-                if remaining.cmp_row(last, b.max.digits()).is_ne() {
-                    b.max = remaining.tuple(last);
+                let last = rows.len() - 1;
+                if rows.cmp_row(last, b.max.digits()).is_ne() {
+                    b.max = rows.tuple(last);
                 }
                 for idx in self.secondaries.values_mut() {
                     let attr = idx.attribute();
                     let v = tuple.digits()[attr];
-                    if !remaining.col(attr).contains(&v) {
-                        idx.remove_posting(v, old.id)?;
+                    if !rows.col(attr).contains(&v) {
+                        idx.remove_posting(v, id)?;
                     }
                 }
+                self.admit(id, rows, false);
+                self.rekey(bidx, old_key, spread)?;
             }
         }
         self.tuple_count -= 1;
@@ -1173,11 +1276,39 @@ pub fn row_mem_bytes(arity: usize) -> u64 {
     arity as u64 * 8 + 32
 }
 
-/// Serializes a tuple into its fixed-width primary-index key (byte order =
-/// φ order).
-pub(crate) fn serialize_key(schema: &Schema, tuple: &Tuple) -> Vec<u8> {
-    let mut key = Vec::with_capacity(schema.tuple_bytes());
+/// Bytes a primary-index key adds after the serialized min: the spread
+/// byte and the block id.
+const KEY_SUFFIX: usize = 5;
+
+/// The primary-index key of block `b`: its min tuple's fixed-width
+/// serialization (byte order = φ order), one spread byte that is 1 when the
+/// block holds more than one distinct tuple, and the block id, big-endian.
+///
+/// A bag can fill several blocks with copies of one tuple, so blocks may
+/// share a min; the id keeps their keys apart. Of the blocks that share a
+/// min only the φ-last can hold a larger tuple (the ones before it end at
+/// that min), and the spread byte sorts it after the others, so the floor
+/// of a probe past the min finds it, and a key-order walk over the blocks
+/// yields their tuples in φ order.
+fn block_key(schema: &Schema, b: &StoredBlock) -> Vec<u8> {
+    key_of(schema, &b.min, b.min != b.max, b.id)
+}
+
+/// [`block_key`] from its parts.
+fn key_of(schema: &Schema, min: &Tuple, spread: bool, id: BlockId) -> Vec<u8> {
+    let mut key = Vec::with_capacity(schema.tuple_bytes() + KEY_SUFFIX);
+    schema.write_tuple(min, &mut key);
+    key.push(u8::from(spread));
+    key.extend_from_slice(&id.to_be_bytes());
+    key
+}
+
+/// A probe for the keys of blocks whose min is `tuple`: below all of them
+/// when `pad` is 0, above all of them when it is `u8::MAX`.
+fn probe_key(schema: &Schema, tuple: &Tuple, pad: u8) -> Vec<u8> {
+    let mut key = Vec::with_capacity(schema.tuple_bytes() + KEY_SUFFIX);
     schema.write_tuple(tuple, &mut key);
+    key.resize(key.len() + KEY_SUFFIX, pad);
     key
 }
 

@@ -18,13 +18,22 @@
 //! data blocks to read.
 
 use crate::error::DbError;
-use avq_index::{BPlusTree, BucketStore, Posting, Removal};
+use avq_index::{BPlusTree, BucketStore, IndexError, Posting, Removal};
 use avq_storage::{BlockId, BufferPool};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Tags a tree payload that is a data block id, not a bucket head.
 const INLINE: u64 = 1 << 63;
+
+/// What [`SecondaryIndex::split_postings`] did.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SplitPostings {
+    /// Inline postings re-pointed by the tree's batch pass.
+    pub repointed: usize,
+    /// Tree leaves that batch pass wrote.
+    pub leaf_writes: usize,
+}
 
 /// A secondary index over one attribute.
 #[derive(Debug)]
@@ -159,23 +168,76 @@ impl SecondaryIndex {
         Ok(())
     }
 
-    /// Replaces the posting `(value, from)` with `(value, to)`, for a value
-    /// whose rows have all left block `from`. A value inline at `from` is
-    /// re-pointed with one tree upsert; a bucket gains `to` before it loses
-    /// `from`, so it is never demoted and re-created on the way.
-    pub fn move_posting(&mut self, value: u64, from: BlockId, to: BlockId) -> Result<(), DbError> {
-        let key = value_key(value);
-        match self.tree.get(&key)?.map(Entry::of) {
-            Some(Entry::Inline(only)) if only == from => {
-                self.tree.insert(&key, inline(to))?;
-                Ok(())
+    /// Re-points the postings of a split of block `from`: `kept` holds
+    /// the sorted distinct values still in `from`, and `moved` the sorted
+    /// postings of the runs that left it, one per distinct value and run.
+    /// Every posting of `moved` is added, and `(v, from)` is removed for
+    /// each moved `v` not kept.
+    ///
+    /// A moved value inline at `from` and not kept — every value of a
+    /// unique key — is re-pointed in one batch pass over the tree's leaves
+    /// ([`BPlusTree::patch_sorted`]): one descent and one write per leaf
+    /// touched, however many of its keys moved. Any other value goes
+    /// through [`Self::add_posting`] and then [`Self::remove_posting`], so
+    /// a bucket gains its new blocks before it loses `from` and is never
+    /// demoted on the way.
+    pub fn split_postings(
+        &mut self,
+        from: BlockId,
+        kept: &[u64],
+        moved: &[Posting],
+    ) -> Result<SplitPostings, DbError> {
+        debug_assert!(moved.windows(2).all(|w| w[0] < w[1]));
+        let runs: Vec<&[Posting]> = moved.chunk_by(|a, b| a.value == b.value).collect();
+        let keys: Vec<[u8; 8]> = runs.iter().map(|run| value_key(run[0].value)).collect();
+        let mut repointed = vec![false; runs.len()];
+        let leaf_writes = self.tree.patch_sorted(&keys, |i, payload| {
+            let first = runs[i][0];
+            match Entry::of(payload) {
+                Entry::Inline(only)
+                    if only == from && kept.binary_search(&first.value).is_err() =>
+                {
+                    repointed[i] = true;
+                    Some(inline(first.block))
+                }
+                _ => None,
             }
-            Some(Entry::Bucket(_)) if from != to => {
-                self.add_posting(value, to)?;
-                self.remove_posting(value, from)
+        })?;
+        for (run, &done) in runs.iter().zip(&repointed) {
+            let value = run[0].value;
+            for p in &run[usize::from(done)..] {
+                self.add_posting(value, p.block)?;
             }
-            _ => self.add_posting(value, to),
+            if !done && kept.binary_search(&value).is_err() {
+                self.remove_posting(value, from)?;
+            }
         }
+        Ok(SplitPostings {
+            repointed: repointed.iter().filter(|&&done| done).count(),
+            leaf_writes,
+        })
+    }
+
+    /// Every posting, ascending by value and block (for checks: equal to
+    /// the deduplicated postings [`Self::build`] would be given).
+    pub fn postings(&self) -> Result<Vec<Posting>, DbError> {
+        let mut out = Vec::new();
+        for (key, payload) in self.tree.range(&value_key(0), &value_key(u64::MAX))? {
+            match Entry::of(payload) {
+                Entry::Inline(block) => {
+                    let value = <[u8; 8]>::try_from(key.as_slice())
+                        .map(u64::from_be_bytes)
+                        .map_err(|_| IndexError::CorruptNode {
+                            block: self.tree.root(),
+                            detail: format!("secondary key of {} bytes", key.len()),
+                        })?;
+                    out.push(Posting { value, block });
+                }
+                Entry::Bucket(head) => out.extend(self.store.read(head)?),
+            }
+        }
+        out.sort_unstable();
+        Ok(out)
     }
 
     /// Bulk-registers a coded block's rows (one posting per distinct

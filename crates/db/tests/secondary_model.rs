@@ -1,12 +1,18 @@
 //! `SecondaryIndex` against a model: seeded random `add_posting`,
-//! `remove_posting`, `move_posting`, `add_block` and `remove_block` over
+//! `remove_posting`, `split_postings`, `add_block` and `remove_block` over
 //! small blocks, so bucket chains span pages, checked after every step
 //! against a `BTreeMap<value, BTreeSet<block>>`. Besides the lookups, the device must
 //! hold exactly `Σ ⌈n / capacity⌉` bucket pages over the values with
 //! `n ≥ 2` postings: no bucket for a lone posting and no leaked page.
+//!
+//! Then the indexes of a stored relation: block splits on a unique and on a
+//! low-cardinality attribute, after each of which every index must hold
+//! exactly the postings `SecondaryIndex::build` makes over the blocks.
 
-use avq_db::SecondaryIndex;
+use avq_codec::CodecOptions;
+use avq_db::{Database, DbConfig, QueryCtx, SecondaryIndex};
 use avq_index::Posting;
+use avq_schema::{Domain, Relation, Schema, Tuple};
 use avq_storage::{BlockDevice, BlockId, BufferPool, DiskProfile};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -135,11 +141,29 @@ fn random_postings_match_the_model() {
                     }
                 }
                 _ => {
-                    let (value, to) = (rng.below(VALUES), rng.below(BLOCKS) as BlockId);
-                    idx.move_posting(value, block, to).unwrap();
-                    let blocks = model.entry(value).or_default();
-                    blocks.remove(&block);
-                    blocks.insert(to);
+                    // `block` splits: some values stay, and the runs that
+                    // leave carry some values, old or new, to other blocks.
+                    let kept: Vec<u64> = (0..VALUES).filter(|_| rng.below(2) == 0).collect();
+                    let mut moved: Vec<Posting> = Vec::new();
+                    for _ in 0..1 + rng.below(2) {
+                        let to = (block + 1 + rng.below(BLOCKS - 1) as BlockId) % BLOCKS as BlockId;
+                        for _ in 0..1 + rng.below(4) {
+                            moved.push(Posting {
+                                value: rng.below(VALUES),
+                                block: to,
+                            });
+                        }
+                    }
+                    moved.sort_unstable();
+                    moved.dedup();
+                    idx.split_postings(block, &kept, &moved).unwrap();
+                    for p in &moved {
+                        let blocks = model.entry(p.value).or_default();
+                        blocks.insert(p.block);
+                        if kept.binary_search(&p.value).is_err() {
+                            blocks.remove(&block);
+                        }
+                    }
                 }
             }
             model.retain(|_, blocks| !blocks.is_empty());
@@ -181,4 +205,87 @@ fn build_equals_incremental_adds() {
         assert_eq!(bucket_pages(&built), expected_pages(&model), "seed {seed}");
         assert_eq!(bucket_pages(&added), expected_pages(&model), "seed {seed}");
     }
+}
+
+/// Every posting of block ids' rows on `attr`, built into a fresh index.
+fn built_postings(db: &Database, attr: usize) -> Vec<Posting> {
+    let rel = db.relation("t").unwrap();
+    let mut postings = Vec::new();
+    for b in rel.blocks() {
+        let rows = rel.read_block(b.id, &QueryCtx::default()).unwrap().unwrap();
+        postings.extend(
+            rows.col(attr)
+                .iter()
+                .map(|&value| Posting { value, block: b.id }),
+        );
+    }
+    let pool = BufferPool::new(BlockDevice::new(4096, DiskProfile::instant()), 64);
+    let built = SecondaryIndex::build(pool, usize::MAX, attr, postings).unwrap();
+    built.postings().unwrap()
+}
+
+#[test]
+fn splits_keep_unique_and_low_cardinality_postings_exact() {
+    const UNIQUE: usize = 2;
+    const LOW: usize = 1;
+    let schema = Schema::from_pairs(vec![
+        ("a", Domain::uint(8).unwrap()),
+        ("low", Domain::uint(4).unwrap()),
+        ("key", Domain::uint(1 << 20).unwrap()),
+    ])
+    .unwrap();
+    let key = |i: u64| (i * 7919) % (1 << 20);
+    let tuples: Vec<Tuple> = (0..1500u64)
+        .map(|i| Tuple::from([i % 8, (i / 8) % 4, key(i)]))
+        .collect();
+    let config = DbConfig {
+        codec: CodecOptions {
+            block_capacity: 256,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let mut db = Database::new(config);
+    db.create_relation("t", &Relation::from_tuples(schema, tuples).unwrap())
+        .unwrap();
+    db.create_secondary_index("t", LOW).unwrap();
+    db.create_secondary_index("t", UNIQUE).unwrap();
+    let repointed = || {
+        avq_obs::global()
+            .counter(avq_obs::names::DB_SPLIT_POSTINGS)
+            .get()
+    };
+    let before = repointed();
+    let mut rng = Rng(7);
+    let mut live: Vec<Tuple> = db.relation("t").unwrap().scan_all().unwrap();
+    let mut splits = 0;
+    for step in 0..600u64 {
+        let blocks = db.relation("t").unwrap().block_count();
+        if step % 5 == 4 {
+            let victim = live.swap_remove(rng.below(live.len() as u64) as usize);
+            db.relation_mut("t").unwrap().delete(&victim).unwrap();
+        } else {
+            // Clustered, so the same few blocks fill and split.
+            let t = Tuple::from([3 + rng.below(2), rng.below(4), key(1500 + step)]);
+            db.relation_mut("t").unwrap().insert(&t).unwrap();
+            live.push(t);
+        }
+        if db.relation("t").unwrap().block_count() <= blocks {
+            continue;
+        }
+        splits += 1;
+        for attr in [LOW, UNIQUE] {
+            let idx = db.relation("t").unwrap().secondary_index(attr).unwrap();
+            assert_eq!(
+                idx.postings().unwrap(),
+                built_postings(&db, attr),
+                "attribute {attr} after the split at step {step}"
+            );
+        }
+    }
+    assert!(splits >= 10, "{splits} splits");
+    assert!(
+        repointed() > before,
+        "no unique posting was re-pointed in a batch"
+    );
 }

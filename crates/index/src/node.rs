@@ -199,6 +199,7 @@ impl<'a> NodeView<'a> {
             block: self.block,
             value_len: if self.leaf { 8 } else { 4 },
             left: self.nkeys,
+            end: HEADER + self.body.len(),
             rest: self.body,
         }
     }
@@ -234,7 +235,7 @@ impl<'a> NodeView<'a> {
         let mut entries = self.entries();
         let mut hit = None;
         loop {
-            let here = HEADER + self.body.len() - entries.rest.len();
+            let here = entries.offset();
             let Some(entry) = entries.next() else {
                 let (at, found) = hit.unwrap_or((here, None));
                 return Ok(LeafSlot {
@@ -268,10 +269,18 @@ pub(crate) struct Entries<'a> {
     block: BlockId,
     value_len: usize,
     left: usize,
+    /// Offset in the node just past its bytes.
+    end: usize,
     rest: &'a [u8],
 }
 
 impl<'a> Entries<'a> {
+    /// Offset in the node of the next entry: just past the last one once
+    /// the walk has ended.
+    pub fn offset(&self) -> usize {
+        self.end - self.rest.len()
+    }
+
     fn parse_one(&mut self) -> Result<(&'a [u8], u64), IndexError> {
         let rest = self.rest;
         let (&klen, rest) = rest

@@ -551,6 +551,71 @@ impl BPlusTree {
         Ok(val)
     }
 
+    /// Rewrites the payloads of keys the tree holds, for a batch of
+    /// strictly ascending `keys`, one leaf at a time: each leaf is reached
+    /// by one descent, its entries are merged with the keys that fall in
+    /// it, and `patch(i, payload)` returns the new payload of present key
+    /// `keys[i]` or `None` to keep it. A key the tree does not hold is
+    /// passed over, and no key is added or removed, so no node splits.
+    ///
+    /// Every touched leaf is parsed whole and patched in a private copy
+    /// before the first is written; then each leaf with a changed payload
+    /// is written exactly once. A node that does not parse fails the batch
+    /// with `CorruptNode` and nothing is written (`patch` may already have
+    /// been called). Returns the number of leaves written.
+    pub fn patch_sorted<K: AsRef<[u8]>>(
+        &mut self,
+        keys: &[K],
+        mut patch: impl FnMut(usize, u64) -> Option<u64>,
+    ) -> Result<usize, IndexError> {
+        debug_assert!(keys.windows(2).all(|w| w[0].as_ref() < w[1].as_ref()));
+        let mut pending: Vec<(BlockId, Vec<u8>)> = Vec::new();
+        let mut edits: Vec<(usize, u64)> = Vec::new();
+        let mut i = 0;
+        while i < keys.len() {
+            let (id, bytes) = self.leaf_for(keys[i].as_ref())?;
+            let view = NodeView::parse(id, &bytes)?;
+            let mut j = i;
+            let mut entries = view.entries();
+            loop {
+                let at = entries.offset();
+                let Some(entry) = entries.next() else {
+                    break;
+                };
+                let (k, v) = entry?;
+                while keys.get(j).is_some_and(|key| key.as_ref() < k) {
+                    j += 1;
+                }
+                if keys.get(j).is_some_and(|key| key.as_ref() == k) {
+                    if let Some(new) = patch(j, v).filter(|&new| new != v) {
+                        edits.push((at + 2 + k.len(), new));
+                    }
+                    j += 1;
+                }
+            }
+            // Keys past the leaf's last entry are looked for from the next
+            // descent on; the key that routed here and is absent is done.
+            i = j.max(i + 1);
+            if edits.is_empty() {
+                continue;
+            }
+            let copy = match pending.iter().position(|(p, _)| *p == id) {
+                Some(at) => &mut pending[at].1,
+                None => {
+                    pending.push((id, bytes[..entries.offset()].to_vec()));
+                    &mut pending.last_mut().expect("just pushed").1
+                }
+            };
+            for (at, new) in edits.drain(..) {
+                copy[at..at + 8].copy_from_slice(&new.to_le_bytes());
+            }
+        }
+        for (id, bytes) in &pending {
+            self.pool.write(*id, bytes)?;
+        }
+        Ok(pending.len())
+    }
+
     /// Walks the whole tree, returning shape statistics.
     pub fn stats(&self) -> Result<TreeStats, IndexError> {
         let mut stats = TreeStats {
@@ -930,6 +995,55 @@ mod tests {
             200,
             "closest-difference routing picks the wrong block"
         );
+    }
+
+    #[test]
+    fn patch_sorted_writes_each_touched_leaf_once() {
+        let device = BlockDevice::new(256, DiskProfile::instant());
+        let pool = BufferPool::new(device.clone(), 512);
+        let pairs: Vec<(Vec<u8>, u64)> = (0..2000u64).map(|i| (key(2 * i), i)).collect();
+        let mut t = BPlusTree::bulk_build(pool, usize::MAX, &pairs).unwrap();
+        let mut model: std::collections::BTreeMap<u64, u64> =
+            (0..2000u64).map(|i| (2 * i, i)).collect();
+        // Present and absent keys, scattered, some left unchanged.
+        let keys: Vec<[u8; 8]> = (0..700u64).map(|i| (i * 11 % 4100).to_be_bytes()).collect();
+        let mut keys = keys;
+        keys.sort_unstable();
+        keys.dedup();
+        let mut touched = std::collections::BTreeSet::new();
+        for k in &keys {
+            let v = u64::from_be_bytes(*k);
+            if !v.is_multiple_of(3) && model.contains_key(&v) {
+                touched.insert(t.leaf_for(k).unwrap().0);
+            }
+        }
+        let writes = device.io_stats().writes;
+        let mut seen = Vec::new();
+        let written = t
+            .patch_sorted(&keys, |i, old| {
+                let v = u64::from_be_bytes(keys[i]);
+                assert_eq!(Some(&old), model.get(&v), "payload handed over");
+                seen.push(v);
+                (!v.is_multiple_of(3)).then_some(old + 1_000_000)
+            })
+            .unwrap();
+        assert!(touched.len() > 10, "the batch spans many leaves");
+        assert_eq!(written, touched.len());
+        assert_eq!(device.io_stats().writes - writes, touched.len() as u64);
+        let present: Vec<u64> = keys
+            .iter()
+            .map(|k| u64::from_be_bytes(*k))
+            .filter(|v| model.contains_key(v))
+            .collect();
+        assert_eq!(seen, present, "each present key once, in order");
+        for v in present.iter().filter(|v| !v.is_multiple_of(3)) {
+            *model.get_mut(v).unwrap() += 1_000_000;
+        }
+        for v in 0..4100u64 {
+            assert_eq!(t.get(&key(v)).unwrap(), model.get(&v).copied(), "key {v}");
+        }
+        t.validate().unwrap();
+        assert_eq!(t.patch_sorted(&[key(1)], |_, _| Some(0)).unwrap(), 0);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Lookups and leaf edits walk node bytes in place, so they must treat every
 //! node block as hostile, as the codec treats coded blocks: seeded garbage,
 //! truncation and byte flips of node blocks written through the device make
-//! `get`, `floor`, `range`, `insert` and `delete` return `Ok` or
-//! `Err(CorruptNode)` — never a panic, never a hang, never a storage error
-//! for a pointer that names no block — and no edit writes back a node
-//! that does not parse.
+//! `get`, `floor`, `range`, `insert`, `delete` and `patch_sorted` return
+//! `Ok` or `Err(CorruptNode)` — never a panic, never a hang, never a
+//! storage error for a pointer that names no block — and no edit writes
+//! back a node that does not parse. A batch patch that fails writes
+//! nothing at all.
 
 use avq_index::{BPlusTree, IndexError};
 use avq_storage::{BlockDevice, BufferPool, DiskProfile};
@@ -138,6 +139,59 @@ fn edits_of_damaged_nodes_yield_ok_or_corrupt_node() {
                     "seed {seed}: {what} rewrote a node that does not parse"
                 );
             }
+        }
+    }
+}
+
+#[test]
+fn batch_patches_of_damaged_nodes_are_all_or_nothing() {
+    const BLOCK: usize = 128;
+    for seed in 0..1200u64 {
+        let device = BlockDevice::new(BLOCK, DiskProfile::instant());
+        let pool = BufferPool::new(device.clone(), 64);
+        let pairs: Vec<(Vec<u8>, u64)> = (0..120u64).map(|i| (key(2 * i).to_vec(), i)).collect();
+        let mut tree = BPlusTree::bulk_build(pool.clone(), 4, &pairs).unwrap();
+        let mut rng = Rng(seed);
+        let id = rng.below(device.live_blocks()) as u32;
+        let original = device.read(id).unwrap();
+        let damaged = if seed % 4 == 3 {
+            let mut b = original.clone();
+            b[1..3].copy_from_slice(&u16::MAX.to_le_bytes());
+            b
+        } else {
+            damage(&mut rng, seed, &original, BLOCK)
+        };
+        pool.write(id, &damaged).unwrap();
+        let nodes: Vec<Vec<u8>> = (0..device.live_blocks() as u32)
+            .map(|b| device.read(b).unwrap())
+            .collect();
+        let mut keys: Vec<[u8; 8]> = (0..1 + rng.below(40))
+            .map(|_| key(rng.next() % 250))
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let writes = device.io_stats().writes;
+        match tree.patch_sorted(&keys, |_, v| Some(v + 1000)) {
+            Ok(written) => {
+                assert_eq!(device.io_stats().writes - writes, written as u64);
+                if !parses(&damaged) {
+                    assert_eq!(
+                        device.read(id).unwrap(),
+                        damaged,
+                        "seed {seed}: the batch rewrote a node that does not parse"
+                    );
+                }
+            }
+            Err(IndexError::CorruptNode { .. }) => {
+                for (b, before) in nodes.iter().enumerate() {
+                    assert_eq!(
+                        &device.read(b as u32).unwrap(),
+                        before,
+                        "seed {seed}: a failed batch wrote node {b}"
+                    );
+                }
+            }
+            Err(e) => panic!("seed {seed}: patch_sorted returned {e:?}"),
         }
     }
 }

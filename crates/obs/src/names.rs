@@ -77,6 +77,11 @@ pub const DB_JOINS: &str = "avq.db.joins";
 pub const DB_AGGREGATES: &str = "avq.db.aggregates";
 /// Checkpoints taken.
 pub const DB_CHECKPOINTS: &str = "avq.db.checkpoints";
+/// Inline secondary-index postings a block split re-pointed in the tree's
+/// batch pass.
+pub const DB_SPLIT_POSTINGS: &str = "avq.db.split.postings";
+/// Secondary-index leaves a block split's batch pass wrote.
+pub const DB_SPLIT_LEAF_WRITES: &str = "avq.db.split.leaf_writes";
 /// Blocks a cold read answered from their synopsis without decoding.
 pub const DB_SYNOPSIS_BLOCKS: &str = "avq.db.synopsis.blocks";
 /// Blocks whose decode failed verification and were skipped or repaired.
@@ -135,8 +140,13 @@ pub const SPAN_DB_SELECT: &str = "avq.db.select";
 pub const SPAN_DB_JOIN: &str = "avq.db.join";
 /// Span around one aggregate.
 pub const SPAN_DB_AGGREGATE: &str = "avq.db.aggregate";
-/// Span around one checkpoint.
+/// Span around one checkpoint; attributes [`ATTR_BLOCKS`] and
+/// [`ATTR_BYTES`], the coded blocks and bytes it copied.
 pub const SPAN_DB_CHECKPOINT: &str = "avq.db.checkpoint";
+/// Span around one block split: re-pack, re-code, primary-index re-keying
+/// and secondary postings; attributes [`ATTR_POSTINGS`] and
+/// [`ATTR_LEAF_WRITES`].
+pub const SPAN_DB_SPLIT: &str = "avq.db.split";
 
 // ---- sql --------------------------------------------------------------
 
@@ -177,6 +187,12 @@ pub fn prom(name: &str) -> String {
 // are span-local, so they are deliberately outside the `avq.` metric
 // namespace. AVQ-L004 takes the `ATTR_` prefix as the mark of a key.
 
+/// `u64` on `avq.db.checkpoint`: coded blocks copied.
+pub const ATTR_BLOCKS: &str = "blocks";
+/// `u64` on `avq.db.split`: inline postings re-pointed by the batch pass.
+pub const ATTR_POSTINGS: &str = "postings";
+/// `u64` on `avq.db.split`: secondary-index leaves the batch pass wrote.
+pub const ATTR_LEAF_WRITES: &str = "leaf_writes";
 /// `str` on `avq.sql.stage`: executor stage kind (`scan`, `synopsis`,
 /// `filter`, `join`, `aggregate`, `sort`, `limit`, `project`, `index-probe`,
 /// `scan-inner`).

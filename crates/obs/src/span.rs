@@ -65,6 +65,9 @@ pub trait SpanObserver: Send + Sync {
     fn enter(&self, name: &'static str);
     /// Called when a span closes, with its elapsed time in nanoseconds.
     fn exit(&self, name: &'static str, elapsed_ns: u64);
+    /// Called with an attribute of the open span `name` (see
+    /// [`SpanGuard::attr`]); ignored unless a sink wants it.
+    fn attr(&self, _name: &'static str, _key: &'static str, _value: u64) {}
 }
 
 /// Installs the process-wide span observer as a trace sink. Only the first
@@ -104,6 +107,12 @@ impl<'a> SpanGuard<'a> {
     /// The span's name.
     pub fn name(&self) -> &'static str {
         self.name
+    }
+
+    /// Hands every span sink an attribute of this span: a count its work
+    /// produced (a [`crate::names`] `ATTR_*` key).
+    pub fn attr(&self, key: &'static str, value: u64) {
+        trace::emit_attr(self.name, key, value);
     }
 }
 
@@ -227,6 +236,7 @@ mod tests {
     struct CountingObserver {
         enters: AtomicU64,
         exits: AtomicU64,
+        attrs: AtomicU64,
     }
 
     impl SpanObserver for CountingObserver {
@@ -238,6 +248,11 @@ mod tests {
             assert!(elapsed_ns < u64::MAX);
             self.exits.fetch_add(1, Ordering::Relaxed);
         }
+        fn attr(&self, name: &'static str, key: &'static str, value: u64) {
+            if (name, key) == ("avq.obs.test.observed", "items") {
+                self.attrs.fetch_add(value, Ordering::Relaxed);
+            }
+        }
     }
 
     #[test]
@@ -247,12 +262,15 @@ mod tests {
         let obs = Box::leak(Box::new(CountingObserver {
             enters: AtomicU64::new(0),
             exits: AtomicU64::new(0),
+            attrs: AtomicU64::new(0),
         }));
         assert!(set_span_observer(Box::new(ObserverRef(obs))));
         {
-            let _g = crate::span!("avq.obs.test.observed");
+            let g = crate::span!("avq.obs.test.observed");
+            g.attr("items", 5);
         }
         assert!(obs.enters.load(Ordering::Relaxed) >= 1);
+        assert_eq!(obs.attrs.load(Ordering::Relaxed), 5, "attribute forwarded");
         assert!(obs.exits.load(Ordering::Relaxed) >= 1);
         // Second install is rejected.
         assert!(!set_span_observer(Box::new(ObserverRef(obs))));
@@ -266,6 +284,9 @@ mod tests {
         }
         fn exit(&self, name: &'static str, elapsed_ns: u64) {
             self.0.exit(name, elapsed_ns);
+        }
+        fn attr(&self, name: &'static str, key: &'static str, value: u64) {
+            self.0.attr(name, key, value);
         }
     }
 }

@@ -113,6 +113,18 @@ pub(crate) fn emit_exit(name: &'static str, elapsed_ns: u64) {
     }
 }
 
+/// Fans a span attribute out to every registered sink.
+#[inline]
+pub(crate) fn emit_attr(name: &'static str, key: &'static str, value: u64) {
+    // Acquire: pairs with add_span_sink's Release on `SINKS.len`.
+    let n = SINKS.len.load(Ordering::Acquire);
+    for slot in &SINKS.slots[..n] {
+        if let Some(sink) = slot.get() {
+            sink.attr(name, key, value);
+        }
+    }
+}
+
 // --- trace model ------------------------------------------------------------
 
 /// Identifies one trace (one traced request), unique per collector.

@@ -255,47 +255,39 @@ impl TupleBatch {
         result
     }
 
-    /// A copy of the batch with `row` inserted before row `i` (`i == len`
-    /// appends), allocated at exactly its size. Panics when `i > len` or
-    /// `row` is not `arity` wide.
-    pub fn with_row_inserted(&self, i: usize, row: &[u64]) -> TupleBatch {
+    /// Inserts `row` before row `i` (`i == len` appends), in place: each
+    /// column's tail moves one slot down inside the stride. A batch with no
+    /// spare slot first re-lays its columns out with a small slack, about a
+    /// sixteenth of its rows, so a run of inserts into one block re-lays it
+    /// out once per slack's worth, not once per insert. Panics when
+    /// `i > len` or `row` is not `arity` wide.
+    pub fn insert_row(&mut self, i: usize, row: &[u64]) {
         assert!(
             i <= self.rows,
             "row {i} out of range for {} rows",
             self.rows
         );
         assert_eq!(row.len(), self.arity, "row width");
-        let mut data = Vec::with_capacity(self.arity * (self.rows + 1));
+        if self.rows == self.stride {
+            self.set_stride(self.rows + 1 + self.rows / 16);
+        }
         for (a, &v) in row.iter().enumerate() {
-            let (head, tail) = self.col(a).split_at(i);
-            data.extend_from_slice(head);
-            data.push(v);
-            data.extend_from_slice(tail);
+            let col = a * self.stride;
+            self.data.copy_within(col + i..col + self.rows, col + i + 1);
+            self.data[col + i] = v;
         }
-        TupleBatch {
-            arity: self.arity,
-            rows: self.rows + 1,
-            stride: self.rows + 1,
-            data,
-        }
+        self.rows += 1;
     }
 
-    /// A copy of the batch without row `i`, allocated at exactly its size.
-    /// Panics when `i` is out of range.
-    pub fn with_row_removed(&self, i: usize) -> TupleBatch {
+    /// Removes row `i` in place: each column's tail moves one slot up, and
+    /// the stride is kept. Panics when `i` is out of range.
+    pub fn remove_row(&mut self, i: usize) {
         self.check_row(i);
-        let mut data = Vec::with_capacity(self.arity * (self.rows - 1));
         for a in 0..self.arity {
-            let col = self.col(a);
-            data.extend_from_slice(&col[..i]);
-            data.extend_from_slice(&col[i + 1..]);
+            let col = a * self.stride;
+            self.data.copy_within(col + i + 1..col + self.rows, col + i);
         }
-        TupleBatch {
-            arity: self.arity,
-            rows: self.rows - 1,
-            stride: self.rows - 1,
-            data,
-        }
+        self.rows -= 1;
     }
 
     /// Keeps the first `rows` rows.
@@ -521,8 +513,11 @@ mod tests {
         assert!(b.is_sorted());
         b.try_extend(3, |_| Ok::<(), ()>(())).unwrap();
         assert_eq!(b.to_tuples().len(), 5);
-        assert_eq!(b.with_row_inserted(5, &[]).len(), 6);
-        assert_eq!(b.with_row_removed(0).len(), 4);
+        b.insert_row(5, &[]);
+        assert_eq!(b.len(), 6);
+        b.remove_row(0);
+        b.remove_row(0);
+        assert_eq!(b.len(), 4);
         b.truncate(1);
         assert_eq!(b.len(), 1);
     }

@@ -104,17 +104,30 @@ proptest! {
         let new = run(arity, &cells[..1], 1).remove(0);
         let mut grown = model(&tuples);
         grown.insert(at, new.digits().to_vec());
-        let inserted = batch.with_row_inserted(at, new.digits());
+        let mut inserted = batch.clone();
+        inserted.insert_row(at, new.digits());
         prop_assert_eq!(inserted.len(), rows + 1);
         prop_assert_eq!(rows_of(&inserted), grown.clone());
-        prop_assert_eq!(inserted.with_row_removed(at), batch.clone());
+        // A second insert lands in the slack the first one left.
+        let mut twice = inserted.clone();
+        twice.insert_row(at, new.digits());
+        grown.insert(at, new.digits().to_vec());
+        prop_assert_eq!(rows_of(&twice), grown);
+        twice.remove_row(at);
+        prop_assert_eq!(&twice, &inserted);
+        inserted.remove_row(at);
+        prop_assert_eq!(&inserted, &batch);
         if rows > 0 {
             let gone = at % rows;
             let mut shrunk = model(&tuples);
             shrunk.remove(gone);
-            let removed = batch.with_row_removed(gone);
+            let mut removed = batch.clone();
+            removed.remove_row(gone);
             prop_assert_eq!(removed.len(), rows - 1);
-            prop_assert_eq!(rows_of(&removed), shrunk);
+            prop_assert_eq!(rows_of(&removed), shrunk.clone());
+            // An insert after a remove reuses the freed slot.
+            removed.insert_row(gone, tuples[gone].digits());
+            prop_assert_eq!(&removed, &batch);
         }
     }
 

@@ -186,6 +186,28 @@ impl<V> DecodedCache<V> {
         }
     }
 
+    /// Removes one block's cached value and returns it, counting a hit or
+    /// a miss as [`Self::get`] does. A write takes the value it edits, so
+    /// the edit copies nothing unless a reader still holds the value, and
+    /// inserts the edited value back. Disabled caches return `None`
+    /// without counting.
+    pub fn take(&self, id: BlockId) -> Option<Arc<V>> {
+        let mut inner = self.inner.lock().expect("cache mutex poisoned");
+        if inner.entries.is_empty() {
+            return None;
+        }
+        let Some(slot) = inner.map.remove(&id) else {
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            avq_obs::counter!(names::STORAGE_CACHE_MISSES).inc();
+            return None;
+        };
+        inner.lru.unlink(slot);
+        inner.free.push(slot);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        avq_obs::counter!(names::STORAGE_CACHE_HITS).inc();
+        inner.entries[slot].take().map(|e| e.value)
+    }
+
     /// Empties the cache (counters are kept; see [`Self::reset_stats`]).
     pub fn clear(&self) {
         let mut inner = self.inner.lock().expect("cache mutex poisoned");
@@ -251,6 +273,22 @@ mod tests {
         assert!(Arc::ptr_eq(&got, &value), "hit must not copy the payload");
         let st = cache.stats();
         assert_eq!((st.hits, st.misses), (1, 0));
+    }
+
+    #[test]
+    fn take_removes_and_hands_over_the_value() {
+        let cache = DecodedCache::new(2);
+        runs(&cache, &[(1, 10), (2, 20)]);
+        let mut taken = cache.take(1).expect("cached");
+        assert_eq!(Arc::get_mut(&mut taken), Some(&mut vec![10]), "sole owner");
+        assert!(cache.take(1).is_none());
+        assert_eq!(cache.len(), 1);
+        // The freed slot takes the next insert without evicting block 2.
+        cache.insert(3, taken);
+        assert!(cache.get(2).is_some());
+        let st = cache.stats();
+        assert_eq!((st.hits, st.misses, st.evictions), (2, 1, 0));
+        assert!(DecodedCache::<Vec<u64>>::new(0).take(1).is_none());
     }
 
     #[test]
