@@ -75,15 +75,18 @@ impl DecodeScratch {
 
 /// Codes and decodes blocks of φ-sorted tuples for one schema.
 ///
-/// The codec is cheap to clone (it shares the schema) and holds no
-/// per-block state; scratch buffers are created per call so a codec can be
-/// used from multiple threads.
+/// The codec is cheap to clone (it shares the schema and its entry plan)
+/// and holds no per-block state; scratch buffers are created per call so a
+/// codec can be used from multiple threads.
 #[derive(Debug, Clone)]
 pub struct BlockCodec {
     schema: Arc<Schema>,
     mode: CodingMode,
     rep: RepChoice,
     kernel: DecodeKernel,
+    /// How the SWAR kernel reads a byte-aligned entry, by its count byte;
+    /// built once here, never per block.
+    plan: Arc<rle::EntryPlan>,
 }
 
 impl BlockCodec {
@@ -97,6 +100,7 @@ impl BlockCodec {
     /// the default decode kernel; see [`Self::with_kernel`]).
     pub fn with_options(schema: Arc<Schema>, mode: CodingMode, rep: RepChoice) -> Self {
         BlockCodec {
+            plan: Arc::new(rle::EntryPlan::new(&schema)),
             schema,
             mode,
             rep,
@@ -407,7 +411,8 @@ impl BlockCodec {
     ///
     /// The scalar kernel parses and sums every cell ([`sum_columns`]). The
     /// SWAR kernel's byte-aligned pass 1 writes only the cells an entry's
-    /// tail reaches and records the first of them; its pass 2
+    /// tail reaches, through the codec's per-count entry plan, and records
+    /// the first of them; its pass 2
     /// ([`sum_live_rows`]) computes only those cells and the carries out of
     /// them, and fills every other slot. So a SWAR decode costs what the
     /// block stores, not `u × arity`.
@@ -644,7 +649,7 @@ impl BlockCodec {
                 for k in 0..u - 1 {
                     let row = row_of(k);
                     let (next, cell) =
-                        rle::read_entry_swar_into(&self.schema, bytes, pos, out, row)?;
+                        rle::read_entry_swar_into(&self.schema, &self.plan, bytes, pos, out, row)?;
                     pos = next;
                     if let Some(slot) = first.get_mut(row) {
                         *slot = cell as u32;

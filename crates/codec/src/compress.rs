@@ -124,7 +124,9 @@ impl CodedRelation {
     /// (read back from a file, or copied out of a store by a checkpoint),
     /// recomputing per-block metadata. Every block is decoded, into one
     /// reused batch, and must be non-empty and φ-sorted within itself and
-    /// after the block before it.
+    /// after the block before it. Within a block the order is walked only
+    /// for a mode whose decode does not guarantee it
+    /// ([`CodingMode::orders_by_construction`]).
     pub fn from_blocks(
         schema: Arc<Schema>,
         options: CodecOptions,
@@ -146,7 +148,13 @@ impl CodedRelation {
             };
             let (min, max) = (rows.tuple(0), rows.tuple(last));
             let after_prev = prev_max.as_ref().is_none_or(|pm| min >= *pm);
-            if !after_prev || !rows.is_sorted() {
+            let sorted = if options.mode.orders_by_construction() {
+                debug_assert!(rows.is_sorted());
+                true
+            } else {
+                rows.is_sorted()
+            };
+            if !after_prev || !sorted {
                 return Err(CodecError::UnsortedInput { position: i });
             }
             tuple_count += rows.len();

@@ -35,7 +35,9 @@ pub enum CodecError {
     Corrupt {
         /// Which part of the block stream was inconsistent (`"header"`,
         /// `"representative"`, `"body"`, or `"entries"`; the database layer
-        /// additionally uses `"order"` when a decoded run violates φ order).
+        /// additionally uses `"order"` when a decoded run violates φ order,
+        /// and `"bookkeeping"` when it disagrees with the block's recorded
+        /// count, min or max).
         section: &'static str,
         /// Byte offset at which the inconsistency was detected.
         offset: usize,

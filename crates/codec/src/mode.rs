@@ -57,6 +57,22 @@ impl CodingMode {
             _ => None,
         }
     }
+
+    /// True when every block this mode decodes without error is φ-sorted,
+    /// so a reader need not walk its rows to check the order.
+    ///
+    /// The chained modes store each tuple as a non-negative φ-difference
+    /// from its neighbour nearer the representative, and decode rejects a
+    /// difference digit outside its radix and a carry (borrow) out of the
+    /// leading digit. Each decoded row is therefore its neighbour plus
+    /// (after the representative) or minus (before it) a distance that did
+    /// not leave the space: the rows ascend by construction, the prefix-sum
+    /// argument of difference sequences. Basic AVQ codes every tuple
+    /// against the representative, and field-wise stores tuples verbatim,
+    /// so a damaged block of either can decode out of order.
+    pub fn orders_by_construction(self) -> bool {
+        matches!(self, CodingMode::AvqChained | CodingMode::AvqChainedBits)
+    }
 }
 
 impl fmt::Display for CodingMode {
@@ -124,6 +140,18 @@ mod tests {
             assert_eq!(CodingMode::from_tag(m.tag()), Some(m));
         }
         assert_eq!(CodingMode::from_tag(9), None);
+    }
+
+    #[test]
+    fn only_chained_modes_order_by_construction() {
+        let ordered: Vec<CodingMode> = CodingMode::ALL
+            .into_iter()
+            .filter(|m| m.orders_by_construction())
+            .collect();
+        assert_eq!(
+            ordered,
+            [CodingMode::AvqChained, CodingMode::AvqChainedBits]
+        );
     }
 
     #[test]

@@ -174,13 +174,76 @@ pub(crate) fn load_be(bytes: &[u8], start: usize, len: usize) -> u64 {
     d
 }
 
+/// How [`read_entry_swar_into`] reads a coded entry, looked up by its
+/// count byte: built once per codec from the schema, so an entry costs one
+/// table lookup and one [`load_be`] per cell it stores, with no per-entry
+/// slicing of the schema's tables.
+///
+/// For a count `c`, the entry's first cell is [`Schema::cell_at_byte`]`(c)`;
+/// its stored bytes start the tail and number `off + w − c` (the elided
+/// prefix is its high zero bytes). Every later cell starts at tail offset
+/// `off − c` and is `w` bytes wide. So the plan holds, per count, the first
+/// cell and how many of its bytes are stored, and per cell its serialized
+/// offset, its width and its radix — O(m + arity) in all.
+#[derive(Debug, Clone)]
+pub(crate) struct EntryPlan {
+    /// Per count byte `c ≤ min(m, 255)`: every count [`entry_parts`]
+    /// accepts.
+    counts: Vec<CountPlan>,
+    /// Per cell, in attribute order.
+    cells: Vec<CellPlan>,
+}
+
+#[derive(Debug, Clone, Copy, Default)]
+struct CountPlan {
+    /// The first cell the entry's tail reaches (the arity when none does).
+    first: usize,
+    /// How many of the first cell's bytes the tail stores.
+    stored: usize,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct CellPlan {
+    /// Offset of the cell's first byte in the fixed-width serialization.
+    off: usize,
+    /// The cell's byte width.
+    width: usize,
+    /// The attribute's radix: a digit at or above it is corrupt.
+    radix: u64,
+}
+
+impl EntryPlan {
+    /// The plan for `schema`'s entries.
+    pub(crate) fn new(schema: &Schema) -> Self {
+        let cells = schema
+            .byte_offsets()
+            .iter()
+            .zip(schema.byte_widths())
+            .zip(schema.radix().radices())
+            .map(|((&off, &width), &radix)| CellPlan { off, width, radix })
+            .collect::<Vec<_>>();
+        let counts = (0..=schema.tuple_bytes().min(255))
+            .map(|c| {
+                let first = schema.cell_at_byte(c);
+                let stored = cells
+                    .get(first)
+                    .map_or(0, |cell| cell.off + cell.width - c.max(cell.off));
+                CountPlan { first, stored }
+            })
+            .collect();
+        EntryPlan { counts, cells }
+    }
+}
+
 /// SWAR variant of [`read_entry_append`] that writes the difference's
-/// digits straight into row `row` of `out`'s columns: identical inputs,
-/// positions and error classifications (the digits are range-checked as
-/// they are written, and a bad row is re-read through the same validation
-/// so the error names the same digit). Returns the position one past the
-/// entry and the entry's *first cell*: the first attribute its tail
-/// reaches ([`Schema::cell_at_byte`] of the count byte).
+/// digits straight into row `row` of `out`'s columns, reading the entry
+/// through `plan`, the codec's [`EntryPlan`] for `schema`: identical
+/// inputs, positions and error classifications (the count and the tail
+/// are checked as [`entry_parts`] checks them, the digits are range-checked
+/// as they are written, and a bad row is re-read through the same
+/// validation so the error names the same digit). Returns the position one
+/// past the entry and the entry's *first cell*: the first attribute its
+/// tail reaches ([`Schema::cell_at_byte`] of the count byte).
 ///
 /// Only the cells from the first cell on are written; every earlier digit
 /// of the difference is zero, and the caller's pass 2 fills those slots.
@@ -190,31 +253,35 @@ pub(crate) fn load_be(bytes: &[u8], start: usize, len: usize) -> u64 {
 /// every entry; only an entry within 8 bytes of the block's end does. On
 /// error the row's slots hold garbage, which the caller's rollback
 /// discards.
+#[inline]
 pub(crate) fn read_entry_swar_into(
     schema: &Schema,
+    plan: &EntryPlan,
     buf: &[u8],
     pos: usize,
     out: &mut BatchSlots<'_>,
     row: usize,
 ) -> Result<(usize, usize), CodecError> {
     let (count, tail) = entry_parts(schema, buf, pos)?;
-    let first = schema.cell_at_byte(count);
-    let radices = schema.radix().radices().get(first..).unwrap_or_default();
-    let offsets = schema.byte_offsets().get(first..).unwrap_or_default();
-    let widths = schema.byte_widths().get(first..).unwrap_or_default();
+    let at = pos + 1;
+    // `entry_parts` accepts only counts the plan has a row for.
+    let CountPlan { first, stored } = plan.counts.get(count).copied().unwrap_or_default();
+    let mut cells = plan.cells.get(first..).unwrap_or_default().iter();
     let mut valid = true;
-    for (i, ((&radix, &off), &w)) in radices.iter().zip(offsets).zip(widths).enumerate() {
-        // Cell `first + i` occupies serialized bytes [off, off + w); byte
-        // `p ≥ count` sits at `buf[pos + 1 + p − count]`. Only the first
-        // cell can start inside the elided run: it keeps its last
-        // `off + w − count` bytes, and the elided prefix contributes zero
-        // high bytes, which the shorter load reproduces exactly.
-        let lo = off.max(count);
-        let d = load_be(buf, pos + 1 + lo - count, off + w - lo);
+    // The first cell's stored bytes start the tail; its elided prefix
+    // contributes zero high bytes, which the shorter load reproduces.
+    if let Some(cell) = cells.next() {
+        let d = load_be(buf, at, stored);
         // A difference is expressed in 𝓡-space digits (φ⁻¹ of the
         // distance), so every digit must respect its radix.
-        valid &= d < radix;
-        out.set(row, first + i, d);
+        valid &= d < cell.radix;
+        out.set(row, first, d);
+    }
+    // Every later cell starts after the count: at tail offset `off − count`.
+    for (a, cell) in (first + 1..).zip(cells) {
+        let d = load_be(buf, at + cell.off - count, cell.width);
+        valid &= d < cell.radix;
+        out.set(row, a, d);
     }
     if !valid {
         let digits: Vec<u64> = (0..schema.arity())
@@ -228,7 +295,7 @@ pub(crate) fn read_entry_swar_into(
             });
         }
     }
-    Ok((pos + 1 + tail.len(), first))
+    Ok((at + tail.len(), first))
 }
 
 #[cfg(test)]

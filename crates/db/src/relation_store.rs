@@ -164,7 +164,7 @@ impl<'a, I: Iterator<Item = BlockId>> BlockReads<'a, I> {
     /// a read of more blocks than the decoded cache holds serves a block
     /// `answers` (when given) accepts as [`Served::Synopsis`]. Such a block is polled,
     /// skipped when quarantined, and read through the pool with the same
-    /// retries as any other, but neither decoded nor φ-checked, neither
+    /// retries as any other, but neither decoded nor checked, neither
     /// looked up in nor admitted to the decoded cache, and charged its
     /// tuples but no decoded bytes and no t₂. A read that fits the cache
     /// answers nothing: the block it decodes stays resident for the next
@@ -180,14 +180,17 @@ impl<'a, I: Iterator<Item = BlockId>> BlockReads<'a, I> {
         for id in self.ids.by_ref() {
             let answered = match answers {
                 Some(answers) if self.cold => {
-                    rel.block_near(id, &mut self.at).filter(|b| answers(b))
+                    rel.find_block(id, self.at).filter(|(_, b)| answers(b))
                 }
                 _ => None,
             };
             let served = match answered {
-                Some(b) => rel.answer(b, &self.ctx),
+                Some((pos, b)) => {
+                    self.at = pos + 1;
+                    rel.answer(b, &self.ctx)
+                }
                 None => rel
-                    .serve(id, &self.ctx, self.cold)
+                    .serve(id, &self.ctx, self.cold, &mut self.at)
                     .map(|ok| ok.map(Served::Rows)),
             };
             match served {
@@ -417,8 +420,10 @@ impl StoredRelation {
     /// 3. **Serve.** A decoded-cache hit hands out the cached batch itself,
     ///    touching neither the pool nor the codec and copying nothing. A
     ///    miss reads the bytes through the pool (retries clamped to the
-    ///    query's remaining deadline), decodes, checks φ order and caches
-    ///    the batch. When `ctx.trace` is recording this runs under an
+    ///    query's remaining deadline), decodes, checks the rows against the
+    ///    block's bookkeeping (and φ order, in a mode whose decode does not
+    ///    guarantee it: [`avq_codec::CodingMode::orders_by_construction`]) and caches the
+    ///    batch. When `ctx.trace` is recording this runs under an
     ///    `avq.db.block_read` span (block id, cache/pool-hit flags) with the
     ///    decode in a nested `avq.codec.decode_block` span (kernel, bytes,
     ///    tuples).
@@ -435,7 +440,7 @@ impl StoredRelation {
         id: BlockId,
         ctx: &QueryCtx,
     ) -> Result<Option<Arc<TupleBatch>>, DbError> {
-        self.serve(id, ctx, false)
+        self.serve(id, ctx, false, &mut 0)
     }
 
     /// Reads the blocks `ids` in order under `ctx`: every multi-block read
@@ -467,27 +472,61 @@ impl StoredRelation {
         }
     }
 
-    /// The bookkeeping of block `id`, looked for at `*at` first; `*at`
-    /// moves past it, to where the next block in φ order is.
-    fn block_near(&self, id: BlockId, at: &mut usize) -> Option<&StoredBlock> {
-        let pos = match self.blocks.get(*at) {
-            Some(b) if b.id == id => *at,
+    /// The position and bookkeeping of block `id`, looked for at `at`
+    /// first — one comparison when reads come in φ order — and otherwise
+    /// searched for. Only a cold read's synopsis answers look blocks up
+    /// by id alone, and those reads are full scans, in φ order; a miss
+    /// finds its bookkeeping by its first row ([`Self::bookkeeping_of`]).
+    fn find_block(&self, id: BlockId, at: usize) -> Option<(usize, &StoredBlock)> {
+        let pos = match self.blocks.get(at) {
+            Some(b) if b.id == id => at,
             _ => self.blocks.iter().position(|b| b.id == id)?,
         };
-        *at = pos + 1;
-        self.blocks.get(pos)
+        self.blocks.get(pos).map(|b| (pos, b))
+    }
+
+    /// The position and bookkeeping of block `id`, whose decoded rows are
+    /// `run`: looked for at `at` first — one comparison when reads come in
+    /// φ order — and otherwise by binary search on `run`'s first row, which
+    /// is the block's recorded min unless the bytes were damaged. So a miss
+    /// in any order costs O(log blocks) comparisons, not a search of the
+    /// block list. `None` when no block with that id has that min: the
+    /// fence reports it.
+    fn bookkeeping_of(
+        &self,
+        id: BlockId,
+        run: &TupleBatch,
+        at: usize,
+    ) -> Option<(usize, &StoredBlock)> {
+        if let Some(b) = self.blocks.get(at).filter(|b| b.id == id) {
+            return Some((at, b));
+        }
+        if run.is_empty() {
+            return None;
+        }
+        let first = |b: &StoredBlock| run.cmp_row(0, b.min.digits());
+        let from = self.blocks.partition_point(|b| first(b).is_gt());
+        // Blocks of a multiset may share a min; they sit together.
+        let same_min = self.blocks.get(from..)?.iter();
+        let k = same_min
+            .take_while(|b| first(b).is_eq())
+            .position(|b| b.id == id)?;
+        self.blocks.get(from + k).map(|b| (from + k, b))
     }
 
     /// [`Self::read_block`]'s steps, admitting a decoded block at the cold
-    /// end when `cold`.
+    /// end when `cold`. `at` is where block `id`'s bookkeeping is looked
+    /// for first; it moves past the block when found, so the next block of
+    /// a φ-ordered read is found in one comparison.
     fn serve(
         &self,
         id: BlockId,
         ctx: &QueryCtx,
         cold: bool,
+        at: &mut usize,
     ) -> Result<Option<Arc<TupleBatch>>, DbError> {
         self.guarded(id, ctx, || {
-            let (run, decoded_bytes) = self.serve_block(id, ctx, cold)?;
+            let (run, decoded_bytes) = self.serve_block(id, ctx, cold, at)?;
             ctx.gov.charge_decoded(decoded_bytes, run.len() as u64);
             self.charge_cpu(1);
             Ok(run)
@@ -568,6 +607,7 @@ impl StoredRelation {
         id: BlockId,
         ctx: &QueryCtx,
         cold: bool,
+        at: &mut usize,
     ) -> Result<(Arc<TupleBatch>, u64), DbError> {
         let guard = ctx.trace.span(names::SPAN_DB_BLOCK_READ);
         if guard.is_recording() {
@@ -577,36 +617,52 @@ impl StoredRelation {
             if guard.is_recording() {
                 guard.attr(names::ATTR_CACHE_HIT, true);
             }
+            // A hit needs no bookkeeping; keep the hint in step, but do not
+            // search for it.
+            if self.blocks.get(*at).is_some_and(|b| b.id == id) {
+                *at += 1;
+            }
             return Ok((run, 0));
         }
         if guard.is_recording() {
             guard.attr(names::ATTR_CACHE_HIT, false);
         }
         let bytes = self.fetch(id, ctx, &guard)?;
-        let run = self.decode_and_cache(id, &bytes, &ctx.trace, cold)?;
+        let run = Arc::new(self.decode_checked(id, at, &bytes, &ctx.trace)?);
+        self.admit(id, run.clone(), cold);
         Ok((run, bytes.len() as u64))
     }
 
-    /// Decodes `bytes`, checks φ order, and caches the batch as block `id`
-    /// (at the cold end when `cold`), under an `avq.codec.decode_block`
-    /// span when `trace` is recording.
-    fn decode_and_cache(
-        &self,
-        id: BlockId,
-        bytes: &[u8],
-        trace: &avq_obs::TraceCtx,
-        cold: bool,
-    ) -> Result<Arc<TupleBatch>, DbError> {
-        let run = Arc::new(self.decode_checked(bytes, trace)?);
-        self.admit(id, run.clone(), cold);
-        Ok(run)
-    }
-
-    /// Decodes `bytes` and checks φ order, under an
-    /// `avq.codec.decode_block` span when `trace` is recording. The decode
-    /// goes into the spare buffers when they are free.
+    /// Decodes `bytes`, block `id`'s coded bytes, and checks the rows
+    /// against its bookkeeping, under an `avq.codec.decode_block` span
+    /// when `trace` is recording. The bookkeeping is looked for at `*at`
+    /// first ([`Self::bookkeeping_of`]), and `*at` moves past it. The
+    /// decode goes into the spare buffers when they are free.
+    ///
+    /// What a miss verifies, beyond the decode's own checks (every digit
+    /// in range, no carry out of the leading digit, the stream not
+    /// truncated):
+    ///
+    /// - **Bookkeeping, every mode, O(arity).** The rows number the
+    ///   block's recorded count, and the first and last are its recorded
+    ///   min and max ([`check_bookkeeping`]).
+    /// - **φ order, where the decode does not guarantee it.** A chained
+    ///   block that decodes is φ-sorted by construction
+    ///   ([`avq_codec::CodingMode::orders_by_construction`]), so only
+    ///   basic AVQ and field-wise rows are walked ([`check_phi_order`]).
+    ///
+    /// In the chained modes a single damaged entry that still decodes
+    /// moves the running sum, and with it the last row or the first, so the
+    /// fence turns a silent wrong read into a typed error. Damage to two
+    /// entries that cancels out (one difference up by δ, the next down by
+    /// δ) keeps the count, min, max and order and still reads as other
+    /// rows. Basic AVQ and field-wise code rows independently: a flip
+    /// inside an interior row that keeps the order still reads as other
+    /// rows. A per-page checksum is what closes both.
     fn decode_checked(
         &self,
+        id: BlockId,
+        at: &mut usize,
         bytes: &[u8],
         trace: &avq_obs::TraceCtx,
     ) -> Result<TupleBatch, DbError> {
@@ -628,7 +684,16 @@ impl StoredRelation {
             }
             decoded?;
         }
-        check_phi_order(&run)?;
+        let block = self.bookkeeping_of(id, &run, *at).map(|(pos, b)| {
+            *at = pos + 1;
+            b
+        });
+        check_bookkeeping(id, &run, block)?;
+        if self.codec.mode().orders_by_construction() {
+            debug_assert!(run.is_sorted(), "a chained decode came out of φ order");
+        } else {
+            check_phi_order(&run)?;
+        }
         Ok(run)
     }
 
@@ -656,11 +721,17 @@ impl StoredRelation {
     /// verified, from exactly the bytes returned. The edited batch goes
     /// back through [`Self::admit`]; a failed write leaves the block out of
     /// the cache. Mutations run outside any query budget or trace.
-    fn take_for_update(&self, id: BlockId) -> Result<(Arc<Vec<u8>>, Arc<TupleBatch>), DbError> {
-        let bytes = self.pool.read(id)?;
-        let rows = match self.decoded.take(id) {
+    fn take_for_update(&self, bidx: usize) -> Result<(Arc<Vec<u8>>, Arc<TupleBatch>), DbError> {
+        let block = &self.blocks[bidx];
+        let bytes = self.pool.read(block.id)?;
+        let rows = match self.decoded.take(block.id) {
             Some(rows) => rows,
-            None => Arc::new(self.decode_checked(&bytes, &avq_obs::TraceCtx::disabled())?),
+            None => Arc::new(self.decode_checked(
+                block.id,
+                &mut { bidx },
+                &bytes,
+                &avq_obs::TraceCtx::disabled(),
+            )?),
         };
         Ok((bytes, rows))
     }
@@ -990,7 +1061,7 @@ impl StoredRelation {
         };
 
         let id = self.blocks[bidx].id;
-        let (bytes, mut rows) = self.take_for_update(id)?;
+        let (bytes, mut rows) = self.take_for_update(bidx)?;
         let capacity = self.config.codec.block_capacity;
         let spliced = insert_into_rows(&self.codec, &bytes, &rows, tuple, capacity)?;
         match spliced.bytes {
@@ -1176,7 +1247,7 @@ impl StoredRelation {
         if tuple < min || tuple > max {
             return Err(DbError::TupleNotFound);
         }
-        let (bytes, mut rows) = self.take_for_update(id)?;
+        let (bytes, mut rows) = self.take_for_update(bidx)?;
         let spliced = delete_from_rows(&self.codec, &bytes, &rows, tuple)?;
         match spliced.bytes {
             None => {
@@ -1243,10 +1314,47 @@ impl StoredRelation {
     }
 }
 
+/// The fence every decoded-cache miss passes, in O(arity): block `id`'s
+/// decoded rows must be what its bookkeeping `block` records — the tuple
+/// count, the min as the first row and the max as the last. Bytes that were
+/// damaged and still decode to other rows fail it with a typed
+/// `Corrupt { section: "bookkeeping" }`, which [`ScanPolicy::SkipCorrupt`]
+/// quarantines. So does a block with no bookkeeping, `None`: no block of
+/// its id has its first decoded row as min.
+fn check_bookkeeping(
+    id: BlockId,
+    run: &TupleBatch,
+    block: Option<&StoredBlock>,
+) -> Result<(), DbError> {
+    let agrees = block.is_some_and(|b| {
+        run.len() == b.count
+            && run.len().checked_sub(1).is_some_and(|last| {
+                run.cmp_row(0, b.min.digits()).is_eq() && run.cmp_row(last, b.max.digits()).is_eq()
+            })
+    });
+    if agrees {
+        return Ok(());
+    }
+    let detail = match block {
+        Some(b) => format!(
+            "block {id} decodes to {} rows that disagree with its bookkeeping ({} rows, min, max)",
+            run.len(),
+            b.count
+        ),
+        None => format!("block {id} has no bookkeeping with its first decoded row as min"),
+    };
+    Err(DbError::Codec(CodecError::Corrupt {
+        section: "bookkeeping",
+        offset: 0,
+        detail,
+    }))
+}
+
 /// A decoded run must be φ-sorted: block coding stores tuples in φ order,
 /// so an out-of-order run means the bytes were silently damaged in a way
-/// that still parsed (e.g. a bit flip inside an RLE count). Checked on
-/// every cache-miss decode — O(n) over rows already in cache.
+/// that still parsed (e.g. a bit flip inside an RLE count). Checked on a
+/// cache-miss decode in the modes whose decode does not order the rows by
+/// construction — O(n) over the rows.
 fn check_phi_order(run: &TupleBatch) -> Result<(), DbError> {
     if !run.is_sorted() {
         return Err(DbError::Codec(CodecError::Corrupt {
@@ -1912,6 +2020,48 @@ mod tests {
             avq_storage::PoolStats::default(),
             "disabled cache measures nothing"
         );
+    }
+
+    #[test]
+    fn a_miss_out_of_phi_order_finds_its_bookkeeping() {
+        // A bag whose leading copies fill several blocks that share a min,
+        // read back to front: no block's bookkeeping sits at the read's
+        // hint, so every miss finds it by its first row.
+        let schema = Schema::from_pairs(vec![
+            ("a", Domain::uint(64).unwrap()),
+            ("b", Domain::uint(64).unwrap()),
+            ("c", Domain::uint(4096).unwrap()),
+        ])
+        .unwrap();
+        let tuples: Vec<Tuple> = (0..900u64)
+            .map(|i| Tuple::from([(i * 7) % 64, (i * 13) % 64, (i * 29) % 4096]))
+            .chain((0..600).map(|_| Tuple::from([0, 0, 0])))
+            .collect();
+        let rel = Relation::from_tuples(schema, tuples).unwrap();
+        let config = DbConfig {
+            codec: avq_codec::CodecOptions {
+                block_capacity: 256,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        let device = BlockDevice::new(256, config.disk);
+        let pool = BufferPool::new(device.clone(), config.buffer_frames);
+        let stored = StoredRelation::bulk_load(device, pool, &rel, config).unwrap();
+        let blocks = stored.blocks();
+        assert!(blocks.windows(2).any(|w| w[0].min == w[1].min));
+        let ctx = QueryCtx::default();
+        let reversed: Vec<BlockId> = blocks.iter().rev().map(|b| b.id).collect();
+        for served in stored.read_blocks(reversed.iter().copied(), &ctx) {
+            let (id, run) = served.unwrap();
+            let b = blocks.iter().find(|b| b.id == id).unwrap();
+            assert_eq!((run.len(), run.tuple(0)), (b.count, b.min.clone()));
+        }
+        stored.clear_decoded_cache();
+        for &id in &reversed {
+            stored.read_block(id, &ctx).unwrap().unwrap();
+        }
+        assert_eq!(stored.decoded_stats().misses, 2 * reversed.len() as u64);
     }
 
     #[test]

@@ -3,8 +3,9 @@
 //! A checkpoint truncates the log, so a block it leaves out of the snapshot
 //! is lost for good. Here one data block of a durable relation larger than
 //! its decoded cache is damaged on the device — a seeded bit flip on every
-//! read, or a torn write of the next edit — under both scan policies; under
-//! `SkipCorrupt` a scan first quarantines it. The checkpoint must fail with
+//! read, or a torn write of the next edit — under both scan policies. A scan
+//! first meets it: under `SkipCorrupt` it quarantines the block, under
+//! `FailFast` it fails with a typed error. The checkpoint must fail with
 //! a typed error and leave `MANIFEST`, the log and the snapshot files as
 //! they were, and a reopen without the fault must equal the model.
 
@@ -88,14 +89,24 @@ fn damaged_block_fails_the_checkpoint(policy: ScanPolicy, kind: FaultKind) {
         model.push(t);
     }
     db.database().drop_caches();
-    if policy == ScanPolicy::SkipCorrupt {
-        // A scan skips what it finds damaged; a flip may also decode to
-        // other tuples without any error, which only the checkpoint's
-        // comparison with the store's bookkeeping sees.
-        db.database().relation("t").unwrap().scan_all().unwrap();
-        let rel = db.database().relation("t").unwrap();
-        if kind == FaultKind::TornWrite {
+    // A read of the damaged block fails typed: a flip that still decodes
+    // moves the block's rows off its recorded count, min or max, which the
+    // miss checks. Under `SkipCorrupt` the scan quarantines the block and
+    // goes on; under `FailFast` it stops with the error.
+    let scan = db.database().relation("t").unwrap().scan_all();
+    let rel = db.database().relation("t").unwrap();
+    match policy {
+        ScanPolicy::SkipCorrupt => {
+            scan.unwrap();
             assert_eq!(rel.quarantined_blocks(), [target.id], "{what}");
+        }
+        ScanPolicy::FailFast => {
+            let err = scan.unwrap_err();
+            assert!(
+                matches!(err, DbError::Codec(_) | DbError::Storage(_)),
+                "{what}: {err:?}"
+            );
+            assert!(rel.quarantined_blocks().is_empty(), "{what}");
         }
     }
     let before = files(&dir);

@@ -39,14 +39,16 @@ pub const METRIC_NAME_HOME: &str = "crates/obs/src/names.rs";
 /// The documented `Corrupt { section: … }` vocabulary (AVQ-L006): each
 /// section string paired with the crate directory allowed to produce it.
 /// The `file.` prefix keeps the container parser's vocabulary disjoint
-/// from the codec's; `order` is the db layer's φ-order check reporting
-/// through `CodecError`.
+/// from the codec's; `order` (the φ-order walk) and `bookkeeping` (a
+/// decoded block that disagrees with its recorded count, min or max) are
+/// the db layer's read-path checks reporting through `CodecError`.
 pub const CORRUPT_SECTIONS: &[(&str, &str)] = &[
     ("header", "crates/codec/"),
     ("representative", "crates/codec/"),
     ("body", "crates/codec/"),
     ("entries", "crates/codec/"),
     ("order", "crates/db/"),
+    ("bookkeeping", "crates/db/"),
     ("file.header", "crates/file/"),
     ("file.schema", "crates/file/"),
     ("file.blocks", "crates/file/"),
