@@ -78,24 +78,29 @@ impl Selection {
     /// The filter kernel: sets `sel` to the indices of `block`'s rows that
     /// satisfy every conjunct, ascending — the block's selection vector.
     ///
-    /// The conjuncts are evaluated one column at a time: the first scans
-    /// its whole column into `sel`, each later one narrows `sel` reading
-    /// only its own column at the surviving rows. Both loops are
-    /// branch-free — every candidate is written and the write position
-    /// advances by the test's outcome — so their cost does not depend on
-    /// selectivity. A block's rows are φ sorted, so when its first and last
-    /// rows agree on attributes `0..k` every row does (its *constant
-    /// prefix*); a conjunct on one of those attributes is decided once for
-    /// the whole block — it passes every row or none — and never scans.
+    /// A block's rows are φ sorted, so when its first and last rows agree
+    /// on attributes `0..k` every row does (its *constant prefix*); a
+    /// conjunct on one of those attributes, or one that contradicts itself
+    /// (`lo > hi`), is decided once for the whole block — it passes every
+    /// row or none — and never scans. The other conjuncts are tested on
+    /// mask words of 64 rows: bit `j` of a word stands for row `base + j`,
+    /// and every word starts with its rows set. Each conjunct in turn
+    /// refines every word that still holds rows: a word with many rows left
+    /// is tested whole, with branch-free unsigned compares eight rows to a
+    /// lane; one with few left has only those rows tested; an emptied word
+    /// is skipped, and once every word is empty no further conjunct is
+    /// read. The set bits are then expanded into `sel`. A block's words
+    /// (up to 4 096 rows at a time) are kept on the stack, so the block is
+    /// filtered a conjunct — one column — at a time.
+    ///
     /// `sel` is cleared first and its buffer reused, so a caller that keeps
     /// one vector across blocks allocates nothing per block once it has
-    /// grown. Panics when a conjunct names an attribute past the block's
-    /// arity.
+    /// grown. An empty block selects nothing. Panics when a conjunct names
+    /// an attribute past the arity of a block with rows.
     pub fn filter_block(&self, block: &TupleBatch, sel: &mut Vec<u32>) {
         sel.clear();
         let rows = block.len();
-        if self.predicates.is_empty() {
-            sel.extend(0..rows as u32);
+        if rows == 0 {
             return;
         }
         debug_assert!(
@@ -105,51 +110,39 @@ impl Selection {
         let constant = (0..block.arity())
             .take_while(|&a| block.get(0, a) == block.get(rows - 1, a))
             .count();
-        if rows == 0 {
-            return;
-        }
-        let mut scanned = false;
         for p in &self.predicates {
-            // `v ∈ [lo, hi]` as one unsigned compare.
+            // `v ∈ [lo, hi]` as one unsigned compare: `v − lo ≤ hi − lo`.
             let Some(span) = p.hi.checked_sub(p.lo) else {
-                // A contradiction admits no row.
-                sel.clear();
                 return;
             };
-            let admits = |v: u64| v.wrapping_sub(p.lo) <= span;
-            if p.attr < constant {
-                if !admits(block.get(0, p.attr)) {
-                    sel.clear();
-                    return;
-                }
-                continue;
-            }
-            let col = block.col(p.attr);
-            let mut kept = 0;
-            if scanned {
-                for j in 0..sel.len() {
-                    let i = sel[j];
-                    sel[kept] = i;
-                    kept += usize::from(admits(col[i as usize]));
-                }
-            } else {
-                // Room for a power of two of rows: the blocks of a relation
-                // differ in size by less than 2×, so one buffer serves all.
-                sel.reserve(rows.next_power_of_two());
-                sel.resize(rows, 0);
-                for (i, &v) in (0u32..).zip(col) {
-                    sel[kept] = i;
-                    kept += usize::from(admits(v));
-                }
-                scanned = true;
-            }
-            sel.truncate(kept);
-            if sel.is_empty() {
+            if p.attr < constant && block.get(0, p.attr).wrapping_sub(p.lo) > span {
                 return;
             }
         }
-        if !scanned {
-            sel.extend(0..rows as u32);
+        // Room for a power of two of rows: the blocks of a relation differ
+        // in size by less than 2×, so one buffer serves all.
+        sel.reserve(rows.next_power_of_two().max(WORD));
+        let mut masks = [0u64; STRIP / WORD];
+        for start in (0..rows).step_by(STRIP) {
+            let end = rows.min(start + STRIP);
+            let masks = &mut masks[..(end - start).div_ceil(WORD)];
+            for (word, mask) in masks.iter_mut().enumerate() {
+                *mask = u64::MAX >> (WORD - (end - start - word * WORD).min(WORD));
+            }
+            for p in self.predicates.iter().filter(|p| p.attr >= constant) {
+                let words = block.col(p.attr)[start..end].chunks(WORD);
+                let mut left = 0;
+                for (mask, col) in masks.iter_mut().zip(words) {
+                    *mask = refined(*mask, col, p.lo, p.hi - p.lo);
+                    left |= *mask;
+                }
+                if left == 0 {
+                    break;
+                }
+            }
+            for (word, &mask) in masks.iter().enumerate() {
+                expand(mask, (start + word * WORD) as u32, sel);
+            }
         }
     }
 
@@ -201,6 +194,129 @@ impl Selection {
         }
     }
 }
+
+/// Rows one mask word of [`Selection::filter_block`] covers.
+const WORD: usize = 64;
+
+/// Rows whose mask words [`Selection::filter_block`] keeps at once, on the
+/// stack: a block of up to this many rows is filtered in one strip.
+const STRIP: usize = 64 * WORD;
+
+/// Below this many rows set in a word, a conjunct tests only those rows
+/// and expansion writes only those rows; from it on, both go over the
+/// whole word.
+const SPARSE: u32 = 16;
+
+/// `1 << j` at `j`: the bit each row of a word sets.
+const BIT: [u64; WORD] = {
+    let mut bits = [0; WORD];
+    let mut j = 0;
+    while j < WORD {
+        bits[j] = 1 << j;
+        j += 1;
+    }
+    bits
+};
+
+/// `mask`, the rows still selected of a word whose values are `col`, less
+/// those outside `[lo, lo + span]`.
+fn refined(mut mask: u64, col: &[u64], lo: u64, span: u64) -> u64 {
+    match mask.count_ones() {
+        0 => 0,
+        n if n < SPARSE => {
+            let mut left = mask;
+            while left != 0 {
+                let j = left.trailing_zeros() as usize;
+                left &= left - 1;
+                mask &= !(u64::from(col[j].wrapping_sub(lo) > span) << j);
+            }
+            mask
+        }
+        _ => mask & admitted(col, lo, span),
+    }
+}
+
+/// The mask of the values of `col` (at most [`WORD`]) that lie in
+/// `[lo, lo + span]`: bit `j` is set iff `col[j] − lo ≤ span`, unsigned.
+/// Eight lanes each OR in every eighth row's bit, masked by the compare's
+/// outcome rather than branched on, so no row waits on another and the
+/// cost does not depend on the data. An equality gets a loop of its own,
+/// which compilers turn into vector compares.
+fn admitted(col: &[u64], lo: u64, span: u64) -> u64 {
+    // Each closure is all ones for a value outside: the compare, spread.
+    if span == 0 {
+        lanes(col, |v| 0u64.wrapping_sub(u64::from(v != lo)))
+    } else {
+        lanes(col, |v| {
+            0u64.wrapping_sub(u64::from(span < v.wrapping_sub(lo)))
+        })
+    }
+}
+
+/// [`admitted`]'s loop: bit `j` set iff `outside(col[j])` is zero.
+#[inline(always)]
+fn lanes(col: &[u64], outside: impl Fn(u64) -> u64) -> u64 {
+    let mut lanes = [0u64; 8];
+    let mut rows = col.chunks_exact(8);
+    let mut bits = BIT.chunks_exact(8);
+    for (row, bit8) in (&mut rows).zip(&mut bits) {
+        for j in 0..8 {
+            lanes[j] |= bit8[j] & !outside(row[j]);
+        }
+    }
+    let mut mask = lanes.iter().fold(0, |m, &lane| m | lane);
+    for (&v, &bit) in rows.remainder().iter().zip(bits.next().unwrap_or_default()) {
+        mask |= bit & !outside(v);
+    }
+    mask
+}
+
+/// Appends `base + j` to `sel` for every bit `j` set in `mask`, ascending.
+/// Few bits: one write each. Many: a byte of the mask at a time, whose set
+/// bits' positions [`POSITIONS`] lists, eight rows written and the write
+/// position advanced by the byte's count, without a branch.
+fn expand(mut mask: u64, base: u32, sel: &mut Vec<u32>) {
+    if mask == u64::MAX {
+        sel.extend(base..base + WORD as u32);
+    } else if mask.count_ones() < SPARSE {
+        while mask != 0 {
+            sel.push(base + mask.trailing_zeros());
+            mask &= mask - 1;
+        }
+    } else {
+        let mut kept = sel.len();
+        sel.resize(kept + WORD, 0);
+        for (k, byte) in mask.to_le_bytes().into_iter().enumerate() {
+            let at = base + 8 * k as u32;
+            for (slot, &j) in sel[kept..kept + 8]
+                .iter_mut()
+                .zip(&POSITIONS[byte as usize])
+            {
+                *slot = at + u32::from(j);
+            }
+            kept += byte.count_ones() as usize;
+        }
+        sel.truncate(kept);
+    }
+}
+
+/// For each byte, the positions of its set bits, ascending, then zeros.
+const POSITIONS: [[u8; 8]; 256] = {
+    let mut table = [[0; 8]; 256];
+    let mut byte = 0;
+    while byte < 256 {
+        let (mut j, mut n) = (0, 0);
+        while j < 8 {
+            if byte & (1 << j) != 0 {
+                table[byte][n] = j as u8;
+                n += 1;
+            }
+            j += 1;
+        }
+        byte += 1;
+    }
+    table
+};
 
 impl core::fmt::Display for AccessPath {
     /// The access-path names shared by `EXPLAIN` output and plan renderers
@@ -337,6 +453,25 @@ pub(crate) mod tests {
             .into_iter()
             .filter(|t| matches(sel, t.digits()))
             .collect()
+    }
+
+    #[test]
+    fn an_empty_block_selects_nothing() {
+        // No row to read a constant prefix off, whatever the conjuncts.
+        let block = TupleBatch::new(3);
+        let mut sel = vec![1, 2];
+        for selection in [
+            Selection::all(),
+            Selection::all().and(RangePredicate::equals(1, 0)),
+            Selection::all().and(RangePredicate {
+                attr: 0,
+                lo: 0,
+                hi: u64::MAX,
+            }),
+        ] {
+            selection.filter_block(&block, &mut sel);
+            assert!(sel.is_empty(), "{selection:?}");
+        }
     }
 
     #[test]

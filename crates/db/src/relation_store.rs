@@ -911,11 +911,11 @@ impl StoredRelation {
         self.schema.validate_tuple(tuple)?;
         let mut tracker = CostTracker::new(&self.device);
         let key = probe_key(&self.schema, tuple, u8::MAX);
-        let hit = self.primary.floor(&key)?;
+        let hit = self.primary.floor_with(&key, |_, block| block)?;
         tracker.end_index_phase();
         let found = match hit {
             None => false,
-            Some((_, block)) => {
+            Some(block) => {
                 let id = block as BlockId;
                 let skip = self.config.scan_policy == ScanPolicy::SkipCorrupt;
                 if skip && self.is_quarantined(id) {
@@ -967,57 +967,77 @@ impl StoredRelation {
 
     /// Candidate blocks for a clustered-range scan: the contiguous run of
     /// blocks whose `[min, max]` meets the φ-interval `prefix` spans (see
-    /// [`Selection::clustered_prefix`]), found via the primary index.
+    /// [`Selection::clustered_prefix`]), found via the primary index. The
+    /// interval's two probe keys share one buffer and index entries are
+    /// read in place, so besides the returned vector that buffer is the
+    /// one allocation.
     pub(crate) fn clustered_candidates(
         &self,
         prefix: &[(u64, u64)],
     ) -> Result<Vec<BlockId>, DbError> {
-        let radix = self.schema.radix();
-        let mut lo_digits = radix.min_digits();
-        let mut hi_digits = radix.max_digits();
-        for (attr, &(lo, hi)) in prefix.iter().enumerate() {
-            let Some(&size) = radix.radices().get(attr) else {
-                break;
-            };
-            if lo > hi || lo >= size {
-                return Ok(Vec::new());
-            }
-            lo_digits[attr] = lo;
-            hi_digits[attr] = hi.min(size - 1);
+        let radices = self.schema.radix().radices();
+        let prefix = &prefix[..prefix.len().min(radices.len())];
+        if prefix
+            .iter()
+            .zip(radices)
+            .any(|(&(lo, hi), &size)| lo > hi || lo >= size)
+        {
+            return Ok(Vec::new());
         }
         if self.blocks.is_empty() {
             return Ok(Vec::new());
         }
-        let (lo, hi) = (Tuple::new(lo_digits), Tuple::new(hi_digits));
-        let lo_key = probe_key(&self.schema, &lo, 0);
-        let hi_key = probe_key(&self.schema, &hi, u8::MAX);
+        // The interval's ends: the prefix's bounds, then every later digit
+        // at its least (`lo`) or greatest (`hi`) value, written as probe
+        // keys (`write_row`'s fixed-width big-endian digits, then the pad).
+        let m = self.schema.tuple_bytes();
+        let mut keys = Vec::with_capacity(2 * (m + KEY_SUFFIX));
+        for (end, pad) in [(0, 0), (1, u8::MAX)] {
+            for (attr, (&width, &size)) in self.schema.byte_widths().iter().zip(radices).enumerate()
+            {
+                let digit = match (prefix.get(attr), end) {
+                    (Some(&(lo, _)), 0) => lo,
+                    (Some(&(_, hi)), _) => hi.min(size - 1),
+                    (None, 0) => 0,
+                    (None, _) => size - 1,
+                };
+                keys.extend_from_slice(&digit.to_be_bytes()[8 - width..]);
+            }
+            keys.resize(keys.len() + KEY_SUFFIX, pad);
+        }
+        let (lo_key, hi_key) = keys.split_at(m + KEY_SUFFIX);
+        // `t < lo` for a full tuple `t`: `lo` is the prefix's lower bounds
+        // followed by zeros, so only the prefix decides.
+        let below_lo = |t: &Tuple| t.digits().iter().lt(prefix.iter().map(|(lo, _)| lo));
 
         let mut out = Vec::new();
         // The block whose run the interval starts in — its min may precede
         // the interval — unless that run ends before the interval does: a
         // block whose key holds no spread is all one tuple, below `lo`, and
         // a spread one is the φ-last block with a min below `lo`.
-        if let Some((key, block)) = self.primary.floor(&lo_key)? {
-            let block = block as BlockId;
-            let m = self.schema.tuple_bytes();
+        let floor = self.primary.floor_with(lo_key, |key, block| {
             let below = key.get(..m) < lo_key.get(..m);
-            let before = self.blocks.partition_point(|b| b.min < lo);
+            (block as BlockId, below, key.get(m) == Some(&0))
+        })?;
+        if let Some((block, below, single)) = floor {
+            let before = self.blocks.partition_point(|b| below_lo(&b.min));
             let ends_before = below
-                && (key.get(m) == Some(&0)
+                && (single
                     || self.blocks[..before]
                         .last()
-                        .is_some_and(|b| b.id == block && b.max < lo));
+                        .is_some_and(|b| b.id == block && below_lo(&b.max)));
             if !ends_before {
                 out.push(block);
             }
         }
         // Blocks whose min lies inside the interval.
-        for (_, block) in self.primary.range(&lo_key, &hi_key)? {
+        self.primary.range_each(lo_key, hi_key, |_, block| {
             let block = block as BlockId;
             if out.last() != Some(&block) {
                 out.push(block);
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 

@@ -222,10 +222,11 @@ impl SecondaryIndex {
     /// the deduplicated postings [`Self::build`] would be given).
     pub fn postings(&self) -> Result<Vec<Posting>, DbError> {
         let mut out = Vec::new();
-        for (key, payload) in self.tree.range(&value_key(0), &value_key(u64::MAX))? {
+        let (lo, hi) = (value_key(0), value_key(u64::MAX));
+        self.tree.range_each(&lo, &hi, |key, payload| {
             match Entry::of(payload) {
                 Entry::Inline(block) => {
-                    let value = <[u8; 8]>::try_from(key.as_slice())
+                    let value = <[u8; 8]>::try_from(key)
                         .map(u64::from_be_bytes)
                         .map_err(|_| IndexError::CorruptNode {
                             block: self.tree.root(),
@@ -233,9 +234,10 @@ impl SecondaryIndex {
                         })?;
                     out.push(Posting { value, block });
                 }
-                Entry::Bucket(head) => out.extend(self.store.read(head)?),
+                Entry::Bucket(head) => self.store.for_each(head, |p| out.push(p))?,
             }
-        }
+            Ok(())
+        })?;
         out.sort_unstable();
         Ok(out)
     }
@@ -273,26 +275,28 @@ impl SecondaryIndex {
 
     /// The distinct data blocks containing any value in `[lo, hi]`, in
     /// ascending block order. An inline block is read off the tree entry;
-    /// only values with two or more blocks read a bucket.
+    /// only values with two or more blocks read a bucket. Tree entries and
+    /// bucket pages are read in place, so the one allocation is the
+    /// returned vector, sorted and deduplicated where it stands.
     pub fn blocks_for_range(&self, lo: u64, hi: u64) -> Result<Vec<BlockId>, DbError> {
-        let mut blocks = BTreeSet::new();
-        for (_, payload) in self.tree.range(&value_key(lo), &value_key(hi))? {
-            match Entry::of(payload) {
-                Entry::Inline(block) => {
-                    blocks.insert(block);
-                }
-                Entry::Bucket(head) => {
-                    for p in self.store.read(head)? {
+        let mut blocks = Vec::new();
+        self.tree
+            .range_each(&value_key(lo), &value_key(hi), |_, payload| {
+                match Entry::of(payload) {
+                    Entry::Inline(block) => blocks.push(block),
+                    Entry::Bucket(head) => self.store.for_each(head, |p| {
                         // Bucket pages hold only postings for their tree
                         // key, but filter defensively.
-                        if p.value >= lo && p.value <= hi {
-                            blocks.insert(p.block);
+                        if (lo..=hi).contains(&p.value) {
+                            blocks.push(p.block);
                         }
-                    }
+                    })?,
                 }
-            }
-        }
-        Ok(blocks.into_iter().collect())
+                Ok(())
+            })?;
+        blocks.sort_unstable();
+        blocks.dedup();
+        Ok(blocks)
     }
 }
 

@@ -50,6 +50,28 @@ pub enum Removal {
     Emptied,
 }
 
+/// A page's postings, parsed off its bytes as they are read.
+struct Postings<'a>(core::slice::ChunksExact<'a, u8>);
+
+impl Iterator for Postings<'_> {
+    type Item = Posting;
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.0.size_hint()
+    }
+
+    fn next(&mut self) -> Option<Posting> {
+        let (value, block) = self.0.next()?.split_first_chunk::<8>()?;
+        let &[b0, b1, b2, b3] = block else {
+            return None;
+        };
+        Some(Posting {
+            value: u64::from_le_bytes(*value),
+            block: u32::from_le_bytes([b0, b1, b2, b3]),
+        })
+    }
+}
+
 /// Reads and writes bucket chains on the device.
 #[derive(Debug, Clone)]
 pub struct BucketStore {
@@ -72,30 +94,48 @@ impl BucketStore {
         (self.pool.device().block_size() - BUCKET_HEADER) / ENTRY_BYTES
     }
 
-    fn load(&self, id: BlockId) -> Result<Page, IndexError> {
-        let bytes = self.pool.read(id)?;
-        let corrupt = |detail: &str| IndexError::CorruptNode {
-            block: id,
-            detail: detail.to_owned(),
-        };
-        if bytes.len() < BUCKET_HEADER {
-            return Err(corrupt("bucket shorter than header"));
-        }
-        let count = u16::from_le_bytes([bytes[0], bytes[1]]) as usize;
-        let next = u32::from_le_bytes(bytes[2..6].try_into().expect("4 bytes"));
-        let mut postings = Vec::with_capacity(count.min(self.capacity()));
-        let mut pos = BUCKET_HEADER;
-        for _ in 0..count {
-            let chunk = bytes
-                .get(pos..pos + ENTRY_BYTES)
+    /// Walks the chain starting at `head`, handing `visit` each page's id,
+    /// postings (read in place) and next link. A chain longer than the
+    /// device has blocks is a cycle; the device is counted only once a
+    /// chain gets long.
+    fn walk(
+        &self,
+        head: BlockId,
+        mut visit: impl FnMut(BlockId, Postings<'_>, BlockId),
+    ) -> Result<(), IndexError> {
+        let (mut id, mut pages, mut max_pages) = (head, 0usize, usize::MAX);
+        loop {
+            let bytes = self.pool.read(id)?;
+            let corrupt = |detail: &str| IndexError::CorruptNode {
+                block: id,
+                detail: detail.to_owned(),
+            };
+            let Some((&[c0, c1, n0, n1, n2, n3], rest)) =
+                bytes.split_first_chunk::<BUCKET_HEADER>()
+            else {
+                return Err(corrupt("bucket shorter than header"));
+            };
+            let count = u16::from_le_bytes([c0, c1]) as usize;
+            let next = u32::from_le_bytes([n0, n1, n2, n3]);
+            let postings = rest
+                .get(..count * ENTRY_BYTES)
                 .ok_or_else(|| corrupt("truncated posting"))?;
-            postings.push(Posting {
-                value: u64::from_le_bytes(chunk[..8].try_into().expect("8 bytes")),
-                block: u32::from_le_bytes(chunk[8..].try_into().expect("4 bytes")),
-            });
-            pos += ENTRY_BYTES;
+            visit(id, Postings(postings.chunks_exact(ENTRY_BYTES)), next);
+            pages += 1;
+            if next == NO_NEXT {
+                return Ok(());
+            }
+            if pages == 64 {
+                max_pages = self.pool.device().live_blocks();
+            }
+            if pages >= max_pages {
+                return Err(IndexError::CorruptNode {
+                    block: next,
+                    detail: "bucket chain revisits a page".into(),
+                });
+            }
+            id = next;
         }
-        Ok(Page { id, postings, next })
     }
 
     fn store(&self, page: &Page) -> Result<(), IndexError> {
@@ -114,24 +154,17 @@ impl BucketStore {
         Ok(())
     }
 
-    /// Every page of the chain starting at `head`, in order. A chain longer
-    /// than the device has blocks is a cycle; the device is counted only
-    /// once a chain gets long.
+    /// Every page of the chain starting at `head`, in order, as owned
+    /// pages (what edits change).
     fn chain(&self, head: BlockId) -> Result<Vec<Page>, IndexError> {
-        let mut pages = vec![self.load(head)?];
-        let mut max_pages = usize::MAX;
-        while let Some(next) = pages.last().map(|p| p.next).filter(|&n| n != NO_NEXT) {
-            if pages.len() == 64 {
-                max_pages = self.pool.device().live_blocks();
-            }
-            if pages.len() >= max_pages {
-                return Err(IndexError::CorruptNode {
-                    block: next,
-                    detail: "bucket chain revisits a page".into(),
-                });
-            }
-            pages.push(self.load(next)?);
-        }
+        let mut pages = Vec::new();
+        self.walk(head, |id, postings, next| {
+            pages.push(Page {
+                id,
+                postings: postings.collect(),
+                next,
+            })
+        })?;
         Ok(pages)
     }
 
@@ -177,11 +210,16 @@ impl BucketStore {
 
     /// Reads every posting in the bucket chain.
     pub fn read(&self, head: BlockId) -> Result<Vec<Posting>, IndexError> {
-        Ok(self
-            .chain(head)?
-            .into_iter()
-            .flat_map(|p| p.postings)
-            .collect())
+        let mut out = Vec::new();
+        self.for_each(head, |p| out.push(p))?;
+        Ok(out)
+    }
+
+    /// Hands every posting in the bucket chain to `f`, in chain order,
+    /// reading each page in place: allocates nothing when the chain is in
+    /// the pool.
+    pub fn for_each(&self, head: BlockId, mut f: impl FnMut(Posting)) -> Result<(), IndexError> {
+        self.walk(head, |_, postings, _| postings.for_each(&mut f))
     }
 
     /// Removes one posting (if present), filling its hole with the chain's

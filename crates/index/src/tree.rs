@@ -13,22 +13,28 @@
 //!   by an optional key-count cap (`order`), which lets tests build the
 //!   order-3 trees of Figs. 4.4/4.5;
 //! * keys are unique; [`BPlusTree::insert`] upserts;
-//! * reads and leaf edits work on node bytes in place: an upsert, an insert
-//!   that fits and a delete splice the leaf (see `node.rs`) after checking
-//!   all of it, and only an insert that splits decodes the leaf and its
-//!   path into owned nodes;
+//! * reads and leaf edits work on node bytes in place: a read halves over
+//!   each node's offset table (see `node.rs`), so a warm lookup reads
+//!   O(log keys) entries per level and copies no key; an upsert, an insert
+//!   that fits and a delete splice the leaf after checking all of it, and
+//!   only an insert that splits decodes the leaf and its path into owned
+//!   nodes;
 //! * deletion is *lazy* (keys are removed, nodes are never merged) — the
 //!   strategy PostgreSQL uses; separator invariants are preserved because
 //!   deletion never moves keys between nodes.
 
 use crate::error::IndexError;
-use crate::node::{Node, NodeView, HEADER, NKEYS_AT, NO_LEAF};
+use crate::node::{entry_bytes, Node, NodeView, FIXED, MAX_NODE_BYTES, NO_LEAF};
 use avq_storage::{BlockId, BufferPool, StorageError};
 use std::sync::Arc;
 
 /// No sound tree is taller: every internal node has at least two children
 /// and block ids are 32-bit. A longer descent is a pointer cycle.
 const MAX_HEIGHT: usize = 33;
+
+/// Where a floor search ended: the leaf's id and bytes, and the index of
+/// the entry found in it.
+type FloorHit = (BlockId, Arc<Vec<u8>>, usize);
 
 /// Aggregate shape statistics for a tree.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,7 +88,7 @@ impl BPlusTree {
         if let Some(pos) = pairs.windows(2).position(|w| w[0].0 >= w[1].0) {
             return Err(IndexError::UnsortedBuildInput { position: pos + 1 });
         }
-        let block_size = pool.device().block_size();
+        let capacity = node_capacity(&pool);
         let mut tree = BPlusTree {
             pool,
             root: 0,
@@ -98,20 +104,20 @@ impl BPlusTree {
         let mut leaf_runs: Vec<&[(Vec<u8>, u64)]> = Vec::new();
         {
             let mut start = 0usize;
-            let mut bytes = 7usize; // leaf header
+            let mut bytes = FIXED;
             let mut keys = 0usize;
             for (i, (k, _)) in pairs.iter().enumerate() {
-                let entry = 2 + k.len() + 8;
-                if 7 + entry > block_size {
+                let entry = entry_bytes(k.len(), true);
+                if FIXED + entry > capacity {
                     return Err(IndexError::EntryTooLarge {
                         entry_bytes: entry,
-                        block_size,
+                        block_size: capacity,
                     });
                 }
-                if keys + 1 > max_keys || bytes + entry > block_size {
+                if keys + 1 > max_keys || bytes + entry > capacity {
                     leaf_runs.push(&pairs[start..i]);
                     start = i;
-                    bytes = 7;
+                    bytes = FIXED;
                     keys = 0;
                 }
                 bytes += entry;
@@ -142,10 +148,10 @@ impl BPlusTree {
             while start < level.len() {
                 // Greedy: take children while the node fits (bytes + order).
                 let mut end = start + 1;
-                let mut bytes = 7; // header + child0 (4 bytes counted in 7)
+                let mut bytes = FIXED; // child0 sits in the header
                 while end < level.len() && end - start <= max_keys {
-                    let add = 2 + level[end].0.len() + 4;
-                    if bytes + add > block_size {
+                    let add = entry_bytes(level[end].0.len(), false);
+                    if bytes + add > capacity {
                         break;
                     }
                     bytes += add;
@@ -195,7 +201,7 @@ impl BPlusTree {
     }
 
     fn node_overflows(&self, node: &Node) -> bool {
-        node.key_count() > self.max_keys || node.serialized_len() > self.pool.device().block_size()
+        node.key_count() > self.max_keys || node.serialized_len() > node_capacity(&self.pool)
     }
 
     /// Reads the node `parent` points at: a pointer to no block is the
@@ -211,7 +217,7 @@ impl BPlusTree {
     }
 
     /// The id and bytes of the leaf whose key range holds `key`, found by
-    /// walking each internal node's separators in place.
+    /// halving over each internal node's separators in place.
     fn leaf_for(&self, key: &[u8]) -> Result<(BlockId, Arc<Vec<u8>>), IndexError> {
         self.descend(key, |_, _| {})
     }
@@ -243,20 +249,32 @@ impl BPlusTree {
     /// Exact lookup. Allocates nothing when the path is in the pool.
     pub fn get(&self, key: &[u8]) -> Result<Option<u64>, IndexError> {
         let (id, bytes) = self.leaf_for(key)?;
-        for entry in NodeView::parse(id, &bytes)?.entries() {
-            let (k, v) = entry?;
-            match k.cmp(key) {
-                core::cmp::Ordering::Less => {}
-                core::cmp::Ordering::Equal => return Ok(Some(v)),
-                core::cmp::Ordering::Greater => break,
-            }
+        let view = NodeView::parse(id, &bytes)?;
+        match view.search(key)? {
+            Ok(i) => Ok(Some(view.entry(i)?.1)),
+            Err(_) => Ok(None),
         }
-        Ok(None)
     }
 
     /// Greatest entry with key ≤ `key`, if any.
     pub fn floor(&self, key: &[u8]) -> Result<Option<(Vec<u8>, u64)>, IndexError> {
-        self.floor_rec(self.root, self.pool.read(self.root)?, key, MAX_HEIGHT)
+        self.floor_with(key, |k, v| (k.to_vec(), v))
+    }
+
+    /// [`Self::floor`], handing the entry's key to `f` in place instead of
+    /// copying it out: allocates nothing when the path is in the pool.
+    pub fn floor_with<R>(
+        &self,
+        key: &[u8],
+        f: impl FnOnce(&[u8], u64) -> R,
+    ) -> Result<Option<R>, IndexError> {
+        let Some((id, bytes, i)) =
+            self.floor_rec(self.root, self.pool.read(self.root)?, key, MAX_HEIGHT)?
+        else {
+            return Ok(None);
+        };
+        let (k, v) = NodeView::parse(id, &bytes)?.entry(i)?;
+        Ok(Some(f(k, v)))
     }
 
     /// The paper's Fig. 4.4 routing: at each node, follow the child whose
@@ -297,24 +315,22 @@ impl BPlusTree {
         }
     }
 
+    /// The leaf holding the greatest entry `≤ key` under node `id`, and
+    /// that entry's index in it.
     fn floor_rec(
         &self,
         id: BlockId,
         bytes: Arc<Vec<u8>>,
         key: &[u8],
         levels: usize,
-    ) -> Result<Option<(Vec<u8>, u64)>, IndexError> {
+    ) -> Result<Option<FloorHit>, IndexError> {
         let view = NodeView::parse(id, &bytes)?;
         if view.is_leaf() {
-            let mut best = None;
-            for entry in view.entries() {
-                let (k, v) = entry?;
-                if k > key {
-                    break;
-                }
-                best = Some((k, v));
-            }
-            return Ok(best.map(|(k, v)| (k.to_vec(), v)));
+            let below = match view.search(key)? {
+                Ok(i) => i + 1,
+                Err(i) => i,
+            };
+            return Ok(below.checked_sub(1).map(|i| (id, bytes, i)));
         }
         let Some(levels) = levels.checked_sub(1) else {
             return Err(IndexError::CorruptNode {
@@ -335,14 +351,32 @@ impl BPlusTree {
     /// All entries with `lo ≤ key ≤ hi`, in key order.
     pub fn range(&self, lo: &[u8], hi: &[u8]) -> Result<Vec<(Vec<u8>, u64)>, IndexError> {
         let mut out = Vec::new();
+        self.range_each(lo, hi, |k, v| {
+            out.push((k.to_vec(), v));
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    /// Hands each entry with `lo ≤ key ≤ hi` to `visit` in key order, its
+    /// key borrowed from the leaf: allocates nothing when the leaves are in
+    /// the pool. The first leaf is entered where `lo` would sit; an error
+    /// from `visit` ends the walk and is returned.
+    pub fn range_each(
+        &self,
+        lo: &[u8],
+        hi: &[u8],
+        mut visit: impl FnMut(&[u8], u64) -> Result<(), IndexError>,
+    ) -> Result<(), IndexError> {
         if lo > hi {
-            return Ok(out);
+            return Ok(());
         }
         // Walk the leaf chain from the leaf that would contain `lo`. A chain
         // longer than the device has blocks is a cycle; the device is
         // counted only once a walk gets that long.
         let (mut id, mut bytes) = self.leaf_for(lo)?;
         let (mut hops, mut max_hops) = (0usize, usize::MAX);
+        let mut from = None;
         loop {
             let view = NodeView::parse(id, &bytes)?;
             if !view.is_leaf() {
@@ -351,18 +385,21 @@ impl BPlusTree {
                     detail: "leaf chain reached internal node".into(),
                 });
             }
-            for entry in view.entries() {
-                let (k, v) = entry?;
+            let start = match from {
+                Some(start) => start,
+                None => view.search(lo)?.unwrap_or_else(|i| i),
+            };
+            for i in start..view.nkeys() {
+                let (k, v) = view.entry(i)?;
                 if k > hi {
-                    return Ok(out);
+                    return Ok(());
                 }
-                if k >= lo {
-                    out.push((k.to_vec(), v));
-                }
+                visit(k, v)?;
             }
+            from = Some(0);
             let next = view.first();
             if next == NO_LEAF {
-                return Ok(out);
+                return Ok(());
             }
             hops += 1;
             if hops == MAX_HEIGHT {
@@ -383,37 +420,26 @@ impl BPlusTree {
     /// A leaf with room is edited in place (see `NodeView::slot`); only
     /// a leaf that would overflow is decoded and split.
     pub fn insert(&mut self, key: &[u8], value: u64) -> Result<Option<u64>, IndexError> {
-        let entry = 2 + key.len() + 8;
-        let block_size = self.pool.device().block_size();
-        if HEADER + entry > block_size {
+        let entry = entry_bytes(key.len(), true);
+        let capacity = node_capacity(&self.pool);
+        if FIXED + entry > capacity {
             return Err(IndexError::EntryTooLarge {
                 entry_bytes: entry,
-                block_size,
+                block_size: capacity,
             });
         }
         let (id, bytes) = self.leaf_for(key)?;
         let view = NodeView::parse(id, &bytes)?;
         let slot = view.slot(key)?;
         if let Some(old) = slot.found {
-            let mut out = bytes[..slot.end].to_vec();
-            let at = slot.at + 2 + key.len();
-            out[at..at + 8].copy_from_slice(&value.to_le_bytes());
-            self.pool.write(id, &out)?;
+            self.pool.write(id, &view.with_value(&slot, key, value))?;
             return Ok(Some(old));
         }
         let nkeys = view.nkeys() + 1;
-        if let Ok(count) = u16::try_from(nkeys) {
-            if nkeys <= self.max_keys && slot.end + entry <= block_size {
-                let mut out = Vec::with_capacity(slot.end + entry);
-                out.extend_from_slice(&bytes[..slot.at]);
-                out.extend_from_slice(&(key.len() as u16).to_le_bytes());
-                out.extend_from_slice(key);
-                out.extend_from_slice(&value.to_le_bytes());
-                out.extend_from_slice(&bytes[slot.at..slot.end]);
-                out[NKEYS_AT].copy_from_slice(&count.to_le_bytes());
-                self.pool.write(id, &out)?;
-                return Ok(None);
-            }
+        if nkeys <= self.max_keys.min(u16::MAX as usize) && bytes.len() + entry <= capacity {
+            self.pool
+                .write(id, &view.with_inserted(&slot, key, value))?;
+            return Ok(None);
         }
         self.insert_splitting(key, value)?;
         Ok(None)
@@ -435,7 +461,8 @@ impl BPlusTree {
         };
         let at = entries.partition_point(|(k, _)| k.as_slice() < key);
         entries.insert(at, (key.to_vec(), value));
-        let mut carry = self.split_leaf(id, entries, next)?;
+        let appended = next == NO_LEAF && at + 1 == entries.len();
+        let mut carry = self.split_leaf(id, entries, next, appended)?;
         for ((id, pos), parent) in path.into_iter().zip(parents).rev() {
             let Some((sep, right)) = carry else {
                 return Ok(());
@@ -470,6 +497,7 @@ impl BPlusTree {
         id: BlockId,
         entries: Vec<(Vec<u8>, u64)>,
         next: BlockId,
+        appended: bool,
     ) -> Result<Option<(Vec<u8>, BlockId)>, IndexError> {
         let node = Node::Leaf { entries, next };
         if !self.node_overflows(&node) {
@@ -479,7 +507,15 @@ impl BPlusTree {
         let Node::Leaf { mut entries, next } = node else {
             unreachable!()
         };
-        let right_entries = entries.split_off(entries.len() / 2);
+        // A key appended past the last leaf's last key starts a leaf of its
+        // own and the full leaf stays full, so ascending inserts fill leaves
+        // instead of leaving each half empty; any other split halves.
+        let cut = if appended {
+            entries.len() - 1
+        } else {
+            entries.len() / 2
+        };
+        let right_entries = entries.split_off(cut);
         let sep = right_entries[0].0.clone();
         let right_id = self.pool.device().allocate()?;
         self.store(
@@ -542,19 +578,14 @@ impl BPlusTree {
         let view = NodeView::parse(id, &bytes)?;
         let slot = view.slot(key)?;
         let val = slot.found.ok_or(IndexError::KeyNotFound)?;
-        let next = slot.at + 2 + key.len() + 8;
-        let mut out = Vec::with_capacity(slot.end - (next - slot.at));
-        out.extend_from_slice(&bytes[..slot.at]);
-        out.extend_from_slice(&bytes[next..slot.end]);
-        out[NKEYS_AT].copy_from_slice(&(view.nkeys() as u16 - 1).to_le_bytes());
-        self.pool.write(id, &out)?;
+        self.pool.write(id, &view.without(&slot, key))?;
         Ok(val)
     }
 
     /// Rewrites the payloads of keys the tree holds, for a batch of
     /// strictly ascending `keys`, one leaf at a time: each leaf is reached
-    /// by one descent, its entries are merged with the keys that fall in
-    /// it, and `patch(i, payload)` returns the new payload of present key
+    /// by one descent, each key that falls in it is found by binary search,
+    /// and `patch(i, payload)` returns the new payload of present key
     /// `keys[i]` or `None` to keep it. A key the tree does not hold is
     /// passed over, and no key is added or removed, so no node splits.
     ///
@@ -575,26 +606,24 @@ impl BPlusTree {
         while i < keys.len() {
             let (id, bytes) = self.leaf_for(keys[i].as_ref())?;
             let view = NodeView::parse(id, &bytes)?;
+            view.check()?;
+            // Each key is found by halving; keys past the leaf's last entry
+            // are looked for from the next descent on, and the key that
+            // routed here and is absent is done.
             let mut j = i;
-            let mut entries = view.entries();
-            loop {
-                let at = entries.offset();
-                let Some(entry) = entries.next() else {
-                    break;
-                };
-                let (k, v) = entry?;
-                while keys.get(j).is_some_and(|key| key.as_ref() < k) {
-                    j += 1;
-                }
-                if keys.get(j).is_some_and(|key| key.as_ref() == k) {
-                    if let Some(new) = patch(j, v).filter(|&new| new != v) {
-                        edits.push((at + 2 + k.len(), new));
+            while let Some(key) = keys.get(j) {
+                match view.search(key.as_ref())? {
+                    Ok(e) => {
+                        let (k, v) = view.entry(e)?;
+                        if let Some(new) = patch(j, v).filter(|&new| new != v) {
+                            edits.push((view.offset(e)? + 2 + k.len(), new));
+                        }
                     }
-                    j += 1;
+                    Err(e) if e == view.nkeys() => break,
+                    Err(_) => {}
                 }
+                j += 1;
             }
-            // Keys past the leaf's last entry are looked for from the next
-            // descent on; the key that routed here and is absent is done.
             i = j.max(i + 1);
             if edits.is_empty() {
                 continue;
@@ -602,7 +631,7 @@ impl BPlusTree {
             let copy = match pending.iter().position(|(p, _)| *p == id) {
                 Some(at) => &mut pending[at].1,
                 None => {
-                    pending.push((id, bytes[..entries.offset()].to_vec()));
+                    pending.push((id, bytes.to_vec()));
                     &mut pending.last_mut().expect("just pushed").1
                 }
             };
@@ -675,7 +704,7 @@ impl BPlusTree {
         if node.key_count() > self.max_keys {
             return Err(format!("node {id} exceeds max_keys"));
         }
-        if node.serialized_len() > self.pool.device().block_size() {
+        if node.serialized_len() > node_capacity(&self.pool) {
             return Err(format!("node {id} exceeds block size"));
         }
         match node {
@@ -724,6 +753,12 @@ impl BPlusTree {
         }
         Ok(())
     }
+}
+
+/// The largest node `pool`'s blocks hold: the block size, up to what a
+/// `u16` offset table addresses.
+fn node_capacity(pool: &BufferPool) -> usize {
+    pool.device().block_size().min(MAX_NODE_BYTES)
 }
 
 /// |a − b| over big-endian byte strings of possibly different lengths,
@@ -1044,6 +1079,25 @@ mod tests {
         }
         t.validate().unwrap();
         assert_eq!(t.patch_sorted(&[key(1)], |_, _| Some(0)).unwrap(), 0);
+    }
+
+    #[test]
+    fn ascending_inserts_fill_their_leaves() {
+        // Each key past the last leaf's last one starts a leaf of its own,
+        // so the leaf it overflows stays full: ascending inserts leave full
+        // leaves, where halving splits left every leaf half empty.
+        let mut t = BPlusTree::create_with_order(pool(4096), 8).unwrap();
+        for i in 0..2000u64 {
+            t.insert(&key(i), i).unwrap();
+        }
+        t.validate().unwrap();
+        let st = t.stats().unwrap();
+        assert_eq!((st.entries, st.leaves), (2000, 250));
+        // A key that lands inside a full leaf still halves it.
+        t.insert(&key(2000 + 7), 0).unwrap();
+        t.insert(&[0, 0, 0, 0, 0, 0, 0, 0, 1], 0).unwrap();
+        t.validate().unwrap();
+        assert_eq!(t.stats().unwrap().leaves, 252);
     }
 
     #[test]
