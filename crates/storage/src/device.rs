@@ -194,8 +194,17 @@ impl BlockDevice {
             .get_mut(id as usize)
             .ok_or(StorageError::NoSuchBlock { id })?;
         let buf = slot.data.as_mut().ok_or(StorageError::NoSuchBlock { id })?;
-        buf.clear();
-        buf.extend_from_slice(payload.as_deref().unwrap_or(data));
+        let payload = payload.as_deref().unwrap_or(data);
+        // A slot's memory follows its payload, not the largest payload it
+        // ever held: one that outgrows its buffer gets an exact copy (not a
+        // doubled buffer), and one that would leave more than half of it
+        // idle (an index leaf emptied by deletes) gives it back.
+        if buf.capacity() < payload.len() || buf.capacity() / 2 > payload.len() {
+            *buf = payload.to_vec();
+        } else {
+            buf.clear();
+            buf.extend_from_slice(payload);
+        }
         drop(slots);
         self.writes.fetch_add(1, Ordering::Relaxed);
         self.clock
@@ -242,6 +251,31 @@ mod tests {
         let id = d.allocate().unwrap();
         d.write(id, b"hello").unwrap();
         assert_eq!(d.read(id).unwrap(), b"hello");
+    }
+
+    #[test]
+    fn slot_memory_follows_its_payload() {
+        let d = device();
+        let id = d.allocate().unwrap();
+        let capacity = |d: &BlockDevice| {
+            d.slots.read().unwrap()[id as usize]
+                .data
+                .as_ref()
+                .unwrap()
+                .capacity()
+        };
+        d.write(id, &[1; 40]).unwrap();
+        d.write(id, &[2; 41]).unwrap();
+        assert_eq!(capacity(&d), 41, "a growing payload is copied exactly");
+        d.write(id, &[3; 30]).unwrap();
+        assert_eq!(
+            capacity(&d),
+            41,
+            "a payload that fills half keeps the buffer"
+        );
+        d.write(id, &[4; 3]).unwrap();
+        assert_eq!(capacity(&d), 3, "a payload under half gives the rest back");
+        assert_eq!(d.read(id).unwrap(), [4; 3]);
     }
 
     #[test]
