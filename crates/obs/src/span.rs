@@ -26,9 +26,13 @@ use std::time::{Duration, Instant};
 /// elapsed time goes through [`Stopwatch`] or [`crate::span!`], and code
 /// that charges simulated 1994-disk time uses the storage crate's virtual
 /// clock instead.
+///
+/// A watch made by [`Stopwatch::start_if`] with `false` is *inert*: it never
+/// reads the clock and every reading is zero, so a loop that times its
+/// phases only for a reader who asks pays one branch per lap otherwise.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
-    start: Instant,
+    start: Option<Instant>,
 }
 
 impl Stopwatch {
@@ -36,23 +40,35 @@ impl Stopwatch {
     #[inline]
     pub fn start() -> Self {
         Stopwatch {
-            start: Instant::now(),
+            start: Some(Instant::now()),
         }
     }
 
-    /// Wall-clock time elapsed since [`Stopwatch::start`].
+    /// Starts timing now when `timed`, else an inert watch that reads zero.
+    #[inline]
+    pub fn start_if(timed: bool) -> Self {
+        Stopwatch {
+            start: timed.then(Instant::now),
+        }
+    }
+
+    /// Wall-clock time elapsed since [`Stopwatch::start`] (zero when inert).
     #[inline]
     pub fn elapsed(&self) -> Duration {
-        self.start.elapsed()
+        self.start.map_or(Duration::ZERO, |s| s.elapsed())
     }
 
     /// Time since the start or the previous lap, restarting the watch —
-    /// one clock read splits a loop into consecutive phases.
+    /// one clock read splits a loop into consecutive phases (none, and
+    /// zero, when inert).
     #[inline]
     pub fn lap(&mut self) -> Duration {
+        let Some(start) = &mut self.start else {
+            return Duration::ZERO;
+        };
         let now = Instant::now();
-        let lap = now.saturating_duration_since(self.start);
-        self.start = now;
+        let lap = now.saturating_duration_since(*start);
+        *start = now;
         lap
     }
 }
@@ -214,6 +230,17 @@ mod tests {
         let sw = Stopwatch::start();
         std::thread::sleep(std::time::Duration::from_millis(1));
         assert!(sw.elapsed() >= Duration::from_millis(1));
+    }
+
+    #[test]
+    fn an_inert_stopwatch_reads_zero() {
+        let mut sw = Stopwatch::start_if(false);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert_eq!(sw.lap(), Duration::ZERO);
+        assert_eq!(sw.elapsed(), Duration::ZERO);
+        let mut sw = Stopwatch::start_if(true);
+        std::thread::sleep(std::time::Duration::from_millis(1));
+        assert!(sw.lap() >= Duration::from_millis(1));
     }
 
     #[test]

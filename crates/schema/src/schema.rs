@@ -44,6 +44,8 @@ impl Attribute {
 #[derive(Debug, Clone)]
 pub struct Schema {
     attrs: Vec<Attribute>,
+    /// The attribute names in order, shared with every `select *` result.
+    names: Arc<[String]>,
     by_name: HashMap<String, usize>,
     radix: MixedRadix,
     widths: Vec<usize>,
@@ -82,6 +84,7 @@ impl Schema {
             off += w;
         }
         Ok(Arc::new(Schema {
+            names: attrs.iter().map(|a| a.name.clone()).collect(),
             attrs,
             by_name,
             radix,
@@ -122,11 +125,21 @@ impl Schema {
         &self.attrs[i]
     }
 
+    /// The attribute names in order, as one shared list.
+    #[inline]
+    pub fn names(&self) -> &Arc<[String]> {
+        &self.names
+    }
+
+    /// The index of the attribute named `name`, if there is one.
+    #[inline]
+    pub fn position(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
+    }
+
     /// Resolves an attribute name to its index.
     pub fn index_of(&self, name: &str) -> Result<usize, SchemaError> {
-        self.by_name
-            .get(name)
-            .copied()
+        self.position(name)
             .ok_or_else(|| SchemaError::NoSuchAttribute {
                 attribute: name.to_owned(),
             })
@@ -390,6 +403,10 @@ mod tests {
         let s = employee_schema();
         assert_eq!(s.index_of("years").unwrap(), 2);
         assert!(s.index_of("salary").is_err());
+        assert_eq!(s.position("years"), Some(2));
+        assert_eq!(s.position("salary"), None);
+        let names: Vec<&str> = s.attributes().iter().map(Attribute::name).collect();
+        assert_eq!(s.names()[..], names[..]);
     }
 
     #[test]

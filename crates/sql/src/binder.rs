@@ -50,8 +50,6 @@ pub struct BoundPredicate {
     pub lo: u64,
     /// Inclusive upper ordinal.
     pub hi: u64,
-    /// The original conjunct text, for plan rendering.
-    pub display: String,
 }
 
 /// A resolved projection item.
@@ -82,8 +80,9 @@ pub struct BoundQuery {
     pub predicates: Vec<BoundPredicate>,
     /// Projection items in output order.
     pub items: Vec<BoundItem>,
-    /// Column headers for the result table, in output order.
-    pub headers: Vec<String>,
+    /// Column headers for the result table, in output order, shared with
+    /// the result (a single-table `select *` shares its schema's names).
+    pub headers: Arc<[String]>,
     /// `GROUP BY` column.
     pub group_by: Option<(usize, usize)>,
     /// `ORDER BY` column and direction.
@@ -92,8 +91,6 @@ pub struct BoundQuery {
     pub limit: Option<usize>,
     /// True when any item aggregates (the result is one row per group).
     pub grouped: bool,
-    /// The canonical statement text, for plan headers.
-    pub text: String,
 }
 
 impl BoundQuery {
@@ -190,15 +187,15 @@ impl<'a> Binder<'a> {
                 })?;
             let a = table
                 .schema
-                .index_of(&col.column)
-                .map_err(|_| SqlError::Bind {
+                .position(&col.column)
+                .ok_or_else(|| SqlError::Bind {
                     msg: format!("relation `{q}` has no column `{}`", col.column),
                 })?;
             return Ok((t, a));
         }
         let mut found: Option<(usize, usize)> = None;
         for (t, b) in self.tables.iter().enumerate() {
-            if let Ok(a) = b.schema.index_of(&col.column) {
+            if let Some(a) = b.schema.position(&col.column) {
                 if found.is_some() {
                     return Err(SqlError::Bind {
                         msg: format!("column `{}` is ambiguous (qualify it)", col.column),
@@ -219,9 +216,7 @@ impl<'a> Binder<'a> {
 
     fn bind_predicate(&self, pred: &Predicate) -> Result<BoundPredicate, SqlError> {
         use crate::ast::CmpOp;
-        let (colref, display) = match pred {
-            Predicate::Cmp { col, .. } | Predicate::Between { col, .. } => (col, pred.to_string()),
-        };
+        let (Predicate::Cmp { col: colref, .. } | Predicate::Between { col: colref, .. }) = pred;
         let (t, a) = self.resolve(colref)?;
         let domain = self.domain((t, a));
         let max = domain.size().saturating_sub(1);
@@ -253,32 +248,16 @@ impl<'a> Binder<'a> {
                 let lo_pos = clamp_literal(domain, lo, col)?;
                 let hi_pos = clamp_literal(domain, hi, col)?;
                 let lo_ord = match lo_pos {
-                    Clamped::Below => 0,
-                    Clamped::In(o) => o,
-                    Clamped::Above => {
-                        return Ok(BoundPredicate {
-                            table: t,
-                            attr: a,
-                            lo: 1,
-                            hi: 0,
-                            display,
-                        })
-                    }
+                    Clamped::Below => Some(0),
+                    Clamped::In(o) => Some(o),
+                    Clamped::Above => None,
                 };
                 let hi_ord = match hi_pos {
-                    Clamped::Below => {
-                        return Ok(BoundPredicate {
-                            table: t,
-                            attr: a,
-                            lo: 1,
-                            hi: 0,
-                            display,
-                        })
-                    }
-                    Clamped::In(o) => o,
-                    Clamped::Above => max,
+                    Clamped::Below => None,
+                    Clamped::In(o) => Some(o),
+                    Clamped::Above => Some(max),
                 };
-                (lo_ord, hi_ord)
+                lo_ord.zip(hi_ord).unwrap_or(EMPTY)
             }
         };
         Ok(BoundPredicate {
@@ -286,7 +265,6 @@ impl<'a> Binder<'a> {
             attr: a,
             lo,
             hi,
-            display,
         })
     }
 }
@@ -337,9 +315,8 @@ pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<BoundQuery, SqlError> {
 
     // Projection.
     let mut items = Vec::new();
-    let mut headers = Vec::new();
     let mut grouped = group_by.is_some();
-    match &stmt.projection {
+    let headers: Arc<[String]> = match &stmt.projection {
         Projection::Star => {
             if group_by.is_some() {
                 return Err(SqlError::Bind {
@@ -347,17 +324,18 @@ pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<BoundQuery, SqlError> {
                 });
             }
             for (t, table) in b.tables.iter().enumerate() {
-                for (a, attr) in table.schema.attributes().iter().enumerate() {
-                    items.push(BoundItem::Column { col: (t, a) });
-                    headers.push(if b.tables.len() > 1 {
-                        format!("{}.{}", table.label, attr.name())
-                    } else {
-                        attr.name().to_owned()
-                    });
-                }
+                items.extend((0..table.schema.arity()).map(|a| BoundItem::Column { col: (t, a) }));
+            }
+            match b.tables.as_slice() {
+                [only] => Arc::clone(only.schema.names()),
+                tables => tables
+                    .iter()
+                    .flat_map(|t| t.schema.names().iter().map(|n| format!("{}.{n}", t.label)))
+                    .collect(),
             }
         }
         Projection::Items(list) => {
+            let mut headers = Vec::with_capacity(list.len());
             for item in list {
                 match item {
                     SelectItem::Column(c) => {
@@ -399,8 +377,9 @@ pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<BoundQuery, SqlError> {
                     }
                 }
             }
+            headers.into()
         }
-    }
+    };
     if grouped && group_by.is_none() && items.iter().any(|i| matches!(i, BoundItem::Column { .. }))
     {
         return Err(SqlError::Bind {
@@ -442,7 +421,6 @@ pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<BoundQuery, SqlError> {
         order_by,
         limit,
         grouped,
-        text: stmt.to_string(),
     })
 }
 

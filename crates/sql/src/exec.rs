@@ -14,20 +14,26 @@
 //! `IntRange{-10,89}` and `Uint{100}`) compares semantic values, not raw
 //! ordinals.
 //!
-//! Every operator is timed with [`Stopwatch`] and reports a
-//! [`StageReport`] using the same stage vocabulary as
-//! `avq_db::ExplainReport`, plus per-plan-node actual row counts keyed by
-//! the pre-order node numbering shared with the renderer — that pairing is
-//! what lets `EXPLAIN ANALYZE` print estimated vs. actual rows per node.
+//! Every operator reports a [`StageReport`] using the same stage
+//! vocabulary as `avq_db::ExplainReport`, plus per-plan-node actual row
+//! counts keyed by the pre-order node numbering shared with the renderer —
+//! that pairing is what lets `EXPLAIN ANALYZE` print estimated vs. actual
+//! rows per node. Stages are timed with [`Stopwatch`] only when their times
+//! will be read — under `EXPLAIN ANALYZE` or a recording trace; otherwise
+//! the watch is inert and a stage's `elapsed` is zero, so a block read
+//! costs no clock reads.
 
 use crate::binder::{BoundItem, BoundQuery};
 use crate::error::SqlError;
-use crate::plan::{domain_of, selection_of, PhysicalPlan, PlanNode};
-use avq_db::{AccessPath, CacheMark, Database, RangePredicate, Served, StageReport, StoredBlock};
+use crate::plan::{domain_of, PhysicalPlan, PlanNode};
+use avq_db::{
+    AccessPath, CacheMark, Database, RangePredicate, Selection, Served, StageReport, StoredBlock,
+};
 use avq_obs::{names, AttrValue, QueryCtx, Stopwatch, TraceCtx};
 use avq_schema::{Domain, TupleBatch, Value};
 use core::time::Duration;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A join key canonicalized to its semantic value.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
@@ -98,8 +104,8 @@ impl Cell {
 /// The final result table of a statement.
 #[derive(Debug, Clone)]
 pub struct QueryResult {
-    /// Column headers in output order.
-    pub headers: Vec<String>,
+    /// Column headers in output order, shared with the bound statement.
+    pub headers: Arc<[String]>,
     /// Decoded result rows.
     pub rows: Vec<Vec<Cell>>,
 }
@@ -155,13 +161,15 @@ impl QueryResult {
     }
 }
 
-/// Everything execution produces: the result plus per-stage timings and
-/// per-node actual row counts for `EXPLAIN ANALYZE`.
+/// Everything execution produces: the result plus per-stage reports
+/// (timed when asked for) and per-node actual row counts for
+/// `EXPLAIN ANALYZE`.
 #[derive(Debug)]
 pub struct ExecOutput {
     /// The decoded result table.
     pub result: QueryResult,
-    /// Timed stages in execution order (ExplainReport vocabulary).
+    /// Stages in execution order (ExplainReport vocabulary); `elapsed` is
+    /// zero unless the execution was timed.
     pub stages: Vec<StageReport>,
     /// Actual output rows per plan node, keyed by pre-order node id.
     pub actual_rows: Vec<u64>,
@@ -188,7 +196,11 @@ struct Exec<'a> {
     db: &'a Database,
     q: &'a BoundQuery,
     order: &'a [usize],
+    /// Each table's conjuncts, as the planner priced them.
+    selections: &'a [Selection],
     ctx: &'a QueryCtx,
+    /// Whether stage clocks run (else every stage's `elapsed` is zero).
+    timed: bool,
     stages: Vec<StageReport>,
     actual_rows: Vec<u64>,
 }
@@ -249,6 +261,18 @@ fn all_rows(rows: &TupleBatch) -> Result<Vec<u32>, SqlError> {
 }
 
 impl<'a> Exec<'a> {
+    /// A stage clock: running when stage times will be read, else inert.
+    fn clock(&self) -> Stopwatch {
+        Stopwatch::start_if(self.timed)
+    }
+
+    /// The conjuncts on `table`.
+    fn selection(&self, table: usize) -> Result<&'a Selection, SqlError> {
+        self.selections.get(table).ok_or_else(|| SqlError::Bind {
+            msg: "plan references an unbound table".to_owned(),
+        })
+    }
+
     /// Records the stage report and, when tracing, retroactively attaches
     /// a matching `avq.sql.stage` span covering the stage's elapsed time.
     fn stage(&mut self, stage: &'static str, rows: u64, blocks: u64, hits: u64, elapsed: Duration) {
@@ -361,10 +385,10 @@ impl<'a> Exec<'a> {
             msg: "plan references an unbound table".to_owned(),
         })?;
         let rel = self.db.relation(&bt.relation)?;
-        let sel = selection_of(self.q, table);
+        let sel = self.selection(table)?;
 
-        let sw = Stopwatch::start();
-        let candidates = rel.candidate_blocks(&sel, path)?;
+        let sw = self.clock();
+        let candidates = rel.candidate_blocks(sel, path)?;
         if !matches!(path, AccessPath::FullScan) {
             self.stage("index-probe", candidates.len() as u64, 0, 0, sw.elapsed());
         }
@@ -385,10 +409,12 @@ impl<'a> Exec<'a> {
             // `stage`) so per-block read spans — and the filter time
             // interleaved with them — nest beneath it.
             let guard = self.ctx.trace.span(names::SPAN_SQL_STAGE);
-            let mut clock = Stopwatch::start();
+            let mut clock = self.clock();
             let mut reads = rel.read_blocks(candidates, self.ctx);
             while room > 0 {
-                let pool_hits = rel.pool_stats().hits;
+                // Pool hits are counted per block only for a read that may
+                // answer blocks from their synopses.
+                let pool_hits = answers.map_or(0, |_| rel.pool_stats().hits);
                 let Some(served) = reads.next_or_synopsis(answers) else {
                     break;
                 };
@@ -472,7 +498,7 @@ impl<'a> Exec<'a> {
             msg: "plan references an unbound table".to_owned(),
         })?;
         let rel = self.db.relation(&bt.relation)?;
-        let sel = selection_of(self.q, inner);
+        let sel = self.selection(inner)?;
         let out_dom = domain_of(self.q, outer_key);
         let in_dom = domain_of(self.q, (inner, inner_attr));
         let outer_keys = outer_rows.col(check_col(outer_col, outer_rows.arity())?);
@@ -491,7 +517,7 @@ impl<'a> Exec<'a> {
         let mut matched = TupleBatch::new(bt.schema.arity());
         let mut by_key: BTreeMap<u64, Vec<u32>> = BTreeMap::new();
         let mut rows: Vec<u32> = Vec::new();
-        let sw = Stopwatch::start();
+        let sw = self.clock();
         let mark = CacheMark::take(rel);
         let mut blocks = 0u64;
         if index_probe {
@@ -524,7 +550,7 @@ impl<'a> Exec<'a> {
                 sw.elapsed(),
             );
         } else {
-            let candidates = rel.candidate_blocks(&sel, AccessPath::FullScan)?;
+            let candidates = rel.candidate_blocks(sel, AccessPath::FullScan)?;
             for served in rel.read_blocks(candidates, self.ctx) {
                 let (_, block) = served?;
                 blocks += 1;
@@ -545,7 +571,7 @@ impl<'a> Exec<'a> {
             );
         }
 
-        let sw = Stopwatch::start();
+        let sw = self.clock();
         let (mut li, mut ri) = (Vec::new(), Vec::new());
         for (o_row, o) in (0u32..).zip(outer_keys) {
             let Some(Some(inner_ord)) = key_map.get(o) else {
@@ -596,7 +622,7 @@ impl<'a> Exec<'a> {
             .collect();
 
         let probe_rows = self.scan(table, path, usize::MAX)?;
-        let sw = Stopwatch::start();
+        let sw = self.clock();
         let probe_keys = probe_rows.col(check_col(table_attr, probe_rows.arity())?);
         let (mut li, mut ri) = (Vec::new(), Vec::new());
         for (t_row, o) in (0u32..).zip(probe_keys) {
@@ -718,15 +744,15 @@ impl<'a> Exec<'a> {
         let sw = if let Some((table, path, _)) = scan {
             let scan_id = self.claim_node(counter);
             let stage = Some(("aggregate", &mut in_scan));
-            let covered = selection_of(q, table).predicates().is_empty();
+            let covered = self.selection(table)?.predicates().is_empty();
             let answers = covered.then_some(&answerable as &dyn Fn(&StoredBlock) -> bool);
             let kept = self.scan_into(table, path, 0, usize::MAX, stage, answers, &mut fold)?;
             if let Some(slot) = self.actual_rows.get_mut(scan_id) {
                 *slot = kept;
             }
-            Stopwatch::start()
+            self.clock()
         } else {
-            let sw = Stopwatch::start();
+            let sw = self.clock();
             if let Some(rows) = &batch {
                 fold(Sunk::Rows(rows, &all_rows(rows)?));
             }
@@ -834,7 +860,7 @@ impl<'a> Exec<'a> {
                         msg: "sort input is not an ordinal stream".to_owned(),
                     });
                 };
-                let sw = Stopwatch::start();
+                let sw = self.clock();
                 // Ordinal order is domain order for every domain kind, so
                 // sorting ordinals sorts semantic values. The (stable) sort
                 // permutes row numbers by the one key column; every column
@@ -852,7 +878,7 @@ impl<'a> Exec<'a> {
             }
             PlanNode::Limit { input, n, .. } => {
                 let mut batch = self.exec_node(input, counter, *n)?;
-                let sw = Stopwatch::start();
+                let sw = self.clock();
                 match &mut batch {
                     Batch::Ordinals(rows) => rows.truncate(*n),
                     Batch::Cells(rows) => rows.truncate(*n),
@@ -911,7 +937,7 @@ impl<'a> Exec<'a> {
                             msg: "projection input is not an ordinal stream".to_owned(),
                         });
                     };
-                    let sw = Stopwatch::start();
+                    let sw = self.clock();
                     for &(c, _) in &targets {
                         check_col(c, rows.arity())?;
                     }
@@ -1063,17 +1089,35 @@ fn semantic_sum(domain: Option<&Domain>, ords: u128, n: u64) -> i128 {
 /// here. Materialized rows — scan output block by block, join output —
 /// charge the memory budget, and a trip unwinds as [`SqlError::Exec`]
 /// wrapping [`avq_db::DbError::Governance`].
+///
+/// The stages are timed only when `ctx.trace` records; otherwise each
+/// [`StageReport`] carries its rows, blocks and cache hits with a zero
+/// `elapsed`.
 pub fn execute(
     db: &Database,
     q: &BoundQuery,
     plan: &PhysicalPlan,
     ctx: &QueryCtx,
 ) -> Result<ExecOutput, SqlError> {
+    run_plan(db, q, plan, ctx, false)
+}
+
+/// [`execute`], timing every stage when `timed` (as `EXPLAIN ANALYZE`
+/// does) or when `ctx.trace` records.
+pub(crate) fn run_plan(
+    db: &Database,
+    q: &BoundQuery,
+    plan: &PhysicalPlan,
+    ctx: &QueryCtx,
+    timed: bool,
+) -> Result<ExecOutput, SqlError> {
     let mut exec = Exec {
         db,
         q,
         order: &plan.table_order,
+        selections: &plan.selections,
         ctx,
+        timed: timed || ctx.trace.is_enabled(),
         stages: Vec::new(),
         actual_rows: Vec::new(),
     };
@@ -1099,7 +1143,7 @@ pub fn execute(
     };
     Ok(ExecOutput {
         result: QueryResult {
-            headers: q.headers.clone(),
+            headers: Arc::clone(&q.headers),
             rows,
         },
         stages: exec.stages,
@@ -1171,7 +1215,7 @@ mod tests {
         let q = bound(&db, sql);
         let physical = crate::plan::plan(&db, &q).unwrap();
         let wall = Stopwatch::start();
-        let out = execute(&db, &q, &physical, &QueryCtx::default()).unwrap();
+        let out = run_plan(&db, &q, &physical, &QueryCtx::default(), true).unwrap();
         let wall = wall.elapsed();
         let stage = |name: &str| {
             let mut found = out.stages.iter().filter(|s| s.stage == name);
@@ -1212,7 +1256,7 @@ mod tests {
         // the `project` stage's, not the `filter` stage's.
         let q = bound(&db, "select a, b, c from t where b >= 5");
         let physical = crate::plan::plan(&db, &q).unwrap();
-        let out = execute(&db, &q, &physical, &QueryCtx::default()).unwrap();
+        let out = run_plan(&db, &q, &physical, &QueryCtx::default(), true).unwrap();
         assert_eq!(out.result.rows.len(), kept.len());
         let elapsed = |name: &str| out.stages.iter().find(|s| s.stage == name).unwrap().elapsed;
         assert!(
@@ -1221,5 +1265,76 @@ mod tests {
             elapsed("project"),
             elapsed("filter")
         );
+    }
+
+    /// Each stage's name, rows, blocks and cache hits.
+    fn counts(stages: &[StageReport]) -> Vec<(&'static str, u64, u64, u64)> {
+        let counts = stages
+            .iter()
+            .map(|s| (s.stage, s.rows, s.blocks, s.cache_hits));
+        counts.collect()
+    }
+
+    /// A stage table's lines without their elapsed column.
+    fn untimed_table(text: &str) -> Vec<&str> {
+        let table = text.lines().skip_while(|l| !l.starts_with("stage "));
+        table
+            .map(|l| l.rsplit_once(" | ").map_or(l, |(kept, _)| kept))
+            .collect()
+    }
+
+    #[test]
+    fn a_plain_run_reports_the_stages_explain_analyze_times() {
+        let mut db = db();
+        db.create_secondary_index("t", 1).unwrap();
+        let statements = [
+            "select a, b, c from t where b >= 5",
+            "select * from t where b = 7 and c > 0",
+            "select * from t where a = 3 and b <= 100 order by c desc limit 5",
+            "select a, count(*), sum(c) from t where c < 0 group by a",
+            "select count(*) from t",
+            "select x.a, y.b from t x join t y on x.b = y.b where x.a = 1 and y.c = 7",
+        ];
+        for sql in statements {
+            let q = bound(&db, sql);
+            let physical = crate::plan::plan(&db, &q).unwrap();
+            // Warm, so that both runs below see the same cache.
+            execute(&db, &q, &physical, &QueryCtx::default()).unwrap();
+            let plain = execute(&db, &q, &physical, &QueryCtx::default()).unwrap();
+            let timed = run_plan(&db, &q, &physical, &QueryCtx::default(), true).unwrap();
+            assert_eq!(counts(&plain.stages), counts(&timed.stages), "{sql}");
+            assert_eq!(plain.actual_rows, timed.actual_rows, "{sql}");
+            assert_eq!(plain.result.rows, timed.result.rows, "{sql}");
+            assert!(
+                plain.stages.iter().all(|s| s.elapsed == Duration::ZERO),
+                "{sql}: an untimed stage read the clock"
+            );
+            assert!(
+                timed.stages.iter().any(|s| s.elapsed > Duration::ZERO),
+                "{sql}: no timed stage took any time"
+            );
+
+            // A recording trace reads the stage times, so they run.
+            let collector = avq_obs::TraceCollector::new(4, avq_obs::SamplingPolicy::Always);
+            let ctx = QueryCtx::from(collector.begin());
+            let traced = execute(&db, &q, &physical, &ctx).unwrap();
+            assert_eq!(counts(&traced.stages), counts(&plain.stages), "{sql}");
+            assert!(traced.stages.iter().any(|s| s.elapsed > Duration::ZERO));
+
+            // EXPLAIN ANALYZE prints the same stage table, times aside.
+            let Ok(crate::SqlOutcome::Plan(analyzed)) =
+                crate::run(&db, &format!("explain analyze {sql}"))
+            else {
+                panic!("{sql}: explain analyze renders a plan");
+            };
+            let report = avq_db::ExplainReport {
+                query: String::new(),
+                plan: String::new(),
+                stages: plain.stages.clone(),
+                rows: plain.result.rows.len() as u64,
+            };
+            let table = report.stage_table();
+            assert_eq!(untimed_table(&analyzed), untimed_table(&table), "{sql}");
+        }
     }
 }

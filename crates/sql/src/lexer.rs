@@ -6,18 +6,22 @@
 //! unchecked indexing. Keywords are not distinguished here — the parser
 //! matches identifier text case-insensitively, which keeps the token set
 //! small and lets column names shadow nothing.
+//!
+//! Tokens borrow their text from the statement: lexing allocates only the
+//! token vector, and an identifier is copied only when the parser keeps it
+//! as a name in the AST.
 
 use crate::error::SqlError;
 
-/// What a token is.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TokenKind {
+/// What a token is; text is a slice of the statement.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TokenKind<'a> {
     /// An identifier (or keyword — the parser decides).
-    Ident(String),
+    Ident(&'a str),
     /// An unsigned integer literal.
     Number(u64),
     /// A single-quoted string literal (quotes stripped).
-    Str(String),
+    Str(&'a str),
     /// `*`
     Star,
     /// `,`
@@ -45,10 +49,10 @@ pub enum TokenKind {
 }
 
 /// One lexed token with its byte offset in the statement.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Token {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Token<'a> {
     /// The token.
-    pub kind: TokenKind,
+    pub kind: TokenKind<'a>,
     /// Byte offset of the token's first character.
     pub pos: usize,
 }
@@ -64,9 +68,12 @@ fn is_ident_continue(b: u8) -> bool {
 /// Tokenizes `input`. Returns the tokens in order; the terminating
 /// position of the statement is `input.len()` (used by the parser for
 /// "unexpected end of input" errors).
-pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
+pub fn lex(input: &str) -> Result<Vec<Token<'_>>, SqlError> {
     let bytes = input.as_bytes();
-    let mut tokens = Vec::new();
+    // A token spans at least one byte and most span more than two, so
+    // this grows at most once.
+    // lint: bounded(half the statement's own length, already in memory)
+    let mut tokens = Vec::with_capacity(input.len() / 2 + 1);
     let mut i = 0usize;
     while let Some(&b) = bytes.get(i) {
         if b.is_ascii_whitespace() {
@@ -140,7 +147,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
                         msg: "unterminated string literal".to_owned(),
                     });
                 }
-                let text = input.get(start..i).unwrap_or_default().to_owned();
+                let text = input.get(start..i).unwrap_or_default();
                 i += 1; // closing quote
                 TokenKind::Str(text)
             }
@@ -165,7 +172,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
                 while bytes.get(i).is_some_and(|&c| is_ident_continue(c)) {
                     i += 1;
                 }
-                TokenKind::Ident(input.get(start..i).unwrap_or_default().to_owned())
+                TokenKind::Ident(input.get(start..i).unwrap_or_default())
             }
             _ => {
                 return Err(SqlError::Lex {
@@ -183,7 +190,7 @@ pub fn lex(input: &str) -> Result<Vec<Token>, SqlError> {
 mod tests {
     use super::*;
 
-    fn kinds(input: &str) -> Vec<TokenKind> {
+    fn kinds(input: &str) -> Vec<TokenKind<'_>> {
         lex(input).unwrap().into_iter().map(|t| t.kind).collect()
     }
 
@@ -193,14 +200,14 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Ident("SELECT".to_owned()),
-                TokenKind::Ident("a".to_owned()),
+                TokenKind::Ident("SELECT"),
+                TokenKind::Ident("a"),
                 TokenKind::Comma,
-                TokenKind::Ident("b".to_owned()),
-                TokenKind::Ident("FROM".to_owned()),
-                TokenKind::Ident("t".to_owned()),
-                TokenKind::Ident("WHERE".to_owned()),
-                TokenKind::Ident("a".to_owned()),
+                TokenKind::Ident("b"),
+                TokenKind::Ident("FROM"),
+                TokenKind::Ident("t"),
+                TokenKind::Ident("WHERE"),
+                TokenKind::Ident("a"),
                 TokenKind::Ge,
                 TokenKind::Number(3),
                 TokenKind::Semi,
@@ -214,11 +221,11 @@ mod tests {
         assert_eq!(
             toks,
             vec![
-                TokenKind::Ident("t".to_owned()),
+                TokenKind::Ident("t"),
                 TokenKind::Dot,
-                TokenKind::Ident("dept".to_owned()),
+                TokenKind::Ident("dept"),
                 TokenKind::Eq,
-                TokenKind::Str("eng".to_owned()),
+                TokenKind::Str("eng"),
             ]
         );
     }

@@ -25,6 +25,13 @@
 //! call with the default — untraced, unlimited — context, and
 //! [`exec::execute`] is the executor alone for callers that parse, bind
 //! and plan themselves.
+//!
+//! A warm statement pays for its answer, not for text nobody reads: the
+//! lexer borrows its tokens from the statement, the binder formats
+//! nothing (`EXPLAIN` renders the statement and its conjuncts from the
+//! parsed AST), a `select *` over one table shares its schema's header
+//! list, and the executor's stage clocks run only under `EXPLAIN ANALYZE`
+//! or a recording trace.
 
 pub mod ast;
 pub mod binder;
@@ -125,18 +132,20 @@ fn run_statement(db: &Database, sql: &str, ctx: &QueryCtx) -> Result<SqlOutcome,
         trace.set_query(sql, &physical.summary());
     }
     if explain == Some(false) {
-        return Ok(SqlOutcome::Plan(render_explain(&bound, &physical)));
+        return Ok(SqlOutcome::Plan(render_explain(&select, &bound, &physical)));
     }
     let out = {
         let _span = avq_obs::span!(names::SPAN_SQL_EXEC);
         let _trace = trace.span(names::SPAN_SQL_EXEC);
-        exec::execute(db, &bound, &physical, ctx)?
+        // Only `EXPLAIN ANALYZE` (and a recording trace) reads stage times.
+        exec::run_plan(db, &bound, &physical, ctx, explain.is_some())?
     };
     if trace.is_enabled() {
-        trace.set_stage_rows(render::node_rows(&bound, &physical, &out.actual_rows));
+        let rows = render::node_rows(&select, &bound, &physical, &out.actual_rows);
+        trace.set_stage_rows(rows);
     }
     Ok(match explain {
         None => SqlOutcome::Table(out.result),
-        Some(_) => SqlOutcome::Plan(render_analyze(&bound, &physical, &out)),
+        Some(_) => SqlOutcome::Plan(render_analyze(&select, &bound, &physical, &out)),
     })
 }

@@ -36,8 +36,8 @@ const RESERVED: &[&str] = &[
     "between", "explain", "analyze", "as",
 ];
 
-struct Parser {
-    tokens: Vec<Token>,
+struct Parser<'a> {
+    tokens: Vec<Token<'a>>,
     pos: usize,
     end: usize,
 }
@@ -65,7 +65,7 @@ pub fn parse(input: &str) -> Result<Statement, SqlError> {
 
 fn describe(kind: &TokenKind) -> String {
     match kind {
-        TokenKind::Ident(s) => s.clone(),
+        TokenKind::Ident(s) => (*s).to_owned(),
         TokenKind::Number(n) => n.to_string(),
         TokenKind::Str(s) => format!("'{s}'"),
         TokenKind::Star => "*".to_owned(),
@@ -83,8 +83,8 @@ fn describe(kind: &TokenKind) -> String {
     }
 }
 
-impl Parser {
-    fn peek(&self) -> Option<&Token> {
+impl<'a> Parser<'a> {
+    fn peek(&self) -> Option<&Token<'a>> {
         self.tokens.get(self.pos)
     }
 
@@ -122,7 +122,7 @@ impl Parser {
         }
     }
 
-    fn eat_kind(&mut self, kind: &TokenKind) -> bool {
+    fn eat_kind(&mut self, kind: &TokenKind<'_>) -> bool {
         if self.peek().is_some_and(|t| t.kind == *kind) {
             self.pos += 1;
             return true;
@@ -130,7 +130,7 @@ impl Parser {
         false
     }
 
-    fn expect_kind(&mut self, kind: &TokenKind, what: &str) -> Result<(), SqlError> {
+    fn expect_kind(&mut self, kind: &TokenKind<'_>, what: &str) -> Result<(), SqlError> {
         if self.eat_kind(kind) {
             Ok(())
         } else {
@@ -143,13 +143,13 @@ impl Parser {
             .map_or_else(|| "end of input".to_owned(), |t| describe(&t.kind))
     }
 
-    fn ident(&mut self, what: &str) -> Result<String, SqlError> {
+    /// The next identifier's text, borrowed from the statement.
+    fn ident(&mut self, what: &str) -> Result<&'a str, SqlError> {
         match self.peek() {
-            Some(Token {
+            Some(&Token {
                 kind: TokenKind::Ident(s),
                 ..
             }) => {
-                let s = s.clone();
                 self.pos += 1;
                 Ok(s)
             }
@@ -266,18 +266,21 @@ impl Parser {
         if is_call {
             let fn_pos = self.here();
             let name = self.ident("a function name")?;
-            let func = match name.to_ascii_lowercase().as_str() {
-                "count" => AggFunc::Count,
-                "sum" => AggFunc::Sum,
-                "min" => AggFunc::Min,
-                "max" => AggFunc::Max,
-                "avg" => AggFunc::Avg,
-                _ => {
-                    return Err(SqlError::Parse {
-                        pos: fn_pos,
-                        msg: format!("unknown function `{name}` (expected count/sum/min/max/avg)"),
-                    })
-                }
+            let funcs = [
+                AggFunc::Count,
+                AggFunc::Sum,
+                AggFunc::Min,
+                AggFunc::Max,
+                AggFunc::Avg,
+            ];
+            let Some(func) = funcs
+                .into_iter()
+                .find(|f| name.eq_ignore_ascii_case(f.name()))
+            else {
+                return Err(SqlError::Parse {
+                    pos: fn_pos,
+                    msg: format!("unknown function `{name}` (expected count/sum/min/max/avg)"),
+                });
             };
             self.expect_kind(&TokenKind::LParen, "`(`")?;
             let arg = if self.eat_kind(&TokenKind::Star) {
@@ -303,30 +306,29 @@ impl Parser {
         if self.eat_kind(&TokenKind::Dot) {
             let column = self.ident("a column name after `.`")?;
             Ok(ColRef {
-                table: Some(first),
-                column,
+                table: Some(first.to_owned()),
+                column: column.to_owned(),
             })
         } else {
             Ok(ColRef {
                 table: None,
-                column: first,
+                column: first.to_owned(),
             })
         }
     }
 
     fn table_ref(&mut self) -> Result<TableRef, SqlError> {
-        let name = self.ident("a table name")?;
+        let name = self.ident("a table name")?.to_owned();
         let alias = if self.eat_kw("as") {
-            Some(self.ident("an alias after `as`")?)
+            Some(self.ident("an alias after `as`")?.to_owned())
         } else {
             match self.peek() {
-                Some(Token {
+                Some(&Token {
                     kind: TokenKind::Ident(s),
                     ..
                 }) if !RESERVED.iter().any(|r| s.eq_ignore_ascii_case(r)) => {
-                    let a = s.clone();
                     self.pos += 1;
-                    Some(a)
+                    Some(s.to_owned())
                 }
                 _ => None,
             }
@@ -345,13 +347,12 @@ impl Parser {
                 self.pos += 1;
                 Ok(Literal::Number(if neg { -n } else { n }))
             }
-            Some(Token {
+            Some(&Token {
                 kind: TokenKind::Str(s),
                 ..
             }) if !neg => {
-                let s = s.clone();
                 self.pos += 1;
-                Ok(Literal::Str(s))
+                Ok(Literal::Str(s.to_owned()))
             }
             _ => Err(self.error(format!("expected a literal, found `{}`", self.found()))),
         }
@@ -365,7 +366,7 @@ impl Parser {
             let hi = self.literal()?;
             return Ok(Predicate::Between { col, lo, hi });
         }
-        let op = match self.peek().map(|t| t.kind.clone()) {
+        let op = match self.peek().map(|t| t.kind) {
             Some(TokenKind::Eq) => CmpOp::Eq,
             Some(TokenKind::Lt) => CmpOp::Lt,
             Some(TokenKind::Le) => CmpOp::Le,

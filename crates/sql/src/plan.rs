@@ -25,8 +25,8 @@
 
 use crate::binder::{BoundItem, BoundQuery};
 use crate::error::SqlError;
-use avq_db::{AccessPath, Database, JoinStrategy, RangePredicate, Selection};
-use avq_schema::Domain;
+use avq_db::{AccessPath, Database, JoinStrategy, RangePredicate, Selection, StoredRelation};
+use avq_schema::{Domain, Schema};
 
 /// Cost/cardinality estimates attached to every plan node.
 #[derive(Debug, Clone, Copy, Default)]
@@ -153,6 +153,9 @@ pub struct PhysicalPlan {
     pub plans_considered: u64,
     /// Estimated total cost of the chosen pipeline (simulated ms).
     pub est_total_ms: f64,
+    /// Each table's conjuncts, by table index: what the planner priced and
+    /// the executor runs.
+    pub selections: Vec<Selection>,
 }
 
 impl PhysicalPlan {
@@ -178,8 +181,12 @@ impl PhysicalPlan {
     }
 }
 
-/// Per-table statistics snapshotted from the stored relation.
-struct TableStats {
+/// Per-table statistics snapshotted from the stored relation. Whether an
+/// attribute is indexed, and how large its domain is, are read from `rel`
+/// and `schema` where the cost model asks.
+struct TableStats<'a> {
+    rel: &'a StoredRelation,
+    schema: &'a Schema,
     blocks: f64,
     tuples: f64,
     /// t₁: device transfer time per block, data or index.
@@ -190,11 +197,9 @@ struct TableStats {
     resident: f64,
     /// Decoded-cache capacity in blocks.
     cache_blocks: f64,
-    indexed: Vec<bool>,
-    sizes: Vec<f64>,
 }
 
-impl TableStats {
+impl TableStats<'_> {
     /// Effective cost of reading `n` estimated data blocks: residency saves
     /// the transfer t₁, never the per-block CPU t₂.
     fn data_ms(&self, n: f64) -> f64 {
@@ -206,21 +211,22 @@ impl TableStats {
         if lo > hi {
             return 0.0;
         }
-        let size = self.sizes.get(attr).copied().unwrap_or(1.0).max(1.0);
+        let size = (self.schema.attributes().get(attr))
+            .map_or(1.0, |a| a.domain().size() as f64)
+            .max(1.0);
         ((hi - lo + 1) as f64 / size).min(1.0)
     }
 
     /// Fraction of the relation `sel` accepts, conjuncts independent.
     fn selectivity(&self, sel: &Selection) -> f64 {
-        (0..self.sizes.len())
+        (0..self.schema.arity())
             .filter_map(|attr| sel.range_of(attr).map(|r| self.fraction(attr, r)))
             .product()
     }
 }
 
-/// The [`Selection`] carrying every bound conjunct on `table`: what the
-/// planner prices and the executor runs.
-pub(crate) fn selection_of(q: &BoundQuery, table: usize) -> Selection {
+/// The [`Selection`] carrying every bound conjunct on `table`.
+fn selection_of(q: &BoundQuery, table: usize) -> Selection {
     q.predicates
         .iter()
         .filter(|p| p.table == table)
@@ -233,8 +239,8 @@ pub(crate) fn selection_of(q: &BoundQuery, table: usize) -> Selection {
         })
 }
 
-fn gather_stats(db: &Database, q: &BoundQuery) -> Result<Vec<TableStats>, SqlError> {
-    let mut out = Vec::new();
+fn gather_stats<'a>(db: &'a Database, q: &'a BoundQuery) -> Result<Vec<TableStats<'a>>, SqlError> {
+    let mut out = Vec::with_capacity(q.tables.len());
     for t in &q.tables {
         let rel = db.relation(&t.relation)?;
         let config = rel.config();
@@ -245,21 +251,14 @@ fn gather_stats(db: &Database, q: &BoundQuery) -> Result<Vec<TableStats>, SqlErr
             (rel.decoded_cache_len() as f64 / blocks).min(1.0)
         };
         out.push(TableStats {
+            rel,
+            schema: &t.schema,
             blocks,
             tuples: rel.tuple_count() as f64,
             transfer_ms: config.disk.block_time_ms(config.codec.block_capacity),
             cpu_ms: config.cpu_ms_per_block,
             resident,
             cache_blocks: config.decoded_cache_blocks as f64,
-            indexed: (0..t.schema.arity())
-                .map(|a| rel.has_secondary_index(a))
-                .collect(),
-            sizes: t
-                .schema
-                .attributes()
-                .iter()
-                .map(|a| a.domain().size() as f64)
-                .collect(),
         });
     }
     Ok(out)
@@ -315,11 +314,11 @@ fn scan_alternatives(stats: &TableStats, sel: &Selection) -> Vec<ScanAlt> {
 
     // Secondary-index probe per indexed, constrained, non-prefix attribute:
     // matching tuples may each live in a distinct block, so N ≈ min(B, M).
-    for attr in 1..stats.indexed.len() {
+    for attr in 1..stats.schema.arity() {
         let Some(range) = sel.range_of(attr) else {
             continue;
         };
-        if !stats.indexed[attr] {
+        if !stats.rel.has_secondary_index(attr) {
             continue;
         }
         let n = (stats.tuples * stats.fraction(attr, range)).min(stats.blocks);
@@ -480,7 +479,7 @@ pub fn plan(db: &Database, q: &BoundQuery) -> Result<PhysicalPlan, SqlError> {
 
                 // Index-nested-loop: one index descent per distinct outer
                 // key, then the matching inner blocks.
-                if stats[i].indexed.get(inner_attr).copied().unwrap_or(false) {
+                if stats[i].rel.has_secondary_index(inner_attr) {
                     let distinct = rows_out.min(domain_size(q, outer_key));
                     let tpb = (stats[i].tuples / stats[i].blocks.max(1.0)).max(1.0);
                     let per_key = (stats[i].tuples / domain_size(q, inner_key) / tpb)
@@ -631,6 +630,7 @@ pub fn plan(db: &Database, q: &BoundQuery) -> Result<PhysicalPlan, SqlError> {
         table_order: order,
         plans_considered: considered,
         est_total_ms: base_cost,
+        selections,
     })
 }
 

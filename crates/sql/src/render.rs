@@ -15,7 +15,11 @@
 //! `plan: full-scan` keeps working. `EXPLAIN ANALYZE` adds
 //! `actual_rows=<n>` per node (paired by the pre-order node numbering the
 //! executor uses) and appends the standard stage table.
+//!
+//! The statement text and each conjunct's text are rendered here, from the
+//! parsed statement, only when a plan is shown: binding keeps no text.
 
+use crate::ast::SelectStmt;
 use crate::binder::BoundQuery;
 use crate::exec::ExecOutput;
 use crate::plan::{PhysicalPlan, PlanNode};
@@ -30,32 +34,32 @@ fn col_name(q: &BoundQuery, col: (usize, usize)) -> String {
     }
 }
 
-/// The `[pred and pred]` suffix for a table's conjuncts, or empty.
-fn preds_of(q: &BoundQuery, table: usize) -> String {
-    let parts: Vec<&str> = q
-        .predicates
-        .iter()
-        .filter(|p| p.table == table)
-        .map(|p| p.display.as_str())
-        .collect();
-    if parts.is_empty() {
-        String::new()
-    } else {
-        format!(" [{}]", parts.join(" and "))
+/// The `[pred and pred]` suffix for a table's conjuncts, or empty. The
+/// binder keeps one bound conjunct per `WHERE` conjunct, in statement order.
+fn preds_of(stmt: &SelectStmt, q: &BoundQuery, table: usize) -> String {
+    let mut out = String::new();
+    let conjuncts = stmt.predicates.iter().zip(&q.predicates);
+    for (pred, _) in conjuncts.filter(|(_, bound)| bound.table == table) {
+        out.push_str(if out.is_empty() { " [" } else { " and " });
+        let _ = write!(out, "{pred}");
     }
+    if !out.is_empty() {
+        out.push(']');
+    }
+    out
 }
 
 fn label_of(q: &BoundQuery, table: usize) -> &str {
     q.tables.get(table).map_or("?", |t| t.label.as_str())
 }
 
-fn describe(q: &BoundQuery, node: &PlanNode) -> String {
+fn describe(stmt: &SelectStmt, q: &BoundQuery, node: &PlanNode) -> String {
     match node {
         PlanNode::Scan { table, path, .. } => {
             format!(
                 "scan {} via {path}{}",
                 label_of(q, *table),
-                preds_of(q, *table)
+                preds_of(stmt, q, *table)
             )
         }
         PlanNode::NlJoin {
@@ -74,7 +78,7 @@ fn describe(q: &BoundQuery, node: &PlanNode) -> String {
                 label_of(q, *inner),
                 col_name(q, *outer_key),
                 col_name(q, (*inner, *inner_attr)),
-                preds_of(q, *inner),
+                preds_of(stmt, q, *inner),
             )
         }
         PlanNode::HashJoin {
@@ -88,7 +92,7 @@ fn describe(q: &BoundQuery, node: &PlanNode) -> String {
             label_of(q, *table),
             col_name(q, *left_key),
             col_name(q, (*table, *table_attr)),
-            preds_of(q, *table),
+            preds_of(stmt, q, *table),
         ),
         PlanNode::Aggregate { group_col: _, .. } => match q.group_by {
             Some(g) => format!("aggregate group by {}", col_name(q, g)),
@@ -121,6 +125,7 @@ fn child_of(node: &PlanNode) -> Option<&PlanNode> {
 
 fn render_node(
     out: &mut String,
+    stmt: &SelectStmt,
     q: &BoundQuery,
     node: &PlanNode,
     depth: usize,
@@ -134,7 +139,7 @@ fn render_node(
         out,
         "{:indent$}-> {} (est_rows={:.0}, est_blocks={:.0}, est_cost={:.1}ms",
         "",
-        describe(q, node),
+        describe(stmt, q, node),
         est.rows,
         est.blocks,
         est.cost_ms,
@@ -149,7 +154,7 @@ fn render_node(
     }
     out.push_str(")\n");
     if let Some(child) = child_of(node) {
-        render_node(out, q, child, depth + 1, counter, actuals);
+        render_node(out, stmt, q, child, depth + 1, counter, actuals);
     }
 }
 
@@ -157,8 +162,14 @@ fn render_node(
 /// pre-order numbering, for slow-query trace capture. Labels match the
 /// `EXPLAIN` node descriptions so the slow log and `EXPLAIN ANALYZE`
 /// speak the same vocabulary.
-pub fn node_rows(q: &BoundQuery, plan: &PhysicalPlan, actuals: &[u64]) -> Vec<avq_obs::StageRows> {
+pub fn node_rows(
+    stmt: &SelectStmt,
+    q: &BoundQuery,
+    plan: &PhysicalPlan,
+    actuals: &[u64],
+) -> Vec<avq_obs::StageRows> {
     fn walk(
+        stmt: &SelectStmt,
         q: &BoundQuery,
         node: &PlanNode,
         counter: &mut usize,
@@ -168,27 +179,28 @@ pub fn node_rows(q: &BoundQuery, plan: &PhysicalPlan, actuals: &[u64]) -> Vec<av
         let my_id = *counter;
         *counter += 1;
         out.push(avq_obs::StageRows {
-            label: describe(q, node),
+            label: describe(stmt, q, node),
             est_rows: node.est().rows.round() as u64,
             actual_rows: actuals.get(my_id).copied().unwrap_or(0),
         });
         if let Some(child) = child_of(node) {
-            walk(q, child, counter, actuals, out);
+            walk(stmt, q, child, counter, actuals, out);
         }
     }
     let mut out = Vec::new();
     let mut counter = 0usize;
-    walk(q, &plan.root, &mut counter, actuals, &mut out);
+    walk(stmt, q, &plan.root, &mut counter, actuals, &mut out);
     out
 }
 
-/// Renders `EXPLAIN` (no execution: estimates only).
-pub fn render_explain(q: &BoundQuery, plan: &PhysicalPlan) -> String {
+/// Renders `EXPLAIN` of `stmt`, bound as `q` (no execution: estimates
+/// only).
+pub fn render_explain(stmt: &SelectStmt, q: &BoundQuery, plan: &PhysicalPlan) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "EXPLAIN: {}", q.text);
+    let _ = writeln!(out, "EXPLAIN: {stmt}");
     let _ = writeln!(out, "plan: {}", plan.summary());
     let mut counter = 0usize;
-    render_node(&mut out, q, &plan.root, 0, &mut counter, None);
+    render_node(&mut out, stmt, q, &plan.root, 0, &mut counter, None);
     let _ = write!(
         out,
         "plans considered: {}, estimated cost: {:.1}ms",
@@ -197,15 +209,21 @@ pub fn render_explain(q: &BoundQuery, plan: &PhysicalPlan) -> String {
     out
 }
 
-/// Renders `EXPLAIN ANALYZE`: the costed tree annotated with actual row
-/// counts, followed by the standard stage table.
-pub fn render_analyze(q: &BoundQuery, plan: &PhysicalPlan, exec: &ExecOutput) -> String {
+/// Renders `EXPLAIN ANALYZE` of `stmt`, bound as `q`: the costed tree
+/// annotated with actual row counts, followed by the standard stage table.
+pub fn render_analyze(
+    stmt: &SelectStmt,
+    q: &BoundQuery,
+    plan: &PhysicalPlan,
+    exec: &ExecOutput,
+) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "EXPLAIN ANALYZE: {}", q.text);
+    let _ = writeln!(out, "EXPLAIN ANALYZE: {stmt}");
     let _ = writeln!(out, "plan: {}", plan.summary());
     let mut counter = 0usize;
     render_node(
         &mut out,
+        stmt,
         q,
         &plan.root,
         0,
@@ -217,8 +235,9 @@ pub fn render_analyze(q: &BoundQuery, plan: &PhysicalPlan, exec: &ExecOutput) ->
         "plans considered: {}, estimated cost: {:.1}ms",
         plan.plans_considered, plan.est_total_ms
     );
+    // Only the stage table of the report is rendered.
     let report = ExplainReport {
-        query: q.text.clone(),
+        query: String::new(),
         plan: plan.summary(),
         stages: exec.stages.clone(),
         rows: exec.result.rows.len() as u64,

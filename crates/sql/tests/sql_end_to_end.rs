@@ -86,7 +86,7 @@ fn where_conjunction_matches_brute_force() {
         .filter(|d| d[1] >= 10 && d[2] < 100)
         .count();
     assert_eq!(got.rows.len(), want);
-    assert_eq!(got.headers, vec!["dept", "age", "id"]);
+    assert_eq!(got.headers[..], ["dept", "age", "id"]);
 }
 
 #[test]
@@ -135,7 +135,7 @@ fn order_by_non_prefix_column_sorts_semantically() {
 fn group_by_counts_every_department() {
     let db = db();
     let got = table(&db, "select dept, count(*) from people group by dept");
-    assert_eq!(got.headers, vec!["dept", "count(*)"]);
+    assert_eq!(got.headers[..], ["dept", "count(*)"]);
     assert_eq!(
         got.rows,
         vec![
