@@ -35,9 +35,6 @@
 //! assert_eq!(coded.decompress().unwrap().len(), 50);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use avq_codec as codec;
 pub use avq_db as db;
 pub use avq_file as file;

@@ -10,9 +10,6 @@
 //!
 //! Usage: `cargo run --release -p avq-bench --bin exp_ablations [n]`
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use avq_bench::harness;
 use avq_bench::report::Table;
 use avq_codec::{compress, CodecOptions, CodingMode, RepChoice};

@@ -5,9 +5,6 @@
 //! Usage: `cargo run --release -p avq-bench --bin exp_blocks_accessed [n]`
 //! (default n = 100000, the paper's size)
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use avq_bench::harness;
 use avq_bench::report::Table;
 use avq_codec::CodingMode;

@@ -7,9 +7,6 @@
 //!
 //! Usage: `cargo run --release -p avq-bench --bin exp_codec_time [n] [reps]`
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use avq_bench::harness;
 use avq_bench::measure::avg_ms;
 use avq_bench::report::Table;

@@ -8,9 +8,6 @@
 //! Usage: `cargo run --release -p avq-bench --bin exp_compression [sizes...]`
 //! (default sizes: 1000 10000 100000)
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use avq_bench::harness;
 use avq_bench::report::Table;
 use avq_codec::{compress, CodecOptions};

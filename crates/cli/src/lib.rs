@@ -6,9 +6,6 @@
 //! parses arguments. Includes a dependency-free CSV reader/writer
 //! ([`csv`]) and a one-line-per-attribute schema-spec format ([`spec`]).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod commands;
 pub mod csv;
 pub mod spec;

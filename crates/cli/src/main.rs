@@ -1,8 +1,5 @@
 //! `avqtool` — see `avq_cli::commands::USAGE`.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use avq_cli::commands;
 use std::path::Path;
 use std::process::ExitCode;

@@ -24,7 +24,7 @@ impl BitWriter {
     }
 
     /// Total bits written so far.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn bit_len(&self) -> usize {
         // `used` counts the free bits remaining in the last byte.
         self.bytes.len() * 8 - self.used as usize
@@ -99,7 +99,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Bits consumed so far.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn bit_pos(&self) -> usize {
         self.pos
     }
@@ -288,7 +288,7 @@ impl<'a> WordReader<'a> {
     /// `n` may come straight from an attacker-controlled gamma code, so the
     /// read refuses (returns `None`) before allocating anything when the
     /// input cannot possibly hold `n` more bits.
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn read_bits_big(&mut self, n: usize) -> Option<BigUnsigned> {
         let mut staging = Vec::new();
         let mut out = BigUnsigned::zero();

@@ -18,7 +18,7 @@
 //! `count` fixed-width tuples.
 
 use crate::bitio::{gamma_len, BitReader, BitWriter, WordReader};
-use crate::error::CodecError;
+use crate::error::{CodecError, Section};
 use crate::kernel::DecodeKernel;
 use crate::mode::{CodingMode, RepChoice};
 use crate::rle;
@@ -426,7 +426,7 @@ impl BlockCodec {
     ) -> Result<(), CodecError> {
         if u == 0 {
             return Err(CodecError::Corrupt {
-                section: "header",
+                section: Section::Header,
                 offset: 0,
                 detail: "block with zero tuples".into(),
             });
@@ -450,7 +450,7 @@ impl BlockCodec {
             let need = u * m;
             let Some(body) = bytes.get(pos..pos + need) else {
                 return Err(CodecError::Corrupt {
-                    section: "body",
+                    section: Section::Body,
                     offset: pos,
                     detail: format!("field-wise body truncated: need {need} bytes"),
                 });
@@ -488,14 +488,14 @@ impl BlockCodec {
 
         if rep_idx >= u {
             return Err(CodecError::Corrupt {
-                section: "header",
+                section: Section::Header,
                 offset: 2,
                 detail: format!("rep_idx {rep_idx} out of range for {u} tuples"),
             });
         }
         let Some(rep_bytes) = bytes.get(pos..pos + m) else {
             return Err(CodecError::Corrupt {
-                section: "representative",
+                section: Section::Representative,
                 offset: pos,
                 detail: "representative tuple truncated".into(),
             });
@@ -505,7 +505,7 @@ impl BlockCodec {
         self.schema
             .validate_row(rep)
             .map_err(|e| CodecError::Corrupt {
-                section: "representative",
+                section: Section::Representative,
                 offset: pos,
                 detail: format!("representative invalid: {e}"),
             })?;
@@ -535,7 +535,7 @@ impl BlockCodec {
                     let bl = br
                         .read_gamma()
                         .ok_or_else(|| CodecError::Corrupt {
-                            section: "entries",
+                            section: Section::Entries,
                             offset: pos,
                             detail: format!("bit entry {k}: truncated gamma length"),
                         })?
@@ -547,7 +547,7 @@ impl BlockCodec {
                         let value =
                             br.read_bits_u64(bl as u32)
                                 .ok_or_else(|| CodecError::Corrupt {
-                                    section: "entries",
+                                    section: Section::Entries,
                                     offset: pos,
                                     detail: format!("bit entry {k}: truncated payload"),
                                 })?;
@@ -555,7 +555,7 @@ impl BlockCodec {
                     } else {
                         br.read_bits_big_into(bl, big_bytes, big).ok_or_else(|| {
                             CodecError::Corrupt {
-                                section: "entries",
+                                section: Section::Entries,
                                 offset: pos,
                                 detail: format!("bit entry {k}: truncated payload"),
                             }
@@ -601,7 +601,7 @@ impl BlockCodec {
                     let bl = wr
                         .read_gamma()
                         .ok_or_else(|| CodecError::Corrupt {
-                            section: "entries",
+                            section: Section::Entries,
                             offset: pos,
                             detail: format!("bit entry {k}: truncated gamma length"),
                         })?
@@ -611,7 +611,7 @@ impl BlockCodec {
                         let value =
                             wr.read_bits_u64(bl as u32)
                                 .ok_or_else(|| CodecError::Corrupt {
-                                    section: "entries",
+                                    section: Section::Entries,
                                     offset: pos,
                                     detail: format!("bit entry {k}: truncated payload"),
                                 })?;
@@ -625,7 +625,7 @@ impl BlockCodec {
                         run_row = row + 1;
                         wr.read_bits_big_into(bl, big_bytes, big).ok_or_else(|| {
                             CodecError::Corrupt {
-                                section: "entries",
+                                section: Section::Entries,
                                 offset: pos,
                                 detail: format!("bit entry {k}: truncated payload"),
                             }
@@ -706,7 +706,7 @@ impl BlockCodec {
         let (u, rep_idx) = read_header(bytes)?;
         if u == 0 {
             return Err(CodecError::Corrupt {
-                section: "header",
+                section: Section::Header,
                 offset: 0,
                 detail: "block with zero tuples".into(),
             });
@@ -717,7 +717,7 @@ impl BlockCodec {
         if self.mode == CodingMode::FieldWise {
             let Some(records) = bytes.get(body..body + u * m) else {
                 return Err(CodecError::Corrupt {
-                    section: "body",
+                    section: Section::Body,
                     offset: body,
                     detail: "field-wise body truncated".into(),
                 });
@@ -745,14 +745,14 @@ impl BlockCodec {
 
         if rep_idx >= u {
             return Err(CodecError::Corrupt {
-                section: "header",
+                section: Section::Header,
                 offset: 2,
                 detail: "bad representative".into(),
             });
         }
         let Some(rep_bytes) = bytes.get(body..body + m) else {
             return Err(CodecError::Corrupt {
-                section: "header",
+                section: Section::Header,
                 offset: 2,
                 detail: "bad representative".into(),
             });
@@ -765,7 +765,7 @@ impl BlockCodec {
         self.schema
             .validate_row(&rep)
             .map_err(|e| CodecError::Corrupt {
-                section: "representative",
+                section: Section::Representative,
                 offset: body,
                 detail: format!("representative invalid: {e}"),
             })?;
@@ -853,14 +853,14 @@ impl BlockCodec {
                     let bl = br
                         .read_gamma()
                         .ok_or_else(|| CodecError::Corrupt {
-                            section: "entries",
+                            section: Section::Entries,
                             offset: pos,
                             detail: format!("bit entry {k}: truncated gamma length"),
                         })?
                         // Gamma codes are structurally >= 1.
                         .saturating_sub(1) as usize;
                     let value = br.read_bits_big(bl).ok_or_else(|| CodecError::Corrupt {
-                        section: "entries",
+                        section: Section::Entries,
                         offset: pos,
                         detail: format!("bit entry {k}: truncated payload"),
                     })?;
@@ -885,7 +885,7 @@ impl BlockCodec {
         let (u, rep_idx) = read_header(bytes)?;
         if u == 0 {
             return Err(CodecError::Corrupt {
-                section: "header",
+                section: Section::Header,
                 offset: 0,
                 detail: "block with zero tuples".into(),
             });
@@ -894,14 +894,14 @@ impl BlockCodec {
         let pos = BLOCK_HEADER_BYTES;
         if self.mode != CodingMode::FieldWise && rep_idx >= u {
             return Err(CodecError::Corrupt {
-                section: "header",
+                section: Section::Header,
                 offset: 2,
                 detail: "rep_idx out of range".into(),
             });
         }
         let Some(rep_bytes) = bytes.get(pos..pos + m) else {
             return Err(CodecError::Corrupt {
-                section: "representative",
+                section: Section::Representative,
                 offset: pos,
                 detail: "representative tuple truncated".into(),
             });
@@ -980,7 +980,10 @@ fn sum_columns(
 /// `fill`. So a block costs the cells its entries store plus one fill per
 /// leading column. `carries` is all zero on entry; on return it holds each
 /// row's carry out of the leading digit, as after [`sum_columns`].
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a column kernel takes each buffer it reads or writes as its own argument"
+)]
 fn sum_live_rows(
     out: &mut BatchSlots<'_>,
     radices: &[u64],
@@ -1061,7 +1064,10 @@ fn sum_live_rows(
 /// representative's, plus or minus its difference digit — zero before the
 /// row's first cell, where its slot is unwritten — and its carry in.
 /// Returns how many rows are live in the column before, `a − 1`.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "a column kernel takes each buffer it reads or writes as its own argument"
+)]
 fn sweep_column(
     col: &mut [u64],
     radix_a: u64,
@@ -1128,7 +1134,7 @@ pub(crate) fn write_header(out: &mut Vec<u8>, u: usize, rep_idx: usize) {
 pub(crate) fn read_header(bytes: &[u8]) -> Result<(usize, usize), CodecError> {
     let Some((&[c0, c1, r0, r1], _)) = bytes.split_first_chunk::<BLOCK_HEADER_BYTES>() else {
         return Err(CodecError::Corrupt {
-            section: "header",
+            section: Section::Header,
             offset: 0,
             detail: "block shorter than header".into(),
         });

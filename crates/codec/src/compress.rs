@@ -6,7 +6,7 @@
 //! metadata (representative, bounds) that access methods build on.
 
 use crate::block::{BlockCodec, DecodeScratch};
-use crate::error::CodecError;
+use crate::error::{CodecError, Section};
 use crate::kernel::DecodeKernel;
 use crate::mode::{CodingMode, RepChoice};
 use crate::packer::BlockPacker;
@@ -221,8 +221,11 @@ impl CodedRelation {
     /// # Panics
     /// Panics if `i >= self.block_count()` (documented index API).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panicking index accessor; i is caller-validated"
+    )]
     pub fn block(&self, i: usize) -> &[u8] {
-        // lint: allow(AVQ-L001, documented panicking index accessor; i is caller-validated)
         &self.blocks[i]
     }
 
@@ -237,8 +240,11 @@ impl CodedRelation {
     /// # Panics
     /// Panics if `i >= self.block_count()` (documented index API).
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panicking index accessor; i is caller-validated"
+    )]
     pub fn meta(&self, i: usize) -> &BlockMeta {
-        // lint: allow(AVQ-L001, documented panicking index accessor; i is caller-validated)
         &self.meta[i]
     }
 
@@ -252,8 +258,11 @@ impl CodedRelation {
     ///
     /// # Panics
     /// Panics if `i >= self.block_count()` (documented index API).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "documented panicking index accessor; i is caller-validated"
+    )]
     pub fn decode_block(&self, i: usize) -> Result<Vec<Tuple>, CodecError> {
-        // lint: allow(AVQ-L001, documented panicking index accessor; i is caller-validated)
         self.codec().decode(&self.blocks[i])
     }
 
@@ -271,7 +280,7 @@ impl CodedRelation {
             codec.decode_into_scratch(b, &mut tuples, &mut scratch)?;
         }
         Relation::from_tuples(self.schema.clone(), tuples).map_err(|e| CodecError::Corrupt {
-            section: "entries",
+            section: Section::Entries,
             offset: 0,
             detail: format!("decoded tuples violate the schema: {e}"),
         })

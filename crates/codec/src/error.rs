@@ -33,12 +33,8 @@ pub enum CodecError {
     },
     /// The encoded stream ended prematurely or contained impossible values.
     Corrupt {
-        /// Which part of the block stream was inconsistent (`"header"`,
-        /// `"representative"`, `"body"`, or `"entries"`; the database layer
-        /// additionally uses `"order"` when a decoded run violates φ order,
-        /// and `"bookkeeping"` when it disagrees with the block's recorded
-        /// count, min or max).
-        section: &'static str,
+        /// Which part of the block stream was inconsistent.
+        section: Section,
         /// Byte offset at which the inconsistency was detected.
         offset: usize,
         /// Human-readable cause.
@@ -96,6 +92,50 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
+/// Where in a coded block a [`CodecError::Corrupt`] was detected.
+///
+/// The vocabulary is closed: a section outside it, or the container's
+/// `avq_file` sections, does not type-check.
+///
+/// ```compile_fail
+/// let e = avq_codec::CodecError::Corrupt {
+///     section: "mystery",
+///     offset: 1,
+///     detail: String::new(),
+/// };
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// The coded-block header (counts, mode byte).
+    Header,
+    /// The stored representative tuple.
+    Representative,
+    /// The coded entry bytes after the header, as a whole.
+    Body,
+    /// One entry's RLE, mixed-radix or bit-packed payload.
+    Entries,
+    /// A decoded run out of φ order. Only the database layer (`avq-db`)
+    /// raises it, on a decoded-cache miss; the types do not enforce that.
+    Order,
+    /// A decoded run that disagrees with its block's recorded count, min or
+    /// max. Only the database layer (`avq-db`) raises it; the types do not
+    /// enforce that.
+    Bookkeeping,
+}
+
+impl fmt::Display for Section {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Section::Header => "header",
+            Section::Representative => "representative",
+            Section::Body => "body",
+            Section::Entries => "entries",
+            Section::Order => "order",
+            Section::Bookkeeping => "bookkeeping",
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -105,7 +145,7 @@ mod tests {
     #[test]
     fn corrupt_display_carries_section_and_offset() {
         let e = CodecError::Corrupt {
-            section: "entries",
+            section: Section::Entries,
             offset: 17,
             detail: "missing count byte".into(),
         };

@@ -45,8 +45,18 @@
 //! assert!(coded.stats().payload_ratio() < 1.0);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Untrusted input is decoded here: a damaged byte is a typed error, never
+// a panic (DESIGN.md §12). Test code is exempt through `clippy.toml`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
 
 mod bitio;
 mod block;
@@ -62,7 +72,7 @@ mod update;
 
 pub use block::{BlockCodec, DecodeScratch, BLOCK_HEADER_BYTES};
 pub use compress::{compress, compress_sorted, BlockMeta, CodecOptions, CodedRelation};
-pub use error::CodecError;
+pub use error::{CodecError, Section};
 pub use kernel::DecodeKernel;
 pub use mode::{CodingMode, RepChoice};
 pub use packer::BlockPacker;

@@ -106,7 +106,10 @@ impl BlockPacker {
             size += add;
             len += 1;
         }
-        debug_assert_eq!(size, self.codec.measure(&tuples[..len]));
+        debug_assert_eq!(
+            Some(size),
+            tuples.get(..len).map(|run| self.codec.measure(run))
+        );
         len
     }
 
@@ -131,7 +134,10 @@ impl BlockPacker {
             bits += add;
             len += 1;
         }
-        debug_assert_eq!(base + bits.div_ceil(8), self.codec.measure(&tuples[..len]));
+        debug_assert_eq!(
+            Some(base + bits.div_ceil(8)),
+            tuples.get(..len).map(|run| self.codec.measure(run))
+        );
         len
     }
 

@@ -9,7 +9,7 @@
 
 use crate::block::{BlockCodec, DecodeScratch};
 use crate::compress::CodedRelation;
-use crate::error::CodecError;
+use crate::error::{CodecError, Section};
 use avq_schema::{Relation, Tuple};
 
 /// Parallel mirror of [`CodedRelation::decompress`]: decodes every block of
@@ -20,7 +20,7 @@ pub fn decompress_parallel(coded: &CodedRelation, threads: usize) -> Result<Rela
     let codec = coded.codec();
     let tuples = decode_blocks_parallel(&codec, coded.blocks(), threads)?;
     Relation::from_tuples(coded.schema().clone(), tuples).map_err(|e| CodecError::Corrupt {
-        section: "entries",
+        section: Section::Entries,
         offset: 0,
         detail: format!("decoded tuples violate the schema: {e}"),
     })

@@ -15,7 +15,7 @@
 //! run [4]). When a tuple is wider than 255 bytes the count saturates and
 //! the remaining zeros travel explicitly.
 
-use crate::error::CodecError;
+use crate::error::{CodecError, Section};
 use avq_schema::{BatchSlots, Schema};
 
 /// Number of leading zero bytes in the fixed-width serialization of
@@ -77,13 +77,13 @@ fn entry_parts<'a>(
     // ok_or_else (not ok_or) keeps the error construction — and its String
     // allocation — off the success path, which the decode loops rely on.
     let count = *buf.get(pos).ok_or_else(|| CodecError::Corrupt {
-        section: "entries",
+        section: Section::Entries,
         offset: pos,
         detail: "missing count byte".into(),
     })? as usize;
     if count > m {
         return Err(CodecError::Corrupt {
-            section: "entries",
+            section: Section::Entries,
             offset: pos,
             detail: format!("count {count} exceeds tuple width {m}"),
         });
@@ -92,7 +92,7 @@ fn entry_parts<'a>(
     let tail = buf
         .get(pos + 1..pos + 1 + tail_len)
         .ok_or_else(|| CodecError::Corrupt {
-            section: "entries",
+            section: Section::Entries,
             offset: pos + 1,
             detail: format!("entry tail truncated: need {tail_len} bytes"),
         })?;
@@ -142,7 +142,7 @@ pub(crate) fn read_entry_append(
     if let Err(e) = schema.radix().validate(digits.get(start..).unwrap_or(&[])) {
         digits.truncate(start);
         return Err(CodecError::Corrupt {
-            section: "entries",
+            section: Section::Entries,
             offset: pos,
             detail: format!("entry digits invalid: {e}"),
         });
@@ -289,7 +289,7 @@ pub(crate) fn read_entry_swar_into(
             .collect();
         if let Err(e) = schema.radix().validate(&digits) {
             return Err(CodecError::Corrupt {
-                section: "entries",
+                section: Section::Entries,
                 offset: pos,
                 detail: format!("entry digits invalid: {e}"),
             });

@@ -31,7 +31,7 @@
 //! block split at the storage layer).
 
 use crate::block::{read_header, write_header, BlockCodec, DecodeScratch, BLOCK_HEADER_BYTES};
-use crate::error::CodecError;
+use crate::error::{CodecError, Section};
 use crate::mode::CodingMode;
 use crate::rle;
 use avq_obs::names;
@@ -184,7 +184,7 @@ fn splice(
     let u = rows.len();
     if count != u || u == 0 {
         return Err(CodecError::Corrupt {
-            section: "header",
+            section: Section::Header,
             offset: 0,
             detail: format!("block of {count} tuples spliced with {u} decoded rows"),
         });
@@ -214,7 +214,7 @@ fn splice(
         let body = block
             .get(BLOCK_HEADER_BYTES..BLOCK_HEADER_BYTES + u * m)
             .ok_or_else(|| CodecError::Corrupt {
-                section: "body",
+                section: Section::Body,
                 offset: BLOCK_HEADER_BYTES,
                 detail: format!("field-wise body truncated: need {} bytes", u * m),
             })?;
@@ -235,7 +235,7 @@ fn splice(
 
     if rep_idx >= u {
         return Err(CodecError::Corrupt {
-            section: "header",
+            section: Section::Header,
             offset: 2,
             detail: format!("rep_idx {rep_idx} out of range for {u} tuples"),
         });
@@ -284,7 +284,7 @@ fn splice(
         block
             .get(BLOCK_HEADER_BYTES..entries_at)
             .ok_or_else(|| CodecError::Corrupt {
-                section: "representative",
+                section: Section::Representative,
                 offset: BLOCK_HEADER_BYTES,
                 detail: "representative tuple truncated".into(),
             })?;

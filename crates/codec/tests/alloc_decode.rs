@@ -9,6 +9,8 @@
 //!
 //! [`BlockCodec::decode_batch_into`]: avq_codec::BlockCodec::decode_batch_into
 
+#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+
 mod alloc_common;
 
 use alloc_common::{allocs, coded, relation, CountingAlloc, N, PER_BLOCK};

@@ -8,6 +8,8 @@
 //! [`BlockCodec::encode_into`]: avq_codec::BlockCodec::encode_into
 //! [`BlockCodec::measure`]: avq_codec::BlockCodec::measure
 
+#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+
 mod alloc_common;
 
 use alloc_common::{allocs, coded, relation, CountingAlloc, N};

@@ -9,6 +9,8 @@
 //! first and stays under a kilobyte). `proptests.rs` shows the same inputs
 //! never panic; the allocator here shows they never balloon.
 
+#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+
 mod alloc_common;
 
 use alloc_common::{coded, relation, take_largest_request, CountingAlloc};

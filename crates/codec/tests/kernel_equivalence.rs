@@ -3,7 +3,7 @@
 //! valid, truncated, or bit-flipped — the SWAR kernel must return exactly
 //! the same tuples on success and exactly the same [`CodecError`]
 //! classification on failure. No input may make one kernel panic while the
-//! other errors (AVQ-L001 applies to both).
+//! other errors (both deny clippy's panic family).
 //!
 //! The same corpus pins the two decoded representations to each other: the
 //! column-major [`TupleBatch`] path is the decoder, `decode()` / `decode_into()`

@@ -38,9 +38,6 @@
 //! assert!(cost.data_blocks >= 1);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod aggregate;
 mod config;
 mod cost;

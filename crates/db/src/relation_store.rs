@@ -17,7 +17,7 @@ use crate::synopsis::{ColumnSynopsis, Synopsis};
 #[cfg(test)]
 use avq_codec::CodingMode;
 use avq_codec::{
-    delete_from_rows, insert_into_rows, BlockCodec, BlockPacker, CodecError, DecodeScratch,
+    delete_from_rows, insert_into_rows, BlockCodec, BlockPacker, CodecError, DecodeScratch, Section,
 };
 use avq_schema::{Relation, Schema, Tuple, TupleBatch};
 use avq_storage::{BlockDevice, BlockId, BufferPool, DecodedCache, PoolStats, StorageError};
@@ -1338,7 +1338,7 @@ impl StoredRelation {
 /// decoded rows must be what its bookkeeping `block` records — the tuple
 /// count, the min as the first row and the max as the last. Bytes that were
 /// damaged and still decode to other rows fail it with a typed
-/// `Corrupt { section: "bookkeeping" }`, which [`ScanPolicy::SkipCorrupt`]
+/// `Corrupt { section: Section::Bookkeeping }`, which [`ScanPolicy::SkipCorrupt`]
 /// quarantines. So does a block with no bookkeeping, `None`: no block of
 /// its id has its first decoded row as min.
 fn check_bookkeeping(
@@ -1364,7 +1364,7 @@ fn check_bookkeeping(
         None => format!("block {id} has no bookkeeping with its first decoded row as min"),
     };
     Err(DbError::Codec(CodecError::Corrupt {
-        section: "bookkeeping",
+        section: Section::Bookkeeping,
         offset: 0,
         detail,
     }))
@@ -1378,7 +1378,7 @@ fn check_bookkeeping(
 fn check_phi_order(run: &TupleBatch) -> Result<(), DbError> {
     if !run.is_sorted() {
         return Err(DbError::Codec(CodecError::Corrupt {
-            section: "order",
+            section: Section::Order,
             offset: 0,
             detail: "decoded run violates phi order".to_owned(),
         }));

@@ -9,6 +9,8 @@
 //! counts per thread, so the tests of this binary running side by side do
 //! not perturb each other.
 
+#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+
 use avq_db::{AccessPath, DbConfig, RangePredicate, Selection, StoredRelation};
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use avq_storage::{BlockDevice, BufferPool};

@@ -11,6 +11,8 @@
 //! counting global allocator pins all three; it counts per thread, so the
 //! tests of this binary running side by side do not perturb each other.
 
+#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+
 use avq_codec::{BlockCodec, CodingMode, DecodeScratch};
 use avq_db::{DbConfig, GovCtx, QueryBudget, QueryCtx, StoredRelation};
 use avq_schema::{Domain, Relation, Schema, Tuple, TupleBatch};

@@ -6,6 +6,10 @@
 const POLY: u32 = 0xEDB8_8320;
 
 /// A 256-entry lookup table computed at compile time.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i < 256 by the loop bound; const eval rejects any OOB"
+)]
 const TABLE: [u32; 256] = {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -20,7 +24,6 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        // lint: allow(AVQ-L001, i < 256 by the loop bound; const eval rejects any OOB)
         table[i] = crc;
         i += 1;
     }
@@ -46,9 +49,12 @@ impl Crc32 {
     }
 
     /// Feeds bytes into the hash.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "index is masked to 8 bits and TABLE has 256 entries"
+    )]
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
-            // lint: allow(AVQ-L001, index is masked to 8 bits and TABLE has 256 entries)
             self.state = self.state >> 8 ^ TABLE[((self.state ^ b as u32) & 0xFF) as usize];
         }
     }

@@ -26,11 +26,8 @@ pub enum FileError {
     /// A structural inconsistency (with a valid checksum, this indicates a
     /// writer bug or a forged file).
     Corrupt {
-        /// Container section being parsed when validation failed
-        /// (`"file.header"`, `"file.schema"`, `"file.blocks"`, or
-        /// `"file.trailer"` — the `file.` prefix keeps the vocabulary
-        /// disjoint from [`CodecError::Corrupt`]'s block sections).
-        section: &'static str,
+        /// Container section being parsed when validation failed.
+        section: Section,
         /// Byte offset of the inconsistency.
         offset: usize,
         /// Human-readable cause.
@@ -81,6 +78,42 @@ impl std::error::Error for FileError {
     }
 }
 
+/// Where in an `.avq` container a [`FileError::Corrupt`] was detected.
+///
+/// Displayed with a `file.` prefix, so a report never reads like one of
+/// [`avq_codec::Section`]'s block sections. A codec error cannot carry a
+/// container section:
+///
+/// ```compile_fail
+/// let e = avq_codec::CodecError::Corrupt {
+///     section: avq_file::Section::Header,
+///     offset: 2,
+///     detail: String::new(),
+/// };
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Section {
+    /// Magic, version and coding options.
+    Header,
+    /// The embedded schema and its string dictionaries.
+    Schema,
+    /// The block table and the coded block streams.
+    Blocks,
+    /// What follows the last block, up to the checksum.
+    Trailer,
+}
+
+impl fmt::Display for Section {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Section::Header => "file.header",
+            Section::Schema => "file.schema",
+            Section::Blocks => "file.blocks",
+            Section::Trailer => "file.trailer",
+        })
+    }
+}
+
 impl From<std::io::Error> for FileError {
     fn from(e: std::io::Error) -> Self {
         FileError::Io(e)
@@ -108,7 +141,7 @@ mod tests {
     #[test]
     fn corrupt_display_carries_section_and_offset() {
         let e = FileError::Corrupt {
-            section: "file.schema",
+            section: Section::Schema,
             offset: 16,
             detail: "attribute count exceeds remaining input".into(),
         };
@@ -116,5 +149,26 @@ mod tests {
             e.to_string(),
             "corrupt .avq file in file.schema at byte 16: attribute count exceeds remaining input"
         );
+    }
+
+    /// A corruption report names its layer: no two sections, codec or
+    /// container, display alike.
+    #[test]
+    fn section_vocabulary_is_unique() {
+        use avq_codec::Section as Block;
+        let names = [
+            Block::Header.to_string(),
+            Block::Representative.to_string(),
+            Block::Body.to_string(),
+            Block::Entries.to_string(),
+            Block::Order.to_string(),
+            Block::Bookkeeping.to_string(),
+            Section::Header.to_string(),
+            Section::Schema.to_string(),
+            Section::Blocks.to_string(),
+            Section::Trailer.to_string(),
+        ];
+        let unique: std::collections::BTreeSet<_> = names.iter().collect();
+        assert_eq!(unique.len(), names.len(), "{names:?}");
     }
 }

@@ -22,7 +22,7 @@
 //! ```
 
 use crate::crc::{crc32, Crc32};
-use crate::error::FileError;
+use crate::error::{FileError, Section};
 use avq_codec::{CodecOptions, CodedRelation, CodingMode, RepChoice};
 use avq_schema::{Domain, Schema};
 use std::io::{Read, Write};
@@ -108,7 +108,7 @@ struct Cursor<'a> {
     /// Which container section the cursor is currently inside; carried
     /// into every [`FileError::Corrupt`] so a failed load names both the
     /// section and the file offset.
-    section: &'static str,
+    section: Section,
 }
 
 impl<'a> Cursor<'a> {
@@ -202,7 +202,7 @@ pub fn read_coded_relation<R: Read>(r: &mut R) -> Result<CodedRelation, FileErro
     r.read_to_end(&mut bytes)?;
     if bytes.len() < MAGIC.len() + 2 + 4 {
         return Err(FileError::Corrupt {
-            section: "file.header",
+            section: Section::Header,
             offset: 0,
             detail: "file shorter than header".into(),
         });
@@ -210,7 +210,7 @@ pub fn read_coded_relation<R: Read>(r: &mut R) -> Result<CodedRelation, FileErro
     // The length check above guarantees at least 4 trailing bytes.
     let Some((body, tail)) = bytes.split_last_chunk::<4>() else {
         return Err(FileError::Corrupt {
-            section: "file.header",
+            section: Section::Header,
             offset: 0,
             detail: "file shorter than its checksum".into(),
         });
@@ -231,7 +231,7 @@ fn parse_body(body: &[u8]) -> Result<CodedRelation, FileError> {
     let mut c = Cursor {
         bytes: body,
         pos: 0,
-        section: "file.header",
+        section: Section::Header,
     };
     if c.take(4, "magic")? != MAGIC {
         return Err(FileError::BadMagic);
@@ -246,7 +246,7 @@ fn parse_body(body: &[u8]) -> Result<CodedRelation, FileError> {
         .ok_or_else(|| c.corrupt(7, "unknown representative policy".into()))?;
     let block_capacity = c.u32("block capacity")? as usize;
 
-    c.section = "file.schema";
+    c.section = Section::Schema;
     let arity = c.u16("arity")? as usize;
     // Every attribute needs at least a name length (2), a domain tag (1),
     // and the smallest domain payload (an empty enumeration's count, 4).
@@ -280,7 +280,7 @@ fn parse_body(body: &[u8]) -> Result<CodedRelation, FileError> {
     }
     let schema: Arc<Schema> = Schema::from_pairs(pairs)?;
 
-    c.section = "file.blocks";
+    c.section = Section::Blocks;
     let tuple_count = c.u64("tuple count")? as usize;
     let block_count = c.u32("block count")? as usize;
     // Every block carries at least its u32 length prefix.
@@ -297,7 +297,7 @@ fn parse_body(body: &[u8]) -> Result<CodedRelation, FileError> {
         }
         blocks.push(c.take(len, "block body")?.to_vec());
     }
-    c.section = "file.trailer";
+    c.section = Section::Trailer;
     if c.pos != body.len() {
         return Err(c.corrupt(c.pos, "trailing bytes after last block".into()));
     }
@@ -311,7 +311,7 @@ fn parse_body(body: &[u8]) -> Result<CodedRelation, FileError> {
     let rel = CodedRelation::from_blocks(schema, options, blocks)?;
     if rel.tuple_count() != tuple_count {
         return Err(FileError::Corrupt {
-            section: "file.blocks",
+            section: Section::Blocks,
             offset: 0,
             detail: format!(
                 "header claims {tuple_count} tuples, blocks hold {}",
@@ -450,7 +450,7 @@ mod tests {
             matches!(
                 err,
                 FileError::Corrupt {
-                    section: "file.schema",
+                    section: Section::Schema,
                     ..
                 }
             ),
@@ -470,7 +470,7 @@ mod tests {
             matches!(
                 err,
                 FileError::Corrupt {
-                    section: "file.schema",
+                    section: Section::Schema,
                     ..
                 }
             ),
@@ -492,7 +492,7 @@ mod tests {
             matches!(
                 err,
                 FileError::Corrupt {
-                    section: "file.blocks",
+                    section: Section::Blocks,
                     ..
                 }
             ),
@@ -522,7 +522,7 @@ mod tests {
             matches!(
                 err,
                 FileError::Corrupt {
-                    section: "file.header",
+                    section: Section::Header,
                     ..
                 }
             ),
@@ -538,7 +538,7 @@ mod tests {
             FileError::Corrupt {
                 section, offset, ..
             } => {
-                assert_eq!(section, "file.schema");
+                assert_eq!(section, Section::Schema);
                 assert_eq!(offset, 14, "damage located at the arity count");
             }
             other => panic!("expected a located Corrupt error, got {other}"),
@@ -550,7 +550,7 @@ mod tests {
             matches!(
                 err,
                 FileError::Corrupt {
-                    section: "file.blocks",
+                    section: Section::Blocks,
                     ..
                 }
             ),

@@ -25,13 +25,23 @@
 //! assert_eq!(back.tuple_count(), 100);
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+// Untrusted input is decoded here: a damaged byte is a typed error, never
+// a panic (DESIGN.md §12). Test code is exempt through `clippy.toml`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
 
 mod crc;
 mod error;
 mod format;
 
 pub use crc::{crc32, Crc32};
-pub use error::FileError;
+pub use error::{FileError, Section};
 pub use format::{load, read_coded_relation, save, write_coded_relation};

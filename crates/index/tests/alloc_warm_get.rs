@@ -5,6 +5,8 @@
 //! A counting global allocator pins that; it is the only test in this
 //! binary so no concurrent test thread can perturb the counter.
 
+#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+
 use avq_index::BPlusTree;
 use avq_storage::{BlockDevice, BufferPool, DiskProfile};
 use std::alloc::{GlobalAlloc, Layout, System};

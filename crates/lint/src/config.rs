@@ -1,5 +1,4 @@
-//! Project-specific lint policy: which paths each rule covers, which
-//! crates are exempt, and the documented `Corrupt` section vocabulary.
+//! Project-specific lint policy: which paths each rule covers.
 //!
 //! The policy is code, not a config file, on purpose: the linter is
 //! project-native and the scopes *are* invariants the workspace claims
@@ -8,10 +7,11 @@
 //! scopes apply unchanged there.
 
 /// Paths (relative, `/`-separated prefixes or exact files) whose
-/// non-test code must be panic-free: AVQ-L001 and AVQ-L002 apply here.
-/// These are the untrusted-byte decode surfaces hardened in DESIGN.md
-/// §11 — the codec, the `.avq` container parser, the WAL read path, and
-/// the SQL lexer/parser (which consume arbitrary user statements).
+/// non-test code consumes untrusted bytes: AVQ-L002 applies here, and
+/// each one's crate root or module top denies clippy's panic family.
+/// These are the decode surfaces hardened in DESIGN.md §11 — the codec,
+/// the `.avq` container parser, the WAL read path, and the SQL
+/// lexer/parser (which consume arbitrary user statements).
 pub const DECODE_PATHS: &[&str] = &[
     "crates/codec/src/",
     "crates/file/src/",
@@ -21,39 +21,9 @@ pub const DECODE_PATHS: &[&str] = &[
     "crates/sql/src/parser.rs",
 ];
 
-/// Crate directories exempt from AVQ-L003 (crate-root hygiene
-/// attributes): the vendored registry shims are third-party
-/// stand-ins, not project code.
-pub const L003_EXEMPT: &[&str] = &["crates/shims/"];
-
-/// Crate directories allowed to read the real clock (AVQ-L005).
-/// `avq-obs` owns `Stopwatch` (the one sanctioned wrapper), the bench
-/// harness measures wall time by design, and the shims are third-party
-/// stand-ins.
-pub const CLOCK_EXEMPT: &[&str] = &["crates/obs/", "crates/bench/", "crates/shims/"];
-
 /// Files allowed to spell metric names as string literals (AVQ-L004):
 /// the single source of truth itself.
 pub const METRIC_NAME_HOME: &str = "crates/obs/src/names.rs";
-
-/// The documented `Corrupt { section: … }` vocabulary (AVQ-L006): each
-/// section string paired with the crate directory allowed to produce it.
-/// The `file.` prefix keeps the container parser's vocabulary disjoint
-/// from the codec's; `order` (the φ-order walk) and `bookkeeping` (a
-/// decoded block that disagrees with its recorded count, min or max) are
-/// the db layer's read-path checks reporting through `CodecError`.
-pub const CORRUPT_SECTIONS: &[(&str, &str)] = &[
-    ("header", "crates/codec/"),
-    ("representative", "crates/codec/"),
-    ("body", "crates/codec/"),
-    ("entries", "crates/codec/"),
-    ("order", "crates/db/"),
-    ("bookkeeping", "crates/db/"),
-    ("file.header", "crates/file/"),
-    ("file.schema", "crates/file/"),
-    ("file.blocks", "crates/file/"),
-    ("file.trailer", "crates/file/"),
-];
 
 /// True when `rel` (a `/`-separated path relative to the workspace
 /// root) falls under any of the given prefixes or exact files.
@@ -70,6 +40,7 @@ pub fn in_scope(rel: &str, scopes: &[&str]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lexer::{balanced, scan};
 
     #[test]
     fn scope_matching() {
@@ -81,11 +52,48 @@ mod tests {
         assert!(!in_scope("crates/sql/src/exec.rs", DECODE_PATHS));
     }
 
+    /// AVQ-L002 and clippy's panic family cover the same files: every
+    /// decode path's crate root (for a directory) or module top (for a
+    /// file) denies all of these.
     #[test]
-    fn section_vocabulary_is_unique() {
-        let mut seen = std::collections::BTreeSet::new();
-        for (section, _) in CORRUPT_SECTIONS {
-            assert!(seen.insert(*section), "duplicate section {section}");
+    fn every_decode_path_denies_the_panic_family() {
+        const DENIED: &[&str] = &[
+            "unwrap_used",
+            "expect_used",
+            "panic",
+            "unreachable",
+            "todo",
+            "unimplemented",
+            "indexing_slicing",
+            "allow_attributes_without_reason",
+        ];
+        let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+            .ancestors()
+            .nth(2)
+            .expect("workspace root");
+        for path in DECODE_PATHS {
+            let file = match path.strip_suffix('/') {
+                Some(src) => format!("{src}/lib.rs"),
+                None => path.to_string(),
+            };
+            let text = std::fs::read_to_string(root.join(&file)).expect(&file);
+            let t = scan(&text).tokens;
+            let denied: Vec<&str> = (0..t.len())
+                .filter(|&i| {
+                    t[i].is_punct('#')
+                        && t.get(i + 1).is_some_and(|n| n.is_punct('!'))
+                        && t.get(i + 3).is_some_and(|n| n.is_ident("deny"))
+                })
+                .filter_map(|i| Some((i + 4, balanced(&t, i + 4, '(', ')')?)))
+                .flat_map(|(open, close)| &t[open..close])
+                .map(|tok| tok.text.as_str())
+                .collect();
+            for lint in DENIED {
+                assert!(
+                    denied.contains(lint),
+                    "{file} must carry #![deny(clippy::{lint}, …)]"
+                );
+            }
         }
     }
 }

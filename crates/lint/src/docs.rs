@@ -4,7 +4,7 @@
 
 /// Documentation for one rule.
 pub struct RuleDoc {
-    /// Rule id (`AVQ-L001` … `AVQ-L006`, `AVQ-WAIVER`).
+    /// Rule id (`AVQ-L002`, `AVQ-L004`, `AVQ-WAIVER`).
     pub id: &'static str,
     /// One-line summary, embedded in JSON findings.
     pub summary: &'static str,
@@ -16,37 +16,15 @@ pub struct RuleDoc {
 /// Every rule, in id order.
 pub const RULES: &[RuleDoc] = &[
     RuleDoc {
-        id: "AVQ-L001",
-        summary: "untrusted decode paths must be panic-free (no unwrap/expect/panic!/direct indexing)",
-        help: "AVQ-L001 · panic freedom in decode paths
-
-Files under the configured DECODE_PATHS consume untrusted bytes (coded
-blocks, .avq containers, WAL frames, SQL text). A panic there turns a
-corrupt input into a crash, so `.unwrap()`, `.expect()`, `panic!`,
-`unreachable!`, `todo!`, `unimplemented!` and direct `[…]` indexing are
-forbidden; return `Corrupt { section, … }` instead, and use `get`/slice
-patterns for access. Assert-family macros are allowed (deliberate
-invariant checks). Waive a deliberate exception with
-`// lint: allow(AVQ-L001, <reason>)`.",
-    },
-    RuleDoc {
         id: "AVQ-L002",
-        summary: "allocations in decode paths sized by untrusted input need a bounded(<why>) waiver",
+        summary:
+            "allocations in decode paths sized by untrusted input need a bounded(<why>) waiver",
         help: "AVQ-L002 · bounded allocations in decode paths
 
 `Vec::with_capacity(n)` / `vec![_; n]` with a non-literal length in a
 decode path can be attacker-sized. Every such site must either use a
 literal bound or carry `// lint: bounded(<why>)` stating why the length
 is validated.",
-    },
-    RuleDoc {
-        id: "AVQ-L003",
-        summary: "crate roots must carry #![forbid(unsafe_code)] and #![warn(missing_docs)]",
-        help: "AVQ-L003 · crate-root hygiene
-
-Every workspace member's root (lib.rs / main.rs / src/bin/*.rs) must
-declare `#![forbid(unsafe_code)]` and `#![warn(missing_docs)]`. Vendored
-shims are exempt via config.",
     },
     RuleDoc {
         id: "AVQ-L004",
@@ -60,40 +38,56 @@ constants (never string literals), with one instrument kind per name.
 The constants' doc comments are the inventory (`cargo doc`).",
     },
     RuleDoc {
-        id: "AVQ-L005",
-        summary: "only avq-obs/bench may read the real clock; use avq_obs::Stopwatch",
-        help: "AVQ-L005 · virtual clock discipline
-
-Deterministic replay and tests require that production code charges the
-virtual clock. `Instant::now()` / `SystemTime` are allowed only in
-`crates/obs` (which owns `Stopwatch`), the bench harness, and shims.",
-    },
-    RuleDoc {
-        id: "AVQ-L006",
-        summary: "Corrupt { section } strings come from the documented vocabulary, from their owner crate",
-        help: "AVQ-L006 · corruption vocabulary
-
-`Corrupt { section: \"…\" }` strings must come from the vocabulary in
-the linter's config (CORRUPT_SECTIONS; DESIGN.md §12 describes it), and
-each section may only be produced by the crate that owns it (so a
-corruption report names its layer).",
-    },
-    RuleDoc {
         id: "AVQ-WAIVER",
         summary: "waiver hygiene: every // lint: directive must parse and must suppress a finding",
         help: "AVQ-WAIVER · waiver hygiene
 
-`// lint:` directives must parse (`allow(AVQ-LNNN, <reason>)` or
-`bounded(<why>)`) and must actually suppress a finding on their line
-(or the line below, for comment-only lines).
-Malformed and unused waivers are findings, so a stale waiver can never
-silently hide a future regression.",
+`// lint:` directives must parse (`bounded(<why>)`, with a reason) and
+must actually suppress a finding on their line (or the line below, for
+comment-only lines). Malformed and unused waivers are findings, so a
+stale waiver can never silently hide a future regression.",
     },
+];
+
+/// Rules whose guarantee moved onto a check the toolchain runs, with
+/// where each is enforced now. Their ids are never reused.
+pub const RETIRED: &[(&str, &str)] = &[
+    (
+        "AVQ-L001",
+        "AVQ-L001 (panic freedom in decode paths) is retired: every DECODE_PATHS crate root or \
+module top denies clippy::{unwrap_used, expect_used, panic, unreachable, todo, unimplemented, \
+indexing_slicing, allow_attributes_without_reason}; a waiver is #[expect(…, reason = \"…\")].",
+    ),
+    (
+        "AVQ-L003",
+        "AVQ-L003 (crate-root hygiene) is retired: the root Cargo.toml's [workspace.lints.rust] \
+denies unsafe_code and warns on missing_docs, and every member inherits it through \
+`[lints] workspace = true` (a CI step checks each manifest).",
+    ),
+    (
+        "AVQ-L005",
+        "AVQ-L005 (virtual clock) is retired: clippy.toml disallows std::time::Instant::now and \
+std::time::SystemTime; avq-obs and avq-bench allow clippy::disallowed_methods at their roots.",
+    ),
+    (
+        "AVQ-L006",
+        "AVQ-L006 (Corrupt-section vocabulary) is retired: Corrupt { section } is typed, \
+avq_codec::Section for blocks and avq_file::Section for the container, so an unknown or \
+another layer's section does not compile.",
+    ),
 ];
 
 /// Look up a rule id.
 pub fn doc(id: &str) -> Option<&'static RuleDoc> {
     RULES.iter().find(|r| r.id == id)
+}
+
+/// What `--explain` prints for `id`: a rule's long help, or where a
+/// retired rule is enforced now.
+pub fn explain(id: &str) -> Option<&'static str> {
+    doc(id)
+        .map(|r| r.help)
+        .or_else(|| RETIRED.iter().find(|(r, _)| *r == id).map(|(_, to)| *to))
 }
 
 /// The one-line summary for a rule id (empty for unknown ids).
@@ -112,12 +106,11 @@ mod tests {
         sorted.sort();
         assert_eq!(ids, sorted);
         for n in 1..=10 {
-            // AVQ-L007 … L010 are retired and must stay unknown rules.
-            assert_eq!(
-                doc(&format!("AVQ-L{n:03}")).is_some(),
-                n <= 6,
-                "AVQ-L{n:03}"
-            );
+            // L002 and L004 run; L001, L003, L005 and L006 moved onto the
+            // toolchain; L007 … L010 are retired and stay unknown.
+            let id = format!("AVQ-L{n:03}");
+            assert_eq!(doc(&id).is_some(), matches!(n, 2 | 4), "{id}");
+            assert_eq!(explain(&id).is_some(), n <= 6, "{id}");
         }
         assert!(doc("AVQ-WAIVER").is_some());
     }

@@ -4,10 +4,9 @@
 //! numbers, dropping everything the rules must never look at: line and
 //! block comments (doc comments included), the *contents* of string and
 //! char literals (kept as opaque [`Kind::Str`]/[`Kind::Char`] tokens so
-//! rules that care about literal values — metric names, `Corrupt`
-//! sections — can still read them), and whole `#[cfg(test)]` / `#[test]`
-//! item subtrees. `// lint:` waiver comments are captured as
-//! [`Directive`]s before the comment is discarded.
+//! the metric-name rule can still read literal values), and whole
+//! `#[cfg(test)]` / `#[test]` item subtrees. `// lint:` waiver comments
+//! are captured as [`Directive`]s before the comment is discarded.
 //!
 //! This is deliberately not a full Rust parser. It only needs to be
 //! right about token boundaries and item extents, and the few genuinely
@@ -60,8 +59,6 @@ impl Token {
 /// The kind of a `// lint:` waiver comment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DirectiveKind {
-    /// `// lint: allow(AVQ-LNNN, <reason>)` — waives the named rule.
-    Allow(String),
     /// `// lint: bounded(<why>)` — the AVQ-L002 capacity waiver.
     Bounded,
     /// A `// lint:` comment the parser could not understand; the message
@@ -420,56 +417,26 @@ fn parse_directive(line: u32, text: &str) -> Directive {
         reason: String::new(),
         used: false,
     };
-    let inner = |prefix: &str| -> Option<String> {
-        let rest = text.strip_prefix(prefix)?;
-        let rest = rest.trim_start();
-        let rest = rest.strip_prefix('(')?;
-        let rest = rest.strip_suffix(')')?;
-        Some(rest.to_string())
+    let Some(rest) = text.strip_prefix("bounded") else {
+        return malformed("unknown lint directive (expected `bounded(…)`)");
     };
-    if text.starts_with("allow") {
-        let Some(inner) = inner("allow") else {
-            return malformed("allow waiver must be `allow(AVQ-LNNN, <reason>)`");
-        };
-        let Some((rule, reason)) = inner.split_once(',') else {
-            return malformed("allow waiver is missing a reason: `allow(AVQ-LNNN, <reason>)`");
-        };
-        let rule = rule.trim();
-        let reason = reason.trim();
-        if !is_rule_id(rule) {
-            return malformed("allow waiver names an unknown rule id (expected AVQ-LNNN)");
-        }
-        if reason.is_empty() {
-            return malformed("allow waiver has an empty reason");
-        }
-        Directive {
-            line,
-            kind: DirectiveKind::Allow(rule.to_string()),
-            reason: reason.to_string(),
-            used: false,
-        }
-    } else if text.starts_with("bounded") {
-        let Some(reason) = inner("bounded") else {
-            return malformed("bounded waiver must be `bounded(<why>)`");
-        };
-        let reason = reason.trim();
-        if reason.is_empty() {
-            return malformed("bounded waiver has an empty reason");
-        }
-        Directive {
-            line,
-            kind: DirectiveKind::Bounded,
-            reason: reason.to_string(),
-            used: false,
-        }
-    } else {
-        malformed("unknown lint directive (expected `allow(…)` or `bounded(…)`)")
+    let Some(reason) = rest
+        .trim_start()
+        .strip_prefix('(')
+        .and_then(|r| r.strip_suffix(')'))
+    else {
+        return malformed("bounded waiver must be `bounded(<why>)`");
+    };
+    let reason = reason.trim();
+    if reason.is_empty() {
+        return malformed("bounded waiver has an empty reason");
     }
-}
-
-/// `AVQ-L` followed by exactly three ASCII digits.
-fn is_rule_id(s: &str) -> bool {
-    s.len() == 8 && s.starts_with("AVQ-L") && s.as_bytes()[5..].iter().all(|b| b.is_ascii_digit())
+    Directive {
+        line,
+        kind: DirectiveKind::Bounded,
+        reason: reason.to_string(),
+        used: false,
+    }
 }
 
 /// Remove `#[test]` / `#[cfg(test)]` items (functions, modules, uses)
@@ -618,24 +585,22 @@ mod tests {
     #[test]
     fn directive_parsing() {
         let s = scan(
-            "// lint: allow(AVQ-L001, the loop bound proves it)\nlet x = 1;\n// lint: bounded(checked above)\nlet y = 2;\n// lint: allow(AVQ-L001,)\n// lint: frobnicate(x)\n",
+            "// lint: bounded(checked above)\nlet y = 2;\n// lint: bounded()\n// lint: frobnicate(x)\nlet z = 3; // lint: bounded(same line)\n",
         );
         assert_eq!(s.directives.len(), 4);
-        assert_eq!(
-            s.directives[0].kind,
-            DirectiveKind::Allow("AVQ-L001".into())
-        );
-        assert_eq!(s.directives[0].reason, "the loop bound proves it");
-        assert_eq!(s.directives[1].kind, DirectiveKind::Bounded);
+        assert_eq!(s.directives[0].kind, DirectiveKind::Bounded);
+        assert_eq!(s.directives[0].reason, "checked above");
+        assert!(matches!(s.directives[1].kind, DirectiveKind::Malformed(_)));
         assert!(matches!(s.directives[2].kind, DirectiveKind::Malformed(_)));
-        assert!(matches!(s.directives[3].kind, DirectiveKind::Malformed(_)));
         // Comment-only line: waiver applies to the line below.
         assert_eq!(s.effective_line(s.directives[0].line), 2);
+        // A trailing waiver applies to its own line.
+        assert_eq!(s.effective_line(s.directives[3].line), 5);
     }
 
     #[test]
     fn doc_comments_never_parse_as_directives() {
-        let s = scan("/// lint: allow(AVQ-L001, nope)\nfn f() {}\n//! lint: bounded(nope)\n");
+        let s = scan("/// lint: bounded(nope)\nfn f() {}\n//! lint: bounded(nope)\n");
         assert!(s.directives.is_empty());
     }
 }

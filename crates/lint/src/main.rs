@@ -1,14 +1,11 @@
 //! `avq-lint` — project-native static analysis for the AVQ workspace.
 //!
 //! Run as `cargo run -p avq-lint -- check` from anywhere inside the
-//! workspace. Six token rules (see DESIGN.md §12) enforce the
-//! decode-path panic-freedom, bounded-allocation, crate-hygiene,
-//! metric-naming, virtual-clock, and `Corrupt`-section invariants. The
-//! linter reads Rust sources and the root `Cargo.toml`, nothing else.
-//! Any finding exits non-zero.
-
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
+//! workspace. Two token rules (see DESIGN.md §12) enforce what no rustc
+//! or clippy lint can: allocations in decode paths are never sized by an
+//! unvalidated length (AVQ-L002), and metric names are declared once
+//! (AVQ-L004). The linter reads Rust sources, nothing else. Any finding
+//! exits non-zero.
 
 mod config;
 mod docs;
@@ -24,10 +21,11 @@ const USAGE: &str = "usage: avq-lint check [--root <dir>] [--format human|json]
        avq-lint --explain AVQ-LNNN
 
 Scans the workspace's production sources and reports violations of the
-project's AVQ-L001..L006 invariants (DESIGN.md §12). Exit status: 0 when
-clean, 1 when there are findings, 2 on usage or I/O errors.
+project's AVQ-L002 and AVQ-L004 invariants (DESIGN.md §12). Exit status:
+0 when clean, 1 when there are findings, 2 on usage or I/O errors.
 
-  --explain AVQ-LNNN print the long help for one rule and exit";
+  --explain AVQ-LNNN print the long help for one rule (or, for AVQ-L001,
+                     L003, L005 and L006, where it is enforced now) and exit";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -71,9 +69,9 @@ fn run(args: &[String]) -> Result<bool, String> {
             }
             "--explain" => {
                 let id = it.next().ok_or("--explain needs a rule id (AVQ-LNNN)")?;
-                let doc = docs::doc(id)
+                let help = docs::explain(id)
                     .ok_or_else(|| format!("unknown rule `{id}` (see DESIGN.md §12)"))?;
-                println!("{}", doc.help);
+                println!("{help}");
                 return Ok(true);
             }
             "--help" | "-h" => {

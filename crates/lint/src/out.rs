@@ -116,7 +116,7 @@ mod tests {
             findings: vec![Finding {
                 file: "a.rs".into(),
                 line: 3,
-                rule: "AVQ-L001".into(),
+                rule: "AVQ-L004".into(),
                 message: "say \"no\"".into(),
             }],
             waivers: vec![Waiver {

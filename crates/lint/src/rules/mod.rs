@@ -1,4 +1,4 @@
-//! The rule engine: six project-native token rules over the scanned
+//! The rule engine: two project-native token rules over the scanned
 //! workspace, plus waiver resolution.
 //!
 //! Rules first collect *candidate* findings; resolution then matches
@@ -9,7 +9,10 @@
 //! finding. This ordering means a stale waiver can never silently hide
 //! future regressions.
 //!
-//! Rule ids are stable and never reused: AVQ-L007 (taint), AVQ-L008
+//! Rule ids are stable and never reused. AVQ-L001 (panic freedom),
+//! AVQ-L003 (crate-root hygiene), AVQ-L005 (virtual clock) and AVQ-L006
+//! (`Corrupt` sections) moved onto rustc lints, clippy lints and a
+//! section type (`--explain` names where); AVQ-L007 (taint), AVQ-L008
 //! (wrapper-family drift), AVQ-L009 (lock ranks) and AVQ-L010 (atomics
 //! inventory) are retired.
 
@@ -25,7 +28,7 @@ pub struct Finding {
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// Rule id (`AVQ-L001` … `AVQ-L006`, or `AVQ-WAIVER` for waiver
+    /// Rule id (`AVQ-L002`, `AVQ-L004`, or `AVQ-WAIVER` for waiver
     /// hygiene problems).
     pub rule: String,
     /// Human-readable explanation.
@@ -58,16 +61,10 @@ pub fn run(ws: &mut Workspace) -> Report {
     let mut candidates = Vec::new();
     for f in &ws.files {
         if config::in_scope(&f.rel, config::DECODE_PATHS) {
-            l001_panic_freedom(f, &mut candidates);
             l002_bounded_capacity(f, &mut candidates);
         }
-        if !config::in_scope(&f.rel, config::CLOCK_EXEMPT) {
-            l005_virtual_clock(f, &mut candidates);
-        }
     }
-    l003_crate_root_hygiene(ws, &mut candidates);
     l004_metric_names(ws, &mut candidates);
-    l006_corrupt_sections(ws, &mut candidates);
     resolve(ws, candidates)
 }
 
@@ -85,11 +82,7 @@ fn resolve(ws: &mut Workspace, candidates: Vec<Finding>) -> Report {
                 .map(|d| file.scan.effective_line(d.line))
                 .collect();
             for (d, eff) in file.scan.directives.iter_mut().zip(effective) {
-                let applies = match &d.kind {
-                    DirectiveKind::Allow(rule) => *rule == c.rule,
-                    DirectiveKind::Bounded => c.rule == "AVQ-L002",
-                    DirectiveKind::Malformed(_) => false,
-                };
+                let applies = d.kind == DirectiveKind::Bounded && c.rule == "AVQ-L002";
                 if applies && eff == c.line {
                     d.used = true;
                     waived = true;
@@ -118,12 +111,6 @@ fn resolve(ws: &mut Workspace, candidates: Vec<Finding>) -> Report {
                     rule: "AVQ-WAIVER".into(),
                     message: "unused waiver: no finding on its line to suppress".into(),
                 }),
-                DirectiveKind::Allow(rule) => waivers.push(Waiver {
-                    file: f.rel.clone(),
-                    line: d.line,
-                    rule: rule.clone(),
-                    reason: d.reason.clone(),
-                }),
                 DirectiveKind::Bounded => waivers.push(Waiver {
                     file: f.rel.clone(),
                     line: d.line,
@@ -145,27 +132,6 @@ fn resolve(ws: &mut Workspace, candidates: Vec<Finding>) -> Report {
     Report { findings, waivers }
 }
 
-const ASSERT_MACROS: &[&str] = &[
-    "assert",
-    "assert_eq",
-    "assert_ne",
-    "debug_assert",
-    "debug_assert_eq",
-    "debug_assert_ne",
-];
-
-const BANNED_METHODS: &[&str] = &["unwrap", "expect", "unwrap_err", "expect_err"];
-const BANNED_MACROS: &[&str] = &["panic", "unreachable", "todo", "unimplemented"];
-
-/// Keywords that may legally precede `[` without it being an index
-/// expression (slice patterns, array types, `return [..]`, …).
-const KEYWORDS: &[&str] = &[
-    "as", "async", "await", "box", "break", "const", "continue", "crate", "dyn", "else", "enum",
-    "extern", "false", "fn", "for", "if", "impl", "in", "let", "loop", "match", "mod", "move",
-    "mut", "pub", "ref", "return", "static", "struct", "super", "trait", "true", "type", "unsafe",
-    "use", "where", "while", "yield",
-];
-
 fn push(out: &mut Vec<Finding>, file: &SourceFile, line: u32, rule: &str, message: String) {
     out.push(Finding {
         file: file.rel.clone(),
@@ -173,81 +139,6 @@ fn push(out: &mut Vec<Finding>, file: &SourceFile, line: u32, rule: &str, messag
         rule: rule.to_string(),
         message,
     });
-}
-
-/// AVQ-L001: no panicking constructs in untrusted decode paths.
-fn l001_panic_freedom(file: &SourceFile, out: &mut Vec<Finding>) {
-    let t = &file.scan.tokens;
-    let mut i = 0usize;
-    while i < t.len() {
-        let tok = &t[i];
-        // Assert-family macros are deliberate invariant checks; their
-        // argument group (often containing indexing) is not scanned.
-        if tok.kind == Kind::Ident
-            && ASSERT_MACROS.contains(&tok.text.as_str())
-            && t.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            if let Some(open) = t.get(i + 2) {
-                let pair = [('(', ')'), ('[', ']'), ('{', '}')]
-                    .into_iter()
-                    .find(|(o, _)| open.is_punct(*o));
-                if let Some((o, c)) = pair {
-                    if let Some(end) = balanced(t, i + 2, o, c) {
-                        i = end + 1;
-                        continue;
-                    }
-                }
-            }
-        }
-        if tok.is_punct('.') {
-            if let Some(m) = t.get(i + 1) {
-                if m.kind == Kind::Ident && BANNED_METHODS.contains(&m.text.as_str()) {
-                    push(
-                        out,
-                        file,
-                        m.line,
-                        "AVQ-L001",
-                        format!(
-                            "`.{}()` in an untrusted decode path (return `Corrupt` instead)",
-                            m.text
-                        ),
-                    );
-                }
-            }
-        }
-        if tok.kind == Kind::Ident
-            && BANNED_MACROS.contains(&tok.text.as_str())
-            && t.get(i + 1).is_some_and(|n| n.is_punct('!'))
-        {
-            push(
-                out,
-                file,
-                tok.line,
-                "AVQ-L001",
-                format!(
-                    "`{}!` in an untrusted decode path (return `Corrupt` instead)",
-                    tok.text
-                ),
-            );
-        }
-        if tok.is_punct('[') && i > 0 {
-            let prev = &t[i - 1];
-            let indexes = prev.is_punct(')')
-                || prev.is_punct(']')
-                || (prev.kind == Kind::Ident && !KEYWORDS.contains(&prev.text.as_str()));
-            if indexes {
-                push(
-                    out,
-                    file,
-                    tok.line,
-                    "AVQ-L001",
-                    "direct `[…]` indexing in an untrusted decode path (use `get`/slice patterns)"
-                        .to_string(),
-                );
-            }
-        }
-        i += 1;
-    }
 }
 
 /// AVQ-L002: allocations sized by untrusted input need a bounded waiver.
@@ -305,80 +196,6 @@ fn top_level_semicolon(group: &[Token]) -> Option<usize> {
         }
     }
     None
-}
-
-/// AVQ-L003: every member crate root carries the hygiene attributes.
-fn l003_crate_root_hygiene(ws: &Workspace, out: &mut Vec<Finding>) {
-    for member in &ws.members {
-        let member_dir = format!("{member}/");
-        if config::in_scope(&member_dir, config::L003_EXEMPT) {
-            continue;
-        }
-        let mut roots: Vec<&SourceFile> = Vec::new();
-        for candidate in [
-            format!("{member}/src/lib.rs"),
-            format!("{member}/src/main.rs"),
-        ] {
-            if let Some(f) = ws.file(&candidate) {
-                roots.push(f);
-            }
-        }
-        let bin_prefix = format!("{member}/src/bin/");
-        for f in &ws.files {
-            if f.rel.starts_with(&bin_prefix) && !f.rel[bin_prefix.len()..].contains('/') {
-                roots.push(f);
-            }
-        }
-        for root in roots {
-            let (forbids_unsafe, warns_docs) = hygiene_attrs(&root.scan.tokens);
-            if !forbids_unsafe {
-                out.push(Finding {
-                    file: root.rel.clone(),
-                    line: 1,
-                    rule: "AVQ-L003".into(),
-                    message: "crate root is missing `#![forbid(unsafe_code)]`".into(),
-                });
-            }
-            if !warns_docs {
-                out.push(Finding {
-                    file: root.rel.clone(),
-                    line: 1,
-                    rule: "AVQ-L003".into(),
-                    message: "crate root is missing `#![warn(missing_docs)]`".into(),
-                });
-            }
-        }
-    }
-}
-
-/// Does the token stream declare `forbid`/`deny`(unsafe_code) and
-/// `warn`/`deny`/`forbid`(missing_docs)?
-fn hygiene_attrs(t: &[Token]) -> (bool, bool) {
-    let mut unsafe_forbidden = false;
-    let mut docs_warned = false;
-    for (i, tok) in t.iter().enumerate() {
-        if tok.kind != Kind::Ident {
-            continue;
-        }
-        let level = tok.text.as_str();
-        if !matches!(level, "forbid" | "deny" | "warn") {
-            continue;
-        }
-        if !t.get(i + 1).is_some_and(|n| n.is_punct('(')) {
-            continue;
-        }
-        if let Some(end) = balanced(t, i + 1, '(', ')') {
-            for arg in &t[i + 2..end] {
-                if arg.is_ident("unsafe_code") && matches!(level, "forbid" | "deny") {
-                    unsafe_forbidden = true;
-                }
-                if arg.is_ident("missing_docs") {
-                    docs_warned = true;
-                }
-            }
-        }
-    }
-    (unsafe_forbidden, docs_warned)
 }
 
 /// Is `s` a well-formed dot-namespaced metric name (`avq.x.y`)?
@@ -570,85 +387,6 @@ fn l004_metric_names(ws: &Workspace, out: &mut Vec<Finding>) {
                     all.join(", ")
                 ),
             });
-        }
-    }
-}
-
-/// AVQ-L005: only `avq-obs` (and the bench harness) may read the real
-/// clock; everything else charges the virtual clock via `Stopwatch`.
-fn l005_virtual_clock(file: &SourceFile, out: &mut Vec<Finding>) {
-    let t = &file.scan.tokens;
-    for (i, tok) in t.iter().enumerate() {
-        if tok.is_ident("Instant")
-            && t.get(i + 1).is_some_and(|n| n.is_punct(':'))
-            && t.get(i + 2).is_some_and(|n| n.is_punct(':'))
-            && t.get(i + 3).is_some_and(|n| n.is_ident("now"))
-        {
-            push(
-                out,
-                file,
-                tok.line,
-                "AVQ-L005",
-                "`Instant::now()` outside avq-obs/bench (use `avq_obs::Stopwatch`)".to_string(),
-            );
-        }
-        if tok.is_ident("SystemTime") {
-            push(
-                out,
-                file,
-                tok.line,
-                "AVQ-L005",
-                "`SystemTime` outside avq-obs/bench (use `avq_obs::Stopwatch`)".to_string(),
-            );
-        }
-    }
-}
-
-/// AVQ-L006: `Corrupt { section: … }` strings come from the documented
-/// vocabulary and only from the crate that owns them.
-fn l006_corrupt_sections(ws: &Workspace, out: &mut Vec<Finding>) {
-    let vocab: BTreeMap<&str, &str> = config::CORRUPT_SECTIONS.iter().copied().collect();
-    for f in &ws.files {
-        let t = &f.scan.tokens;
-        for (i, tok) in t.iter().enumerate() {
-            if !tok.is_ident("Corrupt") || !t.get(i + 1).is_some_and(|n| n.is_punct('{')) {
-                continue;
-            }
-            let Some(end) = balanced(t, i + 1, '{', '}') else {
-                continue;
-            };
-            let group = &t[i + 2..end];
-            for (j, g) in group.iter().enumerate() {
-                if g.is_ident("section")
-                    && group.get(j + 1).is_some_and(|n| n.is_punct(':'))
-                    && group.get(j + 2).is_some_and(|n| n.kind == Kind::Str)
-                {
-                    let s = &group[j + 2];
-                    match vocab.get(s.text.as_str()) {
-                        None => push(
-                            out,
-                            f,
-                            s.line,
-                            "AVQ-L006",
-                            format!(
-                                "Corrupt section \"{}\" is not in the documented vocabulary",
-                                s.text
-                            ),
-                        ),
-                        Some(owner) if !f.rel.starts_with(owner) => push(
-                            out,
-                            f,
-                            s.line,
-                            "AVQ-L006",
-                            format!(
-                                "Corrupt section \"{}\" belongs to `{}` but is produced here",
-                                s.text, owner
-                            ),
-                        ),
-                        Some(_) => {}
-                    }
-                }
-            }
         }
     }
 }

@@ -1,8 +1,7 @@
 //! Workspace discovery: find every production `.rs` file under
-//! `crates/*/src`, scan each one, and parse the bits of workspace
-//! metadata the cross-file rules need (member list, `names.rs`
-//! constants). Rust sources and the root `Cargo.toml` are the only files
-//! the linter opens.
+//! `crates/*/src`, scan each one, and parse the `names.rs` constants the
+//! metric-name rule needs. Rust sources are the only files the linter
+//! reads.
 
 use crate::lexer::{self, Kind, Scan};
 use std::fs;
@@ -21,9 +20,6 @@ pub struct SourceFile {
 pub struct Workspace {
     /// Every `crates/*/src/**/*.rs` file, sorted by path.
     pub files: Vec<SourceFile>,
-    /// Member directories parsed from the root `Cargo.toml` (empty when
-    /// the root has no manifest — fixture trees often don't).
-    pub members: Vec<String>,
 }
 
 impl Workspace {
@@ -51,8 +47,7 @@ impl Workspace {
                 });
             }
         }
-        let members = parse_members(root);
-        Ok(Workspace { files, members })
+        Ok(Workspace { files })
     }
 
     /// The scan for an exact relative path, if that file was loaded.
@@ -102,31 +97,6 @@ fn relative(root: &Path, p: &Path) -> String {
         .join("/")
 }
 
-/// Parse `members = [ "…", … ]` out of the root `Cargo.toml` without a
-/// TOML parser: take every quoted string between the `members = [`
-/// bracket and its closing `]`.
-fn parse_members(root: &Path) -> Vec<String> {
-    let Ok(text) = fs::read_to_string(root.join("Cargo.toml")) else {
-        return Vec::new();
-    };
-    let Some(start) = text.find("members") else {
-        return Vec::new();
-    };
-    let Some(open) = text[start..].find('[') else {
-        return Vec::new();
-    };
-    let after = &text[start + open + 1..];
-    let Some(close) = after.find(']') else {
-        return Vec::new();
-    };
-    after[..close]
-        .split('"')
-        .skip(1)
-        .step_by(2)
-        .map(str::to_string)
-        .collect()
-}
-
 /// A metric-name constant parsed from `names.rs`.
 pub struct MetricConst {
     /// Constant identifier (`CODEC_ENCODE_BLOCKS`).
@@ -171,19 +141,6 @@ pub fn parse_metric_consts(scan: &Scan) -> Vec<MetricConst> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn member_parsing() {
-        let dir = std::env::temp_dir().join("avq-lint-members-test");
-        fs::create_dir_all(&dir).ok();
-        fs::write(
-            dir.join("Cargo.toml"),
-            "[workspace]\nmembers = [\"crates/a\", \"crates/b\"]\n",
-        )
-        .ok();
-        assert_eq!(parse_members(&dir), ["crates/a", "crates/b"]);
-        fs::remove_dir_all(&dir).ok();
-    }
 
     #[test]
     fn metric_const_parsing() {

@@ -1,14 +1,14 @@
 //! Waiver-hygiene fixture: one waiver in effect, one unused, one with
 //! an empty reason, and one that is not valid directive syntax.
 
-fn decode(bytes: &[u8]) -> u8 {
-    // lint: allow(AVQ-L001, the slice is length-checked by the caller)
-    let used = bytes[0];
-    // lint: allow(AVQ-L001, nothing on the next line violates anything)
+fn alloc(claimed: usize) -> (Vec<u8>, Vec<u8>, Vec<u8>, u8) {
+    // lint: bounded(claimed was checked against the remaining input)
+    let used = Vec::with_capacity(claimed);
+    // lint: bounded(nothing on the next line allocates)
     let unused = 1u8;
-    // lint: allow(AVQ-L001,)
-    let empty_reason = bytes[1];
-    // lint: gesundheit(AVQ-L001, not a real directive)
-    let malformed = bytes[2];
-    used + unused + empty_reason + malformed
+    // lint: bounded()
+    let empty_reason = Vec::with_capacity(claimed);
+    // lint: gesundheit(not a real directive)
+    let malformed = vec![0u8; claimed];
+    (used, empty_reason, malformed, unused)
 }

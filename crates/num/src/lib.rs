@@ -12,9 +12,6 @@
 //!
 //! Everything else in the workspace builds on these two types.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod biguint;
 mod radix;
 

@@ -13,7 +13,7 @@
 //! - **wall clock** — a deadline in *virtual* milliseconds, charged to the
 //!   workspace's simulated clock (the storage layer's `SimClock` implements
 //!   [`NowMs`]); governance never reads real time, in keeping with the
-//!   virtual-clock-only rule (AVQ-L005).
+//!   virtual-clock-only rule (`clippy.toml` disallows `Instant::now`).
 //! - **decoded bytes** — coded bytes fed through the block decoder.
 //! - **rows examined** — tuples materialized by scans (not result rows:
 //!   a selective filter still pays for every tuple it inspected).

@@ -22,10 +22,10 @@ use std::time::{Duration, Instant};
 /// A wall-clock stopwatch for ad-hoc stage timing (e.g. `EXPLAIN ANALYZE`).
 ///
 /// The AVQ workspace confines raw `std::time` reads to this crate and the
-/// bench harness (`avq-lint` rule **AVQ-L005**): engine code that needs real
-/// elapsed time goes through [`Stopwatch`] or [`crate::span!`], and code
-/// that charges simulated 1994-disk time uses the storage crate's virtual
-/// clock instead.
+/// bench harness (`clippy.toml` disallows them elsewhere): engine code
+/// that needs real elapsed time goes through [`Stopwatch`] or
+/// [`crate::span!`], and code that charges simulated 1994-disk time uses
+/// the storage crate's virtual clock instead.
 ///
 /// A watch made by [`Stopwatch::start_if`] with `false` is *inert*: it never
 /// reads the clock and every reading is zero, so a loop that times its
@@ -74,8 +74,7 @@ impl Stopwatch {
 }
 
 /// Receives span lifecycle events. Implement this to bridge spans into an
-/// external tracing system (e.g. a `tracing`-subscriber adapter behind the
-/// `tracing-bridge` feature).
+/// external tracing system (e.g. a `tracing`-subscriber adapter).
 pub trait SpanObserver: Send + Sync {
     /// Called when a span is entered.
     fn enter(&self, name: &'static str);

@@ -14,9 +14,6 @@
 //!   column: the decoded form of a block on the read path.
 //! * [`Relation`] — an in-memory bag of tuples, sortable into φ order (§3.2).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod batch;
 mod domain;
 mod error;

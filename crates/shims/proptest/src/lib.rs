@@ -12,9 +12,6 @@
 //! runs, no `PROPTEST_CASES` env handling), and failing cases are reported
 //! without shrinking.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod arbitrary;
 pub mod collection;
 mod macros;

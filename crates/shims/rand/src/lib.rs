@@ -8,9 +8,6 @@
 //! consumer in this workspace only relies on determinism for a fixed seed, not
 //! on any particular stream.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// Low-level source of random 64-bit words.

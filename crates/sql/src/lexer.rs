@@ -1,7 +1,7 @@
 //! Hand-rolled SQL lexer.
 //!
 //! Statements arrive from users, so this module is held to the same
-//! discipline as the untrusted decode paths (AVQ-L001/L002): every failure
+//! discipline as the untrusted decode paths (DESIGN.md §12): every failure
 //! is a typed [`SqlError`] carrying the byte offset, never a panic, and no
 //! unchecked indexing. Keywords are not distinguished here — the parser
 //! matches identifier text case-insensitively, which keeps the token set
@@ -10,6 +10,19 @@
 //! Tokens borrow their text from the statement: lexing allocates only the
 //! token vector, and an identifier is copied only when the parser keeps it
 //! as a name in the AST.
+
+// Untrusted input is decoded here: a damaged byte is a typed error, never
+// a panic (DESIGN.md §12). Test code is exempt through `clippy.toml`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
 
 use crate::error::SqlError;
 

@@ -1,6 +1,3 @@
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 //! `avq-sql` — a SQL front end and cost-based planner over the AVQ
 //! operators.
 //!

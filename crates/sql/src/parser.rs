@@ -20,8 +20,21 @@
 //! ```
 //!
 //! Input is untrusted, so the parser follows the decode-path discipline
-//! (AVQ-L001): typed [`SqlError::Parse`] with a byte position on every
+//! (DESIGN.md §12): typed [`SqlError::Parse`] with a byte position on every
 //! malformed or truncated statement, never a panic.
+
+// Untrusted input is decoded here: a damaged byte is a typed error, never
+// a panic (DESIGN.md §12). Test code is exempt through `clippy.toml`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
 
 use crate::ast::{
     AggFunc, CmpOp, ColRef, JoinClause, Literal, OrderBy, Predicate, Projection, SelectItem,

@@ -12,6 +12,8 @@
 //! an allocation to a warm statement fails here. A counting global
 //! allocator keeps the tally, so this is the only test in its binary.
 
+#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+
 use avq_db::{Database, DbConfig};
 use avq_obs::QueryCtx;
 use avq_sql::{SqlOutcome, Statement};

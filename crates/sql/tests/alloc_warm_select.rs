@@ -9,6 +9,8 @@
 //! that — it is the only test in this binary so no concurrent test thread
 //! can perturb the counter.
 
+#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+
 use avq_db::{Database, DbConfig, RangePredicate, Selection};
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use avq_sql::SqlOutcome;

@@ -20,7 +20,7 @@ use avq_db::{Database, DbConfig, RangePredicate, Selection};
 use avq_schema::{Domain, Relation, Schema, Tuple, TupleBatch};
 use avq_sql::{run, Cell, SqlOutcome};
 use std::collections::BTreeMap;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const CASES: usize = 300;
 const TIME_BOX: Duration = Duration::from_secs(8);
@@ -306,7 +306,7 @@ fn check_sql(case: &Case, rng: &mut Rng) {
 #[test]
 fn column_kernel_and_folds_match_row_wise_oracles() {
     let mut rng = Rng(0xA5A5_2026);
-    let start = Instant::now();
+    let start = avq_obs::Stopwatch::start();
     let mut ran = 0;
     while ran < CASES && start.elapsed() < TIME_BOX {
         let case = gen_case(&mut rng);

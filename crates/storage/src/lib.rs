@@ -19,9 +19,6 @@
 //! streams on the durable path. [`BufferPool::read_with_retry`] retries
 //! transient faults under a bounded [`RetryPolicy`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod buffer;
 mod clock;
 mod decoded;

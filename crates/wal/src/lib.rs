@@ -31,9 +31,6 @@
 //! std::fs::remove_file(&path).ok();
 //! ```
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod error;
 mod manifest;
 mod reader;

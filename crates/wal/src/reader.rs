@@ -1,5 +1,18 @@
 //! The log reader: scan, torn-tail detection, and truncation.
 
+// Untrusted input is decoded here: a damaged byte is a typed error, never
+// a panic (DESIGN.md §12). Test code is exempt through `clippy.toml`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::error::WalError;
 use crate::record::WalRecord;
 use crate::writer::{Lsn, FRAME_HEADER_BYTES};

@@ -7,6 +7,19 @@
 //! compact (the compressed form is logged, not the raw rows) and lets
 //! recovery share the file reader's checksum and structural validation.
 
+// Untrusted input is decoded here: a damaged byte is a typed error, never
+// a panic (DESIGN.md §12). Test code is exempt through `clippy.toml`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::indexing_slicing,
+    clippy::allow_attributes_without_reason
+)]
+
 use crate::error::WalError;
 use avq_schema::Tuple;
 

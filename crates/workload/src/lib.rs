@@ -11,9 +11,6 @@
 //! * [`QueryWorkload`] — reproducible `σ_{a ≤ A_k ≤ b}` query streams with
 //!   controlled shape and selectivity (§5.3's query family).
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 mod employee;
 mod queries;
 mod synthetic;
