@@ -3,7 +3,7 @@
 
 use crate::csv;
 use crate::spec;
-use avq_codec::{compress, CodecOptions, CodingMode, DecodeKernel, RepChoice};
+use avq_codec::{compress, CodecOptions, CodingMode, RepChoice};
 use avq_db::{Database, DbConfig, DurableDatabase, RecoveryReport, SyncPolicy};
 use avq_schema::{Relation, Value};
 use std::path::Path;
@@ -19,19 +19,6 @@ fn parse_mode(s: &str) -> Result<CodingMode, CliError> {
         "bits" | "avq-chained-bits" => Ok(CodingMode::AvqChainedBits),
         other => Err(format!("unknown mode {other:?} (fieldwise|avq|chained|bits)").into()),
     }
-}
-
-fn parse_kernel(s: &str) -> Result<DecodeKernel, CliError> {
-    DecodeKernel::parse(s).ok_or_else(|| format!("unknown kernel {s:?} (scalar|swar)").into())
-}
-
-/// Loads an `.avq` file, honouring an optional `--kernel` override.
-fn load_coded(path: &Path, kernel: Option<&str>) -> Result<avq_codec::CodedRelation, CliError> {
-    let coded = avq_file::load(path)?;
-    Ok(match kernel {
-        Some(k) => coded.with_kernel(parse_kernel(k)?),
-        None => coded,
-    })
 }
 
 /// `avqtool create <schema.spec> <data.csv> <out.avq> [mode] [block_bytes]`
@@ -235,10 +222,9 @@ pub fn recover_info(dir: &Path) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `avqtool dump <file.avq> [--kernel scalar|swar]` — decompress to CSV
-/// (φ order).
-pub fn dump(path: &Path, kernel: Option<&str>) -> Result<String, CliError> {
-    let coded = load_coded(path, kernel)?;
+/// `avqtool dump <file.avq>` — decompress to CSV (φ order).
+pub fn dump(path: &Path) -> Result<String, CliError> {
+    let coded = avq_file::load(path)?;
     let schema = coded.schema().clone();
     let mut out = String::new();
     for i in 0..coded.block_count() {
@@ -252,11 +238,11 @@ pub fn dump(path: &Path, kernel: Option<&str>) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `avqtool verify <file.avq> [--deep] [--kernel scalar|swar]` — checksum,
-/// structure, and order check; `--deep` additionally re-verifies every
-/// block against its metadata and its own re-encoding.
-pub fn verify(path: &Path, deep: bool, kernel: Option<&str>) -> Result<String, CliError> {
-    let coded = load_coded(path, kernel)?; // checksum + structural checks happen here
+/// `avqtool verify <file.avq> [--deep]` — checksum, structure, and order
+/// check; `--deep` additionally re-verifies every block against its
+/// metadata and its own re-encoding.
+pub fn verify(path: &Path, deep: bool) -> Result<String, CliError> {
+    let coded = avq_file::load(path)?; // checksum + structural checks happen here
     let tuples = check_coded_relation(&coded, deep)?;
     let mut out = format!(
         "ok: {} tuples in {} blocks, checksum valid, φ order intact",
@@ -478,49 +464,38 @@ pub fn inject(path: &Path, seed: u64, k: usize) -> Result<String, CliError> {
     ))
 }
 
-/// `avqtool query <file.avq> <attr> <lo> <hi> [--kernel scalar|swar]` —
-/// selection with block pruning on the clustering prefix (attribute 0).
-pub fn query(
-    path: &Path,
-    attr: &str,
-    lo: &str,
-    hi: &str,
-    kernel: Option<&str>,
-) -> Result<String, CliError> {
-    let coded = load_coded(path, kernel)?;
-    let schema = coded.schema().clone();
-    let attr_idx = schema.index_of(attr)?;
-    let domain = schema.attribute(attr_idx).domain();
-    let lo = parse_value(domain, lo)?;
-    let hi = parse_value(domain, hi)?;
-    let lo_ord = domain.encode(&lo)?;
-    let hi_ord = domain.encode(&hi)?;
+/// `avqtool query <file.avq> <attr> <lo> <hi>` — the rows of
+/// `select * from <file> where <attr> between <lo> and <hi>` as CSV, in φ
+/// order, then a `# N of M blocks decoded` line: `N` is the blocks the
+/// statement's scan read, `M` the relation's. The bounds must lie in the
+/// attribute's domain.
+pub fn query(path: &Path, attr: &str, lo: &str, hi: &str) -> Result<String, CliError> {
+    let (db, name) = database_from_avq(path)?;
+    let schema = db.relation(&name)?.schema();
+    let domain = schema.attribute(schema.index_of(attr)?).domain();
+    for bound in [lo, hi] {
+        domain.encode(&parse_value(domain, bound)?)?;
+    }
+    let stmt = range_select_sql(&db, &name, attr, lo, hi)?;
+    let avq_sql::Statement::Select(stmt) = avq_sql::parse(&stmt)? else {
+        return Err("not a select statement".into());
+    };
+    let bound = avq_sql::bind(&db, &stmt)?;
+    let plan = avq_sql::plan::plan(&db, &bound)?;
+    let exec = avq_sql::exec::execute(&db, &bound, &plan, &avq_obs::QueryCtx::default())?;
 
     let mut out = String::new();
-    let mut blocks_read = 0usize;
-    for i in 0..coded.block_count() {
-        // Prune on the clustering prefix using block bounds.
-        if attr_idx == 0 {
-            let meta = coded.meta(i);
-            if meta.min.digits()[0] > hi_ord || meta.max.digits()[0] < lo_ord {
-                continue;
-            }
-        }
-        blocks_read += 1;
-        for tuple in coded.decode_block(i)? {
-            let v = tuple.digits()[attr_idx];
-            if v >= lo_ord && v <= hi_ord {
-                let row = schema.decode_row(&tuple)?;
-                let fields: Vec<String> = row.iter().map(|x| x.to_string()).collect();
-                out.push_str(&csv::write_record(&fields));
-                out.push('\n');
-            }
-        }
+    for row in &exec.result.rows {
+        let fields: Vec<String> = row.iter().map(|cell| cell.to_string()).collect();
+        out.push_str(&csv::write_record(&fields));
+        out.push('\n');
     }
-    out.push_str(&format!(
-        "# {blocks_read} of {} blocks decoded\n",
-        coded.block_count()
-    ));
+    let decoded: u64 = (exec.stages.iter())
+        .filter(|s| s.stage == "scan")
+        .map(|s| s.blocks)
+        .sum();
+    let blocks = db.relation(&name)?.block_count();
+    out.push_str(&format!("# {decoded} of {blocks} blocks decoded\n"));
     Ok(out)
 }
 
@@ -567,8 +542,8 @@ pub fn convert(
 /// Loads an `.avq` file into an in-memory [`Database`] holding one relation
 /// named after the file stem. Lets `explain`/`explain-join` run against
 /// plain files, not only durable directories.
-fn database_from_avq(path: &Path, kernel: Option<&str>) -> Result<(Database, String), CliError> {
-    let coded = load_coded(path, kernel)?;
+fn database_from_avq(path: &Path) -> Result<(Database, String), CliError> {
+    let coded = avq_file::load(path)?;
     let name = path
         .file_stem()
         .and_then(|s| s.to_str())
@@ -591,13 +566,13 @@ enum SqlTarget {
 }
 
 impl SqlTarget {
-    fn open(path: &Path, kernel: Option<&str>) -> Result<(Self, String), CliError> {
+    fn open(path: &Path) -> Result<(Self, String), CliError> {
         if path.is_dir() {
             let (db, _) = DurableDatabase::open(path, DbConfig::default(), SyncPolicy::Manual)?;
             let names = db.database().relation_names().join(", ");
             Ok((SqlTarget::Durable(Box::new(db)), names))
         } else {
-            let (db, name) = database_from_avq(path, kernel)?;
+            let (db, name) = database_from_avq(path)?;
             Ok((SqlTarget::Memory(db), name))
         }
     }
@@ -656,13 +631,8 @@ impl BudgetFlags {
 /// `avqtool sql <file.avq | db-dir> <statement>` — parse, plan, and run one
 /// SQL statement (see `avq_sql` for the dialect) under the governance
 /// budget described by `flags`.
-pub fn sql(
-    path: &Path,
-    stmt: &str,
-    kernel: Option<&str>,
-    flags: &BudgetFlags,
-) -> Result<String, CliError> {
-    let (target, _) = SqlTarget::open(path, kernel)?;
+pub fn sql(path: &Path, stmt: &str, flags: &BudgetFlags) -> Result<String, CliError> {
+    let (target, _) = SqlTarget::open(path)?;
     let ctx = avq_obs::QueryCtx::from(flags.gov_for(target.db()));
     let outcome = avq_sql::run_with(target.db(), stmt, &ctx)?;
     Ok(format!("{}\n", outcome.render()))
@@ -690,7 +660,6 @@ fn trace_collector(sample: Option<u64>, budget_ms: Option<u64>) -> avq_obs::Trac
 fn run_one_with_trace(
     path: &Path,
     stmt: &str,
-    kernel: Option<&str>,
     collector: avq_obs::TraceCollector,
     flags: &BudgetFlags,
 ) -> Result<
@@ -701,7 +670,7 @@ fn run_one_with_trace(
     ),
     CliError,
 > {
-    let (target, _) = SqlTarget::open(path, kernel)?;
+    let (target, _) = SqlTarget::open(path)?;
     target.db().drop_caches();
     let ctx = avq_obs::QueryCtx {
         trace: collector.begin(),
@@ -718,18 +687,12 @@ fn run_one_with_trace(
 pub fn sql_with_trace(
     path: &Path,
     stmt: &str,
-    kernel: Option<&str>,
     sample: Option<u64>,
     budget_ms: Option<u64>,
     flags: &BudgetFlags,
 ) -> Result<String, CliError> {
-    let (outcome, data, collector) = run_one_with_trace(
-        path,
-        stmt,
-        kernel,
-        trace_collector(sample, budget_ms),
-        flags,
-    )?;
+    let (outcome, data, collector) =
+        run_one_with_trace(path, stmt, trace_collector(sample, budget_ms), flags)?;
     let mut out = format!("{}\n", outcome.render());
     match data {
         Some(d) => {
@@ -748,14 +711,9 @@ pub fn sql_with_trace(
 /// `avqtool trace export <target> "<statement>" [--format chrome|jsonl|text]`
 /// — run one statement fully traced and emit the trace in the requested
 /// format (default: Chrome trace-event JSON for `chrome://tracing`).
-pub fn trace_export(
-    path: &Path,
-    stmt: &str,
-    format: &str,
-    kernel: Option<&str>,
-) -> Result<String, CliError> {
+pub fn trace_export(path: &Path, stmt: &str, format: &str) -> Result<String, CliError> {
     let collector = trace_collector(None, None);
-    let (_, data, _) = run_one_with_trace(path, stmt, kernel, collector, &BudgetFlags::default())?;
+    let (_, data, _) = run_one_with_trace(path, stmt, collector, &BudgetFlags::default())?;
     let d = data.ok_or("trace was not captured")?;
     match format {
         "chrome" => Ok(format!("{}\n", d.render_chrome())),
@@ -768,15 +726,9 @@ pub fn trace_export(
 /// `avqtool trace slow <target> "<statement>" [--budget-ms n]` — run one
 /// statement with the slow-query log armed (default budget: 0 ms, so the
 /// statement always qualifies) and print the slow-query report.
-pub fn trace_slow(
-    path: &Path,
-    stmt: &str,
-    kernel: Option<&str>,
-    budget_ms: Option<u64>,
-) -> Result<String, CliError> {
+pub fn trace_slow(path: &Path, stmt: &str, budget_ms: Option<u64>) -> Result<String, CliError> {
     let collector = trace_collector(None, Some(budget_ms.unwrap_or(0)));
-    let (_, _, collector) =
-        run_one_with_trace(path, stmt, kernel, collector, &BudgetFlags::default())?;
+    let (_, _, collector) = run_one_with_trace(path, stmt, collector, &BudgetFlags::default())?;
     let slow = collector.slow_queries();
     if slow.is_empty() {
         return Ok("no slow queries (root span under budget)\n".to_owned());
@@ -804,7 +756,7 @@ where
     R: std::io::BufRead,
     W: std::io::Write,
 {
-    let (target, names) = SqlTarget::open(path, None)?;
+    let (target, names) = SqlTarget::open(path)?;
     writeln!(output, "avq-sql — relations: {names} (\\q to quit)")?;
     write!(output, "avq> ")?;
     output.flush()?;
@@ -859,7 +811,8 @@ fn sql_literal(domain: &avq_schema::Domain, raw: &str) -> String {
     }
 }
 
-fn explain_select_sql(
+/// `select * from <name> where <attr> between <lo> and <hi>`.
+fn range_select_sql(
     db: &Database,
     name: &str,
     attr: &str,
@@ -869,25 +822,30 @@ fn explain_select_sql(
     let rel = db.relation(name)?;
     let idx = rel.schema().index_of(attr)?;
     let domain = rel.schema().attribute(idx).domain();
-    let stmt = format!(
-        "explain analyze select * from {name} where {attr} between {} and {}",
+    Ok(format!(
+        "select * from {name} where {attr} between {} and {}",
         sql_literal(domain, lo),
         sql_literal(domain, hi)
-    );
-    Ok(format!("{}\n", avq_sql::run(db, &stmt)?.render()))
+    ))
 }
 
-/// `avqtool explain <file.avq> <attribute> <lo> <hi> [--kernel scalar|swar]`
-/// — alias for `avqtool sql <file> "explain analyze select * …"` over the
-/// file's relation.
-pub fn explain_file(
-    path: &Path,
+fn explain_select_sql(
+    db: &Database,
+    name: &str,
     attr: &str,
     lo: &str,
     hi: &str,
-    kernel: Option<&str>,
 ) -> Result<String, CliError> {
-    let (db, name) = database_from_avq(path, kernel)?;
+    let stmt = range_select_sql(db, name, attr, lo, hi)?;
+    let plan = avq_sql::run(db, &format!("explain analyze {stmt}"))?;
+    Ok(format!("{}\n", plan.render()))
+}
+
+/// `avqtool explain <file.avq> <attribute> <lo> <hi>` — alias for
+/// `avqtool sql <file> "explain analyze select * …"` over the file's
+/// relation.
+pub fn explain_file(path: &Path, attr: &str, lo: &str, hi: &str) -> Result<String, CliError> {
+    let (db, name) = database_from_avq(path)?;
     explain_select_sql(&db, &name, attr, lo, hi)
 }
 
@@ -931,7 +889,7 @@ pub fn explain_join_file(
     outer_attr: &str,
     inner_attr: &str,
 ) -> Result<String, CliError> {
-    let (db, name) = database_from_avq(path, None)?;
+    let (db, name) = database_from_avq(path)?;
     explain_join_sql(&db, &name, outer_attr, &name, inner_attr)
 }
 
@@ -1076,8 +1034,6 @@ USAGE:
 FLAGS (any command):
   --metrics-out <path>   write a metrics snapshot after the command
                          (.prom/.txt -> Prometheus text, else JSON)
-  --kernel scalar|swar   decode kernel for dump/query/verify/explain
-                         (default: swar; scalar is the reference path)
   --trace                print the span tree after `sql` (plus the
                          slow-query report when over --budget-ms)
   --sample <n>           keep one trace in n (default: every trace)
@@ -1136,10 +1092,10 @@ mod tests {
         let info_out = info(&avq_path).unwrap();
         assert!(info_out.contains("500 in"));
         assert!(info_out.contains("dept:enum:eng,hr,ops"));
-        let verify_out = verify(&avq_path, false, None).unwrap();
+        let verify_out = verify(&avq_path, false).unwrap();
         assert!(verify_out.starts_with("ok: 500 tuples"));
         // Deep verification extends, never replaces, the pinned line.
-        let deep_out = verify(&avq_path, true, None).unwrap();
+        let deep_out = verify(&avq_path, true).unwrap();
         assert!(deep_out.starts_with(&verify_out), "{deep_out}");
         assert!(
             deep_out.contains("deep:") && deep_out.contains("re-encode byte-identically"),
@@ -1151,7 +1107,7 @@ mod tests {
     #[test]
     fn dump_roundtrips_rows() {
         let (dir, avq_path) = setup("dump", 200);
-        let out = dump(&avq_path, None).unwrap();
+        let out = dump(&avq_path).unwrap();
         let records = csv::parse(&out).unwrap();
         assert_eq!(records.len(), 200);
         // Every dumped row re-encodes under the schema (losslessness at the
@@ -1168,7 +1124,7 @@ mod tests {
     #[test]
     fn query_filters_and_prunes() {
         let (dir, avq_path) = setup("query", 300);
-        let out = query(&avq_path, "years", "10", "12", None).unwrap();
+        let out = query(&avq_path, "years", "10", "12").unwrap();
         let lines: Vec<&str> = out.lines().filter(|l| !l.starts_with('#')).collect();
         assert!(!lines.is_empty());
         for l in &lines {
@@ -1176,9 +1132,69 @@ mod tests {
             assert!((10..=12).contains(&year));
         }
         // Clustering-prefix query reports pruning.
-        let out = query(&avq_path, "dept", "eng", "eng", None).unwrap();
+        let out = query(&avq_path, "dept", "eng", "eng").unwrap();
         let note = out.lines().last().unwrap();
         assert!(note.starts_with("# "));
+        std::fs::remove_dir_all(dir).ok();
+    }
+
+    /// `avqtool query`'s output on four cases, captured from the block
+    /// loop the SQL statement replaced: an attribute-0 equality on an
+    /// enumerated attribute, a non-prefix range, an empty range on the
+    /// clustering attribute (`ops` sorts after `hr`) and an out-of-order
+    /// non-prefix range. The rows are byte-identical. The footer counts
+    /// the blocks the planner's path reads: `dept = hr` is priced as a
+    /// full scan (2 blocks; the attribute-0 prune read 1), and the empty
+    /// clustered range reads none (the prune read the 1 block straddling
+    /// `hr` and `ops`).
+    #[test]
+    fn query_golden_output() {
+        const HR: &str = concat!(
+            "hr,0,-4\nhr,0,3\nhr,1,-4\nhr,1,3\nhr,2,-1\nhr,2,3\n",
+            "hr,3,-5\nhr,3,-1\nhr,4,-5\nhr,4,-1\nhr,5,-5\nhr,5,2\n",
+            "hr,6,-2\nhr,6,2\nhr,7,-2\nhr,7,2\nhr,8,-2\nhr,8,5\n",
+            "hr,9,1\nhr,9,5\nhr,10,1\nhr,10,5\nhr,11,-3\nhr,11,1\n",
+            "hr,12,-3\nhr,12,4\nhr,13,-3\nhr,13,4\nhr,14,0\nhr,14,4\n",
+            "hr,15,-4\nhr,15,0\nhr,16,-4\nhr,16,0\nhr,17,-4\nhr,17,3\n",
+            "hr,18,-1\nhr,18,3\nhr,19,-1\nhr,19,3\nhr,20,-5\nhr,20,-1\n",
+            "hr,21,-5\nhr,21,2\nhr,22,-5\nhr,22,2\nhr,23,-2\nhr,23,2\n",
+            "hr,24,-2\nhr,24,5\nhr,25,-2\nhr,25,5\nhr,26,1\nhr,26,5\n",
+            "hr,27,-3\nhr,27,1\nhr,28,-3\nhr,28,1\nhr,29,-3\nhr,29,4\n",
+            "hr,30,0\nhr,30,4\nhr,31,0\nhr,31,4\nhr,32,-4\nhr,32,0\n",
+            "hr,33,-4\nhr,33,3\nhr,34,-4\nhr,34,3\nhr,35,-1\nhr,35,3\n",
+            "hr,36,-5\nhr,36,-1\nhr,37,-5\nhr,37,-1\nhr,38,-5\nhr,38,2\n",
+            "hr,39,-2\nhr,39,2\nhr,40,-2\nhr,40,2\nhr,41,-2\nhr,41,5\n",
+            "hr,42,1\nhr,42,5\nhr,43,1\nhr,43,5\nhr,44,-3\nhr,44,1\n",
+            "hr,45,-3\nhr,45,4\nhr,46,-3\nhr,46,4\nhr,47,0\nhr,47,4\n",
+            "hr,48,-4\nhr,48,0\nhr,49,-4\nhr,49,0\n",
+        );
+        const YEARS: &str = concat!(
+            "eng,10,-4\neng,10,0\neng,11,-4\neng,11,3\neng,12,-4\neng,12,3\n",
+            "hr,10,1\nhr,10,5\nhr,11,-3\nhr,11,1\nhr,12,-3\nhr,12,4\n",
+            "ops,10,-5\nops,10,2\nops,11,-5\nops,11,2\nops,12,-2\nops,12,2\n",
+        );
+        let (dir, avq_path) = setup("query-golden", 300);
+        for ((attr, lo, hi), expected) in [
+            (
+                ("dept", "hr", "hr"),
+                format!("{HR}# 2 of 2 blocks decoded\n"),
+            ),
+            (
+                ("years", "10", "12"),
+                format!("{YEARS}# 2 of 2 blocks decoded\n"),
+            ),
+            (
+                ("dept", "ops", "hr"),
+                "# 0 of 2 blocks decoded\n".to_owned(),
+            ),
+            (
+                ("years", "12", "10"),
+                "# 2 of 2 blocks decoded\n".to_owned(),
+            ),
+        ] {
+            let out = query(&avq_path, attr, lo, hi).unwrap();
+            assert_eq!(out, expected, "{attr} {lo} {hi}");
+        }
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1211,7 +1227,7 @@ mod tests {
         let msg = convert(&avq_path, &out, "bits", None).unwrap();
         assert!(msg.contains("AVQ-chained-bits"));
         // Same logical contents under the new coding.
-        assert_eq!(dump(&out, None).unwrap(), dump(&avq_path, None).unwrap());
+        assert_eq!(dump(&out).unwrap(), dump(&avq_path).unwrap());
         let info_out = info(&out).unwrap();
         assert!(info_out.contains("AVQ-chained-bits"));
         std::fs::remove_dir_all(dir).ok();
@@ -1334,7 +1350,7 @@ mod tests {
     #[test]
     fn explain_select_golden_format() {
         let (dir, avq_path) = setup("explain", 600);
-        let out = explain_file(&avq_path, "years", "5", "20", None).unwrap();
+        let out = explain_file(&avq_path, "years", "5", "20").unwrap();
         let lines: Vec<&str> = out.lines().collect();
         assert_eq!(
             lines[0],
@@ -1455,7 +1471,6 @@ mod tests {
         let out = sql(
             &db_dir,
             "select dept, count(*) from people group by dept order by dept limit 2",
-            None,
             &BudgetFlags::default(),
         )
         .unwrap();
@@ -1464,7 +1479,6 @@ mod tests {
         let out = sql(
             &db_dir,
             "select count(*) from people a join people b on a.dept = b.dept where a.id < 1",
-            None,
             &BudgetFlags::default(),
         )
         .unwrap();
@@ -1473,7 +1487,6 @@ mod tests {
         let out = sql(
             &db_dir,
             "explain select * from people where id = 7",
-            None,
             &BudgetFlags::default(),
         )
         .unwrap();
@@ -1487,7 +1500,6 @@ mod tests {
         let out = sql(
             &avq_path,
             "select years from data where years = 7",
-            None,
             &BudgetFlags::default(),
         )
         .unwrap();
@@ -1500,21 +1512,9 @@ mod tests {
     #[test]
     fn sql_errors_are_reported_not_panicked() {
         let (dir, avq_path) = setup("sql-err", 10);
-        let err = sql(
-            &avq_path,
-            "select * from nowhere",
-            None,
-            &BudgetFlags::default(),
-        )
-        .unwrap_err();
+        let err = sql(&avq_path, "select * from nowhere", &BudgetFlags::default()).unwrap_err();
         assert!(err.to_string().contains("nowhere"), "{err}");
-        let err = sql(
-            &avq_path,
-            "select * frum data",
-            None,
-            &BudgetFlags::default(),
-        )
-        .unwrap_err();
+        let err = sql(&avq_path, "select * frum data", &BudgetFlags::default()).unwrap_err();
         assert!(!err.to_string().is_empty());
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1545,7 +1545,7 @@ mod tests {
             max_rows: Some(1),
             ..BudgetFlags::default()
         };
-        let err = sql(&avq_path, "select count(*) from data", None, &flags).unwrap_err();
+        let err = sql(&avq_path, "select count(*) from data", &flags).unwrap_err();
         assert_eq!(
             err.to_string(),
             "execution error: governance error: \
@@ -1585,7 +1585,7 @@ mod tests {
             max_decoded_mb: Some(64),
             ..BudgetFlags::default()
         };
-        let out = sql(&avq_path, "select count(*) from data", None, &flags).unwrap();
+        let out = sql(&avq_path, "select count(*) from data", &flags).unwrap();
         assert!(out.contains("200"), "{out}");
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1600,7 +1600,6 @@ mod tests {
         let out = sql_with_trace(
             &db_dir,
             "select a.dept, count(*) from people a join people b on a.id = b.id group by a.dept",
-            None,
             None,
             None,
             &BudgetFlags::default(),
@@ -1644,7 +1643,6 @@ mod tests {
             &db_dir,
             "select count(*) from people",
             None,
-            None,
             Some(0),
             &BudgetFlags::default(),
         )
@@ -1659,7 +1657,7 @@ mod tests {
     fn trace_export_formats_round_trip() {
         let (dir, db_dir) = seeded_db_dir("trace-export");
         let stmt = "select dept, count(*) from people group by dept";
-        let chrome = trace_export(&db_dir, stmt, "chrome", None).unwrap();
+        let chrome = trace_export(&db_dir, stmt, "chrome").unwrap();
         // Loadable by chrome://tracing: one top-level object with a
         // traceEvents array of complete events.
         assert!(chrome.starts_with("{\"traceEvents\":["), "{chrome}");
@@ -1675,15 +1673,15 @@ mod tests {
             chrome.matches('}').count(),
             "unbalanced braces: {chrome}"
         );
-        let jsonl = trace_export(&db_dir, stmt, "jsonl", None).unwrap();
+        let jsonl = trace_export(&db_dir, stmt, "jsonl").unwrap();
         assert!(jsonl.lines().count() >= 4, "{jsonl}");
         for line in jsonl.lines() {
             assert!(line.starts_with("{\"trace\":"), "{line}");
             assert!(line.ends_with("}}"), "{line}");
         }
-        let text = trace_export(&db_dir, stmt, "text", None).unwrap();
+        let text = trace_export(&db_dir, stmt, "text").unwrap();
         assert!(text.starts_with("trace "), "{text}");
-        assert!(trace_export(&db_dir, stmt, "yaml", None).is_err());
+        assert!(trace_export(&db_dir, stmt, "yaml").is_err());
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1696,7 +1694,6 @@ mod tests {
         let out = trace_slow(
             &db_dir,
             "select dept, count(*) from people where id < 50 group by dept",
-            None,
             Some(0),
         )
         .unwrap();
@@ -1728,13 +1725,7 @@ mod tests {
             "{out}"
         );
         // Under budget: a large budget yields no slow queries.
-        let quiet = trace_slow(
-            &db_dir,
-            "select count(*) from people",
-            None,
-            Some(3_600_000),
-        )
-        .unwrap();
+        let quiet = trace_slow(&db_dir, "select count(*) from people", Some(3_600_000)).unwrap();
         assert_eq!(quiet, "no slow queries (root span under budget)\n");
         std::fs::remove_dir_all(dir).ok();
     }
@@ -1837,8 +1828,8 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         std::fs::write(&avq_path, &bytes).unwrap();
-        assert!(verify(&avq_path, false, None).is_err());
-        assert!(verify(&avq_path, true, None).is_err());
+        assert!(verify(&avq_path, false).is_err());
+        assert!(verify(&avq_path, true).is_err());
         std::fs::remove_dir_all(dir).ok();
     }
 
@@ -1915,7 +1906,7 @@ mod tests {
         assert!(clean.contains("result:    clean"), "{clean}");
         let manifest = avq_wal::Manifest::read_dir(&db_dir).unwrap().unwrap();
         for entry in &manifest.relations {
-            let v = verify(&db_dir.join(&entry.snapshot), true, None).unwrap();
+            let v = verify(&db_dir.join(&entry.snapshot), true).unwrap();
             assert!(v.contains("re-encode byte-identically"), "{v}");
         }
 

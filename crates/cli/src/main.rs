@@ -49,8 +49,6 @@ fn take_switch(args: &mut Vec<String>, name: &str) -> bool {
 struct Switches {
     deep: bool,
     repair: bool,
-    /// `--kernel scalar|swar` decode-kernel override for read commands.
-    kernel: Option<String>,
     /// `--trace`: print the span tree after a `sql` statement.
     trace: bool,
     /// `--sample <n>`: keep one trace in `n` (default: every trace).
@@ -69,7 +67,6 @@ fn run(args: &[String]) -> Result<String, commands::CliError> {
     let switches = Switches {
         deep: take_switch(&mut args, "--deep"),
         repair: take_switch(&mut args, "--repair"),
-        kernel: take_flag(&mut args, "--kernel")?,
         trace: take_switch(&mut args, "--trace"),
         sample: take_flag(&mut args, "--sample")?
             .map(|s| s.parse())
@@ -120,15 +117,11 @@ fn dispatch(
         ("open", [dir]) => commands::open(Path::new(dir)),
         ("checkpoint", [dir]) => commands::checkpoint(Path::new(dir)),
         ("recover-info", [dir]) => commands::recover_info(Path::new(dir)),
-        ("dump", [path]) => commands::dump(Path::new(path), switches.kernel.as_deref()),
-        ("verify", [path]) => {
-            commands::verify(Path::new(path), switches.deep, switches.kernel.as_deref())
-        }
+        ("dump", [path]) => commands::dump(Path::new(path)),
+        ("verify", [path]) => commands::verify(Path::new(path), switches.deep),
         ("scrub", [path]) => commands::scrub(Path::new(path), switches.repair),
         ("inject", [path, seed, k]) => commands::inject(Path::new(path), seed.parse()?, k.parse()?),
-        ("query", [path, attr, lo, hi]) => {
-            commands::query(Path::new(path), attr, lo, hi, switches.kernel.as_deref())
-        }
+        ("query", [path, attr, lo, hi]) => commands::query(Path::new(path), attr, lo, hi),
         ("convert", rest) if rest.len() >= 3 => commands::convert(
             Path::new(&rest[0]),
             Path::new(&rest[1]),
@@ -138,9 +131,7 @@ fn dispatch(
         ("stats", rest) if rest.len() <= 1 => {
             commands::stats(rest.first().map(Path::new), format.unwrap_or("prom"))
         }
-        ("explain", [path, attr, lo, hi]) => {
-            commands::explain_file(Path::new(path), attr, lo, hi, switches.kernel.as_deref())
-        }
+        ("explain", [path, attr, lo, hi]) => commands::explain_file(Path::new(path), attr, lo, hi),
         ("explain", [dir, relation, attr, lo, hi]) => {
             commands::explain_dir(Path::new(dir), relation, attr, lo, hi)
         }
@@ -154,29 +145,17 @@ fn dispatch(
         ("sql", [target, stmt]) if switches.trace => commands::sql_with_trace(
             Path::new(target),
             stmt,
-            switches.kernel.as_deref(),
             switches.sample,
             switches.budget_ms,
             &switches.budget,
         ),
-        ("sql", [target, stmt]) => commands::sql(
-            Path::new(target),
-            stmt,
-            switches.kernel.as_deref(),
-            &switches.budget,
-        ),
-        ("trace", [sub, target, stmt]) if sub == "export" => commands::trace_export(
-            Path::new(target),
-            stmt,
-            format.unwrap_or("chrome"),
-            switches.kernel.as_deref(),
-        ),
-        ("trace", [sub, target, stmt]) if sub == "slow" => commands::trace_slow(
-            Path::new(target),
-            stmt,
-            switches.kernel.as_deref(),
-            switches.budget_ms,
-        ),
+        ("sql", [target, stmt]) => commands::sql(Path::new(target), stmt, &switches.budget),
+        ("trace", [sub, target, stmt]) if sub == "export" => {
+            commands::trace_export(Path::new(target), stmt, format.unwrap_or("chrome"))
+        }
+        ("trace", [sub, target, stmt]) if sub == "slow" => {
+            commands::trace_slow(Path::new(target), stmt, switches.budget_ms)
+        }
         ("help", _) | ("--help", _) | ("-h", _) => Ok(commands::USAGE.to_string()),
         (other, _) => Err(format!("unknown or malformed command {other:?}").into()),
     }

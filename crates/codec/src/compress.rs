@@ -195,15 +195,6 @@ impl CodedRelation {
             .with_kernel(self.options.kernel)
     }
 
-    /// Same relation, decoded through a different kernel. The coded bytes
-    /// are untouched — only the decode path selected by [`Self::codec`]
-    /// changes.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: DecodeKernel) -> Self {
-        self.options.kernel = kernel;
-        self
-    }
-
     /// Number of coded blocks.
     #[inline]
     pub fn block_count(&self) -> usize {

@@ -1,49 +1,8 @@
-//! Shared by the counting-allocator tests: the allocator, the relation
-//! they code, and the per-block bound of the batch decode path. Each test is the
-//! only one in its binary so no concurrent test thread can perturb the
-//! counters.
+//! Shared by the codec's counting-allocator tests: the relation they code
+//! and the per-block bound of the batch decode path.
 
 use avq_codec::{compress, CodecOptions, CodedRelation, CodingMode};
 use avq_schema::{Domain, Relation, Schema, Tuple};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-pub struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-static LARGEST: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LARGEST.fetch_max(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        LARGEST.fetch_max(new_size as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-/// Allocator calls (alloc + realloc) so far.
-#[allow(dead_code)] // alloc_untrusted bounds sizes, not counts
-pub fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
-
-/// The largest single alloc/realloc request, in bytes, since the last
-/// call; reading it starts a new window.
-#[allow(dead_code)] // only alloc_untrusted bounds sizes
-pub fn take_largest_request() -> u64 {
-    LARGEST.swap(0, Ordering::Relaxed)
-}
-
 pub const N: u64 = 100_000;
 
 /// Allocations the batch path may spend per block once its scratch and

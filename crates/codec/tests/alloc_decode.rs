@@ -9,16 +9,15 @@
 //!
 //! [`BlockCodec::decode_batch_into`]: avq_codec::BlockCodec::decode_batch_into
 
-#![allow(unsafe_code, reason = "counting GlobalAlloc")]
-
 mod alloc_common;
+#[allow(unsafe_code, reason = "a counting GlobalAlloc")]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use alloc_common::{allocs, coded, relation, CountingAlloc, N, PER_BLOCK};
+use alloc_common::{coded, relation, N, PER_BLOCK};
 use avq_codec::{CodingMode, DecodeKernel, DecodeScratch};
 use avq_schema::{Tuple, TupleBatch};
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+use counting_alloc::allocs;
 
 #[test]
 fn sequential_decode_allocates_one_vec_per_tuple() {

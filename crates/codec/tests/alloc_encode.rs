@@ -8,15 +8,14 @@
 //! [`BlockCodec::encode_into`]: avq_codec::BlockCodec::encode_into
 //! [`BlockCodec::measure`]: avq_codec::BlockCodec::measure
 
-#![allow(unsafe_code, reason = "counting GlobalAlloc")]
-
 mod alloc_common;
+#[allow(unsafe_code, reason = "a counting GlobalAlloc")]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use alloc_common::{allocs, coded, relation, CountingAlloc, N};
+use alloc_common::{coded, relation, N};
 use avq_codec::CodingMode;
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+use counting_alloc::allocs;
 
 #[test]
 fn encode_and_measure_allocate_a_constant_per_block() {

@@ -9,16 +9,15 @@
 //! first and stays under a kilobyte). `proptests.rs` shows the same inputs
 //! never panic; the allocator here shows they never balloon.
 
-#![allow(unsafe_code, reason = "counting GlobalAlloc")]
-
 mod alloc_common;
+#[allow(unsafe_code, reason = "a counting GlobalAlloc")]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
-use alloc_common::{coded, relation, take_largest_request, CountingAlloc};
+use alloc_common::{coded, relation};
 use avq_codec::{BlockCodec, CodingMode, DecodeKernel, DecodeScratch};
 use avq_schema::{Tuple, TupleBatch};
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+use counting_alloc::take_largest_request;
 
 /// Runs every decoder entry point over `bytes` — fresh scratch and output,
 /// so nothing is served from capacity an earlier call left behind — and

@@ -96,8 +96,9 @@ impl StoredRelation {
 
         // General path: stream the selection through a fold (matching
         // tuples are never materialized).
-        let (state, cost, _) = self.fold_matching(
+        let (state, cost) = self.fold_matching(
             selection,
+            self.access_path(selection),
             &QueryCtx::default(),
             AggState::default(),
             |st, run, sel| st.fold(agg, run, sel),
@@ -114,8 +115,9 @@ impl StoredRelation {
         agg: Aggregate,
         selection: &Selection,
     ) -> Result<(BTreeMap<u64, AggregateValue>, QueryCost), DbError> {
-        let (groups, cost, _) = self.fold_matching(
+        let (groups, cost) = self.fold_matching(
             selection,
+            self.access_path(selection),
             &QueryCtx::default(),
             BTreeMap::<u64, AggState>::new(),
             |groups, run, sel| {

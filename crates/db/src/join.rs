@@ -54,7 +54,7 @@ pub fn equijoin(
 }
 
 /// Block nested-loop equijoin.
-pub fn block_nested_loop(
+fn block_nested_loop(
     outer: &StoredRelation,
     outer_attr: usize,
     inner: &StoredRelation,
@@ -65,7 +65,7 @@ pub fn block_nested_loop(
 
 /// Index nested-loop equijoin (inner must have a secondary index on
 /// `inner_attr`; falls back to the candidate-block scan otherwise).
-pub fn index_nested_loop(
+fn index_nested_loop(
     outer: &StoredRelation,
     outer_attr: usize,
     inner: &StoredRelation,

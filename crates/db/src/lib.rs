@@ -44,11 +44,9 @@ mod cost;
 mod database;
 mod durable;
 mod error;
-mod explain;
 mod join;
 mod query;
 mod relation_store;
-mod scan;
 mod secondary;
 mod synopsis;
 
@@ -58,18 +56,18 @@ pub use cost::QueryCost;
 pub use database::Database;
 pub use durable::{CheckpointReport, DurableDatabase, RecoveryReport};
 pub use error::DbError;
-pub use explain::{format_elapsed, CacheMark, ExplainReport, StageReport};
 // Re-exported so durable callers need not depend on `avq-wal` directly.
 pub use avq_wal::SyncPolicy;
 // Re-exported so degraded-mode callers need not depend on `avq-storage`.
 pub use avq_storage::RetryPolicy;
-pub use join::{block_nested_loop, equijoin, index_nested_loop, JoinStrategy};
-pub use query::{AccessPath, RangePredicate, Selection};
+pub use join::{equijoin, JoinStrategy};
+pub use query::{
+    cheapest, AccessPath, Est, RangePredicate, ScanAlt, Selection, TableStats, INDEX_DESCENT_BLOCKS,
+};
 pub use relation_store::{
     row_mem_bytes, uncoded_block_count, BlockReads, Served, StoredBlock, StoredRelation,
 };
 pub use synopsis::{ColumnSynopsis, Synopsis};
 
 pub use avq_obs::{GovCtx, GovUsage, GovernanceError, QueryBudget, QueryCtx, QuotaKind};
-pub use scan::RangeScan;
 pub use secondary::{SecondaryIndex, SplitPostings};

@@ -1,12 +1,20 @@
-//! Conjunctive selections with access-path planning.
+//! Conjunctive selections and the one access-path chooser.
 //!
 //! §4 of the paper argues that "standard database operations remain the
 //! same even when the database is AVQ coded". This module demonstrates it
 //! beyond single-attribute ranges: a [`Selection`] is a conjunction of
-//! per-attribute range predicates; the planner picks the cheapest access
-//! path (clustered prefix range, a secondary index, or a full scan) and
-//! filters the remaining conjuncts after block decode, one column at a
-//! time ([`Selection::filter_block`]).
+//! per-attribute range predicates, reached through one [`AccessPath`]
+//! (clustered prefix range, a secondary index, or a full scan) and
+//! filtered after block decode, one column at a time
+//! ([`Selection::filter_block`]).
+//!
+//! Which path reaches the blocks is priced once, here, by §5.3's
+//! `C = I + N·(t₁ + t₂)` (Eq. 5.7): [`TableStats::scan_alternatives`]
+//! lists every applicable path with its estimate, and [`cheapest`] picks
+//! one. The SQL planner and the facade operators ([`StoredRelation::select`],
+//! [`StoredRelation::aggregate`], [`StoredRelation::aggregate_group_by`])
+//! both choose through them, so a conjunction reads the same blocks
+//! whichever way it is asked.
 
 use crate::cost::{CostTracker, QueryCost};
 use crate::error::DbError;
@@ -31,11 +39,6 @@ impl RangePredicate {
     pub fn equals(attr: usize, v: u64) -> Self {
         RangePredicate { attr, lo: v, hi: v }
     }
-
-    /// Width of the accepted range (for selectivity ordering).
-    fn width(&self) -> u64 {
-        self.hi.saturating_sub(self.lo)
-    }
 }
 
 /// A conjunction of range predicates.
@@ -44,7 +47,7 @@ pub struct Selection {
     predicates: Vec<RangePredicate>,
 }
 
-/// Which access path the planner chose (reported for tests/experiments).
+/// How a selection reaches its relation's blocks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessPath {
     /// Contiguous block range via the primary index (clustering prefix).
@@ -173,25 +176,6 @@ impl Selection {
             }
         }
         prefix
-    }
-
-    /// Chooses the access path for `rel`: a clustering-prefix conjunct wins
-    /// (contiguous I/O); otherwise the *narrowest* conjunct with a secondary
-    /// index; otherwise a full scan.
-    pub fn plan(&self, rel: &StoredRelation) -> AccessPath {
-        if self.predicates.iter().any(|p| p.attr == 0) {
-            return AccessPath::ClusteredRange;
-        }
-        let mut best: Option<&RangePredicate> = None;
-        for p in &self.predicates {
-            if rel.has_secondary_index(p.attr) && best.is_none_or(|b| p.width() < b.width()) {
-                best = Some(p);
-            }
-        }
-        match best {
-            Some(p) => AccessPath::SecondaryIndex { attr: p.attr },
-            None => AccessPath::FullScan,
-        }
     }
 }
 
@@ -330,14 +314,188 @@ impl core::fmt::Display for AccessPath {
     }
 }
 
+/// Cost and cardinality estimates of one plan node, in Eq. 5.7's terms.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Est {
+    /// Estimated output rows.
+    pub rows: f64,
+    /// Estimated data blocks read by this node (0 for pure operators).
+    pub blocks: f64,
+    /// Estimated simulated milliseconds for this node.
+    pub cost_ms: f64,
+}
+
+/// Estimated index height charged per descent (`I` of Eq. 5.7).
+pub const INDEX_DESCENT_BLOCKS: f64 = 2.0;
+
+/// One costed access path of a relation's menu.
+#[derive(Debug, Clone, Copy)]
+pub struct ScanAlt {
+    /// The path.
+    pub path: AccessPath,
+    /// What reading the selection through it is estimated to cost.
+    pub est: Est,
+}
+
+/// The inputs of Eq. 5.7 for one stored relation, snapshotted when
+/// planning. Whether an attribute is indexed, and how large its domain
+/// is, are read from `rel` where the cost model asks.
+#[derive(Debug, Clone, Copy)]
+pub struct TableStats<'a> {
+    /// The relation priced.
+    pub rel: &'a StoredRelation,
+    /// Data blocks (`B`).
+    pub blocks: f64,
+    /// Tuples.
+    pub tuples: f64,
+    /// t₁: device transfer time per block, data or index.
+    pub transfer_ms: f64,
+    /// t₂: CPU time per data block processed.
+    pub cpu_ms: f64,
+    /// Fraction of data blocks resident in the decoded cache.
+    pub resident: f64,
+    /// Decoded-cache capacity in blocks.
+    pub cache_blocks: f64,
+}
+
+impl<'a> TableStats<'a> {
+    /// Snapshots `rel`'s block and tuple counts, its cost profile and how
+    /// much of it the decoded cache holds now.
+    pub fn of(rel: &'a StoredRelation) -> Self {
+        let config = rel.config();
+        let blocks = rel.block_count() as f64;
+        let resident = if rel.block_count() == 0 {
+            0.0
+        } else {
+            (rel.decoded_cache_len() as f64 / blocks).min(1.0)
+        };
+        TableStats {
+            rel,
+            blocks,
+            tuples: rel.tuple_count() as f64,
+            transfer_ms: config.disk.block_time_ms(config.codec.block_capacity),
+            cpu_ms: config.cpu_ms_per_block,
+            resident,
+            cache_blocks: config.decoded_cache_blocks as f64,
+        }
+    }
+
+    /// Effective cost of reading `n` estimated data blocks: residency saves
+    /// the transfer t₁, never the per-block CPU t₂. A warm relation thus
+    /// prices cheaper than a cold one, and a point probe still beats
+    /// reading the whole relation.
+    pub fn data_ms(&self, n: f64) -> f64 {
+        n * (self.transfer_ms * (1.0 - self.resident) + self.cpu_ms)
+    }
+
+    /// Fraction of `attr`'s domain that `lo..=hi` accepts, under §5.3's
+    /// uniform assumption.
+    pub fn fraction(&self, attr: usize, (lo, hi): (u64, u64)) -> f64 {
+        if lo > hi {
+            return 0.0;
+        }
+        let size = (self.rel.schema().attributes().get(attr))
+            .map_or(1.0, |a| a.domain().size() as f64)
+            .max(1.0);
+        ((hi - lo + 1) as f64 / size).min(1.0)
+    }
+
+    /// Fraction of the relation `sel` accepts, conjuncts independent.
+    pub fn selectivity(&self, sel: &Selection) -> f64 {
+        (0..self.rel.schema().arity())
+            .filter_map(|attr| sel.range_of(attr).map(|r| self.fraction(attr, r)))
+            .product()
+    }
+
+    /// The access-path menu for `sel`: every applicable path priced as
+    /// `C = I + N·(t₁ + t₂)`. The full scan comes first and is always
+    /// there; the clustered range is the φ-interval of the equality prefix
+    /// ([`Selection::clustered_prefix`]), so its estimate and its
+    /// candidate set come from one rule.
+    pub fn scan_alternatives(&self, sel: &Selection) -> Vec<ScanAlt> {
+        let rows = self.tuples * self.selectivity(sel);
+        let mut alts = Vec::new();
+
+        // Full scan: N = every block, I = 0.
+        alts.push(ScanAlt {
+            path: AccessPath::FullScan,
+            est: Est {
+                rows,
+                blocks: self.blocks,
+                cost_ms: self.data_ms(self.blocks),
+            },
+        });
+
+        // Clustered range: the contiguous blocks of the equality prefix's
+        // φ-interval, N ≈ blocks × the fraction of φ-space it spans.
+        let prefix = sel.clustered_prefix();
+        if !prefix.is_empty() {
+            let frac: f64 = prefix
+                .iter()
+                .enumerate()
+                .map(|(attr, &r)| self.fraction(attr, r))
+                .product();
+            let n = if frac == 0.0 {
+                0.0
+            } else {
+                (self.blocks * frac).max(1.0).min(self.blocks)
+            };
+            alts.push(ScanAlt {
+                path: AccessPath::ClusteredRange,
+                est: Est {
+                    rows,
+                    blocks: n,
+                    cost_ms: INDEX_DESCENT_BLOCKS * self.transfer_ms + self.data_ms(n),
+                },
+            });
+        }
+
+        // Secondary-index probe per indexed, constrained, non-prefix
+        // attribute: matching tuples may each live in a distinct block, so
+        // N ≈ min(B, M).
+        for attr in 1..self.rel.schema().arity() {
+            let Some(range) = sel.range_of(attr) else {
+                continue;
+            };
+            if !self.rel.has_secondary_index(attr) {
+                continue;
+            }
+            let n = (self.tuples * self.fraction(attr, range)).min(self.blocks);
+            alts.push(ScanAlt {
+                path: AccessPath::SecondaryIndex { attr },
+                est: Est {
+                    rows,
+                    blocks: n,
+                    cost_ms: INDEX_DESCENT_BLOCKS * self.transfer_ms + self.data_ms(n),
+                },
+            });
+        }
+        alts
+    }
+}
+
+/// The cheapest entry of an access-path menu (the first of equals), or
+/// `None` for an empty one.
+pub fn cheapest(menu: &[ScanAlt]) -> Option<&ScanAlt> {
+    menu.iter()
+        .min_by(|a, b| a.est.cost_ms.total_cmp(&b.est.cost_ms))
+}
+
 impl StoredRelation {
-    /// Candidate data blocks for `selection` through the access path it
-    /// planned (or any explicitly supplied `path`): the contiguous primary
-    /// run meeting the φ-interval of [`Selection::clustered_prefix`], the
-    /// union of secondary-index postings for an indexed conjunct, or every
-    /// block. Shared by
-    /// [`Self::fold_matching`], `EXPLAIN ANALYZE`, and the SQL executor so
-    /// all three walk identical block sets.
+    /// The access path `selection` reads through: the cheapest entry of
+    /// this relation's menu ([`TableStats::scan_alternatives`]), as the SQL
+    /// planner picks it for a one-table statement.
+    pub fn access_path(&self, selection: &Selection) -> AccessPath {
+        let menu = TableStats::of(self).scan_alternatives(selection);
+        cheapest(&menu).map_or(AccessPath::FullScan, |alt| alt.path)
+    }
+
+    /// Candidate data blocks for `selection` through `path`: the
+    /// contiguous primary run meeting the φ-interval of
+    /// [`Selection::clustered_prefix`], the union of secondary-index
+    /// postings for an indexed conjunct, or every block. Shared by
+    /// [`Self::fold_matching`] and the SQL executor, so both walk
+    /// identical block sets.
     pub fn candidate_blocks(
         &self,
         selection: &Selection,
@@ -353,25 +511,26 @@ impl StoredRelation {
         }
     }
 
-    /// Streams every block's matching rows through `f` — the decoded block
-    /// and its selection vector from [`Selection::filter_block`] — without
-    /// materializing the result set: the one loop that turns candidate
-    /// blocks into filtered rows, behind
+    /// Streams the matching rows of the blocks `path` reaches through `f`
+    /// — the decoded block and its selection vector from
+    /// [`Selection::filter_block`] — without materializing the result set:
+    /// the one loop that turns candidate blocks into filtered rows, behind
     /// [`Self::select`], [`Self::select_range`], [`Self::aggregate`] and
     /// [`Self::aggregate_group_by`]. Blocks come through
-    /// [`Self::read_blocks`] under `ctx`; the cost counts the blocks and
-    /// tuples actually served, so one skipped under
+    /// [`Self::read_blocks`] under `ctx`, so a cancelled or tripped read
+    /// stops within one block with [`DbError::Governance`]; the cost counts
+    /// the blocks and tuples actually served, so one skipped under
     /// [`crate::ScanPolicy::SkipCorrupt`] is in neither.
     pub fn fold_matching<T>(
         &self,
         selection: &Selection,
+        path: AccessPath,
         ctx: &QueryCtx,
         init: T,
         mut f: impl FnMut(&mut T, &TupleBatch, &[u32]),
-    ) -> Result<(T, QueryCost, AccessPath), DbError> {
+    ) -> Result<(T, QueryCost), DbError> {
         let _span = avq_obs::span!(names::SPAN_DB_SELECT);
         avq_obs::counter!(names::DB_QUERIES).inc();
-        let path = selection.plan(self);
         let mut tracker = CostTracker::new(self.device());
         let candidates: Vec<BlockId> = self.candidate_blocks(selection, path)?;
         tracker.end_index_phase();
@@ -387,21 +546,30 @@ impl StoredRelation {
             f(&mut acc, &run, &sel);
         }
         tracker.end_data_phase();
-        Ok((acc, tracker.cost, path))
+        Ok((acc, tracker.cost))
     }
 
-    /// Executes a conjunctive selection, returning matching tuples, the
-    /// cost, and the access path used.
+    /// Executes a conjunctive selection through [`Self::access_path`],
+    /// returning matching tuples, the cost, and the access path used.
     pub fn select(
         &self,
         selection: &Selection,
     ) -> Result<(Vec<Tuple>, QueryCost, AccessPath), DbError> {
-        self.fold_matching(
-            selection,
-            &QueryCtx::default(),
-            Vec::new(),
-            |out, run, sel| out.extend(sel.iter().map(|&i| run.tuple(i as usize))),
-        )
+        let path = self.access_path(selection);
+        let (rows, cost) = self.select_through(selection, path)?;
+        Ok((rows, cost, path))
+    }
+
+    /// The tuples of `selection` read through `path`, in block order.
+    pub(crate) fn select_through(
+        &self,
+        selection: &Selection,
+        path: AccessPath,
+    ) -> Result<(Vec<Tuple>, QueryCost), DbError> {
+        let ctx = QueryCtx::default();
+        self.fold_matching(selection, path, &ctx, Vec::new(), |out, run, sel| {
+            out.extend(sel.iter().map(|&i| run.tuple(i as usize)))
+        })
     }
 }
 
@@ -488,10 +656,15 @@ pub(crate) mod tests {
                 lo: 100,
                 hi: 400,
             });
-        let (mut rows, cost, path) = rel.select(&sel).unwrap();
+        let (mut rows, cost, _) = rel.select(&sel).unwrap();
         rows.sort_unstable();
         assert_eq!(rows, brute_force(&rel, &sel));
-        assert_eq!(path, AccessPath::SecondaryIndex { attr: 1 });
+        assert_eq!(cost.tuples_matched, rows.len());
+        // The index on attribute 1 reads the same rows.
+        let path = AccessPath::SecondaryIndex { attr: 1 };
+        let (mut via_index, cost) = rel.select_through(&sel, path).unwrap();
+        via_index.sort_unstable();
+        assert_eq!(via_index, rows);
         assert_eq!(cost.tuples_matched, rows.len());
     }
 

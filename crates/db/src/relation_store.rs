@@ -11,7 +11,7 @@
 use crate::config::{DbConfig, ScanPolicy};
 use crate::cost::{CostTracker, QueryCost};
 use crate::error::DbError;
-use crate::query::{RangePredicate, Selection};
+use crate::query::{AccessPath, RangePredicate, Selection};
 use crate::secondary::SecondaryIndex;
 use crate::synopsis::{ColumnSynopsis, Synopsis};
 #[cfg(test)]
@@ -948,21 +948,26 @@ impl StoredRelation {
         Ok((found, tracker.cost))
     }
 
-    /// Executes `σ_{lo ≤ A_attr ≤ hi}` and returns the matching tuples with
-    /// the measured cost: [`Self::select`] of the one conjunct, so the
-    /// access path is [`Selection::plan`]'s — attribute 0 is the clustering
-    /// prefix of the φ order and is served by the primary index; other
-    /// attributes use their secondary index when one exists, and otherwise
-    /// scan every block.
+    /// Executes §5.3's `σ_{lo ≤ A_attr ≤ hi}` and returns the matching
+    /// tuples with the measured cost. The path is the one the paper's
+    /// figures measure, not a priced choice: attribute 0 is the clustering
+    /// prefix of the φ order and is served by the primary index; another
+    /// attribute reads through its secondary index when one exists, and
+    /// otherwise every block is scanned.
     pub fn select_range(
         &self,
         attr: usize,
         lo: u64,
         hi: u64,
     ) -> Result<(Vec<Tuple>, QueryCost), DbError> {
-        let selection = Selection::all().and(RangePredicate { attr, lo, hi });
-        let (rows, cost, _) = self.select(&selection)?;
-        Ok((rows, cost))
+        let path = if attr == 0 {
+            AccessPath::ClusteredRange
+        } else if self.has_secondary_index(attr) {
+            AccessPath::SecondaryIndex { attr }
+        } else {
+            AccessPath::FullScan
+        };
+        self.select_through(&Selection::all().and(RangePredicate { attr, lo, hi }), path)
     }
 
     /// Candidate blocks for a clustered-range scan: the contiguous run of

@@ -9,51 +9,14 @@
 //! counts per thread, so the tests of this binary running side by side do
 //! not perturb each other.
 
-#![allow(unsafe_code, reason = "counting GlobalAlloc")]
-
 use avq_db::{AccessPath, DbConfig, RangePredicate, Selection, StoredRelation};
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use avq_storage::{BlockDevice, BufferPool};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use counting_alloc::counted as allocs;
 
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor: reading it never
-    // allocates, so the allocator may use it.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Allocations `f` makes on the calling thread, and its result.
-fn allocs<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (ALLOCS.with(Cell::get) - before, out)
-}
+#[allow(unsafe_code, reason = "a counting GlobalAlloc")]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// What growing a vector to `len` elements may cost: its first allocation
 /// and one reallocation per doubling.

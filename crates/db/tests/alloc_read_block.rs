@@ -11,51 +11,16 @@
 //! counting global allocator pins all three; it counts per thread, so the
 //! tests of this binary running side by side do not perturb each other.
 
-#![allow(unsafe_code, reason = "counting GlobalAlloc")]
-
 use avq_codec::{BlockCodec, CodingMode, DecodeScratch};
 use avq_db::{DbConfig, GovCtx, QueryBudget, QueryCtx, StoredRelation};
 use avq_schema::{Domain, Relation, Schema, Tuple, TupleBatch};
 use avq_storage::{BlockDevice, BufferPool};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+use counting_alloc::allocs;
 use std::sync::Arc;
 
-struct CountingAlloc;
-
-thread_local! {
-    // Const-initialised and without a destructor: reading it never
-    // allocates, so the allocator may use it.
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn count_one() {
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Allocations made so far by the calling thread.
-fn allocs() -> u64 {
-    ALLOCS.with(Cell::get)
-}
+#[allow(unsafe_code, reason = "a counting GlobalAlloc")]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// The relation both tests read: 20 000 tuples over three attributes.
 fn relation() -> Relation {

@@ -3,10 +3,11 @@
 //! φ order is lexicographic, so equalities on attributes `0..k` plus at most
 //! one range on attribute `k` admit exactly one φ-interval. Over random
 //! relations and selections, the clustered candidate set must be exactly
-//! the blocks whose `[min, max]` meets that interval, and `select` must
-//! return what a filtered full scan returns.
+//! the blocks whose `[min, max]` meets that interval, and `select` and a
+//! read through the clustered path must return what a filtered full scan
+//! returns.
 
-use avq_db::{AccessPath, Database, DbConfig, RangePredicate, Selection};
+use avq_db::{AccessPath, Database, DbConfig, QueryCtx, RangePredicate, Selection};
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -101,15 +102,28 @@ proptest! {
             prop_assert_eq!(got, expected);
         }
 
-        let (mut rows, _, path) = rel.select(&sel).unwrap();
-        prop_assert_eq!(path == AccessPath::ClusteredRange, constrained);
-        rows.sort_unstable();
         let brute: Vec<Tuple> = rel
             .scan_all()
             .unwrap()
             .into_iter()
             .filter(|t| admits(&sel, t.digits()))
             .collect();
-        prop_assert_eq!(rows, brute);
+        let (mut rows, _, _) = rel.select(&sel).unwrap();
+        rows.sort_unstable();
+        prop_assert_eq!(&rows, &brute);
+        if constrained {
+            // The clustered path, named rather than priced, reads the same.
+            let (mut rows, _) = rel
+                .fold_matching(
+                    &sel,
+                    AccessPath::ClusteredRange,
+                    &QueryCtx::default(),
+                    Vec::new(),
+                    |out, run, sel| out.extend(sel.iter().map(|&i| run.tuple(i as usize))),
+                )
+                .unwrap();
+            rows.sort_unstable();
+            prop_assert_eq!(rows, brute);
+        }
     }
 }

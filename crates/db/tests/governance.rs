@@ -1,6 +1,5 @@
 //! Cancellation and quota semantics of scans run under a budget, through
-//! the two context-taking readers: the streaming `range_scan` and the
-//! `fold_matching` block loop.
+//! the `fold_matching` block loop every operator shares.
 //!
 //! Three invariants, property-tested over relation size and trip points:
 //! a scan that stops early always surfaces a typed [`GovernanceError`] —
@@ -9,8 +8,8 @@
 //! `SkipCorrupt` — quarantined blocks charge nothing.
 
 use avq_db::{
-    DbConfig, DbError, GovCtx, GovernanceError, QueryBudget, QueryCtx, QuotaKind, RetryPolicy,
-    ScanPolicy, Selection, StoredRelation,
+    AccessPath, DbConfig, DbError, GovCtx, GovernanceError, QueryBudget, QueryCtx, QuotaKind,
+    RetryPolicy, ScanPolicy, Selection, StoredRelation,
 };
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use avq_storage::{BlockDevice, BufferPool, FaultKind, FaultPlan};
@@ -45,15 +44,12 @@ fn scan_under(stored: &StoredRelation, gov: &GovCtx) -> Result<Vec<Tuple>, DbErr
     stored
         .fold_matching(
             &Selection::all(),
+            AccessPath::FullScan,
             &QueryCtx::from(gov.clone()),
             Vec::new(),
             |out, run, sel| out.extend(sel.iter().map(|&i| run.tuple(i as usize))),
         )
-        .map(|(rows, _, _)| rows)
-}
-
-fn full_range() -> (Tuple, Tuple) {
-    (Tuple::from([0u64, 0]), Tuple::from([63u64, 4095]))
+        .map(|(rows, _)| rows)
 }
 
 proptest! {
@@ -68,18 +64,23 @@ proptest! {
     fn cancellation_mid_scan_is_never_silent(n in 300u64..1500, stop in 0usize..700) {
         let (device, _pool, stored) = setup(n, ScanPolicy::FailFast);
         let gov = GovCtx::new(QueryBudget::unlimited(), device.clock().clone());
-        let (lo, hi) = full_range();
-        let mut scan = stored
-            .range_scan(lo, hi, &QueryCtx::from(gov.clone()))
-            .unwrap();
+        // The rows handed out so far; the fold cancels once they reach
+        // `stop`.
         let mut count = 0usize;
-        for _t in scan.by_ref() {
-            count += 1;
-            if count == stop {
-                gov.cancel();
-            }
-        }
-        match scan.take_error() {
+        let out = stored.fold_matching(
+            &Selection::all(),
+            AccessPath::FullScan,
+            &QueryCtx::from(gov.clone()),
+            (),
+            |(), _, sel| {
+                let before = count;
+                count += sel.len();
+                if before < stop && count >= stop {
+                    gov.cancel();
+                }
+            },
+        );
+        match out.err() {
             None => prop_assert_eq!(count, n as usize, "short result without an error"),
             Some(DbError::Governance(GovernanceError::Cancelled)) => {
                 prop_assert!(count < n as usize);

@@ -4,43 +4,17 @@
 //! place, so once the leaf is in the buffer pool each makes the same few
 //! allocations (the new node image and the pool's copy of it) whatever the
 //! leaf holds — decoding the leaf would cost one per key. A counting global
-//! allocator pins that; it is the only test in this binary so no
-//! concurrent test thread can perturb the counter.
-
-#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+//! allocator pins that.
 
 use avq_index::BPlusTree;
 use avq_storage::{BlockDevice, BufferPool, DiskProfile};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+#[allow(unsafe_code, reason = "a counting GlobalAlloc")]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 fn allocs(op: impl FnOnce()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    op();
-    ALLOCS.load(Ordering::Relaxed) - before
+    counting_alloc::counted(op).0
 }
 
 /// Allocations of an insert, an upsert and a delete of one key in the

@@ -2,38 +2,14 @@
 //!
 //! `get` searches each node's bytes in place, so once the root-to-leaf
 //! path is in the buffer pool a lookup — hit or miss — allocates nothing.
-//! A counting global allocator pins that; it is the only test in this
-//! binary so no concurrent test thread can perturb the counter.
-
-#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+//! A counting global allocator pins that.
 
 use avq_index::BPlusTree;
 use avq_storage::{BlockDevice, BufferPool, DiskProfile};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+#[allow(unsafe_code, reason = "a counting GlobalAlloc")]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 #[test]
 fn warm_get_allocates_nothing() {
@@ -49,12 +25,12 @@ fn warm_get_allocates_nothing() {
         tree.get(k).unwrap();
     }
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocs();
     let mut found = 0u64;
     for k in &probes {
         found += tree.get(k).unwrap().is_some() as u64;
     }
-    let allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let allocs = counting_alloc::allocs() - before;
     assert_eq!(found, 1_000, "even probes hit, odd ones miss");
     assert_eq!(
         allocs,

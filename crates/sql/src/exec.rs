@@ -15,7 +15,7 @@
 //! ordinals.
 //!
 //! Every operator reports a [`StageReport`] using the same stage
-//! vocabulary as `avq_db::ExplainReport`, plus per-plan-node actual row
+//! vocabulary as [`crate::ExplainReport`], plus per-plan-node actual row
 //! counts keyed by the pre-order node numbering shared with the renderer —
 //! that pairing is what lets `EXPLAIN ANALYZE` print estimated vs. actual
 //! rows per node. Stages are timed with [`Stopwatch`] only when their times
@@ -25,10 +25,9 @@
 
 use crate::binder::{BoundItem, BoundQuery};
 use crate::error::SqlError;
+use crate::explain::{CacheMark, StageReport};
 use crate::plan::{domain_of, PhysicalPlan, PlanNode};
-use avq_db::{
-    AccessPath, CacheMark, Database, RangePredicate, Selection, Served, StageReport, StoredBlock,
-};
+use avq_db::{AccessPath, Database, RangePredicate, Selection, Served, StoredBlock};
 use avq_obs::{names, AttrValue, QueryCtx, Stopwatch, TraceCtx};
 use avq_schema::{Domain, TupleBatch, Value};
 use core::time::Duration;
@@ -1327,7 +1326,7 @@ mod tests {
             else {
                 panic!("{sql}: explain analyze renders a plan");
             };
-            let report = avq_db::ExplainReport {
+            let report = crate::ExplainReport {
                 query: String::new(),
                 plan: String::new(),
                 stages: plain.stages.clone(),

@@ -34,6 +34,7 @@ pub mod ast;
 pub mod binder;
 pub mod error;
 pub mod exec;
+pub mod explain;
 pub mod lexer;
 pub mod parser;
 pub mod plan;
@@ -43,6 +44,7 @@ pub use ast::Statement;
 pub use binder::{bind, BoundQuery};
 pub use error::SqlError;
 pub use exec::{Cell, ExecOutput, QueryResult};
+pub use explain::{ExplainReport, StageReport};
 pub use parser::parse;
 pub use plan::{PhysicalPlan, PlanNode};
 pub use render::{render_analyze, render_explain};

@@ -1,16 +1,12 @@
 //! Cost-based plan enumeration over the §5.3 model.
 //!
-//! For every table the planner enumerates the same access paths the
-//! low-level operators implement — full scan, clustering-prefix range,
-//! secondary-index probe — and prices each as `C = I + N·(t₁ + t₂)`
-//! (Eq. 5.7): `I` index block reads, `N` estimated data blocks, `t₁` the
-//! device's per-block transfer time, `t₂` the configured per-block CPU
-//! cost. The decoded-block cache's resident fraction discounts `t₁` only:
-//! a warm block skips the device, but every block processed still costs
-//! `t₂`, so a warm relation plans cheaper than a cold one and a point probe
-//! still beats reading the whole relation. The clustered range is the
-//! φ-interval of the equality prefix (`Selection::clustered_prefix`), so
-//! its estimate and its candidate set come from one rule.
+//! Each table's access-path menu — full scan, clustering-prefix range,
+//! secondary-index probe, each priced as `C = I + N·(t₁ + t₂)` (Eq. 5.7) —
+//! comes from avq-db ([`TableStats::scan_alternatives`]), and a one-table
+//! statement takes its [`cheapest`] entry: the same chooser behind the
+//! facade's `select` and `aggregate`, so a conjunction reads the same
+//! blocks whichever way it is asked. This module adds what only a
+//! statement has.
 //! Joins enumerate every connected left-deep order (2–3 relations):
 //! the first join runs index-nested-loop (inner indexed on the join
 //! attribute) or block-nested-loop (inner re-scans served by the decoded
@@ -25,19 +21,11 @@
 
 use crate::binder::{BoundItem, BoundQuery};
 use crate::error::SqlError;
-use avq_db::{AccessPath, Database, JoinStrategy, RangePredicate, Selection, StoredRelation};
-use avq_schema::{Domain, Schema};
-
-/// Cost/cardinality estimates attached to every plan node.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Est {
-    /// Estimated output rows.
-    pub rows: f64,
-    /// Estimated data blocks read by this node (0 for pure operators).
-    pub blocks: f64,
-    /// Estimated simulated milliseconds for this node (Eq. 5.7 terms).
-    pub cost_ms: f64,
-}
+use avq_db::{
+    cheapest, AccessPath, Database, Est, JoinStrategy, RangePredicate, ScanAlt, Selection,
+    TableStats, INDEX_DESCENT_BLOCKS,
+};
+use avq_schema::Domain;
 
 /// A typed physical plan node.
 #[derive(Debug, Clone)]
@@ -181,50 +169,6 @@ impl PhysicalPlan {
     }
 }
 
-/// Per-table statistics snapshotted from the stored relation. Whether an
-/// attribute is indexed, and how large its domain is, are read from `rel`
-/// and `schema` where the cost model asks.
-struct TableStats<'a> {
-    rel: &'a StoredRelation,
-    schema: &'a Schema,
-    blocks: f64,
-    tuples: f64,
-    /// t₁: device transfer time per block, data or index.
-    transfer_ms: f64,
-    /// t₂: CPU time per data block processed.
-    cpu_ms: f64,
-    /// Fraction of data blocks resident in the decoded cache.
-    resident: f64,
-    /// Decoded-cache capacity in blocks.
-    cache_blocks: f64,
-}
-
-impl TableStats<'_> {
-    /// Effective cost of reading `n` estimated data blocks: residency saves
-    /// the transfer t₁, never the per-block CPU t₂.
-    fn data_ms(&self, n: f64) -> f64 {
-        n * (self.transfer_ms * (1.0 - self.resident) + self.cpu_ms)
-    }
-
-    /// Fraction of `attr`'s domain that `lo..=hi` accepts.
-    fn fraction(&self, attr: usize, (lo, hi): (u64, u64)) -> f64 {
-        if lo > hi {
-            return 0.0;
-        }
-        let size = (self.schema.attributes().get(attr))
-            .map_or(1.0, |a| a.domain().size() as f64)
-            .max(1.0);
-        ((hi - lo + 1) as f64 / size).min(1.0)
-    }
-
-    /// Fraction of the relation `sel` accepts, conjuncts independent.
-    fn selectivity(&self, sel: &Selection) -> f64 {
-        (0..self.schema.arity())
-            .filter_map(|attr| sel.range_of(attr).map(|r| self.fraction(attr, r)))
-            .product()
-    }
-}
-
 /// The [`Selection`] carrying every bound conjunct on `table`.
 fn selection_of(q: &BoundQuery, table: usize) -> Selection {
     q.predicates
@@ -237,101 +181,6 @@ fn selection_of(q: &BoundQuery, table: usize) -> Selection {
                 hi: p.hi,
             })
         })
-}
-
-fn gather_stats<'a>(db: &'a Database, q: &'a BoundQuery) -> Result<Vec<TableStats<'a>>, SqlError> {
-    let mut out = Vec::with_capacity(q.tables.len());
-    for t in &q.tables {
-        let rel = db.relation(&t.relation)?;
-        let config = rel.config();
-        let blocks = rel.block_count() as f64;
-        let resident = if rel.block_count() == 0 {
-            0.0
-        } else {
-            (rel.decoded_cache_len() as f64 / blocks).min(1.0)
-        };
-        out.push(TableStats {
-            rel,
-            schema: &t.schema,
-            blocks,
-            tuples: rel.tuple_count() as f64,
-            transfer_ms: config.disk.block_time_ms(config.codec.block_capacity),
-            cpu_ms: config.cpu_ms_per_block,
-            resident,
-            cache_blocks: config.decoded_cache_blocks as f64,
-        });
-    }
-    Ok(out)
-}
-
-/// Estimated index height charged per descent (`I` of Eq. 5.7).
-const INDEX_DESCENT_BLOCKS: f64 = 2.0;
-
-/// One costed access-path alternative for a table scan.
-struct ScanAlt {
-    path: AccessPath,
-    est: Est,
-}
-
-/// Enumerates every applicable access path for `table` with its cost.
-fn scan_alternatives(stats: &TableStats, sel: &Selection) -> Vec<ScanAlt> {
-    let rows = stats.tuples * stats.selectivity(sel);
-    let mut alts = Vec::new();
-
-    // Full scan: N = every block, I = 0.
-    alts.push(ScanAlt {
-        path: AccessPath::FullScan,
-        est: Est {
-            rows,
-            blocks: stats.blocks,
-            cost_ms: stats.data_ms(stats.blocks),
-        },
-    });
-
-    // Clustered range: the contiguous blocks of the equality prefix's
-    // φ-interval, N ≈ blocks × the fraction of φ-space it spans.
-    let prefix = sel.clustered_prefix();
-    if !prefix.is_empty() {
-        let frac: f64 = prefix
-            .iter()
-            .enumerate()
-            .map(|(attr, &r)| stats.fraction(attr, r))
-            .product();
-        let n = if frac == 0.0 {
-            0.0
-        } else {
-            (stats.blocks * frac).max(1.0).min(stats.blocks)
-        };
-        alts.push(ScanAlt {
-            path: AccessPath::ClusteredRange,
-            est: Est {
-                rows,
-                blocks: n,
-                cost_ms: INDEX_DESCENT_BLOCKS * stats.transfer_ms + stats.data_ms(n),
-            },
-        });
-    }
-
-    // Secondary-index probe per indexed, constrained, non-prefix attribute:
-    // matching tuples may each live in a distinct block, so N ≈ min(B, M).
-    for attr in 1..stats.schema.arity() {
-        let Some(range) = sel.range_of(attr) else {
-            continue;
-        };
-        if !stats.rel.has_secondary_index(attr) {
-            continue;
-        }
-        let n = (stats.tuples * stats.fraction(attr, range)).min(stats.blocks);
-        alts.push(ScanAlt {
-            path: AccessPath::SecondaryIndex { attr },
-            est: Est {
-                rows,
-                blocks: n,
-                cost_ms: INDEX_DESCENT_BLOCKS * stats.transfer_ms + stats.data_ms(n),
-            },
-        });
-    }
-    alts
 }
 
 /// Left-deep table orders where each next table is connected to the prefix
@@ -409,24 +258,23 @@ pub(crate) fn col_in_order(q: &BoundQuery, order: &[usize], col: (usize, usize))
 
 /// Plans `q` against `db`, returning the cheapest pipeline.
 pub fn plan(db: &Database, q: &BoundQuery) -> Result<PhysicalPlan, SqlError> {
-    let stats = gather_stats(db, q)?;
+    let stats = (q.tables.iter())
+        .map(|t| Ok(TableStats::of(db.relation(&t.relation)?)))
+        .collect::<Result<Vec<_>, SqlError>>()?;
     let selections: Vec<Selection> = (0..q.tables.len()).map(|t| selection_of(q, t)).collect();
     let mut considered = 0u64;
 
     // Access-path menu per table.
     let menus: Vec<Vec<ScanAlt>> = (0..q.tables.len())
-        .map(|t| scan_alternatives(&stats[t], &selections[t]))
+        .map(|t| stats[t].scan_alternatives(&selections[t]))
         .collect();
 
     let (mut best, order): (PlanNode, Vec<usize>) = if q.tables.len() == 1 {
         let menu = &menus[0];
         considered += menu.len() as u64;
-        let chosen = menu
-            .iter()
-            .min_by(|a, b| a.est.cost_ms.total_cmp(&b.est.cost_ms))
-            .ok_or_else(|| SqlError::Bind {
-                msg: "no access path for the table".to_owned(),
-            })?;
+        let chosen = cheapest(menu).ok_or_else(|| SqlError::Bind {
+            msg: "no access path for the table".to_owned(),
+        })?;
         (
             PlanNode::Scan {
                 table: 0,
@@ -522,10 +370,7 @@ pub fn plan(db: &Database, q: &BoundQuery) -> Result<PhysicalPlan, SqlError> {
                         };
                         let menu3 = &menus[t3];
                         considered += menu3.len().saturating_sub(1) as u64;
-                        let Some(alt3) = menu3
-                            .iter()
-                            .min_by(|a, b| a.est.cost_ms.total_cmp(&b.est.cost_ms))
-                        else {
+                        let Some(alt3) = cheapest(menu3) else {
                             continue;
                         };
                         let size3 = domain_size(q, left_key).max(domain_size(q, t3_key));

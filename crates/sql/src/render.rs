@@ -11,7 +11,7 @@
 //! ```
 //!
 //! The `plan: <summary>` second line intentionally matches the plan line
-//! of `avq_db::ExplainReport` so existing tooling that greps
+//! of [`crate::ExplainReport`] so existing tooling that greps
 //! `plan: full-scan` keeps working. `EXPLAIN ANALYZE` adds
 //! `actual_rows=<n>` per node (paired by the pre-order node numbering the
 //! executor uses) and appends the standard stage table.
@@ -22,8 +22,9 @@
 use crate::ast::SelectStmt;
 use crate::binder::BoundQuery;
 use crate::exec::ExecOutput;
+use crate::explain::ExplainReport;
 use crate::plan::{PhysicalPlan, PlanNode};
-use avq_db::{ExplainReport, JoinStrategy};
+use avq_db::JoinStrategy;
 use core::fmt::Write as _;
 
 /// Name of `(table, attr)` as `label.column`.

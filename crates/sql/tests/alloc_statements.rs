@@ -10,45 +10,16 @@
 //! list), not for text nobody reads or clocks nobody looks at. The
 //! ceilings are the counts measured when they were set: a change that adds
 //! an allocation to a warm statement fails here. A counting global
-//! allocator keeps the tally, so this is the only test in its binary.
-
-#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+//! allocator keeps the tally.
 
 use avq_db::{Database, DbConfig};
 use avq_obs::QueryCtx;
 use avq_sql::{SqlOutcome, Statement};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use counting_alloc::counted;
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
-
-/// Allocations made by `f`, and its result.
-fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.load(Ordering::Relaxed);
-    let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
-}
+#[allow(unsafe_code, reason = "a counting GlobalAlloc")]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 /// What one statement allocates in each stage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,40 +5,16 @@
 //! the blocks are in the decoded cache each statement must allocate
 //! O(blocks + rows returned): each block is handed over as the cached batch
 //! and filtered a column at a time into one reused selection vector, so a
-//! tuple that is examined and rejected costs nothing. A counting global allocator pins
-//! that — it is the only test in this binary so no concurrent test thread
-//! can perturb the counter.
-
-#![allow(unsafe_code, reason = "counting GlobalAlloc")]
+//! tuple that is examined and rejected costs nothing. A counting global
+//! allocator pins that.
 
 use avq_db::{Database, DbConfig, RangePredicate, Selection};
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use avq_sql::SqlOutcome;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
-
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAlloc = CountingAlloc;
+#[allow(unsafe_code, reason = "a counting GlobalAlloc")]
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 const N: u64 = 60_000;
 
@@ -70,9 +46,9 @@ fn warm_point_select_allocates_per_block_not_per_tuple() {
     assert_eq!(warmup.rows.len(), 1);
     rel.reset_decoded_stats();
 
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocs();
     let outcome = avq_sql::run(&db, sql).unwrap();
-    let sql_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let sql_allocs = counting_alloc::allocs() - before;
     let SqlOutcome::Table(table) = outcome else {
         panic!("a select returns a table");
     };
@@ -100,9 +76,9 @@ fn warm_point_select_allocates_per_block_not_per_tuple() {
     assert!(expect > 0);
     avq_sql::run(&db, two).unwrap();
     rel.reset_decoded_stats();
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocs();
     let outcome = avq_sql::run(&db, two).unwrap();
-    let two_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let two_allocs = counting_alloc::allocs() - before;
     let SqlOutcome::Table(table) = outcome else {
         panic!("a select returns a table");
     };
@@ -118,9 +94,9 @@ fn warm_point_select_allocates_per_block_not_per_tuple() {
 
     // The storage-level operator under the same contract.
     let selection = Selection::all().and(RangePredicate::equals(3, 31337));
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting_alloc::allocs();
     let (rows, cost, _) = rel.select(&selection).unwrap();
-    let select_allocs = ALLOCS.load(Ordering::Relaxed) - before;
+    let select_allocs = counting_alloc::allocs() - before;
     assert_eq!(rows.len(), 1);
     assert_eq!(cost.tuples_scanned, N as usize);
     assert!(

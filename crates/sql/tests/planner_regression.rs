@@ -4,10 +4,10 @@
 //! back to the full scan, and the filtered side of a join becomes the
 //! outer relation.
 
-use avq_db::{AccessPath, Database, DbConfig};
+use avq_db::{AccessPath, Database, DbConfig, RangePredicate, Selection};
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use avq_sql::plan::{plan, PhysicalPlan, PlanNode};
-use avq_sql::{bind, parse, BoundQuery, Statement};
+use avq_sql::{bind, parse, BoundQuery, Cell, SqlOutcome, Statement};
 
 fn plan_for(db: &Database, sql: &str) -> (BoundQuery, PhysicalPlan) {
     let stmt = match parse(sql).unwrap() {
@@ -206,4 +206,129 @@ fn chosen_plan_is_the_cheapest_enumerated() {
         "chosen {}ms exceeds the full-scan baseline {full}ms",
         p.est_total_ms
     );
+}
+
+/// SplitMix64: the seeded stream the agreement property draws from.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: u64) -> u64 {
+        self.next() % n
+    }
+}
+
+/// The attributes of [`indexed_db`]'s relation and their domain sizes.
+const NAMES: [&str; 4] = ["a", "b", "c", "d"];
+const SIZES: [u64; 4] = [16, 64, 512, 1000];
+
+/// `r(a < 16, b < 64, c < 512, d < 1000)`, 3000 tuples over many small
+/// blocks, with a secondary index on each attribute `mask` names.
+fn indexed_db(mask: u8) -> Database {
+    let mut db = Database::new(DbConfig::default().with_block_capacity(256));
+    let schema = Schema::from_pairs(
+        NAMES
+            .into_iter()
+            .zip(SIZES)
+            .map(|(name, size)| (name, Domain::uint(size).unwrap())),
+    )
+    .unwrap();
+    let mut rng = Rng(0xA5A5);
+    let tuples: Vec<Tuple> = (0..3000)
+        .map(|_| Tuple::from(SIZES.map(|size| rng.below(size))))
+        .collect();
+    db.create_relation("r", &Relation::from_tuples(schema, tuples).unwrap())
+        .unwrap();
+    for attr in (1..4).filter(|a| mask & (1 << a) != 0) {
+        db.create_secondary_index("r", attr).unwrap();
+    }
+    db
+}
+
+/// The facade and the SQL planner choose from one access-path menu: for
+/// any conjunction, indexes and cache state, `StoredRelation::select`
+/// reads through the path `plan::plan` picks for the same `select *`, and
+/// both return the same rows.
+#[test]
+fn facade_and_planner_choose_the_same_path() {
+    let mut rng = Rng(42);
+    for _ in 0..8 {
+        let mask = (rng.below(8) as u8) << 1;
+        let db = indexed_db(mask);
+        let rel = db.relation("r").unwrap();
+        for _ in 0..24 {
+            let mut sel = Selection::all();
+            let mut sql = Vec::new();
+            for _ in 0..=rng.below(3) {
+                let attr = rng.below(4) as usize;
+                let size = SIZES[attr];
+                let (lo, hi) = match rng.below(5) {
+                    0 => {
+                        let v = rng.below(size);
+                        (v, v)
+                    }
+                    1 => {
+                        let lo = rng.below(size);
+                        (lo, (lo + rng.below(size / 8 + 1)).min(size - 1))
+                    }
+                    2 => {
+                        let lo = rng.below(size / 4);
+                        (lo, size - 1 - rng.below(size / 4))
+                    }
+                    3 => (0, size - 1),
+                    // A contradiction: two equalities on one attribute.
+                    _ => {
+                        let v = rng.below(size - 1);
+                        sel = sel.and(RangePredicate::equals(attr, v + 1));
+                        sql.push(format!("{} = {}", NAMES[attr], v + 1));
+                        (v, v)
+                    }
+                };
+                sel = sel.and(RangePredicate { attr, lo, hi });
+                sql.push(format!("{} between {lo} and {hi}", NAMES[attr]));
+            }
+            let sql = format!("select * from r where {}", sql.join(" and "));
+            for warm in [false, true] {
+                let settle = || {
+                    db.drop_caches();
+                    if warm {
+                        rel.scan_all().unwrap();
+                    }
+                };
+                settle();
+                let (_, p) = plan_for(&db, &sql);
+                settle();
+                let (mut rows, _, path) = rel.select(&sel).unwrap();
+                let case = format!("indexes {mask:#06b}, warm {warm}: {sql}");
+                assert_eq!(path, scan_path(&p.root), "{case}");
+
+                let Ok(SqlOutcome::Table(result)) = avq_sql::run(&db, &sql) else {
+                    panic!("{case}: not a table");
+                };
+                let mut via_sql: Vec<Vec<u64>> = result
+                    .rows
+                    .iter()
+                    .map(|row| {
+                        row.iter()
+                            .map(|cell| match cell {
+                                Cell::Int(v) => u64::try_from(*v).unwrap(),
+                                other => panic!("{case}: cell {other:?}"),
+                            })
+                            .collect()
+                    })
+                    .collect();
+                rows.sort_unstable();
+                via_sql.sort_unstable();
+                let rows: Vec<Vec<u64>> = rows.iter().map(|t| t.digits().to_vec()).collect();
+                assert_eq!(rows, via_sql, "{case}");
+            }
+        }
+    }
 }

@@ -4,7 +4,8 @@
 //! the cold end, so it displaces at most one block resident before it and
 //! each repeat of it hits what the cache kept. On a cache of 8 blocks and a
 //! relation of at least 24, for each multi-block reader — a full SQL scan,
-//! `scan_all`, `aggregate`, a `RangeScan` and `create_secondary_index`:
+//! `scan_all`, `aggregate`, a clustered-range `fold_matching` over the whole
+//! φ range and `create_secondary_index`:
 //!
 //! - a block admitted by a point read before three such reads is still
 //!   resident after them;
@@ -18,7 +19,9 @@
 //!
 //! The decode counter is process-wide, so this file holds one test.
 
-use avq_db::{Aggregate, Database, DbConfig, QueryCtx, RangePredicate, Selection, StoredRelation};
+use avq_db::{
+    AccessPath, Aggregate, Database, DbConfig, QueryCtx, RangePredicate, Selection, StoredRelation,
+};
 use avq_obs::names;
 use avq_schema::{Domain, Relation, Schema, Tuple};
 use avq_sql::{run, SqlOutcome};
@@ -66,7 +69,7 @@ enum Reader {
     SqlScan,
     ScanAll,
     Aggregate,
-    RangeScan,
+    ClusteredFold,
     IndexBuild,
 }
 
@@ -90,13 +93,22 @@ fn read(db: &mut Database, reader: Reader, round: usize) -> (String, u64) {
             let (value, cost) = rel(db).aggregate(Aggregate::Sum { attr: 2 }, &sel).unwrap();
             (format!("{value:?}"), cost.data_blocks)
         }
-        Reader::RangeScan => {
-            let lo = Tuple::from([0u64, 0, 0, 0]);
-            let hi = Tuple::from([63u64, 4095, 65535, 15]);
-            let mut scan = rel(db).range_scan(lo, hi, &QueryCtx::default()).unwrap();
-            let rows: Vec<Tuple> = scan.by_ref().collect();
-            assert!(scan.take_error().is_none());
-            (format!("{rows:?}"), scan.blocks_read())
+        Reader::ClusteredFold => {
+            let sel = Selection::all().and(RangePredicate {
+                attr: 0,
+                lo: 0,
+                hi: 63,
+            });
+            let (rows, cost) = (rel(db))
+                .fold_matching(
+                    &sel,
+                    AccessPath::ClusteredRange,
+                    &QueryCtx::default(),
+                    Vec::new(),
+                    |out, run, sel| out.extend(sel.iter().map(|&i| run.tuple(i as usize))),
+                )
+                .unwrap();
+            (format!("{rows:?}"), cost.data_blocks)
         }
         Reader::IndexBuild => {
             // One attribute per round: an index is built once.
@@ -117,7 +129,7 @@ fn resident_blocks_survive_scans_larger_than_the_cache() {
         Reader::SqlScan,
         Reader::ScanAll,
         Reader::Aggregate,
-        Reader::RangeScan,
+        Reader::ClusteredFold,
         Reader::IndexBuild,
     ] {
         let mut db = database(CACHE);
