@@ -1144,9 +1144,9 @@ mod tests {
     /// clustering attribute (`ops` sorts after `hr`) and an out-of-order
     /// non-prefix range. The rows are byte-identical. The footer counts
     /// the blocks the planner's path reads: `dept = hr` is priced as a
-    /// full scan (2 blocks; the attribute-0 prune read 1), and the empty
-    /// clustered range reads none (the prune read the 1 block straddling
-    /// `hr` and `ops`).
+    /// full scan (2 blocks; the attribute-0 prune read 1), and neither
+    /// empty range reads a block (the prune read the 1 block straddling
+    /// `hr` and `ops`, and the out-of-order range was a full scan).
     #[test]
     fn query_golden_output() {
         const HR: &str = concat!(
@@ -1189,7 +1189,7 @@ mod tests {
             ),
             (
                 ("years", "12", "10"),
-                "# 2 of 2 blocks decoded\n".to_owned(),
+                "# 0 of 2 blocks decoded\n".to_owned(),
             ),
         ] {
             let out = query(&avq_path, attr, lo, hi).unwrap();
@@ -1616,7 +1616,7 @@ mod tests {
         assert!(out.contains("statement=\"select a.dept"), "{out}");
         assert!(out.contains("plan_summary="), "{out}");
         assert!(out.contains("plans_considered="), "{out}");
-        // Per-stage spans with the ExplainReport stage vocabulary.
+        // Per-stage spans named as in the EXPLAIN ANALYZE stage table.
         assert!(out.contains("stage=\"scan\""), "{out}");
         assert!(out.contains("stage=\"aggregate\""), "{out}");
         // Block-level decode spans with storage + kernel attribution.

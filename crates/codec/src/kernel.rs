@@ -46,15 +46,6 @@ impl DecodeKernel {
             _ => None,
         }
     }
-
-    /// Parses the command-line spelling (`scalar` | `swar`).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "scalar" => Some(DecodeKernel::Scalar),
-            "swar" => Some(DecodeKernel::Swar),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for DecodeKernel {
@@ -76,14 +67,6 @@ mod tests {
             assert_eq!(DecodeKernel::from_tag(k.tag()), Some(k));
         }
         assert_eq!(DecodeKernel::from_tag(7), None);
-    }
-
-    #[test]
-    fn parse_matches_display() {
-        for k in DecodeKernel::ALL {
-            assert_eq!(DecodeKernel::parse(&k.to_string()), Some(k));
-        }
-        assert_eq!(DecodeKernel::parse("avx512"), None);
     }
 
     #[test]

@@ -41,6 +41,19 @@ pub enum Aggregate {
     },
 }
 
+impl Aggregate {
+    /// The aggregated attribute, or `None` for `COUNT`.
+    fn attr(self) -> Option<usize> {
+        match self {
+            Aggregate::Count => None,
+            Aggregate::Sum { attr }
+            | Aggregate::Min { attr }
+            | Aggregate::Max { attr }
+            | Aggregate::Avg { attr } => Some(attr),
+        }
+    }
+}
+
 /// The result of an aggregate query.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AggregateValue {
@@ -62,11 +75,15 @@ impl StoredRelation {
     ///   (served from in-memory metadata; zero I/O);
     /// * `MIN`/`MAX` of the clustering attribute with an empty selection —
     ///   only the first / last block is decoded.
+    ///
+    /// An aggregated attribute past the arity is a
+    /// [`avq_schema::SchemaError::NoSuchAttribute`].
     pub fn aggregate(
         &self,
         agg: Aggregate,
         selection: &Selection,
     ) -> Result<(AggregateValue, QueryCost), DbError> {
+        self.check_attr(agg.attr().unwrap_or(0))?;
         let _span = avq_obs::span!(names::SPAN_DB_AGGREGATE);
         avq_obs::counter!(names::DB_AGGREGATES).inc();
         let mut tracker = CostTracker::new(self.device());
@@ -108,13 +125,15 @@ impl StoredRelation {
     }
 
     /// Evaluates an aggregate per distinct value of `group_attr` (GROUP BY),
-    /// streaming block-at-a-time.
+    /// streaming block-at-a-time. A group or aggregated attribute past the
+    /// arity is a [`avq_schema::SchemaError::NoSuchAttribute`].
     pub fn aggregate_group_by(
         &self,
         group_attr: usize,
         agg: Aggregate,
         selection: &Selection,
     ) -> Result<(BTreeMap<u64, AggregateValue>, QueryCost), DbError> {
+        self.check_attr(group_attr.max(agg.attr().unwrap_or(0)))?;
         let (groups, cost) = self.fold_matching(
             selection,
             self.access_path(selection),
@@ -149,12 +168,8 @@ impl AggState {
     /// Folds rows `sel` of `run` in, reading only the aggregated column.
     fn fold(&mut self, agg: Aggregate, run: &TupleBatch, sel: &[u32]) {
         self.count += sel.len() as u64;
-        let attr = match agg {
-            Aggregate::Count => return,
-            Aggregate::Sum { attr }
-            | Aggregate::Min { attr }
-            | Aggregate::Max { attr }
-            | Aggregate::Avg { attr } => attr,
+        let Some(attr) = agg.attr() else {
+            return;
         };
         let col = run.col(attr);
         for &i in sel {

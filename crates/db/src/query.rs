@@ -20,7 +20,7 @@ use crate::cost::{CostTracker, QueryCost};
 use crate::error::DbError;
 use crate::relation_store::StoredRelation;
 use avq_obs::{names, QueryCtx};
-use avq_schema::{Tuple, TupleBatch};
+use avq_schema::{SchemaError, Tuple, TupleBatch};
 use avq_storage::BlockId;
 
 /// One conjunct: `lo ≤ A_attr ≤ hi` in ordinal space.
@@ -41,7 +41,10 @@ impl RangePredicate {
     }
 }
 
-/// A conjunction of range predicates.
+/// A conjunction of range predicates, normalized: at most one interval
+/// per attribute, in attribute order, each the intersection of every
+/// conjunct on its attribute (`lo > hi` when they contradict). So two
+/// selections built from the same conjuncts in any order are equal.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Selection {
     predicates: Vec<RangePredicate>,
@@ -67,38 +70,51 @@ impl Selection {
         Selection::default()
     }
 
-    /// Adds a conjunct. Multiple conjuncts on the same attribute intersect.
+    /// Adds a conjunct, intersecting it with the interval already on its
+    /// attribute.
     pub fn and(mut self, pred: RangePredicate) -> Self {
-        self.predicates.push(pred);
+        match self.predicates.binary_search_by_key(&pred.attr, |p| p.attr) {
+            Ok(at) => {
+                let p = &mut self.predicates[at];
+                (p.lo, p.hi) = (p.lo.max(pred.lo), p.hi.min(pred.hi));
+            }
+            Err(at) => self.predicates.insert(at, pred),
+        }
         self
     }
 
-    /// The conjuncts.
+    /// The intervals, one per constrained attribute, in attribute order.
     pub fn predicates(&self) -> &[RangePredicate] {
         &self.predicates
     }
 
+    /// True when the conjuncts on some attribute contradict (`lo > hi`):
+    /// the selection admits no row.
+    pub fn contradicts(&self) -> bool {
+        self.predicates.iter().any(|p| p.lo > p.hi)
+    }
+
     /// The filter kernel: sets `sel` to the indices of `block`'s rows that
-    /// satisfy every conjunct, ascending — the block's selection vector.
+    /// satisfy every interval, ascending — the block's selection vector.
     ///
     /// A block's rows are φ sorted, so when its first and last rows agree
-    /// on attributes `0..k` every row does (its *constant prefix*); a
-    /// conjunct on one of those attributes, or one that contradicts itself
-    /// (`lo > hi`), is decided once for the whole block — it passes every
-    /// row or none — and never scans. The other conjuncts are tested on
-    /// mask words of 64 rows: bit `j` of a word stands for row `base + j`,
-    /// and every word starts with its rows set. Each conjunct in turn
-    /// refines every word that still holds rows: a word with many rows left
-    /// is tested whole, with branch-free unsigned compares eight rows to a
+    /// on attributes `0..k` every row does (its *constant prefix*); an
+    /// interval on one of those attributes, or a contradiction (`lo >
+    /// hi`), is decided once for the whole block — it passes every row or
+    /// none — and never scans. The other intervals are tested on mask
+    /// words of 64 rows: bit `j` of a word stands for row `base + j`, and
+    /// every word starts with its rows set. Each interval in turn refines
+    /// every word that still holds rows: a word with many rows left is
+    /// tested whole, with branch-free unsigned compares eight rows to a
     /// lane; one with few left has only those rows tested; an emptied word
-    /// is skipped, and once every word is empty no further conjunct is
+    /// is skipped, and once every word is empty no further interval is
     /// read. The set bits are then expanded into `sel`. A block's words
     /// (up to 4 096 rows at a time) are kept on the stack, so the block is
-    /// filtered a conjunct — one column — at a time.
+    /// filtered an attribute — one column, read once — at a time.
     ///
     /// `sel` is cleared first and its buffer reused, so a caller that keeps
     /// one vector across blocks allocates nothing per block once it has
-    /// grown. An empty block selects nothing. Panics when a conjunct names
+    /// grown. An empty block selects nothing. Panics when an interval names
     /// an attribute past the arity of a block with rows.
     pub fn filter_block(&self, block: &TupleBatch, sel: &mut Vec<u32>) {
         sel.clear();
@@ -149,33 +165,29 @@ impl Selection {
         }
     }
 
-    /// The intersection of every conjunct on `attr`, or `None` when no
-    /// conjunct constrains it (`lo > hi` when the conjuncts contradict).
+    /// The interval on `attr`, or `None` when no conjunct constrains it
+    /// (`lo > hi` when the conjuncts contradict).
     pub fn range_of(&self, attr: usize) -> Option<(u64, u64)> {
-        self.predicates
-            .iter()
-            .filter(|p| p.attr == attr)
-            .fold(None, |acc, p| {
-                let (lo, hi) = acc.unwrap_or((0, u64::MAX));
-                Some((lo.max(p.lo), hi.min(p.hi)))
-            })
+        let at = self.predicates.binary_search_by_key(&attr, |p| p.attr);
+        let p = self.predicates[at.ok()?];
+        Some((p.lo, p.hi))
     }
 
-    /// The bound of a clustered-range scan: the intersected ranges of
-    /// attributes `0, 1, …` for as long as each is an equality, then at
-    /// most one ranged attribute. φ order is lexicographic, so the tuples
-    /// these conjuncts admit form one φ-interval, `[(v₀,…,v_{k−1}, lo, 0,
-    /// …), (v₀,…,v_{k−1}, hi, max, …)]`. Empty when attribute 0 is
-    /// unconstrained; a contradiction ends the prefix with `lo > hi`.
-    pub fn clustered_prefix(&self) -> Vec<(u64, u64)> {
-        let mut prefix = Vec::new();
-        while let Some((lo, hi)) = self.range_of(prefix.len()) {
-            prefix.push((lo, hi));
-            if lo != hi {
-                break;
-            }
-        }
-        prefix
+    /// The bound of a clustered-range scan: the intervals of attributes
+    /// `0, 1, …` for as long as each is an equality, then at most one
+    /// ranged attribute, borrowed from the selection. φ order is
+    /// lexicographic, so the tuples these conjuncts admit form one
+    /// φ-interval, `[(v₀,…,v_{k−1}, lo, 0, …), (v₀,…,v_{k−1}, hi, max,
+    /// …)]`. Empty when attribute 0 is unconstrained; a contradiction ends
+    /// the prefix with `lo > hi`.
+    pub fn clustered_prefix(&self) -> &[RangePredicate] {
+        let run = (self.predicates.iter().enumerate())
+            .take_while(|&(attr, p)| p.attr == attr)
+            .count();
+        let equalities = (self.predicates[..run].iter())
+            .take_while(|p| p.lo == p.hi)
+            .count();
+        &self.predicates[..run.min(equalities + 1)]
     }
 }
 
@@ -397,13 +409,14 @@ impl<'a> TableStats<'a> {
         let size = (self.rel.schema().attributes().get(attr))
             .map_or(1.0, |a| a.domain().size() as f64)
             .max(1.0);
-        ((hi - lo + 1) as f64 / size).min(1.0)
+        // Saturating: `0..=u64::MAX` has one more value than `u64` holds.
+        ((hi - lo).saturating_add(1) as f64 / size).min(1.0)
     }
 
-    /// Fraction of the relation `sel` accepts, conjuncts independent.
+    /// Fraction of the relation `sel` accepts, attributes independent.
     pub fn selectivity(&self, sel: &Selection) -> f64 {
-        (0..self.rel.schema().arity())
-            .filter_map(|attr| sel.range_of(attr).map(|r| self.fraction(attr, r)))
+        (sel.predicates().iter())
+            .map(|p| self.fraction(p.attr, (p.lo, p.hi)))
             .product()
     }
 
@@ -430,10 +443,8 @@ impl<'a> TableStats<'a> {
         // φ-interval, N ≈ blocks × the fraction of φ-space it spans.
         let prefix = sel.clustered_prefix();
         if !prefix.is_empty() {
-            let frac: f64 = prefix
-                .iter()
-                .enumerate()
-                .map(|(attr, &r)| self.fraction(attr, r))
+            let frac: f64 = (prefix.iter())
+                .map(|p| self.fraction(p.attr, (p.lo, p.hi)))
                 .product();
             let n = if frac == 0.0 {
                 0.0
@@ -453,16 +464,11 @@ impl<'a> TableStats<'a> {
         // Secondary-index probe per indexed, constrained, non-prefix
         // attribute: matching tuples may each live in a distinct block, so
         // N ≈ min(B, M).
-        for attr in 1..self.rel.schema().arity() {
-            let Some(range) = sel.range_of(attr) else {
-                continue;
-            };
-            if !self.rel.has_secondary_index(attr) {
-                continue;
-            }
-            let n = (self.tuples * self.fraction(attr, range)).min(self.blocks);
+        let indexed = |p: &&RangePredicate| p.attr > 0 && self.rel.has_secondary_index(p.attr);
+        for p in sel.predicates().iter().filter(indexed) {
+            let n = (self.tuples * self.fraction(p.attr, (p.lo, p.hi))).min(self.blocks);
             alts.push(ScanAlt {
-                path: AccessPath::SecondaryIndex { attr },
+                path: AccessPath::SecondaryIndex { attr: p.attr },
                 est: Est {
                     rows,
                     blocks: n,
@@ -493,7 +499,8 @@ impl StoredRelation {
     /// Candidate data blocks for `selection` through `path`: the
     /// contiguous primary run meeting the φ-interval of
     /// [`Selection::clustered_prefix`], the union of secondary-index
-    /// postings for an indexed conjunct, or every block. Shared by
+    /// postings for an indexed conjunct, or every block — and none on any
+    /// path when the selection contradicts itself. Shared by
     /// [`Self::fold_matching`] and the SQL executor, so both walk
     /// identical block sets.
     pub fn candidate_blocks(
@@ -501,11 +508,14 @@ impl StoredRelation {
         selection: &Selection,
         path: AccessPath,
     ) -> Result<Vec<BlockId>, DbError> {
+        if selection.contradicts() {
+            return Ok(Vec::new());
+        }
         match path {
-            AccessPath::ClusteredRange => self.clustered_candidates(&selection.clustered_prefix()),
+            AccessPath::ClusteredRange => self.clustered_candidates(selection.clustered_prefix()),
             AccessPath::SecondaryIndex { attr } => match selection.range_of(attr) {
-                Some((lo, hi)) if lo <= hi => self.secondary_candidate_blocks(attr, lo, hi),
-                _ => Ok(Vec::new()),
+                Some((lo, hi)) => self.secondary_candidate_blocks(attr, lo, hi),
+                None => Ok(Vec::new()),
             },
             AccessPath::FullScan => Ok(self.all_block_ids()),
         }
@@ -520,7 +530,8 @@ impl StoredRelation {
     /// [`Self::read_blocks`] under `ctx`, so a cancelled or tripped read
     /// stops within one block with [`DbError::Governance`]; the cost counts
     /// the blocks and tuples actually served, so one skipped under
-    /// [`crate::ScanPolicy::SkipCorrupt`] is in neither.
+    /// [`crate::ScanPolicy::SkipCorrupt`] is in neither. A conjunct on an
+    /// attribute past the arity is a [`SchemaError::NoSuchAttribute`].
     pub fn fold_matching<T>(
         &self,
         selection: &Selection,
@@ -529,6 +540,8 @@ impl StoredRelation {
         init: T,
         mut f: impl FnMut(&mut T, &TupleBatch, &[u32]),
     ) -> Result<(T, QueryCost), DbError> {
+        // Intervals are in attribute order: the last names the highest.
+        self.check_attr(selection.predicates().last().map_or(0, |p| p.attr))?;
         let _span = avq_obs::span!(names::SPAN_DB_SELECT);
         avq_obs::counter!(names::DB_QUERIES).inc();
         let mut tracker = CostTracker::new(self.device());
@@ -547,6 +560,16 @@ impl StoredRelation {
         }
         tracker.end_data_phase();
         Ok((acc, tracker.cost))
+    }
+
+    /// `Ok` when `attr` names one of this relation's attributes (a schema
+    /// has at least one), else [`SchemaError::NoSuchAttribute`].
+    pub(crate) fn check_attr(&self, attr: usize) -> Result<(), DbError> {
+        if attr < self.schema().arity() {
+            return Ok(());
+        }
+        let attribute = format!("#{attr} (arity {})", self.schema().arity());
+        Err(DbError::Schema(SchemaError::NoSuchAttribute { attribute }))
     }
 
     /// Executes a conjunctive selection through [`Self::access_path`],
@@ -729,6 +752,10 @@ pub(crate) mod tests {
         let (rows, _, path) = rel.select(&Selection::all()).unwrap();
         assert_eq!(path, AccessPath::FullScan);
         assert_eq!(rows.len(), 2000);
+        // So does an interval over every `u64`, whose width `u64` cannot hold.
+        let (attr, lo, hi) = (2, 0, u64::MAX);
+        let whole = Selection::all().and(RangePredicate { attr, lo, hi });
+        assert_eq!(rel.select(&whole).unwrap().0.len(), 2000);
     }
 
     #[test]
@@ -748,6 +775,57 @@ pub(crate) mod tests {
         let (rows, cost, _) = rel.select(&sel).unwrap();
         assert!(rows.is_empty());
         assert_eq!(cost.data_blocks, 0, "no blocks touched");
+    }
+
+    #[test]
+    fn a_selection_is_one_interval_per_attribute_in_attribute_order() {
+        let r = |attr, lo, hi| RangePredicate { attr, lo, hi };
+        let conjuncts = [r(1, 9, 9), r(2, 3, 40), r(0, 4, 4), r(2, 7, 90)];
+        let forward = conjuncts.iter().fold(Selection::all(), |s, &p| s.and(p));
+        let backward = (conjuncts.iter().rev()).fold(Selection::all(), |s, &p| s.and(p));
+        assert_eq!(forward, backward);
+        let intervals = [r(0, 4, 4), r(1, 9, 9), r(2, 7, 40)];
+        assert_eq!(forward.predicates(), intervals);
+        assert_eq!(forward.range_of(2), Some((7, 40)));
+        // The equality run, then at most one range; nothing past a gap.
+        assert_eq!(forward.clustered_prefix(), intervals);
+        let ranged = Selection::all()
+            .and(r(2, 0, 0))
+            .and(r(1, 0, 99))
+            .and(r(0, 4, 4));
+        assert_eq!(ranged.clustered_prefix(), [r(0, 4, 4), r(1, 0, 99)]);
+        let gap = Selection::all().and(r(0, 4, 4)).and(r(2, 3, 3));
+        assert_eq!(gap.clustered_prefix(), [r(0, 4, 4)]);
+    }
+
+    #[test]
+    fn a_contradiction_reads_no_block_on_any_path() {
+        let rel = stored(&[]);
+        let r = |lo, hi| RangePredicate { attr: 2, lo, hi };
+        let sel = Selection::all().and(r(5, 10)).and(r(12, 15));
+        assert!(sel.contradicts());
+        let (rows, cost, path) = rel.select(&sel).unwrap();
+        assert_eq!(path, AccessPath::FullScan);
+        assert!(rows.is_empty());
+        assert_eq!(cost.data_blocks, 0, "no blocks touched");
+    }
+
+    #[test]
+    fn an_attribute_past_the_arity_is_a_typed_error() {
+        use crate::aggregate::Aggregate;
+        let rel = stored(&[]);
+        let past = Selection::all().and(RangePredicate::equals(99, 0));
+        let all = Selection::all();
+        let errs = [
+            rel.select(&past).err(),
+            rel.aggregate(Aggregate::Sum { attr: 99 }, &all).err(),
+            rel.aggregate_group_by(99, Aggregate::Count, &all).err(),
+        ];
+        for err in errs {
+            let Some(DbError::Schema(SchemaError::NoSuchAttribute { .. })) = err else {
+                panic!("{err:?}");
+            };
+        }
     }
 
     #[test]

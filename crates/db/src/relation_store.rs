@@ -972,21 +972,18 @@ impl StoredRelation {
 
     /// Candidate blocks for a clustered-range scan: the contiguous run of
     /// blocks whose `[min, max]` meets the φ-interval `prefix` spans (see
-    /// [`Selection::clustered_prefix`]), found via the primary index. The
+    /// [`Selection::clustered_prefix`]; [`Self::candidate_blocks`] has
+    /// answered a contradiction already), found via the primary index. The
     /// interval's two probe keys share one buffer and index entries are
     /// read in place, so besides the returned vector that buffer is the
     /// one allocation.
     pub(crate) fn clustered_candidates(
         &self,
-        prefix: &[(u64, u64)],
+        prefix: &[RangePredicate],
     ) -> Result<Vec<BlockId>, DbError> {
         let radices = self.schema.radix().radices();
         let prefix = &prefix[..prefix.len().min(radices.len())];
-        if prefix
-            .iter()
-            .zip(radices)
-            .any(|(&(lo, hi), &size)| lo > hi || lo >= size)
-        {
+        if (prefix.iter().zip(radices)).any(|(p, &size)| p.lo >= size) {
             return Ok(Vec::new());
         }
         if self.blocks.is_empty() {
@@ -1001,8 +998,8 @@ impl StoredRelation {
             for (attr, (&width, &size)) in self.schema.byte_widths().iter().zip(radices).enumerate()
             {
                 let digit = match (prefix.get(attr), end) {
-                    (Some(&(lo, _)), 0) => lo,
-                    (Some(&(_, hi)), _) => hi.min(size - 1),
+                    (Some(p), 0) => p.lo,
+                    (Some(p), _) => p.hi.min(size - 1),
                     (None, 0) => 0,
                     (None, _) => size - 1,
                 };
@@ -1013,7 +1010,7 @@ impl StoredRelation {
         let (lo_key, hi_key) = keys.split_at(m + KEY_SUFFIX);
         // `t < lo` for a full tuple `t`: `lo` is the prefix's lower bounds
         // followed by zeros, so only the prefix decides.
-        let below_lo = |t: &Tuple| t.digits().iter().lt(prefix.iter().map(|(lo, _)| lo));
+        let below_lo = |t: &Tuple| t.digits().iter().lt(prefix.iter().map(|p| &p.lo));
 
         let mut out = Vec::new();
         // The block whose run the interval starts in — its min may precede

@@ -4,17 +4,18 @@
 //! [`BoundQuery`]: table
 //! references resolve to stored relations, column references to
 //! `(table, attribute)` pairs, and `WHERE` conjuncts to inclusive ordinal
-//! ranges in each attribute's domain (§3.1 attribute encoding). Strict
-//! comparisons become inclusive bounds by stepping one ordinal; literals
-//! outside a numeric domain clamp to the domain edge (an equality against an
-//! out-of-domain literal yields a provably empty range rather than an
-//! error, matching SQL semantics).
+//! ranges in each attribute's domain (§3.1 attribute encoding), intersected
+//! into each table's [`Selection`] as they bind. Strict comparisons become
+//! inclusive bounds by stepping one ordinal; literals outside a numeric
+//! domain clamp to the domain edge (an equality against an out-of-domain
+//! literal yields an empty `lo > hi` range rather than an error, matching
+//! SQL semantics).
 
 use crate::ast::{
     AggFunc, ColRef, Literal, Predicate, Projection, SelectItem, SelectStmt, TableRef,
 };
 use crate::error::SqlError;
-use avq_db::Database;
+use avq_db::{Database, RangePredicate, Selection};
 use avq_schema::{Domain, Schema, Value};
 use std::sync::Arc;
 
@@ -36,20 +37,6 @@ pub struct BoundJoin {
     pub left: (usize, usize),
     /// `(table index, attribute index)` of the right side.
     pub right: (usize, usize),
-}
-
-/// One `WHERE` conjunct as an inclusive ordinal range. `lo > hi` encodes a
-/// provably empty range.
-#[derive(Debug, Clone)]
-pub struct BoundPredicate {
-    /// Table index.
-    pub table: usize,
-    /// Attribute index within the table.
-    pub attr: usize,
-    /// Inclusive lower ordinal.
-    pub lo: u64,
-    /// Inclusive upper ordinal.
-    pub hi: u64,
 }
 
 /// A resolved projection item.
@@ -76,8 +63,11 @@ pub struct BoundQuery {
     pub tables: Vec<BoundTable>,
     /// Equijoin conditions (one per `JOIN` clause).
     pub joins: Vec<BoundJoin>,
-    /// `WHERE` conjuncts as ordinal ranges.
-    pub predicates: Vec<BoundPredicate>,
+    /// Each table's `WHERE` conjuncts, by table index: what the planner
+    /// prices and the executor runs.
+    pub selections: Vec<Selection>,
+    /// The table of each `WHERE` conjunct, in statement order.
+    pub conjunct_tables: Vec<usize>,
     /// Projection items in output order.
     pub items: Vec<BoundItem>,
     /// Column headers for the result table, in output order, shared with
@@ -91,13 +81,6 @@ pub struct BoundQuery {
     pub limit: Option<usize>,
     /// True when any item aggregates (the result is one row per group).
     pub grouped: bool,
-}
-
-impl BoundQuery {
-    /// True when any bound predicate is provably empty (`lo > hi`).
-    pub fn provably_empty(&self) -> bool {
-        self.predicates.iter().any(|p| p.lo > p.hi)
-    }
 }
 
 /// Where a literal lands relative to a domain's ordinal space.
@@ -214,14 +197,15 @@ impl<'a> Binder<'a> {
         self.tables[col.0].schema.attribute(col.1).domain()
     }
 
-    fn bind_predicate(&self, pred: &Predicate) -> Result<BoundPredicate, SqlError> {
+    /// The table `pred` constrains and its inclusive ordinal range.
+    fn bind_predicate(&self, pred: &Predicate) -> Result<(usize, RangePredicate), SqlError> {
         use crate::ast::CmpOp;
         let (Predicate::Cmp { col: colref, .. } | Predicate::Between { col: colref, .. }) = pred;
         let (t, a) = self.resolve(colref)?;
         let domain = self.domain((t, a));
         let max = domain.size().saturating_sub(1);
         // Map each conjunct to an inclusive ordinal range; `lo > hi` (1, 0)
-        // encodes "provably empty".
+        // admits nothing.
         const EMPTY: (u64, u64) = (1, 0);
         let (lo, hi) = match pred {
             Predicate::Cmp { op, lit, col, .. } => {
@@ -260,12 +244,7 @@ impl<'a> Binder<'a> {
                 lo_ord.zip(hi_ord).unwrap_or(EMPTY)
             }
         };
-        Ok(BoundPredicate {
-            table: t,
-            attr: a,
-            lo,
-            hi,
-        })
+        Ok((t, RangePredicate { attr: a, lo, hi }))
     }
 }
 
@@ -303,9 +282,12 @@ pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<BoundQuery, SqlError> {
         joins.push(BoundJoin { left, right });
     }
 
-    let mut predicates = Vec::new();
+    let mut selections = vec![Selection::all(); b.tables.len()];
+    let mut conjunct_tables = Vec::with_capacity(stmt.predicates.len());
     for p in &stmt.predicates {
-        predicates.push(b.bind_predicate(p)?);
+        let (t, range) = b.bind_predicate(p)?;
+        selections[t] = core::mem::take(&mut selections[t]).and(range);
+        conjunct_tables.push(t);
     }
 
     let group_by = match &stmt.group_by {
@@ -414,7 +396,8 @@ pub fn bind(db: &Database, stmt: &SelectStmt) -> Result<BoundQuery, SqlError> {
     Ok(BoundQuery {
         tables: b.tables,
         joins,
-        predicates,
+        selections,
+        conjunct_tables,
         items,
         headers,
         group_by,
@@ -463,30 +446,42 @@ mod tests {
         let db = db();
         // age is IntRange(-10, 89): value 0 is ordinal 10.
         let q = bound(&db, "select * from people where age >= 0").unwrap();
-        assert_eq!(q.predicates.len(), 1);
-        assert_eq!((q.predicates[0].lo, q.predicates[0].hi), (10, 99));
+        assert_eq!(q.selections[0].predicates().len(), 1);
+        assert_eq!(q.selections[0].range_of(1), Some((10, 99)));
         let q = bound(&db, "select * from people where dept = 'hr'").unwrap();
-        assert_eq!((q.predicates[0].lo, q.predicates[0].hi), (1, 1));
+        assert_eq!(q.selections[0].range_of(0), Some((1, 1)));
     }
 
     #[test]
     fn strict_ops_step_one_ordinal() {
         let db = db();
         let q = bound(&db, "select * from people where id < 5").unwrap();
-        assert_eq!((q.predicates[0].lo, q.predicates[0].hi), (0, 4));
+        assert_eq!(q.selections[0].range_of(2), Some((0, 4)));
         let q = bound(&db, "select * from people where id > 5").unwrap();
-        assert_eq!((q.predicates[0].lo, q.predicates[0].hi), (6, 999));
+        assert_eq!(q.selections[0].range_of(2), Some((6, 999)));
     }
 
     #[test]
     fn out_of_domain_clamps_or_empties() {
         let db = db();
         let q = bound(&db, "select * from people where id <= 5000").unwrap();
-        assert_eq!((q.predicates[0].lo, q.predicates[0].hi), (0, 999));
+        assert_eq!(q.selections[0].range_of(2), Some((0, 999)));
         let q = bound(&db, "select * from people where id = 5000").unwrap();
-        assert!(q.provably_empty());
+        assert!(q.selections[0].contradicts());
         let q = bound(&db, "select * from people where age < -10").unwrap();
-        assert!(q.provably_empty());
+        assert!(q.selections[0].contradicts());
+    }
+
+    #[test]
+    fn conjuncts_intersect_per_table_and_keep_their_statement_order() {
+        let db = db();
+        let sql = "select * from people a join people b on a.id = b.id \
+                   where b.id > 5 and a.age >= 0 and b.id < 9";
+        let q = bound(&db, sql).unwrap();
+        assert_eq!(q.conjunct_tables, [1, 0, 1]);
+        assert_eq!(q.selections[0].predicates().len(), 1);
+        assert_eq!(q.selections[1].predicates().len(), 1);
+        assert_eq!(q.selections[1].range_of(2), Some((6, 8)));
     }
 
     #[test]

@@ -14,8 +14,8 @@
 //! `IntRange{-10,89}` and `Uint{100}`) compares semantic values, not raw
 //! ordinals.
 //!
-//! Every operator reports a [`StageReport`] using the same stage
-//! vocabulary as [`crate::ExplainReport`], plus per-plan-node actual row
+//! Every operator reports a [`StageReport`] — the rows of the stage table
+//! [`crate::explain::stage_table`] renders — plus per-plan-node actual row
 //! counts keyed by the pre-order node numbering shared with the renderer —
 //! that pairing is what lets `EXPLAIN ANALYZE` print estimated vs. actual
 //! rows per node. Stages are timed with [`Stopwatch`] only when their times
@@ -23,7 +23,7 @@
 //! the watch is inert and a stage's `elapsed` is zero, so a block read
 //! costs no clock reads.
 
-use crate::binder::{BoundItem, BoundQuery};
+use crate::binder::{BoundItem, BoundQuery, BoundTable};
 use crate::error::SqlError;
 use crate::explain::{CacheMark, StageReport};
 use crate::plan::{domain_of, PhysicalPlan, PlanNode};
@@ -167,8 +167,8 @@ impl QueryResult {
 pub struct ExecOutput {
     /// The decoded result table.
     pub result: QueryResult,
-    /// Stages in execution order (ExplainReport vocabulary); `elapsed` is
-    /// zero unless the execution was timed.
+    /// Stages in execution order; `elapsed` is zero unless the execution
+    /// was timed.
     pub stages: Vec<StageReport>,
     /// Actual output rows per plan node, keyed by pre-order node id.
     pub actual_rows: Vec<u64>,
@@ -195,8 +195,6 @@ struct Exec<'a> {
     db: &'a Database,
     q: &'a BoundQuery,
     order: &'a [usize],
-    /// Each table's conjuncts, as the planner priced them.
-    selections: &'a [Selection],
     ctx: &'a QueryCtx,
     /// Whether stage clocks run (else every stage's `elapsed` is zero).
     timed: bool,
@@ -265,9 +263,10 @@ impl<'a> Exec<'a> {
         Stopwatch::start_if(self.timed)
     }
 
-    /// The conjuncts on `table`.
-    fn selection(&self, table: usize) -> Result<&'a Selection, SqlError> {
-        self.selections.get(table).ok_or_else(|| SqlError::Bind {
+    /// Bound table `table` and its conjuncts.
+    fn table(&self, table: usize) -> Result<(&'a BoundTable, &'a Selection), SqlError> {
+        let q = self.q;
+        (q.tables.get(table).zip(q.selections.get(table))).ok_or_else(|| SqlError::Bind {
             msg: "plan references an unbound table".to_owned(),
         })
     }
@@ -380,11 +379,8 @@ impl<'a> Exec<'a> {
         answers: Option<&dyn Fn(&StoredBlock) -> bool>,
         mut sink: impl FnMut(Sunk<'_>),
     ) -> Result<u64, SqlError> {
-        let bt = self.q.tables.get(table).ok_or_else(|| SqlError::Bind {
-            msg: "plan references an unbound table".to_owned(),
-        })?;
+        let (bt, sel) = self.table(table)?;
         let rel = self.db.relation(&bt.relation)?;
-        let sel = self.selection(table)?;
 
         let sw = self.clock();
         let candidates = rel.candidate_blocks(sel, path)?;
@@ -493,11 +489,8 @@ impl<'a> Exec<'a> {
         outer_col: usize,
         inner_attr: usize,
     ) -> Result<TupleBatch, SqlError> {
-        let bt = self.q.tables.get(inner).ok_or_else(|| SqlError::Bind {
-            msg: "plan references an unbound table".to_owned(),
-        })?;
+        let (bt, sel) = self.table(inner)?;
         let rel = self.db.relation(&bt.relation)?;
-        let sel = self.selection(inner)?;
         let out_dom = domain_of(self.q, outer_key);
         let in_dom = domain_of(self.q, (inner, inner_attr));
         let outer_keys = outer_rows.col(check_col(outer_col, outer_rows.arity())?);
@@ -743,7 +736,7 @@ impl<'a> Exec<'a> {
         let sw = if let Some((table, path, _)) = scan {
             let scan_id = self.claim_node(counter);
             let stage = Some(("aggregate", &mut in_scan));
-            let covered = self.selection(table)?.predicates().is_empty();
+            let covered = self.table(table)?.1.predicates().is_empty();
             let answers = covered.then_some(&answerable as &dyn Fn(&StoredBlock) -> bool);
             let kept = self.scan_into(table, path, 0, usize::MAX, stage, answers, &mut fold)?;
             if let Some(slot) = self.actual_rows.get_mut(scan_id) {
@@ -1114,7 +1107,6 @@ pub(crate) fn run_plan(
         db,
         q,
         order: &plan.table_order,
-        selections: &plan.selections,
         ctx,
         timed: timed || ctx.trace.is_enabled(),
         stages: Vec::new(),
@@ -1326,13 +1318,8 @@ mod tests {
             else {
                 panic!("{sql}: explain analyze renders a plan");
             };
-            let report = crate::ExplainReport {
-                query: String::new(),
-                plan: String::new(),
-                stages: plain.stages.clone(),
-                rows: plain.result.rows.len() as u64,
-            };
-            let table = report.stage_table();
+            let rows = plain.result.rows.len() as u64;
+            let table = crate::explain::stage_table(&plain.stages, rows);
             assert_eq!(untimed_table(&analyzed), untimed_table(&table), "{sql}");
         }
     }

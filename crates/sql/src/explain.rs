@@ -1,12 +1,13 @@
-//! `EXPLAIN ANALYZE` report types: per-stage wall-clock timing and cache
+//! `EXPLAIN ANALYZE`'s stage table: per-stage wall-clock timing and cache
 //! attribution.
 //!
-//! The cost model charges the *simulated* 1994 disk; these reports say
+//! The cost model charges the *simulated* 1994 disk; the stage reports say
 //! where *real* time goes — index probing, block decode, predicate
 //! filtering, join matching — and how many block reads each stage served
 //! from cache (buffer-pool hits + decoded-block hits) instead of decode +
-//! device I/O. The executor produces them; they render as a fixed-format
-//! table that `EXPLAIN ANALYZE` prints and a CLI golden test pins.
+//! device I/O. The executor produces them; [`stage_table`] renders them as
+//! the fixed-format table that `EXPLAIN ANALYZE` prints and a CLI golden
+//! test pins.
 
 use avq_db::StoredRelation;
 use avq_storage::PoolStats;
@@ -29,31 +30,6 @@ pub struct StageReport {
     pub elapsed: Duration,
 }
 
-/// A per-stage `EXPLAIN ANALYZE` report.
-#[derive(Debug, Clone)]
-pub struct ExplainReport {
-    /// Human-readable description of the query.
-    pub query: String,
-    /// The plan chosen (access path or join strategy).
-    pub plan: String,
-    /// Timed stages in execution order.
-    pub stages: Vec<StageReport>,
-    /// Rows in the final result.
-    pub rows: u64,
-}
-
-impl ExplainReport {
-    /// Total elapsed time across all stages.
-    pub fn total_elapsed(&self) -> Duration {
-        self.stages.iter().map(|s| s.elapsed).sum()
-    }
-
-    /// Total cache hits across all stages.
-    pub fn total_cache_hits(&self) -> u64 {
-        self.stages.iter().map(|s| s.cache_hits).sum()
-    }
-}
-
 /// Formats a duration compactly (`845ns`, `12.3µs`, `4.5ms`, `1.20s`).
 fn format_elapsed(d: Duration) -> String {
     let ns = d.as_nanos();
@@ -68,58 +44,48 @@ fn format_elapsed(d: Duration) -> String {
     }
 }
 
-impl ExplainReport {
-    /// Renders just the fixed-format stage table (header, separator, one
-    /// row per stage, `total` row) without the query/plan preamble. Shared
-    /// by [`Display`](core::fmt::Display) and the SQL plan renderer, so
-    /// `EXPLAIN ANALYZE` tables look identical everywhere.
-    pub fn stage_table(&self) -> String {
-        use core::fmt::Write as _;
-        let mut out = String::new();
+/// Renders the fixed-format stage table of `stages`: header, separator,
+/// one row per stage, then a `total` row with `rows`, the statement's
+/// result rows. Its shape (header, column order, separator, `total` row)
+/// is what the CLI's EXPLAIN goldens pin — change it there too or not at
+/// all.
+pub fn stage_table(stages: &[StageReport], rows: u64) -> String {
+    use core::fmt::Write as _;
+    let mut out = String::new();
+    let _ = writeln!(
+        out,
+        "{:<13} | {:>10} | {:>8} | {:>10} | {:>10}",
+        "stage", "rows", "blocks", "cache_hits", "elapsed"
+    );
+    let _ = writeln!(
+        out,
+        "{:-<14}+{:-<12}+{:-<10}+{:-<12}+{:-<11}",
+        "", "", "", "", ""
+    );
+    for s in stages {
         let _ = writeln!(
             out,
             "{:<13} | {:>10} | {:>8} | {:>10} | {:>10}",
-            "stage", "rows", "blocks", "cache_hits", "elapsed"
+            s.stage,
+            s.rows,
+            s.blocks,
+            s.cache_hits,
+            format_elapsed(s.elapsed)
         );
-        let _ = writeln!(
-            out,
-            "{:-<14}+{:-<12}+{:-<10}+{:-<12}+{:-<11}",
-            "", "", "", "", ""
-        );
-        for s in &self.stages {
-            let _ = writeln!(
-                out,
-                "{:<13} | {:>10} | {:>8} | {:>10} | {:>10}",
-                s.stage,
-                s.rows,
-                s.blocks,
-                s.cache_hits,
-                format_elapsed(s.elapsed)
-            );
-        }
-        let blocks: u64 = self.stages.iter().map(|s| s.blocks).sum();
-        let _ = write!(
-            out,
-            "{:<13} | {:>10} | {:>8} | {:>10} | {:>10}",
-            "total",
-            self.rows,
-            blocks,
-            self.total_cache_hits(),
-            format_elapsed(self.total_elapsed())
-        );
-        out
     }
-}
-
-impl core::fmt::Display for ExplainReport {
-    /// The query and plan lines, then [`Self::stage_table`], whose shape
-    /// (header, column order, separator, `total` row) the CLI's EXPLAIN
-    /// goldens pin — change it there too or not at all.
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        writeln!(f, "EXPLAIN ANALYZE: {}", self.query)?;
-        writeln!(f, "plan: {}", self.plan)?;
-        write!(f, "{}", self.stage_table())
-    }
+    let blocks: u64 = stages.iter().map(|s| s.blocks).sum();
+    let hits: u64 = stages.iter().map(|s| s.cache_hits).sum();
+    let elapsed: Duration = stages.iter().map(|s| s.elapsed).sum();
+    let _ = write!(
+        out,
+        "{:<13} | {:>10} | {:>8} | {:>10} | {:>10}",
+        "total",
+        rows,
+        blocks,
+        hits,
+        format_elapsed(elapsed)
+    );
+    out
 }
 
 /// Cache counters at a stage boundary: decoded-block cache + buffer pool.
@@ -149,46 +115,39 @@ mod tests {
 
     #[test]
     fn report_renders_pinned_table_shape() {
-        let report = ExplainReport {
-            query: "select t where 1 <= b <= 2".to_owned(),
-            plan: "full-scan".to_owned(),
-            stages: vec![
-                StageReport {
-                    stage: "scan",
-                    rows: 100,
-                    blocks: 4,
-                    cache_hits: 2,
-                    elapsed: Duration::from_micros(1234),
-                },
-                StageReport {
-                    stage: "filter",
-                    rows: 10,
-                    blocks: 0,
-                    cache_hits: 0,
-                    elapsed: Duration::from_nanos(900),
-                },
-            ],
-            rows: 10,
-        };
-        let text = report.to_string();
+        let stages = [
+            StageReport {
+                stage: "scan",
+                rows: 100,
+                blocks: 4,
+                cache_hits: 2,
+                elapsed: Duration::from_micros(1234),
+            },
+            StageReport {
+                stage: "filter",
+                rows: 10,
+                blocks: 0,
+                cache_hits: 0,
+                elapsed: Duration::from_nanos(900),
+            },
+        ];
+        let text = stage_table(&stages, 10);
         let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "EXPLAIN ANALYZE: select t where 1 <= b <= 2");
-        assert_eq!(lines[1], "plan: full-scan");
         assert_eq!(
-            lines[2],
+            lines[0],
             "stage         |       rows |   blocks | cache_hits |    elapsed"
         );
-        assert!(lines[3].chars().all(|c| c == '-' || c == '+'));
+        assert!(lines[1].chars().all(|c| c == '-' || c == '+'));
         assert_eq!(
-            lines[4],
+            lines[2],
             "scan          |        100 |        4 |          2 |      1.2ms"
         );
         assert_eq!(
-            lines[5],
+            lines[3],
             "filter        |         10 |        0 |          0 |      900ns"
         );
         assert_eq!(
-            lines[6],
+            lines[4],
             "total         |         10 |        4 |          2 |      1.2ms"
         );
     }

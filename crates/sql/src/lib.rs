@@ -44,7 +44,7 @@ pub use ast::Statement;
 pub use binder::{bind, BoundQuery};
 pub use error::SqlError;
 pub use exec::{Cell, ExecOutput, QueryResult};
-pub use explain::{ExplainReport, StageReport};
+pub use explain::StageReport;
 pub use parser::parse;
 pub use plan::{PhysicalPlan, PlanNode};
 pub use render::{render_analyze, render_explain};

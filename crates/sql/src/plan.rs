@@ -22,8 +22,7 @@
 use crate::binder::{BoundItem, BoundQuery};
 use crate::error::SqlError;
 use avq_db::{
-    cheapest, AccessPath, Database, Est, JoinStrategy, RangePredicate, ScanAlt, Selection,
-    TableStats, INDEX_DESCENT_BLOCKS,
+    cheapest, AccessPath, Database, Est, JoinStrategy, ScanAlt, TableStats, INDEX_DESCENT_BLOCKS,
 };
 use avq_schema::Domain;
 
@@ -141,9 +140,6 @@ pub struct PhysicalPlan {
     pub plans_considered: u64,
     /// Estimated total cost of the chosen pipeline (simulated ms).
     pub est_total_ms: f64,
-    /// Each table's conjuncts, by table index: what the planner priced and
-    /// the executor runs.
-    pub selections: Vec<Selection>,
 }
 
 impl PhysicalPlan {
@@ -167,20 +163,6 @@ impl PhysicalPlan {
         }
         join_root(&self.root).unwrap_or_default()
     }
-}
-
-/// The [`Selection`] carrying every bound conjunct on `table`.
-fn selection_of(q: &BoundQuery, table: usize) -> Selection {
-    q.predicates
-        .iter()
-        .filter(|p| p.table == table)
-        .fold(Selection::all(), |sel, p| {
-            sel.and(RangePredicate {
-                attr: p.attr,
-                lo: p.lo,
-                hi: p.hi,
-            })
-        })
 }
 
 /// Left-deep table orders where each next table is connected to the prefix
@@ -261,12 +243,11 @@ pub fn plan(db: &Database, q: &BoundQuery) -> Result<PhysicalPlan, SqlError> {
     let stats = (q.tables.iter())
         .map(|t| Ok(TableStats::of(db.relation(&t.relation)?)))
         .collect::<Result<Vec<_>, SqlError>>()?;
-    let selections: Vec<Selection> = (0..q.tables.len()).map(|t| selection_of(q, t)).collect();
     let mut considered = 0u64;
 
     // Access-path menu per table.
-    let menus: Vec<Vec<ScanAlt>> = (0..q.tables.len())
-        .map(|t| stats[t].scan_alternatives(&selections[t]))
+    let menus: Vec<Vec<ScanAlt>> = (stats.iter().zip(&q.selections))
+        .map(|(table, sel)| table.scan_alternatives(sel))
         .collect();
 
     let (mut best, order): (PlanNode, Vec<usize>) = if q.tables.len() == 1 {
@@ -295,7 +276,7 @@ pub fn plan(db: &Database, q: &BoundQuery) -> Result<PhysicalPlan, SqlError> {
             };
             let inner_attr = inner_key.1;
             let join_size = domain_size(q, outer_key).max(domain_size(q, inner_key));
-            let inner_sel = stats[i].selectivity(&selections[i]);
+            let inner_sel = stats[i].selectivity(&q.selections[i]);
             let inner_rows = stats[i].tuples * inner_sel;
             for outer_alt in &menus[o] {
                 let rows_out = outer_alt.est.rows;
@@ -475,7 +456,6 @@ pub fn plan(db: &Database, q: &BoundQuery) -> Result<PhysicalPlan, SqlError> {
         table_order: order,
         plans_considered: considered,
         est_total_ms: base_cost,
-        selections,
     })
 }
 

@@ -10,11 +10,11 @@
 //! plans considered: 3, estimated cost: 123.0ms
 //! ```
 //!
-//! The `plan: <summary>` second line intentionally matches the plan line
-//! of [`crate::ExplainReport`] so existing tooling that greps
-//! `plan: full-scan` keeps working. `EXPLAIN ANALYZE` adds
+//! The `plan: <summary>` second line names the access path or join
+//! strategy, so tooling can grep `plan: full-scan`. `EXPLAIN ANALYZE` adds
 //! `actual_rows=<n>` per node (paired by the pre-order node numbering the
-//! executor uses) and appends the standard stage table.
+//! executor uses) and appends the stage table
+//! ([`crate::explain::stage_table`]).
 //!
 //! The statement text and each conjunct's text are rendered here, from the
 //! parsed statement, only when a plan is shown: binding keeps no text.
@@ -22,7 +22,7 @@
 use crate::ast::SelectStmt;
 use crate::binder::BoundQuery;
 use crate::exec::ExecOutput;
-use crate::explain::ExplainReport;
+use crate::explain::stage_table;
 use crate::plan::{PhysicalPlan, PlanNode};
 use avq_db::JoinStrategy;
 use core::fmt::Write as _;
@@ -36,11 +36,11 @@ fn col_name(q: &BoundQuery, col: (usize, usize)) -> String {
 }
 
 /// The `[pred and pred]` suffix for a table's conjuncts, or empty. The
-/// binder keeps one bound conjunct per `WHERE` conjunct, in statement order.
+/// binder keeps the table of each `WHERE` conjunct, in statement order.
 fn preds_of(stmt: &SelectStmt, q: &BoundQuery, table: usize) -> String {
     let mut out = String::new();
-    let conjuncts = stmt.predicates.iter().zip(&q.predicates);
-    for (pred, _) in conjuncts.filter(|(_, bound)| bound.table == table) {
+    let conjuncts = stmt.predicates.iter().zip(&q.conjunct_tables);
+    for (pred, _) in conjuncts.filter(|&(_, &t)| t == table) {
         out.push_str(if out.is_empty() { " [" } else { " and " });
         let _ = write!(out, "{pred}");
     }
@@ -236,13 +236,6 @@ pub fn render_analyze(
         "plans considered: {}, estimated cost: {:.1}ms",
         plan.plans_considered, plan.est_total_ms
     );
-    // Only the stage table of the report is rendered.
-    let report = ExplainReport {
-        query: String::new(),
-        plan: plan.summary(),
-        stages: exec.stages.clone(),
-        rows: exec.result.rows.len() as u64,
-    };
-    out.push_str(&report.stage_table());
+    out.push_str(&stage_table(&exec.stages, exec.result.rows.len() as u64));
     out
 }

@@ -96,12 +96,12 @@ fn warm_statements_allocate_within_their_ceilings() {
         (
             "full tuple",
             format!("select * from r where {}", full.join(" and ")),
-            Allocs::new(21, 22, 7, 50),
+            Allocs::new(21, 17, 7, 45),
         ),
         (
             "prefix limit",
             format!("select * from r where {} and {} limit 20", eq(0), eq(1)),
-            Allocs::new(5, 17, 32, 54),
+            Allocs::new(5, 16, 31, 52),
         ),
         (
             "two-attribute",

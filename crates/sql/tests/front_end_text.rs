@@ -202,10 +202,10 @@ plan: full-scan
 plans considered: 1, estimated cost: 346.2ms
 stage         |       rows |   blocks | cache_hits |    elapsed
 --------------+------------+----------+------------+-----------
-scan          |       1000 |       25 |         25 | *
+scan          |          0 |        0 |          0 | *
 filter        |          0 |        0 |          0 | *
 project       |          0 |        0 |          0 | *
-total         |          0 |       25 |         25 | *
+total         |          0 |        0 |          0 | *
 "#,
     ),
     (
